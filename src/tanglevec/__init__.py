@@ -7,7 +7,6 @@ and synthesizes the analytic control sequences (arbitrary diagonal coupling
 from three CZ-class gates, W to GHZ conversion, three-tangle maximization)
 plus the quaternionic subsystem with its canonical reduction.
 """
-from ._kernels import BACKEND
 from .errors import (DegenerateInput, GaugeUndefined, IndexOutOfRange,
                      InvariantViolation, NotNormalized, NotRepresentable,
                      ParseError, TangleVecError, UnknownGate,

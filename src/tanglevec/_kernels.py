@@ -1,324 +1,177 @@
-"""Hot numeric kernels with a JIT lane and a pure-numpy fallback.
+"""The two optimizer kernels, each batched over a leading restart axis.
 
 Two optimizer loops dominate the library's runtime: the local-unitary
 overlap maximization behind the Fubini-Study angle, and the gradient-ascent
-oracle that cross-checks the analytic three-tangle maximum. Each comes in
-two interchangeable implementations of the same algorithm: an explicit-loop
-version compiled with numba, and a vectorized plain-numpy version used when
-numba is unavailable or switched off.
-
-Backend selection (env var TANGLEVEC_BACKEND):
-    auto   - numba when importable, else numpy (default)
-    numba  - require numba, raise if missing
-    numpy  - force the vectorized numpy lane
-
-``benchmarks/bench_kernels.py`` times the two lanes against each other.
+oracle that cross-checks the analytic three-tangle maximum. Both run all
+random restarts in lockstep. A per-restart mask freezes each restart at the
+point where a one-restart-at-a-time loop would have stopped it, so every
+restart follows the trajectory it would follow alone (up to rounding), and
+a call costs as many iterations as its slowest restart instead of the sum
+over restarts.
 """
 from __future__ import annotations
 
-import os
+from typing import NamedTuple
 
 import numpy as np
 
-
-def _make_kernels(jit):
-    """Build the kernel pair under a given compiler (identity or njit)."""
-
-    @jit
-    def expm_su4(h):
-        # exp(X) for anti-Hermitian X given as the Hermitian matrix h = -iX
-        w, v = np.linalg.eigh(h)
-        phases = np.exp(1j * w)
-        out = np.zeros((4, 4), dtype=np.complex128)
-        for a in range(4):
-            for b in range(4):
-                acc = 0.0 + 0.0j
-                for c in range(4):
-                    acc += v[a, c] * phases[c] * np.conj(v[b, c])
-                out[a, b] = acc
-        return out
-
-    @jit
-    def apply_pair(u4, psi):
-        # apply a 4x4 operator on the leading qubit pair of an 8-vector
-        out = np.zeros(8, dtype=np.complex128)
-        for r in range(4):
-            for c in range(4):
-                urc = u4[r, c]
-                if urc != 0.0:
-                    out[2 * r] += urc * psi[2 * c]
-                    out[2 * r + 1] += urc * psi[2 * c + 1]
-        return out
-
-    @jit
-    def tangle_objective(psi, quads):
-        # (|A.A|^2, A) for the quadratic forms in quads
-        a = np.zeros(3, dtype=np.complex128)
-        for i in range(3):
-            acc = 0.0 + 0.0j
-            for m in range(8):
-                pm = psi[m]
-                if pm == 0.0:
-                    continue
-                inner = 0.0 + 0.0j
-                for n in range(8):
-                    inner += quads[i, m, n] * psi[n]
-                acc += pm * inner
-            a[i] = acc
-        a2 = a[0] * a[0] + a[1] * a[1] + a[2] * a[2]
-        return (a2.real * a2.real + a2.imag * a2.imag), a
-
-    @jit
-    def fs_best_overlap(t1, t2, inits, max_sweeps, tol):
-        """Best |<t1| Ua x Ub x Uc |t2>| over local unitaries.
-
-        Alternating exact maximization: with two factors fixed, the optimum
-        over the third is the nuclear norm of a 2x2 partial overlap,
-        attained at a unitary read off its SVD. Monotone per sweep. Returns
-        (best overlap, the three optimal unitaries) so callers can recompute
-        the angle from the state distance, which stays well-conditioned when
-        the overlap approaches 1.
-        """
-        best = 0.0
-        best_us = np.zeros((3, 2, 2), dtype=np.complex128)
-        best_us[0, 0, 0] = best_us[0, 1, 1] = 1.0
-        best_us[1] = best_us[0]
-        best_us[2] = best_us[0]
-        n_restarts = inits.shape[0]
-        for r in range(n_restarts):
-            ua = inits[r, 0].copy()
-            ub = inits[r, 1].copy()
-            uc = inits[r, 2].copy()
-            val = 0.0
-            for _ in range(max_sweeps):
-                # convergence is judged on the unitary step size, not on the
-                # overlap: the updates keep sharpening the optimum after the
-                # double-precision overlap value has saturated
-                step = 0.0
-                for q in range(3):
-                    t = np.zeros((2, 2), dtype=np.complex128)
-                    for i2 in range(2):
-                        for j2 in range(2):
-                            for k2 in range(2):
-                                amp = t2[i2, j2, k2]
-                                if amp == 0.0:
-                                    continue
-                                for i1 in range(2):
-                                    for j1 in range(2):
-                                        for k1 in range(2):
-                                            w = np.conj(t1[i1, j1, k1]) * amp
-                                            if q == 0:
-                                                t[i1, i2] += w * ub[j1, j2] * uc[k1, k2]
-                                            elif q == 1:
-                                                t[j1, j2] += w * ua[i1, i2] * uc[k1, k2]
-                                            else:
-                                                t[k1, k2] += w * ua[i1, i2] * ub[j1, j2]
-                    v, s, wh = np.linalg.svd(t.T.copy())
-                    unew = np.conj(wh.T) @ np.conj(v.T)
-                    if q == 0:
-                        diff = np.abs(unew - ua).max()
-                        ua = unew
-                    elif q == 1:
-                        diff = np.abs(unew - ub).max()
-                        ub = unew
-                    else:
-                        diff = np.abs(unew - uc).max()
-                        uc = unew
-                    if diff > step:
-                        step = diff
-                    val = s[0] + s[1]
-                if step < tol:
-                    break
-            if val > best:
-                best = val
-                best_us[0] = ua
-                best_us[1] = ub
-                best_us[2] = uc
-        if best > 1.0:
-            best = 1.0
-        return best, best_us
-
-    @jit
-    def tangle_ascent_best(psi0, gens, quads, inits, max_iters, gtol):
-        """Best three-tangle from Riemannian gradient ascent on the pair group.
-
-        Ascends |A.A|^2 over exp(sum_k xi_k G_k) acting on the leading qubit
-        pair, restarting from each row of inits. Returns 4 sqrt(best).
-        """
-        n_restarts = inits.shape[0]
-        best = 0.0
-        for r in range(n_restarts):
-            h0 = np.zeros((4, 4), dtype=np.complex128)
-            for k in range(15):
-                h0 += inits[r, k] * (-1j) * gens[k]
-            psi = apply_pair(expm_su4(h0), psi0)
-            g, a = tangle_objective(psi, quads)
-            eta = 0.1
-            for _ in range(max_iters):
-                a2 = a[0] * a[0] + a[1] * a[1] + a[2] * a[2]
-                # v = sum_i A_i Q_i psi ; grad_k = 8 Re(conj(A.A) (G_k psi).v)
-                v = np.zeros(8, dtype=np.complex128)
-                for i in range(3):
-                    for m in range(8):
-                        acc = 0.0 + 0.0j
-                        for n in range(8):
-                            acc += quads[i, m, n] * psi[n]
-                        v[m] += a[i] * acc
-                grad = np.zeros(15)
-                gnorm2 = 0.0
-                for k in range(15):
-                    gp = apply_pair(gens[k], psi)
-                    dot = 0.0 + 0.0j
-                    for m in range(8):
-                        dot += gp[m] * v[m]
-                    grad[k] = 8.0 * (np.conj(a2) * dot).real
-                    gnorm2 += grad[k] * grad[k]
-                if gnorm2 < gtol * gtol:
-                    break
-                improved = False
-                for _try in range(50):
-                    h = np.zeros((4, 4), dtype=np.complex128)
-                    for k in range(15):
-                        h += (eta * grad[k]) * (-1j) * gens[k]
-                    trial = apply_pair(expm_su4(h), psi)
-                    nrm = 0.0
-                    for m in range(8):
-                        nrm += trial[m].real**2 + trial[m].imag**2
-                    nrm = np.sqrt(nrm)
-                    for m in range(8):
-                        trial[m] = trial[m] / nrm
-                    gt, at = tangle_objective(trial, quads)
-                    if gt > g:
-                        psi = trial
-                        g = gt
-                        a = at
-                        eta *= 1.3
-                        improved = True
-                        break
-                    eta *= 0.4
-                    if eta < 1e-16:
-                        break
-                if not improved:
-                    break
-            if g > best:
-                best = g
-        return 4.0 * np.sqrt(best)
-
-    return fs_best_overlap, tangle_ascent_best
+from .gates import expi_hermitian
 
 
-# --- vectorized numpy lane ---------------------------------------------------
+class KernelStats(NamedTuple):
+    """How a batched optimizer run ended.
 
-def _fs_best_overlap_numpy(t1, t2, inits, max_sweeps, tol):
-    """Vectorized twin of the jitted alternating overlap maximization."""
-    t1c = t1.conj()
-    best = 0.0
-    best_us = np.stack([np.eye(2, dtype=np.complex128)] * 3)
-    for r in range(inits.shape[0]):
-        us = [inits[r, 0].copy(), inits[r, 1].copy(), inits[r, 2].copy()]
-        val = 0.0
-        for _ in range(max_sweeps):
-            step = 0.0
-            for q in range(3):
-                w = t2
-                for p in range(3):
-                    if p != q:
-                        w = np.moveaxis(np.tensordot(us[p], w, axes=([1], [p])), 0, p)
-                axes = [p for p in range(3) if p != q]
-                t = np.tensordot(t1c, w, axes=(axes, axes))
-                v, s, wh = np.linalg.svd(t.T)
-                unew = wh.conj().T @ v.conj().T
-                step = max(step, float(np.abs(unew - us[q]).max()))
-                us[q] = unew
-                val = s[0] + s[1]
-            if step < tol:
+    ``iterations`` counts the sweeps (overlap search) or line-search
+    iterations (ascent) of the longest-running restart; ``converged`` counts
+    the restarts that stopped before reaching the iteration cap.
+    """
+
+    iterations: int
+    converged: int
+
+
+def fs_restarts(t1, t2, inits, max_sweeps, tol):
+    """Alternating overlap maximization from every start in ``inits`` at once.
+
+    With two factors fixed, the optimum over the third local unitary is the
+    nuclear norm of a 2x2 partial overlap, attained at its polar factor, so
+    each sweep is monotone. A restart stops after the first sweep in which no
+    unitary moves by more than ``tol`` (max-norm): the step, not the overlap,
+    is judged, because the updates keep sharpening the optimum after the
+    double-precision overlap has saturated.
+
+    Returns (overlaps (R,), unitaries (R, 3, 2, 2), sweeps used (R,),
+    converged (R,) bool).
+    """
+    # g[q][(x_q, y_q), (x_o1, y_o1, x_o2, y_o2)] = conj(t1)[x] t2[y]: the partial
+    # overlap for qubit q is g[q] applied to the Kronecker pair of the other two
+    g = np.einsum("abc,xyz->axbycz", np.conj(t1), t2).reshape(4, 4, 4)
+    gq = [np.ascontiguousarray(g.transpose(q, *(p for p in range(3) if p != q)).reshape(4, 16).T)
+          for q in range(3)]
+    others = [(1, 2), (0, 2), (0, 1)]
+    n = inits.shape[0]
+    us = np.array(inits, dtype=np.complex128)
+    vals = np.zeros(n)
+    sweeps = np.zeros(n, dtype=np.int64)
+    converged = np.zeros(n, dtype=bool)
+    act = np.arange(n)
+    u = us.copy()
+    for _ in range(max_sweeps):
+        step = np.zeros(act.size)
+        for q in range(3):
+            o1, o2 = others[q]
+            pair = (u[:, o1].reshape(-1, 4, 1) * u[:, o2].reshape(-1, 1, 4)).reshape(-1, 16)
+            # the maximizer of Re tr(U t) is conj(V W^H) for t = V S W^H
+            v, sv, wh = np.linalg.svd((pair @ gq[q]).reshape(-1, 2, 2))
+            unew = np.conj(v @ wh)
+            step = np.maximum(step, np.abs(unew - u[:, q]).max(axis=(1, 2)))
+            u[:, q] = unew
+        sweeps[act] += 1
+        vals[act] = sv.sum(axis=1)
+        stop = step < tol
+        if stop.any():
+            us[act] = u
+            converged[act[stop]] = True
+            act, u = act[~stop], u[~stop]
+            if act.size == 0:
                 break
-        if val > best:
-            best = val
-            best_us = np.stack(us)
-    return min(best, 1.0), best_us
+    us[act] = u
+    return vals, us, sweeps, converged
 
 
-def _expm_su4_numpy(h):
-    w, v = np.linalg.eigh(h)
-    return (v * np.exp(1j * w)) @ v.conj().T
+def fs_best_overlap(t1, t2, inits, max_sweeps, tol):
+    """Best |<t1| Ua x Ub x Uc |t2>| over local unitaries.
+
+    Runs ``fs_restarts`` and keeps the first restart with the largest
+    overlap. Returns (best overlap, its three unitaries, KernelStats), so
+    callers can recompute the angle from the state distance, which stays
+    well-conditioned when the overlap approaches 1.
+    """
+    vals, us, sweeps, converged = fs_restarts(t1, t2, inits, max_sweeps, tol)
+    r = int(np.argmax(vals))
+    best_us = us[r] if vals[r] > 0.0 else np.stack([np.eye(2, dtype=np.complex128)] * 3)
+    stats = KernelStats(int(sweeps.max()), int(converged.sum()))
+    return min(float(vals[r]), 1.0), best_us, stats
 
 
-def _tangle_ascent_numpy(psi0, gens, quads, inits, max_iters, gtol):
-    """Vectorized twin of the jitted gradient ascent."""
-    neg_i_gens = -1j * gens
-    best = 0.0
-    for r in range(inits.shape[0]):
-        h0 = np.tensordot(inits[r], neg_i_gens, axes=1)
-        psi = (_expm_su4_numpy(h0) @ psi0.reshape(4, 2)).reshape(8)
-        a = (quads @ psi) @ psi
-        a2 = a @ a
-        g = float(np.abs(a2)) ** 2
-        eta = 0.1
-        for _ in range(max_iters):
-            a2 = a @ a
-            v = a @ (quads @ psi)
-            gp = (gens @ psi.reshape(4, 2)).reshape(15, 8)
-            grad = 8.0 * np.real(np.conj(a2) * (gp @ v))
-            if grad @ grad < gtol * gtol:
-                break
-            improved = False
-            for _try in range(50):
-                h = np.tensordot(eta * grad, neg_i_gens, axes=1)
-                trial = (_expm_su4_numpy(h) @ psi.reshape(4, 2)).reshape(8)
-                trial = trial / np.linalg.norm(trial)
-                at = (quads @ trial) @ trial
-                a2t = at @ at
-                gt = float(np.abs(a2t)) ** 2
-                if gt > g:
-                    psi, g, a = trial, gt, at
-                    eta *= 1.3
-                    improved = True
-                    break
-                eta *= 0.4
-                if eta < 1e-16:
-                    break
-            if not improved:
-                break
-        if g > best:
-            best = g
-    return 4.0 * np.sqrt(best)
+def _a_vector(psi, quads):
+    """A_i = psi^T Q_i psi and Q_i psi for a (R, 8) stack of states."""
+    qpsi = (psi @ quads.reshape(24, 8).T).reshape(-1, 3, 8)
+    return np.einsum("rim,rm->ri", qpsi, psi), qpsi
 
 
-def _resolve_backend():
-    mode = os.environ.get("TANGLEVEC_BACKEND", "auto").lower()
-    if mode not in ("auto", "numba", "numpy"):
-        raise ValueError(f"TANGLEVEC_BACKEND must be auto|numba|numpy, got {mode!r}")
-    if mode == "numpy":
-        return "numpy", None
-    try:
-        from numba import njit
-    except ImportError:
-        if mode == "numba":
-            raise
-        return "numpy", None
-    return "numba", njit
+def _tangle_sq(a):
+    return np.abs(np.einsum("ri,ri->r", a, a)) ** 2
 
 
-BACKEND, _njit = _resolve_backend()
+def tangle_ascent_best(psi0, gens, quads, inits, max_iters, gtol):
+    """Best three-tangle from Riemannian gradient ascent on the pair group.
 
-# the vectorized lane is always importable (benchmark and agreement tests)
-fs_best_overlap_numpy = _fs_best_overlap_numpy
-tangle_ascent_numpy = _tangle_ascent_numpy
+    Ascends |A.A|^2 over exp(sum_k xi_k G_k) acting on the leading qubit
+    pair, from each row of ``inits``. Every restart runs its own line search:
+    after an accepted step it takes a gradient; each trial step that fails to
+    improve shrinks its step size by 0.4, an accepted one grows it by 1.3.
+    A restart stops at a gradient below ``gtol``, at ``max_iters`` iterations,
+    or when 50 trials (or a step size below 1e-16) bring no improvement. The
+    restarts advance in lockstep, one trial per tick. A trial step is
+    exp(i eta H) with H the gradient direction, so each direction is
+    diagonalized once, in one stacked eigendecomposition with the other
+    restarts' new directions, and every trial along it only rescales phases.
 
-if BACKEND == "numba":
-    fs_best_overlap, tangle_ascent_best = _make_kernels(_njit(cache=True))
-else:
-    fs_best_overlap = fs_best_overlap_numpy
-    tangle_ascent_best = tangle_ascent_numpy
-
-
-def warmup():
-    """Trigger JIT compilation on tiny inputs (cheap no-op on the numpy lane)."""
-    t = np.zeros((2, 2, 2), dtype=np.complex128)
-    t[0, 0, 0] = 1.0
-    inits = np.eye(2, dtype=np.complex128)[None, :, :].repeat(3, 0)[None, :, :, :]
-    fs_best_overlap(t, t, np.ascontiguousarray(inits), 2, 1e-6)[0]
-    gens = np.zeros((15, 4, 4), dtype=np.complex128)
-    quads = np.zeros((3, 8, 8), dtype=np.complex128)
-    tangle_ascent_best(t.reshape(8), gens, quads, np.zeros((1, 15)), 2, 1e-6)
+    Returns (4 sqrt(best |A.A|^2), KernelStats).
+    """
+    n = inits.shape[0]
+    flat_gens = gens.reshape(15, 16)
+    neg_i_gens = (-1j * gens).reshape(15, 16)
+    # states are (4, 2) matrices with the coupled pair on the rows
+    start = expi_hermitian((inits @ neg_i_gens).reshape(n, 4, 4))
+    psi = (start @ psi0.reshape(4, 2)).reshape(n, 8)
+    a, qpsi = _a_vector(psi, quads)
+    g = _tangle_sq(a)
+    eta = np.full(n, 0.1)
+    # search direction exp(i eta H) = vec diag(exp(i eta lam)) vec^H, and
+    # phi = vec^H psi; a restart stopped at its first gradient keeps H = 0
+    lam = np.zeros((n, 4))
+    vec = np.tile(np.eye(4, dtype=np.complex128), (n, 1, 1))
+    phi = psi.reshape(n, 4, 2).copy()
+    iters = np.zeros(n, dtype=np.int64)
+    tries = np.zeros(n, dtype=np.int64)
+    fresh = np.ones(n, dtype=bool)  # started or just accepted a step: gradient due
+    active = np.ones(n, dtype=bool)
+    capped = np.zeros(n, dtype=bool)
+    # every tick evaluates the whole batch (the cost is per call, not per row)
+    # and masks which restarts take the results
+    while True:
+        if fresh.any():
+            v = np.einsum("ri,rim->rm", a, qpsi)
+            # (G_k psi).v = sum_xy G_k[x, y] (V Psi^T)[x, y] on the pair axes
+            w = v.reshape(n, 4, 2) @ psi.reshape(n, 4, 2).transpose(0, 2, 1)
+            a2 = np.einsum("ri,ri->r", a, a)
+            grad = 8.0 * np.real(np.conj(a2)[:, None] * (w.reshape(n, 16) @ flat_gens.T))
+            capped |= fresh & (iters >= max_iters)
+            flat = np.einsum("rk,rk->r", grad, grad) < gtol * gtol
+            active &= ~(fresh & (flat | capped))
+            tries[fresh] = 0
+            due = fresh & active
+            lam[due], vec[due] = np.linalg.eigh((grad[due] @ neg_i_gens).reshape(-1, 4, 4))
+            phi[due] = vec[due].conj().transpose(0, 2, 1) @ psi[due].reshape(-1, 4, 2)
+        if not active.any():
+            break
+        trial = (vec @ (np.exp(1j * eta[:, None] * lam)[:, :, None] * phi)).reshape(n, 8)
+        trial /= np.linalg.norm(trial, axis=1, keepdims=True)
+        at, qt = _a_vector(trial, quads)
+        gt = _tangle_sq(at)
+        fresh = active & (gt > g)
+        psi[fresh], a[fresh], qpsi[fresh], g[fresh] = (
+            trial[fresh], at[fresh], qt[fresh], gt[fresh])
+        eta[fresh] *= 1.3
+        iters += fresh
+        rejected = active & ~fresh
+        eta[rejected] *= 0.4
+        tries += rejected
+        # a line search that brings no improvement ends the restart's ascent
+        failed = rejected & ((tries == 50) | (eta < 1e-16))
+        iters += failed
+        active &= ~failed
+    stats = KernelStats(int(iters.max()), int(n - capped.sum()))
+    return 4.0 * np.sqrt(g.max()), stats

@@ -78,6 +78,12 @@ def su2_rotation(theta) -> np.ndarray:
     return np.cos(t / 2) * I2 + 1j * np.sin(t / 2) * s
 
 
+def expi_hermitian(h) -> np.ndarray:
+    """exp(i h) for Hermitian h, batched over any leading axes."""
+    w, v = np.linalg.eigh(h)
+    return (v * np.exp(1j * w)[..., None, :]) @ np.swapaxes(v.conj(), -1, -2)
+
+
 def _embed_one(u2: np.ndarray, qubit: str) -> np.ndarray:
     ops = [I2, I2, I2]
     ops[QUBIT_AXIS[qubit]] = u2
@@ -119,9 +125,7 @@ def coupling_unitary(pair: str, theta) -> np.ndarray:
         for m in range(3):
             if th[n, m] != 0.0:
                 gen += 0.5 * th[n, m] * np.kron(SIGMA[n], SIGMA[m])
-    w, v = np.linalg.eigh(gen)
-    u4 = (v * np.exp(1j * w)) @ v.conj().T
-    return _embed_pair(u4, pair)
+    return _embed_pair(expi_hermitian(gen), pair)
 
 
 def step_unitary(step: GateStep) -> np.ndarray:

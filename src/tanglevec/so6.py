@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import IndexOutOfRange, NotRepresentable, UnknownGenerator
-from .gates import SIGMA, CouplingStep, LocalStep, PhaseStep
+from .gates import SIGMA, CouplingStep, LocalStep, PhaseStep, expi_hermitian
 from .states import PARTITION_PAIR, PARTITION_SPECTATOR, parse_partition
 from .vectors import SixVector
 
@@ -128,13 +128,6 @@ def so3_image(theta) -> np.ndarray:
     return np.eye(3) + np.sin(t) * kx + (1.0 - np.cos(t)) * (kx @ kx)
 
 
-def _expm_antisymmetric(g: np.ndarray) -> np.ndarray:
-    """exp of a real antisymmetric matrix via the Hermitian matrix i g."""
-    h = 1j * np.asarray(g, dtype=complex)
-    w, v = np.linalg.eigh(h)
-    return np.real((v * np.exp(-1j * w)) @ v.conj().T)
-
-
 def so6_image(step, partition) -> So6Action:
     """Action of one gate step on the partition's 6-vector.
 
@@ -166,7 +159,8 @@ def so6_image(step, partition) -> So6Action:
             for m in range(3):
                 if th[n, m] != 0.0:
                     g += th[n, m] * lambda_generator(n + 1, m + 1).g
-        return So6Action(_expm_antisymmetric(g), 0.0)
+        # exp(g) = exp(i h) with the Hermitian h = -i g
+        return So6Action(np.real(expi_hermitian(-1j * g)), 0.0)
     raise TypeError(f"not a gate step: {step!r}")
 
 

@@ -281,11 +281,10 @@ def _random_su2_stack(rng, n: int) -> np.ndarray:
     """(n, 3, 2, 2) Haar-ish unitaries; the first entry is the identity."""
     out = np.empty((n, 3, 2, 2), dtype=np.complex128)
     out[0] = np.eye(2)
-    for r in range(1, n):
-        for q in range(3):
-            x = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-            qmat, _ = np.linalg.qr(x)
-            out[r, q] = qmat
+    # one draw in the order a per-unitary loop would consume the stream:
+    # for each (restart, qubit) the four real parts, then the four imaginary
+    z = rng.standard_normal((n - 1, 3, 2, 2, 2))
+    out[1:], _ = np.linalg.qr(z[:, :, 0] + 1j * z[:, :, 1])
     return out
 
 
@@ -304,8 +303,8 @@ def fubini_study_angle(s1, s2, restarts: int = 32, seed: int = 0,
     v1 = normalize(s1)
     v2 = normalize(s2)
     inits = _random_su2_stack(np.random.default_rng(seed), max(1, restarts))
-    _, us = _kernels.fs_best_overlap(v1.reshape(2, 2, 2), v2.reshape(2, 2, 2),
-                                     inits, max_sweeps, tol)
+    _, us, _ = _kernels.fs_best_overlap(v1.reshape(2, 2, 2), v2.reshape(2, 2, 2),
+                                        inits, max_sweeps, tol)
     w = np.einsum("ax,by,cz,xyz->abc", us[0], us[1], us[2],
                   v2.reshape(2, 2, 2)).reshape(8)
     ov = np.vdot(v1, w)
@@ -357,5 +356,6 @@ def tangle_ascent_oracle(s, pair: str = "ab", restarts: int = 16, seed: int = 0,
     inits = np.zeros((max(1, restarts), 15))
     if restarts > 1:
         inits[1:] = rng.uniform(-np.pi, np.pi, size=(restarts - 1, 15))
-    return float(_kernels.tangle_ascent_best(
-        psi, _PAIR_GENS, _A_QUADS, inits, max_iters, gtol))
+    best, _ = _kernels.tangle_ascent_best(psi, _PAIR_GENS, _A_QUADS, inits,
+                                          max_iters, gtol)
+    return float(best)

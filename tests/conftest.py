@@ -8,14 +8,6 @@ import tanglevec.tangles
 tanglevec.tangles.CROSS_CHECK = True
 
 
-@pytest.fixture(scope="session")
-def warm_kernels():
-    """Compile (or no-op) the optimizer kernels before any timed section."""
-    from tanglevec import _kernels
-    _kernels.warmup()
-    return _kernels.BACKEND
-
-
 def random_states(n, start=0):
     from tanglevec import random_state
     return [random_state(start + k) for k in range(n)]

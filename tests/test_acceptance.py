@@ -35,7 +35,7 @@ def _line(num, ok, detail):
     assert ok, detail
 
 
-def test_criterion_1_ghz_invariants(warm_kernels):
+def test_criterion_1_ghz_invariants():
     s = make_ghz()
     tangle_set(s)  # warm numpy dispatch before timing
     t0 = time.perf_counter()
@@ -149,7 +149,7 @@ def test_criterion_6_three_cz_synthesis():
                  f"(< 1e-10), 3 couplings at pi/4 each, runtime {elapsed:.2f} s (< 1 s)")
 
 
-def test_criterion_7_w_to_ghz(warm_kernels):
+def test_criterion_7_w_to_ghz():
     t0 = time.perf_counter()
     res = w_to_ghz_sequence(STD_THETA, np.pi / 4)
     final = apply(res.sequence, make_asymmetric_w(STD_THETA, np.pi / 4))
@@ -191,13 +191,13 @@ def test_criterion_7_w_to_ghz(warm_kernels):
     "is not reproducible: an explicit locally-GHZ-equivalent state "
     "(|001>+|010>+|100>+|111>)/2 overlaps W at sqrt(3)/2, so the true "
     "optimum is 30 degrees and any competent optimizer finds it"))
-def test_criterion_7_standard_w_start_milestone(warm_kernels):
+def test_criterion_7_standard_w_start_milestone():
     w = make_asymmetric_w(STD_THETA, np.pi / 4)
     before = fubini_study_angle(w, GHZ, seed=7)
     assert abs(before - 45.0) <= 0.01
 
 
-def test_criterion_7_standard_w_start_is_30_degrees(warm_kernels):
+def test_criterion_7_standard_w_start_is_30_degrees():
     # documents the actual value underlying the xfail above, with an
     # explicit witness state from the GHZ orbit
     w = make_asymmetric_w(STD_THETA, np.pi / 4)
@@ -209,7 +209,7 @@ def test_criterion_7_standard_w_start_is_30_degrees(warm_kernels):
     assert abs(before - 30.0) < 1e-6
 
 
-def test_criterion_8_tangle_maximization(warm_kernels):
+def test_criterion_8_tangle_maximization():
     t0 = time.perf_counter()
     worst_gap = worst_two = worst_ext = worst_over = 0.0
     for k in range(200):
@@ -233,7 +233,7 @@ def test_criterion_8_tangle_maximization(warm_kernels):
           f"bound by at most {worst_over:.2e} (< 1e-6); runtime {elapsed:.1f} s (< 60 s)")
 
 
-def test_criterion_9_quaternionic_suite(warm_kernels):
+def test_criterion_9_quaternionic_suite():
     rng = np.random.default_rng(909)
     worst_abc = worst_tan = worst_vec = worst_state = 0.0
     states = []

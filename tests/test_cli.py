@@ -123,7 +123,7 @@ def test_maximize_tangle(tmp_path, capsys):
     assert abs(doc["result"]["achieved"] - doc["result"]["bound"]) < 1e-9
 
 
-def test_fs_angle_command(ghz_file, tmp_path, capsys, warm_kernels):
+def test_fs_angle_command(ghz_file, tmp_path, capsys):
     p = tmp_path / "w.json"
     p.write_text(state_to_json(make_asymmetric_w(np.arccos(1 / np.sqrt(3)), np.pi / 4)))
     code, doc, _ = run_cli(capsys, "fs-angle", "--state1", str(p),
@@ -132,7 +132,7 @@ def test_fs_angle_command(ghz_file, tmp_path, capsys, warm_kernels):
     assert abs(doc["result"]["angle_degrees"] - 30.0) < 1e-6
 
 
-def test_fs_angle_seed_reproducible(ghz_file, tmp_path, capsys, warm_kernels):
+def test_fs_angle_seed_reproducible(ghz_file, tmp_path, capsys):
     p = tmp_path / "s.json"
     from tanglevec import random_state
     p.write_text(state_to_json(random_state(8)))

@@ -7,7 +7,7 @@ from tanglevec import (CouplingStep, LocalStep, PhaseStep, UnknownGate, apply,
                        make_asymmetric_w, make_ghz, named_gate, random_state,
                        sequence_from_json, sequence_to_json, sequence_unitary,
                        w_to_ghz_sequence)
-from tanglevec.gates import SIGMA, step_unitary
+from tanglevec.gates import SIGMA, expi_hermitian, step_unitary
 
 STD_THETA = np.arccos(1 / np.sqrt(3))
 
@@ -54,6 +54,14 @@ def test_coupling_matches_expm(pair, rng):
                 continue
             ref[out, inn] = t4[o[a1], o[a2], i[a1], i[a2]]
     assert np.abs(got - ref).max() < 1e-13
+
+
+def test_expi_hermitian_batched_matches_expm(rng):
+    x = rng.standard_normal((2, 3, 4, 4)) + 1j * rng.standard_normal((2, 3, 4, 4))
+    h = x + np.swapaxes(x.conj(), -1, -2)
+    got = expi_hermitian(h)
+    for idx in np.ndindex(2, 3):
+        assert np.abs(got[idx] - expm(1j * h[idx])).max() < 1e-12
 
 
 def test_coupling_zero_identity():

@@ -309,7 +309,7 @@ def test_reduce_preserves_tangles(rng):
         assert abs(getattr(t0, f) - getattr(t1, f)) < 1e-10
 
 
-def test_reduce_local_equivalence(warm_kernels, rng):
+def test_reduce_local_equivalence(rng):
     qs = _random_qs(rng)
     s = to_state(qs)
     seq, _ = reduce_to_acin(qs)

@@ -9,6 +9,7 @@ from tanglevec import (CouplingStep, DegenerateInput, GaugeUndefined,
                        sequence_unitary, synthesize_coupling_core,
                        tangle_ascent_oracle, tangle_set, three_tangle,
                        two_tangles, w_to_ghz_sequence)
+from tanglevec.synthesis import _random_su2_stack
 
 STD_THETA = np.arccos(1 / np.sqrt(3))
 GHZ = make_ghz()
@@ -241,7 +242,7 @@ def test_maximize_extremum_condition():
         assert extremum_residual(out) < 1e-8
 
 
-def test_ascent_oracle_certifies_bound(warm_kernels):
+def test_ascent_oracle_certifies_bound():
     for seed in range(6):
         s = random_state(seed)
         bound = tangle_set(s).tau_c_ab
@@ -273,19 +274,33 @@ def test_extremum_residual_gauge_undefined():
 
 # --- Fubini-Study angle -----------------------------------------------------
 
-def test_fs_angle_identity(warm_kernels):
+def test_random_su2_stack_matches_loop():
+    # seeded restarts must not move: the stack consumes the stream exactly as
+    # one draw per unitary (real parts, then imaginary parts) did
+    for n in (1, 2, 9):
+        rng = np.random.default_rng(n)
+        ref = np.empty((n, 3, 2, 2), dtype=np.complex128)
+        ref[0] = np.eye(2)
+        for r in range(1, n):
+            for q in range(3):
+                x = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+                ref[r, q] = np.linalg.qr(x)[0]
+        np.testing.assert_array_equal(_random_su2_stack(np.random.default_rng(n), n), ref)
+
+
+def test_fs_angle_identity():
     s = random_state(5)
     assert fubini_study_angle(s, s, seed=1) < 1e-6
 
 
-def test_fs_angle_symmetric(warm_kernels):
+def test_fs_angle_symmetric():
     s1, s2 = random_state(1), random_state(2)
     a = fubini_study_angle(s1, s2, seed=3)
     b = fubini_study_angle(s2, s1, seed=4)
     assert abs(a - b) < 1e-6
 
 
-def test_fs_angle_local_invariance(warm_kernels, rng):
+def test_fs_angle_local_invariance(rng):
     s1, s2 = random_state(3), random_state(4)
     a = fubini_study_angle(s1, s2, seed=5)
     loc = [LocalStep(q, tuple(rng.uniform(-3, 3, 3))) for q in "abc"]
@@ -293,7 +308,7 @@ def test_fs_angle_local_invariance(warm_kernels, rng):
     assert abs(a - b) < 1e-6
 
 
-def test_fs_angle_w1_milestone(warm_kernels):
+def test_fs_angle_w1_milestone():
     w = make_asymmetric_w(STD_THETA, np.pi / 4)
     w1 = apply([coupling_axis_step("bc", 1, 1, np.pi / 4)], w)
     assert abs(fubini_study_angle(w1, GHZ, seed=0) - 9.7356) < 0.01
