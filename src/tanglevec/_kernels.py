@@ -16,6 +16,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .gates import expi_hermitian
+from .vectors import _A_QUADS
 
 
 class KernelStats(NamedTuple):
@@ -94,9 +95,9 @@ def fs_best_overlap(t1, t2, inits, max_sweeps, tol):
     return min(float(vals[r]), 1.0), best_us, stats
 
 
-def _a_vector(psi, quads):
+def _a_vector(psi):
     """A_i = psi^T Q_i psi and Q_i psi for a (R, 8) stack of states."""
-    qpsi = (psi @ quads.reshape(24, 8).T).reshape(-1, 3, 8)
+    qpsi = (psi @ _A_QUADS.reshape(24, 8).T).reshape(-1, 3, 8)
     return np.einsum("rim,rm->ri", qpsi, psi), qpsi
 
 
@@ -104,7 +105,7 @@ def _tangle_sq(a):
     return np.abs(np.einsum("ri,ri->r", a, a)) ** 2
 
 
-def tangle_ascent_best(psi0, gens, quads, inits, max_iters, gtol):
+def tangle_ascent_best(psi0, gens, inits, max_iters, gtol):
     """Best three-tangle from Riemannian gradient ascent on the pair group.
 
     Ascends |A.A|^2 over exp(sum_k xi_k G_k) acting on the leading qubit
@@ -126,7 +127,7 @@ def tangle_ascent_best(psi0, gens, quads, inits, max_iters, gtol):
     # states are (4, 2) matrices with the coupled pair on the rows
     start = expi_hermitian((inits @ neg_i_gens).reshape(n, 4, 4))
     psi = (start @ psi0.reshape(4, 2)).reshape(n, 8)
-    a, qpsi = _a_vector(psi, quads)
+    a, qpsi = _a_vector(psi)
     g = _tangle_sq(a)
     eta = np.full(n, 0.1)
     # search direction exp(i eta H) = vec diag(exp(i eta lam)) vec^H, and
@@ -159,7 +160,7 @@ def tangle_ascent_best(psi0, gens, quads, inits, max_iters, gtol):
             break
         trial = (vec @ (np.exp(1j * eta[:, None] * lam)[:, :, None] * phi)).reshape(n, 8)
         trial /= np.linalg.norm(trial, axis=1, keepdims=True)
-        at, qt = _a_vector(trial, quads)
+        at, qt = _a_vector(trial)
         gt = _tangle_sq(at)
         fresh = active & (gt > g)
         psi[fresh], a[fresh], qpsi[fresh], g[fresh] = (

@@ -67,7 +67,7 @@ def _report(command: str, digest, payload: dict, seed=None, tolerances=None) -> 
 
 
 def _emit(report: dict, pretty: bool):
-    print(json.dumps(report, indent=2))
+    print(json.dumps(report, indent=2, allow_nan=False))
     if pretty:
         def walk(obj, indent=0):
             pad = "  " * indent

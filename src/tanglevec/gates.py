@@ -1,4 +1,4 @@
-"""8x8 unitaries for local rotations, pair couplings, and global phases.
+"""Gate steps and the tensor engine that applies them.
 
 A gate step is one of
 
@@ -8,19 +8,23 @@ A gate step is one of
 
 and a sequence is a plain list applied left to right (first element acts
 first). Operator products written right-to-left on paper therefore list in
-reverse here. Single-qubit exponentials use the closed Euler form; the 4x4
+reverse here. A step acts on the (2, 2, 2) amplitude tensor by contracting
+its 2x2 or (2,2,2,2) factor with the qubit axes it touches; no 8x8 matrix
+is built. The 8x8 unitaries are the same contraction applied to the
+identity. Single-qubit exponentials use the closed Euler form; the 4x4
 coupling exponential goes through an eigendecomposition of its Hermitian
-generator — no series truncation anywhere.
+generator, with no series truncation anywhere.
 """
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParseError, UnknownGate
-from .states import EPS_NORM, QUBIT_AXIS, normalize
+from .errors import InvariantViolation, ParseError, UnknownGate
+from .states import EPS_NORM, QUBIT_AXIS, QUBITS, normalize
 
 SIGMA = (
     np.array([[0, 1], [1, 0]], dtype=complex),
@@ -28,12 +32,15 @@ SIGMA = (
     np.array([[1, 0], [0, -1]], dtype=complex),
 )
 I2 = np.eye(2, dtype=complex)
+#: kron(sigma_n, sigma_m) as a (3, 3, 4, 4) table
+_SIGMA_PAIRS = np.einsum("nij,mkl->nmikjl", SIGMA, SIGMA).reshape(3, 3, 4, 4)
 
 PAIRS = ("ab", "bc", "ac")
 
 
 def _pair_qubits(pair: str) -> tuple[str, str]:
-    if len(pair) == 2 and pair[0] in "abc" and pair[1] in "abc" and pair[0] != pair[1]:
+    if (isinstance(pair, str) and len(pair) == 2 and pair[0] in "abc"
+            and pair[1] in "abc" and pair[0] != pair[1]):
         return pair[0], pair[1]
     raise ParseError(f"bad qubit pair {pair!r}")
 
@@ -84,77 +91,57 @@ def expi_hermitian(h) -> np.ndarray:
     return (v * np.exp(1j * w)[..., None, :]) @ np.swapaxes(v.conj(), -1, -2)
 
 
-def _embed_one(u2: np.ndarray, qubit: str) -> np.ndarray:
-    ops = [I2, I2, I2]
-    ops[QUBIT_AXIS[qubit]] = u2
-    return np.kron(np.kron(ops[0], ops[1]), ops[2])
-
-
-def _embed_pair(u4: np.ndarray, pair: str) -> np.ndarray:
-    """Place a 4x4 operator on (pair[0], pair[1]); the third qubit gets identity."""
-    q1, q2 = _pair_qubits(pair)
-    a1, a2 = QUBIT_AXIS[q1], QUBIT_AXIS[q2]
-    spect = 3 - a1 - a2
-    t = u4.reshape(2, 2, 2, 2)  # (q1', q2', q1, q2)
-    u8 = np.zeros((8, 8), dtype=complex)
-    out_idx = [0, 0, 0]
-    in_idx = [0, 0, 0]
-    for x1 in range(2):
-        for x2 in range(2):
-            for y1 in range(2):
-                for y2 in range(2):
-                    for z in range(2):
-                        out_idx[a1], out_idx[a2], out_idx[spect] = x1, x2, z
-                        in_idx[a1], in_idx[a2], in_idx[spect] = y1, y2, z
-                        r = 4 * out_idx[0] + 2 * out_idx[1] + out_idx[2]
-                        c = 4 * in_idx[0] + 2 * in_idx[1] + in_idx[2]
-                        u8[r, c] = t[x1, x2, y1, y2]
-    return u8
-
-
-def local_unitary(qubit: str, theta) -> np.ndarray:
-    """8x8 unitary of a single-qubit rotation."""
-    return _embed_one(su2_rotation(theta), qubit)
-
-
-def coupling_unitary(pair: str, theta) -> np.ndarray:
-    """8x8 unitary of exp(1/2 sum theta_nm i sigma_n^{(p1)} sigma_m^{(p2)})."""
-    th = np.asarray(theta, dtype=float).reshape(3, 3)
-    gen = np.zeros((4, 4), dtype=complex)
-    for n in range(3):
-        for m in range(3):
-            if th[n, m] != 0.0:
-                gen += 0.5 * th[n, m] * np.kron(SIGMA[n], SIGMA[m])
-    return _embed_pair(expi_hermitian(gen), pair)
-
-
-def step_unitary(step: GateStep) -> np.ndarray:
+def _act(step: GateStep, t: np.ndarray) -> np.ndarray:
+    """Apply one step to a (2, 2, 2, ...) amplitude tensor; trailing axes are batch columns."""
     if isinstance(step, LocalStep):
-        return local_unitary(step.qubit, step.theta)
+        ax = QUBIT_AXIS[step.qubit]
+        return np.moveaxis(np.tensordot(su2_rotation(step.theta), t, axes=(1, ax)), 0, ax)
     if isinstance(step, CouplingStep):
-        return coupling_unitary(step.pair, step.theta)
+        q1, q2 = _pair_qubits(step.pair)
+        axes = (QUBIT_AXIS[q1], QUBIT_AXIS[q2])
+        u4 = expi_hermitian(0.5 * np.tensordot(step.theta, _SIGMA_PAIRS, axes=2))
+        out = np.tensordot(u4.reshape(2, 2, 2, 2), t, axes=((2, 3), axes))
+        return np.moveaxis(out, (0, 1), axes)
     if isinstance(step, PhaseStep):
-        return np.exp(1j * step.alpha) * np.eye(8, dtype=complex)
+        return np.exp(1j * step.alpha) * t
     raise TypeError(f"not a gate step: {step!r}")
 
 
 def sequence_unitary(seq) -> np.ndarray:
     """Product of the step unitaries, first step rightmost."""
-    u = np.eye(8, dtype=complex)
+    t = np.eye(8, dtype=complex).reshape(2, 2, 2, 8)
     for step in seq:
-        u = step_unitary(step) @ u
-    return u
+        t = _act(step, t)
+    return t.reshape(8, 8)
+
+
+def step_unitary(step: GateStep) -> np.ndarray:
+    return sequence_unitary([step])
+
+
+def local_unitary(qubit: str, theta) -> np.ndarray:
+    """8x8 unitary of a single-qubit rotation."""
+    return step_unitary(LocalStep(qubit, theta))
+
+
+def coupling_unitary(pair: str, theta) -> np.ndarray:
+    """8x8 unitary of exp(1/2 sum theta_nm i sigma_n^{(p1)} sigma_m^{(p2)})."""
+    return step_unitary(CouplingStep(pair, theta))
 
 
 def apply(seq, s) -> np.ndarray:
-    """Apply the steps in order to a normalized state."""
-    out = normalize(s)
+    """Apply the steps in order to a normalized state.
+
+    Raises InvariantViolation when the result is not of unit norm (a
+    non-finite angle or amplitude, since the steps are unitary).
+    """
+    t = normalize(s).reshape(2, 2, 2)
     for step in seq:
-        out = step_unitary(step) @ out
+        t = _act(step, t)
+    out = t.reshape(8)
     n = np.linalg.norm(out)
-    if abs(n - 1.0) > 1e3 * EPS_NORM:
-        # unitarity guarantees this never trips for well-formed steps
-        out = out / n
+    if not abs(n - 1.0) <= 1e3 * EPS_NORM:
+        raise InvariantViolation(f"norm {n} after applying the sequence")
     return out
 
 
@@ -237,15 +224,18 @@ def sequence_from_json(text: str):
             params = [float(x) for x in item["params"]]
         except (TypeError, KeyError, ValueError) as exc:
             raise ParseError(f"malformed step {k}: {exc}") from exc
+        if not all(math.isfinite(x) for x in params):
+            raise ParseError(f"step {k}: parameters must be finite")
         if kind == "local":
             if len(params) != 3:
                 raise ParseError(f"step {k}: local steps take 3 angles")
-            if item.get("target") not in QUBIT_AXIS:
+            if item.get("target") not in QUBITS:
                 raise ParseError(f"step {k}: bad qubit {item.get('target')!r}")
             seq.append(LocalStep(item["target"], tuple(params)))
         elif kind == "coupling":
             if len(params) != 9:
                 raise ParseError(f"step {k}: coupling steps take 9 coefficients")
+            _pair_qubits(item.get("target"))
             seq.append(CouplingStep(item["target"], np.array(params).reshape(3, 3)))
         elif kind == "phase":
             if len(params) != 1:

@@ -20,9 +20,9 @@ import numpy as np
 
 from .errors import InvariantViolation, NotNormalized
 from .gates import LocalStep, PhaseStep, apply
-from .so6 import generator_map, so3_image, su_generator
+from .so6 import generator_map, su_generator
 from .states import EPS_NORM, as_state, make_acin
-from .synthesis import _axis_angle_local_step, _rot_to_steps
+from .synthesis import _frame_rotation_steps, _rotation_axis_angle
 from .tangles import TangleSet
 from .vectors import EPS_INV, AbcVectors, abc_vectors
 
@@ -288,40 +288,10 @@ def _adjoint_steps(v) -> list:
     ]
 
 
-def _axis_angle_quat(axis, angle: float) -> np.ndarray:
-    axis = np.asarray(axis, dtype=float)
-    axis = axis / np.linalg.norm(axis)
-    return np.concatenate([[np.cos(angle / 2)], np.sin(angle / 2) * axis])
-
-
 def _rotation_quat_between(u, v) -> np.ndarray:
     """Unit quaternion q with q u qbar = v for unit 3-vectors u, v."""
-    c = float(np.dot(u, v))
-    ax = np.cross(u, v)
-    s = float(np.linalg.norm(ax))
-    if s < 1e-14:
-        if c > 0:
-            return np.array([1.0, 0, 0, 0])
-        perp = np.array([1.0, 0, 0]) if abs(u[0]) < 0.9 else np.array([0, 1.0, 0])
-        ax = np.cross(u, perp)
-        return _axis_angle_quat(ax, np.pi)
-    return _axis_angle_quat(ax / s, float(np.arctan2(s, c)))
-
-
-def _frame_rotation_steps(qubit: str, u1, u2, v1, v2) -> list:
-    """Local steps rotating orthonormal frame (u1, u2) exactly onto (v1, v2)."""
-    steps = _rot_to_steps(qubit, u1, v1)
-    r = np.eye(3)
-    for st in steps:
-        r = so3_image(st.theta) @ r
-    if u2 is None:
-        return steps
-    w = r @ np.asarray(u2, dtype=float)
-    v2 = np.asarray(v2, dtype=float)
-    ang = float(np.arctan2(np.dot(np.cross(w, v2), v1), np.dot(w, v2)))
-    if abs(ang) > 1e-15:
-        steps.append(_axis_angle_local_step(qubit, v1, ang))
-    return steps
+    axis, angle = _rotation_axis_angle(u, v)
+    return np.concatenate([[np.cos(angle / 2)], np.sin(angle / 2) * axis])
 
 
 def _reduce_stages(qs: QuaternionicState) -> dict:

@@ -169,5 +169,10 @@ def state_from_json(text: str) -> np.ndarray:
     for n, pair in enumerate(amps):
         if not isinstance(pair, list) or len(pair) != 2:
             raise ParseError(f"amplitude {n} is not a [re, im] pair")
-        out[n] = float(pair[0]) + 1j * float(pair[1])
+        try:
+            out[n] = float(pair[0]) + 1j * float(pair[1])
+        except (TypeError, ValueError) as exc:
+            raise ParseError(f"amplitude {n}: {exc}") from exc
+    if not np.isfinite(out).all():
+        raise ParseError("amplitudes must be finite")
     return out

@@ -129,8 +129,12 @@ def _axis_angle_local_step(qubit: str, axis, angle: float) -> LocalStep:
     return LocalStep(qubit, (float(v[0]), float(v[1]), float(v[2])))
 
 
-def _rot_to_steps(qubit: str, src, dst) -> list:
-    """Local steps rotating unit vector src onto unit vector dst."""
+def _rotation_axis_angle(src, dst) -> tuple[np.ndarray, float]:
+    """Unit axis and angle in [0, pi] of a rotation taking src onto dst.
+
+    Parallel vectors give angle 0; antiparallel ones a half turn about an
+    axis perpendicular to src.
+    """
     u = np.asarray(src, float)
     v = np.asarray(dst, float)
     u = u / np.linalg.norm(u)
@@ -140,12 +144,36 @@ def _rot_to_steps(qubit: str, src, dst) -> list:
     c = float(u @ v)
     if s < 1e-14:
         if c > 0:
-            return []
+            return np.array([0.0, 0.0, 1.0]), 0.0
         perp = np.array([1.0, 0, 0]) if abs(u[0]) < 0.9 else np.array([0, 1.0, 0])
         axis = np.cross(u, perp)
-        axis /= np.linalg.norm(axis)
-        return [_axis_angle_local_step(qubit, axis, np.pi)]
-    return [_axis_angle_local_step(qubit, cross / s, float(np.arctan2(s, c)))]
+        return axis / np.linalg.norm(axis), float(np.pi)
+    return cross / s, float(np.arctan2(s, c))
+
+
+def _rot_to_steps(qubit: str, src, dst) -> list:
+    """Local steps rotating unit vector src onto unit vector dst."""
+    axis, angle = _rotation_axis_angle(src, dst)
+    return [_axis_angle_local_step(qubit, axis, angle)] if angle else []
+
+
+def _frame_rotation_steps(qubit: str, u1, u2, v1, v2) -> list:
+    """Local steps rotating u1 onto the unit vector v1, then u2 onto v2 about v1.
+
+    (u1, u2) and (v1, v2) are orthogonal pairs; u2 = None skips the turn
+    about v1.
+    """
+    steps = _rot_to_steps(qubit, u1, v1)
+    if u2 is None:
+        return steps
+    w = np.asarray(u2, dtype=float)
+    if steps:
+        w = so3_image(steps[0].theta) @ w
+    v2 = np.asarray(v2, dtype=float)
+    ang = float(np.arctan2(np.dot(np.cross(w, v2), v1), np.dot(w, v2)))
+    if abs(ang) > 1e-15:
+        steps.append(_axis_angle_local_step(qubit, v1, ang))
+    return steps
 
 
 def _align_vector_steps(qubit: str, vec: np.ndarray) -> list:
@@ -161,17 +189,8 @@ def _align_vector_steps(qubit: str, vec: np.ndarray) -> list:
         return []
     if nr <= 1e-13:
         return _rot_to_steps(qubit, vi, [0.0, 0.0, 1.0])
-    steps = _rot_to_steps(qubit, vr, [1.0, 0.0, 0.0])
-    if ni <= 1e-13:
-        return steps
-    r = np.eye(3)
-    for st in steps:
-        r = so3_image(st.theta) @ r
-    vi2 = r @ vi
-    ang = float(np.arctan2(vi2[1], vi2[2]))
-    if abs(ang) > 1e-15:
-        steps.append(_axis_angle_local_step(qubit, [1.0, 0.0, 0.0], ang))
-    return steps
+    return _frame_rotation_steps(qubit, vr, vi if ni > 1e-13 else None,
+                                 np.array([1.0, 0.0, 0.0]), np.array([0.0, 0.0, 1.0]))
 
 
 def align_canonical(s, pair: str = "ab") -> list:
@@ -316,21 +335,6 @@ def fubini_study_angle(s1, s2, restarts: int = 32, seed: int = 0,
 
 # --- independent ascent oracle ---------------------------------------------
 
-def _a_quadratic_forms() -> np.ndarray:
-    """Symmetric 8x8 forms with A_i = psi^T Q_i psi (plain transpose)."""
-    terms = {
-        0: [(-1j, 0, 3), (1j, 1, 2), (-1j, 6, 5), (1j, 7, 4)],
-        1: [(1, 0, 3), (-1, 1, 2), (1, 4, 7), (-1, 5, 6)],
-        2: [(1j, 0, 7), (-1j, 1, 6), (1j, 4, 3), (-1j, 5, 2)],
-    }
-    q = np.zeros((3, 8, 8), dtype=np.complex128)
-    for i, lst in terms.items():
-        for coef, m, n in lst:
-            q[i, m, n] += coef / 2
-            q[i, n, m] += coef / 2
-    return q
-
-_A_QUADS = _a_quadratic_forms()
 _PAIR_GENS = np.array([su_generator(lab) for lab in
                        ("x_a", "y_a", "z_a", "x_b", "y_b", "z_b",
                         "xx", "xy", "xz", "yx", "yy", "yz", "zx", "zy", "zz")])
@@ -356,6 +360,5 @@ def tangle_ascent_oracle(s, pair: str = "ab", restarts: int = 16, seed: int = 0,
     inits = np.zeros((max(1, restarts), 15))
     if restarts > 1:
         inits[1:] = rng.uniform(-np.pi, np.pi, size=(restarts - 1, 15))
-    best, _ = _kernels.tangle_ascent_best(psi, _PAIR_GENS, _A_QUADS, inits,
-                                          max_iters, gtol)
+    best, _ = _kernels.tangle_ascent_best(psi, _PAIR_GENS, inits, max_iters, gtol)
     return float(best)

@@ -39,74 +39,81 @@ class TangleSet:
         return asdict(self)
 
 
-def _clamp(x: float) -> float:
+def _clamp(x: float, tol: float) -> float:
     # measures are squared magnitudes; snap tiny negative noise to 0
-    if -EPS_INV < x < 0.0:
-        return 0.0
-    return x
+    return 0.0 if -tol < x < 0.0 else x
+
+
+def _tolerance(c: np.ndarray) -> float:
+    """EPS_INV scaled to a measure of the state, which is quartic in it."""
+    n2 = float(np.vdot(c, c).real)
+    return EPS_INV * n2 * n2
+
+
+def _measures(s, cross_check: bool | None = None) -> TangleSet:
+    """All seven measures from one evaluation of the invariant vectors.
+
+    Asserts that the A, B and C expressions of the three-tangle agree and,
+    when cross-checking, that the bipartite tangles match the density route.
+    """
+    c = as_state(s)
+    tol = _tolerance(c)
+    v = abc_vectors(c)
+    sq = [float(abs(x @ x)) for x in (v.a, v.b, v.c)]
+    hn = [float(np.real(x @ x.conj())) for x in (v.a, v.b, v.c)]
+    ta, tb, tc = (4.0 * x for x in sq)
+    if not max(abs(ta - tb), abs(ta - tc)) <= tol:
+        raise InvariantViolation(
+            f"three-tangle expressions disagree: {ta}, {tb}, {tc}")
+    two = [_clamp(2.0 * (n - x), tol) for n, x in zip(hn, sq)]
+    na, nb, nc = hn
+    bip = (_clamp(2.0 * (nb + nc), tol), _clamp(2.0 * (nc + na), tol),
+           _clamp(2.0 * (na + nb), tol))
+    if CROSS_CHECK if cross_check is None else cross_check:
+        for tau, qubit in zip(bip, "abc"):
+            ref = bipartite_tangle_from_density(c, qubit)
+            if not abs(tau - ref) <= tol:
+                raise InvariantViolation(
+                    f"vector formula {tau} vs density route {ref} for qubit {qubit}")
+    return TangleSet(_clamp(ta, tol), *two, *bip)
 
 
 def three_tangle(s) -> float:
     """4|A.A|, asserting agreement with the B and C expressions."""
-    v = abc_vectors(s)
-    ta = 4.0 * abs(v.a @ v.a)
-    tb = 4.0 * abs(v.b @ v.b)
-    tc = 4.0 * abs(v.c @ v.c)
-    if max(abs(ta - tb), abs(ta - tc)) > EPS_INV:
-        raise InvariantViolation(
-            f"three-tangle expressions disagree: {ta}, {tb}, {tc}")
-    return _clamp(ta)
+    return _measures(s, cross_check=False).tau_abc
 
 
 def two_tangles(s) -> tuple[float, float, float]:
     """(tau_bc, tau_ac, tau_ab)."""
-    v = abc_vectors(s)
-    t_bc = 2.0 * (np.real(v.a @ v.a.conj()) - abs(v.a @ v.a))
-    t_ac = 2.0 * (np.real(v.b @ v.b.conj()) - abs(v.b @ v.b))
-    t_ab = 2.0 * (np.real(v.c @ v.c.conj()) - abs(v.c @ v.c))
-    return _clamp(float(t_bc)), _clamp(float(t_ac)), _clamp(float(t_ab))
+    t = _measures(s, cross_check=False)
+    return t.tau_bc, t.tau_ac, t.tau_ab
 
 
 def bipartite_tangles(s, cross_check: bool | None = None) -> tuple[float, float, float]:
     """(tau_a_bc, tau_b_ca, tau_c_ab) from the Hermitian vector norms."""
-    v = abc_vectors(s)
-    na = float(np.real(v.a @ v.a.conj()))
-    nb = float(np.real(v.b @ v.b.conj()))
-    nc = float(np.real(v.c @ v.c.conj()))
-    out = (_clamp(2.0 * (nb + nc)), _clamp(2.0 * (nc + na)), _clamp(2.0 * (na + nb)))
-    if CROSS_CHECK if cross_check is None else cross_check:
-        for tau, qubit in zip(out, "abc"):
-            ref = bipartite_tangle_from_density(s, qubit)
-            if abs(tau - ref) > EPS_INV:
-                raise InvariantViolation(
-                    f"vector formula {tau} vs density route {ref} for qubit {qubit}")
-    return out
+    t = _measures(s, cross_check)
+    return t.tau_a_bc, t.tau_b_ca, t.tau_c_ab
 
 
 def bipartite_tangle_from_density(s, qubit: str) -> float:
     """4 det(rho_qubit) by partial trace; independent of the vector formulas."""
-    t = as_state(s).reshape(2, 2, 2)
-    ax = QUBIT_AXIS[qubit]
-    m = np.moveaxis(t, ax, 0).reshape(2, 4)
+    c = as_state(s)
+    m = np.moveaxis(c.reshape(2, 2, 2), QUBIT_AXIS[qubit], 0).reshape(2, 4)
     rho = m @ m.conj().T
     det = np.real(rho[0, 0] * rho[1, 1] - rho[0, 1] * rho[1, 0])
-    return _clamp(4.0 * float(det))
+    return _clamp(4.0 * float(det), _tolerance(c))
 
 
 def ckw_residual(s) -> float:
     """Largest violation of tau_q(rs) = tau_abc + tau_(qr) + tau_(qs)."""
-    tabc = three_tangle(s)
-    t_bc, t_ac, t_ab = two_tangles(s)
-    t_a, t_b, t_c = bipartite_tangles(s)
+    t = _measures(s)
     return float(max(
-        abs(t_c - tabc - t_bc - t_ac),
-        abs(t_a - tabc - t_ab - t_ac),
-        abs(t_b - tabc - t_ab - t_bc),
+        abs(t.tau_c_ab - t.tau_abc - t.tau_bc - t.tau_ac),
+        abs(t.tau_a_bc - t.tau_abc - t.tau_ab - t.tau_ac),
+        abs(t.tau_b_ca - t.tau_abc - t.tau_ab - t.tau_bc),
     ))
 
 
 def tangle_set(s) -> TangleSet:
     """All seven measures in one sweep."""
-    t_bc, t_ac, t_ab = two_tangles(s)
-    t_a, t_b, t_c = bipartite_tangles(s)
-    return TangleSet(three_tangle(s), t_bc, t_ac, t_ab, t_a, t_b, t_c)
+    return _measures(s)

@@ -43,30 +43,41 @@ class GaugeInfo:
     defined: bool
 
 
-def abc_vectors(s) -> AbcVectors:
-    """Evaluate the nine quadratic polynomials.
+def _a_forms() -> np.ndarray:
+    """Symmetric 8x8 forms with A_i = psi^T Q_i psi (plain transpose)."""
+    terms = {
+        0: [(-1j, 0, 3), (1j, 1, 2), (-1j, 6, 5), (1j, 7, 4)],
+        1: [(1, 0, 3), (-1, 1, 2), (1, 4, 7), (-1, 5, 6)],
+        2: [(1j, 0, 7), (-1j, 1, 6), (1j, 4, 3), (-1j, 5, 2)],
+    }
+    q = np.zeros((3, 8, 8), dtype=np.complex128)
+    for i, lst in terms.items():
+        for coef, m, n in lst:
+            q[i, m, n] += coef / 2
+            q[i, n, m] += coef / 2
+    return q
 
-    B and C follow from the A formula under the index cycles
-    (i,j,k) -> (k,i,j) and (i,j,k) -> (j,k,i); they are written out here.
+
+def _cycled(quads: np.ndarray, axes: tuple) -> np.ndarray:
+    """The forms with the qubit axes of both indices transposed by ``axes``."""
+    t = quads.reshape(3, 2, 2, 2, 2, 2, 2)
+    return t.transpose(0, *(1 + a for a in axes), *(4 + a for a in axes)).reshape(3, 8, 8)
+
+
+_A_QUADS = _a_forms()
+#: A, B, C stacked as 9 forms: B and C are A under the index cycles
+#: (i,j,k) -> (k,i,j) and (i,j,k) -> (j,k,i)
+_ABC_QUADS = np.concatenate([_A_QUADS, _cycled(_A_QUADS, (2, 0, 1)),
+                             _cycled(_A_QUADS, (1, 2, 0))]).reshape(72, 8)
+
+
+def abc_vectors(s) -> AbcVectors:
+    """Evaluate the nine quadratic forms psi^T Q psi.
+
     Inputs need not be normalized; the output scales as the amplitude square.
     """
     c = as_state(s)
-    c000, c001, c010, c011, c100, c101, c110, c111 = c
-
-    a1 = -1j * (c000 * c011 - c001 * c010 + c110 * c101 - c111 * c100)
-    a2 = (c000 * c011 - c001 * c010 + c100 * c111 - c101 * c110)
-    a3 = 1j * (c000 * c111 - c001 * c110 + c100 * c011 - c101 * c010)
-
-    b1 = -1j * (c000 * c101 - c100 * c001 + c011 * c110 - c111 * c010)
-    b2 = (c000 * c101 - c100 * c001 + c010 * c111 - c110 * c011)
-    b3 = 1j * (c000 * c111 - c100 * c011 + c010 * c101 - c110 * c001)
-
-    c1 = -1j * (c000 * c110 - c010 * c100 + c101 * c011 - c111 * c001)
-    c2 = (c000 * c110 - c010 * c100 + c001 * c111 - c011 * c101)
-    c3 = 1j * (c000 * c111 - c010 * c101 + c001 * c110 - c011 * c100)
-
-    return AbcVectors(np.array([a1, a2, a3]), np.array([b1, b2, b3]),
-                      np.array([c1, c2, c3]))
+    return AbcVectors(*((_ABC_QUADS @ c).reshape(9, 8) @ c).reshape(3, 3))
 
 
 def q_vector(s, partition) -> SixVector:
@@ -87,12 +98,14 @@ def plucker_residual(s) -> float:
 def gauge_phase(s) -> GaugeInfo:
     """Half the argument of A.A, principal branch (-pi/2, pi/2].
 
-    Undefined (flagged, not an error) when |A.A| is below EPS_INV, i.e. when
-    the three-tangle vanishes.
+    Undefined (flagged, not an error) when |A.A| is below EPS_INV |s|^4, i.e.
+    when the three-tangle vanishes.
     """
-    v = abc_vectors(s)
-    aa = v.a @ v.a
-    if abs(aa) <= EPS_INV:
+    c = as_state(s)
+    a = abc_vectors(c).a
+    aa = a @ a
+    n2 = float(np.vdot(c, c).real)
+    if abs(aa) <= EPS_INV * n2 * n2:
         return GaugeInfo(0.0, False)
     return GaugeInfo(0.5 * float(np.angle(aa)), True)
 

@@ -19,7 +19,6 @@ from tanglevec import (CouplingStep, LocalStep, PhaseStep, abc_vectors, apply,
                        q_vector, random_state, synthesize_coupling_core, tangle_ascent_oracle,
                        tangle_set, three_tangle, two_tangles,
                        verify_commutators, w_to_ghz_sequence)
-from tanglevec.gates import _embed_pair
 from tanglevec.quaternionic import (QuaternionicState, _reduce_stages,
                                     abc_quaternionic, reduce_to_acin,
                                     tangles_quaternionic, to_state,
@@ -269,7 +268,7 @@ def test_criterion_9_quaternionic_suite():
         t = float(rng.uniform(0.3, 2.0))
         h = -1j * (2.0 * g) * t
         w, vv = np.linalg.eigh(h)
-        u8 = _embed_pair((vv * np.exp(1j * w)) @ vv.conj().T, "bc")
+        u8 = np.kron(np.eye(2), (vv * np.exp(1j * w)) @ vv.conj().T)
         closure_ok &= is_quaternionic(u8 @ to_state(states[0])) is not None
 
     # local equivalence of input and reduced output

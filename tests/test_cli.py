@@ -5,7 +5,7 @@ import pytest
 
 from tanglevec import (make_asymmetric_w, make_ghz, state_to_json, to_state,
                        QuaternionicState, sequence_to_json, named_gate)
-from tanglevec.cli import main
+from tanglevec.cli import _emit, main
 
 
 @pytest.fixture
@@ -89,6 +89,28 @@ def test_evolve_empty_sequence_echoes(ghz_file, tmp_path, capsys):
     amps = np.array([complex(re, im) for re, im in
                      doc["result"]["state"]["amplitudes"]])
     assert np.abs(amps - make_ghz()).max() < 1e-12
+
+
+def test_evolve_nan_param_refused(ghz_file, tmp_path, capsys):
+    seqf = tmp_path / "seq.json"
+    seqf.write_text('[{"kind": "local", "target": "a", "params": [NaN, 0, 0]}]')
+    code = main(["evolve", "--state", ghz_file, "--sequence", str(seqf)])
+    assert code == 1
+    assert capsys.readouterr().out == ""
+
+
+def test_analyze_nan_amplitude_refused(tmp_path, capsys):
+    p = tmp_path / "nan.json"
+    p.write_text(json.dumps({"amplitudes": [[float("nan"), 0]] + [[0, 0]] * 7}))
+    code = main(["analyze", "--state", str(p)])
+    assert code == 1
+    assert capsys.readouterr().out == ""
+
+
+def test_emit_refuses_nan(capsys):
+    with pytest.raises(ValueError):
+        _emit({"result": {"x": float("nan")}}, False)
+    assert capsys.readouterr().out == ""
 
 
 def test_synthesize_coupling_core(capsys):

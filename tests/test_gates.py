@@ -1,8 +1,11 @@
+import json
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from tanglevec import (CouplingStep, LocalStep, PhaseStep, UnknownGate, apply,
+from tanglevec import (CouplingStep, InvariantViolation, LocalStep, PhaseStep,
+                       ParseError, UnknownGate, apply,
                        coupling_unitary, fidelity_up_to_phase, local_unitary,
                        make_asymmetric_w, make_ghz, named_gate, random_state,
                        sequence_from_json, sequence_to_json, sequence_unitary,
@@ -160,6 +163,11 @@ def test_apply_empty_sequence():
     assert np.array_equal(apply([], s), s)
 
 
+def test_apply_refuses_a_non_finite_result():
+    with pytest.raises(InvariantViolation):
+        apply([LocalStep("a", (np.nan, 0, 0))], make_ghz())
+
+
 def test_apply_inverse_pair(rng):
     s = random_state(2)
     th = rng.uniform(-2, 2, (3, 3))
@@ -189,10 +197,16 @@ def test_sequence_json_round_trip(rng):
 
 
 def test_sequence_json_rejects_malformed():
-    from tanglevec import ParseError
     with pytest.raises(ParseError):
         sequence_from_json('[{"kind": "local", "target": "a", "params": [1, 2]}]')
     with pytest.raises(ParseError):
         sequence_from_json('[{"kind": "wiggle", "target": "a", "params": [1]}]')
     with pytest.raises(ParseError):
         sequence_from_json('{"kind": "local"}')
+    with pytest.raises(ParseError):
+        sequence_from_json(json.dumps([{"kind": "coupling", "target": "zz",
+                                        "params": [0.0] * 9}]))
+    with pytest.raises(ParseError):
+        sequence_from_json('[{"kind": "phase", "target": "", "params": [NaN]}]')
+    with pytest.raises(ParseError):
+        sequence_from_json('[{"kind": "local", "target": ["a"], "params": [0, 0, 0]}]')

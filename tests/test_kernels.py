@@ -2,7 +2,8 @@
 import numpy as np
 
 from tanglevec import _kernels, random_state
-from tanglevec.synthesis import _A_QUADS, _PAIR_GENS, _random_su2_stack
+from tanglevec.synthesis import _PAIR_GENS, _random_su2_stack
+from tanglevec.vectors import _A_QUADS
 
 
 def _fs_reference(t1, t2, inits, max_sweeps, tol):
@@ -152,7 +153,7 @@ def test_ascent_matches_reference_loop():
     for seed in range(3):
         psi, inits = _ascent_inputs(seed)
         ref = _ascent_reference(psi, _PAIR_GENS, _A_QUADS, inits, 300, 1e-10)
-        best, stats = _kernels.tangle_ascent_best(psi, _PAIR_GENS, _A_QUADS, inits, 300, 1e-10)
+        best, stats = _kernels.tangle_ascent_best(psi, _PAIR_GENS, inits, 300, 1e-10)
         assert abs(best - ref) < 1e-9
         assert 1 <= stats.iterations < 300
         assert stats.converged == inits.shape[0]
@@ -161,6 +162,6 @@ def test_ascent_matches_reference_loop():
 def test_ascent_cap_is_reported():
     psi, inits = _ascent_inputs(5)
     ref = _ascent_reference(psi, _PAIR_GENS, _A_QUADS, inits, 3, 1e-10)
-    best, stats = _kernels.tangle_ascent_best(psi, _PAIR_GENS, _A_QUADS, inits, 3, 1e-10)
+    best, stats = _kernels.tangle_ascent_best(psi, _PAIR_GENS, inits, 3, 1e-10)
     assert abs(best - ref) < 1e-9
     assert stats == (3, 0)

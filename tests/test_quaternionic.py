@@ -9,7 +9,7 @@ from tanglevec import (QuaternionicState, abc_quaternionic, abc_vectors,
                        reduce_to_acin, tangle_set, tangles_quaternionic,
                        to_state, usp_generators)
 from tanglevec.errors import NotNormalized
-from tanglevec.gates import LocalStep, _embed_pair
+from tanglevec.gates import LocalStep
 from tanglevec.quaternionic import (_extract, _reduce_stages,
                                     is_quaternionic_block_matrix)
 
@@ -211,7 +211,7 @@ def test_usp_closure_under_exponentials(rng):
         t = float(rng.uniform(0.2, 2.5))
         h = -1j * (2.0 * g) * t  # Hermitian generator of exp(t i sigma...)
         w, v = np.linalg.eigh(h)
-        u8 = _embed_pair((v * np.exp(1j * w)) @ v.conj().T, "bc")
+        u8 = np.kron(np.eye(2), (v * np.exp(1j * w)) @ v.conj().T)
         s = u8 @ to_state(_random_qs(rng))
         assert is_quaternionic(s) is not None, gens.labels[k]
 
@@ -222,7 +222,7 @@ def test_excluded_generators_break_pattern(rng):
     for g in gens.excluded_su4:
         h = -1j * (2.0 * g) * 0.9
         w, v = np.linalg.eigh(h)
-        u8 = _embed_pair((v * np.exp(1j * w)) @ v.conj().T, "bc")
+        u8 = np.kron(np.eye(2), (v * np.exp(1j * w)) @ v.conj().T)
         s = u8 @ to_state(_random_qs(rng))
         if is_quaternionic(s) is None:
             broke += 1

@@ -180,3 +180,7 @@ def test_json_rejects_garbage():
         state_from_json("{nope")
     with pytest.raises(ParseError):
         state_from_json(json.dumps({"amps": []}))
+    with pytest.raises(ParseError):
+        state_from_json(json.dumps({"amplitudes": [[float("nan"), 0]] + [[0, 0]] * 7}))
+    with pytest.raises(ParseError):
+        state_from_json(json.dumps({"amplitudes": [[None, 0]] + [[0, 0]] * 7}))

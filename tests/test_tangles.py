@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from tanglevec import (CouplingStep, LocalStep, apply, bipartite_tangles,
-                       bipartite_tangle_from_density, ckw_residual,
-                       make_asymmetric_w, make_ghz, random_state, tangle_set,
-                       three_tangle, two_tangles)
+import tanglevec.tangles
+from tanglevec import (CouplingStep, LocalStep, abc_vectors, apply,
+                       bipartite_tangles, bipartite_tangle_from_density,
+                       ckw_residual, gauge_phase, make_asymmetric_w, make_ghz,
+                       random_state, tangle_set, three_tangle, two_tangles)
 
 STD_THETA = np.arccos(1 / np.sqrt(3))
 
@@ -117,3 +120,34 @@ def test_tangles_clamped_nonnegative():
     for seed in range(200):
         ts = tangle_set(random_state(seed))
         assert min(ts.as_dict().values()) >= 0.0
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), log_scale=st.floats(-3.0, 3.0),
+       phase=st.floats(0.0, 2 * np.pi))
+def test_scale_covariance(seed, log_scale, phase):
+    # A, B, C are quadratic and the tangles quartic in the amplitudes, at
+    # any scale: no tolerance may be absolute
+    s = random_state(seed)
+    lam = 10.0**log_scale * np.exp(1j * phase)
+    v1, v2 = abc_vectors(s), abc_vectors(lam * s)
+    for x1, x2 in ((v1.a, v2.a), (v1.b, v2.b), (v1.c, v2.c)):
+        assert np.abs(x2 - lam**2 * x1).max() <= 1e-12 * abs(lam) ** 2
+    t1, t2 = tangle_set(s).as_dict(), tangle_set(lam * s).as_dict()
+    for name, value in t1.items():
+        assert abs(t2[name] - abs(lam) ** 4 * value) <= 1e-10 * abs(lam) ** 4, name
+    assert gauge_phase(lam * s).defined == gauge_phase(s).defined
+
+
+@pytest.mark.parametrize("fn", [tangle_set, ckw_residual])
+def test_one_vector_evaluation_per_call(fn, monkeypatch):
+    calls = []
+
+    def counting(s):
+        calls.append(1)
+        return abc_vectors(s)
+
+    monkeypatch.setattr(tanglevec.tangles, "abc_vectors", counting)
+    monkeypatch.setattr(tanglevec.tangles, "CROSS_CHECK", False)
+    fn(random_state(3))
+    assert len(calls) == 1

@@ -26,6 +26,31 @@ def test_w_vectors_analytic():
     assert np.abs(v.c - st * ct * sp * MU).max() < 1e-15
 
 
+def _reference_polynomials(s):
+    """The nine polynomials of A, B, C written out in the amplitudes."""
+    c000, c001, c010, c011, c100, c101, c110, c111 = s
+    a = [-1j * (c000 * c011 - c001 * c010 + c110 * c101 - c111 * c100),
+         (c000 * c011 - c001 * c010 + c100 * c111 - c101 * c110),
+         1j * (c000 * c111 - c001 * c110 + c100 * c011 - c101 * c010)]
+    b = [-1j * (c000 * c101 - c100 * c001 + c011 * c110 - c111 * c010),
+         (c000 * c101 - c100 * c001 + c010 * c111 - c110 * c011),
+         1j * (c000 * c111 - c100 * c011 + c010 * c101 - c110 * c001)]
+    c = [-1j * (c000 * c110 - c010 * c100 + c101 * c011 - c111 * c001),
+         (c000 * c110 - c010 * c100 + c001 * c111 - c011 * c101),
+         1j * (c000 * c111 - c010 * c101 + c001 * c110 - c011 * c100)]
+    return np.array(a), np.array(b), np.array(c)
+
+
+def test_vectors_match_reference_polynomials():
+    for seed in range(50):
+        s = random_state(seed)
+        v = abc_vectors(s)
+        a, b, c = _reference_polynomials(s)
+        assert np.abs(v.a - a).max() < 1e-15
+        assert np.abs(v.b - b).max() < 1e-15
+        assert np.abs(v.c - c).max() < 1e-15
+
+
 def test_product_state_vectors_vanish():
     s = np.zeros(8)
     s[0] = 1.0
