@@ -38,7 +38,7 @@ class DegenerateInput(TangleVecError, ValueError):
 
 
 class ParseError(TangleVecError, ValueError):
-    """Malformed JSON input to the CLI or the file readers."""
+    """Malformed input: bad JSON or fields, or a state with a non-finite amplitude."""
 
 
 class InvariantViolation(TangleVecError, ArithmeticError):

@@ -32,8 +32,13 @@ SIGMA = (
     np.array([[1, 0], [0, -1]], dtype=complex),
 )
 I2 = np.eye(2, dtype=complex)
-#: kron(sigma_n, sigma_m) as a (3, 3, 4, 4) table
-_SIGMA_PAIRS = np.einsum("nij,mkl->nmikjl", SIGMA, SIGMA).reshape(3, 3, 4, 4)
+_KRON = np.einsum("nij,mkl->nmikjl", (I2, *SIGMA), (I2, *SIGMA)).reshape(4, 4, 4, 4)
+#: the 15 pair Paulis sigma_n x 1, 1 x sigma_n and sigma_n x sigma_m as one
+#: read-only (15, 4, 4) table, in the order of so6.GENERATOR_LABELS
+PAIR_PAULIS = np.concatenate([_KRON[1:, 0], _KRON[0, 1:], _KRON[1:, 1:].reshape(9, 4, 4)])
+PAIR_PAULIS.flags.writeable = False
+#: sigma_n x sigma_m as a (3, 3, 4, 4) view of the table
+_SIGMA_PAIRS = PAIR_PAULIS[6:].reshape(3, 3, 4, 4)
 
 PAIRS = ("ab", "bc", "ac")
 

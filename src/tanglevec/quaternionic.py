@@ -20,9 +20,9 @@ import numpy as np
 
 from .errors import InvariantViolation, NotNormalized
 from .gates import LocalStep, PhaseStep, apply
-from .so6 import generator_map, su_generator
+from .so6 import GENERATOR_LABELS, SO6_BASIS, SU4_BASIS
 from .states import EPS_NORM, as_state, make_acin
-from .synthesis import _frame_rotation_steps, _rotation_axis_angle
+from .synthesis import _axis_angle_local_step, _frame_rotation_steps, _rotation_axis_angle
 from .tangles import TangleSet
 from .vectors import EPS_INV, AbcVectors, abc_vectors
 
@@ -221,11 +221,10 @@ def usp_generators() -> UspGenerators:
     6-vector, never touching component 2; the five excluded generators are
     returned alongside.
     """
-    su = np.array([su_generator(_slot_label(n)) for n in _USP_LABELS])
-    so = np.array([generator_map(_slot_label(n)).g for n in _USP_LABELS])
-    ex_su = np.array([su_generator(_slot_label(n)) for n in _EXCLUDED_LABELS])
-    ex_so = np.array([generator_map(_slot_label(n)).g for n in _EXCLUDED_LABELS])
-    return UspGenerators(_USP_LABELS, su, so, _EXCLUDED_LABELS, ex_su, ex_so)
+    usp, ex = ([GENERATOR_LABELS.index(_slot_label(n)) for n in names]
+               for names in (_USP_LABELS, _EXCLUDED_LABELS))
+    return UspGenerators(_USP_LABELS, SU4_BASIS[usp], SO6_BASIS[usp],
+                         _EXCLUDED_LABELS, SU4_BASIS[ex], SO6_BASIS[ex])
 
 
 def is_quaternionic_block_matrix(m4: np.ndarray, tol: float = 1e-12) -> bool:
@@ -276,22 +275,7 @@ def _local_step_from_su2_quaternion(qubit: str, u) -> LocalStep:
 def _left_mult_step_a(v) -> LocalStep:
     """Qubit-a step effecting x -> v x, y -> v y (v a unit quaternion)."""
     u = np.array([v[0], -v[1], v[2], -v[3]])
-    return LocalStep("a", _local_step_from_su2_quaternion("a", u).theta)
-
-
-def _adjoint_steps(v) -> list:
-    """Paired a/c steps effecting x -> v x conj(v) (y untouched when scalar)."""
-    ua = np.array([v[0], -v[1], v[2], -v[3]])
-    return [
-        _local_step_from_su2_quaternion("a", ua),
-        _local_step_from_su2_quaternion("c", v),
-    ]
-
-
-def _rotation_quat_between(u, v) -> np.ndarray:
-    """Unit quaternion q with q u qbar = v for unit 3-vectors u, v."""
-    axis, angle = _rotation_axis_angle(u, v)
-    return np.concatenate([[np.cos(angle / 2)], np.sin(angle / 2) * axis])
+    return _local_step_from_su2_quaternion("a", u)
 
 
 def _reduce_stages(qs: QuaternionicState) -> dict:
@@ -323,10 +307,12 @@ def _reduce_stages(qs: QuaternionicState) -> dict:
 
     xv = x[1:]
     if np.linalg.norm(xv) > 1e-12:
-        # the Eq-(3) vectors give A = C = -(vector part of x), so aim at -z
-        q_align = _rotation_quat_between(xv / np.linalg.norm(xv),
-                                         np.array([0.0, 0.0, -1.0]))
-        steps = _adjoint_steps(q_align)
+        # the Eq-(3) vectors give A = C = -(vector part of x), so aim at -z;
+        # x -> q x conj(q) for the rotation quaternion q is a c step about
+        # the axis and an a step about the axis with its x, z signs flipped
+        axis, angle = _rotation_axis_angle(xv, [0.0, 0.0, -1.0])
+        steps = [_axis_angle_local_step("a", axis * [-1.0, 1.0, -1.0], angle),
+                 _axis_angle_local_step("c", axis, angle)]
         seq.extend(steps)
         state = apply(steps, state)
         x, y, res = _extract(state)

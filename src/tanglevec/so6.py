@@ -4,15 +4,19 @@ Local rotations act on a single invariant vector through SO(3); a coupling
 on a partition's qubit pair acts on the packed 6-vector through SO(6); a
 global phase exp(i a) multiplies the 6-vector by exp(2i a). The generator
 dictionary is the standard isomorphism between su(4) on the pair and so(6),
-realized by integer matrices:
+held as two read-only tables indexed by GENERATOR_LABELS: SU4_BASIS, the
+(15, 4, 4) matrices i/2 sigma on the ordered pair, and SO6_BASIS, their
+(15, 6, 6) integer images:
 
-    i/2 sigma_z^(1) -> I_21   i/2 sigma_y^(1) -> -I_31   i/2 sigma_x^(1) -> I_32
+    i/2 sigma_x^(1) -> I_32   i/2 sigma_y^(1) -> -I_31   i/2 sigma_z^(1) -> I_21
     (same for qubit 2 on the second block)
     i/2 sigma_n^(1) sigma_m^(2) -> Lambda_{n,m}
 
-where [Lambda_{n,m}]_{ij} = -d_{i,n} d_{j,m+3} + d_{j,n} d_{i,m+3} and the
-I blocks embed the 3x3 rotation generators [I_{n,m}]_{ij} = -d_{i,n} d_{j,m}
-+ d_{i,m} d_{j,n}.
+where [I_{n,m}]_{ij} = -d_{i,n} d_{j,m} + d_{i,m} d_{j,n} on the block's
+triple, so the three local images of a block are the Levi-Civita matrices
+[eps_k]_{ij} = eps_{kij}, and [Lambda_{n,m}]_{ij} = -d_{i,n} d_{j,m+3}
++ d_{j,n} d_{i,m+3} fills the two off-diagonal blocks. Every lookup
+returns a copy of a table row.
 """
 from __future__ import annotations
 
@@ -21,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import IndexOutOfRange, NotRepresentable, UnknownGenerator
-from .gates import SIGMA, CouplingStep, LocalStep, PhaseStep, expi_hermitian
+from .gates import PAIR_PAULIS, CouplingStep, LocalStep, PhaseStep, expi_hermitian
 from .states import PARTITION_PAIR, PARTITION_SPECTATOR, parse_partition
 from .vectors import SixVector
 
@@ -50,67 +54,63 @@ class CommutatorReport:
         return self.max_discrepancy == 0
 
 
-def rotation_generator_3x3(n: int, m: int) -> np.ndarray:
-    if n not in (1, 2, 3) or m not in (1, 2, 3):
-        raise IndexOutOfRange(f"indices {(n, m)} outside 1..3")
-    g = np.zeros((3, 3), dtype=np.int64)
-    g[n - 1, m - 1] = -1
-    g[m - 1, n - 1] = 1
+#: the 15 labels of the su(4) pair basis; "a"/"b" name the first and second
+#: slot of the ordered pair
+GENERATOR_LABELS = tuple(f"{ax}_a" for ax in AXIS_NAMES) + \
+    tuple(f"{ax}_b" for ax in AXIS_NAMES) + \
+    tuple(f"{n}{m}" for n in AXIS_NAMES for m in AXIS_NAMES)
+
+#: i/2 times the pair Paulis, indexed like GENERATOR_LABELS
+SU4_BASIS = 0.5j * PAIR_PAULIS
+SU4_BASIS.flags.writeable = False
+
+
+def _so6_basis() -> np.ndarray:
+    k = np.arange(3)
+    eps = np.zeros((3, 3, 3), dtype=np.int64)   # Levi-Civita: eps[k] = I_32, -I_31, I_21
+    eps[k, (k + 1) % 3, (k + 2) % 3] = 1
+    eps[k, (k + 2) % 3, (k + 1) % 3] = -1
+    unit = np.eye(9, dtype=np.int64).reshape(9, 3, 3)   # unit[3(n-1) + m-1] = E_nm
+    g = np.zeros((15, 6, 6), dtype=np.int64)
+    g[0:3, :3, :3] = eps
+    g[3:6, 3:, 3:] = eps
+    g[6:, :3, 3:] = -unit
+    g[6:, 3:, :3] = unit.transpose(0, 2, 1)
+    g.flags.writeable = False
     return g
+
+
+#: the integer so(6) image of each SU4_BASIS element, indexed like GENERATOR_LABELS
+SO6_BASIS = _so6_basis()
+
+
+#: the So6Generator.tag of each row
+_TAGS = tuple(f"{t}^{slot}" for slot in "ab" for t in ("I_32", "-I_31", "I_21")) + \
+    tuple(f"Lambda_{n}{m}" for n in (1, 2, 3) for m in (1, 2, 3))
+
+
+def _index(label: str) -> int:
+    if label not in GENERATOR_LABELS:
+        raise UnknownGenerator(label)
+    return GENERATOR_LABELS.index(label)
+
+
+def generator_map(label: str) -> So6Generator:
+    """so(6) image of one su(4) basis generator (i/2 sigma...)."""
+    k = _index(label)
+    return So6Generator(SO6_BASIS[k].copy(), _TAGS[k])
 
 
 def lambda_generator(n: int, m: int) -> So6Generator:
     """Coupling generator rotating component n against component m+3."""
     if n not in (1, 2, 3) or m not in (1, 2, 3):
         raise IndexOutOfRange(f"indices {(n, m)} outside 1..3")
-    g = np.zeros((6, 6), dtype=np.int64)
-    g[n - 1, m + 2] = -1
-    g[m + 2, n - 1] = 1
-    return So6Generator(g, f"Lambda_{n}{m}")
-
-
-def _local_generator_6x6(block: int, n: int, m: int) -> np.ndarray:
-    g = np.zeros((6, 6), dtype=np.int64)
-    off = 3 * block
-    g[off:off + 3, off:off + 3] = rotation_generator_3x3(n, m)
-    return g
-
-
-#: the 15 labels of the su(4) pair basis; "1"/"2" name the pair slots,
-#: spelled a/b below to match the common (a,b)-pair usage
-GENERATOR_LABELS = tuple(f"{ax}_a" for ax in AXIS_NAMES) + \
-    tuple(f"{ax}_b" for ax in AXIS_NAMES) + \
-    tuple(f"{n}{m}" for n in AXIS_NAMES for m in AXIS_NAMES)
-
-_LOCAL_IMAGE = {"z": (2, 1, 1), "y": (3, 1, -1), "x": (3, 2, 1)}  # axis -> (n, m, sign)
-
-
-def generator_map(label: str) -> So6Generator:
-    """so(6) image of one su(4) basis generator (i/2 sigma...)."""
-    if label in GENERATOR_LABELS:
-        if "_" in label:
-            ax, slot = label.split("_")
-            n, m, sign = _LOCAL_IMAGE[ax]
-            g = sign * _local_generator_6x6(0 if slot == "a" else 1, n, m)
-            return So6Generator(g.astype(np.int64), f"I_{n}{m}^{slot}" if sign > 0 else f"-I_{n}{m}^{slot}")
-        n = AXIS_NAMES.index(label[0]) + 1
-        m = AXIS_NAMES.index(label[1]) + 1
-        return lambda_generator(n, m)
-    raise UnknownGenerator(label)
+    return generator_map(AXIS_NAMES[n - 1] + AXIS_NAMES[m - 1])
 
 
 def su_generator(label: str) -> np.ndarray:
     """4x4 matrix i/2 sigma... on the ordered pair Hilbert space."""
-    if label not in GENERATOR_LABELS:
-        raise UnknownGenerator(label)
-    if "_" in label:
-        ax, slot = label.split("_")
-        s = SIGMA[AXIS_NAMES.index(ax)]
-        mat = np.kron(s, np.eye(2)) if slot == "a" else np.kron(np.eye(2), s)
-    else:
-        mat = np.kron(SIGMA[AXIS_NAMES.index(label[0])],
-                      SIGMA[AXIS_NAMES.index(label[1])])
-    return 0.5j * mat
+    return SU4_BASIS[_index(label)].copy()
 
 
 def so3_image(theta) -> np.ndarray:
@@ -154,11 +154,8 @@ def so6_image(step, partition) -> So6Action:
             raise NotRepresentable(
                 f"coupling on {step.pair} involves the spectator of partition {p}")
         th = step.theta if (q1, q2) == (first, second) else step.theta.T
-        g = np.zeros((6, 6))
-        for n in range(3):
-            for m in range(3):
-                if th[n, m] != 0.0:
-                    g += th[n, m] * lambda_generator(n + 1, m + 1).g
+        g = np.zeros((6, 6))   # sum_nm th_nm Lambda_nm
+        g[:3, 3:], g[3:, :3] = -th, th.T
         # exp(g) = exp(i h) with the Hermitian h = -i g
         return So6Action(np.real(expi_hermitian(-1j * g)), 0.0)
     raise TypeError(f"not a gate step: {step!r}")
@@ -182,23 +179,16 @@ def verify_commutators() -> CommutatorReport:
     elements; the coefficients are extracted by trace orthogonality and the
     comparison runs in integer arithmetic, so the discrepancy must be 0.
     """
-    labels = GENERATOR_LABELS
-    h = np.array([2.0 * su_generator(lab) for lab in labels])       # entries 0, +-1, +-i
-    m = np.array([generator_map(lab).g for lab in labels], dtype=np.int64)
-    worst = 0
-    pairs = 0
-    for i in range(len(labels)):
-        for j in range(i + 1, len(labels)):
-            pairs += 1
-            p = h[i] @ h[j] - h[j] @ h[i]
-            coeff = np.zeros(len(labels), dtype=np.int64)
-            for k in range(len(labels)):
-                c = np.trace(h[k].conj().T @ p) / 8.0
-                ck = int(round(c.real))
-                if abs(c - ck) > 1e-12:
-                    return CommutatorReport(pairs, 10**9)  # non-integer: map broken
-                coeff[k] = ck
-            lhs = m[i] @ m[j] - m[j] @ m[i]
-            rhs = np.tensordot(coeff, m, axes=1)
-            worst = max(worst, int(np.abs(lhs - rhs).max()))
-    return CommutatorReport(pairs, worst)
+    h = 2.0 * SU4_BASIS       # entries 0, +-1, +-i
+    m = SO6_BASIS
+    pairs = np.triu_indices(len(GENERATOR_LABELS), 1)
+    # coefficient of h_k in [h_i, h_j] by trace orthogonality
+    t = np.einsum("kba,ibc,jca->ijk", h.conj(), h, h)
+    c = (t - t.swapaxes(0, 1))[pairs] / 8.0
+    coeff = np.rint(c.real).astype(np.int64)
+    if not np.abs(c - coeff).max() <= 1e-12:
+        return CommutatorReport(len(c), 10**9)  # non-integer: map broken
+    mm = np.einsum("iab,jbc->ijac", m, m)
+    lhs = (mm - mm.swapaxes(0, 1))[pairs]
+    rhs = np.einsum("pk,kab->pab", coeff, m)
+    return CommutatorReport(len(c), int(np.abs(lhs - rhs).max()))

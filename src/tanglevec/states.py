@@ -11,6 +11,7 @@ qubit and whose rows run over the remaining pair.
 from __future__ import annotations
 
 import json
+import math
 
 import numpy as np
 
@@ -56,17 +57,30 @@ def norm(s: np.ndarray) -> float:
     return float(np.linalg.norm(s))
 
 
+def squared_norm(c: np.ndarray) -> float:
+    """|c|^2, or inf/NaN on overflow; raises ParseError for a non-finite amplitude."""
+    n2 = float(np.vdot(c, c).real)
+    if not math.isfinite(n2) and not np.isfinite(c).all():
+        raise ParseError("amplitudes must be finite")
+    return n2
+
+
 def normalize(s) -> np.ndarray:
-    """Scale to unit norm. Raises ZeroState for a (numerically) zero vector."""
+    """Scale to unit norm.
+
+    Raises ParseError for a non-finite amplitude and ZeroState for a
+    (numerically) zero vector.
+    """
     s = as_state(s)
     n = norm(s)
+    if not math.isfinite(n):
+        if not np.isfinite(s).all():
+            raise ParseError("amplitudes must be finite")
+        s = s / np.abs(s).max()   # finite amplitudes whose |s|^2 overflows
+        n = norm(s)
     if n < EPS_NORM:
         raise ZeroState(f"state norm {n} below {EPS_NORM}")
     return s / n
-
-
-def is_normalized(s: np.ndarray, tol: float = EPS_NORM) -> bool:
-    return abs(norm(s) - 1.0) <= tol
 
 
 def make_ghz() -> np.ndarray:

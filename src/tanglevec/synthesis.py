@@ -24,18 +24,14 @@ from . import _kernels
 from .errors import DegenerateInput, GaugeUndefined
 from .gates import (CouplingStep, LocalStep, PhaseStep, apply,
                     coupling_axis_step, sequence_unitary)
-from .so6 import so3_image, su_generator
-from .states import (PARTITION_PAIR, QUBIT_AXIS, as_state,
+from .so6 import SU4_BASIS, so3_image
+from .states import (PARTITION_PAIR, PARTITION_SPECTATOR, QUBIT_AXIS, as_state,
                      make_asymmetric_w, make_ghz, normalize)
 from .tangles import bipartite_tangles, three_tangle
 from .vectors import EPS_INV, abc_vectors, gauge_phase
 
 #: qubit pair -> (partition, ordered pair string as carried by the 6-vector)
-_PAIR_PARTITION = {
-    frozenset("ab"): (3, "ab"),
-    frozenset("bc"): (1, "bc"),
-    frozenset("ac"): (2, "ca"),
-}
+_PAIR_PARTITION = {frozenset(pq): (p, "".join(pq)) for p, pq in PARTITION_PAIR.items()}
 
 
 @dataclass(frozen=True, eq=False)
@@ -260,8 +256,7 @@ def maximize_three_tangle(s, pair: str = "ab", variant: str = "economical") -> S
     seq.extend(couplings)
     state = apply(couplings, state) if couplings else state
     achieved = three_tangle(state)
-    bound = dict(zip("abc", bipartite_tangles(normalize(s))))[
-        ({"a", "b", "c"} - set(pair)).pop()]
+    bound = dict(zip("abc", bipartite_tangles(normalize(s))))[PARTITION_SPECTATOR[p]]
     return SynthesisResult(seq, achieved, {
         "bound": bound,
         "gauge_defined": gauge_defined,
@@ -335,11 +330,6 @@ def fubini_study_angle(s1, s2, restarts: int = 32, seed: int = 0,
 
 # --- independent ascent oracle ---------------------------------------------
 
-_PAIR_GENS = np.array([su_generator(lab) for lab in
-                       ("x_a", "y_a", "z_a", "x_b", "y_b", "z_b",
-                        "xx", "xy", "xz", "yx", "yy", "yz", "zx", "zy", "zz")])
-
-
 def tangle_ascent_oracle(s, pair: str = "ab", restarts: int = 16, seed: int = 0,
                          max_iters: int = 400, gtol: float = 1e-10) -> float:
     """Numerically maximize the three-tangle over the pair's full SU(4).
@@ -350,7 +340,7 @@ def tangle_ascent_oracle(s, pair: str = "ab", restarts: int = 16, seed: int = 0,
     """
     p, pq = _canonical_pair(pair)
     first, second = PARTITION_PAIR[p]
-    spect = ({"a", "b", "c"} - {first, second}).pop()
+    spect = PARTITION_SPECTATOR[p]
     t = normalize(s).reshape(2, 2, 2)
     # relabel qubits so the coupled pair occupies the leading two slots;
     # the three-tangle is relabeling-invariant
@@ -360,5 +350,5 @@ def tangle_ascent_oracle(s, pair: str = "ab", restarts: int = 16, seed: int = 0,
     inits = np.zeros((max(1, restarts), 15))
     if restarts > 1:
         inits[1:] = rng.uniform(-np.pi, np.pi, size=(restarts - 1, 15))
-    best, _ = _kernels.tangle_ascent_best(psi, _PAIR_GENS, inits, max_iters, gtol)
+    best, _ = _kernels.tangle_ascent_best(psi, SU4_BASIS, inits, max_iters, gtol)
     return float(best)

@@ -11,18 +11,17 @@ tau_q(rs) = 4 det(rho_q), kept as a cross-check.
 """
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, asdict
 
 import numpy as np
 
 from .errors import InvariantViolation
-from .states import QUBIT_AXIS, as_state
+from .states import QUBIT_AXIS, as_state, squared_norm
 from .vectors import EPS_INV, abc_vectors
 
 #: when true, every bipartite_tangles call is cross-checked against the
-#: partial-trace oracle (enabled in the test suite; off in normal use)
-CROSS_CHECK = os.environ.get("TANGLEVEC_CROSS_CHECK", "") not in ("", "0")
+#: partial-trace oracle (the test suite sets it; off in normal use)
+CROSS_CHECK = False
 
 
 @dataclass(frozen=True)
@@ -45,8 +44,11 @@ def _clamp(x: float, tol: float) -> float:
 
 
 def _tolerance(c: np.ndarray) -> float:
-    """EPS_INV scaled to a measure of the state, which is quartic in it."""
-    n2 = float(np.vdot(c, c).real)
+    """EPS_INV scaled to a measure of the state, which is quartic in it.
+
+    Raises ParseError for non-finite amplitudes.
+    """
+    n2 = squared_norm(c)
     return EPS_INV * n2 * n2
 
 
@@ -98,10 +100,11 @@ def bipartite_tangles(s, cross_check: bool | None = None) -> tuple[float, float,
 def bipartite_tangle_from_density(s, qubit: str) -> float:
     """4 det(rho_qubit) by partial trace; independent of the vector formulas."""
     c = as_state(s)
+    tol = _tolerance(c)
     m = np.moveaxis(c.reshape(2, 2, 2), QUBIT_AXIS[qubit], 0).reshape(2, 4)
     rho = m @ m.conj().T
     det = np.real(rho[0, 0] * rho[1, 1] - rho[0, 1] * rho[1, 0])
-    return _clamp(4.0 * float(det), _tolerance(c))
+    return _clamp(4.0 * float(det), tol)
 
 
 def ckw_residual(s) -> float:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GaugeUndefined
-from .states import PARTITION_PAIR, as_state, parse_partition
+from .states import PARTITION_PAIR, as_state, parse_partition, squared_norm
 
 EPS_INV = 1e-10
 
@@ -99,12 +99,13 @@ def gauge_phase(s) -> GaugeInfo:
     """Half the argument of A.A, principal branch (-pi/2, pi/2].
 
     Undefined (flagged, not an error) when |A.A| is below EPS_INV |s|^4, i.e.
-    when the three-tangle vanishes.
+    when the three-tangle vanishes. Raises ParseError for non-finite
+    amplitudes.
     """
     c = as_state(s)
+    n2 = squared_norm(c)
     a = abc_vectors(c).a
     aa = a @ a
-    n2 = float(np.vdot(c, c).real)
     if abs(aa) <= EPS_INV * n2 * n2:
         return GaugeInfo(0.0, False)
     return GaugeInfo(0.5 * float(np.angle(aa)), True)

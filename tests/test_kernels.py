@@ -2,7 +2,8 @@
 import numpy as np
 
 from tanglevec import _kernels, random_state
-from tanglevec.synthesis import _PAIR_GENS, _random_su2_stack
+from tanglevec.so6 import SU4_BASIS
+from tanglevec.synthesis import _random_su2_stack
 from tanglevec.vectors import _A_QUADS
 
 
@@ -152,8 +153,8 @@ def _ascent_inputs(seed, n=4):
 def test_ascent_matches_reference_loop():
     for seed in range(3):
         psi, inits = _ascent_inputs(seed)
-        ref = _ascent_reference(psi, _PAIR_GENS, _A_QUADS, inits, 300, 1e-10)
-        best, stats = _kernels.tangle_ascent_best(psi, _PAIR_GENS, inits, 300, 1e-10)
+        ref = _ascent_reference(psi, SU4_BASIS, _A_QUADS, inits, 300, 1e-10)
+        best, stats = _kernels.tangle_ascent_best(psi, SU4_BASIS, inits, 300, 1e-10)
         assert abs(best - ref) < 1e-9
         assert 1 <= stats.iterations < 300
         assert stats.converged == inits.shape[0]
@@ -161,7 +162,7 @@ def test_ascent_matches_reference_loop():
 
 def test_ascent_cap_is_reported():
     psi, inits = _ascent_inputs(5)
-    ref = _ascent_reference(psi, _PAIR_GENS, _A_QUADS, inits, 3, 1e-10)
-    best, stats = _kernels.tangle_ascent_best(psi, _PAIR_GENS, inits, 3, 1e-10)
+    ref = _ascent_reference(psi, SU4_BASIS, _A_QUADS, inits, 3, 1e-10)
+    best, stats = _kernels.tangle_ascent_best(psi, SU4_BASIS, inits, 3, 1e-10)
     assert abs(best - ref) < 1e-9
     assert stats == (3, 0)

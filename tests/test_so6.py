@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import tanglevec.so6
 from tanglevec import (CouplingStep, IndexOutOfRange, LocalStep,
                        NotRepresentable, PhaseStep, UnknownGenerator, apply,
                        evolve_q, generator_map, lambda_generator, named_gate,
@@ -142,6 +143,68 @@ def test_all_generators_antisymmetric_integers():
         g = generator_map(lab).g
         assert np.array_equal(g, -g.T)
         assert set(np.unique(g)).issubset({-1, 0, 1})
+
+
+def _delta_matrix(entry):
+    """6x6 integer matrix with 1-based entries entry(i, j)."""
+    return np.array([[entry(i, j) for j in range(1, 7)] for i in range(1, 7)], dtype=np.int64)
+
+
+def _reference_dictionary():
+    """label -> (i/2 sigma by np.kron, so(6) image by the delta formulas, tag)."""
+    sig = {"x": np.array([[0, 1], [1, 0]], dtype=complex),
+           "y": np.array([[0, -1j], [1j, 0]]),
+           "z": np.array([[1, 0], [0, -1]], dtype=complex)}
+    one = np.eye(2)
+    out = {}
+    # i/2 sigma_x -> I_32, i/2 sigma_y -> -I_31, i/2 sigma_z -> I_21 on the slot's block
+    for ax, (n, m, sign) in {"x": (3, 2, 1), "y": (3, 1, -1), "z": (2, 1, 1)}.items():
+        for slot, off, mat in (("a", 0, np.kron(sig[ax], one)), ("b", 3, np.kron(one, sig[ax]))):
+            g = sign * _delta_matrix(lambda i, j: -(i == n + off) * (j == m + off)
+                                     + (i == m + off) * (j == n + off))
+            out[f"{ax}_{slot}"] = (0.5j * mat, g, f"{'-' if sign < 0 else ''}I_{n}{m}^{slot}")
+    for n, an in enumerate("xyz", 1):
+        for m, am in enumerate("xyz", 1):
+            g = _delta_matrix(lambda i, j: -(i == n) * (j == m + 3) + (j == n) * (i == m + 3))
+            out[an + am] = (0.5j * np.kron(sig[an], sig[am]), g, f"Lambda_{n}{m}")
+    return out
+
+
+def test_tables_match_reference_dictionary():
+    ref = _reference_dictionary()
+    assert sorted(ref) == sorted(GENERATOR_LABELS)
+    for lab, (su, g, tag) in ref.items():
+        assert np.array_equal(su_generator(lab), su), lab
+        image = generator_map(lab)
+        assert image.g.dtype == np.int64
+        assert np.array_equal(image.g, g), lab
+        assert image.tag == tag
+    for n in (1, 2, 3):
+        for m in (1, 2, 3):
+            lam = lambda_generator(n, m)
+            assert np.array_equal(lam.g, ref["xyz"[n - 1] + "xyz"[m - 1]][1])
+            assert lam.tag == f"Lambda_{n}{m}"
+
+
+def test_verify_commutators_catches_a_flipped_generator(monkeypatch):
+    broken = tanglevec.so6.SO6_BASIS.copy()
+    broken[GENERATOR_LABELS.index("xy")] *= -1
+    monkeypatch.setattr(tanglevec.so6, "SO6_BASIS", broken)
+    rep = verify_commutators()
+    assert rep.pairs == 105 and not rep.ok
+
+
+def test_lookups_return_copies_of_read_only_tables():
+    g = generator_map("xy").g
+    g[0, 4] = 7
+    assert generator_map("xy").g[0, 4] == -1
+    h = su_generator("zz")
+    h[:] = 0
+    assert su_generator("zz")[0, 0] == 0.5j
+    with pytest.raises(ValueError):
+        tanglevec.so6.SO6_BASIS[0, 1, 2] = 5
+    with pytest.raises(ValueError):
+        tanglevec.so6.SU4_BASIS[0, 0, 1] = 5
 
 
 # --- images of the named gates ---------------------------------------------

@@ -27,6 +27,21 @@ def test_normalize_zero_state():
         normalize(np.zeros(8))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0, np.nan)])
+def test_normalize_refuses_non_finite(bad):
+    s = random_state(2).copy()
+    s[5] = bad
+    with pytest.raises(ParseError):
+        normalize(s)
+
+
+def test_normalize_rescales_when_the_square_overflows():
+    s = random_state(1)
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        out = normalize(1e200 * s)
+    assert np.abs(out - s).max() < 1e-15
+
+
 def test_normalize_idempotent():
     s = normalize(random_state(5) * 3.7)
     assert np.array_equal(normalize(s), normalize(normalize(s)))

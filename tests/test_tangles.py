@@ -4,8 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tanglevec.tangles
-from tanglevec import (CouplingStep, LocalStep, abc_vectors, apply,
-                       bipartite_tangles, bipartite_tangle_from_density,
+from tanglevec import (CouplingStep, LocalStep, ParseError, abc_vectors,
+                       apply, bipartite_tangles, bipartite_tangle_from_density,
                        ckw_residual, gauge_phase, make_asymmetric_w, make_ghz,
                        random_state, tangle_set, three_tangle, two_tangles)
 
@@ -137,6 +137,21 @@ def test_scale_covariance(seed, log_scale, phase):
     for name, value in t1.items():
         assert abs(t2[name] - abs(lam) ** 4 * value) <= 1e-10 * abs(lam) ** 4, name
     assert gauge_phase(lam * s).defined == gauge_phase(s).defined
+
+
+def _density_route_b(s):
+    return bipartite_tangle_from_density(s, "b")
+
+
+@pytest.mark.parametrize("fn", [tangle_set, three_tangle, ckw_residual,
+                                bipartite_tangles, _density_route_b])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_amplitudes_refused(fn, bad):
+    # the input is blamed, not the formulas, and nothing warns on the way
+    s = random_state(4).copy()
+    s[3] = bad
+    with pytest.raises(ParseError, match="finite"):
+        fn(s)
 
 
 @pytest.mark.parametrize("fn", [tangle_set, ckw_residual])

@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from tanglevec import (GaugeUndefined, abc_vectors, apply_gauge, gauge_phase,
-                       make_acin, make_asymmetric_w, make_ghz, matricize,
-                       plucker_residual, q_vector, random_state, three_tangle,
-                       two_tangles)
+from tanglevec import (GaugeUndefined, ParseError, abc_vectors, apply_gauge,
+                       gauge_phase, make_acin, make_asymmetric_w, make_ghz,
+                       matricize, plucker_residual, q_vector, random_state,
+                       three_tangle, two_tangles)
 
 MU = np.array([1j, -1.0, 0.0])
 STD_THETA = np.arccos(1 / np.sqrt(3))
@@ -144,6 +144,14 @@ def test_gauge_undefined_for_w():
     assert not info.defined
     with pytest.raises(GaugeUndefined):
         apply_gauge(make_asymmetric_w(0.8, 0.4))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_gauge_refuses_non_finite_amplitudes(bad):
+    s = random_state(12).copy()
+    s[0] = bad
+    with pytest.raises(ParseError):
+        gauge_phase(s)
 
 
 def test_gauge_phase_shift_under_global_phase():
