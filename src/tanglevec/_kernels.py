@@ -8,6 +8,13 @@ point where a one-restart-at-a-time loop would have stopped it, so every
 restart follows the trajectory it would follow alone (up to rounding), and
 a call costs as many iterations as its slowest restart instead of the sum
 over restarts.
+
+The ascent's line search compares tangle values, which stop resolving
+gains once a step's first-order gain eta |grad|^2 falls below the rounding
+of |A.A|^2; a gradient tolerance alone sits below that floor. So a restart
+also stops at the first rejected trial whose first-order gain is at most
+eps |A.A|^2 (eps the double-precision epsilon): that trial and every
+shorter one along the same direction are lost in rounding.
 """
 from __future__ import annotations
 
@@ -17,6 +24,8 @@ import numpy as np
 
 from .gates import expi_hermitian
 from .vectors import _A_QUADS
+
+_EPS = np.finfo(float).eps
 
 
 class KernelStats(NamedTuple):
@@ -113,7 +122,9 @@ def tangle_ascent_best(psi0, gens, inits, max_iters, gtol):
     after an accepted step it takes a gradient; each trial step that fails to
     improve shrinks its step size by 0.4, an accepted one grows it by 1.3.
     A restart stops at a gradient below ``gtol``, at ``max_iters`` iterations,
-    or when 50 trials (or a step size below 1e-16) bring no improvement. The
+    or when its line search fails: a rejected trial whose first-order gain
+    eta |grad|^2 is at most eps |A.A|^2 (below what a double-precision
+    comparison can resolve), 50 trials, or a step size below 1e-16. The
     restarts advance in lockstep, one trial per tick. A trial step is
     exp(i eta H) with H the gradient direction, so each direction is
     diagonalized once, in one stacked eigendecomposition with the other
@@ -134,7 +145,6 @@ def tangle_ascent_best(psi0, gens, inits, max_iters, gtol):
     # phi = vec^H psi; a restart stopped at its first gradient keeps H = 0
     lam = np.zeros((n, 4))
     vec = np.tile(np.eye(4, dtype=np.complex128), (n, 1, 1))
-    phi = psi.reshape(n, 4, 2).copy()
     iters = np.zeros(n, dtype=np.int64)
     tries = np.zeros(n, dtype=np.int64)
     fresh = np.ones(n, dtype=bool)  # started or just accepted a step: gradient due
@@ -150,12 +160,14 @@ def tangle_ascent_best(psi0, gens, inits, max_iters, gtol):
             a2 = np.einsum("ri,ri->r", a, a)
             grad = 8.0 * np.real(np.conj(a2)[:, None] * (w.reshape(n, 16) @ flat_gens.T))
             capped |= fresh & (iters >= max_iters)
-            flat = np.einsum("rk,rk->r", grad, grad) < gtol * gtol
-            active &= ~(fresh & (flat | capped))
+            # a row that accepted no step kept its state and direction, so
+            # every row of grad, gsq and phi holds its restart's current values
+            gsq = np.einsum("rk,rk->r", grad, grad)
+            active &= ~(fresh & ((gsq < gtol * gtol) | capped))
             tries[fresh] = 0
             due = fresh & active
             lam[due], vec[due] = np.linalg.eigh((grad[due] @ neg_i_gens).reshape(-1, 4, 4))
-            phi[due] = vec[due].conj().transpose(0, 2, 1) @ psi[due].reshape(-1, 4, 2)
+            phi = vec.conj().transpose(0, 2, 1) @ psi.reshape(n, 4, 2)
         if not active.any():
             break
         trial = (vec @ (np.exp(1j * eta[:, None] * lam)[:, :, None] * phi)).reshape(n, 8)
@@ -163,15 +175,20 @@ def tangle_ascent_best(psi0, gens, inits, max_iters, gtol):
         at, qt = _a_vector(trial)
         gt = _tangle_sq(at)
         fresh = active & (gt > g)
-        psi[fresh], a[fresh], qpsi[fresh], g[fresh] = (
-            trial[fresh], at[fresh], qt[fresh], gt[fresh])
+        np.copyto(psi, trial, where=fresh[:, None])
+        np.copyto(a, at, where=fresh[:, None])
+        np.copyto(qpsi, qt, where=fresh[:, None, None])
+        np.copyto(g, gt, where=fresh)
         eta[fresh] *= 1.3
         iters += fresh
         rejected = active & ~fresh
+        # the trial's first-order gain eta |grad|^2 is within the rounding of
+        # g, so neither it nor any shorter trial can show an improvement
+        stalled = eta * gsq <= _EPS * g
         eta[rejected] *= 0.4
         tries += rejected
         # a line search that brings no improvement ends the restart's ascent
-        failed = rejected & ((tries == 50) | (eta < 1e-16))
+        failed = rejected & (stalled | (tries == 50) | (eta < 1e-16))
         iters += failed
         active &= ~failed
     stats = KernelStats(int(iters.max()), int(n - capped.sum()))

@@ -68,18 +68,22 @@ def squared_norm(c: np.ndarray) -> float:
 def normalize(s) -> np.ndarray:
     """Scale to unit norm.
 
-    Raises ParseError for a non-finite amplitude and ZeroState for a
-    (numerically) zero vector.
+    Raises ParseError for a non-finite amplitude and ZeroState when every
+    amplitude is zero.
     """
     s = as_state(s)
     n = norm(s)
-    if not math.isfinite(n):
+    if not EPS_NORM <= n < math.inf:
         if not np.isfinite(s).all():
             raise ParseError("amplitudes must be finite")
-        s = s / np.abs(s).max()   # finite amplitudes whose |s|^2 overflows
+        # |s|^2 overflows or underflows: divide by the largest amplitude
+        # first, in real arithmetic (complex division takes 1/m, which
+        # overflows for a subnormal m)
+        m = np.abs(s).max()
+        if m == 0.0:
+            raise ZeroState("every amplitude is zero")
+        s = s.real / m + 1j * (s.imag / m)
         n = norm(s)
-    if n < EPS_NORM:
-        raise ZeroState(f"state norm {n} below {EPS_NORM}")
     return s / n
 
 

@@ -75,8 +75,10 @@ def abc_vectors(s) -> AbcVectors:
     """Evaluate the nine quadratic forms psi^T Q psi.
 
     Inputs need not be normalized; the output scales as the amplitude square.
+    Raises ParseError for non-finite amplitudes.
     """
     c = as_state(s)
+    squared_norm(c)  # refuses a non-finite amplitude before numpy warns on it
     return AbcVectors(*((_ABC_QUADS @ c).reshape(9, 8) @ c).reshape(3, 3))
 
 

@@ -166,3 +166,32 @@ def test_ascent_cap_is_reported():
     best, stats = _kernels.tangle_ascent_best(psi, SU4_BASIS, inits, 3, 1e-10)
     assert abs(best - ref) < 1e-9
     assert stats == (3, 0)
+
+
+def test_ascent_ends_when_trials_fall_below_rounding(monkeypatch):
+    # at the library defaults the line search would run on long after the
+    # gains it compares have dropped below the rounding of |A.A|^2; the
+    # kernel evaluates A once at the start and once per tick
+    calls = []
+    real = _kernels._a_vector
+
+    def counted(psi):
+        calls.append(1)
+        return real(psi)
+    monkeypatch.setattr(_kernels, "_a_vector", counted)
+    ticks = []
+    for seed in range(20):
+        psi, inits = _ascent_inputs(seed, 16)
+        calls.clear()
+        _kernels.tangle_ascent_best(psi, SU4_BASIS, inits, 400, 1e-10)
+        ticks.append(len(calls) - 1)
+    assert np.mean(ticks) < 50
+
+
+def test_ascent_rounding_stop_keeps_the_best_tangle():
+    # the reference loop has no rounding stop: it runs every line search out
+    for seed in range(20):
+        psi, inits = _ascent_inputs(seed, 16)
+        ref = _ascent_reference(psi, SU4_BASIS, _A_QUADS, inits, 400, 1e-10)
+        best, _ = _kernels.tangle_ascent_best(psi, SU4_BASIS, inits, 400, 1e-10)
+        assert abs(best - ref) < 1e-12

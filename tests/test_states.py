@@ -42,6 +42,16 @@ def test_normalize_rescales_when_the_square_overflows():
     assert np.abs(out - s).max() < 1e-15
 
 
+def test_normalize_rescales_tiny_states():
+    # the norm falls below EPS_NORM, or underflows to 0, long before the
+    # direction is lost
+    s = random_state(4)
+    for scale in np.logspace(-300, -12, 30):
+        assert np.abs(normalize(scale * s) - s).max() < 1e-15
+    # subnormal amplitudes keep the digits they carry
+    assert np.abs(normalize(1e-310 * s) - s).max() < 1e-12
+
+
 def test_normalize_idempotent():
     s = normalize(random_state(5) * 3.7)
     assert np.array_equal(normalize(s), normalize(normalize(s)))

@@ -154,6 +154,19 @@ def test_gauge_refuses_non_finite_amplitudes(bad):
         gauge_phase(s)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0, np.nan)])
+def test_vectors_refuse_non_finite_amplitudes(bad):
+    s = random_state(13).copy()
+    s[6] = bad
+    with pytest.raises(ParseError):
+        abc_vectors(s)
+    for p in (1, 2, 3):
+        with pytest.raises(ParseError):
+            q_vector(s, p)
+    with pytest.raises(ParseError):
+        plucker_residual(s)
+
+
 def test_gauge_phase_shift_under_global_phase():
     # A.A picks up e^{4 i alpha}, so the half-argument shifts by 2 alpha mod pi
     s = random_state(12)
