@@ -38,7 +38,11 @@ class DegenerateInput(TangleVecError, ValueError):
 
 
 class ParseError(TangleVecError, ValueError):
-    """Malformed input: bad JSON or fields, or a state with a non-finite amplitude."""
+    """Malformed input: bad JSON or fields, or a state with a non-finite amplitude.
+
+    The invariants and tangles also refuse a finite state whose |s|^4
+    overflows (|s| above about 1.2e77); normalize() accepts it.
+    """
 
 
 class InvariantViolation(TangleVecError, ArithmeticError):

@@ -258,24 +258,16 @@ def balance_chi(qs: QuaternionicState) -> float:
     return 0.5 * float(np.arctan2(delta, -omega))
 
 
-def _local_step_from_su2_quaternion(qubit: str, u) -> LocalStep:
-    """LocalStep whose 2x2 unitary is the representation of unit quaternion u."""
-    u = np.asarray(u, dtype=float)
-    vec = u[1:]
-    nv = float(np.linalg.norm(vec))
-    if nv < 1e-15:
-        if u[0] > 0:
-            return LocalStep(qubit, (0.0, 0.0, 0.0))
-        return LocalStep(qubit, (2.0 * np.pi, 0.0, 0.0))  # -identity
-    t = 2.0 * float(np.arctan2(nv, u[0]))
-    axis = -vec / nv
-    return LocalStep(qubit, tuple(float(v) for v in (t * axis)))
-
-
 def _left_mult_step_a(v) -> LocalStep:
-    """Qubit-a step effecting x -> v x, y -> v y (v a unit quaternion)."""
-    u = np.array([v[0], -v[1], v[2], -v[3]])
-    return _local_step_from_su2_quaternion("a", u)
+    """Qubit-a step effecting x -> v x, y -> v y (v a unit quaternion).
+
+    Its 2x2 unitary represents the quaternion (v0, -v1, v2, -v3).
+    """
+    vec = np.array([-v[1], v[2], -v[3]], dtype=float)
+    nv = float(np.linalg.norm(vec))
+    if nv < 1e-15:  # +-identity
+        return LocalStep("a", (0.0 if v[0] > 0 else 2.0 * np.pi, 0.0, 0.0))
+    return _axis_angle_local_step("a", vec / nv, 2.0 * float(np.arctan2(nv, v[0])))
 
 
 def _reduce_stages(qs: QuaternionicState) -> dict:

@@ -21,8 +21,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _kernels
-from .errors import DegenerateInput, GaugeUndefined
-from .gates import (CouplingStep, LocalStep, PhaseStep, apply,
+from .errors import DegenerateInput, GaugeUndefined, ParseError
+from .gates import (CouplingStep, LocalStep, PhaseStep, _pair_qubits, apply,
                     coupling_axis_step, sequence_unitary)
 from .so6 import SU4_BASIS, so3_image
 from .states import (PARTITION_PAIR, PARTITION_SPECTATOR, QUBIT_AXIS, as_state,
@@ -42,10 +42,10 @@ class SynthesisResult:
 
 
 def _canonical_pair(pair: str) -> tuple[int, str]:
-    key = frozenset(pair)
-    if key not in _PAIR_PARTITION:
-        raise DegenerateInput(f"not a qubit pair: {pair!r}")
-    return _PAIR_PARTITION[key]
+    try:
+        return _PAIR_PARTITION[frozenset(_pair_qubits(pair))]
+    except ParseError:
+        raise DegenerateInput(f"not a qubit pair: {pair!r}") from None
 
 
 def min_phase_distance(u: np.ndarray, v: np.ndarray) -> float:
@@ -218,7 +218,7 @@ def maximize_three_tangle(s, pair: str = "ab", variant: str = "economical") -> S
     real and imaginary parts then have equal norms in any gauge.
     """
     if variant not in ("economical", "single"):
-        raise ValueError(f"unknown variant {variant!r}")
+        raise ParseError(f"unknown variant {variant!r}")
     p, pq = _canonical_pair(pair)
     first, second = PARTITION_PAIR[p]
     state = normalize(s)

@@ -6,8 +6,10 @@ Everything is expressible through the invariant vectors:
     tau_(bc)  = 2(A.A* - |A.A|)      (and cyclic)
     tau_c(ab) = 2(A.A* + B.B*)       (and cyclic)
 
-with an independent density-matrix route for the bipartite tangles,
-tau_q(rs) = 4 det(rho_q), kept as a cross-check.
+The bipartite tangles also have a density-matrix route,
+tau_q(rs) = 4 det(rho_q). It shares no formula with the vectors and is an
+independent oracle for tests and benchmarks; the measures above never call
+it.
 """
 from __future__ import annotations
 
@@ -16,12 +18,8 @@ from dataclasses import dataclass, asdict
 import numpy as np
 
 from .errors import InvariantViolation
-from .states import QUBIT_AXIS, as_state, squared_norm
-from .vectors import EPS_INV, abc_vectors
-
-#: when true, every bipartite_tangles call is cross-checked against the
-#: partial-trace oracle (the test suite sets it; off in normal use)
-CROSS_CHECK = False
+from .states import QUBIT_AXIS, as_state
+from .vectors import EPS_INV, _quartic_scale, _vectors
 
 
 @dataclass(frozen=True)
@@ -43,24 +41,12 @@ def _clamp(x: float, tol: float) -> float:
     return 0.0 if -tol < x < 0.0 else x
 
 
-def _tolerance(c: np.ndarray) -> float:
-    """EPS_INV scaled to a measure of the state, which is quartic in it.
-
-    Raises ParseError for non-finite amplitudes.
-    """
-    n2 = squared_norm(c)
-    return EPS_INV * n2 * n2
-
-
-def _measures(s, cross_check: bool | None = None) -> TangleSet:
+def _measures(s) -> TangleSet:
     """All seven measures from one evaluation of the invariant vectors.
 
-    Asserts that the A, B and C expressions of the three-tangle agree and,
-    when cross-checking, that the bipartite tangles match the density route.
+    Asserts that the A, B and C expressions of the three-tangle agree.
     """
-    c = as_state(s)
-    tol = _tolerance(c)
-    v = abc_vectors(c)
+    v, tol = _vectors(s)
     sq = [float(abs(x @ x)) for x in (v.a, v.b, v.c)]
     hn = [float(np.real(x @ x.conj())) for x in (v.a, v.b, v.c)]
     ta, tb, tc = (4.0 * x for x in sq)
@@ -71,36 +57,30 @@ def _measures(s, cross_check: bool | None = None) -> TangleSet:
     na, nb, nc = hn
     bip = (_clamp(2.0 * (nb + nc), tol), _clamp(2.0 * (nc + na), tol),
            _clamp(2.0 * (na + nb), tol))
-    if CROSS_CHECK if cross_check is None else cross_check:
-        for tau, qubit in zip(bip, "abc"):
-            ref = bipartite_tangle_from_density(c, qubit)
-            if not abs(tau - ref) <= tol:
-                raise InvariantViolation(
-                    f"vector formula {tau} vs density route {ref} for qubit {qubit}")
     return TangleSet(_clamp(ta, tol), *two, *bip)
 
 
 def three_tangle(s) -> float:
     """4|A.A|, asserting agreement with the B and C expressions."""
-    return _measures(s, cross_check=False).tau_abc
+    return _measures(s).tau_abc
 
 
 def two_tangles(s) -> tuple[float, float, float]:
     """(tau_bc, tau_ac, tau_ab)."""
-    t = _measures(s, cross_check=False)
+    t = _measures(s)
     return t.tau_bc, t.tau_ac, t.tau_ab
 
 
-def bipartite_tangles(s, cross_check: bool | None = None) -> tuple[float, float, float]:
+def bipartite_tangles(s) -> tuple[float, float, float]:
     """(tau_a_bc, tau_b_ca, tau_c_ab) from the Hermitian vector norms."""
-    t = _measures(s, cross_check)
+    t = _measures(s)
     return t.tau_a_bc, t.tau_b_ca, t.tau_c_ab
 
 
 def bipartite_tangle_from_density(s, qubit: str) -> float:
     """4 det(rho_qubit) by partial trace; independent of the vector formulas."""
     c = as_state(s)
-    tol = _tolerance(c)
+    tol = EPS_INV * _quartic_scale(c)
     m = np.moveaxis(c.reshape(2, 2, 2), QUBIT_AXIS[qubit], 0).reshape(2, 4)
     rho = m @ m.conj().T
     det = np.real(rho[0, 0] * rho[1, 1] - rho[0, 1] * rho[1, 0])

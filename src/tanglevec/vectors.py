@@ -7,11 +7,12 @@ All dot products below are plain (non-Hermitian) unless stated otherwise.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GaugeUndefined
+from .errors import GaugeUndefined, ParseError
 from .states import PARTITION_PAIR, as_state, parse_partition, squared_norm
 
 EPS_INV = 1e-10
@@ -71,28 +72,45 @@ _ABC_QUADS = np.concatenate([_A_QUADS, _cycled(_A_QUADS, (2, 0, 1)),
                              _cycled(_A_QUADS, (1, 2, 0))]).reshape(72, 8)
 
 
+def _quartic_scale(c: np.ndarray) -> float:
+    """|c|^4; ParseError when an amplitude or |c|^4 is not finite.
+
+    |c|^4 overflows above |c| ~ 1.2e77; normalize() accepts such a state.
+    """
+    n2 = squared_norm(c)
+    n4 = n2 * n2
+    if not math.isfinite(n4):
+        raise ParseError(f"|s|^4 overflows (|s|^2 = {n2:.3g}); normalize the state first")
+    return n4
+
+
+def _vectors(s) -> tuple[AbcVectors, float]:
+    """A, B, C and the tolerance EPS_INV |s|^4: the one check of an invariant's input."""
+    c = as_state(s)
+    tol = EPS_INV * _quartic_scale(c)
+    return AbcVectors(*((_ABC_QUADS @ c).reshape(9, 8) @ c).reshape(3, 3)), tol
+
+
 def abc_vectors(s) -> AbcVectors:
     """Evaluate the nine quadratic forms psi^T Q psi.
 
     Inputs need not be normalized; the output scales as the amplitude square.
-    Raises ParseError for non-finite amplitudes.
+    Raises ParseError for non-finite amplitudes and above |s| ~ 1.2e77.
     """
-    c = as_state(s)
-    squared_norm(c)  # refuses a non-finite amplitude before numpy warns on it
-    return AbcVectors(*((_ABC_QUADS @ c).reshape(9, 8) @ c).reshape(3, 3))
+    return _vectors(s)[0]
 
 
 def q_vector(s, partition) -> SixVector:
     """Six-vector (V_first, -i V_second) for the partition's qubit pair."""
     p = parse_partition(partition)
-    v = abc_vectors(s)
+    v, _ = _vectors(s)
     first, second = PARTITION_PAIR[p]
     return SixVector(np.concatenate([v.by_qubit(first), -1j * v.by_qubit(second)]), p)
 
 
 def plucker_residual(s) -> float:
     """max(|A.A - B.B|, |B.B - C.C|); an algebraic identity, so ~0 always."""
-    v = abc_vectors(s)
+    v, _ = _vectors(s)
     aa, bb, cc = v.a @ v.a, v.b @ v.b, v.c @ v.c
     return float(max(abs(aa - bb), abs(bb - cc)))
 
@@ -102,13 +120,11 @@ def gauge_phase(s) -> GaugeInfo:
 
     Undefined (flagged, not an error) when |A.A| is below EPS_INV |s|^4, i.e.
     when the three-tangle vanishes. Raises ParseError for non-finite
-    amplitudes.
+    amplitudes and above |s| ~ 1.2e77.
     """
-    c = as_state(s)
-    n2 = squared_norm(c)
-    a = abc_vectors(c).a
-    aa = a @ a
-    if abs(aa) <= EPS_INV * n2 * n2:
+    v, tol = _vectors(s)
+    aa = v.a @ v.a
+    if abs(aa) <= tol:
         return GaugeInfo(0.0, False)
     return GaugeInfo(0.5 * float(np.angle(aa)), True)
 

@@ -1,11 +1,23 @@
 import numpy as np
 import pytest
 
-import tanglevec.tangles
+from tanglevec import bipartite_tangle_from_density, tangle_set
 
-# every bipartite-tangle call in the suite cross-checks against the
-# partial-trace route
-tanglevec.tangles.CROSS_CHECK = True
+
+def checked_tangle_set(s):
+    """tangle_set(s), its three bipartite fields asserted against the density route.
+
+    The partial-trace route is an independent oracle; the tolerance is the
+    library's own, 1e-10 |s|^4.
+    """
+    ts = tangle_set(s)
+    c = np.asarray(s, dtype=complex)
+    n2 = float(np.vdot(c, c).real)
+    for tau, q in zip((ts.tau_a_bc, ts.tau_b_ca, ts.tau_c_ab), "abc"):
+        ref = bipartite_tangle_from_density(c, q)
+        assert abs(tau - ref) <= 1e-10 * n2 * n2, \
+            f"vector formula {tau} vs density route {ref} for qubit {q}"
+    return ts
 
 
 def random_states(n, start=0):

@@ -24,6 +24,7 @@ from tanglevec.quaternionic import (QuaternionicState, _reduce_stages,
                                     tangles_quaternionic, to_state,
                                     usp_generators)
 from tanglevec.states import PARTITION_PAIR, PARTITION_SPECTATOR
+from conftest import checked_tangle_set
 
 STD_THETA = np.arccos(1 / np.sqrt(3))
 GHZ = make_ghz()
@@ -36,7 +37,7 @@ def _line(num, ok, detail):
 
 def test_criterion_1_ghz_invariants():
     s = make_ghz()
-    tangle_set(s)  # warm numpy dispatch before timing
+    checked_tangle_set(s)  # also warms numpy dispatch before timing
     t0 = time.perf_counter()
     v = abc_vectors(s)
     ts = tangle_set(s)
@@ -59,6 +60,7 @@ def test_criterion_2_plucker_ckw_sweep():
         s = random_state(seed)
         worst_p = max(worst_p, plucker_residual(s))
         worst_c = max(worst_c, ckw_residual(s))
+        checked_tangle_set(s)
     elapsed = time.perf_counter() - t0
     ok = worst_p < 1e-12 and worst_c < 1e-11 and elapsed < 1.0
     _line(2, ok, f"1000 states: plucker worst {worst_p:.2e} (< 1e-12), "
@@ -69,7 +71,7 @@ def test_criterion_3_bipartite_oracle_equivalence():
     worst = 0.0
     for seed in range(1000):
         s = random_state(seed)
-        taus = bipartite_tangles(s, cross_check=False)
+        taus = bipartite_tangles(s)
         for tau, q in zip(taus, "abc"):
             worst = max(worst, abs(tau - bipartite_tangle_from_density(s, q)))
     ok = worst < 1e-12
@@ -213,7 +215,7 @@ def test_criterion_8_tangle_maximization():
     worst_gap = worst_two = worst_ext = worst_over = 0.0
     for k in range(200):
         s = random_state(20_000 + k)
-        bound = tangle_set(s).tau_c_ab
+        bound = checked_tangle_set(s).tau_c_ab
         res = maximize_three_tangle(s, "ab")
         worst_gap = max(worst_gap, abs(res.achieved - bound))
         out = apply(res.sequence, s)
@@ -246,7 +248,7 @@ def test_criterion_9_quaternionic_suite():
         worst_abc = max(worst_abc, float(np.abs(va.a - vg.a).max()),
                         float(np.abs(va.b - vg.b).max()),
                         float(np.abs(va.c - vg.c).max()))
-        tq, tg = tangles_quaternionic(qs), tangle_set(s)
+        tq, tg = tangles_quaternionic(qs), checked_tangle_set(s)
         worst_tan = max(worst_tan, max(
             abs(getattr(tq, f) - getattr(tg, f)) for f in tq.__dataclass_fields__))
         stages = _reduce_stages(qs)

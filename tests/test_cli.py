@@ -3,9 +3,11 @@ import json
 import numpy as np
 import pytest
 
-from tanglevec import (make_asymmetric_w, make_ghz, state_to_json, to_state,
-                       QuaternionicState, sequence_to_json, named_gate)
+from tanglevec import (make_asymmetric_w, make_ghz, normalize, random_state,
+                       state_to_json, to_state, QuaternionicState,
+                       sequence_to_json, named_gate)
 from tanglevec.cli import _emit, main
+from conftest import checked_tangle_set
 
 
 @pytest.fixture
@@ -38,12 +40,14 @@ def test_analyze_ghz(ghz_file, capsys):
     assert abs(res["tangles"]["tau_abc"] - 1) < 1e-12
     assert abs(res["vectors"]["a"][2][0] - 0.5) < 1e-12
     assert res["plucker_residual"] < 1e-12
+    assert res["tangles"] == checked_tangle_set(normalize(make_ghz())).as_dict()
 
 
 def test_analyze_product_state(zero_file, capsys):
     code, doc, _ = run_cli(capsys, "analyze", "--state", zero_file)
     assert code == 0
     assert max(abs(v) for v in doc["result"]["tangles"].values()) < 1e-13
+    assert doc["result"]["tangles"] == checked_tangle_set(np.eye(8)[0]).as_dict()
 
 
 def test_analyze_malformed_json(tmp_path, capsys):
@@ -136,13 +140,13 @@ def test_synthesize_w_to_ghz(capsys):
 
 
 def test_maximize_tangle(tmp_path, capsys):
-    from tanglevec import random_state
     p = tmp_path / "s.json"
     p.write_text(state_to_json(random_state(3)))
     code, doc, _ = run_cli(capsys, "maximize-tangle", "--state", str(p),
                            "--pair", "ab")
     assert code == 0
     assert abs(doc["result"]["achieved"] - doc["result"]["bound"]) < 1e-9
+    assert abs(doc["result"]["bound"] - checked_tangle_set(random_state(3)).tau_c_ab) < 1e-12
 
 
 def test_fs_angle_command(ghz_file, tmp_path, capsys):
@@ -199,6 +203,8 @@ def test_verify_default_suite(capsys):
     assert code == 0
     assert doc["result"]["pass"] is True
     assert doc["result"]["states"] == 1000
+    for k in range(1000):  # the states of the sweep
+        checked_tangle_set(random_state(4 + k))
 
 
 def test_verify_quaternionic_suite(capsys):
@@ -206,6 +212,11 @@ def test_verify_quaternionic_suite(capsys):
                            "-N", "40", "--seed", "4")
     assert code == 0
     assert doc["result"]["pass"] is True
+    rng = np.random.default_rng(4)
+    for _ in range(40):  # the states of the sweep
+        v = rng.standard_normal(8)
+        v /= np.linalg.norm(v) * np.sqrt(2)
+        checked_tangle_set(to_state(QuaternionicState(v[:4], v[4:])))
 
 
 def test_verify_seed_env_default(capsys, monkeypatch):

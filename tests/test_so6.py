@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import tanglevec.so6
 from tanglevec import (CouplingStep, IndexOutOfRange, LocalStep,
@@ -325,6 +327,28 @@ def test_dual_evolution_property(partition, rng):
         via_so6 = evolve_q(seq, q_vector(s, partition))
         via_hilbert = q_vector(apply(seq, s), partition)
         assert np.abs(via_so6.q - via_hilbert.q).max() < 1e-10
+
+
+def _representable_steps(partition):
+    first, second = PARTITION_PAIR[partition]
+    angles = st.tuples(*[st.floats(-3.0, 3.0)] * 3)
+    local = st.builds(LocalStep, st.sampled_from((first, second, PARTITION_SPECTATOR[partition])),
+                      angles)
+    coupling = st.builds(lambda pair, theta: CouplingStep(pair, np.reshape(theta, (3, 3))),
+                         st.sampled_from((first + second, second + first)),
+                         st.lists(st.floats(-2.0, 2.0), min_size=9, max_size=9))
+    phase = st.builds(PhaseStep, st.floats(-np.pi, np.pi))
+    return st.lists(st.one_of(local, coupling, phase), max_size=6)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), seed=st.integers(0, 2**32 - 1), partition=st.sampled_from((1, 2, 3)))
+def test_dual_evolution_hypothesis(data, seed, partition):
+    seq = data.draw(_representable_steps(partition))
+    s = random_state(seed)
+    via_so6 = evolve_q(seq, q_vector(s, partition))
+    via_hilbert = q_vector(apply(seq, s), partition)
+    assert np.abs(via_so6.q - via_hilbert.q).max() < 1e-10
 
 
 def test_double_cover():

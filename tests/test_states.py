@@ -3,11 +3,12 @@ import json
 import numpy as np
 import pytest
 
-from tanglevec import (ParseError, ZeroState, bipartite_tangles,
+from tanglevec import (ParseError, ZeroState,
                        fidelity_up_to_phase, make_acin, make_asymmetric_w,
                        make_ghz, matricize, normalize, random_state,
                        state_from_json, state_to_json, three_tangle)
 from tanglevec.errors import NotNormalized
+from conftest import checked_tangle_set
 
 STD_THETA = np.arccos(1 / np.sqrt(3))
 
@@ -106,8 +107,7 @@ def test_acin_reference_state():
 def test_acin_product_state():
     s = make_acin([1, 0, 0, 0, 0])
     assert abs(s[0] - np.exp(0.25j * np.pi)) < 1e-15
-    from tanglevec import tangle_set
-    ts = tangle_set(s)
+    ts = checked_tangle_set(s)
     assert max(abs(v) for v in ts.as_dict().values()) < 1e-14
 
 
@@ -183,7 +183,7 @@ def test_random_state_normalized():
 
 
 def test_random_state_tangle_statistics():
-    taus = [bipartite_tangles(random_state(k))[2] for k in range(1000)]
+    taus = [checked_tangle_set(random_state(k)).tau_c_ab for k in range(1000)]
     mean = np.mean(taus)
     assert np.isfinite(mean) and 0.0 <= min(taus) and max(taus) <= 1.0 + 1e-12
 

@@ -2,14 +2,15 @@ import numpy as np
 import pytest
 
 from tanglevec import (CouplingStep, DegenerateInput, GaugeUndefined,
-                       LocalStep, abc_vectors, align_canonical, apply,
+                       LocalStep, ParseError, abc_vectors, align_canonical, apply,
                        apply_gauge, coupling_axis_step, extremum_residual,
                        fidelity_up_to_phase, fubini_study_angle, make_asymmetric_w, make_ghz, maximize_three_tangle,
                        min_phase_distance, q_vector, random_state,
                        sequence_unitary, synthesize_coupling_core,
-                       tangle_ascent_oracle, tangle_set, three_tangle,
+                       tangle_ascent_oracle, three_tangle,
                        two_tangles, w_to_ghz_sequence)
 from tanglevec.synthesis import _random_su2_stack
+from conftest import checked_tangle_set
 
 STD_THETA = np.arccos(1 / np.sqrt(3))
 GHZ = make_ghz()
@@ -166,7 +167,7 @@ def test_aligned_tangle_formulas():
         assert abs(4 * (ar**2 - ai**2) - three_tangle(s)) < 1e-10
         assert abs(4 * ai**2 - t_bc) < 1e-10
         assert abs(4 * bi**2 - t_ac) < 1e-10
-        assert abs(2 * (ar**2 + ai**2 + br**2 + bi**2) - tangle_set(s).tau_c_ab) < 1e-10
+        assert abs(2 * (ar**2 + ai**2 + br**2 + bi**2) - checked_tangle_set(s).tau_c_ab) < 1e-10
 
 
 # --- three-tangle maximization ----------------------------------------------
@@ -192,6 +193,10 @@ def test_maximize_reaches_bound(pair, variant):
         s = random_state(seed)
         res = maximize_three_tangle(s, pair, variant)
         assert abs(res.achieved - res.meta["bound"]) < 1e-9
+        ts = checked_tangle_set(s)
+        spectator = ({"a", "b", "c"} - set(pair)).pop()
+        bound = {"a": ts.tau_a_bc, "b": ts.tau_b_ca, "c": ts.tau_c_ab}[spectator]
+        assert abs(res.meta["bound"] - bound) < 1e-12
 
 
 def test_maximize_never_exceeds_bound():
@@ -199,6 +204,7 @@ def test_maximize_never_exceeds_bound():
         s = random_state(seed)
         res = maximize_three_tangle(s, "ab")
         assert res.achieved <= res.meta["bound"] + 1e-9
+        assert abs(res.meta["bound"] - checked_tangle_set(s).tau_c_ab) < 1e-12
 
 
 def test_maximize_kills_two_tangles():
@@ -207,6 +213,25 @@ def test_maximize_kills_two_tangles():
                     random_state(seed))
         t_bc, t_ac, _ = two_tangles(out)
         assert max(t_bc, t_ac) < 1e-8
+
+
+@pytest.mark.parametrize("pair", ["aab", "aba", "abab", "aa", ""])
+@pytest.mark.parametrize("fn", [
+    lambda pair: maximize_three_tangle(random_state(1), pair),
+    lambda pair: tangle_ascent_oracle(random_state(1), pair, restarts=1),
+    lambda pair: align_canonical(random_state(1), pair),
+    lambda pair: extremum_residual(GHZ, pair),
+    lambda pair: synthesize_coupling_core([0.1, 0.2, 0.3], pair),
+])
+def test_pair_must_be_two_distinct_qubits(fn, pair):
+    # a repeated or extra letter used to run as the pair of its distinct letters
+    with pytest.raises(DegenerateInput):
+        fn(pair)
+
+
+def test_maximize_unknown_variant_is_a_parse_error():
+    with pytest.raises(ParseError, match="variant"):
+        maximize_three_tangle(GHZ, "ab", "x")
 
 
 def test_maximize_variants_agree():
@@ -245,7 +270,7 @@ def test_maximize_extremum_condition():
 def test_ascent_oracle_certifies_bound():
     for seed in range(6):
         s = random_state(seed)
-        bound = tangle_set(s).tau_c_ab
+        bound = checked_tangle_set(s).tau_c_ab
         tau = tangle_ascent_oracle(s, "ab", restarts=16, seed=seed)
         assert tau <= bound + 1e-6
         assert tau >= bound - 1e-4

@@ -4,16 +4,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tanglevec.tangles
+import tanglevec.vectors
 from tanglevec import (CouplingStep, LocalStep, ParseError, abc_vectors,
                        apply, bipartite_tangles, bipartite_tangle_from_density,
                        ckw_residual, gauge_phase, make_asymmetric_w, make_ghz,
-                       random_state, tangle_set, three_tangle, two_tangles)
+                       plucker_residual, q_vector, random_state, tangle_set,
+                       three_tangle, two_tangles)
+from tanglevec.states import squared_norm
+from tanglevec.vectors import _vectors
+from conftest import checked_tangle_set
 
 STD_THETA = np.arccos(1 / np.sqrt(3))
 
 
 def test_ghz_tangles():
-    ts = tangle_set(make_ghz())
+    ts = checked_tangle_set(make_ghz())
     assert abs(ts.tau_abc - 1) < 1e-12
     assert max(ts.tau_bc, ts.tau_ac, ts.tau_ab) < 1e-12
     assert max(abs(ts.tau_a_bc - 1), abs(ts.tau_b_ca - 1), abs(ts.tau_c_ab - 1)) < 1e-12
@@ -41,13 +46,16 @@ def test_w_quarter_pi_two_tangles():
 
 def test_w_bipartite_tangle():
     th, ph = 0.83, 0.21
-    t_a, _, _ = bipartite_tangles(make_asymmetric_w(th, ph))
+    s = make_asymmetric_w(th, ph)
+    checked_tangle_set(s)
+    t_a, _, _ = bipartite_tangles(s)
     assert abs(t_a - np.sin(2 * th) ** 2) < 1e-13
 
 
 def test_product_state_bipartite_zero():
     s = np.zeros(8)
     s[0] = 1.0
+    checked_tangle_set(s)
     assert max(bipartite_tangles(s)) == 0.0
 
 
@@ -72,25 +80,28 @@ def test_oracle_matches_vector_formulas(seed):
 
 @pytest.mark.parametrize("seed", range(40))
 def test_ckw_sweep(seed):
-    assert ckw_residual(random_state(seed)) < 1e-11
+    s = random_state(seed)
+    checked_tangle_set(s)
+    assert ckw_residual(s) < 1e-11
 
 
 def test_ckw_named_states():
-    assert ckw_residual(make_ghz()) < 1e-12
-    assert ckw_residual(make_asymmetric_w(np.pi / 4, 0.3)) < 1e-13
+    for s, tol in ((make_ghz(), 1e-12), (make_asymmetric_w(np.pi / 4, 0.3), 1e-13)):
+        checked_tangle_set(s)
+        assert ckw_residual(s) < tol
 
 
 def test_spectator_tangle_invariant_under_pair_coupling():
     rng = np.random.default_rng(7)
     for seed in range(15):
         s = random_state(seed)
-        before = bipartite_tangles(s)[2]
+        before = checked_tangle_set(s).tau_c_ab
         seq = [
             LocalStep("a", tuple(rng.uniform(-3, 3, 3))),
             CouplingStep("ab", rng.uniform(-2, 2, (3, 3))),
             LocalStep("b", tuple(rng.uniform(-3, 3, 3))),
         ]
-        after = bipartite_tangles(apply(seq, s))[2]
+        after = checked_tangle_set(apply(seq, s)).tau_c_ab
         assert abs(after - before) < 1e-11
 
 
@@ -118,8 +129,28 @@ def test_two_tangles_invariant_under_all_locals():
 
 def test_tangles_clamped_nonnegative():
     for seed in range(200):
-        ts = tangle_set(random_state(seed))
+        ts = checked_tangle_set(random_state(seed))
         assert min(ts.as_dict().values()) >= 0.0
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1),
+       angles=st.lists(st.floats(-3.0, 3.0), min_size=9, max_size=9))
+def test_tangles_invariant_under_local_unitaries(seed, angles):
+    s = random_state(seed)
+    seq = [LocalStep(q, tuple(angles[3 * k:3 * k + 3])) for k, q in enumerate("abc")]
+    t1 = checked_tangle_set(s).as_dict()
+    t2 = checked_tangle_set(apply(seq, s)).as_dict()
+    for name, value in t1.items():
+        assert abs(t2[name] - value) <= 1e-10, name
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), log_scale=st.floats(-3.0, 3.0))
+def test_ckw_identity_at_any_scale(seed, log_scale):
+    s = 10.0**log_scale * random_state(seed)
+    checked_tangle_set(s)
+    assert ckw_residual(s) <= 1e-11 * 10.0 ** (4 * log_scale)
 
 
 @settings(max_examples=200, deadline=None)
@@ -133,7 +164,7 @@ def test_scale_covariance(seed, log_scale, phase):
     v1, v2 = abc_vectors(s), abc_vectors(lam * s)
     for x1, x2 in ((v1.a, v2.a), (v1.b, v2.b), (v1.c, v2.c)):
         assert np.abs(x2 - lam**2 * x1).max() <= 1e-12 * abs(lam) ** 2
-    t1, t2 = tangle_set(s).as_dict(), tangle_set(lam * s).as_dict()
+    t1, t2 = checked_tangle_set(s).as_dict(), checked_tangle_set(lam * s).as_dict()
     for name, value in t1.items():
         assert abs(t2[name] - abs(lam) ** 4 * value) <= 1e-10 * abs(lam) ** 4, name
     assert gauge_phase(lam * s).defined == gauge_phase(s).defined
@@ -160,9 +191,44 @@ def test_one_vector_evaluation_per_call(fn, monkeypatch):
 
     def counting(s):
         calls.append(1)
-        return abc_vectors(s)
+        return _vectors(s)
 
-    monkeypatch.setattr(tanglevec.tangles, "abc_vectors", counting)
-    monkeypatch.setattr(tanglevec.tangles, "CROSS_CHECK", False)
+    monkeypatch.setattr(tanglevec.tangles, "_vectors", counting)
     fn(random_state(3))
     assert len(calls) == 1
+
+
+def _q_vector_3(s):
+    return q_vector(s, 3)
+
+
+@pytest.mark.parametrize("fn", [abc_vectors, _q_vector_3, plucker_residual,
+                                gauge_phase, tangle_set, ckw_residual,
+                                bipartite_tangles])
+def test_one_norm_per_call(fn, monkeypatch):
+    # the check and the tolerance share one |s|^2
+    calls = []
+
+    def counting(c):
+        calls.append(1)
+        return squared_norm(c)
+
+    for mod in (tanglevec.vectors, tanglevec.tangles):
+        if getattr(mod, "squared_norm", None) is squared_norm:
+            monkeypatch.setattr(mod, "squared_norm", counting)
+    fn(random_state(3))
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("fn", [tangle_set, ckw_residual, bipartite_tangles,
+                                abc_vectors, gauge_phase, plucker_residual,
+                                _density_route_b])
+def test_quartic_overflow_refused(fn):
+    # |s|^4 fits in a double up to |s| ~ 1.2e77; above it the input is
+    # refused by name, not blamed on the formulas or returned as inf/NaN
+    s = random_state(0)
+    for scale in (1e-100, 1e77):
+        fn(scale * s)
+    for scale in (1.2e77, 1e78, 1e200):
+        with pytest.raises(ParseError, match=r"\|s\|\^4 overflows"):
+            fn(scale * s)
