@@ -3,15 +3,13 @@
 Machine-readable JSON goes to stdout; ``--pretty`` adds a human summary on
 stderr. Complex numbers are emitted as [re, im] pairs. Exit codes: 0 ok,
 1 usage or parse error, 2 verification failure, 3 numeric invariant breach.
-The TANGLEVEC_SEED environment variable supplies the default seed for
-randomized commands.
+Randomized commands take ``--seed`` (default 0).
 """
 from __future__ import annotations
 
 import argparse
 import hashlib
 import json
-import os
 import sys
 
 import numpy as np
@@ -26,8 +24,9 @@ from .states import (normalize, parse_partition, random_state,
                      state_from_json, state_to_json)
 from .synthesis import (fubini_study_angle, maximize_three_tangle,
                         synthesize_coupling_core, w_to_ghz_sequence)
-from .tangles import ckw_residual, tangle_set
-from .vectors import EPS_INV, abc_vectors, gauge_phase, plucker_residual, q_vector
+from .tangles import _ckw, _measures, ckw_residual, tangle_set
+from .vectors import (EPS_INV, _gauge, _plucker, _vectors, abc_vectors,
+                      plucker_residual, q_vector)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -41,10 +40,6 @@ def _c(z) -> list:
 
 def _cvec(v) -> list:
     return [_c(z) for z in v]
-
-
-def _default_seed() -> int:
-    return int(os.environ.get("TANGLEVEC_SEED", "0"))
 
 
 def _digest(text: str) -> str:
@@ -89,16 +84,15 @@ def _sequence_payload(seq) -> list:
 
 def cmd_analyze(args) -> int:
     s, digest = _load_state(args.state)
-    s = normalize(s)
-    v = abc_vectors(s)
-    info = gauge_phase(s)
-    ts = tangle_set(s)
+    v, tol = _vectors(normalize(s))
+    info = _gauge(v, tol)
+    ts = _measures(v, tol)
     payload = {
         "vectors": {"a": _cvec(v.a), "b": _cvec(v.b), "c": _cvec(v.c)},
         "gauge": {"phi_a": info.phi_a, "defined": info.defined},
         "tangles": ts.as_dict(),
-        "plucker_residual": plucker_residual(s),
-        "ckw_residual": ckw_residual(s),
+        "plucker_residual": _plucker(v),
+        "ckw_residual": _ckw(ts),
     }
     _emit(_report("analyze", digest, payload,
                   tolerances={"eps_inv": EPS_INV}), args.pretty)
@@ -323,7 +317,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fs-angle", help="closest locally-equivalent angle (deg)")
     p.add_argument("--state1", required=True)
     p.add_argument("--state2", required=True)
-    p.add_argument("--seed", type=int, default=_default_seed())
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--restarts", type=int, default=32)
     p.set_defaults(func=cmd_fs_angle)
 
@@ -343,7 +337,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="invariant sweeps over random states")
     p.add_argument("--suite", default="default", choices=["default", "quaternionic"])
     p.add_argument("-N", "--num", type=int, default=1000)
-    p.add_argument("--seed", type=int, default=_default_seed())
+    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_verify)
     return ap
 

@@ -10,6 +10,11 @@ Three constructions, each returning a concrete gate sequence:
   * maximize_three_tangle — pair-only operations driving the three-tangle
     to its invariant upper bound (the bipartite tangle of the spectator).
 
+The pair protocols design their steps from one evaluation of A, B, C by the
+vector picture's rules: a PhaseStep(alpha) multiplies every vector by
+exp(2i alpha) and a local step rotates only its own qubit's vector. The
+maximizer applies its sequence once; the Hilbert picture certifies it.
+
 Plus the Fubini-Study angle (a restarted local search over the 9 local
 rotation angles, reported in degrees) and a gradient-ascent oracle used to
 certify the maximization bound.
@@ -25,10 +30,10 @@ from .errors import DegenerateInput, GaugeUndefined, ParseError
 from .gates import (CouplingStep, LocalStep, PhaseStep, _pair_qubits, apply,
                     coupling_axis_step, sequence_unitary)
 from .so6 import SU4_BASIS, so3_image
-from .states import (PARTITION_PAIR, PARTITION_SPECTATOR, QUBIT_AXIS, as_state,
+from .states import (PARTITION_PAIR, PARTITION_SPECTATOR, QUBIT_AXIS,
                      make_asymmetric_w, make_ghz, normalize)
-from .tangles import bipartite_tangles, three_tangle
-from .vectors import EPS_INV, abc_vectors, gauge_phase
+from .tangles import _measures, three_tangle
+from .vectors import EPS_INV, _gauge, _vectors
 
 #: qubit pair -> (partition, ordered pair string as carried by the 6-vector)
 _PAIR_PARTITION = {frozenset(pq): (p, "".join(pq)) for p, pq in PARTITION_PAIR.items()}
@@ -172,21 +177,29 @@ def _frame_rotation_steps(qubit: str, u1, u2, v1, v2) -> list:
     return steps
 
 
-def _align_vector_steps(qubit: str, vec: np.ndarray) -> list:
+def _align_vector_steps(qubit: str, vec: np.ndarray, zero: float) -> list:
     """Rotate vec's real part onto +x and its imaginary part onto +z.
 
-    Assumes Re(vec) and Im(vec) orthogonal (the gauged situation); zero
-    parts align trivially.
+    Assumes Re(vec) and Im(vec) orthogonal (the gauged situation); parts of
+    norm at most `zero` align trivially.
     """
     vr = np.real(vec)
     vi = np.imag(vec)
     nr, ni = np.linalg.norm(vr), np.linalg.norm(vi)
-    if nr <= 1e-13 and ni <= 1e-13:
-        return []
-    if nr <= 1e-13:
-        return _rot_to_steps(qubit, vi, [0.0, 0.0, 1.0])
-    return _frame_rotation_steps(qubit, vr, vi if ni > 1e-13 else None,
-                                 np.array([1.0, 0.0, 0.0]), np.array([0.0, 0.0, 1.0]))
+    if nr > zero:
+        return _frame_rotation_steps(qubit, vr, vi if ni > zero else None,
+                                     np.array([1.0, 0.0, 0.0]), np.array([0.0, 0.0, 1.0]))
+    return _rot_to_steps(qubit, vi, [0.0, 0.0, 1.0]) if ni > zero else []
+
+
+def _alignment(pq: str, v1, v2, tol: float) -> list:
+    """Local steps taking the pair vectors v1 (qubit pq[0]) and v2 to canonical form.
+
+    Each step rotates only its own qubit's vector, so both come from the same
+    evaluation. Parts below 1e-13 |s|^2 count as zero.
+    """
+    zero = 1e-13 * np.sqrt(tol / EPS_INV)
+    return _align_vector_steps(pq[0], v1, zero) + _align_vector_steps(pq[1], v2, zero)
 
 
 def align_canonical(s, pair: str = "ab") -> list:
@@ -197,15 +210,9 @@ def align_canonical(s, pair: str = "ab") -> list:
     have been applied when the three-tangle is nonzero (real and imaginary
     parts must be orthogonal).
     """
-    p, pq = _canonical_pair(pair)
-    first, second = PARTITION_PAIR[p]
-    state = as_state(s)
-    v = abc_vectors(state)
-    steps = _align_vector_steps(first, v.by_qubit(first))
-    state = apply(steps, state) if steps else state
-    v = abc_vectors(state)
-    steps2 = _align_vector_steps(second, v.by_qubit(second))
-    return steps + steps2
+    _, pq = _canonical_pair(pair)
+    v, tol = _vectors(s)
+    return _alignment(pq, v.by_qubit(pq[0]), v.by_qubit(pq[1]), tol)
 
 
 def maximize_three_tangle(s, pair: str = "ab", variant: str = "economical") -> SynthesisResult:
@@ -216,50 +223,42 @@ def maximize_three_tangle(s, pair: str = "ab", variant: str = "economical") -> S
     or a single pi/2 CZ-class coupling (variant="single"). When the gauge is
     undefined (zero three-tangle) the alignment alone suffices because the
     real and imaginary parts then have equal norms in any gauge.
+    `achieved` is the three-tangle of the state the sequence produces.
     """
     if variant not in ("economical", "single"):
         raise ParseError(f"unknown variant {variant!r}")
     p, pq = _canonical_pair(pair)
-    first, second = PARTITION_PAIR[p]
     state = normalize(s)
+    v, tol = _vectors(state)
+    t = _measures(v, tol)
+    bound = dict(zip("abc", (t.tau_a_bc, t.tau_b_ca, t.tau_c_ab)))[PARTITION_SPECTATOR[p]]
+    v1, v2 = v.by_qubit(pq[0]), v.by_qubit(pq[1])
     seq: list = []
 
-    info = gauge_phase(state)
-    gauge_defined = info.defined
-    if gauge_defined:
+    info = _gauge(v, tol)
+    if info.defined:
         seq.append(PhaseStep(-0.5 * info.phi_a))
-        state = apply([seq[-1]], state)
-
-    align = align_canonical(state, pair)
-    seq.extend(align)
-    state = apply(align, state) if align else state
-
-    v = abc_vectors(state)
-    v1 = v.by_qubit(first)
-    v2 = v.by_qubit(second)
-    r1, i1 = float(np.real(v1[0])), float(np.imag(v1[2]))
-    r2, i2 = float(np.real(v2[0])), float(np.imag(v2[2]))
+        # a phase step alpha multiplies every vector by exp(2i alpha)
+        phase = np.exp(-1j * info.phi_a)
+        v1, v2 = v1 * phase, v2 * phase
+    seq.extend(_alignment(pq, v1, v2, tol))
+    # once gauged and aligned, a vector is (|Re V|, 0, i |Im V|)
+    (r1, i1), (r2, i2) = ((np.linalg.norm(x.real), np.linalg.norm(x.imag)) for x in (v1, v2))
 
     if variant == "economical":
         t16 = float(np.arctan2(i2, r1))
         t34 = float(np.arctan2(i1, r2))
-        couplings = []
-        if abs(t16) > 1e-15:
-            couplings.append(coupling_axis_step(pq, 1, 3, -t16 / 2))
-        if abs(t34) > 1e-15:
-            couplings.append(coupling_axis_step(pq, 3, 1, -t34 / 2))
+        couplings = [coupling_axis_step(pq, n, m, -angle / 2)
+                     for (n, m), angle in (((1, 3), t16), ((3, 1), t34)) if abs(angle) > 1e-15]
         meta_angles = {"angle_16": t16, "angle_34": t34}
     else:
         couplings = [coupling_axis_step(pq, 3, 3, np.pi / 4)]
         meta_angles = {"angle_zz": np.pi / 2}
 
     seq.extend(couplings)
-    state = apply(couplings, state) if couplings else state
-    achieved = three_tangle(state)
-    bound = dict(zip("abc", bipartite_tangles(normalize(s))))[PARTITION_SPECTATOR[p]]
-    return SynthesisResult(seq, achieved, {
+    return SynthesisResult(seq, three_tangle(apply(seq, state)), {
         "bound": bound,
-        "gauge_defined": gauge_defined,
+        "gauge_defined": info.defined,
         "variant": variant,
         "coupling_steps": len(couplings),
         **meta_angles,
@@ -270,23 +269,17 @@ def extremum_residual(s, pair: str = "ab") -> float:
     """Phase-alignment residual of the tangle-extremum condition.
 
     Zero iff every nonzero component of the pair's two vectors has phase
-    equal (mod pi) to the gauge phase. Raises GaugeUndefined for zero
-    three-tangle.
+    equal (mod pi) to the gauge phase; components below 1e-9 |s|^2 count as
+    zero. Raises GaugeUndefined for zero three-tangle.
     """
-    p, _ = _canonical_pair(pair)
-    first, second = PARTITION_PAIR[p]
-    state = as_state(s)
-    info = gauge_phase(state)
+    _, pq = _canonical_pair(pair)
+    v, tol = _vectors(s)
+    info = _gauge(v, tol)
     if not info.defined:
         raise GaugeUndefined("extremum condition needs a nonzero three-tangle")
-    v = abc_vectors(state)
-    worst = 0.0
-    for vec in (v.by_qubit(first), v.by_qubit(second)):
-        scale = max(1.0, float(np.abs(vec).max()))
-        for comp in vec:
-            if abs(comp) > 1e-9 * scale:
-                worst = max(worst, abs(np.sin(np.angle(comp) - info.phi_a)))
-    return float(worst)
+    comps = np.concatenate([v.by_qubit(pq[0]), v.by_qubit(pq[1])])
+    comps = comps[np.abs(comps) > 1e-9 * np.sqrt(tol / EPS_INV)]
+    return float(np.abs(np.sin(np.angle(comps) - info.phi_a)).max(initial=0.0))
 
 
 # --- Fubini-Study angle ----------------------------------------------------
@@ -339,12 +332,10 @@ def tangle_ascent_oracle(s, pair: str = "ab", restarts: int = 16, seed: int = 0,
     nothing exceeds the invariant bound.
     """
     p, pq = _canonical_pair(pair)
-    first, second = PARTITION_PAIR[p]
-    spect = PARTITION_SPECTATOR[p]
     t = normalize(s).reshape(2, 2, 2)
     # relabel qubits so the coupled pair occupies the leading two slots;
     # the three-tangle is relabeling-invariant
-    perm = (QUBIT_AXIS[first], QUBIT_AXIS[second], QUBIT_AXIS[spect])
+    perm = tuple(QUBIT_AXIS[q] for q in pq + PARTITION_SPECTATOR[p])
     psi = np.ascontiguousarray(t.transpose(perm).reshape(8))
     rng = np.random.default_rng(seed)
     inits = np.zeros((max(1, restarts), 15))

@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import InvariantViolation
 from .states import QUBIT_AXIS, as_state
-from .vectors import EPS_INV, _quartic_scale, _vectors
+from .vectors import AbcVectors, _tolerance, _vectors
 
 
 @dataclass(frozen=True)
@@ -41,12 +41,11 @@ def _clamp(x: float, tol: float) -> float:
     return 0.0 if -tol < x < 0.0 else x
 
 
-def _measures(s) -> TangleSet:
+def _measures(v: AbcVectors, tol: float) -> TangleSet:
     """All seven measures from one evaluation of the invariant vectors.
 
     Asserts that the A, B and C expressions of the three-tangle agree.
     """
-    v, tol = _vectors(s)
     sq = [float(abs(x @ x)) for x in (v.a, v.b, v.c)]
     hn = [float(np.real(x @ x.conj())) for x in (v.a, v.b, v.c)]
     ta, tb, tc = (4.0 * x for x in sq)
@@ -62,34 +61,32 @@ def _measures(s) -> TangleSet:
 
 def three_tangle(s) -> float:
     """4|A.A|, asserting agreement with the B and C expressions."""
-    return _measures(s).tau_abc
+    return _measures(*_vectors(s)).tau_abc
 
 
 def two_tangles(s) -> tuple[float, float, float]:
     """(tau_bc, tau_ac, tau_ab)."""
-    t = _measures(s)
+    t = _measures(*_vectors(s))
     return t.tau_bc, t.tau_ac, t.tau_ab
 
 
 def bipartite_tangles(s) -> tuple[float, float, float]:
     """(tau_a_bc, tau_b_ca, tau_c_ab) from the Hermitian vector norms."""
-    t = _measures(s)
+    t = _measures(*_vectors(s))
     return t.tau_a_bc, t.tau_b_ca, t.tau_c_ab
 
 
 def bipartite_tangle_from_density(s, qubit: str) -> float:
     """4 det(rho_qubit) by partial trace; independent of the vector formulas."""
     c = as_state(s)
-    tol = EPS_INV * _quartic_scale(c)
+    tol = _tolerance(c)
     m = np.moveaxis(c.reshape(2, 2, 2), QUBIT_AXIS[qubit], 0).reshape(2, 4)
     rho = m @ m.conj().T
     det = np.real(rho[0, 0] * rho[1, 1] - rho[0, 1] * rho[1, 0])
     return _clamp(4.0 * float(det), tol)
 
 
-def ckw_residual(s) -> float:
-    """Largest violation of tau_q(rs) = tau_abc + tau_(qr) + tau_(qs)."""
-    t = _measures(s)
+def _ckw(t: TangleSet) -> float:
     return float(max(
         abs(t.tau_c_ab - t.tau_abc - t.tau_bc - t.tau_ac),
         abs(t.tau_a_bc - t.tau_abc - t.tau_ab - t.tau_ac),
@@ -97,6 +94,11 @@ def ckw_residual(s) -> float:
     ))
 
 
+def ckw_residual(s) -> float:
+    """Largest violation of tau_q(rs) = tau_abc + tau_(qr) + tau_(qs)."""
+    return _ckw(_measures(*_vectors(s)))
+
+
 def tangle_set(s) -> TangleSet:
     """All seven measures in one sweep."""
-    return _measures(s)
+    return _measures(*_vectors(s))

@@ -72,22 +72,28 @@ _ABC_QUADS = np.concatenate([_A_QUADS, _cycled(_A_QUADS, (2, 0, 1)),
                              _cycled(_A_QUADS, (1, 2, 0))]).reshape(72, 8)
 
 
-def _quartic_scale(c: np.ndarray) -> float:
-    """|c|^4; ParseError when an amplitude or |c|^4 is not finite.
+#: below |s| ~ 1e-77, EPS_INV |s|^4 falls under the rounding of the subnormal
+#: quartic measures: 4|A.A| is a few sums of squares, off by up to ~52 spacings
+_TOL_FLOOR = 64 * np.finfo(float).smallest_subnormal
 
-    |c|^4 overflows above |c| ~ 1.2e77; normalize() accepts such a state.
+
+def _tolerance(c: np.ndarray) -> float:
+    """EPS_INV |c|^4, at least _TOL_FLOOR.
+
+    ParseError when an amplitude or |c|^4 is not finite: |c|^4 overflows
+    above |c| ~ 1.2e77, and normalize() accepts such a state.
     """
     n2 = squared_norm(c)
     n4 = n2 * n2
     if not math.isfinite(n4):
         raise ParseError(f"|s|^4 overflows (|s|^2 = {n2:.3g}); normalize the state first")
-    return n4
+    return max(EPS_INV * n4, _TOL_FLOOR)
 
 
 def _vectors(s) -> tuple[AbcVectors, float]:
-    """A, B, C and the tolerance EPS_INV |s|^4: the one check of an invariant's input."""
+    """A, B, C and the tolerance _tolerance(s): the one check of an invariant's input."""
     c = as_state(s)
-    tol = EPS_INV * _quartic_scale(c)
+    tol = _tolerance(c)
     return AbcVectors(*((_ABC_QUADS @ c).reshape(9, 8) @ c).reshape(3, 3)), tol
 
 
@@ -108,11 +114,21 @@ def q_vector(s, partition) -> SixVector:
     return SixVector(np.concatenate([v.by_qubit(first), -1j * v.by_qubit(second)]), p)
 
 
-def plucker_residual(s) -> float:
-    """max(|A.A - B.B|, |B.B - C.C|); an algebraic identity, so ~0 always."""
-    v, _ = _vectors(s)
+def _plucker(v: AbcVectors) -> float:
     aa, bb, cc = v.a @ v.a, v.b @ v.b, v.c @ v.c
     return float(max(abs(aa - bb), abs(bb - cc)))
+
+
+def plucker_residual(s) -> float:
+    """max(|A.A - B.B|, |B.B - C.C|); an algebraic identity, so ~0 always."""
+    return _plucker(_vectors(s)[0])
+
+
+def _gauge(v: AbcVectors, tol: float) -> GaugeInfo:
+    aa = v.a @ v.a
+    if abs(aa) <= tol:
+        return GaugeInfo(0.0, False)
+    return GaugeInfo(0.5 * float(np.angle(aa)), True)
 
 
 def gauge_phase(s) -> GaugeInfo:
@@ -122,11 +138,7 @@ def gauge_phase(s) -> GaugeInfo:
     when the three-tangle vanishes. Raises ParseError for non-finite
     amplitudes and above |s| ~ 1.2e77.
     """
-    v, tol = _vectors(s)
-    aa = v.a @ v.a
-    if abs(aa) <= tol:
-        return GaugeInfo(0.0, False)
-    return GaugeInfo(0.5 * float(np.angle(aa)), True)
+    return _gauge(*_vectors(s))
 
 
 def apply_gauge(s) -> np.ndarray:

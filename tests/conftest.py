@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 
@@ -28,3 +30,20 @@ def random_states(n, start=0):
 @pytest.fixture
 def rng():
     return np.random.default_rng(2024)
+
+
+def count_calls(monkeypatch, fn):
+    """Route every tanglevec module's reference to fn through a counter.
+
+    Returns the list that gains one entry per call.
+    """
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return fn(*args, **kwargs)
+
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("tanglevec.") and getattr(mod, fn.__name__, None) is fn:
+            monkeypatch.setattr(mod, fn.__name__, counting)
+    return calls

@@ -7,7 +7,8 @@ from tanglevec import (make_asymmetric_w, make_ghz, normalize, random_state,
                        state_to_json, to_state, QuaternionicState,
                        sequence_to_json, named_gate)
 from tanglevec.cli import _emit, main
-from conftest import checked_tangle_set
+from tanglevec.vectors import _vectors
+from conftest import checked_tangle_set, count_calls
 
 
 @pytest.fixture
@@ -41,6 +42,15 @@ def test_analyze_ghz(ghz_file, capsys):
     assert abs(res["vectors"]["a"][2][0] - 0.5) < 1e-12
     assert res["plucker_residual"] < 1e-12
     assert res["tangles"] == checked_tangle_set(normalize(make_ghz())).as_dict()
+
+
+def test_analyze_evaluates_once(tmp_path, capsys, monkeypatch):
+    p = tmp_path / "s.json"
+    p.write_text(state_to_json(random_state(7)))
+    calls = count_calls(monkeypatch, _vectors)
+    code, doc, _ = run_cli(capsys, "analyze", "--state", str(p))
+    assert code == 0 and len(calls) == 1
+    assert doc["result"]["tangles"] == checked_tangle_set(normalize(random_state(7))).as_dict()
 
 
 def test_analyze_product_state(zero_file, capsys):
@@ -219,11 +229,13 @@ def test_verify_quaternionic_suite(capsys):
         checked_tangle_set(to_state(QuaternionicState(v[:4], v[4:])))
 
 
-def test_verify_seed_env_default(capsys, monkeypatch):
-    monkeypatch.setenv("TANGLEVEC_SEED", "99")
+def test_seed_env_variable_has_no_effect(capsys, monkeypatch):
+    # the default seed is 0 and only --seed changes it
+    monkeypatch.setenv("TANGLEVEC_SEED", "abc")
+    code, doc, _ = run_cli(capsys, "verify-map")
+    assert code == 0 and doc["result"]["ok"] is True
     from tanglevec.cli import build_parser
-    args = build_parser().parse_args(["verify", "-N", "5"])
-    assert args.seed == 99
+    assert build_parser().parse_args(["verify", "-N", "5"]).seed == 0
 
 
 def test_reports_reproducible(ghz_file, capsys):

@@ -2,15 +2,17 @@ import numpy as np
 import pytest
 
 from tanglevec import (CouplingStep, DegenerateInput, GaugeUndefined,
-                       LocalStep, ParseError, abc_vectors, align_canonical, apply,
-                       apply_gauge, coupling_axis_step, extremum_residual,
-                       fidelity_up_to_phase, fubini_study_angle, make_asymmetric_w, make_ghz, maximize_three_tangle,
-                       min_phase_distance, q_vector, random_state,
+                       LocalStep, ParseError, PhaseStep, abc_vectors, align_canonical, apply,
+                       apply_gauge, bipartite_tangles, coupling_axis_step, extremum_residual,
+                       fidelity_up_to_phase, fubini_study_angle, gauge_phase,
+                       make_asymmetric_w, make_ghz, maximize_three_tangle,
+                       min_phase_distance, normalize, q_vector, random_state,
                        sequence_unitary, synthesize_coupling_core,
                        tangle_ascent_oracle, three_tangle,
                        two_tangles, w_to_ghz_sequence)
-from tanglevec.synthesis import _random_su2_stack
-from conftest import checked_tangle_set
+from tanglevec.synthesis import _canonical_pair, _random_su2_stack
+from tanglevec.vectors import _vectors
+from conftest import checked_tangle_set, count_calls
 
 STD_THETA = np.arccos(1 / np.sqrt(3))
 GHZ = make_ghz()
@@ -258,6 +260,102 @@ def test_economical_angles_small_when_dominant():
             assert abs(res.meta["angle_34"]) < np.pi / 4 + 1e-12
             found += 1
     assert found > 0
+
+
+def _maximize_reference(s, pair, variant):
+    """The maximizer stage by stage: apply each stage, then evaluate the vectors anew.
+
+    Returns the sequence, the output state, the achieved tangle, the bound
+    and the angles.
+    """
+    _, pq = _canonical_pair(pair)
+    state = normalize(s)
+    seq = []
+    info = gauge_phase(state)
+    if info.defined:
+        seq.append(PhaseStep(-0.5 * info.phi_a))
+        state = apply(seq, state)
+    for q in pq:
+        steps = [st for st in align_canonical(state, pq) if st.qubit == q]
+        state = apply(steps, state)
+        seq += steps
+    v = abc_vectors(state)
+    r1, i1 = np.real(v.by_qubit(pq[0])[0]), np.imag(v.by_qubit(pq[0])[2])
+    r2, i2 = np.real(v.by_qubit(pq[1])[0]), np.imag(v.by_qubit(pq[1])[2])
+    if variant == "economical":
+        angles = {"angle_16": float(np.arctan2(i2, r1)),
+                  "angle_34": float(np.arctan2(i1, r2))}
+        couplings = [coupling_axis_step(pq, n, m, -a / 2)
+                     for (n, m), a in zip([(1, 3), (3, 1)], angles.values())
+                     if abs(a) > 1e-15]
+    else:
+        angles = {"angle_zz": np.pi / 2}
+        couplings = [coupling_axis_step(pq, 3, 3, np.pi / 4)]
+    out = apply(couplings, state)
+    spectator = ({"a", "b", "c"} - set(pq)).pop()
+    bound = dict(zip("abc", bipartite_tangles(normalize(s))))[spectator]
+    return seq + couplings, out, three_tangle(out), bound, angles
+
+
+def _product_state(seed):
+    rng = np.random.default_rng(seed)
+    q = rng.standard_normal((3, 2)) + 1j * rng.standard_normal((3, 2))
+    return np.kron(np.kron(q[0], q[1]), q[2])
+
+
+@pytest.mark.parametrize("variant", ["economical", "single"])
+@pytest.mark.parametrize("pair", ["ab", "bc", "ac", "ba", "cb", "ca"])
+def test_maximize_matches_reference(pair, variant):
+    states = ([random_state(k) for k in range(100)]
+              + [GHZ, make_asymmetric_w(np.pi / 4, 0.42)])
+    for s in states:
+        res = maximize_three_tangle(s, pair, variant)
+        seq, out, achieved, bound, angles = _maximize_reference(s, pair, variant)
+        assert [type(st) for st in res.sequence] == [type(st) for st in seq]
+        assert abs(res.achieved - achieved) < 1e-12
+        assert res.meta["bound"] == bound
+        for name, angle in angles.items():
+            assert abs(res.meta[name] - angle) < 1e-12
+        assert np.abs(apply(res.sequence, s) - out).max() < 1e-12
+    # on product states the angles are rounding noise; only the tangles count
+    for s in [np.eye(8)[0], _product_state(0), _product_state(1)]:
+        res = maximize_three_tangle(s, pair, variant)
+        _, _, achieved, bound, _ = _maximize_reference(s, pair, variant)
+        assert abs(res.achieved - achieved) < 1e-12
+        assert res.meta["bound"] == bound
+
+
+@pytest.mark.parametrize("call, evaluations, applies", [
+    (lambda s, g: maximize_three_tangle(s, "bc"), 2, 1),
+    (lambda s, g: maximize_three_tangle(s, "ab", "single"), 2, 1),
+    (lambda s, g: align_canonical(g, "ca"), 1, 0),
+    (lambda s, g: extremum_residual(s, "ab"), 1, 0),
+], ids=["maximize", "maximize-single", "align", "extremum"])
+def test_protocols_evaluate_once(call, evaluations, applies, monkeypatch):
+    # the steps come from one evaluation of the vectors; the maximizer's
+    # second evaluation certifies the state that its one apply produces
+    s = random_state(3)
+    g = apply_gauge(s)
+    vector_calls = count_calls(monkeypatch, _vectors)
+    apply_calls = count_calls(monkeypatch, apply)
+    call(s, g)
+    assert (len(vector_calls), len(apply_calls)) == (evaluations, applies)
+
+
+def test_protocol_thresholds_scale_with_norm():
+    # the vectors scale as |s|^2, and so do the thresholds below which a
+    # part or a component counts as zero
+    for seed in range(5):
+        s = random_state(seed)
+        g = apply_gauge(s)
+        residual = extremum_residual(s)
+        steps = align_canonical(g, "ab")
+        for scale in np.logspace(-7, 6, 14):
+            assert abs(extremum_residual(scale * s) - residual) <= 1e-12 * residual
+            scaled = align_canonical(scale * g, "ab")
+            assert [st.qubit for st in scaled] == [st.qubit for st in steps]
+            assert np.abs(np.subtract([st.theta for st in scaled],
+                                      [st.theta for st in steps])).max() < 1e-12
 
 
 def test_maximize_extremum_condition():

@@ -3,16 +3,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import tanglevec.tangles
-import tanglevec.vectors
 from tanglevec import (CouplingStep, LocalStep, ParseError, abc_vectors,
                        apply, bipartite_tangles, bipartite_tangle_from_density,
                        ckw_residual, gauge_phase, make_asymmetric_w, make_ghz,
                        plucker_residual, q_vector, random_state, tangle_set,
                        three_tangle, two_tangles)
 from tanglevec.states import squared_norm
-from tanglevec.vectors import _vectors
-from conftest import checked_tangle_set
+from tanglevec.vectors import EPS_INV, _vectors
+from conftest import checked_tangle_set, count_calls
 
 STD_THETA = np.arccos(1 / np.sqrt(3))
 
@@ -187,13 +185,7 @@ def test_non_finite_amplitudes_refused(fn, bad):
 
 @pytest.mark.parametrize("fn", [tangle_set, ckw_residual])
 def test_one_vector_evaluation_per_call(fn, monkeypatch):
-    calls = []
-
-    def counting(s):
-        calls.append(1)
-        return _vectors(s)
-
-    monkeypatch.setattr(tanglevec.tangles, "_vectors", counting)
+    calls = count_calls(monkeypatch, _vectors)
     fn(random_state(3))
     assert len(calls) == 1
 
@@ -207,15 +199,7 @@ def _q_vector_3(s):
                                 bipartite_tangles])
 def test_one_norm_per_call(fn, monkeypatch):
     # the check and the tolerance share one |s|^2
-    calls = []
-
-    def counting(c):
-        calls.append(1)
-        return squared_norm(c)
-
-    for mod in (tanglevec.vectors, tanglevec.tangles):
-        if getattr(mod, "squared_norm", None) is squared_norm:
-            monkeypatch.setattr(mod, "squared_norm", counting)
+    calls = count_calls(monkeypatch, squared_norm)
     fn(random_state(3))
     assert len(calls) == 1
 
@@ -232,3 +216,16 @@ def test_quartic_overflow_refused(fn):
     for scale in (1.2e77, 1e78, 1e200):
         with pytest.raises(ParseError, match=r"\|s\|\^4 overflows"):
             fn(scale * s)
+
+
+def test_subnormal_measures_agree():
+    # between |s| ~ 1e-81 and 1e-77 the quartic measures are subnormal and
+    # EPS_INV |s|^4 underflows; the tolerance keeps a floor of a few dozen
+    # subnormal spacings there and is unchanged above it
+    for log_scale in np.arange(-70.0, -99.25, -0.25):
+        for seed in range(50):
+            ts = tangle_set(10.0 ** log_scale * random_state(seed))
+            assert min(ts.as_dict().values()) >= 0.0
+    for scale in (1e-70, 1.0, 1e70):
+        s = scale * random_state(0)
+        assert _vectors(s)[1] == EPS_INV * squared_norm(s) ** 2
