@@ -149,7 +149,7 @@ def cmd_synthesize_w_to_ghz(args) -> int:
 
 def cmd_maximize_tangle(args) -> int:
     s, digest = _load_state(args.state)
-    res = maximize_three_tangle(normalize(s), args.pair, args.variant)
+    res = maximize_three_tangle(s, args.pair, args.variant)
     payload = {"sequence": _sequence_payload(res.sequence),
                "achieved": res.achieved, **res.meta}
     _emit(_report("maximize-tangle", digest, payload), args.pretty)

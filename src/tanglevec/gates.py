@@ -8,12 +8,19 @@ A gate step is one of
 
 and a sequence is a plain list applied left to right (first element acts
 first). Operator products written right-to-left on paper therefore list in
-reverse here. A step acts on the (2, 2, 2) amplitude tensor by contracting
-its 2x2 or (2,2,2,2) factor with the qubit axes it touches; no 8x8 matrix
-is built. The 8x8 unitaries are the same contraction applied to the
-identity. Single-qubit exponentials use the closed Euler form; the 4x4
-coupling exponential goes through an eigendecomposition of its Hermitian
-generator, with no series truncation anywhere.
+reverse here.
+
+One engine applies a sequence to an (8, R) amplitude matrix whose R columns
+evolve independently: apply() uses one column, and the 8x8 unitaries are the
+same evolution of the identity. It first builds every step's factor. A local
+factor is the closed Euler form computed from scalars. All coupling factors of
+the sequence come from one stacked eigendecomposition of their 4x4 Hermitian
+generators (expi_hermitian), so there is no series truncation anywhere. Phases
+are summed into one scalar. Then each factor is contracted by one reshape and
+one matmul: (2**axis, 2, rest) for a local, (2**first, 4, rest) for an
+adjacent pair, and the pair (a, c) after one transpose that moves c next to a.
+A reversed pair such as "ba" is its forward pair with theta transposed. No 8x8
+matrix is built for a step.
 """
 from __future__ import annotations
 
@@ -37,8 +44,8 @@ _KRON = np.einsum("nij,mkl->nmikjl", (I2, *SIGMA), (I2, *SIGMA)).reshape(4, 4, 4
 #: read-only (15, 4, 4) table, in the order of so6.GENERATOR_LABELS
 PAIR_PAULIS = np.concatenate([_KRON[1:, 0], _KRON[0, 1:], _KRON[1:, 1:].reshape(9, 4, 4)])
 PAIR_PAULIS.flags.writeable = False
-#: sigma_n x sigma_m as a (3, 3, 4, 4) view of the table
-_SIGMA_PAIRS = PAIR_PAULIS[6:].reshape(3, 3, 4, 4)
+#: sigma_n x sigma_m as a (9, 16) view of the table, row 3(n-1) + m-1
+_SIGMA_PAIRS = PAIR_PAULIS[6:].reshape(9, 16)
 
 PAIRS = ("ab", "bc", "ac")
 
@@ -79,15 +86,22 @@ class PhaseStep:
 GateStep = LocalStep | CouplingStep | PhaseStep
 
 
-def su2_rotation(theta) -> np.ndarray:
-    """exp(1/2 sum theta_n i sigma_n) via the Euler formula."""
-    th = np.asarray(theta, dtype=float)
-    t = float(np.linalg.norm(th))
-    if t < 1e-300:
-        return I2.copy()
-    nhat = th / t
-    s = nhat[0] * SIGMA[0] + nhat[1] * SIGMA[1] + nhat[2] * SIGMA[2]
-    return np.cos(t / 2) * I2 + 1j * np.sin(t / 2) * s
+def _angles(theta, k: int) -> tuple[float, float, float, float]:
+    """The three angles of local step k and their norm; a non-finite norm is refused."""
+    t0, t1, t2 = theta
+    t = math.hypot(t0, t1, t2)
+    if not math.isfinite(t):
+        raise InvariantViolation(f"step {k}: non-finite rotation angles {tuple(theta)}")
+    return t0, t1, t2, t
+
+
+def _coupling_thetas(thetas: list, steps: list) -> np.ndarray:
+    """Stack the (3, 3) coupling coefficients; step steps[j] gave thetas[j]."""
+    th = np.array(thetas)
+    bad = ~np.isfinite(th).all(axis=(1, 2))
+    if bad.any():
+        raise InvariantViolation(f"step {steps[int(bad.argmax())]}: non-finite coupling angles")
+    return th
 
 
 def expi_hermitian(h) -> np.ndarray:
@@ -96,28 +110,75 @@ def expi_hermitian(h) -> np.ndarray:
     return (v * np.exp(1j * w)[..., None, :]) @ np.swapaxes(v.conj(), -1, -2)
 
 
-def _act(step: GateStep, t: np.ndarray) -> np.ndarray:
-    """Apply one step to a (2, 2, 2, ...) amplitude tensor; trailing axes are batch columns."""
-    if isinstance(step, LocalStep):
-        ax = QUBIT_AXIS[step.qubit]
-        return np.moveaxis(np.tensordot(su2_rotation(step.theta), t, axes=(1, ax)), 0, ax)
-    if isinstance(step, CouplingStep):
-        q1, q2 = _pair_qubits(step.pair)
-        axes = (QUBIT_AXIS[q1], QUBIT_AXIS[q2])
-        u4 = expi_hermitian(0.5 * np.tensordot(step.theta, _SIGMA_PAIRS, axes=2))
-        out = np.tensordot(u4.reshape(2, 2, 2, 2), t, axes=((2, 3), axes))
-        return np.moveaxis(out, (0, 1), axes)
-    if isinstance(step, PhaseStep):
-        return np.exp(1j * step.alpha) * t
-    raise TypeError(f"not a gate step: {step!r}")
+#: contraction layout of a qubit: the size of the leading block of the
+#: (8, R) amplitude matrix before its axis
+_LOCAL_LEAD = {"a": 1, "b": 2, "c": 4}
+#: ordered pair -> (leading block, theta transposed); block 0 marks the
+#: non-adjacent pair (a, c), contracted after moving c next to a
+_PAIR_LAYOUT = {"ab": (1, False), "ba": (1, True), "bc": (2, False),
+                "cb": (2, True), "ac": (0, False), "ca": (0, True)}
+
+
+def _factors(seq) -> tuple[list, float]:
+    """Every step's factor, as (leading block, 2x2 or 4x4 unitary), and the summed phase.
+
+    A local factor is built from scalars; all coupling factors come from one
+    stacked exponential of their 4x4 generators. Zero rotations are dropped.
+    """
+    ops: list = []
+    thetas, steps, slots = [], [], []
+    phase = 0.0
+    for k, step in enumerate(seq):
+        if isinstance(step, LocalStep):
+            lead = _LOCAL_LEAD.get(step.qubit)
+            if lead is None:
+                raise ParseError(f"step {k}: bad qubit {step.qubit!r}")
+            t0, t1, t2, t = _angles(step.theta, k)
+            if t < 1e-300:
+                continue
+            c, s = math.cos(t / 2), math.sin(t / 2) / t
+            # cos(t/2) + i sin(t/2) (theta . sigma) / t
+            ops.append((lead, np.array([[complex(c, s * t2), complex(s * t1, s * t0)],
+                                        [complex(-s * t1, s * t0), complex(c, -s * t2)]])))
+        elif isinstance(step, CouplingStep):
+            layout = _PAIR_LAYOUT.get(step.pair) if isinstance(step.pair, str) else None
+            if layout is None:
+                _pair_qubits(step.pair)   # raises ParseError
+            lead, flip = layout
+            slots.append(len(ops))
+            ops.append((lead, None))
+            thetas.append(step.theta.T if flip else step.theta)
+            steps.append(k)
+        elif isinstance(step, PhaseStep):
+            if not math.isfinite(step.alpha):
+                raise InvariantViolation(f"step {k}: non-finite phase {step.alpha}")
+            phase += step.alpha
+        else:
+            raise TypeError(f"not a gate step: {step!r}")
+    if thetas:
+        th = _coupling_thetas(thetas, steps)
+        h = (th.reshape(len(th), 9) @ _SIGMA_PAIRS).reshape(-1, 4, 4)
+        for slot, u in zip(slots, expi_hermitian(0.5 * h)):
+            ops[slot] = (ops[slot][0], u)
+    return ops, phase
+
+
+def _evolve(seq, m: np.ndarray) -> np.ndarray:
+    """Apply the steps to the (8, R) amplitude matrix m; its columns evolve independently."""
+    ops, phase = _factors(seq)
+    r = m.shape[1]
+    for lead, u in ops:
+        if lead:
+            m = (u @ m.reshape(lead, len(u), -1)).reshape(8, r)
+        else:
+            m = u @ m.reshape(2, 2, 2, r).transpose(0, 2, 1, 3).reshape(4, 2 * r)
+            m = m.reshape(2, 2, 2, r).transpose(0, 2, 1, 3).reshape(8, r)
+    return m * complex(math.cos(phase), math.sin(phase)) if phase else m
 
 
 def sequence_unitary(seq) -> np.ndarray:
     """Product of the step unitaries, first step rightmost."""
-    t = np.eye(8, dtype=complex).reshape(2, 2, 2, 8)
-    for step in seq:
-        t = _act(step, t)
-    return t.reshape(8, 8)
+    return _evolve(seq, np.eye(8, dtype=complex))
 
 
 def step_unitary(step: GateStep) -> np.ndarray:
@@ -137,13 +198,11 @@ def coupling_unitary(pair: str, theta) -> np.ndarray:
 def apply(seq, s) -> np.ndarray:
     """Apply the steps in order to a normalized state.
 
-    Raises InvariantViolation when the result is not of unit norm (a
-    non-finite angle or amplitude, since the steps are unitary).
+    Raises InvariantViolation for a non-finite step parameter, and when the
+    result is not of unit norm (a non-finite amplitude, since the steps are
+    unitary).
     """
-    t = normalize(s).reshape(2, 2, 2)
-    for step in seq:
-        t = _act(step, t)
-    out = t.reshape(8)
+    out = _evolve(seq, normalize(s).reshape(8, 1)).reshape(8)
     n = np.linalg.norm(out)
     if not abs(n - 1.0) <= 1e3 * EPS_NORM:
         raise InvariantViolation(f"norm {n} after applying the sequence")

@@ -17,15 +17,25 @@ triple, so the three local images of a block are the Levi-Civita matrices
 [eps_k]_{ij} = eps_{kij}, and [Lambda_{n,m}]_{ij} = -d_{i,n} d_{j,m+3}
 + d_{j,n} d_{i,m+3} fills the two off-diagonal blocks. Every lookup
 returns a copy of a table row.
+
+evolve_q and so6_image share one builder of the steps' dual factors. A
+local's 3x3 Rodrigues rotation is computed from scalars and acts on its own
+three components only. All coupling images of a sequence, sum theta_nm
+Lambda_nm, are exponentiated in one stacked expi_hermitian call. The dual
+picture never uses the 4x4 unitaries of the Hilbert picture, so comparing the
+two pictures stays a test of the generator map.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import IndexOutOfRange, NotRepresentable, UnknownGenerator
-from .gates import PAIR_PAULIS, CouplingStep, LocalStep, PhaseStep, expi_hermitian
+from .errors import (IndexOutOfRange, InvariantViolation, NotRepresentable, ParseError,
+                     UnknownGenerator)
+from .gates import (PAIR_PAULIS, CouplingStep, LocalStep, PhaseStep, _angles,
+                    _coupling_thetas, expi_hermitian)
 from .states import PARTITION_PAIR, PARTITION_SPECTATOR, parse_partition
 from .vectors import SixVector
 
@@ -113,19 +123,77 @@ def su_generator(label: str) -> np.ndarray:
     return SU4_BASIS[_index(label)].copy()
 
 
+def _rodrigues(t0: float, t1: float, t2: float, t: float) -> np.ndarray:
+    """so3_image of the angles (t0, t1, t2) of norm t, from scalars."""
+    if t < 1e-300:
+        return np.eye(3)
+    n0, n1, n2 = t0 / t, t1 / t, t2 / t
+    c, s = math.cos(t), math.sin(t)
+    w = 1.0 - c
+    # cos t + sin t [n]_x^T + (1 - cos t) n n^T
+    return np.array([[c + w * n0 * n0, w * n0 * n1 + s * n2, w * n0 * n2 - s * n1],
+                     [w * n0 * n1 - s * n2, c + w * n1 * n1, w * n1 * n2 + s * n0],
+                     [w * n0 * n2 + s * n1, w * n1 * n2 - s * n0, c + w * n2 * n2]])
+
+
 def so3_image(theta) -> np.ndarray:
     """exp(theta1 I_32 - theta2 I_31 + theta3 I_21), in closed Rodrigues form.
 
     This is the rotation by angle -|theta| about the axis theta/|theta|;
     a 2 pi rotation maps to the identity while the SU(2) side gives -1.
     """
-    th = np.asarray(theta, dtype=float)
-    t = float(np.linalg.norm(th))
-    if t < 1e-300:
-        return np.eye(3)
-    k = -th / t
-    kx = np.array([[0.0, -k[2], k[1]], [k[2], 0.0, -k[0]], [-k[1], k[0], 0.0]])
-    return np.eye(3) + np.sin(t) * kx + (1.0 - np.cos(t)) * (kx @ kx)
+    return _rodrigues(*_angles(theta, 0))
+
+
+#: sum_nm theta_nm Lambda_nm as a (9, 36) table, row 3(n-1) + m-1
+_LAMBDAS = SO6_BASIS[6:].reshape(9, 36).astype(float)
+
+
+def _dual_factors(seq, p: int) -> tuple[list, float]:
+    """Every step's action on partition p's 6-vector, and the summed phase2.
+
+    A local step on a pair qubit gives (offset, 3x3 rotation) acting on
+    components offset..offset+2, built from scalars; a coupling gives
+    (None, 6x6 rotation), all from one stacked exponential of their so(6)
+    generators. Spectator locals and zero rotations are dropped.
+    """
+    first, second = PARTITION_PAIR[p]
+    offsets = {first: 0, second: 3, PARTITION_SPECTATOR[p]: None}
+    flips = {first + second: False, second + first: True}
+    ops: list = []
+    thetas, steps, slots = [], [], []
+    phase2 = 0.0
+    for k, step in enumerate(seq):
+        if isinstance(step, LocalStep):
+            if step.qubit not in offsets:
+                raise ParseError(f"step {k}: bad qubit {step.qubit!r}")
+            angles = _angles(step.theta, k)
+            off = offsets[step.qubit]
+            if off is not None and angles[3] >= 1e-300:
+                ops.append((off, _rodrigues(*angles)))
+        elif isinstance(step, CouplingStep):
+            flip = flips.get(step.pair)
+            if flip is None:
+                raise NotRepresentable(
+                    f"coupling on {step.pair} involves the spectator of partition {p}")
+            slots.append(len(ops))
+            ops.append(None)
+            thetas.append(step.theta.T if flip else step.theta)
+            steps.append(k)
+        elif isinstance(step, PhaseStep):
+            if not math.isfinite(step.alpha):
+                raise InvariantViolation(f"step {k}: non-finite phase {step.alpha}")
+            phase2 += 2.0 * step.alpha
+        else:
+            raise TypeError(f"not a gate step: {step!r}")
+    if thetas:
+        th = _coupling_thetas(thetas, steps)
+        g = (th.reshape(len(th), 9) @ _LAMBDAS).reshape(-1, 6, 6)
+        # exp(g) = exp(i h) with the Hermitian h = -i g
+        ys = np.ascontiguousarray(expi_hermitian(-1j * g).real)
+        for slot, y in zip(slots, ys):
+            ops[slot] = (None, y)
+    return ops, phase2
 
 
 def so6_image(step, partition) -> So6Action:
@@ -136,40 +204,28 @@ def so6_image(step, partition) -> So6Action:
     involve exactly the partition's pair; anything touching the spectator
     leaves the 6-vector space and raises NotRepresentable.
     """
-    p = parse_partition(partition)
-    first, second = PARTITION_PAIR[p]
-    if isinstance(step, PhaseStep):
-        return So6Action(np.eye(6), 2.0 * step.alpha)
-    if isinstance(step, LocalStep):
-        if step.qubit == PARTITION_SPECTATOR[p]:
-            return So6Action(np.eye(6), 0.0)
-        y = np.eye(6)
-        r = so3_image(step.theta)
-        off = 0 if step.qubit == first else 3
-        y[off:off + 3, off:off + 3] = r
-        return So6Action(y, 0.0)
-    if isinstance(step, CouplingStep):
-        q1, q2 = step.pair[0], step.pair[1]
-        if {q1, q2} != {first, second}:
-            raise NotRepresentable(
-                f"coupling on {step.pair} involves the spectator of partition {p}")
-        th = step.theta if (q1, q2) == (first, second) else step.theta.T
-        g = np.zeros((6, 6))   # sum_nm th_nm Lambda_nm
-        g[:3, 3:], g[3:, :3] = -th, th.T
-        # exp(g) = exp(i h) with the Hermitian h = -i g
-        return So6Action(np.real(expi_hermitian(-1j * g)), 0.0)
-    raise TypeError(f"not a gate step: {step!r}")
+    ops, phase2 = _dual_factors([step], parse_partition(partition))
+    y = np.eye(6)
+    for off, r in ops:
+        if off is None:
+            y = r
+        else:
+            y[off:off + 3, off:off + 3] = r
+    return So6Action(y, phase2)
 
 
 def evolve_q(seq, q: SixVector) -> SixVector:
     """Evolve a 6-vector through a sequence: q -> e^{i phase2} Y_total q."""
+    ops, phase2 = _dual_factors(seq, parse_partition(q.partition))
     vec = q.q.astype(complex)
-    phase2 = 0.0
-    for step in seq:
-        act = so6_image(step, q.partition)
-        vec = act.y @ vec
-        phase2 += act.phase2
-    return SixVector(np.exp(1j * phase2) * vec, q.partition)
+    for off, r in ops:
+        if off is None:
+            vec = r @ vec
+        else:
+            vec[off:off + 3] = r @ vec[off:off + 3]
+    if phase2:
+        vec = vec * complex(math.cos(phase2), math.sin(phase2))
+    return SixVector(vec, q.partition)
 
 
 def verify_commutators() -> CommutatorReport:

@@ -198,8 +198,13 @@ def _alignment(pq: str, v1, v2, tol: float) -> list:
     Each step rotates only its own qubit's vector, so both come from the same
     evaluation. Parts below 1e-13 |s|^2 count as zero.
     """
-    zero = 1e-13 * np.sqrt(tol / EPS_INV)
+    zero = _noise_floor(tol)
     return _align_vector_steps(pq[0], v1, zero) + _align_vector_steps(pq[1], v2, zero)
+
+
+def _noise_floor(tol: float) -> float:
+    """1e-13 |s|^2, from the tolerance EPS_INV |s|^4; smaller vector parts are rounding noise."""
+    return 1e-13 * np.sqrt(tol / EPS_INV)
 
 
 def align_canonical(s, pair: str = "ab") -> list:
@@ -242,8 +247,11 @@ def maximize_three_tangle(s, pair: str = "ab", variant: str = "economical") -> S
         phase = np.exp(-1j * info.phi_a)
         v1, v2 = v1 * phase, v2 * phase
     seq.extend(_alignment(pq, v1, v2, tol))
-    # once gauged and aligned, a vector is (|Re V|, 0, i |Im V|)
-    (r1, i1), (r2, i2) = ((np.linalg.norm(x.real), np.linalg.norm(x.imag)) for x in (v1, v2))
+    # once gauged and aligned, a vector is (|Re V|, 0, i |Im V|); a part at
+    # the noise floor is zero, so a product state gets no coupling
+    zero = _noise_floor(tol)
+    r1, i1, r2, i2 = (n if n > zero else 0.0 for n in (
+        float(np.linalg.norm(part)) for x in (v1, v2) for part in (x.real, x.imag)))
 
     if variant == "economical":
         t16 = float(np.arctan2(i2, r1))

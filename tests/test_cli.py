@@ -149,12 +149,14 @@ def test_synthesize_w_to_ghz(capsys):
     assert doc["result"]["achieved_fidelity"] >= 1 - 1e-10
 
 
-def test_maximize_tangle(tmp_path, capsys):
+def test_maximize_tangle(tmp_path, capsys, monkeypatch):
     p = tmp_path / "s.json"
     p.write_text(state_to_json(random_state(3)))
+    calls = count_calls(monkeypatch, normalize)
     code, doc, _ = run_cli(capsys, "maximize-tangle", "--state", str(p),
                            "--pair", "ab")
-    assert code == 0
+    # once in maximize_three_tangle and once in its certifying apply
+    assert code == 0 and len(calls) == 2
     assert abs(doc["result"]["achieved"] - doc["result"]["bound"]) < 1e-9
     assert abs(doc["result"]["bound"] - checked_tangle_set(random_state(3)).tau_c_ab) < 1e-12
 

@@ -6,11 +6,12 @@ from scipy.linalg import expm
 
 from tanglevec import (CouplingStep, InvariantViolation, LocalStep, PhaseStep,
                        ParseError, UnknownGate, apply,
-                       coupling_unitary, fidelity_up_to_phase, local_unitary,
-                       make_asymmetric_w, make_ghz, named_gate, random_state,
+                       coupling_unitary, evolve_q, fidelity_up_to_phase, local_unitary,
+                       make_asymmetric_w, make_ghz, named_gate, q_vector, random_state,
                        sequence_from_json, sequence_to_json, sequence_unitary,
-                       w_to_ghz_sequence)
-from tanglevec.gates import SIGMA, expi_hermitian, step_unitary
+                       so6_image, w_to_ghz_sequence)
+from tanglevec.gates import SIGMA, _evolve, expi_hermitian, step_unitary
+from conftest import count_calls
 
 STD_THETA = np.arccos(1 / np.sqrt(3))
 
@@ -36,7 +37,7 @@ def test_local_matches_expm(qubit, rng):
     assert np.abs(local_unitary(qubit, th) - ref).max() < 1e-13
 
 
-@pytest.mark.parametrize("pair", ["ab", "bc", "ac", "ba", "ca"])
+@pytest.mark.parametrize("pair", ["ab", "bc", "ac", "ba", "cb", "ca"])
 def test_coupling_matches_expm(pair, rng):
     th = rng.uniform(-2, 2, (3, 3))
     gen = sum(0.5j * th[n, m] * np.kron(SIGMA[n], SIGMA[m])
@@ -166,6 +167,95 @@ def test_apply_empty_sequence():
 def test_apply_refuses_a_non_finite_result():
     with pytest.raises(InvariantViolation):
         apply([LocalStep("a", (np.nan, 0, 0))], make_ghz())
+
+
+def _kron_step(step):
+    """8x8 matrix of one step: scipy expm of its generator, embedded by Kronecker products."""
+    axes = {"a": 0, "b": 1, "c": 2}
+    if isinstance(step, PhaseStep):
+        return np.exp(1j * step.alpha) * np.eye(8)
+    if isinstance(step, LocalStep):
+        mats = [np.eye(2)] * 3
+        mats[axes[step.qubit]] = expm(0.5j * sum(t * s for t, s in zip(step.theta, SIGMA)))
+        return np.kron(np.kron(mats[0], mats[1]), mats[2])
+    gen = sum(0.5j * step.theta[n, m] * np.kron(SIGMA[n], SIGMA[m])
+              for n in range(3) for m in range(3))
+    order = [axes[q] for q in step.pair] + [3 - sum(axes[q] for q in step.pair)]
+    # kron(u4, 1) has axes (pair[0], pair[1], spectator); move them to (a, b, c)
+    t = np.kron(expm(gen), np.eye(2)).reshape([2] * 6)
+    perm = [order.index(k) for k in range(3)]
+    return t.transpose(perm + [3 + k for k in perm]).reshape(8, 8)
+
+
+def _mixed_sequence(rng, n):
+    seq = []
+    for _ in range(n):
+        kind = rng.integers(0, 3)
+        if kind == 0:
+            seq.append(LocalStep("abc"[rng.integers(0, 3)], tuple(rng.uniform(-3, 3, 3))))
+        elif kind == 1:
+            pair = ("ab", "ba", "bc", "cb", "ac", "ca")[rng.integers(0, 6)]
+            seq.append(CouplingStep(pair, rng.uniform(-2, 2, (3, 3))))
+        else:
+            seq.append(PhaseStep(float(rng.uniform(-np.pi, np.pi))))
+    return seq
+
+
+def test_engine_matches_kronecker_products(rng):
+    # every qubit axis, all six ordered pairs and phases, on one state and on
+    # 8 batch columns at once
+    seen = set()
+    for k in range(20):
+        seq = _mixed_sequence(rng, 30)
+        seen |= {getattr(st, "pair", getattr(st, "qubit", "phase")) for st in seq}
+        ref = np.eye(8)
+        for st in seq:
+            ref = _kron_step(st) @ ref
+        assert np.abs(sequence_unitary(seq) - ref).max() < 1e-12
+        s = random_state(k)
+        assert np.abs(apply(seq, s) - ref @ s).max() < 1e-12
+        cols = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
+        assert np.abs(_evolve(seq, cols) - ref @ cols).max() < 1e-11
+    assert seen == {"a", "b", "c", "ab", "ba", "bc", "cb", "ac", "ca", "phase"}
+
+
+@pytest.mark.parametrize("seq, exponentials", [
+    ([LocalStep("a", (0.1, 0.2, 0.3)), PhaseStep(0.4), LocalStep("b", (0.0, 0.0, 0.0))], 0),
+    ([CouplingStep("ab", np.eye(3))], 1),
+    ([CouplingStep("ba", np.eye(3)), LocalStep("c", (1.0, 0.0, 0.0)),
+      CouplingStep("ab", -np.eye(3)), PhaseStep(0.2), CouplingStep("ba", np.ones((3, 3)))], 1),
+], ids=["locals", "one-coupling", "three-couplings"])
+def test_one_exponential_per_sequence(seq, exponentials, monkeypatch):
+    # all coupling factors of a sequence come from one stacked exponential,
+    # in each picture
+    calls = count_calls(monkeypatch, expi_hermitian)
+    apply(seq, random_state(1))
+    sequence_unitary(seq)
+    evolve_q(seq, q_vector(random_state(1), 3))
+    assert len(calls) == 3 * exponentials
+
+
+def _bad_sequences(x):
+    return [
+        [LocalStep("b", (0.1, 0.0, 0.0)), LocalStep("a", (x, 0.0, 0.0))],
+        [LocalStep("b", (0.1, 0.0, 0.0)), CouplingStep("ab", np.full((3, 3), x))],
+        [LocalStep("b", (0.1, 0.0, 0.0)), PhaseStep(x)],
+    ]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("x", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("call, index", [
+    (lambda seq: apply(seq, make_ghz()), 1),
+    (lambda seq: sequence_unitary(seq), 1),
+    (lambda seq: evolve_q(seq, q_vector(make_ghz(), 3)), 1),
+    (lambda seq: so6_image(seq[1], 3), 0),
+], ids=["apply", "sequence_unitary", "evolve_q", "so6_image"])
+def test_non_finite_step_refused(call, index, x):
+    # refused before any trigonometry, naming the step, with no numpy warning
+    for seq in _bad_sequences(x):
+        with pytest.raises(InvariantViolation, match=f"step {index}: non-finite"):
+            call(seq)
 
 
 def test_apply_inverse_pair(rng):

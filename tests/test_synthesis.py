@@ -325,6 +325,19 @@ def test_maximize_matches_reference(pair, variant):
         assert res.meta["bound"] == bound
 
 
+@pytest.mark.parametrize("scale", [1e-6, 1.0, 1e6])
+@pytest.mark.parametrize("pair", ["ab", "bc", "ca"])
+def test_maximize_product_state_gets_no_coupling(pair, scale):
+    # the gauged pair vectors of a product state are rounding noise; no
+    # coupling angle may be read from them
+    for seed in range(4):
+        res = maximize_three_tangle(scale * _product_state(seed), pair)
+        assert res.meta["coupling_steps"] == 0
+        assert not any(isinstance(st, CouplingStep) for st in res.sequence)
+        assert res.meta["angle_16"] == res.meta["angle_34"] == 0.0
+        assert res.achieved < 1e-30 and res.meta["bound"] < 1e-30
+
+
 @pytest.mark.parametrize("call, evaluations, applies", [
     (lambda s, g: maximize_three_tangle(s, "bc"), 2, 1),
     (lambda s, g: maximize_three_tangle(s, "ab", "single"), 2, 1),
