@@ -10,16 +10,19 @@ and a sequence is a plain list applied left to right (first element acts
 first). Operator products written right-to-left on paper therefore list in
 reverse here.
 
-One engine applies a sequence to an (8, R) amplitude matrix whose R columns
-evolve independently: apply() uses one column, and the 8x8 unitaries are the
-same evolution of the identity. It first builds every step's factor. A local
+One walker, _steps, checks every step of a sequence once and sorts it for a
+gate picture; the picture passes only data (its key for each qubit and its
+layout of the ordered pairs), and the dual picture in so6 uses the same
+walker. In this picture one contraction loop applies a sequence to an (8, R)
+amplitude matrix whose R columns evolve independently: apply() uses one
+column, and the 8x8 unitaries are the same evolution of the identity. A local
 factor is the closed Euler form computed from scalars. All coupling factors of
 the sequence come from one stacked eigendecomposition of their 4x4 Hermitian
 generators (expi_hermitian), so there is no series truncation anywhere. Phases
-are summed into one scalar. Then each factor is contracted by one reshape and
-one matmul: (2**axis, 2, rest) for a local, (2**first, 4, rest) for an
-adjacent pair, and the pair (a, c) after one transpose that moves c next to a.
-A reversed pair such as "ba" is its forward pair with theta transposed. No 8x8
+are summed into one scalar. Each factor is contracted by one reshape and one
+matmul: (2**axis, 2, rest) for a local, (2**first, 4, rest) for an adjacent
+pair, and the pair (a, c) after one transpose that moves c next to a. A
+reversed pair such as "ba" is its forward pair with theta transposed. No 8x8
 matrix is built for a step.
 """
 from __future__ import annotations
@@ -30,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvariantViolation, ParseError, UnknownGate
+from .errors import InvariantViolation, NotRepresentable, ParseError, UnknownGate
 from .states import EPS_NORM, QUBIT_AXIS, QUBITS, normalize
 
 SIGMA = (
@@ -67,6 +70,12 @@ class LocalStep:
 
 @dataclass(frozen=True, eq=False)
 class CouplingStep:
+    """exp(1/2 sum_nm theta_nm i sigma_n sigma_m) on the ordered pair.
+
+    Either picture's factor is accurate to a few eps max(1, sum |theta_nm|),
+    the rounding of theta itself (see expi_hermitian).
+    """
+
     pair: str
     theta: np.ndarray  # 3x3 real coefficients of i/2 sigma_n sigma_m
 
@@ -83,9 +92,6 @@ class PhaseStep:
     kind = "phase"
 
 
-GateStep = LocalStep | CouplingStep | PhaseStep
-
-
 def _angles(theta, k: int) -> tuple[float, float, float, float]:
     """The three angles of local step k and their norm; a non-finite norm is refused."""
     t0, t1, t2 = theta
@@ -95,17 +101,13 @@ def _angles(theta, k: int) -> tuple[float, float, float, float]:
     return t0, t1, t2, t
 
 
-def _coupling_thetas(thetas: list, steps: list) -> np.ndarray:
-    """Stack the (3, 3) coupling coefficients; step steps[j] gave thetas[j]."""
-    th = np.array(thetas)
-    bad = ~np.isfinite(th).all(axis=(1, 2))
-    if bad.any():
-        raise InvariantViolation(f"step {steps[int(bad.argmax())]}: non-finite coupling angles")
-    return th
-
-
 def expi_hermitian(h) -> np.ndarray:
-    """exp(i h) for Hermitian h, batched over any leading axes."""
+    """exp(i h) for Hermitian h, batched over any leading axes.
+
+    It is accurate to a few eps max(1, |h|) in absolute terms: eigh rounds the
+    eigenvalues w by about eps |h|, and exp(i w) keeps that error. This is the
+    rounding of h itself, the input's conditioning, not a loss in the method.
+    """
     w, v = np.linalg.eigh(h)
     return (v * np.exp(1j * w)[..., None, :]) @ np.swapaxes(v.conj(), -1, -2)
 
@@ -119,55 +121,70 @@ _PAIR_LAYOUT = {"ab": (1, False), "ba": (1, True), "bc": (2, False),
                 "cb": (2, True), "ac": (0, False), "ca": (0, True)}
 
 
-def _factors(seq) -> tuple[list, float]:
-    """Every step's factor, as (leading block, 2x2 or 4x4 unitary), and the summed phase.
+def _steps(seq, qubits: dict, pairs: dict) -> tuple[list, np.ndarray, float]:
+    """Check every step of a sequence once and sort it for one gate picture.
 
-    A local factor is built from scalars; all coupling factors come from one
-    stacked exponential of their 4x4 generators. Zero rotations are dropped.
+    qubits maps each qubit to the picture's key for its locals (None for a
+    qubit the picture ignores); pairs maps each ordered pair the picture
+    carries to (key, theta transposed). Returns, in sequence order,
+    (key, (t0, t1, t2, |t|)) for each local that rotates and (key, None) for
+    each coupling; the couplings' finite (k, 3, 3) coefficients in the
+    picture's layout; and the summed phase. Raises ParseError for a malformed
+    qubit or pair, NotRepresentable for a well-formed pair missing from
+    pairs, InvariantViolation naming the step for a non-finite parameter, and
+    TypeError for anything that is not a step.
     """
-    ops: list = []
-    thetas, steps, slots = [], [], []
+    out, thetas, where = [], [], []
     phase = 0.0
     for k, step in enumerate(seq):
         if isinstance(step, LocalStep):
-            lead = _LOCAL_LEAD.get(step.qubit)
-            if lead is None:
+            if step.qubit not in QUBITS:
                 raise ParseError(f"step {k}: bad qubit {step.qubit!r}")
-            t0, t1, t2, t = _angles(step.theta, k)
-            if t < 1e-300:
-                continue
-            c, s = math.cos(t / 2), math.sin(t / 2) / t
-            # cos(t/2) + i sin(t/2) (theta . sigma) / t
-            ops.append((lead, np.array([[complex(c, s * t2), complex(s * t1, s * t0)],
-                                        [complex(-s * t1, s * t0), complex(c, -s * t2)]])))
+            angles = _angles(step.theta, k)
+            key = qubits[step.qubit]
+            if key is not None and angles[3] >= 1e-300:
+                out.append((key, angles))
         elif isinstance(step, CouplingStep):
-            layout = _PAIR_LAYOUT.get(step.pair) if isinstance(step.pair, str) else None
+            layout = pairs.get(step.pair) if isinstance(step.pair, str) else None
             if layout is None:
-                _pair_qubits(step.pair)   # raises ParseError
-            lead, flip = layout
-            slots.append(len(ops))
-            ops.append((lead, None))
+                _pair_qubits(step.pair)   # raises ParseError for a malformed pair
+                raise NotRepresentable(f"step {k}: coupling on {step.pair} involves the spectator")
+            key, flip = layout
+            out.append((key, None))
             thetas.append(step.theta.T if flip else step.theta)
-            steps.append(k)
+            where.append(k)
         elif isinstance(step, PhaseStep):
             if not math.isfinite(step.alpha):
                 raise InvariantViolation(f"step {k}: non-finite phase {step.alpha}")
             phase += step.alpha
         else:
             raise TypeError(f"not a gate step: {step!r}")
-    if thetas:
-        th = _coupling_thetas(thetas, steps)
-        h = (th.reshape(len(th), 9) @ _SIGMA_PAIRS).reshape(-1, 4, 4)
-        for slot, u in zip(slots, expi_hermitian(0.5 * h)):
-            ops[slot] = (ops[slot][0], u)
-    return ops, phase
+    th = np.array(thetas).reshape(-1, 3, 3)
+    bad = ~np.isfinite(th).all(axis=(1, 2))
+    if bad.any():
+        raise InvariantViolation(f"step {where[int(bad.argmax())]}: non-finite coupling angles")
+    return out, th, phase
 
 
 def _evolve(seq, m: np.ndarray) -> np.ndarray:
-    """Apply the steps to the (8, R) amplitude matrix m; its columns evolve independently."""
-    ops, phase = _factors(seq)
+    """Apply the steps to the (8, R) amplitude matrix m; its columns evolve independently.
+
+    A local factor is built from scalars; all coupling factors come from one
+    stacked exponential of their 4x4 generators.
+    """
+    steps, th, phase = _steps(seq, _LOCAL_LEAD, _PAIR_LAYOUT)
+    if len(th):
+        us = iter(expi_hermitian(0.5 * (th.reshape(-1, 9) @ _SIGMA_PAIRS).reshape(-1, 4, 4)))
     r = m.shape[1]
-    for lead, u in ops:
+    for lead, angles in steps:
+        if angles is None:
+            u = next(us)
+        else:
+            t0, t1, t2, t = angles
+            c, s = math.cos(t / 2), math.sin(t / 2) / t
+            # cos(t/2) + i sin(t/2) (theta . sigma) / t
+            u = np.array([[complex(c, s * t2), complex(s * t1, s * t0)],
+                          [complex(-s * t1, s * t0), complex(c, -s * t2)]])
         if lead:
             m = (u @ m.reshape(lead, len(u), -1)).reshape(8, r)
         else:
@@ -181,18 +198,14 @@ def sequence_unitary(seq) -> np.ndarray:
     return _evolve(seq, np.eye(8, dtype=complex))
 
 
-def step_unitary(step: GateStep) -> np.ndarray:
-    return sequence_unitary([step])
-
-
 def local_unitary(qubit: str, theta) -> np.ndarray:
     """8x8 unitary of a single-qubit rotation."""
-    return step_unitary(LocalStep(qubit, theta))
+    return sequence_unitary([LocalStep(qubit, theta)])
 
 
 def coupling_unitary(pair: str, theta) -> np.ndarray:
     """8x8 unitary of exp(1/2 sum theta_nm i sigma_n^{(p1)} sigma_m^{(p2)})."""
-    return step_unitary(CouplingStep(pair, theta))
+    return sequence_unitary([CouplingStep(pair, theta)])
 
 
 def apply(seq, s) -> np.ndarray:
@@ -259,6 +272,8 @@ def named_gate(name: str, location: str):
 # [{"kind": "local"|"coupling"|"phase", "target": "a".."ac", "params": [...]}]
 
 def sequence_to_json(seq) -> str:
+    """The wire form of a sequence; a step that apply() would refuse is refused here."""
+    _steps(seq, _LOCAL_LEAD, _PAIR_LAYOUT)
     items = []
     for step in seq:
         if isinstance(step, LocalStep):
@@ -267,10 +282,8 @@ def sequence_to_json(seq) -> str:
         elif isinstance(step, CouplingStep):
             items.append({"kind": "coupling", "target": step.pair,
                           "params": [float(x) for x in step.theta.ravel()]})
-        elif isinstance(step, PhaseStep):
-            items.append({"kind": "phase", "target": "", "params": [float(step.alpha)]})
         else:
-            raise TypeError(f"not a gate step: {step!r}")
+            items.append({"kind": "phase", "target": "", "params": [float(step.alpha)]})
     return json.dumps(items)
 
 
@@ -293,18 +306,16 @@ def sequence_from_json(text: str):
         if kind == "local":
             if len(params) != 3:
                 raise ParseError(f"step {k}: local steps take 3 angles")
-            if item.get("target") not in QUBITS:
-                raise ParseError(f"step {k}: bad qubit {item.get('target')!r}")
-            seq.append(LocalStep(item["target"], tuple(params)))
+            seq.append(LocalStep(item.get("target"), tuple(params)))
         elif kind == "coupling":
             if len(params) != 9:
                 raise ParseError(f"step {k}: coupling steps take 9 coefficients")
-            _pair_qubits(item.get("target"))
-            seq.append(CouplingStep(item["target"], np.array(params).reshape(3, 3)))
+            seq.append(CouplingStep(item.get("target"), np.array(params).reshape(3, 3)))
         elif kind == "phase":
             if len(params) != 1:
                 raise ParseError(f"step {k}: phase steps take 1 angle")
             seq.append(PhaseStep(params[0]))
         else:
             raise ParseError(f"step {k}: unknown kind {kind!r}")
+    _steps(seq, _LOCAL_LEAD, _PAIR_LAYOUT)   # qubits and pairs
     return seq

@@ -14,14 +14,15 @@ e^{i pi/4} (-cos(xi)|000> + sin(xi)|010> + |111>)/sqrt(2).
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvariantViolation, NotNormalized
+from .errors import DegenerateInput, InvariantViolation, NotNormalized
 from .gates import LocalStep, PhaseStep, apply
 from .so6 import GENERATOR_LABELS, SO6_BASIS, SU4_BASIS
-from .states import EPS_NORM, as_state, make_acin
+from .states import EPS_NORM, as_state, make_acin, squared_norm
 from .synthesis import _axis_angle_local_step, _frame_rotation_steps, _rotation_axis_angle
 from .tangles import TangleSet
 from .vectors import EPS_INV, AbcVectors, abc_vectors
@@ -47,7 +48,7 @@ def quat_conj(q) -> np.ndarray:
 def quat_inv(q) -> np.ndarray:
     n2 = float(np.dot(q, q))
     if n2 < 1e-300:
-        raise ZeroDivisionError("inverse of the zero quaternion")
+        raise DegenerateInput(f"inverse of a quaternion with |q|^2 = {n2} below 1e-300")
     return quat_conj(q) / n2
 
 
@@ -112,26 +113,37 @@ def _extract(s) -> tuple[np.ndarray, np.ndarray, float]:
     return x, y, res
 
 
-def is_quaternionic(s, tol: float = EPS_INV):
+def is_quaternionic(s):
     """Recover (x, y) if some global phase puts the state in quaternionic form.
 
     Returns a QuaternionicState or None. The phase is fixed (up to the
     irrelevant overall sign of (x, y)) by the pattern conditions
-    c101 = conj(c000), c100 = -conj(c001) and the row-1 analogues.
+    c101 = conj(c000), c100 = -conj(c001) and the row-1 analogues. The state
+    is first rescaled, exactly, by the power of two that brings |s| near 1,
+    so the tests are relative to |s| at any finite scale. Raises ParseError
+    for a non-finite amplitude.
     """
     c = as_state(s)
+    n2 = squared_norm(c)
+    # the scale comes from the largest amplitude where |s|^2 leaves the
+    # normal double range
+    e = math.frexp(n2)[1] // 2 if 1e-300 < n2 < 1e300 else math.frexp(float(np.abs(c).max()))[1]
+    if e:
+        c = np.ldexp(c.real, -e) + 1j * np.ldexp(c.imag, -e)
     w = np.array([c[5], c[4], c[7], c[6]])
     u = np.array([np.conj(c[0]), -np.conj(c[1]), np.conj(c[2]), -np.conj(c[3])])
     denom = float(np.sum(np.abs(w) ** 2))
-    if denom < tol**2:
+    if denom < EPS_INV**2:
         return None
     z = np.sum(np.conj(w) * u) / denom
     if abs(z) < 1e-12:
         return None
     alpha = 0.5 * np.angle(z / abs(z))
     x, y, res = _extract(np.exp(1j * alpha) * c)
-    if res > tol:
+    if res > EPS_INV:
         return None
+    if e:
+        x, y = np.ldexp(x, e), np.ldexp(y, e)
     comps = np.concatenate([x, y])
     if comps[np.argmax(np.abs(comps))] < 0:
         x, y = -x, -y

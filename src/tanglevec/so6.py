@@ -18,10 +18,13 @@ triple, so the three local images of a block are the Levi-Civita matrices
 + d_{j,n} d_{i,m+3} fills the two off-diagonal blocks. Every lookup
 returns a copy of a table row.
 
-evolve_q and so6_image share one builder of the steps' dual factors. A
-local's 3x3 Rodrigues rotation is computed from scalars and acts on its own
-three components only. All coupling images of a sequence, sum theta_nm
-Lambda_nm, are exponentiated in one stacked expi_hermitian call. The dual
+evolve_q and so6_image are one dual evolution: so6_image evolves eye(6), as
+gates.sequence_unitary evolves eye(8). Each step is checked and sorted by the
+walker gates._steps, given this partition's qubit offsets (None for the
+spectator) and its pair layout. A local's 3x3 Rodrigues rotation is computed
+from scalars and acts on its own three components only. All coupling images
+of a sequence, sum theta_nm Lambda_nm, are exponentiated in one stacked
+expi_hermitian call. The walker shares checks and sorting only: the dual
 picture never uses the 4x4 unitaries of the Hilbert picture, so comparing the
 two pictures stays a test of the generator map.
 """
@@ -32,10 +35,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (IndexOutOfRange, InvariantViolation, NotRepresentable, ParseError,
-                     UnknownGenerator)
-from .gates import (PAIR_PAULIS, CouplingStep, LocalStep, PhaseStep, _angles,
-                    _coupling_thetas, expi_hermitian)
+from .errors import IndexOutOfRange, UnknownGenerator
+from .gates import PAIR_PAULIS, _angles, _steps, expi_hermitian
 from .states import PARTITION_PAIR, PARTITION_SPECTATOR, parse_partition
 from .vectors import SixVector
 
@@ -149,80 +150,43 @@ def so3_image(theta) -> np.ndarray:
 _LAMBDAS = SO6_BASIS[6:].reshape(9, 36).astype(float)
 
 
-def _dual_factors(seq, p: int) -> tuple[list, float]:
-    """Every step's action on partition p's 6-vector, and the summed phase2.
+def _dual_evolve(seq, p: int, m: np.ndarray) -> tuple[np.ndarray, float]:
+    """Rotate partition p's 6-vectors m, shape (6,) or (6, R), through the steps.
 
-    A local step on a pair qubit gives (offset, 3x3 rotation) acting on
-    components offset..offset+2, built from scalars; a coupling gives
-    (None, 6x6 rotation), all from one stacked exponential of their so(6)
-    generators. Spectator locals and zero rotations are dropped.
+    m is updated in place where a local acts. Returns the rotated m and the
+    summed phase2, which is left for the caller to apply. A local's 3x3
+    rotation is built from scalars and acts on its own three components; all
+    couplings come from one stacked exponential of their so(6) generators.
     """
     first, second = PARTITION_PAIR[p]
-    offsets = {first: 0, second: 3, PARTITION_SPECTATOR[p]: None}
-    flips = {first + second: False, second + first: True}
-    ops: list = []
-    thetas, steps, slots = [], [], []
-    phase2 = 0.0
-    for k, step in enumerate(seq):
-        if isinstance(step, LocalStep):
-            if step.qubit not in offsets:
-                raise ParseError(f"step {k}: bad qubit {step.qubit!r}")
-            angles = _angles(step.theta, k)
-            off = offsets[step.qubit]
-            if off is not None and angles[3] >= 1e-300:
-                ops.append((off, _rodrigues(*angles)))
-        elif isinstance(step, CouplingStep):
-            flip = flips.get(step.pair)
-            if flip is None:
-                raise NotRepresentable(
-                    f"coupling on {step.pair} involves the spectator of partition {p}")
-            slots.append(len(ops))
-            ops.append(None)
-            thetas.append(step.theta.T if flip else step.theta)
-            steps.append(k)
-        elif isinstance(step, PhaseStep):
-            if not math.isfinite(step.alpha):
-                raise InvariantViolation(f"step {k}: non-finite phase {step.alpha}")
-            phase2 += 2.0 * step.alpha
-        else:
-            raise TypeError(f"not a gate step: {step!r}")
-    if thetas:
-        th = _coupling_thetas(thetas, steps)
-        g = (th.reshape(len(th), 9) @ _LAMBDAS).reshape(-1, 6, 6)
+    steps, th, phase = _steps(seq, {first: 0, second: 3, PARTITION_SPECTATOR[p]: None},
+                              {first + second: (None, False), second + first: (None, True)})
+    if len(th):
+        g = (th.reshape(-1, 9) @ _LAMBDAS).reshape(-1, 6, 6)
         # exp(g) = exp(i h) with the Hermitian h = -i g
-        ys = np.ascontiguousarray(expi_hermitian(-1j * g).real)
-        for slot, y in zip(slots, ys):
-            ops[slot] = (None, y)
-    return ops, phase2
+        ys = iter(np.ascontiguousarray(expi_hermitian(-1j * g).real))
+    for off, angles in steps:
+        if angles is None:
+            m = next(ys) @ m
+        else:
+            m[off:off + 3] = _rodrigues(*angles) @ m[off:off + 3]
+    return m, 2.0 * phase
 
 
 def so6_image(step, partition) -> So6Action:
-    """Action of one gate step on the partition's 6-vector.
+    """Action of one gate step on the partition's 6-vector: the step's dual evolution of eye(6).
 
     A local rotation acts block-diagonally on its own triple and a local
     rotation on the spectator qubit acts as the identity. A coupling must
-    involve exactly the partition's pair; anything touching the spectator
+    involve exactly the partition's pair; a pair touching the spectator
     leaves the 6-vector space and raises NotRepresentable.
     """
-    ops, phase2 = _dual_factors([step], parse_partition(partition))
-    y = np.eye(6)
-    for off, r in ops:
-        if off is None:
-            y = r
-        else:
-            y[off:off + 3, off:off + 3] = r
-    return So6Action(y, phase2)
+    return So6Action(*_dual_evolve([step], parse_partition(partition), np.eye(6)))
 
 
 def evolve_q(seq, q: SixVector) -> SixVector:
     """Evolve a 6-vector through a sequence: q -> e^{i phase2} Y_total q."""
-    ops, phase2 = _dual_factors(seq, parse_partition(q.partition))
-    vec = q.q.astype(complex)
-    for off, r in ops:
-        if off is None:
-            vec = r @ vec
-        else:
-            vec[off:off + 3] = r @ vec[off:off + 3]
+    vec, phase2 = _dual_evolve(seq, parse_partition(q.partition), q.q.astype(complex))
     if phase2:
         vec = vec * complex(math.cos(phase2), math.sin(phase2))
     return SixVector(vec, q.partition)

@@ -10,7 +10,7 @@ from tanglevec import (CouplingStep, InvariantViolation, LocalStep, PhaseStep,
                        make_asymmetric_w, make_ghz, named_gate, q_vector, random_state,
                        sequence_from_json, sequence_to_json, sequence_unitary,
                        so6_image, w_to_ghz_sequence)
-from tanglevec.gates import SIGMA, _evolve, expi_hermitian, step_unitary
+from tanglevec.gates import SIGMA, _evolve, expi_hermitian
 from conftest import count_calls
 
 STD_THETA = np.arccos(1 / np.sqrt(3))
@@ -258,6 +258,25 @@ def test_non_finite_step_refused(call, index, x):
             call(seq)
 
 
+@pytest.mark.parametrize("call", [
+    lambda seq: apply(seq, make_ghz()),
+    lambda seq: sequence_unitary(seq),
+    lambda seq: evolve_q(seq, q_vector(make_ghz(), 3)),
+    lambda seq: so6_image(seq[1], 3),
+], ids=["apply", "sequence_unitary", "evolve_q", "so6_image"])
+def test_malformed_step_refused_alike(call):
+    # both pictures check a step in the same place: a malformed qubit or
+    # pair is a ParseError, not a NotRepresentable, and a non-step a TypeError
+    ok = LocalStep("b", (0.1, 0.0, 0.0))
+    bad = [LocalStep("d", (0.1, 0.0, 0.0))] + [CouplingStep(pair, np.eye(3))
+                                               for pair in ("zz", "aa", ["a", "b"])]
+    for step in bad:
+        with pytest.raises(ParseError):
+            call([ok, step])
+    with pytest.raises(TypeError, match="not a gate step"):
+        call([ok, "CNOT"])
+
+
 def test_apply_inverse_pair(rng):
     s = random_state(2)
     th = rng.uniform(-2, 2, (3, 3))
@@ -272,7 +291,7 @@ def test_w_to_ghz_via_apply():
 
 
 def test_phase_step_is_scalar():
-    u = step_unitary(PhaseStep(0.4))
+    u = sequence_unitary([PhaseStep(0.4)])
     assert np.abs(u - np.exp(0.4j) * np.eye(8)).max() < 1e-15
 
 
@@ -284,6 +303,12 @@ def test_sequence_json_round_trip(rng):
     ]
     back = sequence_from_json(sequence_to_json(seq))
     assert np.abs(sequence_unitary(back) - sequence_unitary(seq)).max() < 1e-15
+
+
+def test_sequence_to_json_refuses_non_finite():
+    # the writer checks through the walker, so it never emits NaN or Infinity
+    with pytest.raises(InvariantViolation, match="step 1: non-finite"):
+        sequence_to_json([PhaseStep(0.1), LocalStep("a", (np.nan, 0.0, 0.0))])
 
 
 def test_sequence_json_rejects_malformed():

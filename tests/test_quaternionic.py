@@ -8,7 +8,7 @@ from tanglevec import (QuaternionicState, abc_quaternionic, abc_vectors,
                        quat_to_matrix, quat_transpose, random_state,
                        reduce_to_acin, tangles_quaternionic,
                        to_state, usp_generators)
-from tanglevec.errors import NotNormalized
+from tanglevec.errors import DegenerateInput, NotNormalized, ParseError
 from tanglevec.gates import LocalStep
 from tanglevec.quaternionic import (_extract, _reduce_stages,
                                     is_quaternionic_block_matrix)
@@ -124,6 +124,34 @@ def test_ghz_not_quaternionic():
 def test_random_state_not_quaternionic():
     for seed in range(10):
         assert is_quaternionic(random_state(seed)) is None
+
+
+@pytest.mark.parametrize("scale", [1e-300, 1e-170, 1e-6, 1.0, 1e3, 1e6, 1e9, 1e170, 1e300])
+def test_detection_is_scale_free(scale, rng):
+    # the thresholds are relative to |s|, so a global phase and any finite
+    # scale keep a quaternionic state quaternionic and a Haar state not
+    for k in range(50):
+        qs = _random_qs(rng)
+        back = is_quaternionic(scale * np.exp(1j * rng.uniform(0, 2 * np.pi)) * to_state(qs))
+        assert back is not None, k
+        comps = np.concatenate([back.x, back.y]) / scale
+        assert abs(comps @ comps - 0.5) < 1e-12
+        assert is_quaternionic(scale * random_state(k)) is None, k
+
+
+@pytest.mark.parametrize("x", [np.nan, np.inf])
+def test_non_finite_state_refused(x):
+    s = to_state(QuaternionicState([0.5, 0, 0, 0], [0.5, 0, 0, 0]))
+    s[3] = x
+    with pytest.raises(ParseError):
+        is_quaternionic(s)
+    with pytest.raises(ParseError):
+        is_quaternionic(np.full(8, x))
+
+
+def test_zero_quaternion_inverse_typed():
+    with pytest.raises(DegenerateInput):
+        quat_inv(np.zeros(4))
 
 
 # --- vectors and tangles ----------------------------------------------------

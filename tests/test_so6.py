@@ -252,6 +252,24 @@ def test_spectator_coupling_not_representable():
         so6_image(CouplingStep("bc", np.eye(3)), 3)
 
 
+def test_coupling_accuracy_is_theta_rounding():
+    # a coupling's generator has eigenvalues of order |theta|, so both
+    # pictures carry an absolute error of a few eps |theta|: the rounding of
+    # theta itself. Measured worst over this sweep: about 1.1 (up to 1.83 on
+    # other draws) eps max(1, sum |theta_nm|).
+    eps = np.finfo(float).eps
+    partition = {"ab": 3, "ba": 3, "bc": 1, "ca": 2, "ac": 2}
+    for seed in range(50):
+        s = random_state(seed)
+        rng = np.random.default_rng(seed)
+        for pair, p in partition.items():
+            for scale in (1.0, 1e3, 1e6, 1e10):
+                th = scale * rng.uniform(-1, 1, (3, 3))
+                seq = [CouplingStep(pair, th)]
+                err = np.abs(evolve_q(seq, q_vector(s, p)).q - q_vector(apply(seq, s), p).q).max()
+                assert err <= 16 * eps * max(1.0, np.abs(th).sum()), (seed, pair, scale, err)
+
+
 def test_phase_step_rule():
     act = so6_image(PhaseStep(0.3), 1)
     assert act.phase2 == 0.6
