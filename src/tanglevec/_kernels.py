@@ -9,6 +9,14 @@ restart follows the trajectory it would follow alone (up to rounding), and
 a call costs as many iterations as its slowest restart instead of the sum
 over restarts.
 
+The overlap search has two phases. A few alternating polar-factor sweeps
+(``fs_restarts``) bring each restart near an optimum, but they converge only
+linearly, and on degenerate optima the unitaries keep drifting along the
+flat directions long after the overlap has settled. So a trust-region
+Newton polish on SU(2)^3 (``fs_polish``, 9 tangent angles per restart)
+finishes every restart, and stops it once its gradient is at rounding
+level: stationarity is judged, not the step of the unitaries.
+
 The ascent's line search compares tangle values, which stop resolving
 gains once a step's first-order gain eta |grad|^2 falls below the rounding
 of |A.A|^2; a gradient tolerance alone sits below that floor. So a restart
@@ -22,22 +30,48 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .gates import expi_hermitian
+from .gates import I2, SIGMA, expi_hermitian
 from .vectors import _A_QUADS
 
 _EPS = np.finfo(float).eps
+#: sweeps before the polish: they bring each restart near an optimum, and
+#: settle most degenerate optima to rounding on their own
+_SWEEPS = 4
+_PAULI = np.stack((I2, *SIGMA))
+# the Pauli strings sigma_i x sigma_j x sigma_k are numbered 16i + 4j + k:
+# _ONE[3q + k - 1] inserts sigma_k on qubit q alone, _TWO[3q + k - 1, 3p + l - 1]
+# inserts sigma_k on q and sigma_l on p != q (the string 0 where p == q)
+_ONE = (np.array([16, 4, 1])[:, None] * np.arange(1, 4)).reshape(9)
+_SAME = np.kron(np.eye(3, dtype=bool), np.ones((3, 3), dtype=bool))
+_TWO = np.where(_SAME, 0, _ONE[:, None] + _ONE[None, :])
 
 
 class KernelStats(NamedTuple):
-    """How a batched optimizer run ended.
+    """How a batched ascent ended.
 
-    ``iterations`` counts the sweeps (overlap search) or line-search
-    iterations (ascent) of the longest-running restart; ``converged`` counts
-    the restarts that stopped before reaching the iteration cap.
+    ``iterations`` counts the line-search iterations of the longest-running
+    restart; ``converged`` counts the restarts that stopped before reaching
+    the iteration cap.
     """
 
     iterations: int
     converged: int
+
+
+class FsStats(NamedTuple):
+    """How an overlap search ended.
+
+    ``sweeps`` and ``polish`` are the most sweeps and polish steps any
+    restart took; ``converged`` counts the restarts that ended stationary;
+    ``capped`` says whether a restart that did not converge used its whole
+    iteration budget; ``spread`` is the best minus the worst restart overlap.
+    """
+
+    sweeps: int
+    polish: int
+    converged: int
+    capped: bool
+    spread: float
 
 
 def fs_restarts(t1, t2, inits, max_sweeps, tol):
@@ -89,18 +123,134 @@ def fs_restarts(t1, t2, inits, max_sweeps, tol):
     return vals, us, sweeps, converged
 
 
+def _fs_model(t1c, table, us):
+    """Overlap |c|, gradient g and Hessian H of |c|^2 on SU(2)^3 at ``us``.
+
+    The 9 tangent angles x move each unitary to U_q exp(i x_q . sigma). To
+    second order c(x) = <t1| (x)_q U_q exp(i x_q . sigma) |t2> is
+    c0 + i sum x_qk c_qk - |x|^2 c0 / 2 - sum_{q<p} x_qk x_pl c_qk,pl, where
+    c_qk and c_qk,pl overlap t1^H (Ua x Ub x Uc) with one or two Pauli
+    insertions on t2: all 64 insertions are one product with ``table``.
+    """
+    ua, ub, uc = us[:, 0], us[:, 1], us[:, 2]
+    k = (ua[:, :, None, None, :, None, None] * ub[:, None, :, None, None, :, None]
+         * uc[:, None, None, :, None, None, :]).reshape(-1, 8, 8)
+    cp = (t1c @ k) @ table
+    c0 = cp[:, 0]
+    a = cp[:, _ONE]
+    h = -2.0 * np.real(np.conj(c0)[:, None, None] * cp[:, _TWO])
+    h[:, _SAME] = 0.0
+    h += 2.0 * np.real(np.conj(a)[:, :, None] * a[:, None, :])
+    h -= (2.0 * np.abs(c0) ** 2)[:, None, None] * np.eye(9)
+    return np.abs(c0), -2.0 * np.imag(np.conj(c0)[:, None] * a), h
+
+
+def _su2_exp(x):
+    """exp(i x_q . sigma) for (R, 9) angles, as (R, 3, 2, 2)."""
+    x = x.reshape(-1, 3, 3)
+    t = np.linalg.norm(x, axis=2)
+    cs = np.cos(t)
+    x1, x2, x3 = np.moveaxis(x * np.sinc(t / np.pi)[..., None], 2, 0)
+    return np.stack([cs + 1j * x3, x2 + 1j * x1, -x2 + 1j * x1, cs - 1j * x3],
+                    axis=-1).reshape(-1, 3, 2, 2)
+
+
+def fs_polish(t1, t2, us, budget):
+    """Trust-region Newton ascent of |c|^2 from every row of ``us`` at once.
+
+    Each step is the saddle-free Newton step |H|^-1 g (H = V diag(lam) V^T,
+    |H| = V diag(|lam|) V^T), cut back to the restart's trust radius; |lam|
+    is floored at 1e-3 max |lam|, since GHZ's local stabilizer leaves flat
+    directions. The radius starts at 0.5 and doubles, up to 1, after a step
+    to the boundary that achieved over 0.75 of its predicted gain. A step is
+    accepted when it achieves 0.25 of its predicted gain; once the predicted
+    gain is within 8 eps |c|^2, where the overlaps no longer resolve it, a
+    step is accepted when it lowers |g|. A rejected step shrinks the radius to
+    a quarter of the step.
+
+    A restart stops when stationary at rounding level, |g| <= 64 eps |c|;
+    at a rejected step whose predicted gain is within 8 eps |c|^2, where
+    no shorter step can be resolved either; or after ``budget`` (R,) steps.
+    The first counts as converged, and so does the second when the gradient
+    is within sqrt(eps) |c|; a restart that stops at rounding with a larger
+    gradient is one the polish cannot move.
+
+    Returns (overlaps (R,), unitaries (R, 3, 2, 2), steps (R,), converged
+    (R,) bool, cannot move (R,) bool).
+    """
+    t1c = np.conj(t1).reshape(8)
+    table = np.einsum("iax,jby,kcz,xyz->abcijk", _PAULI, _PAULI, _PAULI, t2).reshape(8, 64)
+    n = us.shape[0]
+    us = us.copy()
+    vals, g, h = _fs_model(t1c, table, us)
+    gnorm = np.linalg.norm(g, axis=1)
+    steps = np.zeros(n, dtype=np.int64)
+    converged = gnorm <= 64 * _EPS * vals
+    stuck = np.zeros(n, dtype=bool)
+    radius = np.full(n, 0.5)
+    lam = np.ones((n, 9))
+    vec = np.zeros((n, 9, 9))
+    fresh = np.ones(n, dtype=bool)  # at a new point: H must be decomposed
+    act = np.flatnonzero(~converged & (budget > 0))
+    while act.size:
+        due = act[fresh[act]]
+        if due.size:
+            w, vec[due] = np.linalg.eigh(h[due])
+            w = np.abs(w)
+            lam[due] = np.maximum(w, 1e-3 * w.max(axis=1, keepdims=True))
+        v, ga, ha, c = vec[act], g[act], h[act], vals[act]
+        d = np.einsum("rij,rj->ri", v, np.einsum("rji,rj->ri", v, ga) / lam[act])
+        dnorm = np.linalg.norm(d, axis=1)
+        cut = np.minimum(1.0, radius[act] / dnorm)
+        d *= cut[:, None]
+        pred = np.einsum("ri,ri->r", ga, d) + 0.5 * np.einsum("ri,rij,rj->r", d, ha, d)
+        trial = us[act] @ _su2_exp(d)
+        vt, gt, ht = _fs_model(t1c, table, trial)
+        gtnorm = np.linalg.norm(gt, axis=1)
+        gain = vt ** 2 - c ** 2
+        rounding = pred <= 8 * _EPS * c ** 2
+        ok = np.where(rounding, gtnorm < gnorm[act], gain >= 0.25 * pred)
+        steps[act] += 1
+        grow = ok & (cut < 1.0) & (gain > 0.75 * pred)
+        radius[act] = np.where(ok, np.where(grow, np.minimum(2.0 * radius[act], 1.0),
+                                            radius[act]), 0.25 * cut * dnorm)
+        new = act[ok]
+        us[new], vals[new], g[new], h[new], gnorm[new] = (trial[ok], vt[ok], gt[ok], ht[ok],
+                                                          gtnorm[ok])
+        fresh[act] = ok
+        done = ok & (gtnorm <= 64 * _EPS * vt)
+        floor = ~ok & rounding
+        near = gnorm[act] <= np.sqrt(_EPS) * c
+        converged[act] = done | (floor & near)
+        stuck[act] = floor & ~near
+        act = act[~(done | floor) & (steps[act] < budget[act])]
+    return vals, us, steps, converged, stuck
+
+
 def fs_best_overlap(t1, t2, inits, max_sweeps, tol):
     """Best |<t1| Ua x Ub x Uc |t2>| over local unitaries.
 
-    Runs ``fs_restarts`` and keeps the first restart with the largest
-    overlap. Returns (best overlap, its three unitaries, KernelStats), so
-    callers can recompute the angle from the state distance, which stays
-    well-conditioned when the overlap approaches 1.
+    Every restart runs ``fs_restarts`` for at most _SWEEPS sweeps, then
+    ``fs_polish`` for the rest of its ``max_sweeps`` iterations (a sweep and
+    a polish step count one each); a restart the polish cannot move goes
+    back to the sweep for what is left of its budget and is not counted as
+    converged. Keeps the first restart with the largest overlap. Returns
+    (best overlap, its three unitaries, FsStats), so callers can recompute
+    the angle from the state distance, which stays well-conditioned when the
+    overlap approaches 1.
     """
-    vals, us, sweeps, converged = fs_restarts(t1, t2, inits, max_sweeps, tol)
+    _, us, sweeps, _ = fs_restarts(t1, t2, inits, min(_SWEEPS, max_sweeps), tol)
+    vals, us, polish, converged, stuck = fs_polish(t1, t2, us, max_sweeps - sweeps)
+    left = max_sweeps - sweeps - polish
+    back = stuck & (left > 0)
+    if back.any():
+        vals[back], us[back], more, _ = fs_restarts(t1, t2, us[back], int(left[back].min()), tol)
+        sweeps[back] += more
     r = int(np.argmax(vals))
     best_us = us[r] if vals[r] > 0.0 else np.stack([np.eye(2, dtype=np.complex128)] * 3)
-    stats = KernelStats(int(sweeps.max()), int(converged.sum()))
+    capped = bool(((sweeps + polish >= max_sweeps) & ~converged).any())
+    stats = FsStats(int(sweeps.max()), int(polish.max()), int(converged.sum()), capped,
+                    float(vals.max() - vals.min()))
     return min(float(vals[r]), 1.0), best_us, stats
 
 

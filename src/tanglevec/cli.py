@@ -8,6 +8,7 @@ Randomized commands take ``--seed`` (default 0).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import sys
@@ -22,7 +23,7 @@ from .quaternionic import QuaternionicState, is_quaternionic, reduce_to_acin, to
 from .so6 import evolve_q, verify_commutators
 from .states import (normalize, parse_partition, random_state,
                      state_from_json, state_to_json)
-from .synthesis import (fubini_study_angle, maximize_three_tangle,
+from .synthesis import (fubini_study_search, maximize_three_tangle,
                         synthesize_coupling_core, w_to_ghz_sequence)
 from .tangles import _ckw, _measures, ckw_residual, tangle_set
 from .vectors import (EPS_INV, _gauge, _plucker, _vectors, abc_vectors,
@@ -159,9 +160,8 @@ def cmd_maximize_tangle(args) -> int:
 def cmd_fs_angle(args) -> int:
     s1, d1 = _load_state(args.state1)
     s2, d2 = _load_state(args.state2)
-    angle = fubini_study_angle(normalize(s1), normalize(s2),
-                               restarts=args.restarts, seed=args.seed)
-    payload = {"angle_degrees": angle, "restarts": args.restarts,
+    res = fubini_study_search(s1, s2, restarts=args.restarts, seed=args.seed)
+    payload = {**dataclasses.asdict(res),
                "note": "stochastic optimizer: upper bound on the true minimum"}
     _emit(_report("fs-angle", [d1, d2], payload, seed=args.seed), args.pretty)
     return EXIT_OK

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateInput, InvariantViolation, NotNormalized
+from .errors import DegenerateInput, InvariantViolation, NotNormalized, ParseError
 from .gates import LocalStep, PhaseStep, apply
 from .so6 import GENERATOR_LABELS, SO6_BASIS, SU4_BASIS
 from .states import EPS_NORM, as_state, make_acin, squared_norm
@@ -46,10 +46,25 @@ def quat_conj(q) -> np.ndarray:
 
 
 def quat_inv(q) -> np.ndarray:
-    n2 = float(np.dot(q, q))
-    if n2 < 1e-300:
-        raise DegenerateInput(f"inverse of a quaternion with |q|^2 = {n2} below 1e-300")
-    return quat_conj(q) / n2
+    """conj(q) / |q|^2 at any finite scale.
+
+    q is first rescaled, exactly, by the power of two that brings its largest
+    component near 1, so |q|^2 neither underflows nor overflows. Raises
+    ParseError for a non-finite component, and DegenerateInput for q = 0 or
+    when the inverse is too large for a double.
+    """
+    q = np.asarray(q, dtype=float)
+    if not np.isfinite(q).all():
+        raise ParseError(f"non-finite quaternion {q.tolist()}")
+    top = float(np.abs(q).max())
+    if top == 0.0:
+        raise DegenerateInput("inverse of the zero quaternion")
+    e = math.frexp(top)[1]
+    p = np.ldexp(q, -e)
+    inv = quat_conj(p) / float(np.dot(p, p))
+    if math.frexp(float(np.abs(inv).max()))[1] - e > 1024:
+        raise DegenerateInput(f"the inverse of a quaternion of size {top:.3g} overflows")
+    return np.ldexp(inv, -e)
 
 
 def quat_transpose(q) -> np.ndarray:

@@ -16,7 +16,8 @@ exp(2i alpha) and a local step rotates only its own qubit's vector. The
 maximizer applies its sequence once; the Hilbert picture certifies it.
 
 Plus the Fubini-Study angle (a restarted local search over the 9 local
-rotation angles, reported in degrees) and a gradient-ascent oracle used to
+rotation angles, reported in degrees, with its convergence record from
+fubini_study_search) and a gradient-ascent oracle used to
 certify the maximization bound.
 """
 from __future__ import annotations
@@ -303,30 +304,68 @@ def _random_su2_stack(rng, n: int) -> np.ndarray:
     return out
 
 
-def fubini_study_angle(s1, s2, restarts: int = 32, seed: int = 0,
-                       max_sweeps: int = 5000, tol: float = 1e-10) -> float:
-    """Angle (degrees) to the closest locally-equivalent state.
+@dataclass(frozen=True)
+class FubiniStudyResult:
+    """A Fubini-Study search: the angle and how its restarts ended.
 
-    arccos of the best overlap found over local unitaries on all three
-    qubits, by alternating exact single-qubit maximization with `restarts`
-    random starting points; a restart converges when the unitary updates
-    move by less than `tol`. A stochastic search, so the result is an upper
-    bound on the true minimum angle. The angle is recovered from the
-    phase-matched state distance (2 arcsin(d/2)), which keeps tiny angles
-    accurate where arccos of the overlap would lose half the digits.
+    ``sweeps`` and ``polish_iterations`` are the most sweeps and polish steps
+    any restart took; ``converged`` counts the restarts that ended stationary
+    at rounding level; ``capped`` says whether a restart that did not
+    converge used all of ``max_sweeps``; ``overlap_spread`` is the best minus
+    the worst restart overlap (0 when every restart found the same optimum).
+    """
+
+    angle_degrees: float
+    restarts: int
+    sweeps: int
+    polish_iterations: int
+    converged: int
+    capped: bool
+    overlap_spread: float
+
+
+def fubini_study_search(s1, s2, restarts: int = 32, seed: int = 0,
+                        max_sweeps: int = 5000, tol: float = 1e-10) -> FubiniStudyResult:
+    """Angle (degrees) to the closest locally-equivalent state, with diagnostics.
+
+    Maximizes the overlap over local unitaries on all three qubits from
+    `restarts` random starting points. Each restart takes a few sweeps of
+    alternating exact single-qubit maximization, then a trust-region Newton
+    polish over the 9 local angles that stops once the restart is
+    stationary at rounding level. `max_sweeps` caps each restart's
+    iterations, sweeps and polish steps together; `tol` ends the sweeps of
+    a restart early once no unitary moves by more than `tol` (max-norm). A
+    stochastic search, so the result is an upper bound on the true minimum
+    angle. The angle is recovered from the phase-matched state distance
+    (2 arcsin(d/2)), which keeps tiny angles accurate where arccos of the
+    overlap would lose half the digits.
     """
     v1 = normalize(s1)
     v2 = normalize(s2)
     inits = _random_su2_stack(np.random.default_rng(seed), max(1, restarts))
-    _, us, _ = _kernels.fs_best_overlap(v1.reshape(2, 2, 2), v2.reshape(2, 2, 2),
-                                        inits, max_sweeps, tol)
+    _, us, stats = _kernels.fs_best_overlap(v1.reshape(2, 2, 2), v2.reshape(2, 2, 2),
+                                            inits, max_sweeps, tol)
     w = np.einsum("ax,by,cz,xyz->abc", us[0], us[1], us[2],
                   v2.reshape(2, 2, 2)).reshape(8)
     ov = np.vdot(v1, w)
     if abs(ov) > 1e-150:
         w = w * (np.conj(ov) / abs(ov))
     d = float(np.linalg.norm(v1 - w))
-    return float(np.degrees(2.0 * np.arcsin(min(1.0, d / 2.0))))
+    return FubiniStudyResult(float(np.degrees(2.0 * np.arcsin(min(1.0, d / 2.0)))),
+                             len(inits), *stats)
+
+
+def fubini_study_angle(s1, s2, restarts: int = 32, seed: int = 0,
+                       max_sweeps: int = 5000, tol: float = 1e-10) -> float:
+    """Angle (degrees) to the closest locally-equivalent state.
+
+    The angle of ``fubini_study_search`` with the same arguments: `max_sweeps`
+    caps each restart's sweeps and Newton polish steps together, and `tol`
+    ends a restart's sweeps early once no unitary moves by more than `tol`;
+    the polish stops a restart on stationarity at rounding level, which
+    `tol` does not set.
+    """
+    return fubini_study_search(s1, s2, restarts, seed, max_sweeps, tol).angle_degrees
 
 
 # --- independent ascent oracle ---------------------------------------------

@@ -168,6 +168,10 @@ def test_fs_angle_command(ghz_file, tmp_path, capsys):
                            "--state2", ghz_file, "--seed", "5")
     assert code == 0
     assert abs(doc["result"]["angle_degrees"] - 30.0) < 1e-6
+    res = doc["result"]
+    assert res["restarts"] == res["converged"] == 32 and res["capped"] is False
+    assert res["sweeps"] >= 1 and res["polish_iterations"] >= 0
+    assert 0.0 <= res["overlap_spread"] < 1.0
 
 
 def test_fs_angle_seed_reproducible(ghz_file, tmp_path, capsys):

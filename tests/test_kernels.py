@@ -1,7 +1,11 @@
 """The batched optimizer kernels against plain per-restart reference loops."""
+import warnings
+
 import numpy as np
 
-from tanglevec import _kernels, random_state
+from tanglevec import (LocalStep, _kernels, apply, fubini_study_angle, fubini_study_search,
+                       make_asymmetric_w, make_ghz, random_state, w_to_ghz_sequence)
+from tanglevec.gates import SIGMA as PAULIS
 from tanglevec.so6 import SU4_BASIS
 from tanglevec.synthesis import _random_su2_stack
 from tanglevec.vectors import _A_QUADS
@@ -98,7 +102,7 @@ def test_fs_best_overlap_basic():
     for q in range(3):
         assert np.abs(us[q].conj().T @ us[q] - np.eye(2)).max() < 1e-10
     assert abs(_overlap_of(t1, t2, us) - val) < 1e-10
-    assert 1 <= stats.iterations <= 500
+    assert 1 <= stats.sweeps + stats.polish <= 500
     assert stats.converged == inits.shape[0]
 
 
@@ -115,10 +119,10 @@ def test_fs_restarts_match_reference_loop():
         assert np.abs(us - ref_us).max() < 1e-8
         best, best_us, stats = _kernels.fs_best_overlap(t1, t2, inits, 2000, 1e-10)
         assert abs(best - min(ref_vals.max(), 1.0)) < 1e-12
-        # restarts tied to rounding may win in either loop; the kernel keeps
-        # the first of its own maxima
-        np.testing.assert_array_equal(best_us, us[np.argmax(vals)])
-        assert stats == (ref_sweeps.max(), inits.shape[0])
+        # the polish replaces the sweeps' tail: every restart ends stationary
+        # after the short sweep phase, at unitaries that attain the overlap
+        assert abs(_overlap_of(t1, t2, best_us) - best) < 1e-12
+        assert (stats.sweeps, stats.converged, stats.capped) == (_kernels._SWEEPS, 8, False)
 
 
 def test_fs_restarts_cap_freezes_each_restart():
@@ -139,8 +143,9 @@ def test_fs_restarts_cap_freezes_each_restart():
 def test_fs_single_sweep_reports_no_convergence():
     t1, t2, inits = _fs_inputs(3)
     _, _, stats = _kernels.fs_best_overlap(t1, t2, inits, 1, 1e-10)
-    assert stats.iterations == 1
+    assert (stats.sweeps, stats.polish) == (1, 0)
     assert stats.converged == 0
+    assert stats.capped
 
 
 def _ascent_inputs(seed, n=4):
@@ -195,3 +200,116 @@ def test_ascent_rounding_stop_keeps_the_best_tangle():
         ref = _ascent_reference(psi, SU4_BASIS, _A_QUADS, inits, 400, 1e-10)
         best, _ = _kernels.tangle_ascent_best(psi, SU4_BASIS, inits, 400, 1e-10)
         assert abs(best - ref) < 1e-12
+
+
+def _milestone_pairs():
+    """The four W-class states against GHZ, each side under random locals."""
+    w = make_asymmetric_w(np.arccos(1 / np.sqrt(3)), np.pi / 4)
+    amd = np.array([0.2175, 0.7778, 0.5895])
+    w_md = make_asymmetric_w(np.arccos(amd[2] / np.linalg.norm(amd)), np.arctan2(amd[1], amd[0]))
+    w1 = apply(w_to_ghz_sequence(np.arccos(1 / np.sqrt(3)), np.pi / 4).sequence[:1], w)
+    rng = np.random.default_rng(21)
+    pairs = []
+    for s in (w, make_asymmetric_w(np.pi / 4, 0.0), w_md, w1):
+        locs = [LocalStep(q, rng.uniform(-np.pi, np.pi, 3)) for q in "abcabc"]
+        pairs.append((apply(locs[:3], s), apply(locs[3:], make_ghz())))
+    return pairs
+
+
+def _polish_cases():
+    rng = np.random.default_rng(17)
+    haar = [(random_state(int(rng.integers(2**31))), random_state(int(rng.integers(2**31))))
+            for _ in range(30)]
+    return [(a.reshape(2, 2, 2), b.reshape(2, 2, 2)) for a, b in haar + _milestone_pairs()]
+
+
+def test_fs_polish_reaches_the_swept_optimum():
+    # the reference sweeps every restart to its step tolerance; the polish
+    # takes over after a few sweeps and may not end below that optimum
+    for k, (t1, t2) in enumerate(_polish_cases()):
+        inits = _random_su2_stack(np.random.default_rng(k), 2)[1:]
+        ref_vals, _, _ = _fs_reference(t1, t2, inits, 5000, 1e-10)
+        best, us, stats = _kernels.fs_best_overlap(t1, t2, inits, 5000, 1e-10)
+        assert best >= min(ref_vals.max(), 1.0) - 1e-12
+        assert abs(_overlap_of(t1, t2, us) - best) < 1e-12
+        assert stats.converged == 1 and not stats.capped
+
+
+def _riemannian_gradient(t1, t2, us):
+    """d|c|^2 / dx_qk at U_q exp(i x_q . sigma), by one Pauli insertion at a time."""
+    def overlap(mats):
+        return np.vdot(t1, np.einsum("ax,by,cz,xyz->abc", *mats, t2))
+    c = overlap(us)
+    grad = []
+    for q in range(3):
+        for sigma in PAULIS:
+            mats = list(us)
+            mats[q] = us[q] @ sigma
+            grad.append(2.0 * np.real(np.conj(c) * 1j * overlap(mats)))
+    return np.array(grad)
+
+
+def test_fs_polish_ends_stationary_or_unconverged():
+    # a budget below what some restarts need: those are reported, the rest
+    # end with a gradient at rounding level
+    capped = 0
+    for k, (t1, t2) in enumerate(_polish_cases()[::4]):
+        inits = _random_su2_stack(np.random.default_rng(k), 8)
+        _, us, _, _ = _kernels.fs_restarts(t1, t2, inits, _kernels._SWEEPS, 1e-10)
+        for budget in (3, 5000):
+            vals, out, steps, converged, stuck = _kernels.fs_polish(
+                t1, t2, us, np.full(8, budget))
+            assert not stuck.any()
+            for r in range(8):
+                grad = _riemannian_gradient(t1, t2, out[r])
+                assert abs(_overlap_of(t1, t2, out[r]) - vals[r]) < 1e-12
+                if converged[r]:
+                    assert np.linalg.norm(grad) < 1e-12
+                else:
+                    assert steps[r] == budget
+            if budget == 3:
+                capped += 8 - converged.sum()
+            else:
+                assert converged.all()
+    assert capped > 0
+
+
+def test_fs_ghz_against_itself_is_finite_and_exact():
+    # GHZ's local stabilizer makes the Hessian singular at every optimum
+    ghz = make_ghz()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for seed, other in enumerate([ghz, apply([LocalStep("b", (0.3, -1.2, 0.5))], ghz)]):
+            res = fubini_study_search(ghz, other, seed=seed)
+            assert np.isfinite(res.angle_degrees) and res.angle_degrees < 1e-9
+            assert res.converged == res.restarts == 32 and not res.capped
+            assert 0.0 <= res.overlap_spread < 1e-12
+
+
+def test_fs_search_reports_a_capped_run():
+    w = make_asymmetric_w(np.arccos(1 / np.sqrt(3)), np.pi / 4)
+    res = fubini_study_search(w, make_ghz(), seed=2, max_sweeps=1)
+    assert (res.sweeps, res.polish_iterations, res.converged) == (1, 0, 0)
+    assert res.capped
+    full = fubini_study_search(w, make_ghz(), seed=2)
+    assert full.converged == full.restarts and not full.capped
+    assert abs(full.angle_degrees - 30.0) < 1e-9
+    assert full.angle_degrees == fubini_study_angle(w, make_ghz(), seed=2)
+
+
+def test_fs_sweep_takes_over_a_restart_the_polish_cannot_move(monkeypatch):
+    # a model with the gradient's sign flipped proposes only downhill steps,
+    # so the polish cannot move; the sweep then finishes the restarts alone
+    t1, t2 = _polish_cases()[0]
+    inits = _random_su2_stack(np.random.default_rng(0), 4)
+    ref_vals, _, _ = _fs_reference(t1, t2, inits, 5000, 1e-10)
+    real = _kernels._fs_model
+
+    def downhill(t1c, table, us):
+        vals, g, h = real(t1c, table, us)
+        return vals, -g, h
+    monkeypatch.setattr(_kernels, "_fs_model", downhill)
+    best, us, stats = _kernels.fs_best_overlap(t1, t2, inits, 5000, 1e-10)
+    assert abs(best - ref_vals.max()) < 1e-12
+    assert abs(_overlap_of(t1, t2, us) - best) < 1e-12
+    assert stats.converged == 0 and stats.sweeps > _kernels._SWEEPS

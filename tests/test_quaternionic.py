@@ -154,6 +154,30 @@ def test_zero_quaternion_inverse_typed():
         quat_inv(np.zeros(4))
 
 
+@pytest.mark.parametrize("scale", [1e-151, 1e-300, 1e200, 1e300])
+def test_inverse_at_any_finite_scale(rng, scale):
+    q = scale * rng.standard_normal(4)
+    inv = quat_inv(q)
+    assert np.isfinite(inv).all()
+    assert np.abs(quat_mul(q, inv) - np.array([1, 0, 0, 0])).max() < 1e-13
+    assert np.abs(quat_inv(np.full(4, scale)) - np.array([1, -1, -1, -1]) / (4 * scale)).max() \
+        <= 1e-15 / scale
+
+
+@pytest.mark.parametrize("x", [np.nan, np.inf, -np.inf])
+def test_non_finite_quaternion_inverse_refused(x):
+    with pytest.raises(ParseError):
+        quat_inv(np.full(4, x))
+    with pytest.raises(ParseError):
+        quat_inv(np.array([1.0, 0.0, x, 0.0]))
+
+
+def test_quaternion_inverse_beyond_double_range_typed():
+    # |q| ~ 2e-310: the inverse, about 5e309, exceeds the largest double
+    with pytest.raises(DegenerateInput):
+        quat_inv(np.full(4, 1e-310))
+
+
 # --- vectors and tangles ----------------------------------------------------
 
 def test_abc_matches_generic_route(rng):
