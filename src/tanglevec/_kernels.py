@@ -10,12 +10,14 @@ a call costs as many iterations as its slowest restart instead of the sum
 over restarts.
 
 The overlap search has two phases. A few alternating polar-factor sweeps
-(``fs_restarts``) bring each restart near an optimum, but they converge only
-linearly, and on degenerate optima the unitaries keep drifting along the
-flat directions long after the overlap has settled. So a trust-region
-Newton polish on SU(2)^3 (``fs_polish``, 9 tangent angles per restart)
-finishes every restart, and stops it once its gradient is at rounding
-level: stationarity is judged, not the step of the unitaries.
+(``fs_restarts``) bring each restart near an optimum; each update is the
+2x2 polar factor of a partial overlap in closed form (``_polar_2x2``, a few
+elementwise operations on the whole batch, no LAPACK call). The sweeps
+converge only linearly, and on degenerate optima the unitaries keep
+drifting along the flat directions long after the overlap has settled. So
+a trust-region Newton polish on SU(2)^3 (``fs_polish``, 9 tangent angles
+per restart) finishes every restart, and stops it once its gradient is at
+rounding level: stationarity is judged, not the step of the unitaries.
 
 The ascent's line search compares tangle values, which stop resolving
 gains once a step's first-order gain eta |grad|^2 falls below the rounding
@@ -38,6 +40,10 @@ _EPS = np.finfo(float).eps
 #: settle most degenerate optima to rounding on their own
 _SWEEPS = 4
 _PAULI = np.stack((I2, *SIGMA))
+# the rows [a, b, c, d] of a 2x2 matrix [[a, b], [c, d]]: the identity, and the
+# signs that turn the reversed row [d, c, b, a] into the cofactors [d, -c, -b, a]
+_EYE = np.array([1.0, 0.0, 0.0, 1.0])
+_FLIP = np.array([1.0, -1.0, -1.0, 1.0])
 # the Pauli strings sigma_i x sigma_j x sigma_k are numbered 16i + 4j + k:
 # _ONE[3q + k - 1] inserts sigma_k on qubit q alone, _TWO[3q + k - 1, 3p + l - 1]
 # inserts sigma_k on q and sigma_l on p != q (the string 0 where p == q)
@@ -74,14 +80,44 @@ class FsStats(NamedTuple):
     spread: float
 
 
+def _polar_2x2(m):
+    """Maximizer and maximum of Re sum U * M over unitary U, for (R, 4) rows M.
+
+    Row r holds M = [[a, b], [c, d]] = V S W^H. The maximizer is conj(V W^H),
+    the conjugate of the unitary polar factor, and the maximum is the nuclear
+    norm n = s1 + s2. With e = conj(det M) / |det M| (1 when det M = 0),
+    conj(V W^H) = (conj(M) + e [[d, -c], [-b, a]]) / n and n^2 = |M|_F^2 +
+    2 |det M|; when M has rank 1 every phase e gives a maximizer. Each row is
+    first scaled by the power of two of its largest entry, so det M neither
+    underflows nor overflows, and a zero row maps to the identity.
+
+    Returns (maximizers (R, 2, 2), nuclear norms (R,)).
+    """
+    k = np.frexp(np.abs(m).max(axis=1))[1]
+    x = np.ldexp(m.view(np.float64), -k[:, None])
+    m = x.view(np.complex128)
+    det = m[:, 0] * m[:, 3] - m[:, 1] * m[:, 2]
+    adet = np.abs(det)
+    flat = adet == 0.0
+    e = np.conj(det + flat) / (adet + flat)
+    n = np.sqrt(np.einsum("ri,ri->r", x, x) + 2.0 * adet)
+    zero = n == 0.0
+    # m[:, ::-1] * _FLIP is [d, -c, -b, a]
+    u = np.conj(m) + (e[:, None] * _FLIP) * m[:, ::-1] + zero[:, None] * _EYE
+    u /= (n + zero)[:, None]
+    return u.reshape(-1, 2, 2), np.ldexp(n, k)
+
+
 def fs_restarts(t1, t2, inits, max_sweeps, tol):
     """Alternating overlap maximization from every start in ``inits`` at once.
 
     With two factors fixed, the optimum over the third local unitary is the
     nuclear norm of a 2x2 partial overlap, attained at its polar factor, so
-    each sweep is monotone. A restart stops after the first sweep in which no
-    unitary moves by more than ``tol`` (max-norm): the step, not the overlap,
-    is judged, because the updates keep sharpening the optimum after the
+    each sweep is monotone. Each of a sweep's three updates takes the polar
+    factors of all restarts at once, in closed form (``_polar_2x2``, no
+    LAPACK call). A restart stops after the first sweep in which no unitary
+    moves by more than ``tol`` (max-norm): the step, not the overlap, is
+    judged, because the updates keep sharpening the optimum after the
     double-precision overlap has saturated.
 
     Returns (overlaps (R,), unitaries (R, 3, 2, 2), sweeps used (R,),
@@ -105,13 +141,11 @@ def fs_restarts(t1, t2, inits, max_sweeps, tol):
         for q in range(3):
             o1, o2 = others[q]
             pair = (u[:, o1].reshape(-1, 4, 1) * u[:, o2].reshape(-1, 1, 4)).reshape(-1, 16)
-            # the maximizer of Re tr(U t) is conj(V W^H) for t = V S W^H
-            v, sv, wh = np.linalg.svd((pair @ gq[q]).reshape(-1, 2, 2))
-            unew = np.conj(v @ wh)
+            unew, nuc = _polar_2x2(pair @ gq[q])
             step = np.maximum(step, np.abs(unew - u[:, q]).max(axis=(1, 2)))
             u[:, q] = unew
         sweeps[act] += 1
-        vals[act] = sv.sum(axis=1)
+        vals[act] = nuc
         stop = step < tol
         if stop.any():
             us[act] = u
@@ -173,7 +207,9 @@ def fs_polish(t1, t2, us, budget):
     no shorter step can be resolved either; or after ``budget`` (R,) steps.
     The first counts as converged, and so does the second when the gradient
     is within sqrt(eps) |c|; a restart that stops at rounding with a larger
-    gradient is one the polish cannot move.
+    gradient is one the polish cannot move. Neither test counts |c| = 0 as
+    converged: there |c|^2 is at its minimum, and a restart that starts
+    there is one the polish cannot move.
 
     Returns (overlaps (R,), unitaries (R, 3, 2, 2), steps (R,), converged
     (R,) bool, cannot move (R,) bool).
@@ -185,13 +221,14 @@ def fs_polish(t1, t2, us, budget):
     vals, g, h = _fs_model(t1c, table, us)
     gnorm = np.linalg.norm(g, axis=1)
     steps = np.zeros(n, dtype=np.int64)
-    converged = gnorm <= 64 * _EPS * vals
-    stuck = np.zeros(n, dtype=bool)
+    converged = (vals > 0.0) & (gnorm <= 64 * _EPS * vals)
+    # at |c| = 0, |c|^2 is at its minimum with zero gradient: no step moves it
+    stuck = vals == 0.0
     radius = np.full(n, 0.5)
     lam = np.ones((n, 9))
     vec = np.zeros((n, 9, 9))
     fresh = np.ones(n, dtype=bool)  # at a new point: H must be decomposed
-    act = np.flatnonzero(~converged & (budget > 0))
+    act = np.flatnonzero(~converged & ~stuck & (budget > 0))
     while act.size:
         due = act[fresh[act]]
         if due.size:
@@ -220,7 +257,7 @@ def fs_polish(t1, t2, us, budget):
         fresh[act] = ok
         done = ok & (gtnorm <= 64 * _EPS * vt)
         floor = ~ok & rounding
-        near = gnorm[act] <= np.sqrt(_EPS) * c
+        near = (c > 0.0) & (gnorm[act] <= np.sqrt(_EPS) * c)
         converged[act] = done | (floor & near)
         stuck[act] = floor & ~near
         act = act[~(done | floor) & (steps[act] < budget[act])]

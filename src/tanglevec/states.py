@@ -45,6 +45,23 @@ def parse_partition(value) -> int:
     raise ParseError(f"unknown partition {value!r}")
 
 
+def _check_options(*, seeds=None, counts=None, tols=None) -> None:
+    """Refuse an out-of-range option of a random or iterative routine.
+
+    Each argument maps option names to values: a seed must be at least 0
+    (numpy's generators take no negative seed), a count (restarts, iteration
+    caps) at least 1, and a tolerance finite and not negative. Raises
+    ParseError naming the first bad option.
+    """
+    for least, opts in ((0, seeds), (1, counts)):
+        for name, value in (opts or {}).items():
+            if not value >= least:
+                raise ParseError(f"{name} must be at least {least}, got {value!r}")
+    for name, value in (tols or {}).items():
+        if not (math.isfinite(value) and value >= 0):
+            raise ParseError(f"{name} must be finite and not negative, got {value!r}")
+
+
 def as_state(amp) -> np.ndarray:
     """Coerce to a complex length-8 vector without copying when possible."""
     s = np.asarray(amp, dtype=complex).reshape(-1)
@@ -158,8 +175,10 @@ def random_state(seed: int) -> np.ndarray:
     """Haar-uniform normalized state, reproducible from the seed.
 
     Draws 16 standard normals from numpy's default PCG64 generator and
-    normalizes, so the distribution is uniform on the 15-sphere.
+    normalizes, so the distribution is uniform on the 15-sphere. Raises
+    ParseError for a negative seed.
     """
+    _check_options(seeds={"seed": seed})
     rng = np.random.default_rng(seed)
     v = rng.standard_normal(16)
     s = v[:8] + 1j * v[8:]

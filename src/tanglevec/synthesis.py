@@ -31,7 +31,7 @@ from .errors import DegenerateInput, GaugeUndefined, ParseError
 from .gates import (CouplingStep, LocalStep, PhaseStep, _pair_qubits, apply,
                     coupling_axis_step, sequence_unitary)
 from .so6 import SU4_BASIS, so3_image
-from .states import (PARTITION_PAIR, PARTITION_SPECTATOR, QUBIT_AXIS,
+from .states import (PARTITION_PAIR, PARTITION_SPECTATOR, QUBIT_AXIS, _check_options,
                      make_asymmetric_w, make_ghz, normalize)
 from .tangles import _measures, three_tangle
 from .vectors import EPS_INV, _gauge, _vectors
@@ -55,11 +55,19 @@ def _canonical_pair(pair: str) -> tuple[int, str]:
 
 
 def min_phase_distance(u: np.ndarray, v: np.ndarray) -> float:
-    """max-norm distance between u and v after optimal global-phase match."""
-    tr = np.trace(v.conj().T @ u)
-    if abs(tr) < 1e-300:
-        return float(min(np.abs(u - v).max(), np.abs(u + v).max()))
-    return float(np.abs(u - (tr / abs(tr)) * v).max())
+    """max-norm distance between u and v after optimal global-phase match.
+
+    The phase is that of tr(v^H u), taken from u and v scaled to unit largest
+    entry: it neither underflows nor overflows, and since the scaled norms lie
+    between 1 and sqrt(u.size), its zero test is relative to |u| |v|. So the
+    distance scales with u and v at any finite scale.
+    """
+    top_u, top_v = np.abs(u).max(), np.abs(v).max()
+    if top_u > 0.0 and top_v > 0.0:
+        tr = np.vdot(v / top_v, u / top_u)
+        if abs(tr) > 1e-300:
+            return float(np.abs(u - (tr / abs(tr)) * v).max())
+    return float(min(np.abs(u - v).max(), np.abs(u + v).max()))
 
 
 def synthesize_coupling_core(alpha, pair: str = "ab") -> SynthesisResult:
@@ -338,11 +346,15 @@ def fubini_study_search(s1, s2, restarts: int = 32, seed: int = 0,
     stochastic search, so the result is an upper bound on the true minimum
     angle. The angle is recovered from the phase-matched state distance
     (2 arcsin(d/2)), which keeps tiny angles accurate where arccos of the
-    overlap would lose half the digits.
+    overlap would lose half the digits. Raises ParseError for `restarts` or
+    `max_sweeps` below 1, a negative `seed`, and a `tol` that is not finite
+    or is negative.
     """
+    _check_options(seeds={"seed": seed}, counts={"restarts": restarts, "max_sweeps": max_sweeps},
+                   tols={"tol": tol})
     v1 = normalize(s1)
     v2 = normalize(s2)
-    inits = _random_su2_stack(np.random.default_rng(seed), max(1, restarts))
+    inits = _random_su2_stack(np.random.default_rng(seed), restarts)
     _, us, stats = _kernels.fs_best_overlap(v1.reshape(2, 2, 2), v2.reshape(2, 2, 2),
                                             inits, max_sweeps, tol)
     w = np.einsum("ax,by,cz,xyz->abc", us[0], us[1], us[2],
@@ -363,7 +375,7 @@ def fubini_study_angle(s1, s2, restarts: int = 32, seed: int = 0,
     caps each restart's sweeps and Newton polish steps together, and `tol`
     ends a restart's sweeps early once no unitary moves by more than `tol`;
     the polish stops a restart on stationarity at rounding level, which
-    `tol` does not set.
+    `tol` does not set. Refuses the same arguments with ParseError.
     """
     return fubini_study_search(s1, s2, restarts, seed, max_sweeps, tol).angle_degrees
 
@@ -376,8 +388,12 @@ def tangle_ascent_oracle(s, pair: str = "ab", restarts: int = 16, seed: int = 0,
 
     Independent of the analytic protocol: plain Riemannian gradient ascent
     on the 15-parameter group with random restarts. Used to certify that
-    nothing exceeds the invariant bound.
+    nothing exceeds the invariant bound. Raises ParseError for `restarts` or
+    `max_iters` below 1, a negative `seed`, and a `gtol` that is not finite
+    or is negative.
     """
+    _check_options(seeds={"seed": seed}, counts={"restarts": restarts, "max_iters": max_iters},
+                   tols={"gtol": gtol})
     p, pq = _canonical_pair(pair)
     t = normalize(s).reshape(2, 2, 2)
     # relabel qubits so the coupled pair occupies the leading two slots;
@@ -385,8 +401,7 @@ def tangle_ascent_oracle(s, pair: str = "ab", restarts: int = 16, seed: int = 0,
     perm = tuple(QUBIT_AXIS[q] for q in pq + PARTITION_SPECTATOR[p])
     psi = np.ascontiguousarray(t.transpose(perm).reshape(8))
     rng = np.random.default_rng(seed)
-    inits = np.zeros((max(1, restarts), 15))
-    if restarts > 1:
-        inits[1:] = rng.uniform(-np.pi, np.pi, size=(restarts - 1, 15))
+    inits = np.zeros((restarts, 15))
+    inits[1:] = rng.uniform(-np.pi, np.pi, size=(restarts - 1, 15))
     best, _ = _kernels.tangle_ascent_best(psi, SU4_BASIS, inits, max_iters, gtol)
     return float(best)

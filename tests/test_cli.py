@@ -174,6 +174,12 @@ def test_fs_angle_command(ghz_file, tmp_path, capsys):
     assert 0.0 <= res["overlap_spread"] < 1.0
 
 
+def test_fs_angle_refuses_zero_restarts(ghz_file, capsys):
+    code, doc, err = run_cli(capsys, "fs-angle", "--state1", ghz_file,
+                             "--state2", ghz_file, "--restarts", "0")
+    assert code == 1 and doc is None and "restarts" in err
+
+
 def test_fs_angle_seed_reproducible(ghz_file, tmp_path, capsys):
     p = tmp_path / "s.json"
     from tanglevec import random_state

@@ -2,9 +2,11 @@
 import warnings
 
 import numpy as np
+import pytest
 
-from tanglevec import (LocalStep, _kernels, apply, fubini_study_angle, fubini_study_search,
-                       make_asymmetric_w, make_ghz, random_state, w_to_ghz_sequence)
+from tanglevec import (LocalStep, ParseError, _kernels, apply, fubini_study_angle, fubini_study_search,
+                       make_asymmetric_w, make_ghz, random_state, tangle_ascent_oracle,
+                       w_to_ghz_sequence)
 from tanglevec.gates import SIGMA as PAULIS
 from tanglevec.so6 import SU4_BASIS
 from tanglevec.synthesis import _random_su2_stack
@@ -93,6 +95,79 @@ def _fs_inputs(seed, n=6):
 def _overlap_of(t1, t2, us):
     w = np.einsum("ax,by,cz,xyz->abc", us[0], us[1], us[2], t2)
     return abs(np.vdot(t1, w))
+
+
+def _polar_stack(rng, n=64):
+    """(R, 4) rows of 2x2 matrices: random, rank 1, and four zero rows last."""
+    def z(*shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    rank1 = (z(n, 2)[:, :, None] * z(n, 2)[:, None, :]).reshape(n, 4)
+    return np.concatenate([z(n, 4), rank1, np.zeros((4, 4))])
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e-160, 1e150])
+def test_polar_2x2_matches_svd(scale):
+    m = scale * _polar_stack(np.random.default_rng(5))
+    u, nuc = _kernels._polar_2x2(m)
+    mats = m.reshape(-1, 2, 2)
+    v, sv, wh = np.linalg.svd(mats)
+    total = sv.sum(axis=1)
+    assert np.abs(u @ u.conj().transpose(0, 2, 1) - np.eye(2)).max() < 1e-15
+    # the maximum Re tr(U^T M) over unitaries U is the nuclear norm s1 + s2
+    live = total > 0.0
+    attained = np.einsum("rij,rij->r", u, mats).real
+    assert np.abs(attained[live] / total[live] - 1.0).max() < 1e-15
+    assert np.abs(nuc[live] / total[live] - 1.0).max() < 1e-15
+    # a full-rank factor is unique: it is the SVD's conj(V W^H)
+    assert np.abs(u[:64] - np.conj(v @ wh)[:64]).max() < 1e-14
+    # a zero matrix gives the identity, as its SVD does
+    assert not live[-4:].any() and (nuc[-4:] == 0.0).all()
+    np.testing.assert_array_equal(u[-4:], np.broadcast_to(np.eye(2), (4, 2, 2)))
+
+
+def test_fs_zero_overlap_restart_is_not_converged():
+    # |000> and |111> are locally equivalent, but the identity restart starts
+    # at a zero overlap, the minimum of |c|^2, where neither phase moves it
+    zero, one = np.eye(8)[0], np.eye(8)[7]
+    res = fubini_study_search(zero, one, restarts=1)
+    assert abs(res.angle_degrees - 90.0) < 1e-12
+    assert res.converged == 0 and not res.capped
+    res = fubini_study_search(zero, one)
+    assert res.angle_degrees < 1e-6
+    assert res.converged == res.restarts - 1 and not res.capped
+
+
+_W = make_asymmetric_w(np.arccos(1 / np.sqrt(3)), np.pi / 4)
+
+
+@pytest.mark.parametrize("call, kwargs", [
+    (fubini_study_search, {"restarts": 0}),
+    (fubini_study_search, {"restarts": -3}),
+    (fubini_study_search, {"max_sweeps": 0}),
+    (fubini_study_search, {"seed": -1}),
+    (fubini_study_search, {"tol": float("nan")}),
+    (fubini_study_search, {"tol": float("inf")}),
+    (fubini_study_search, {"tol": -1e-10}),
+    (fubini_study_angle, {"restarts": 0}),
+    (fubini_study_angle, {"max_sweeps": -1}),
+    (fubini_study_angle, {"tol": float("nan")}),
+    (tangle_ascent_oracle, {"restarts": 0}),
+    (tangle_ascent_oracle, {"max_iters": 0}),
+    (tangle_ascent_oracle, {"seed": -2}),
+    (tangle_ascent_oracle, {"gtol": float("nan")}),
+    (tangle_ascent_oracle, {"gtol": float("-inf")}),
+    (tangle_ascent_oracle, {"gtol": -1.0}),
+])
+def test_optimizer_options_are_refused(call, kwargs):
+    args = (_W,) if call is tangle_ascent_oracle else (_W, make_ghz())
+    with pytest.raises(ParseError, match=next(iter(kwargs))):
+        call(*args, **kwargs)
+
+
+def test_optimizer_options_at_their_least():
+    res = fubini_study_search(_W, make_ghz(), restarts=1, seed=0, max_sweeps=1, tol=0.0)
+    assert (res.restarts, res.sweeps, res.polish_iterations) == (1, 1, 0)
+    assert tangle_ascent_oracle(_W, restarts=1, seed=0, max_iters=1, gtol=0.0) >= 0.0
 
 
 def test_fs_best_overlap_basic():

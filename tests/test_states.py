@@ -36,6 +36,11 @@ def test_normalize_refuses_non_finite(bad):
         normalize(s)
 
 
+def test_random_state_refuses_a_negative_seed():
+    with pytest.raises(ParseError, match="seed"):
+        random_state(-1)
+
+
 def test_normalize_rescales_when_the_square_overflows():
     s = random_state(1)
     with pytest.warns(RuntimeWarning, match="overflow"):

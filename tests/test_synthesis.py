@@ -26,6 +26,17 @@ def test_coupling_core_zero_is_identity_up_to_phase():
     assert min_phase_distance(u, np.eye(8, dtype=complex)) < 1e-12
 
 
+@pytest.mark.parametrize("scale", [1e-160, 1e150])
+def test_min_phase_distance_scales_with_its_inputs(scale):
+    # a phase-shifted pair at unit scale, then the same pair scaled
+    u = sequence_unitary(synthesize_coupling_core([0.3, -0.7, 1.1]).sequence)
+    v = np.exp(0.9j) * u
+    v[2, 5] += 1e-3
+    ref = min_phase_distance(u, v)
+    assert 1e-4 < ref < 1e-2
+    assert abs(min_phase_distance(scale * u, scale * v) / (scale * ref) - 1.0) < 1e-12
+
+
 def test_coupling_core_random_alphas(rng):
     for _ in range(25):
         alpha = rng.uniform(-np.pi, np.pi, 3)
