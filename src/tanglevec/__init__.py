@@ -26,11 +26,12 @@ from .so6 import (CommutatorReport, So6Action, So6Generator, evolve_q,
 from .states import (EPS_NORM, fidelity_up_to_phase, make_acin,
                      make_asymmetric_w, make_ghz, matricize, normalize,
                      random_state, state_from_json, state_to_json)
-from .synthesis import (FubiniStudyResult, SynthesisResult, align_canonical,
-                        extremum_residual, fubini_study_angle,
+from .synthesis import (FubiniStudyResult, SynthesisResult, TangleAscentResult,
+                        align_canonical, extremum_residual, fubini_study_angle,
                         fubini_study_search, maximize_three_tangle,
                         min_phase_distance, synthesize_coupling_core,
-                        tangle_ascent_oracle, w_to_ghz_sequence)
+                        tangle_ascent_oracle, tangle_ascent_search,
+                        w_to_ghz_sequence)
 from .tangles import (TangleSet, bipartite_tangle_from_density,
                       bipartite_tangles, ckw_residual, tangle_set,
                       three_tangle, two_tangles)

@@ -1,30 +1,37 @@
 """The two optimizer kernels, each batched over a leading restart axis.
 
 Two optimizer loops dominate the library's runtime: the local-unitary
-overlap maximization behind the Fubini-Study angle, and the gradient-ascent
-oracle that cross-checks the analytic three-tangle maximum. Both run all
-random restarts in lockstep. A per-restart mask freezes each restart at the
-point where a one-restart-at-a-time loop would have stopped it, so every
-restart follows the trajectory it would follow alone (up to rounding), and
-a call costs as many iterations as its slowest restart instead of the sum
-over restarts.
+overlap maximization behind the Fubini-Study angle, and the ascent oracle
+that cross-checks the analytic three-tangle maximum. Both run all random
+restarts in lockstep. A per-restart mask freezes each restart at the point
+where a one-restart-at-a-time loop would have stopped it, so every restart
+follows the trajectory it would follow alone (up to rounding), and a call
+costs as many iterations as its slowest restart instead of the sum over
+restarts.
 
-The overlap search has two phases. A few alternating polar-factor sweeps
-(``fs_restarts``) bring each restart near an optimum; each update is the
-2x2 polar factor of a partial overlap in closed form (``_polar_2x2``, a few
-elementwise operations on the whole batch, no LAPACK call). The sweeps
+Both end in one trust-region Newton loop (``_newton``). It takes a model,
+which gives the value, gradient and Hessian for a stack of restarts, and a
+retraction, which moves each restart along a tangent step; it stops each
+restart once its gradient is at rounding level, so stationarity is judged,
+not the size of a step.
+
+The overlap search starts with a few alternating polar-factor sweeps
+(``fs_restarts``) that bring each restart near an optimum; each update is
+the 2x2 polar factor of a partial overlap in closed form (``_polar_2x2``, a
+few elementwise operations on the whole batch, no LAPACK call). The sweeps
 converge only linearly, and on degenerate optima the unitaries keep
-drifting along the flat directions long after the overlap has settled. So
-a trust-region Newton polish on SU(2)^3 (``fs_polish``, 9 tangent angles
-per restart) finishes every restart, and stops it once its gradient is at
-rounding level: stationarity is judged, not the step of the unitaries.
+drifting along the flat directions long after the overlap has settled, so
+the Newton loop finishes every restart on SU(2)^3 (``_fs_model``, 9 tangent
+angles).
 
-The ascent's line search compares tangle values, which stop resolving
-gains once a step's first-order gain eta |grad|^2 falls below the rounding
-of |A.A|^2; a gradient tolerance alone sits below that floor. So a restart
-also stops at the first rejected trial whose first-order gain is at most
-eps |A.A|^2 (eps the double-precision epsilon): that trial and every
-shorter one along the same direction are lost in rounding.
+The ascent goes from its random starts straight into the Newton loop. Its
+model (``_ascent_model``) moves the state by exp(i sum_k x_k H_k) on the
+pair with the 9 couplings H_k = sigma_n x sigma_m / 2 alone: local
+unitaries on the pair leave |A.A| fixed, so its gradient along them is
+exactly 0, and a 9x9 Hessian costs half the eigendecomposition of a 15x15
+one. Its retraction is the Cayley transform (``_pair_cayley``), which
+agrees with the exponential to second order and takes a 4x4 solve where
+the exponential takes an eigendecomposition.
 """
 from __future__ import annotations
 
@@ -32,7 +39,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .gates import I2, SIGMA, expi_hermitian
+from .gates import I2, PAIR_PAULIS, SIGMA, expi_hermitian
 from .vectors import _A_QUADS
 
 _EPS = np.finfo(float).eps
@@ -50,27 +57,24 @@ _FLIP = np.array([1.0, -1.0, -1.0, 1.0])
 _ONE = (np.array([16, 4, 1])[:, None] * np.arange(1, 4)).reshape(9)
 _SAME = np.kron(np.eye(3, dtype=bool), np.ones((3, 3), dtype=bool))
 _TWO = np.where(_SAME, 0, _ONE[:, None] + _ONE[None, :])
+# the ascent's directions H_k = sigma_n x sigma_m / 2 on the pair, as (36, 4)
+# rows that give every H_k psi in one product, and their anticommutators
+# {H_k, H_l} as a (16, 81) table contracted with the pair matrix v psi^T
+_H = PAIR_PAULIS[6:] / 2
+_H_ROWS = _H.reshape(36, 4)
+_ANTI = (np.einsum("kxy,lyz->klxz", _H, _H) + np.einsum("lxy,kyz->klxz", _H, _H)).reshape(81, 16).T
+_Q_ROWS = _A_QUADS.reshape(24, 8).T
+_I4 = np.eye(4)
 
 
-class KernelStats(NamedTuple):
-    """How a batched ascent ended.
+class SearchStats(NamedTuple):
+    """How a batched search ended.
 
-    ``iterations`` counts the line-search iterations of the longest-running
-    restart; ``converged`` counts the restarts that stopped before reaching
-    the iteration cap.
-    """
-
-    iterations: int
-    converged: int
-
-
-class FsStats(NamedTuple):
-    """How an overlap search ended.
-
-    ``sweeps`` and ``polish`` are the most sweeps and polish steps any
-    restart took; ``converged`` counts the restarts that ended stationary;
-    ``capped`` says whether a restart that did not converge used its whole
-    iteration budget; ``spread`` is the best minus the worst restart overlap.
+    ``sweeps`` and ``polish`` are the most sweeps and Newton steps any
+    restart took (the ascent takes no sweeps); ``converged`` counts the
+    restarts that ended stationary; ``capped`` says whether a restart that
+    did not converge used its whole iteration budget; ``spread`` is the best
+    minus the worst restart optimum.
     """
 
     sweeps: int
@@ -78,6 +82,89 @@ class FsStats(NamedTuple):
     converged: int
     capped: bool
     spread: float
+
+
+def _stats(vals, sweeps, polish, converged, cap):
+    capped = bool(((sweeps + polish >= cap) & ~converged).any())
+    return SearchStats(int(np.max(sweeps)), int(polish.max()), int(converged.sum()), capped,
+                       float(vals.max() - vals.min()))
+
+
+def _newton(model, retract, x, budget, gtol):
+    """Trust-region Newton ascent of v^2 from every row of ``x`` at once.
+
+    ``model(x)`` gives v (R,) and the gradient g (R, n) and Hessian H
+    (R, n, n) of v^2 in the tangent angles at x; ``retract(x, d)`` moves
+    each row of x by the tangent step d, in agreement with the model to
+    second order. Each step is the saddle-free Newton step |H|^-1 g
+    (H = V diag(lam) V^T, |H| = V diag(|lam|) V^T), cut back to the
+    restart's trust radius; |lam| is floored at 1e-3 max |lam|, since an
+    optimum with a continuous symmetry has flat directions. The radius
+    starts at 0.5 and doubles, up to 1, after a step to the boundary that
+    achieved over 0.75 of its predicted gain. A step is accepted when it
+    achieves 0.25 of its predicted gain; once the predicted gain is within
+    8 eps v^2, where v^2 no longer resolves it, a step is accepted when it
+    lowers |g|. A rejected step shrinks the radius to a quarter of the step.
+
+    A restart stops when stationary, |g| <= max(gtol, 64 eps v); at a
+    rejected step whose predicted gain is within 8 eps v^2, where no
+    shorter step can be resolved either; or after ``budget`` (R,) steps.
+    The first counts as converged, and so does the second when the gradient
+    is within sqrt(eps) v; a restart that stops at rounding with a larger
+    gradient is one the loop cannot move. Neither test counts v = 0 as
+    converged: there v^2 is at its minimum, and a restart that starts there
+    is one the loop cannot move.
+
+    Returns (v (R,), points, steps (R,), converged (R,) bool, cannot move
+    (R,) bool).
+    """
+    n = x.shape[0]
+    x = x.copy()
+    vals, g, h = model(x)
+    gnorm = np.linalg.norm(g, axis=1)
+    steps = np.zeros(n, dtype=np.int64)
+    converged = (vals > 0.0) & (gnorm <= np.maximum(gtol, 64 * _EPS * vals))
+    # at v = 0, v^2 is at its minimum with zero gradient: no step moves it
+    stuck = vals == 0.0
+    radius = np.full(n, 0.5)
+    dim = g.shape[1]
+    lam = np.ones((n, dim))
+    vec = np.zeros((n, dim, dim))
+    fresh = np.ones(n, dtype=bool)  # at a new point: H must be decomposed
+    act = np.flatnonzero(~converged & ~stuck & (budget > 0))
+    while act.size:
+        due = act[fresh[act]]
+        if due.size:
+            w, vec[due] = np.linalg.eigh(h[due])
+            w = np.abs(w)
+            lam[due] = np.maximum(w, 1e-3 * w.max(axis=1, keepdims=True))
+        v, ga, ha, c = vec[act], g[act], h[act], vals[act]
+        d = np.einsum("rij,rj->ri", v, np.einsum("rji,rj->ri", v, ga) / lam[act])
+        dnorm = np.linalg.norm(d, axis=1)
+        cut = np.minimum(1.0, radius[act] / dnorm)
+        d *= cut[:, None]
+        pred = np.einsum("ri,ri->r", ga, d) + 0.5 * np.einsum("ri,rij,rj->r", d, ha, d)
+        trial = retract(x[act], d)
+        vt, gt, ht = model(trial)
+        gtnorm = np.linalg.norm(gt, axis=1)
+        gain = vt ** 2 - c ** 2
+        rounding = pred <= 8 * _EPS * c ** 2
+        ok = np.where(rounding, gtnorm < gnorm[act], gain >= 0.25 * pred)
+        steps[act] += 1
+        grow = ok & (cut < 1.0) & (gain > 0.75 * pred)
+        radius[act] = np.where(ok, np.where(grow, np.minimum(2.0 * radius[act], 1.0),
+                                            radius[act]), 0.25 * cut * dnorm)
+        new = act[ok]
+        x[new], vals[new], g[new], h[new], gnorm[new] = (trial[ok], vt[ok], gt[ok], ht[ok],
+                                                         gtnorm[ok])
+        fresh[act] = ok
+        done = ok & (gtnorm <= np.maximum(gtol, 64 * _EPS * vt))
+        floor = ~ok & rounding
+        near = (c > 0.0) & (gnorm[act] <= np.sqrt(_EPS) * c)
+        converged[act] = done | (floor & near)
+        stuck[act] = floor & ~near
+        act = act[~(done | floor) & (steps[act] < budget[act])]
+    return vals, x, steps, converged, stuck
 
 
 def _polar_2x2(m):
@@ -190,78 +277,17 @@ def _su2_exp(x):
 
 
 def fs_polish(t1, t2, us, budget):
-    """Trust-region Newton ascent of |c|^2 from every row of ``us`` at once.
+    """``_newton`` on |c|^2 over SU(2)^3 from every row of ``us`` at once.
 
-    Each step is the saddle-free Newton step |H|^-1 g (H = V diag(lam) V^T,
-    |H| = V diag(|lam|) V^T), cut back to the restart's trust radius; |lam|
-    is floored at 1e-3 max |lam|, since GHZ's local stabilizer leaves flat
-    directions. The radius starts at 0.5 and doubles, up to 1, after a step
-    to the boundary that achieved over 0.75 of its predicted gain. A step is
-    accepted when it achieves 0.25 of its predicted gain; once the predicted
-    gain is within 8 eps |c|^2, where the overlaps no longer resolve it, a
-    step is accepted when it lowers |g|. A rejected step shrinks the radius to
-    a quarter of the step.
-
-    A restart stops when stationary at rounding level, |g| <= 64 eps |c|;
-    at a rejected step whose predicted gain is within 8 eps |c|^2, where
-    no shorter step can be resolved either; or after ``budget`` (R,) steps.
-    The first counts as converged, and so does the second when the gradient
-    is within sqrt(eps) |c|; a restart that stops at rounding with a larger
-    gradient is one the polish cannot move. Neither test counts |c| = 0 as
-    converged: there |c|^2 is at its minimum, and a restart that starts
-    there is one the polish cannot move.
-
-    Returns (overlaps (R,), unitaries (R, 3, 2, 2), steps (R,), converged
-    (R,) bool, cannot move (R,) bool).
+    The step at U moves each unitary to U_q exp(i x_q . sigma); GHZ's local
+    stabilizer leaves flat directions at every optimum. Returns (overlaps
+    (R,), unitaries (R, 3, 2, 2), steps (R,), converged (R,) bool, cannot
+    move (R,) bool).
     """
     t1c = np.conj(t1).reshape(8)
     table = np.einsum("iax,jby,kcz,xyz->abcijk", _PAULI, _PAULI, _PAULI, t2).reshape(8, 64)
-    n = us.shape[0]
-    us = us.copy()
-    vals, g, h = _fs_model(t1c, table, us)
-    gnorm = np.linalg.norm(g, axis=1)
-    steps = np.zeros(n, dtype=np.int64)
-    converged = (vals > 0.0) & (gnorm <= 64 * _EPS * vals)
-    # at |c| = 0, |c|^2 is at its minimum with zero gradient: no step moves it
-    stuck = vals == 0.0
-    radius = np.full(n, 0.5)
-    lam = np.ones((n, 9))
-    vec = np.zeros((n, 9, 9))
-    fresh = np.ones(n, dtype=bool)  # at a new point: H must be decomposed
-    act = np.flatnonzero(~converged & ~stuck & (budget > 0))
-    while act.size:
-        due = act[fresh[act]]
-        if due.size:
-            w, vec[due] = np.linalg.eigh(h[due])
-            w = np.abs(w)
-            lam[due] = np.maximum(w, 1e-3 * w.max(axis=1, keepdims=True))
-        v, ga, ha, c = vec[act], g[act], h[act], vals[act]
-        d = np.einsum("rij,rj->ri", v, np.einsum("rji,rj->ri", v, ga) / lam[act])
-        dnorm = np.linalg.norm(d, axis=1)
-        cut = np.minimum(1.0, radius[act] / dnorm)
-        d *= cut[:, None]
-        pred = np.einsum("ri,ri->r", ga, d) + 0.5 * np.einsum("ri,rij,rj->r", d, ha, d)
-        trial = us[act] @ _su2_exp(d)
-        vt, gt, ht = _fs_model(t1c, table, trial)
-        gtnorm = np.linalg.norm(gt, axis=1)
-        gain = vt ** 2 - c ** 2
-        rounding = pred <= 8 * _EPS * c ** 2
-        ok = np.where(rounding, gtnorm < gnorm[act], gain >= 0.25 * pred)
-        steps[act] += 1
-        grow = ok & (cut < 1.0) & (gain > 0.75 * pred)
-        radius[act] = np.where(ok, np.where(grow, np.minimum(2.0 * radius[act], 1.0),
-                                            radius[act]), 0.25 * cut * dnorm)
-        new = act[ok]
-        us[new], vals[new], g[new], h[new], gnorm[new] = (trial[ok], vt[ok], gt[ok], ht[ok],
-                                                          gtnorm[ok])
-        fresh[act] = ok
-        done = ok & (gtnorm <= 64 * _EPS * vt)
-        floor = ~ok & rounding
-        near = (c > 0.0) & (gnorm[act] <= np.sqrt(_EPS) * c)
-        converged[act] = done | (floor & near)
-        stuck[act] = floor & ~near
-        act = act[~(done | floor) & (steps[act] < budget[act])]
-    return vals, us, steps, converged, stuck
+    return _newton(lambda u: _fs_model(t1c, table, u), lambda u, d: u @ _su2_exp(d),
+                   us, budget, 0.0)
 
 
 def fs_best_overlap(t1, t2, inits, max_sweeps, tol):
@@ -272,9 +298,10 @@ def fs_best_overlap(t1, t2, inits, max_sweeps, tol):
     a polish step count one each); a restart the polish cannot move goes
     back to the sweep for what is left of its budget and is not counted as
     converged. Keeps the first restart with the largest overlap. Returns
-    (best overlap, its three unitaries, FsStats), so callers can recompute
-    the angle from the state distance, which stays well-conditioned when the
-    overlap approaches 1.
+    (best overlap, its three unitaries, SearchStats), so callers can
+    recompute the angle from the state distance, which stays
+    well-conditioned when the overlap approaches 1. Overlaps are clamped to
+    1, the best as well as those in the spread.
     """
     _, us, sweeps, _ = fs_restarts(t1, t2, inits, min(_SWEEPS, max_sweeps), tol)
     vals, us, polish, converged, stuck = fs_polish(t1, t2, us, max_sweeps - sweeps)
@@ -285,98 +312,64 @@ def fs_best_overlap(t1, t2, inits, max_sweeps, tol):
         sweeps[back] += more
     r = int(np.argmax(vals))
     best_us = us[r] if vals[r] > 0.0 else np.stack([np.eye(2, dtype=np.complex128)] * 3)
-    capped = bool(((sweeps + polish >= max_sweeps) & ~converged).any())
-    stats = FsStats(int(sweeps.max()), int(polish.max()), int(converged.sum()), capped,
-                    float(vals.max() - vals.min()))
-    return min(float(vals[r]), 1.0), best_us, stats
+    vals = np.minimum(vals, 1.0)
+    return float(vals[r]), best_us, _stats(vals, sweeps, polish, converged, max_sweeps)
 
 
-def _a_vector(psi):
-    """A_i = psi^T Q_i psi and Q_i psi for a (R, 8) stack of states."""
-    qpsi = (psi @ _A_QUADS.reshape(24, 8).T).reshape(-1, 3, 8)
-    return np.einsum("rim,rm->ri", qpsi, psi), qpsi
+def _ascent_model(psi):
+    """|f|, gradient g and Hessian H of |f|^2, f = A.A, at the (R, 8) states.
+
+    The 9 tangent angles x move psi to exp(i sum_k x_k H_k) psi on the pair
+    (the leading two qubits). With J_k = H_k psi, q_i = Q_i psi,
+    M = sum_i A_i Q_i and v = M psi, A_i = psi^T Q_i psi has
+    dA_i/dx_k = 2i q_i.J_k, so df/dx_k = 4i v.J_k, and f has the Hessian
+    2 dA^T dA - 4 J M J^T - 2 (v psi^T).{H_k, H_l}, whose first two terms
+    are -4 J (M + 2 sum_i q_i q_i^T) J^T.
+    """
+    r = psi.shape[0]
+    p4 = psi.reshape(r, 4, 2)
+    # J[r, k] = H_k psi as one (2R, 4) @ (4, 36) product on the pair axis
+    j = (p4.transpose(0, 2, 1).reshape(2 * r, 4) @ _H_ROWS.T).reshape(r, 2, 9, 4)
+    j = j.transpose(0, 2, 3, 1).reshape(r, 9, 8)
+    q = (psi @ _Q_ROWS).reshape(r, 3, 8)
+    a = np.einsum("rim,rm->ri", q, psi)
+    f = np.einsum("ri,ri->r", a, a)
+    v = np.einsum("ri,rim->rm", a, q)
+    df = 4j * np.einsum("rkm,rm->rk", j, v)
+    x = (a @ _A_QUADS.reshape(3, 64)).reshape(r, 8, 8) + 2.0 * (q.transpose(0, 2, 1) @ q)
+    w = (v.reshape(r, 4, 2) @ p4.transpose(0, 2, 1)).reshape(r, 16)
+    d2f = -4.0 * (j @ x @ j.transpose(0, 2, 1)) - 2.0 * (w @ _ANTI).reshape(r, 9, 9)
+    fc = np.conj(f)
+    g = 2.0 * np.real(fc[:, None] * df)
+    h = 2.0 * np.real(np.conj(df)[:, :, None] * df[:, None, :] + fc[:, None, None] * d2f)
+    return np.abs(f), g, h
 
 
-def _tangle_sq(a):
-    return np.abs(np.einsum("ri,ri->r", a, a)) ** 2
+def _pair_cayley(psi, d):
+    """(1 - i D/2)^-1 (1 + i D/2), D = sum_k d_k H_k, on each (R, 8) state's pair.
+
+    The Cayley transform of D is unitary and equals exp(i D) to second order.
+    """
+    h = (0.5j * (d @ _H.reshape(9, 16))).reshape(-1, 4, 4)
+    p4 = psi.reshape(-1, 4, 2)
+    return np.linalg.solve(_I4 - h, p4 + h @ p4).reshape(-1, 8)
 
 
 def tangle_ascent_best(psi0, gens, inits, max_iters, gtol):
-    """Best three-tangle from Riemannian gradient ascent on the pair group.
+    """Best three-tangle from a Newton ascent on the pair group.
 
-    Ascends |A.A|^2 over exp(sum_k xi_k G_k) acting on the leading qubit
-    pair, from each row of ``inits``. Every restart runs its own line search:
-    after an accepted step it takes a gradient; each trial step that fails to
-    improve shrinks its step size by 0.4, an accepted one grows it by 1.3.
-    A restart stops at a gradient below ``gtol``, at ``max_iters`` iterations,
-    or when its line search fails: a rejected trial whose first-order gain
-    eta |grad|^2 is at most eps |A.A|^2 (below what a double-precision
-    comparison can resolve), 50 trials, or a step size below 1e-16. The
-    restarts advance in lockstep, one trial per tick. A trial step is
-    exp(i eta H) with H the gradient direction, so each direction is
-    diagonalized once, in one stacked eigendecomposition with the other
-    restarts' new directions, and every trial along it only rescales phases.
+    Each restart starts at exp(sum_k xi_k G_k) psi0 for its row xi of
+    ``inits``, with the 15 generators ``gens`` acting on the leading qubit
+    pair, and runs ``_newton`` on |A.A|^2 over the 9 pair couplings
+    (``_ascent_model``) for at most ``max_iters`` steps; ``gtol`` is the
+    gradient at which a restart counts as stationary even above rounding.
 
-    Returns (4 sqrt(best |A.A|^2), KernelStats).
+    Returns (4 max |A.A|, SearchStats over the restart tangles).
     """
     n = inits.shape[0]
-    flat_gens = gens.reshape(15, 16)
-    neg_i_gens = (-1j * gens).reshape(15, 16)
-    # states are (4, 2) matrices with the coupled pair on the rows
-    start = expi_hermitian((inits @ neg_i_gens).reshape(n, 4, 4))
+    start = expi_hermitian((inits @ (-1j * gens).reshape(15, 16)).reshape(n, 4, 4))
     psi = (start @ psi0.reshape(4, 2)).reshape(n, 8)
-    a, qpsi = _a_vector(psi)
-    g = _tangle_sq(a)
-    eta = np.full(n, 0.1)
-    # search direction exp(i eta H) = vec diag(exp(i eta lam)) vec^H, and
-    # phi = vec^H psi; a restart stopped at its first gradient keeps H = 0
-    lam = np.zeros((n, 4))
-    vec = np.tile(np.eye(4, dtype=np.complex128), (n, 1, 1))
-    iters = np.zeros(n, dtype=np.int64)
-    tries = np.zeros(n, dtype=np.int64)
-    fresh = np.ones(n, dtype=bool)  # started or just accepted a step: gradient due
-    active = np.ones(n, dtype=bool)
-    capped = np.zeros(n, dtype=bool)
-    # every tick evaluates the whole batch (the cost is per call, not per row)
-    # and masks which restarts take the results
-    while True:
-        if fresh.any():
-            v = np.einsum("ri,rim->rm", a, qpsi)
-            # (G_k psi).v = sum_xy G_k[x, y] (V Psi^T)[x, y] on the pair axes
-            w = v.reshape(n, 4, 2) @ psi.reshape(n, 4, 2).transpose(0, 2, 1)
-            a2 = np.einsum("ri,ri->r", a, a)
-            grad = 8.0 * np.real(np.conj(a2)[:, None] * (w.reshape(n, 16) @ flat_gens.T))
-            capped |= fresh & (iters >= max_iters)
-            # a row that accepted no step kept its state and direction, so
-            # every row of grad, gsq and phi holds its restart's current values
-            gsq = np.einsum("rk,rk->r", grad, grad)
-            active &= ~(fresh & ((gsq < gtol * gtol) | capped))
-            tries[fresh] = 0
-            due = fresh & active
-            lam[due], vec[due] = np.linalg.eigh((grad[due] @ neg_i_gens).reshape(-1, 4, 4))
-            phi = vec.conj().transpose(0, 2, 1) @ psi.reshape(n, 4, 2)
-        if not active.any():
-            break
-        trial = (vec @ (np.exp(1j * eta[:, None] * lam)[:, :, None] * phi)).reshape(n, 8)
-        trial /= np.linalg.norm(trial, axis=1, keepdims=True)
-        at, qt = _a_vector(trial)
-        gt = _tangle_sq(at)
-        fresh = active & (gt > g)
-        np.copyto(psi, trial, where=fresh[:, None])
-        np.copyto(a, at, where=fresh[:, None])
-        np.copyto(qpsi, qt, where=fresh[:, None, None])
-        np.copyto(g, gt, where=fresh)
-        eta[fresh] *= 1.3
-        iters += fresh
-        rejected = active & ~fresh
-        # the trial's first-order gain eta |grad|^2 is within the rounding of
-        # g, so neither it nor any shorter trial can show an improvement
-        stalled = eta * gsq <= _EPS * g
-        eta[rejected] *= 0.4
-        tries += rejected
-        # a line search that brings no improvement ends the restart's ascent
-        failed = rejected & (stalled | (tries == 50) | (eta < 1e-16))
-        iters += failed
-        active &= ~failed
-    stats = KernelStats(int(iters.max()), int(n - capped.sum()))
-    return 4.0 * np.sqrt(g.max()), stats
+    vals, _, steps, converged, _ = _newton(_ascent_model, _pair_cayley, psi,
+                                           np.full(n, max_iters), gtol)
+    tangles = 4.0 * vals
+    return float(tangles.max()), _stats(tangles, 0, steps, converged, max_iters)

@@ -223,9 +223,11 @@ def apply(seq, s) -> np.ndarray:
 
 
 def coupling_axis_step(pair: str, n: int, m: int, zeta: float) -> CouplingStep:
-    """exp(zeta i sigma_n sigma_m) on the pair; n, m in {1, 2, 3}."""
+    """exp(zeta i sigma_n sigma_m) on the pair; n, m in {1, 2, 3}, else ParseError."""
+    if n not in (1, 2, 3) or m not in (1, 2, 3):
+        raise ParseError(f"coupling axes must be 1, 2 or 3, got {n!r}, {m!r}")
     th = np.zeros((3, 3))
-    th[n - 1, m - 1] = 2.0 * zeta
+    th[int(n) - 1, int(m) - 1] = 2.0 * zeta
     return CouplingStep(pair, th)
 
 

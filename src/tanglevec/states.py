@@ -62,6 +62,23 @@ def _check_options(*, seeds=None, counts=None, tols=None) -> None:
             raise ParseError(f"{name} must be finite and not negative, got {value!r}")
 
 
+def _finite_params(values, n: int, what: str) -> np.ndarray:
+    """The real parameters ``values`` as n finite floats.
+
+    Raises ParseError naming ``what`` for a value that is not a real
+    number, a count other than n, or a NaN or infinite value.
+    """
+    try:
+        x = np.asarray(values, dtype=float).reshape(-1)
+    except (TypeError, ValueError):
+        raise ParseError(f"{what}: expected {n} real numbers, got {values!r}") from None
+    if x.shape != (n,):
+        raise ParseError(f"{what}: expected {n} real numbers, got {x.size}")
+    if not np.isfinite(x).all():
+        raise ParseError(f"{what} must be finite, got {values!r}")
+    return x
+
+
 def as_state(amp) -> np.ndarray:
     """Coerce to a complex length-8 vector without copying when possible."""
     s = np.asarray(amp, dtype=complex).reshape(-1)
@@ -118,8 +135,9 @@ def make_asymmetric_w(theta: float, phi: float) -> np.ndarray:
     """Asymmetric W state sin(t)cos(p)|001> + sin(t)sin(p)|010> + cos(t)|100>.
 
     theta = arccos(1/sqrt(3)), phi = pi/4 gives the standard symmetric W state.
-    Angles in radians.
+    Angles in radians; ParseError when one is not finite.
     """
+    theta, phi = _finite_params((theta, phi), 2, "theta, phi")
     s = np.zeros(8, dtype=complex)
     s[1] = np.sin(theta) * np.cos(phi)
     s[2] = np.sin(theta) * np.sin(phi)
@@ -131,11 +149,9 @@ def make_acin(lambdas) -> np.ndarray:
     """Five-parameter canonical state in the c(ab) arrangement.
 
     e^{i pi/4} (l0|000> + l1|010> + l2|110> + l3|011> + l4|111>) with
-    sum(l_i^2) = 1.
+    sum(l_i^2) = 1; ParseError unless there are 5 finite coefficients.
     """
-    lam = np.asarray(lambdas, dtype=float).reshape(-1)
-    if lam.shape != (5,):
-        raise ParseError("expected 5 coefficients")
+    lam = _finite_params(lambdas, 5, "lambdas")
     if abs(np.sum(lam**2) - 1.0) > EPS_NORM:
         raise NotNormalized(f"sum of squares is {np.sum(lam**2)}, not 1")
     s = np.zeros(8, dtype=complex)

@@ -17,8 +17,8 @@ maximizer applies its sequence once; the Hilbert picture certifies it.
 
 Plus the Fubini-Study angle (a restarted local search over the 9 local
 rotation angles, reported in degrees, with its convergence record from
-fubini_study_search) and a gradient-ascent oracle used to
-certify the maximization bound.
+fubini_study_search) and a Newton-ascent oracle used to certify the
+maximization bound (with its convergence record from tangle_ascent_search).
 """
 from __future__ import annotations
 
@@ -32,7 +32,7 @@ from .gates import (CouplingStep, LocalStep, PhaseStep, _pair_qubits, apply,
                     coupling_axis_step, sequence_unitary)
 from .so6 import SU4_BASIS, so3_image
 from .states import (PARTITION_PAIR, PARTITION_SPECTATOR, QUBIT_AXIS, _check_options,
-                     make_asymmetric_w, make_ghz, normalize)
+                     _finite_params, make_asymmetric_w, make_ghz, normalize)
 from .tangles import _measures, three_tangle
 from .vectors import EPS_INV, _gauge, _vectors
 
@@ -76,9 +76,9 @@ def synthesize_coupling_core(alpha, pair: str = "ab") -> SynthesisResult:
     The component swaps park one vector component among the partner triple
     of the 6-vector so that a plain local rotation supplies each coupling
     angle; the three swaps are the only entangling steps and all have fixed
-    CZ-class strength pi/4.
+    CZ-class strength pi/4. ParseError unless alpha is 3 finite angles.
     """
-    a1, a2, a3 = (float(x) for x in np.asarray(alpha, dtype=float).reshape(3))
+    a1, a2, a3 = (float(x) for x in _finite_params(alpha, 3, "alpha"))
     _, pq = _canonical_pair(pair)
     q1, q2 = pq[0], pq[1]
     seq = [
@@ -109,7 +109,9 @@ def w_to_ghz_sequence(theta: float, phi: float) -> SynthesisResult:
     local z rotations remove the phi dependence, an ab coupling of angle
     pi/4 - theta equalizes the amplitudes, and local rotations plus a sign
     finish the job. theta in {0, pi/2} leaves no tripartite resource.
+    ParseError when an angle is not finite.
     """
+    start = make_asymmetric_w(theta, phi)
     t_mod = theta % np.pi
     if min(abs(t_mod), abs(t_mod - np.pi), abs(t_mod - np.pi / 2)) <= EPS_INV:
         raise DegenerateInput(f"theta = {theta} gives a degenerate W state")
@@ -124,7 +126,7 @@ def w_to_ghz_sequence(theta: float, phi: float) -> SynthesisResult:
         LocalStep("a", (0.0, 0.0, -np.pi / 2)),
         PhaseStep(np.pi),
     ]
-    final = apply(seq, make_asymmetric_w(theta, phi))
+    final = apply(seq, start)
     fid = float(abs(np.vdot(final, make_ghz())))
     couplings = sum(isinstance(s, CouplingStep) for s in seq)
     return SynthesisResult(seq, fid, {"coupling_steps": couplings,
@@ -382,15 +384,37 @@ def fubini_study_angle(s1, s2, restarts: int = 32, seed: int = 0,
 
 # --- independent ascent oracle ---------------------------------------------
 
-def tangle_ascent_oracle(s, pair: str = "ab", restarts: int = 16, seed: int = 0,
-                         max_iters: int = 400, gtol: float = 1e-10) -> float:
-    """Numerically maximize the three-tangle over the pair's full SU(4).
+@dataclass(frozen=True)
+class TangleAscentResult:
+    """A tangle ascent: the best three-tangle and how its restarts ended.
 
-    Independent of the analytic protocol: plain Riemannian gradient ascent
-    on the 15-parameter group with random restarts. Used to certify that
-    nothing exceeds the invariant bound. Raises ParseError for `restarts` or
-    `max_iters` below 1, a negative `seed`, and a `gtol` that is not finite
-    or is negative.
+    ``iterations`` is the most Newton steps any restart took; ``converged``
+    counts the restarts that ended stationary (not one that starts at zero
+    tangle, the minimum, where no step moves it); ``capped`` says whether a
+    restart that did not converge used all of ``max_iters``;
+    ``tangle_spread`` is the best minus the worst restart tangle (0 when
+    every restart found the same maximum).
+    """
+
+    tangle: float
+    restarts: int
+    iterations: int
+    converged: int
+    capped: bool
+    tangle_spread: float
+
+
+def tangle_ascent_search(s, pair: str = "ab", restarts: int = 16, seed: int = 0,
+                         max_iters: int = 400, gtol: float = 1e-10) -> TangleAscentResult:
+    """Numerically maximize the three-tangle over the pair's SU(4), with diagnostics.
+
+    Independent of the analytic protocol: a trust-region Newton ascent of
+    |A.A|^2 along the 9 pair couplings from `restarts` random points of the
+    15-parameter group (the first is the identity). Used to certify that
+    nothing exceeds the invariant bound. `max_iters` caps each restart's
+    Newton steps; a restart ends once its gradient is below `gtol` or at
+    rounding level. Raises ParseError for `restarts` or `max_iters` below 1,
+    a negative `seed`, and a `gtol` that is not finite or is negative.
     """
     _check_options(seeds={"seed": seed}, counts={"restarts": restarts, "max_iters": max_iters},
                    tols={"gtol": gtol})
@@ -403,5 +427,16 @@ def tangle_ascent_oracle(s, pair: str = "ab", restarts: int = 16, seed: int = 0,
     rng = np.random.default_rng(seed)
     inits = np.zeros((restarts, 15))
     inits[1:] = rng.uniform(-np.pi, np.pi, size=(restarts - 1, 15))
-    best, _ = _kernels.tangle_ascent_best(psi, SU4_BASIS, inits, max_iters, gtol)
-    return float(best)
+    best, stats = _kernels.tangle_ascent_best(psi, SU4_BASIS, inits, max_iters, gtol)
+    return TangleAscentResult(best, restarts, stats.polish, stats.converged, stats.capped,
+                              stats.spread)
+
+
+def tangle_ascent_oracle(s, pair: str = "ab", restarts: int = 16, seed: int = 0,
+                         max_iters: int = 400, gtol: float = 1e-10) -> float:
+    """Numerically maximize the three-tangle over the pair's full SU(4).
+
+    The tangle of ``tangle_ascent_search`` with the same arguments; refuses
+    the same arguments with ParseError.
+    """
+    return tangle_ascent_search(s, pair, restarts, seed, max_iters, gtol).tangle

@@ -6,7 +6,8 @@ import pytest
 
 from tanglevec import (LocalStep, ParseError, _kernels, apply, fubini_study_angle, fubini_study_search,
                        make_asymmetric_w, make_ghz, random_state, tangle_ascent_oracle,
-                       w_to_ghz_sequence)
+                       tangle_ascent_search, w_to_ghz_sequence)
+from tanglevec.gates import PAIR_PAULIS, expi_hermitian
 from tanglevec.gates import SIGMA as PAULIS
 from tanglevec.so6 import SU4_BASIS
 from tanglevec.synthesis import _random_su2_stack
@@ -135,6 +136,8 @@ def test_fs_zero_overlap_restart_is_not_converged():
     res = fubini_study_search(zero, one)
     assert res.angle_degrees < 1e-6
     assert res.converged == res.restarts - 1 and not res.capped
+    # overlaps of unit states are at most 1, and so is their spread
+    assert res.overlap_spread <= 1.0
 
 
 _W = make_asymmetric_w(np.arccos(1 / np.sqrt(3)), np.pi / 4)
@@ -157,9 +160,13 @@ _W = make_asymmetric_w(np.arccos(1 / np.sqrt(3)), np.pi / 4)
     (tangle_ascent_oracle, {"gtol": float("nan")}),
     (tangle_ascent_oracle, {"gtol": float("-inf")}),
     (tangle_ascent_oracle, {"gtol": -1.0}),
+    (tangle_ascent_search, {"restarts": -1}),
+    (tangle_ascent_search, {"max_iters": 0}),
+    (tangle_ascent_search, {"seed": -1}),
+    (tangle_ascent_search, {"gtol": float("inf")}),
 ])
 def test_optimizer_options_are_refused(call, kwargs):
-    args = (_W,) if call is tangle_ascent_oracle else (_W, make_ghz())
+    args = (_W,) if call in (tangle_ascent_oracle, tangle_ascent_search) else (_W, make_ghz())
     with pytest.raises(ParseError, match=next(iter(kwargs))):
         call(*args, **kwargs)
 
@@ -168,6 +175,11 @@ def test_optimizer_options_at_their_least():
     res = fubini_study_search(_W, make_ghz(), restarts=1, seed=0, max_sweeps=1, tol=0.0)
     assert (res.restarts, res.sweeps, res.polish_iterations) == (1, 1, 0)
     assert tangle_ascent_oracle(_W, restarts=1, seed=0, max_iters=1, gtol=0.0) >= 0.0
+    # the one restart is the identity, where W has |A.A| = 0: the minimum
+    # of the tangle, which no Newton step leaves and which is not converged
+    res = tangle_ascent_search(_W, restarts=1, seed=0, max_iters=1, gtol=0.0)
+    assert (res.tangle, res.restarts, res.iterations, res.converged) == (0.0, 1, 0, 0)
+    assert not res.capped and res.tangle_spread == 0.0
 
 
 def test_fs_best_overlap_basic():
@@ -230,42 +242,72 @@ def _ascent_inputs(seed, n=4):
     return random_state(seed), inits
 
 
+def _ascent_value(psi):
+    a = (_A_QUADS @ psi) @ psi
+    return abs(a @ a) ** 2
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_ascent_model_matches_finite_differences(seed):
+    # |A.A|^2 at exp(i sum_k x_k P_k / 2) psi over the 9 couplings P_k, by
+    # central differences in x, against the model's gradient and Hessian
+    psi = random_state(seed)
+    dirs = PAIR_PAULIS[6:] / 2
+
+    def value(x):
+        return _ascent_value((expi_hermitian(np.tensordot(x, dirs, axes=1))
+                              @ psi.reshape(4, 2)).reshape(8))
+    vals, g, h = _kernels._ascent_model(psi[None])
+    assert abs(vals[0] ** 2 - value(np.zeros(9))) < 1e-15
+    e, eye = 1e-4, np.eye(9)
+    grad = [(value(e * eye[k]) - value(-e * eye[k])) / (2 * e) for k in range(9)]
+    hess = [[(value(e * (eye[k] + eye[l])) - value(e * (eye[k] - eye[l]))
+              - value(e * (eye[l] - eye[k])) + value(-e * (eye[k] + eye[l]))) / (4 * e * e)
+             for l in range(9)] for k in range(9)]
+    assert np.abs(g[0] - grad).max() < 1e-8
+    assert np.abs(h[0] - hess).max() < 1e-7
+
+
 def test_ascent_matches_reference_loop():
     for seed in range(3):
         psi, inits = _ascent_inputs(seed)
         ref = _ascent_reference(psi, SU4_BASIS, _A_QUADS, inits, 300, 1e-10)
         best, stats = _kernels.tangle_ascent_best(psi, SU4_BASIS, inits, 300, 1e-10)
         assert abs(best - ref) < 1e-9
-        assert 1 <= stats.iterations < 300
+        assert 1 <= stats.polish < 300
         assert stats.converged == inits.shape[0]
 
 
 def test_ascent_cap_is_reported():
+    # three Newton steps are too few for any restart: each is cut at the
+    # cap, above its start and below the converged maximum
     psi, inits = _ascent_inputs(5)
-    ref = _ascent_reference(psi, SU4_BASIS, _A_QUADS, inits, 3, 1e-10)
     best, stats = _kernels.tangle_ascent_best(psi, SU4_BASIS, inits, 3, 1e-10)
-    assert abs(best - ref) < 1e-9
-    assert stats == (3, 0)
+    assert (stats.polish, stats.converged, stats.capped) == (3, 0, True)
+    # an infinite gtol stops every restart at its start, before any step
+    start, _ = _kernels.tangle_ascent_best(psi, SU4_BASIS, inits, 1, np.inf)
+    full, stats = _kernels.tangle_ascent_best(psi, SU4_BASIS, inits, 400, 1e-10)
+    assert stats.converged == inits.shape[0] and not stats.capped
+    assert start < best < full
 
 
 def test_ascent_ends_when_trials_fall_below_rounding(monkeypatch):
-    # at the library defaults the line search would run on long after the
-    # gains it compares have dropped below the rounding of |A.A|^2; the
-    # kernel evaluates A once at the start and once per tick
+    # every restart stops once stationary or at rounding; the kernel
+    # evaluates the model once at the start and once per Newton step
     calls = []
-    real = _kernels._a_vector
+    real = _kernels._ascent_model
 
     def counted(psi):
         calls.append(1)
         return real(psi)
-    monkeypatch.setattr(_kernels, "_a_vector", counted)
-    ticks = []
+    monkeypatch.setattr(_kernels, "_ascent_model", counted)
+    evals = []
     for seed in range(20):
         psi, inits = _ascent_inputs(seed, 16)
         calls.clear()
         _kernels.tangle_ascent_best(psi, SU4_BASIS, inits, 400, 1e-10)
-        ticks.append(len(calls) - 1)
-    assert np.mean(ticks) < 50
+        evals.append(len(calls))
+    assert np.mean(evals) < 20
 
 
 def test_ascent_rounding_stop_keeps_the_best_tangle():

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -5,7 +7,7 @@ from tanglevec import (CouplingStep, DegenerateInput, GaugeUndefined,
                        LocalStep, ParseError, PhaseStep, abc_vectors, align_canonical, apply,
                        apply_gauge, bipartite_tangles, coupling_axis_step, extremum_residual,
                        fidelity_up_to_phase, fubini_study_angle, gauge_phase,
-                       make_asymmetric_w, make_ghz, maximize_three_tangle,
+                       make_acin, make_asymmetric_w, make_ghz, maximize_three_tangle,
                        min_phase_distance, normalize, q_vector, random_state,
                        sequence_unitary, synthesize_coupling_core,
                        tangle_ascent_oracle, three_tangle,
@@ -459,3 +461,23 @@ def test_fs_angle_w1_milestone():
     w = make_asymmetric_w(STD_THETA, np.pi / 4)
     w1 = apply([coupling_axis_step("bc", 1, 1, np.pi / 4)], w)
     assert abs(fubini_study_angle(w1, GHZ, seed=0) - 9.7356) < 0.01
+
+
+# --- malformed parameters ---------------------------------------------------
+
+@pytest.mark.parametrize("call, args", [
+    (synthesize_coupling_core, ([1.0, 2.0],)),
+    (synthesize_coupling_core, ([0.1, np.nan, 0.3],)),
+    (coupling_axis_step, ("ab", 4, 1, 0.1)),
+    (coupling_axis_step, ("ab", 1, 0, 0.1)),
+    (make_asymmetric_w, (np.nan, 0.0)),
+    (make_asymmetric_w, (0.3, np.inf)),
+    (make_acin, ([np.nan, 0.0, 0.0, 0.0, 1.0],)),
+    (make_acin, ([1.0, 0.0],)),
+    (w_to_ghz_sequence, (0.5, np.inf)),
+])
+def test_malformed_parameters_are_refused(call, args):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ParseError):
+            call(*args)
