@@ -242,11 +242,6 @@ def _ascent_inputs(seed, n=4):
     return random_state(seed), inits
 
 
-def _ascent_value(psi):
-    a = (_A_QUADS @ psi) @ psi
-    return abs(a @ a) ** 2
-
-
 @pytest.mark.parametrize("seed", range(3))
 def test_ascent_model_matches_finite_differences(seed):
     # |A.A|^2 at exp(i sum_k x_k P_k / 2) psi over the 9 couplings P_k, by
@@ -255,8 +250,9 @@ def test_ascent_model_matches_finite_differences(seed):
     dirs = PAIR_PAULIS[6:] / 2
 
     def value(x):
-        return _ascent_value((expi_hermitian(np.tensordot(x, dirs, axes=1))
-                              @ psi.reshape(4, 2)).reshape(8))
+        moved = (expi_hermitian(np.tensordot(x, dirs, axes=1)) @ psi.reshape(4, 2)).reshape(8)
+        a = (_A_QUADS @ moved) @ moved
+        return abs(a @ a) ** 2
     vals, g, h = _kernels._ascent_model(psi[None])
     assert abs(vals[0] ** 2 - value(np.zeros(9))) < 1e-15
     e, eye = 1e-4, np.eye(9)
