@@ -19,7 +19,7 @@ from .errors import (InvariantViolation, NotRepresentable, ParseError,
                      TangleVecError)
 from .gates import (CouplingStep, LocalStep, PhaseStep, apply,
                     sequence_from_json, sequence_to_json)
-from .quaternionic import QuaternionicState, is_quaternionic, reduce_to_acin, to_state
+from .quaternionic import QuaternionicState, _reduce, is_quaternionic, to_state
 from .so6 import evolve_q, verify_commutators
 from .states import (normalize, parse_partition, random_state,
                      state_from_json, state_to_json)
@@ -168,16 +168,15 @@ def cmd_fs_angle(args) -> int:
 
 
 def cmd_quat_reduce(args) -> int:
-    x = np.array([float(v) for v in args.x.split(",")])
-    y = np.array([float(v) for v in args.y.split(",")])
-    qs = QuaternionicState(x, y)
-    seq, params = reduce_to_acin(qs)
-    final = apply(seq, to_state(qs))
+    # QuaternionicState refuses a count other than 4 or a non-finite number
+    seq, params, final, residual = _reduce(QuaternionicState(args.x.split(","),
+                                                             args.y.split(",")))
     payload = {
         "sequence": _sequence_payload(seq),
         "xi": params.xi,
         "lambdas": [float(v) for v in params.lambdas],
         "final_state": json.loads(state_to_json(final)),
+        "residual": residual,
     }
     _emit(_report("quat reduce", None, payload), args.pretty)
     return EXIT_OK

@@ -20,12 +20,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateInput, InvariantViolation, NotNormalized, ParseError
-from .gates import LocalStep, PhaseStep, apply
+from .gates import LocalStep, apply
 from .so6 import GENERATOR_LABELS, SO6_BASIS, SU4_BASIS
-from .states import EPS_NORM, as_state, make_acin, squared_norm
+from .states import EPS_NORM, _finite_params, as_state, make_acin, squared_norm
 from .synthesis import _axis_angle_local_step, _frame_rotation_steps, _rotation_axis_angle
 from .tangles import TangleSet
-from .vectors import EPS_INV, AbcVectors, abc_vectors
+from .vectors import EPS_INV, AbcVectors
 
 # --- quaternion algebra (4-vectors (q0, q1, q2, q3)) -----------------------
 
@@ -85,8 +85,9 @@ class QuaternionicState:
     y: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "x", np.asarray(self.x, dtype=float).reshape(4))
-        object.__setattr__(self, "y", np.asarray(self.y, dtype=float).reshape(4))
+        # ParseError unless each is 4 finite real numbers
+        object.__setattr__(self, "x", _finite_params(self.x, 4, "x"))
+        object.__setattr__(self, "y", _finite_params(self.y, 4, "y"))
 
     @property
     def norm_squared(self) -> float:
@@ -254,19 +255,6 @@ def usp_generators() -> UspGenerators:
                          _EXCLUDED_LABELS, SU4_BASIS[ex], SO6_BASIS[ex])
 
 
-def is_quaternionic_block_matrix(m4: np.ndarray, tol: float = 1e-12) -> bool:
-    """True when each 2x2 block of a 4x4 matrix has the [[w, z], [-z*, w*]] form."""
-    m = np.asarray(m4, dtype=complex).reshape(4, 4)
-    for bi in range(2):
-        for bj in range(2):
-            blk = m[2 * bi:2 * bi + 2, 2 * bj:2 * bj + 2]
-            if abs(blk[1, 1] - np.conj(blk[0, 0])) > tol:
-                return False
-            if abs(blk[1, 0] + np.conj(blk[0, 1])) > tol:
-                return False
-    return True
-
-
 # --- reduction to the canonical form ----------------------------------------
 
 def balance_chi(qs: QuaternionicState) -> float:
@@ -275,12 +263,16 @@ def balance_chi(qs: QuaternionicState) -> float:
     After exp(i chi sigma_y^(b)) the pair transforms as
     (x, y) -> (cos(chi) x + sin(chi) y, cos(chi) y - sin(chi) x) and the
     first component of B (proportional to x.x - y.y) vanishes. Returns 0
-    when already balanced.
+    when already balanced, to 1e-14 of x.x + y.y. The pair is first
+    rescaled, exactly, by the power of two that brings its largest
+    component near 1, so the squares neither underflow nor overflow.
     """
-    x, y = qs.x, qs.y
-    delta = float(x @ x - y @ y)
+    e = math.frexp(float(max(np.abs(qs.x).max(), np.abs(qs.y).max())))[1]
+    x, y = np.ldexp(qs.x, -e), np.ldexp(qs.y, -e)
+    xx, yy = float(x @ x), float(y @ y)
+    delta = xx - yy
     omega = 2.0 * float(x @ y)
-    if abs(delta) <= 1e-14:
+    if abs(delta) <= 1e-14 * (xx + yy):
         return 0.0
     return 0.5 * float(np.arctan2(delta, -omega))
 
@@ -297,79 +289,60 @@ def _left_mult_step_a(v) -> LocalStep:
     return _axis_angle_local_step("a", vec / nv, 2.0 * float(np.arctan2(nv, v[0])))
 
 
-def _reduce_stages(qs: QuaternionicState) -> dict:
+def _reduce(qs: QuaternionicState):
+    """Design every step of the reduction from (x, y), then apply it once.
+
+    Returns (sequence, params, final state, residual), where the residual is
+    the largest amplitude difference between the final state and
+    make_acin(params.lambdas); above 1e-10 it raises InvariantViolation.
+    The bound needs no scale: to_state requires x.x + y.y = 1/2, so the
+    thresholds below are relative too.
+    """
     state = to_state(qs)
-    seq: list = []
+    x, y = qs.x, qs.y
 
     # (i) balance x.x = y.y; the branch is chosen so the scalar part of x
     # comes out non-negative after step (ii), landing on the canonical signs
     chi = balance_chi(qs)
-    x, y = qs.x, qs.y
     delta = float(x @ x - y @ y)
     omega = 2.0 * float(x @ y)
     if np.cos(2 * chi) * omega - np.sin(2 * chi) * delta < 0.0:
         chi += np.pi / 2
-    step = LocalStep("b", (0.0, 2.0 * chi, 0.0))
-    seq.append(step)
-    state = apply([step], state)
-    x, y, res = _extract(state)
-    if res > 1e-9:
-        raise InvariantViolation(f"lost quaternionic form while balancing ({res})")
+    c, s = np.cos(chi), np.sin(chi)
+    x, y = c * x + s * y, c * y - s * x
+    seq: list = [LocalStep("b", (0.0, 2.0 * chi, 0.0))]
 
+    # (ii) left-multiply by v = 2 conj(y), a unit quaternion: y becomes 1/2
     v = 2.0 * quat_conj(y)
-    step = _left_mult_step_a(v)
-    seq.append(step)
-    state = apply([step], state)
-    x, y, res = _extract(state)
-    if res > 1e-9 or abs(y[0] - 0.5) > 1e-9 or np.abs(y[1:]).max() > 1e-9:
-        raise InvariantViolation("y did not reduce to the scalar 1/2")
+    seq.append(_left_mult_step_a(v))
+    x = quat_mul(v, x)
 
+    # (iii) the Eq-(3) vectors give A = C = -(vector part of x), so aim at -z;
+    # x -> q x conj(q) for the rotation quaternion q is a c step about the
+    # axis and an a step about the axis with its x, z signs flipped
     xv = x[1:]
     if np.linalg.norm(xv) > 1e-12:
-        # the Eq-(3) vectors give A = C = -(vector part of x), so aim at -z;
-        # x -> q x conj(q) for the rotation quaternion q is a c step about
-        # the axis and an a step about the axis with its x, z signs flipped
         axis, angle = _rotation_axis_angle(xv, [0.0, 0.0, -1.0])
-        steps = [_axis_angle_local_step("a", axis * [-1.0, 1.0, -1.0], angle),
-                 _axis_angle_local_step("c", axis, angle)]
-        seq.extend(steps)
-        state = apply(steps, state)
-        x, y, res = _extract(state)
-        if res > 1e-9:
-            raise InvariantViolation("lost quaternionic form while aligning x")
-
-    canonical_state = state.copy()
-    xi = float(np.arctan2(2.0 * abs(x[0]), 2.0 * np.linalg.norm(x[1:])))
+        seq += [_axis_angle_local_step("a", axis * [-1.0, 1.0, -1.0], angle),
+                _axis_angle_local_step("c", axis, angle)]
+    xi = float(np.arctan2(abs(x[0]), np.linalg.norm(xv)))
     lambdas = np.array([-np.cos(xi), np.sin(xi), 0.0, 0.0, 1.0]) / np.sqrt(2)
-    target = make_acin(lambdas)
 
-    # (iv) rotate B onto the canonical-state B with a qubit-b rotation
-    b_now = abc_vectors(state).b
-    u1 = np.real(b_now)
-    u2 = np.imag(b_now)
-    v1 = np.array([-np.sin(xi), 0.0, np.cos(xi)]) / 2
-    v2 = np.array([0.0, np.sin(xi), 0.0]) / 2
-    n2 = np.linalg.norm(u2)
-    steps = _frame_rotation_steps(
-        "b", u1 / np.linalg.norm(u1),
-        u2 / n2 if n2 > 1e-12 else None,
-        v1 / np.linalg.norm(v1),
-        v2 / np.linalg.norm(v2) if n2 > 1e-12 else None)
-    if steps:
-        seq.extend(steps)
-        state = apply(steps, state)
+    # (iv) now x = (x0, 0, 0, -|xv|) and y = 1/2, so Re B = (0, 1/2, 0) and
+    # Im B = (0, 0, x0); a qubit-b rotation takes them onto the canonical
+    # B = (-sin xi, i sin xi, cos xi)/2, and a z-rotation on qubit a pins
+    # the one phase left. The turn about Re B is taken even at x0 = 0, where
+    # Im B vanishes: the steps are then continuous in xi, and the tail's
+    # angle holds at xi = 0 too
+    e2, e3 = np.array([0.0, 1.0, 0.0]), np.array([0.0, 0.0, 1.0])
+    seq += _frame_rotation_steps("b", e2, e3, np.array([-np.sin(xi), 0.0, np.cos(xi)]), e2)
+    seq.append(LocalStep("a", (0.0, 0.0, np.pi / 2 - xi)))
 
-    # all vectors now match; one z-rotation + global phase pin the state
-    d111 = float(np.angle(target[7]) - np.angle(state[7]))
-    ref = 0 if abs(target[0]) > 1e-9 else 2
-    d0 = float(np.angle(target[ref]) - np.angle(state[ref]))
-    alpha = 0.5 * (d0 - d111)
-    g = 0.5 * (d0 + d111)
-    tail = [LocalStep("a", (0.0, 0.0, 2.0 * alpha)), PhaseStep(g)]
-    seq.extend(tail)
-    state = apply(tail, state)
-    return {"sequence": seq, "params": AcinParams(xi, lambdas),
-            "canonical_state": canonical_state, "final_state": state}
+    final = apply(seq, state)
+    residual = float(np.abs(final - make_acin(lambdas)).max())
+    if residual > 1e-10:
+        raise InvariantViolation(f"reduction missed the canonical state by {residual:.3g}")
+    return seq, AcinParams(xi, lambdas), final, residual
 
 
 def reduce_to_acin(qs: QuaternionicState):
@@ -379,10 +352,11 @@ def reduce_to_acin(qs: QuaternionicState):
     turning y into the scalar 1/2, (iii) an a/c adjoint rotation aligning
     the vector part of x with the third axis (after which the vectors are
     A = C = (0, 0, cos xi)/2 and B = (0, 1, i sin xi)/2), (iv) a qubit-b
-    rotation matching the canonical B, and a final z-rotation/global phase
-    absorbing the leftover one-parameter freedom. Returns the sequence and
-    the canonical parameters; applying the sequence to to_state(qs)
-    reproduces make_acin(params.lambdas) exactly.
+    rotation matching the canonical B, and a final z-rotation on qubit a
+    absorbing the leftover one-parameter freedom. Every step is designed
+    from (x, y); the sequence is applied once, to check that it takes
+    to_state(qs) to make_acin(params.lambdas) within 1e-10 (else
+    InvariantViolation). Returns the sequence and the canonical parameters.
     """
-    stages = _reduce_stages(qs)
-    return stages["sequence"], stages["params"]
+    seq, params, _, _ = _reduce(qs)
+    return seq, params

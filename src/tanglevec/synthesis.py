@@ -33,7 +33,7 @@ from .gates import (CouplingStep, LocalStep, PhaseStep, _pair_qubits, apply,
 from .so6 import SU4_BASIS, so3_image
 from .states import (PARTITION_PAIR, PARTITION_SPECTATOR, QUBIT_AXIS, _check_options,
                      _finite_params, make_asymmetric_w, make_ghz, normalize)
-from .tangles import _measures, three_tangle
+from .tangles import _measures, bipartite_tangle_from_density, three_tangle
 from .vectors import EPS_INV, _gauge, _vectors
 
 #: qubit pair -> (partition, ordered pair string as carried by the 6-vector)
@@ -390,10 +390,11 @@ class TangleAscentResult:
 
     ``iterations`` is the most Newton steps any restart took; ``converged``
     counts the restarts that ended stationary (not one that starts at zero
-    tangle, the minimum, where no step moves it); ``capped`` says whether a
-    restart that did not converge used all of ``max_iters``;
-    ``tangle_spread`` is the best minus the worst restart tangle (0 when
-    every restart found the same maximum).
+    tangle, the minimum, where no step moves it) or, when the spectator's
+    bipartite tangle is zero at rounding, every restart, since every point
+    is then at the maximum; ``capped`` says whether a restart that did not
+    converge used all of ``max_iters``; ``tangle_spread`` is the best minus
+    the worst restart tangle (0 when every restart found the same maximum).
     """
 
     tangle: float
@@ -428,6 +429,10 @@ def tangle_ascent_search(s, pair: str = "ab", restarts: int = 16, seed: int = 0,
     inits = np.zeros((restarts, 15))
     inits[1:] = rng.uniform(-np.pi, np.pi, size=(restarts - 1, 15))
     best, stats = _kernels.tangle_ascent_best(psi, SU4_BASIS, inits, max_iters, gtol)
+    # no point of the orbit has a three-tangle above the spectator's bipartite
+    # tangle: when that is zero at rounding, every restart is at the maximum
+    if bipartite_tangle_from_density(psi, "c") <= 64 * _kernels._EPS:
+        stats = stats._replace(converged=restarts, capped=False)
     return TangleAscentResult(best, restarts, stats.polish, stats.converged, stats.capped,
                               stats.spread)
 

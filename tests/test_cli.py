@@ -5,7 +5,7 @@ import pytest
 
 from tanglevec import (make_asymmetric_w, make_ghz, normalize, random_state,
                        state_to_json, to_state, QuaternionicState,
-                       sequence_to_json, named_gate)
+                       sequence_to_json, named_gate, apply)
 from tanglevec.cli import _emit, main
 from tanglevec.vectors import _vectors
 from conftest import checked_tangle_set, count_calls
@@ -192,15 +192,37 @@ def test_fs_angle_seed_reproducible(ghz_file, tmp_path, capsys):
     assert vals[0] == vals[1]
 
 
-def test_quat_reduce(capsys):
+def test_quat_reduce(capsys, monkeypatch):
     v = np.array([0.4, 0.1, -0.3, 0.2, 0.3, 0.2, 0.1, -0.35])
     v /= np.linalg.norm(v) * np.sqrt(2)
+    # the report's final state is the reduction's one checking apply
+    apply_calls = count_calls(monkeypatch, apply)
+    vector_calls = count_calls(monkeypatch, _vectors)
     code, doc, _ = run_cli(capsys, "quat", "reduce",
                            "--x", ",".join(map(str, v[:4])),
                            "--y", ",".join(map(str, v[4:])))
-    assert code == 0
-    assert doc["result"]["lambdas"][2] == 0 and doc["result"]["lambdas"][3] == 0
-    assert 0 <= doc["result"]["xi"] <= np.pi / 2
+    assert code == 0 and (len(apply_calls), len(vector_calls)) == (1, 0)
+    res = doc["result"]
+    assert res["lambdas"][2] == 0 and res["lambdas"][3] == 0
+    assert 0 <= res["xi"] <= np.pi / 2
+    xi = res["xi"]
+    canonical = np.exp(0.25j * np.pi) * np.array([-np.cos(xi), 0, np.sin(xi), 0, 0, 0, 0, 1])
+    final = np.array([complex(*z) for z in res["final_state"]["amplitudes"]])
+    assert np.abs(final - canonical / np.sqrt(2)).max() <= 1e-12
+    assert 0 <= res["residual"] <= 1e-14
+
+
+@pytest.mark.parametrize("x, y, message", [
+    ("nan,0,0,0", "0.5,0,0,0.5", "x must be finite"),
+    ("0.5,0,0,0.5", "0,inf,0,0", "y must be finite"),
+    ("1,0,0", "0.5,0,0,0.5", "x: expected 4"),
+    ("0.5,0,0,0.5", "0.5,0,0,0,0", "y: expected 4"),
+    ("0.5,0,0,0.5", "a,0,0,0", "y: expected 4"),
+], ids=["nan-x", "inf-y", "short-x", "long-y", "text-y"])
+def test_quat_reduce_refuses_bad_components(capsys, x, y, message):
+    code, doc, err = run_cli(capsys, "quat", "reduce", f"--x={x}", f"--y={y}")
+    assert code == 1 and doc is None
+    assert err.startswith("error: ") and message in err
 
 
 def test_quat_check(ghz_file, tmp_path, capsys):

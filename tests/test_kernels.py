@@ -182,6 +182,23 @@ def test_optimizer_options_at_their_least():
     assert not res.capped and res.tangle_spread == 0.0
 
 
+_BELL = np.array([1.0, 0.0, 0.0, 1.0]) / np.sqrt(2)
+
+
+@pytest.mark.parametrize("s, pair", [
+    (np.eye(8)[0], "ab"), (np.eye(8)[0], "bc"), (np.eye(8)[0], "ac"),
+    (np.kron([0.6, 0.8j], _BELL), "bc"),
+    (np.kron(_BELL, [0.8, -0.6]), "ab"),
+], ids=["000-ab", "000-bc", "000-ac", "a-times-bell-bc", "bell-times-c-ab"])
+def test_ascent_converges_where_the_spectator_tangle_is_zero(s, pair):
+    # with the spectator unentangled, no point of the pair's orbit has a
+    # three-tangle: every restart is at the maximum 0, even one that starts
+    # where no Newton step moves it
+    res = tangle_ascent_search(s, pair)
+    assert res.tangle < 1e-30
+    assert res.converged == res.restarts == 16 and not res.capped
+
+
 def test_fs_best_overlap_basic():
     t1, t2, inits = _fs_inputs(7)
     val, us, stats = _kernels.fs_best_overlap(t1, t2, inits, 500, 1e-10)

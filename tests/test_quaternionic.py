@@ -1,22 +1,117 @@
 import numpy as np
 import pytest
 
-from tanglevec import (QuaternionicState, abc_quaternionic, abc_vectors,
+from tanglevec import (AcinParams, QuaternionicState, abc_quaternionic, abc_vectors,
                        apply, balance_chi, fidelity_up_to_phase,
                        fubini_study_angle, is_quaternionic, make_acin,
                        make_ghz, quat_inv, quat_mul,
                        quat_to_matrix, quat_transpose, random_state,
                        reduce_to_acin, tangles_quaternionic,
                        to_state, usp_generators)
-from tanglevec.errors import DegenerateInput, NotNormalized, ParseError
-from tanglevec.gates import LocalStep
-from tanglevec.quaternionic import (_extract, _reduce_stages,
-                                    is_quaternionic_block_matrix)
-from conftest import checked_tangle_set
+from tanglevec.errors import (DegenerateInput, InvariantViolation, NotNormalized,
+                              ParseError)
+from tanglevec.gates import LocalStep, PhaseStep
+from tanglevec.quaternionic import (_extract, _left_mult_step_a, _reduce, quat_conj)
+from tanglevec.synthesis import (_axis_angle_local_step, _frame_rotation_steps,
+                                 _rotation_axis_angle)
+from tanglevec.vectors import _vectors
+from conftest import checked_tangle_set, count_calls
 
 QI = np.array([0.0, 1.0, 0.0, 0.0])
 QJ = np.array([0.0, 0.0, 1.0, 0.0])
 QK = np.array([0.0, 0.0, 0.0, 1.0])
+
+
+def is_quaternionic_block_matrix(m4, tol=1e-12) -> bool:
+    """True when each 2x2 block of a 4x4 matrix has the [[w, z], [-z*, w*]] form."""
+    m = np.asarray(m4, dtype=complex).reshape(4, 4)
+    for bi in range(2):
+        for bj in range(2):
+            blk = m[2 * bi:2 * bi + 2, 2 * bj:2 * bj + 2]
+            if abs(blk[1, 1] - np.conj(blk[0, 0])) > tol:
+                return False
+            if abs(blk[1, 0] + np.conj(blk[0, 1])) > tol:
+                return False
+    return True
+
+
+def _reduce_reference(qs):
+    """The reduction stage by stage: apply each stage, re-read the state.
+
+    The library designs the same steps from (x, y) alone and applies them
+    once; this loop is the reference it is compared against. Returns a
+    dict of the sequence, the parameters, the state after stage (iii) (the
+    vectors' canonical frame) and the final state.
+    """
+    state = to_state(qs)
+    seq: list = []
+
+    # (i) balance x.x = y.y; the branch is chosen so the scalar part of x
+    # comes out non-negative after step (ii), landing on the canonical signs
+    chi = balance_chi(qs)
+    x, y = qs.x, qs.y
+    delta = float(x @ x - y @ y)
+    omega = 2.0 * float(x @ y)
+    if np.cos(2 * chi) * omega - np.sin(2 * chi) * delta < 0.0:
+        chi += np.pi / 2
+    step = LocalStep("b", (0.0, 2.0 * chi, 0.0))
+    seq.append(step)
+    state = apply([step], state)
+    x, y, res = _extract(state)
+    if res > 1e-9:
+        raise InvariantViolation(f"lost quaternionic form while balancing ({res})")
+
+    v = 2.0 * quat_conj(y)
+    step = _left_mult_step_a(v)
+    seq.append(step)
+    state = apply([step], state)
+    x, y, res = _extract(state)
+    if res > 1e-9 or abs(y[0] - 0.5) > 1e-9 or np.abs(y[1:]).max() > 1e-9:
+        raise InvariantViolation("y did not reduce to the scalar 1/2")
+
+    xv = x[1:]
+    if np.linalg.norm(xv) > 1e-12:
+        axis, angle = _rotation_axis_angle(xv, [0.0, 0.0, -1.0])
+        steps = [_axis_angle_local_step("a", axis * [-1.0, 1.0, -1.0], angle),
+                 _axis_angle_local_step("c", axis, angle)]
+        seq.extend(steps)
+        state = apply(steps, state)
+        x, y, res = _extract(state)
+        if res > 1e-9:
+            raise InvariantViolation("lost quaternionic form while aligning x")
+
+    canonical_state = state.copy()
+    xi = float(np.arctan2(2.0 * abs(x[0]), 2.0 * np.linalg.norm(x[1:])))
+    lambdas = np.array([-np.cos(xi), np.sin(xi), 0.0, 0.0, 1.0]) / np.sqrt(2)
+    target = make_acin(lambdas)
+
+    # (iv) rotate B onto the canonical-state B with a qubit-b rotation
+    b_now = abc_vectors(state).b
+    u1 = np.real(b_now)
+    u2 = np.imag(b_now)
+    v1 = np.array([-np.sin(xi), 0.0, np.cos(xi)]) / 2
+    v2 = np.array([0.0, np.sin(xi), 0.0]) / 2
+    n2 = np.linalg.norm(u2)
+    steps = _frame_rotation_steps(
+        "b", u1 / np.linalg.norm(u1),
+        u2 / n2 if n2 > 1e-12 else None,
+        v1 / np.linalg.norm(v1),
+        v2 / np.linalg.norm(v2) if n2 > 1e-12 else None)
+    if steps:
+        seq.extend(steps)
+        state = apply(steps, state)
+
+    # all vectors now match; one z-rotation + global phase pin the state
+    d111 = float(np.angle(target[7]) - np.angle(state[7]))
+    ref = 0 if abs(target[0]) > 1e-9 else 2
+    d0 = float(np.angle(target[ref]) - np.angle(state[ref]))
+    alpha = 0.5 * (d0 - d111)
+    g = 0.5 * (d0 + d111)
+    tail = [LocalStep("a", (0.0, 0.0, 2.0 * alpha)), PhaseStep(g)]
+    seq.extend(tail)
+    state = apply(tail, state)
+    return {"sequence": seq, "params": AcinParams(xi, lambdas),
+            "canonical_state": canonical_state, "final_state": state}
 
 
 def _random_qs(rng):
@@ -321,6 +416,32 @@ def test_balance_chi_y_zero():
     assert abs(float(x2 @ x2) - float(y2 @ y2)) < 1e-13
 
 
+def test_balance_chi_is_scale_free():
+    # the balanced test is relative to x.x + y.y, so a small pair is not
+    # taken for a balanced one, and the squares are taken at unit scale
+    v = np.random.default_rng(0).standard_normal(8)
+    unit = balance_chi(QuaternionicState(v[:4], v[4:]))
+    assert abs(unit + 1.0700) < 1e-4
+    for scale in np.logspace(-300, 300, 61):
+        chi = balance_chi(QuaternionicState(scale * v[:4], scale * v[4:]))
+        assert abs(chi - unit) <= 1e-15, scale
+
+
+@pytest.mark.parametrize("x, y, bad", [
+    ([np.nan, 0, 0, 0], [0.5, 0, 0, 0.5], "x must be finite"),
+    ([0.5, 0, 0, 0.5], [0, np.inf, 0, 0], "y must be finite"),
+    ([0.5, 0, -np.inf, 0], [0.5, 0, 0, 0], "x must be finite"),
+    ([1, 0, 0], [0.5, 0, 0, 0.5], "x: expected 4"),
+    ([0.5, 0, 0, 0.5], [0.5, 0, 0, 0, 0], "y: expected 4"),
+    ([0.5, 0, 0, 0.5], ["a", "b", "c", "d"], "y: expected 4"),
+], ids=["nan-x", "inf-y", "-inf-x", "short-x", "long-y", "text-y"])
+def test_quaternionic_state_refuses_bad_components(x, y, bad):
+    # refused at construction, so no NaN reaches to_state, the tangles or
+    # the reduction
+    with pytest.raises(ParseError, match=bad):
+        QuaternionicState(x, y)
+
+
 def test_balance_kills_first_b_component(rng):
     for _ in range(10):
         qs = _random_qs(rng)
@@ -332,7 +453,7 @@ def test_balance_kills_first_b_component(rng):
 def test_reduce_to_acin_reference_vectors(rng):
     for _ in range(25):
         qs = _random_qs(rng)
-        stages = _reduce_stages(qs)
+        stages = _reduce_reference(qs)
         xi = stages["params"].xi
         v = abc_vectors(stages["canonical_state"])
         tgt_ac = np.array([0, 0, np.cos(xi)]) / 2
@@ -375,6 +496,76 @@ def test_reduce_edge_pure_scalar():
     out = apply(seq, to_state(qs))
     assert fidelity_up_to_phase(out, make_acin(params.lambdas)) >= 1 - 1e-10
     assert abs(params.xi - np.pi / 2) < 1e-12
+
+
+def _replay_states(rng, n):
+    """n states of each of seven classes, each with x.x + y.y = 1/2."""
+    def pair(x, y):
+        k = np.sqrt(2 * (x @ x + y @ y))
+        return QuaternionicState(x / k, y / k)
+
+    for _ in range(n):
+        x, y = rng.standard_normal(4), rng.standard_normal(4)
+        along = np.zeros(4)
+        along[[0, rng.integers(1, 4)]] = x[:2]
+        yield "generic", pair(x, y)
+        yield "scalar x", pair(x * [1, 0, 0, 0], y)
+        yield "scalar y", pair(x, y * [1, 0, 0, 0])
+        yield "x along one axis", pair(along, y)
+        yield "y parallel to x", pair(x, rng.standard_normal() * x)
+        yield "y zero", pair(x, np.zeros(4))
+        yield "x zero", pair(np.zeros(4), y)
+
+
+def test_reduce_matches_stage_by_stage_reference():
+    # the closed-form design against the loop that applies each stage and
+    # re-reads the state: the same steps (less the reference's trailing
+    # phase, which is at rounding), the same angles and the same final state
+    for k, (kind, qs) in enumerate(_replay_states(np.random.default_rng(13), 430)):
+        ref = _reduce_reference(qs)
+        seq, params, final, residual = _reduce(qs)
+        *ref_seq, phase = ref["sequence"]
+        assert isinstance(phase, PhaseStep) and abs(phase.alpha) < 1e-12, (k, kind)
+        assert [(type(a), a.qubit) for a in seq] == [(type(a), a.qubit) for a in ref_seq], \
+            (k, kind)
+        for a, b in zip(seq, ref_seq):
+            d = np.subtract(a.theta, b.theta)
+            assert np.abs((d + np.pi) % (2 * np.pi) - np.pi).max() < 1e-10, (k, kind)
+        assert np.abs(final - ref["final_state"]).max() < 1e-12, (k, kind)
+        assert abs(params.xi - ref["params"].xi) < 1e-12, (k, kind)
+        assert np.abs(params.lambdas - ref["params"].lambdas).max() < 1e-12, (k, kind)
+        assert residual <= 1e-14, (k, kind)
+
+
+@pytest.mark.parametrize("x, y", [([0.5, 0, 0, 0], [0, 0.5, 0, 0]),
+                                  ([0, 0.5, 0, 0], [0, 0, 0, -0.5]),
+                                  ([0.3, 0.4, 0, 0], [-0.4, 0.3, 0, 0])])
+def test_reduce_at_zero_xi(x, y):
+    # |x| = |y| and x orthogonal to y: unit three-tangle, xi = 0, and Im B
+    # is zero after stage (iii). The design still takes the turn about
+    # Re B; the reference skips it and fixes the phases from the state
+    qs = QuaternionicState(x, y)
+    seq, params, final, residual = _reduce(qs)
+    ref = _reduce_reference(qs)
+    assert params.xi < 1e-15 and ref["params"].xi < 1e-15
+    assert residual <= 1e-15
+    assert np.abs(final - ref["final_state"]).max() < 1e-12
+    assert abs(fidelity_up_to_phase(apply(seq, to_state(qs)), make_acin(params.lambdas)) - 1) \
+        < 1e-12
+
+
+def test_reduce_applies_once(rng, monkeypatch):
+    apply_calls = count_calls(monkeypatch, apply)
+    vector_calls = count_calls(monkeypatch, _vectors)
+    reduce_to_acin(_random_qs(rng))
+    assert (len(apply_calls), len(vector_calls)) == (1, 0)
+
+
+def test_reduce_refuses_a_missed_canonical_state(rng, monkeypatch):
+    # the one apply checks the designed sequence: a wrong design is refused
+    monkeypatch.setattr("tanglevec.quaternionic.apply", lambda seq, s: s)
+    with pytest.raises(InvariantViolation, match="canonical state"):
+        reduce_to_acin(_random_qs(rng))
 
 
 def test_reduce_edge_aligned_pair():
