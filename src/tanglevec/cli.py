@@ -19,15 +19,15 @@ from .errors import (InvariantViolation, NotRepresentable, ParseError,
                      TangleVecError)
 from .gates import (CouplingStep, LocalStep, PhaseStep, apply,
                     sequence_from_json, sequence_to_json)
-from .quaternionic import QuaternionicState, _reduce, is_quaternionic, to_state
+from .quaternionic import (QuaternionicState, _reduce, abc_quaternionic, is_quaternionic,
+                           tangles_quaternionic, to_state)
 from .so6 import evolve_q, verify_commutators
-from .states import (normalize, parse_partition, random_state,
-                     state_from_json, state_to_json)
+from .states import (PARTITION_PAIR, PARTITION_SPECTATOR, normalize, parse_partition,
+                     random_state, state_from_json, state_to_json)
 from .synthesis import (fubini_study_search, maximize_three_tangle,
                         synthesize_coupling_core, w_to_ghz_sequence)
-from .tangles import _ckw, _measures, ckw_residual, tangle_set
-from .vectors import (EPS_INV, _gauge, _plucker, _vectors, abc_vectors,
-                      plucker_residual, q_vector)
+from .tangles import _ckw, _measures, tangle_set
+from .vectors import EPS_INV, _gauge, _plucker, _vectors, abc_vectors, q_vector
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -203,13 +203,15 @@ def cmd_verify_map(args) -> int:
 
 def _verify_default(n: int, seed: int) -> dict:
     rep = verify_commutators()
-    worst_plucker = worst_ckw = worst_dual = 0.0
+    worst_dual = 0.0
     rng = np.random.default_rng(seed)
-    from .states import PARTITION_PAIR, PARTITION_SPECTATOR
+    res = np.zeros((2, max(n, 0)))
     for k in range(n):
-        s = random_state(seed + k)
-        worst_plucker = max(worst_plucker, plucker_residual(s))
-        worst_ckw = max(worst_ckw, ckw_residual(s))
+        v, tol = _vectors(random_state(seed + k))
+        res[:, k] = _plucker(v), _ckw(_measures(v, tol))
+    # each identity's worst residual and the seed of its state
+    (worst_plucker, plucker_seed), (worst_ckw, ckw_seed) = (
+        (float(r.max()), seed + int(r.argmax())) if r.size else (0.0, None) for r in res)
     for k in range(max(1, n // 10)):
         p = int(rng.integers(1, 4))
         first, second = PARTITION_PAIR[p]
@@ -233,7 +235,9 @@ def _verify_default(n: int, seed: int) -> dict:
         "commutator_discrepancy": rep.max_discrepancy,
         "states": n,
         "plucker_worst": worst_plucker,
+        "plucker_worst_seed": plucker_seed,
         "ckw_worst": worst_ckw,
+        "ckw_worst_seed": ckw_seed,
         "dual_evolution_worst": worst_dual,
         "pass": bool(rep.ok and worst_plucker < 1e-12 and worst_ckw < 1e-11
                      and worst_dual < 1e-10),
@@ -241,7 +245,6 @@ def _verify_default(n: int, seed: int) -> dict:
 
 
 def _verify_quaternionic(n: int, seed: int) -> dict:
-    from .quaternionic import abc_quaternionic, tangles_quaternionic
     rng = np.random.default_rng(seed)
     worst_abc = worst_tan = 0.0
     for _ in range(n):

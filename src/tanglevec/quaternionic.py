@@ -23,7 +23,6 @@ from .errors import DegenerateInput, InvariantViolation, NotNormalized, ParseErr
 from .gates import LocalStep, apply
 from .so6 import GENERATOR_LABELS, SO6_BASIS, SU4_BASIS
 from .states import EPS_NORM, _finite_params, as_state, make_acin, squared_norm
-from .synthesis import _axis_angle_local_step, _frame_rotation_steps, _rotation_axis_angle
 from .tangles import TangleSet
 from .vectors import EPS_INV, AbcVectors
 
@@ -77,6 +76,54 @@ def quat_to_matrix(q) -> np.ndarray:
     q0, q1, q2, q3 = q
     return np.array([[q0 - 1j * q3, -1j * q1 - q2],
                      [-1j * q1 + q2, q0 + 1j * q3]], dtype=complex)
+
+
+def _left(q) -> np.ndarray:
+    """The qubit-a factor that left-multiplies x and y by the quaternion q."""
+    return np.array([q[0], -q[1], q[2], -q[3]])
+
+
+def _rotation(u, v, u2=None, v2=None) -> np.ndarray:
+    """Unit quaternion p whose rotation w -> p w conj(p) takes the unit vector u onto v.
+
+    It is the shortest such rotation, or a half turn about an axis
+    perpendicular to u when v = -u. With u2 given, it then turns about v to
+    take u2 onto v2; (u, u2) and (v, v2) are orthogonal pairs of unit vectors.
+    """
+    a0, a1, a2 = (float(t) for t in u)
+    b0, b1, b2 = (float(t) for t in v)
+    # u x v from scalars, as u x (u + v), and 1 + u.v as |u x v|^2 / (1 - u.v)
+    # when u.v < 0: both keep their relative accuracy as v nears -u
+    h0, h1, h2 = a0 + b0, a1 + b1, a2 + b2
+    x0, x1, x2 = a1 * h2 - a2 * h1, a2 * h0 - a0 * h2, a0 * h1 - a1 * h0
+    c = a0 * b0 + a1 * b1 + a2 * b2
+    p = np.array([1.0 + c if c >= 0.0 else (x0 * x0 + x1 * x1 + x2 * x2) / (1.0 - c), x0, x1, x2])
+    if not p.any():  # v = -u: u x e for the basis vector e least along u
+        p[1:] = (0.0, a2, -a1) if abs(a0) < 0.9 else (-a2, 0.0, a0)
+    p /= math.hypot(*p)
+    if u2 is None:
+        return p
+    w0, w1, w2 = quat_mul(quat_mul(p, (0.0, *u2)), quat_conj(p))[1:]
+    e0, e1, e2 = (float(t) for t in v2)
+    half = 0.5 * math.atan2(b0 * (w1 * e2 - w2 * e1) + b1 * (w2 * e0 - w0 * e2)
+                            + b2 * (w0 * e1 - w1 * e0), w0 * e0 + w1 * e1 + w2 * e2)
+    k = math.sin(half)
+    return quat_mul((math.cos(half), k * b0, k * b1, k * b2), p)
+
+
+def _step(qubit: str, p) -> list:
+    """The local step on the qubit whose SU(2) factor is quat_to_matrix(p), p a unit quaternion.
+
+    LocalStep(q, t n) is cos(t/2) + i sin(t/2) n.sigma, the quaternion (cos(t/2), -sin(t/2) n),
+    so theta = -2 atan2(|p_vec|, p0) p_vec / |p_vec|, exact in sign; it rotates the qubit's
+    vector by w -> p w conj(p). Returns [] for the identity.
+    """
+    p0, p1, p2, p3 = (float(t) for t in p)
+    n = math.hypot(p1, p2, p3)
+    if n == 0.0:
+        return [] if p0 > 0.0 else [LocalStep(qubit, (2.0 * math.pi, 0.0, 0.0))]
+    k = -2.0 * math.atan2(n, p0)
+    return [LocalStep(qubit, (k * (p1 / n), k * (p2 / n), k * (p3 / n)))]
 
 
 @dataclass(frozen=True, eq=False)
@@ -277,20 +324,8 @@ def balance_chi(qs: QuaternionicState) -> float:
     return 0.5 * float(np.arctan2(delta, -omega))
 
 
-def _left_mult_step_a(v) -> LocalStep:
-    """Qubit-a step effecting x -> v x, y -> v y (v a unit quaternion).
-
-    Its 2x2 unitary represents the quaternion (v0, -v1, v2, -v3).
-    """
-    vec = np.array([-v[1], v[2], -v[3]], dtype=float)
-    nv = float(np.linalg.norm(vec))
-    if nv < 1e-15:  # +-identity
-        return LocalStep("a", (0.0 if v[0] > 0 else 2.0 * np.pi, 0.0, 0.0))
-    return _axis_angle_local_step("a", vec / nv, 2.0 * float(np.arctan2(nv, v[0])))
-
-
 def _reduce(qs: QuaternionicState):
-    """Design every step of the reduction from (x, y), then apply it once.
+    """Design one factor per qubit from (x, y), then apply the steps once.
 
     Returns (sequence, params, final state, residual), where the residual is
     the largest amplitude difference between the final state and
@@ -301,42 +336,36 @@ def _reduce(qs: QuaternionicState):
     state = to_state(qs)
     x, y = qs.x, qs.y
 
-    # (i) balance x.x = y.y; the branch is chosen so the scalar part of x
-    # comes out non-negative after step (ii), landing on the canonical signs
+    # (i) balance x.x = y.y by the b factor (cos chi, 0, -sin chi, 0); the branch
+    # puts x's scalar part non-negative after (ii), landing on the canonical signs
     chi = balance_chi(qs)
-    delta = float(x @ x - y @ y)
-    omega = 2.0 * float(x @ y)
-    if np.cos(2 * chi) * omega - np.sin(2 * chi) * delta < 0.0:
-        chi += np.pi / 2
-    c, s = np.cos(chi), np.sin(chi)
+    delta, omega = float(x @ x - y @ y), 2.0 * float(x @ y)
+    if math.cos(2 * chi) * omega - math.sin(2 * chi) * delta < 0.0:
+        chi += math.pi / 2
+    c, s = math.cos(chi), math.sin(chi)
     x, y = c * x + s * y, c * y - s * x
-    seq: list = [LocalStep("b", (0.0, 2.0 * chi, 0.0))]
 
     # (ii) left-multiply by v = 2 conj(y), a unit quaternion: y becomes 1/2
     v = 2.0 * quat_conj(y)
-    seq.append(_left_mult_step_a(v))
     x = quat_mul(v, x)
 
-    # (iii) the Eq-(3) vectors give A = C = -(vector part of x), so aim at -z;
-    # x -> q x conj(q) for the rotation quaternion q is a c step about the
-    # axis and an a step about the axis with its x, z signs flipped
+    # (iii) the Eq-(3) vectors give A = C = -(vector part of x), so aim at -z:
+    # x -> r x conj(r) is r on qubit c and _left(r) on qubit a
     xv = x[1:]
-    if np.linalg.norm(xv) > 1e-12:
-        axis, angle = _rotation_axis_angle(xv, [0.0, 0.0, -1.0])
-        seq += [_axis_angle_local_step("a", axis * [-1.0, 1.0, -1.0], angle),
-                _axis_angle_local_step("c", axis, angle)]
-    xi = float(np.arctan2(abs(x[0]), np.linalg.norm(xv)))
-    lambdas = np.array([-np.cos(xi), np.sin(xi), 0.0, 0.0, 1.0]) / np.sqrt(2)
+    nv = float(np.linalg.norm(xv))
+    r = _rotation(xv / nv, (0.0, 0.0, -1.0)) if nv > 1e-12 else np.array([1.0, 0.0, 0.0, 0.0])
+    xi = math.atan2(abs(x[0]), nv)
+    lambdas = np.array([-math.cos(xi), math.sin(xi), 0.0, 0.0, 1.0]) / math.sqrt(2)
 
-    # (iv) now x = (x0, 0, 0, -|xv|) and y = 1/2, so Re B = (0, 1/2, 0) and
-    # Im B = (0, 0, x0); a qubit-b rotation takes them onto the canonical
-    # B = (-sin xi, i sin xi, cos xi)/2, and a z-rotation on qubit a pins
-    # the one phase left. The turn about Re B is taken even at x0 = 0, where
-    # Im B vanishes: the steps are then continuous in xi, and the tail's
-    # angle holds at xi = 0 too
-    e2, e3 = np.array([0.0, 1.0, 0.0]), np.array([0.0, 0.0, 1.0])
-    seq += _frame_rotation_steps("b", e2, e3, np.array([-np.sin(xi), 0.0, np.cos(xi)]), e2)
-    seq.append(LocalStep("a", (0.0, 0.0, np.pi / 2 - xi)))
+    # (iv) now Re B = (0, 1/2, 0) and Im B = (0, 0, x0); the b turn onto the canonical
+    # B = (-sin xi, i sin xi, cos xi)/2 takes e2 onto (-sin xi, 0, cos xi), then turns
+    # by pi - xi about it, even at x0 = 0 where Im B vanishes (so it is continuous in
+    # xi), and a z-turn by pi/2 - xi on qubit a pins the one phase left
+    h, g = math.sin(xi / 2), math.cos(xi / 2)
+    b = quat_mul(np.array([h, -h, g, g]) / math.sqrt(2), (c, 0.0, -s, 0.0))
+    half = math.pi / 4 - xi / 2
+    a = quat_mul((math.cos(half), 0.0, 0.0, -math.sin(half)), _left(quat_mul(r, v)))
+    seq = _step("b", b) + _step("a", a) + _step("c", r)
 
     final = apply(seq, state)
     residual = float(np.abs(final - make_acin(lambdas)).max())
@@ -348,13 +377,12 @@ def _reduce(qs: QuaternionicState):
 def reduce_to_acin(qs: QuaternionicState):
     """Local sequence bringing a quaternionic state to canonical form.
 
-    Steps: (i) the balancing b-rotation, (ii) a qubit-a multiplication
-    turning y into the scalar 1/2, (iii) an a/c adjoint rotation aligning
-    the vector part of x with the third axis (after which the vectors are
-    A = C = (0, 0, cos xi)/2 and B = (0, 1, i sin xi)/2), (iv) a qubit-b
-    rotation matching the canonical B, and a final z-rotation on qubit a
-    absorbing the leftover one-parameter freedom. Every step is designed
-    from (x, y); the sequence is applied once, to check that it takes
+    At most one step per qubit, each a unit quaternion designed from (x, y):
+    on b, the rotation balancing |x| = |y|, then the turn matching the
+    canonical B; on a, the left multiplication turning y into the scalar 1/2,
+    the a side of the a/c rotation aligning x's vector part with the third
+    axis, and a z-turn absorbing the one phase left; on c, the c side of that
+    a/c rotation. The sequence is applied once, to check that it takes
     to_state(qs) to make_acin(params.lambdas) within 1e-10 (else
     InvariantViolation). Returns the sequence and the canonical parameters.
     """

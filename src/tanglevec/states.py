@@ -87,6 +87,14 @@ def as_state(amp) -> np.ndarray:
     return s
 
 
+def _finite_state(amp) -> np.ndarray:
+    """as_state, refusing a NaN or infinite amplitude with ParseError."""
+    s = as_state(amp)
+    if not np.isfinite(s).all():
+        raise ParseError("amplitudes must be finite")
+    return s
+
+
 def norm(s: np.ndarray) -> float:
     return float(np.linalg.norm(s))
 
@@ -169,8 +177,9 @@ def matricize(s, partition) -> np.ndarray:
 
     Columns index the partition's single qubit; rows index the pair:
       a(bc): M[2j+k, i],  b(ca): M[2k+i, j],  c(ab): M[2i+j, k].
+    ParseError for a non-finite amplitude.
     """
-    s = as_state(s)
+    s = _finite_state(s)
     p = parse_partition(partition)
     t = s.reshape(2, 2, 2)
     if p == 1:
@@ -183,8 +192,8 @@ def matricize(s, partition) -> np.ndarray:
 
 
 def fidelity_up_to_phase(s1, s2) -> float:
-    """|<s1|s2>|, invariant under independent global phases."""
-    return float(abs(np.vdot(as_state(s1), as_state(s2))))
+    """|<s1|s2>|, invariant under independent global phases; ParseError unless finite."""
+    return float(abs(np.vdot(_finite_state(s1), _finite_state(s2))))
 
 
 def random_state(seed: int) -> np.ndarray:
@@ -226,6 +235,4 @@ def state_from_json(text: str) -> np.ndarray:
             out[n] = float(pair[0]) + 1j * float(pair[1])
         except (TypeError, ValueError) as exc:
             raise ParseError(f"amplitude {n}: {exc}") from exc
-    if not np.isfinite(out).all():
-        raise ParseError("amplitudes must be finite")
-    return out
+    return _finite_state(out)

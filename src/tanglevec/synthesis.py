@@ -30,7 +30,8 @@ from . import _kernels
 from .errors import DegenerateInput, GaugeUndefined, ParseError
 from .gates import (CouplingStep, LocalStep, PhaseStep, _pair_qubits, apply,
                     coupling_axis_step, sequence_unitary)
-from .so6 import SU4_BASIS, so3_image
+from .quaternionic import _rotation, _step
+from .so6 import SU4_BASIS
 from .states import (PARTITION_PAIR, PARTITION_SPECTATOR, QUBIT_AXIS, _check_options,
                      _finite_params, make_asymmetric_w, make_ghz, normalize)
 from .tangles import _measures, bipartite_tangle_from_density, three_tangle
@@ -60,8 +61,11 @@ def min_phase_distance(u: np.ndarray, v: np.ndarray) -> float:
     The phase is that of tr(v^H u), taken from u and v scaled to unit largest
     entry: it neither underflows nor overflows, and since the scaled norms lie
     between 1 and sqrt(u.size), its zero test is relative to |u| |v|. So the
-    distance scales with u and v at any finite scale.
+    distance scales with u and v at any finite scale. ParseError for a
+    non-finite entry.
     """
+    if not (np.isfinite(u).all() and np.isfinite(v).all()):
+        raise ParseError("min_phase_distance needs finite matrices")
     top_u, top_v = np.abs(u).max(), np.abs(v).max()
     if top_u > 0.0 and top_v > 0.0:
         tr = np.vdot(v / top_v, u / top_u)
@@ -135,72 +139,18 @@ def w_to_ghz_sequence(theta: float, phi: float) -> SynthesisResult:
 
 # --- canonical alignment and the tangle maximum ---------------------------
 
-def _axis_angle_local_step(qubit: str, axis, angle: float) -> LocalStep:
-    # so3_image(theta) rotates by -|theta| about theta, so negate
-    v = -angle * np.asarray(axis, dtype=float)
-    return LocalStep(qubit, (float(v[0]), float(v[1]), float(v[2])))
-
-
-def _rotation_axis_angle(src, dst) -> tuple[np.ndarray, float]:
-    """Unit axis and angle in [0, pi] of a rotation taking src onto dst.
-
-    Parallel vectors give angle 0; antiparallel ones a half turn about an
-    axis perpendicular to src.
-    """
-    u = np.asarray(src, float)
-    v = np.asarray(dst, float)
-    u = u / np.linalg.norm(u)
-    v = v / np.linalg.norm(v)
-    cross = np.cross(u, v)
-    s = np.linalg.norm(cross)
-    c = float(u @ v)
-    if s < 1e-14:
-        if c > 0:
-            return np.array([0.0, 0.0, 1.0]), 0.0
-        perp = np.array([1.0, 0, 0]) if abs(u[0]) < 0.9 else np.array([0, 1.0, 0])
-        axis = np.cross(u, perp)
-        return axis / np.linalg.norm(axis), float(np.pi)
-    return cross / s, float(np.arctan2(s, c))
-
-
-def _rot_to_steps(qubit: str, src, dst) -> list:
-    """Local steps rotating unit vector src onto unit vector dst."""
-    axis, angle = _rotation_axis_angle(src, dst)
-    return [_axis_angle_local_step(qubit, axis, angle)] if angle else []
-
-
-def _frame_rotation_steps(qubit: str, u1, u2, v1, v2) -> list:
-    """Local steps rotating u1 onto the unit vector v1, then u2 onto v2 about v1.
-
-    (u1, u2) and (v1, v2) are orthogonal pairs; u2 = None skips the turn
-    about v1.
-    """
-    steps = _rot_to_steps(qubit, u1, v1)
-    if u2 is None:
-        return steps
-    w = np.asarray(u2, dtype=float)
-    if steps:
-        w = so3_image(steps[0].theta) @ w
-    v2 = np.asarray(v2, dtype=float)
-    ang = float(np.arctan2(np.dot(np.cross(w, v2), v1), np.dot(w, v2)))
-    if abs(ang) > 1e-15:
-        steps.append(_axis_angle_local_step(qubit, v1, ang))
-    return steps
-
-
 def _align_vector_steps(qubit: str, vec: np.ndarray, zero: float) -> list:
-    """Rotate vec's real part onto +x and its imaginary part onto +z.
+    """At most one step rotating vec's real part onto +x and its imaginary part onto +z.
 
     Assumes Re(vec) and Im(vec) orthogonal (the gauged situation); parts of
     norm at most `zero` align trivially.
     """
-    vr = np.real(vec)
-    vi = np.imag(vec)
-    nr, ni = np.linalg.norm(vr), np.linalg.norm(vi)
+    vr, vi = np.real(vec), np.imag(vec)
+    nr, ni = float(np.linalg.norm(vr)), float(np.linalg.norm(vi))
+    frame = (vi / ni, (0.0, 0.0, 1.0)) if ni > zero else ()
     if nr > zero:
-        return _frame_rotation_steps(qubit, vr, vi if ni > zero else None,
-                                     np.array([1.0, 0.0, 0.0]), np.array([0.0, 0.0, 1.0]))
-    return _rot_to_steps(qubit, vi, [0.0, 0.0, 1.0]) if ni > zero else []
+        return _step(qubit, _rotation(vr / nr, (1.0, 0.0, 0.0), *frame))
+    return _step(qubit, _rotation(*frame)) if frame else []
 
 
 def _alignment(pq: str, v1, v2, tol: float) -> list:
@@ -413,9 +363,11 @@ def tangle_ascent_search(s, pair: str = "ab", restarts: int = 16, seed: int = 0,
     |A.A|^2 along the 9 pair couplings from `restarts` random points of the
     15-parameter group (the first is the identity). Used to certify that
     nothing exceeds the invariant bound. `max_iters` caps each restart's
-    Newton steps; a restart ends once its gradient is below `gtol` or at
-    rounding level. Raises ParseError for `restarts` or `max_iters` below 1,
-    a negative `seed`, and a `gtol` that is not finite or is negative.
+    Newton steps; a restart ends at rounding level or once the gradient of
+    |A.A|^2 is below `gtol` T^2, T the spectator's bipartite tangle (the
+    bound), since that gradient scales as T^2. Raises ParseError for
+    `restarts` or `max_iters` below 1, a negative `seed`, and a `gtol` that
+    is not finite or is negative.
     """
     _check_options(seeds={"seed": seed}, counts={"restarts": restarts, "max_iters": max_iters},
                    tols={"gtol": gtol})
@@ -428,10 +380,13 @@ def tangle_ascent_search(s, pair: str = "ab", restarts: int = 16, seed: int = 0,
     rng = np.random.default_rng(seed)
     inits = np.zeros((restarts, 15))
     inits[1:] = rng.uniform(-np.pi, np.pi, size=(restarts - 1, 15))
-    best, stats = _kernels.tangle_ascent_best(psi, SU4_BASIS, inits, max_iters, gtol)
     # no point of the orbit has a three-tangle above the spectator's bipartite
-    # tangle: when that is zero at rounding, every restart is at the maximum
-    if bipartite_tangle_from_density(psi, "c") <= 64 * _kernels._EPS:
+    # tangle T, and the gradient of |A.A|^2 scales as T^2, so gtol is relative
+    # to T^2; when T is zero at rounding, every restart is at the maximum
+    bound = bipartite_tangle_from_density(psi, "c")
+    best, stats = _kernels.tangle_ascent_best(psi, SU4_BASIS, inits, max_iters,
+                                              gtol * bound ** 2)
+    if bound <= 64 * _kernels._EPS:
         stats = stats._replace(converged=restarts, capped=False)
     return TangleAscentResult(best, restarts, stats.polish, stats.converged, stats.capped,
                               stats.spread)
@@ -441,7 +396,8 @@ def tangle_ascent_oracle(s, pair: str = "ab", restarts: int = 16, seed: int = 0,
                          max_iters: int = 400, gtol: float = 1e-10) -> float:
     """Numerically maximize the three-tangle over the pair's full SU(4).
 
-    The tangle of ``tangle_ascent_search`` with the same arguments; refuses
-    the same arguments with ParseError.
+    The tangle of ``tangle_ascent_search`` with the same arguments, `gtol`
+    relative to the square of the bound as there; refuses the same arguments
+    with ParseError.
     """
     return tangle_ascent_search(s, pair, restarts, seed, max_iters, gtol).tangle

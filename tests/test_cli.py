@@ -5,7 +5,8 @@ import pytest
 
 from tanglevec import (make_asymmetric_w, make_ghz, normalize, random_state,
                        state_to_json, to_state, QuaternionicState,
-                       sequence_to_json, named_gate, apply)
+                       sequence_to_json, named_gate, apply, ckw_residual,
+                       plucker_residual)
 from tanglevec.cli import _emit, main
 from tanglevec.vectors import _vectors
 from conftest import checked_tangle_set, count_calls
@@ -249,6 +250,22 @@ def test_verify_default_suite(capsys):
     assert doc["result"]["states"] == 1000
     for k in range(1000):  # the states of the sweep
         checked_tangle_set(random_state(4 + k))
+
+
+@pytest.mark.parametrize("n", [1, 9, 40])
+def test_verify_evaluates_each_state_once_and_names_the_worst(n, capsys, monkeypatch):
+    # one evaluation per swept state, two per dual-evolution check; each
+    # reported seed replays to its reported residual
+    vector_calls = count_calls(monkeypatch, _vectors)
+    code, doc, _ = run_cli(capsys, "verify", "-N", str(n), "--seed", "6")
+    assert code == 0
+    assert len(vector_calls) == n + 2 * max(1, n // 10)
+    res = doc["result"]
+    for name, residual in (("plucker", plucker_residual), ("ckw", ckw_residual)):
+        seed = res[f"{name}_worst_seed"]
+        assert 6 <= seed < 6 + n
+        assert residual(random_state(seed)) == res[f"{name}_worst"] \
+            == max(residual(random_state(6 + k)) for k in range(n))
 
 
 def test_verify_quaternionic_suite(capsys):

@@ -4,9 +4,10 @@ import warnings
 import numpy as np
 import pytest
 
-from tanglevec import (LocalStep, ParseError, _kernels, apply, fubini_study_angle, fubini_study_search,
-                       make_asymmetric_w, make_ghz, random_state, tangle_ascent_oracle,
-                       tangle_ascent_search, w_to_ghz_sequence)
+from tanglevec import (LocalStep, ParseError, _kernels, apply, bipartite_tangle_from_density,
+                       fubini_study_angle, fubini_study_search, make_asymmetric_w, make_ghz,
+                       normalize, random_state, tangle_ascent_oracle, tangle_ascent_search,
+                       w_to_ghz_sequence)
 from tanglevec.gates import PAIR_PAULIS, expi_hermitian
 from tanglevec.gates import SIGMA as PAULIS
 from tanglevec.so6 import SU4_BASIS
@@ -197,6 +198,19 @@ def test_ascent_converges_where_the_spectator_tangle_is_zero(s, pair):
     res = tangle_ascent_search(s, pair)
     assert res.tangle < 1e-30
     assert res.converged == res.restarts == 16 and not res.capped
+
+
+@pytest.mark.parametrize("e", [1e-3, 1e-4, 1e-5])
+def test_ascent_stationarity_is_relative_to_the_bound(e):
+    # next to a product of a pair state with |0> on c, the bound tau_c(ab)
+    # is 1.2e-6..1.2e-10; the gradient of |A.A|^2 scales as its square, so
+    # an absolute gtol counted the random starts as stationary, 10.7 % short
+    ab = random_state(3)[:4]
+    s = normalize(np.kron(ab / np.linalg.norm(ab), [1, 0]) + e * random_state(4))
+    bound = bipartite_tangle_from_density(s, "c")
+    res = tangle_ascent_search(s)
+    assert abs(res.tangle - bound) <= 1e-12 * bound
+    assert res.iterations > 0 and res.converged == res.restarts and not res.capped
 
 
 def test_fs_best_overlap_basic():

@@ -10,10 +10,9 @@ from tanglevec import (AcinParams, QuaternionicState, abc_quaternionic, abc_vect
                        to_state, usp_generators)
 from tanglevec.errors import (DegenerateInput, InvariantViolation, NotNormalized,
                               ParseError)
-from tanglevec.gates import LocalStep, PhaseStep
-from tanglevec.quaternionic import (_extract, _left_mult_step_a, _reduce, quat_conj)
-from tanglevec.synthesis import (_axis_angle_local_step, _frame_rotation_steps,
-                                 _rotation_axis_angle)
+from tanglevec.gates import LocalStep, PhaseStep, local_unitary, sequence_unitary
+from tanglevec.quaternionic import (_extract, _left, _reduce, _rotation, _step, quat_conj)
+from tanglevec.so6 import so3_image
 from tanglevec.vectors import _vectors
 from conftest import checked_tangle_set, count_calls
 
@@ -38,10 +37,11 @@ def is_quaternionic_block_matrix(m4, tol=1e-12) -> bool:
 def _reduce_reference(qs):
     """The reduction stage by stage: apply each stage, re-read the state.
 
-    The library designs the same steps from (x, y) alone and applies them
-    once; this loop is the reference it is compared against. Returns a
-    dict of the sequence, the parameters, the state after stage (iii) (the
-    vectors' canonical frame) and the final state.
+    The library designs one factor per qubit from (x, y) alone and applies
+    them once; this loop, one step per stage and qubit, is the reference it
+    is compared against. Returns a dict of the sequence, the parameters, the
+    state after stage (iii) (the vectors' canonical frame) and the final
+    state.
     """
     state = to_state(qs)
     seq: list = []
@@ -61,19 +61,17 @@ def _reduce_reference(qs):
     if res > 1e-9:
         raise InvariantViolation(f"lost quaternionic form while balancing ({res})")
 
-    v = 2.0 * quat_conj(y)
-    step = _left_mult_step_a(v)
-    seq.append(step)
-    state = apply([step], state)
+    steps = _step("a", _left(2.0 * quat_conj(y)))
+    seq.extend(steps)
+    state = apply(steps, state)
     x, y, res = _extract(state)
     if res > 1e-9 or abs(y[0] - 0.5) > 1e-9 or np.abs(y[1:]).max() > 1e-9:
         raise InvariantViolation("y did not reduce to the scalar 1/2")
 
     xv = x[1:]
     if np.linalg.norm(xv) > 1e-12:
-        axis, angle = _rotation_axis_angle(xv, [0.0, 0.0, -1.0])
-        steps = [_axis_angle_local_step("a", axis * [-1.0, 1.0, -1.0], angle),
-                 _axis_angle_local_step("c", axis, angle)]
+        r = _rotation(xv / np.linalg.norm(xv), [0.0, 0.0, -1.0])
+        steps = _step("a", _left(r)) + _step("c", r)
         seq.extend(steps)
         state = apply(steps, state)
         x, y, res = _extract(state)
@@ -92,11 +90,8 @@ def _reduce_reference(qs):
     v1 = np.array([-np.sin(xi), 0.0, np.cos(xi)]) / 2
     v2 = np.array([0.0, np.sin(xi), 0.0]) / 2
     n2 = np.linalg.norm(u2)
-    steps = _frame_rotation_steps(
-        "b", u1 / np.linalg.norm(u1),
-        u2 / n2 if n2 > 1e-12 else None,
-        v1 / np.linalg.norm(v1),
-        v2 / np.linalg.norm(v2) if n2 > 1e-12 else None)
+    frame = (u2 / n2, v2 / np.linalg.norm(v2)) if n2 > 1e-12 else ()
+    steps = _step("b", _rotation(u1 / np.linalg.norm(u1), v1 / np.linalg.norm(v1), *frame))
     if steps:
         seq.extend(steps)
         state = apply(steps, state)
@@ -397,6 +392,67 @@ def test_right_multiplication_transitive(rng):
     assert np.abs(quat_mul(s, x_in) - x_out).max() < 1e-12
 
 
+# --- rotation design --------------------------------------------------------
+
+def _unit(x):
+    return x / np.linalg.norm(x)
+
+
+def _rotation_cases(rng, n):
+    """(u, v, u2, v2) with u2 = v2 = None or orthogonal pairs: random, then
+    v = u, v = -u, and v near u and near -u at scales 1e-16..1e-1."""
+    for _ in range(n):
+        u = _unit(rng.standard_normal(3))
+        near = 10.0 ** rng.uniform(-16, -1) * rng.standard_normal(3)
+        for v in (_unit(rng.standard_normal(3)), u, -u, _unit(u + near), _unit(near - u)):
+            u2 = _unit(np.cross(u, rng.standard_normal(3)))
+            v2 = _unit(np.cross(v, rng.standard_normal(3)))
+            yield u, v, None, None
+            yield u, v, u2, v2
+
+
+def _image(steps):
+    """The SO(3) rotation of at most one local step, by so6's Rodrigues form."""
+    assert len(steps) <= 1
+    return so3_image(steps[0].theta) if steps else np.eye(3)
+
+
+def test_rotation_maps_the_frame(rng):
+    for u, v, u2, v2 in _rotation_cases(rng, 200):
+        r = _image(_step("b", _rotation(u, v, u2, v2)))
+        assert np.abs(r @ u - v).max() <= 1e-14, (u, v)
+        if u2 is not None:
+            assert np.abs(r @ u2 - v2).max() <= 1e-14, (u, v, u2, v2)
+
+
+def test_rotation_is_the_shortest(rng):
+    # the angle of a step is |theta|; the shortest rotation turns by arccos(u.v)
+    for u, v, u2, _ in _rotation_cases(rng, 200):
+        if u2 is None:
+            steps = _step("c", _rotation(u, v))
+            angle = np.linalg.norm(steps[0].theta) if steps else 0.0
+            assert abs(angle - np.arccos(np.clip(u @ v, -1.0, 1.0))) <= 1e-7, (u, v)
+    assert _step("a", _rotation(QI[1:], QI[1:])) == []
+    steps = _step("a", _rotation(QI[1:], -QI[1:]))
+    assert abs(np.linalg.norm(steps[0].theta) - np.pi) <= 1e-15
+
+
+@pytest.mark.parametrize("qubit, embed", [
+    ("a", lambda m: np.kron(m, np.eye(4))),
+    ("b", lambda m: np.kron(np.eye(2), np.kron(m, np.eye(2)))),
+    ("c", lambda m: np.kron(np.eye(4), m)),
+])
+def test_step_is_the_quaternion_with_its_sign(qubit, embed, rng):
+    ps = [_unit(rng.standard_normal(4)) for _ in range(50)]
+    ps += [np.array([1.0, 0.0, 0.0, 0.0]), QI, QJ, QK, _rotation(QK[1:], -QK[1:])]
+    for p in ps:
+        for q in (p, -p):
+            steps = _step(qubit, q)
+            assert len(steps) <= 1 and all(st.qubit == qubit for st in steps)
+            u = local_unitary(qubit, steps[0].theta) if steps else np.eye(8)
+            assert np.abs(u - embed(quat_to_matrix(q))).max() <= 1e-14, q
+
+
 # --- balance and reduction --------------------------------------------------
 
 def test_balance_chi_already_balanced():
@@ -519,18 +575,19 @@ def _replay_states(rng, n):
 
 def test_reduce_matches_stage_by_stage_reference():
     # the closed-form design against the loop that applies each stage and
-    # re-reads the state: the same steps (less the reference's trailing
-    # phase, which is at rounding), the same angles and the same final state
+    # re-reads the state: on every qubit the design's one step is the product
+    # of the reference's steps, sign included (less the reference's trailing
+    # phase, which is at rounding), with the same angles and final state
     for k, (kind, qs) in enumerate(_replay_states(np.random.default_rng(13), 430)):
         ref = _reduce_reference(qs)
         seq, params, final, residual = _reduce(qs)
         *ref_seq, phase = ref["sequence"]
         assert isinstance(phase, PhaseStep) and abs(phase.alpha) < 1e-12, (k, kind)
-        assert [(type(a), a.qubit) for a in seq] == [(type(a), a.qubit) for a in ref_seq], \
-            (k, kind)
-        for a, b in zip(seq, ref_seq):
-            d = np.subtract(a.theta, b.theta)
-            assert np.abs((d + np.pi) % (2 * np.pi) - np.pi).max() < 1e-10, (k, kind)
+        assert len(seq) == len({st.qubit for st in seq}) <= 3, (k, kind)
+        for q in "abc":
+            u, u_ref = (sequence_unitary([st for st in steps if st.qubit == q])
+                        for steps in (seq, ref_seq))
+            assert np.abs(u - u_ref).max() < 1e-10, (k, kind, q)
         assert np.abs(final - ref["final_state"]).max() < 1e-12, (k, kind)
         assert abs(params.xi - ref["params"].xi) < 1e-12, (k, kind)
         assert np.abs(params.lambdas - ref["params"].lambdas).max() < 1e-12, (k, kind)

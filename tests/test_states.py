@@ -1,12 +1,13 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
 
 from tanglevec import (ParseError, ZeroState,
                        fidelity_up_to_phase, make_acin, make_asymmetric_w,
-                       make_ghz, matricize, normalize, random_state,
-                       state_from_json, state_to_json, three_tangle)
+                       make_ghz, matricize, min_phase_distance, normalize,
+                       random_state, state_from_json, state_to_json, three_tangle)
 from tanglevec.errors import NotNormalized
 from conftest import checked_tangle_set
 
@@ -34,6 +35,24 @@ def test_normalize_refuses_non_finite(bad):
     s[5] = bad
     with pytest.raises(ParseError):
         normalize(s)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0, np.nan)])
+@pytest.mark.parametrize("call", [
+    lambda s: fidelity_up_to_phase(s, random_state(3)),
+    lambda s: fidelity_up_to_phase(random_state(3), s),
+    lambda s: matricize(s, 2),
+    lambda s: min_phase_distance(s.reshape(2, 4), np.ones((2, 4))),
+    lambda s: min_phase_distance(np.ones((2, 4)), s.reshape(2, 4)),
+], ids=["fidelity-1", "fidelity-2", "matricize", "phase-distance-u", "phase-distance-v"])
+def test_non_finite_amplitudes_refused(call, bad):
+    # refused at the boundary, before numpy can warn or pass the NaN on
+    s = random_state(2).copy()
+    s[5] = bad
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ParseError, match="finite"):
+            call(s)
 
 
 def test_random_state_refuses_a_negative_seed():
