@@ -22,8 +22,8 @@ from .gates import (CouplingStep, LocalStep, PhaseStep, apply,
 from .quaternionic import (QuaternionicState, _reduce, abc_quaternionic, is_quaternionic,
                            tangles_quaternionic, to_state)
 from .so6 import evolve_q, verify_commutators
-from .states import (PARTITION_PAIR, PARTITION_SPECTATOR, normalize, parse_partition,
-                     random_state, state_from_json, state_to_json)
+from .states import (PARTITION_PAIR, PARTITION_SPECTATOR, _check_options, _finite_params,
+                     normalize, parse_partition, random_state, state_from_json, state_to_json)
 from .synthesis import (fubini_study_search, maximize_three_tangle,
                         synthesize_coupling_core, w_to_ghz_sequence)
 from .tangles import _ckw, _measures, tangle_set
@@ -125,12 +125,8 @@ def cmd_evolve(args) -> int:
 
 
 def cmd_synthesize_coupling_core(args) -> int:
-    alpha = [float(x) for x in args.alpha.split(",")]
-    if len(alpha) != 3:
-        raise ParseError("--alpha needs three comma-separated numbers")
-    if args.degrees:
-        alpha = [np.radians(a) for a in alpha]
-    res = synthesize_coupling_core(alpha)
+    alpha = _finite_params(args.alpha.split(","), 3, "--alpha")
+    res = synthesize_coupling_core(np.radians(alpha) if args.degrees else alpha)
     payload = {"sequence": _sequence_payload(res.sequence),
                "achieved_distance": res.achieved, **res.meta}
     _emit(_report("synthesize coupling-core", None, payload), args.pretty)
@@ -138,10 +134,8 @@ def cmd_synthesize_coupling_core(args) -> int:
 
 
 def cmd_synthesize_w_to_ghz(args) -> int:
-    theta, phi = args.theta, args.phi
-    if args.degrees:
-        theta, phi = np.radians(theta), np.radians(phi)
-    res = w_to_ghz_sequence(theta, phi)
+    angles = (args.theta, args.phi)
+    res = w_to_ghz_sequence(*(np.radians(angles) if args.degrees else angles))
     payload = {"sequence": _sequence_payload(res.sequence),
                "achieved_fidelity": res.achieved, **res.meta}
     _emit(_report("synthesize w-to-ghz", None, payload), args.pretty)
@@ -205,13 +199,13 @@ def _verify_default(n: int, seed: int) -> dict:
     rep = verify_commutators()
     worst_dual = 0.0
     rng = np.random.default_rng(seed)
-    res = np.zeros((2, max(n, 0)))
+    res = np.zeros((2, n))
     for k in range(n):
         v, tol = _vectors(random_state(seed + k))
         res[:, k] = _plucker(v), _ckw(_measures(v, tol))
     # each identity's worst residual and the seed of its state
     (worst_plucker, plucker_seed), (worst_ckw, ckw_seed) = (
-        (float(r.max()), seed + int(r.argmax())) if r.size else (0.0, None) for r in res)
+        (float(r.max()), seed + int(r.argmax())) for r in res)
     for k in range(max(1, n // 10)):
         p = int(rng.integers(1, 4))
         first, second = PARTITION_PAIR[p]
@@ -270,10 +264,9 @@ def _verify_quaternionic(n: int, seed: int) -> dict:
 
 
 def cmd_verify(args) -> int:
-    if args.suite == "quaternionic":
-        payload = _verify_quaternionic(args.num, args.seed)
-    else:
-        payload = _verify_default(args.num, args.seed)
+    _check_options(seeds={"--seed": args.seed}, counts={"-N": args.num})
+    suite = _verify_quaternionic if args.suite == "quaternionic" else _verify_default
+    payload = suite(args.num, args.seed)
     _emit(_report(f"verify --suite {args.suite}", None, payload,
                   seed=args.seed), args.pretty)
     return EXIT_OK if payload["pass"] else EXIT_VERIFY

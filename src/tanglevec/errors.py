@@ -38,10 +38,11 @@ class DegenerateInput(TangleVecError, ValueError):
 
 
 class ParseError(TangleVecError, ValueError):
-    """Malformed input: bad JSON or fields, or a state with a non-finite amplitude.
+    """Malformed input: bad JSON or fields, a non-finite amplitude, or a bad gate step.
 
-    The invariants and tangles also refuse a finite state whose |s|^4
-    overflows (|s| above about 1.2e77); normalize() accepts it.
+    A gate step raises it when it is built (see gates). The invariants and
+    tangles also refuse a finite state whose |s|^4 overflows (|s| above about
+    1.2e77); normalize() accepts it.
     """
 
 

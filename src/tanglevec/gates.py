@@ -10,31 +10,34 @@ and a sequence is a plain list applied left to right (first element acts
 first). Operator products written right-to-left on paper therefore list in
 reverse here.
 
-One walker, _steps, checks every step of a sequence once and sorts it for a
-gate picture; the picture passes only data (its key for each qubit and its
-layout of the ordered pairs), and the dual picture in so6 uses the same
-walker. In this picture one contraction loop applies a sequence to an (8, R)
+Each step is checked once, when it is built: a bad qubit or pair, or
+parameters that are not 3, 9 or 1 real numbers with a finite Euclidean norm,
+raise ParseError there, and a built step cannot change. So the one walker,
+_steps, only sorts a sequence for a gate picture, given the picture's key for
+each qubit and layout of the ordered pairs; so6's dual picture uses it too.
+In this picture one contraction loop applies a sequence to an (8, R)
 amplitude matrix whose R columns evolve independently: apply() uses one
 column, and the 8x8 unitaries are the same evolution of the identity. A local
-factor is the closed Euler form computed from scalars. All coupling factors of
-the sequence come from one stacked eigendecomposition of their 4x4 Hermitian
-generators (expi_hermitian), so there is no series truncation anywhere. Phases
-are summed into one scalar. Each factor is contracted by one reshape and one
-matmul: (2**axis, 2, rest) for a local, (2**first, 4, rest) for an adjacent
-pair, and the pair (a, c) after one transpose that moves c next to a. A
-reversed pair such as "ba" is its forward pair with theta transposed. No 8x8
-matrix is built for a step.
+factor is the closed Euler form computed from scalars. All coupling factors
+of the sequence come from one stacked eigendecomposition of their 4x4
+Hermitian generators (expi_hermitian), so there is no series truncation
+anywhere. Phases are summed into one scalar, reduced modulo 2 pi. Each factor
+is contracted by one reshape and one matmul: (2**axis, 2, rest) for a local,
+(2**first, 4, rest) for an adjacent pair, and the pair (a, c) after one
+transpose that moves c next to a. A reversed pair such as "ba" is its forward
+pair with theta transposed. No 8x8 matrix is built for a step.
 """
 from __future__ import annotations
 
 import json
 import math
 from dataclasses import dataclass
+from numbers import Real
 
 import numpy as np
 
 from .errors import InvariantViolation, NotRepresentable, ParseError, UnknownGate
-from .states import EPS_NORM, QUBIT_AXIS, QUBITS, normalize
+from .states import EPS_NORM, QUBIT_AXIS, normalize
 
 SIGMA = (
     np.array([[0, 1], [1, 0]], dtype=complex),
@@ -50,27 +53,47 @@ PAIR_PAULIS.flags.writeable = False
 #: sigma_n x sigma_m as a (9, 16) view of the table, row 3(n-1) + m-1
 _SIGMA_PAIRS = PAIR_PAULIS[6:].reshape(9, 16)
 
-PAIRS = ("ab", "bc", "ac")
-
 
 def _pair_qubits(pair: str) -> tuple[str, str]:
-    if (isinstance(pair, str) and len(pair) == 2 and pair[0] in "abc"
-            and pair[1] in "abc" and pair[0] != pair[1]):
+    if isinstance(pair, str) and pair in _PAIR_LAYOUT:   # the six ordered pairs
         return pair[0], pair[1]
     raise ParseError(f"bad qubit pair {pair!r}")
 
 
+def _reals(values, n: int, what: str) -> tuple:
+    """values as n floats with a finite Euclidean norm, else ParseError naming what.
+
+    Each must be an int, a float or a numpy real scalar (numbers.Real, slow, goes last).
+    """
+    try:
+        if not isinstance(values, str) and len(values) == n:
+            out = tuple([float(v) for v in values if isinstance(v, (float, int, Real))])
+            if len(out) == n and math.isfinite(math.hypot(*out)):
+                return out
+    except (TypeError, OverflowError):   # no len(), or an int beyond any float
+        pass
+    raise ParseError(f"{what}: expected {n} real number{'s' * (n > 1)} with a finite norm, "
+                     f"got {values!r}")
+
+
 @dataclass(frozen=True)
 class LocalStep:
+    """exp(1/2 sum_n theta_n i sigma_n) on the qubit a, b or c; theta is 3 floats."""
+
     qubit: str
     theta: tuple[float, float, float]
 
     kind = "local"
 
+    def __post_init__(self):
+        if not (isinstance(self.qubit, str) and self.qubit in QUBIT_AXIS):
+            raise ParseError(f"bad qubit {self.qubit!r}")
+        object.__setattr__(self, "theta", _reals(self.theta, 3, "local step angles"))
+
 
 @dataclass(frozen=True, eq=False)
 class CouplingStep:
-    """exp(1/2 sum_nm theta_nm i sigma_n sigma_m) on the ordered pair.
+    """exp(1/2 sum_nm theta_nm i sigma_n sigma_m) on an ordered pair; theta is a read-only copy.
 
     Either picture's factor is accurate to a few eps max(1, sum |theta_nm|),
     the rounding of theta itself (see expi_hermitian).
@@ -82,7 +105,15 @@ class CouplingStep:
     kind = "coupling"
 
     def __post_init__(self):
-        object.__setattr__(self, "theta", np.asarray(self.theta, dtype=float).reshape(3, 3))
+        _pair_qubits(self.pair)
+        try:
+            theta = np.asarray(self.theta)
+        except ValueError:   # a ragged nesting
+            theta = np.asarray(None)
+        _reals(theta.ravel().tolist(), 9, "coupling coefficients")
+        theta = theta.astype(float).reshape(3, 3)
+        theta.flags.writeable = False
+        object.__setattr__(self, "theta", theta)
 
 
 @dataclass(frozen=True)
@@ -91,14 +122,8 @@ class PhaseStep:
 
     kind = "phase"
 
-
-def _angles(theta, k: int) -> tuple[float, float, float, float]:
-    """The three angles of local step k and their norm; a non-finite norm is refused."""
-    t0, t1, t2 = theta
-    t = math.hypot(t0, t1, t2)
-    if not math.isfinite(t):
-        raise InvariantViolation(f"step {k}: non-finite rotation angles {tuple(theta)}")
-    return t0, t1, t2, t
+    def __post_init__(self):
+        object.__setattr__(self, "alpha", _reals((self.alpha,), 1, "phase angle")[0])
 
 
 def expi_hermitian(h) -> np.ndarray:
@@ -122,59 +147,48 @@ _PAIR_LAYOUT = {"ab": (1, False), "ba": (1, True), "bc": (2, False),
 
 
 def _steps(seq, qubits: dict, pairs: dict) -> tuple[list, np.ndarray, float]:
-    """Check every step of a sequence once and sort it for one gate picture.
+    """Sort the steps of a sequence, each checked when it was built, for one gate picture.
 
     qubits maps each qubit to the picture's key for its locals (None for a
     qubit the picture ignores); pairs maps each ordered pair the picture
     carries to (key, theta transposed). Returns, in sequence order,
     (key, (t0, t1, t2, |t|)) for each local that rotates and (key, None) for
-    each coupling; the couplings' finite (k, 3, 3) coefficients in the
-    picture's layout; and the summed phase. Raises ParseError for a malformed
-    qubit or pair, NotRepresentable for a well-formed pair missing from
-    pairs, InvariantViolation naming the step for a non-finite parameter, and
-    TypeError for anything that is not a step.
+    each coupling; the couplings' (k, 3, 3) coefficients in the picture's
+    layout; and the summed phase in [-pi, pi]. Raises NotRepresentable for a
+    pair missing from pairs, and TypeError for anything that is not a step.
     """
-    out, thetas, where = [], [], []
+    out, thetas = [], []
     phase = 0.0
     for k, step in enumerate(seq):
         if isinstance(step, LocalStep):
-            if step.qubit not in QUBITS:
-                raise ParseError(f"step {k}: bad qubit {step.qubit!r}")
-            angles = _angles(step.theta, k)
             key = qubits[step.qubit]
-            if key is not None and angles[3] >= 1e-300:
-                out.append((key, angles))
+            t = math.hypot(*step.theta)
+            if key is not None and t >= 1e-300:
+                out.append((key, (*step.theta, t)))
         elif isinstance(step, CouplingStep):
-            layout = pairs.get(step.pair) if isinstance(step.pair, str) else None
+            layout = pairs.get(step.pair)
             if layout is None:
-                _pair_qubits(step.pair)   # raises ParseError for a malformed pair
                 raise NotRepresentable(f"step {k}: coupling on {step.pair} involves the spectator")
             key, flip = layout
             out.append((key, None))
             thetas.append(step.theta.T if flip else step.theta)
-            where.append(k)
         elif isinstance(step, PhaseStep):
-            if not math.isfinite(step.alpha):
-                raise InvariantViolation(f"step {k}: non-finite phase {step.alpha}")
-            phase += step.alpha
+            phase = math.remainder(phase + step.alpha, 2.0 * math.pi)
         else:
             raise TypeError(f"not a gate step: {step!r}")
-    th = np.array(thetas).reshape(-1, 3, 3)
-    bad = ~np.isfinite(th).all(axis=(1, 2))
-    if bad.any():
-        raise InvariantViolation(f"step {where[int(bad.argmax())]}: non-finite coupling angles")
-    return out, th, phase
+    return out, np.array(thetas).reshape(-1, 3, 3), phase
 
 
 def _evolve(seq, m: np.ndarray) -> np.ndarray:
     """Apply the steps to the (8, R) amplitude matrix m; its columns evolve independently.
 
     A local factor is built from scalars; all coupling factors come from one
-    stacked exponential of their 4x4 generators.
+    stacked exponential of their 4x4 generators, whose theta is halved before
+    it is summed, so that no sum overflows.
     """
     steps, th, phase = _steps(seq, _LOCAL_LEAD, _PAIR_LAYOUT)
     if len(th):
-        us = iter(expi_hermitian(0.5 * (th.reshape(-1, 9) @ _SIGMA_PAIRS).reshape(-1, 4, 4)))
+        us = iter(expi_hermitian(((0.5 * th).reshape(-1, 9) @ _SIGMA_PAIRS).reshape(-1, 4, 4)))
     r = m.shape[1]
     for lead, angles in steps:
         if angles is None:
@@ -211,9 +225,7 @@ def coupling_unitary(pair: str, theta) -> np.ndarray:
 def apply(seq, s) -> np.ndarray:
     """Apply the steps in order to a normalized state.
 
-    Raises InvariantViolation for a non-finite step parameter, and when the
-    result is not of unit norm (a non-finite amplitude, since the steps are
-    unitary).
+    InvariantViolation if the result is not of unit norm: only a broken factor does that.
     """
     out = _evolve(seq, normalize(s).reshape(8, 1)).reshape(8)
     n = np.linalg.norm(out)
@@ -239,27 +251,19 @@ def named_gate(name: str, location: str):
     """
     name = name.upper()
     if name == "H":
-        q = location
-        if q not in QUBIT_AXIS:
-            raise ParseError(f"H needs a single qubit, got {location!r}")
         return [
-            LocalStep(q, (0.0, np.pi / 2, 0.0)),
-            LocalStep(q, (0.0, 0.0, np.pi)),
+            LocalStep(location, (0.0, np.pi / 2, 0.0)),
+            LocalStep(location, (0.0, 0.0, np.pi)),
             PhaseStep(-np.pi / 2),
         ]
     q1, q2 = _pair_qubits(location)
-    if name == "CZ":
+    if name in ("CZ", "CNOT"):
+        # CNOT is CZ with the target's z axis turned to x
+        z = name == "CZ"
         return [
             LocalStep(q1, (0.0, 0.0, -np.pi / 2)),
-            LocalStep(q2, (0.0, 0.0, -np.pi / 2)),
-            coupling_axis_step(location, 3, 3, np.pi / 4),
-            PhaseStep(np.pi / 4),
-        ]
-    if name == "CNOT":
-        return [
-            LocalStep(q1, (0.0, 0.0, -np.pi / 2)),
-            LocalStep(q2, (-np.pi / 2, 0.0, 0.0)),
-            coupling_axis_step(location, 3, 1, np.pi / 4),
+            LocalStep(q2, (0.0, 0.0, -np.pi / 2) if z else (-np.pi / 2, 0.0, 0.0)),
+            coupling_axis_step(location, 3, 3 if z else 1, np.pi / 4),
             PhaseStep(np.pi / 4),
         ]
     if name == "SWAP":
@@ -274,22 +278,23 @@ def named_gate(name: str, location: str):
 # [{"kind": "local"|"coupling"|"phase", "target": "a".."ac", "params": [...]}]
 
 def sequence_to_json(seq) -> str:
-    """The wire form of a sequence; a step that apply() would refuse is refused here."""
-    _steps(seq, _LOCAL_LEAD, _PAIR_LAYOUT)
+    """Strict JSON wire form of a sequence (every step is finite); TypeError for a non-step."""
     items = []
     for step in seq:
         if isinstance(step, LocalStep):
-            items.append({"kind": "local", "target": step.qubit,
-                          "params": [float(x) for x in step.theta]})
+            target, params = step.qubit, list(step.theta)
         elif isinstance(step, CouplingStep):
-            items.append({"kind": "coupling", "target": step.pair,
-                          "params": [float(x) for x in step.theta.ravel()]})
+            target, params = step.pair, step.theta.ravel().tolist()
+        elif isinstance(step, PhaseStep):
+            target, params = "", [step.alpha]
         else:
-            items.append({"kind": "phase", "target": "", "params": [float(step.alpha)]})
+            raise TypeError(f"not a gate step: {step!r}")
+        items.append({"kind": step.kind, "target": target, "params": params})
     return json.dumps(items)
 
 
 def sequence_from_json(text: str):
+    """The steps of a wire form; ParseError, prefixed "step k" when a constructor refuses."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -299,25 +304,20 @@ def sequence_from_json(text: str):
     seq = []
     for k, item in enumerate(doc):
         try:
-            kind = item["kind"]
-            params = [float(x) for x in item["params"]]
+            kind, params = item["kind"], item["params"]
+            if kind == "phase":
+                (params,) = params   # the wire form lists the one angle
         except (TypeError, KeyError, ValueError) as exc:
             raise ParseError(f"malformed step {k}: {exc}") from exc
-        if not all(math.isfinite(x) for x in params):
-            raise ParseError(f"step {k}: parameters must be finite")
-        if kind == "local":
-            if len(params) != 3:
-                raise ParseError(f"step {k}: local steps take 3 angles")
-            seq.append(LocalStep(item.get("target"), tuple(params)))
-        elif kind == "coupling":
-            if len(params) != 9:
-                raise ParseError(f"step {k}: coupling steps take 9 coefficients")
-            seq.append(CouplingStep(item.get("target"), np.array(params).reshape(3, 3)))
-        elif kind == "phase":
-            if len(params) != 1:
-                raise ParseError(f"step {k}: phase steps take 1 angle")
-            seq.append(PhaseStep(params[0]))
-        else:
-            raise ParseError(f"step {k}: unknown kind {kind!r}")
-    _steps(seq, _LOCAL_LEAD, _PAIR_LAYOUT)   # qubits and pairs
+        try:
+            if kind == "local":
+                seq.append(LocalStep(item.get("target"), params))
+            elif kind == "coupling":
+                seq.append(CouplingStep(item.get("target"), params))
+            elif kind == "phase":
+                seq.append(PhaseStep(params))
+            else:
+                raise ParseError(f"unknown kind {kind!r}")
+        except ParseError as exc:
+            raise ParseError(f"step {k}: {exc}") from None
     return seq

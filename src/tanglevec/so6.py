@@ -19,12 +19,12 @@ triple, so the three local images of a block are the Levi-Civita matrices
 returns a copy of a table row.
 
 evolve_q and so6_image are one dual evolution: so6_image evolves eye(6), as
-gates.sequence_unitary evolves eye(8). Each step is checked and sorted by the
-walker gates._steps, given this partition's qubit offsets (None for the
-spectator) and its pair layout. A local's 3x3 Rodrigues rotation is computed
-from scalars and acts on its own three components only. All coupling images
-of a sequence, sum theta_nm Lambda_nm, are exponentiated in one stacked
-expi_hermitian call. The walker shares checks and sorting only: the dual
+gates.sequence_unitary evolves eye(8). The walker gates._steps sorts the
+steps, checked when they were built, given this partition's qubit offsets
+(None for the spectator) and its pair layout. A local's 3x3 Rodrigues
+rotation is computed from scalars and acts on its own three components only.
+All coupling images of a sequence, sum theta_nm Lambda_nm, are exponentiated
+in one stacked expi_hermitian call. The walker shares sorting only: the dual
 picture never uses the 4x4 unitaries of the Hilbert picture, so comparing the
 two pictures stays a test of the generator map.
 """
@@ -36,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import IndexOutOfRange, UnknownGenerator
-from .gates import PAIR_PAULIS, _angles, _steps, expi_hermitian
+from .gates import PAIR_PAULIS, LocalStep, _steps, expi_hermitian
 from .states import PARTITION_PAIR, PARTITION_SPECTATOR, parse_partition
 from .vectors import SixVector
 
@@ -142,8 +142,10 @@ def so3_image(theta) -> np.ndarray:
 
     This is the rotation by angle -|theta| about the axis theta/|theta|;
     a 2 pi rotation maps to the identity while the SU(2) side gives -1.
+    ParseError for angles that a LocalStep refuses.
     """
-    return _rodrigues(*_angles(theta, 0))
+    t = LocalStep("a", theta).theta
+    return _rodrigues(*t, math.hypot(*t))
 
 
 #: sum_nm theta_nm Lambda_nm as a (9, 36) table, row 3(n-1) + m-1

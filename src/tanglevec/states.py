@@ -63,13 +63,16 @@ def _check_options(*, seeds=None, counts=None, tols=None) -> None:
 
 
 def _finite_params(values, n: int, what: str) -> np.ndarray:
-    """The real parameters ``values`` as n finite floats.
+    """The real parameters ``values``, numbers or their text, as n finite floats.
 
-    Raises ParseError naming ``what`` for a value that is not a real
-    number, a count other than n, or a NaN or infinite value.
+    Raises ParseError naming ``what`` for a value that is not a real number
+    (a complex one too), a count other than n, or a NaN or infinite value.
     """
     try:
-        x = np.asarray(values, dtype=float).reshape(-1)
+        x = np.asarray(values)
+        if x.dtype.kind == "c":
+            raise TypeError
+        x = x.astype(float, copy=False).reshape(-1)
     except (TypeError, ValueError):
         raise ParseError(f"{what}: expected {n} real numbers, got {values!r}") from None
     if x.shape != (n,):

@@ -114,6 +114,21 @@ def test_evolve_nan_param_refused(ghz_file, tmp_path, capsys):
     assert capsys.readouterr().out == ""
 
 
+@pytest.mark.parametrize("step, message", [
+    ({"kind": "local", "target": "a", "params": [0.1, 0.2]}, "step 1: local step angles"),
+    ({"kind": "coupling", "target": "ab", "params": [0.1] * 8}, "step 1: coupling coefficients"),
+    ({"kind": "coupling", "target": "zz", "params": [0.1] * 9}, "step 1: bad qubit pair"),
+    ({"kind": "phase", "target": "", "params": ["x"]}, "step 1: phase angle"),
+], ids=["two-angle-local", "short-coupling", "bad-pair", "text-phase"])
+def test_evolve_refuses_a_bad_step(ghz_file, tmp_path, capsys, step, message):
+    # the step's constructor refuses it, named by its index in the file
+    seqf = tmp_path / "seq.json"
+    seqf.write_text(json.dumps([{"kind": "phase", "target": "", "params": [0.1]}, step]))
+    code, doc, err = run_cli(capsys, "evolve", "--state", ghz_file, "--sequence", str(seqf))
+    assert code == 1 and doc is None
+    assert err.startswith("error: ") and message in err
+
+
 def test_analyze_nan_amplitude_refused(tmp_path, capsys):
     p = tmp_path / "nan.json"
     p.write_text(json.dumps({"amplitudes": [[float("nan"), 0]] + [[0, 0]] * 7}))
@@ -141,6 +156,20 @@ def test_synthesize_coupling_core_degrees(capsys):
                            "--alpha", "90,0,0", "--degrees")
     assert code == 0
     assert abs(doc["result"]["alpha"][0] - np.pi / 2) < 1e-12
+
+
+@pytest.mark.parametrize("alpha, message", [
+    ("0.4,-0.9", "expected 3"),
+    ("0.4,-0.9,1.7,0.1", "expected 3"),
+    ("0.4,nan,1.7", "must be finite"),
+    ("0.4,inf,1.7", "must be finite"),
+    ("0.4,1j,1.7", "expected 3"),
+    ("a,b,c", "expected 3"),
+], ids=["short", "long", "nan", "inf", "complex", "text"])
+def test_synthesize_coupling_core_refuses_bad_alpha(alpha, message, capsys):
+    code, doc, err = run_cli(capsys, "synthesize", "coupling-core", f"--alpha={alpha}")
+    assert code == 1 and doc is None
+    assert err.startswith("error: --alpha") and message in err
 
 
 def test_synthesize_w_to_ghz(capsys):
@@ -266,6 +295,16 @@ def test_verify_evaluates_each_state_once_and_names_the_worst(n, capsys, monkeyp
         assert 6 <= seed < 6 + n
         assert residual(random_state(seed)) == res[f"{name}_worst"] \
             == max(residual(random_state(6 + k)) for k in range(n))
+
+
+@pytest.mark.parametrize("suite", ["default", "quaternionic"])
+@pytest.mark.parametrize("option", [("-N", "-5"), ("-N", "0"), ("--seed", "-1")],
+                         ids=["negative-count", "zero-count", "negative-seed"])
+def test_verify_refuses_bad_options(suite, option, capsys):
+    # an empty or negative sweep checks nothing, so it cannot pass
+    code, doc, err = run_cli(capsys, "verify", "--suite", suite, *option)
+    assert code == 1 and doc is None
+    assert err.startswith("error: ") and option[0] in err
 
 
 def test_verify_quaternionic_suite(capsys):

@@ -1,15 +1,18 @@
+import dataclasses
 import json
+import warnings
 
 import numpy as np
 import pytest
 from scipy.linalg import expm
 
 from tanglevec import (CouplingStep, InvariantViolation, LocalStep, PhaseStep,
-                       ParseError, UnknownGate, apply,
+                       ParseError, TangleVecError, UnknownGate, apply,
                        coupling_unitary, evolve_q, fidelity_up_to_phase, local_unitary,
                        make_asymmetric_w, make_ghz, named_gate, q_vector, random_state,
                        sequence_from_json, sequence_to_json, sequence_unitary,
                        so6_image, w_to_ghz_sequence)
+from tanglevec import gates, so6
 from tanglevec.gates import SIGMA, _evolve, expi_hermitian
 from conftest import count_calls
 
@@ -164,9 +167,15 @@ def test_apply_empty_sequence():
     assert np.array_equal(apply([], s), s)
 
 
-def test_apply_refuses_a_non_finite_result():
-    with pytest.raises(InvariantViolation):
-        apply([LocalStep("a", (np.nan, 0, 0))], make_ghz())
+def test_apply_refuses_a_non_finite_result(monkeypatch):
+    # the norm check is safety code: a step cannot carry a non-finite
+    # parameter, so break the coupling factor instead
+    good = gates.expi_hermitian
+    seq = [CouplingStep("ab", np.eye(3))]
+    for broken in (lambda h: 2.0 * good(h), lambda h: np.full(np.shape(h), np.nan + 0j)):
+        monkeypatch.setattr(gates, "expi_hermitian", broken)
+        with pytest.raises(InvariantViolation, match="norm"):
+            apply(seq, make_ghz())
 
 
 def _kron_step(step):
@@ -236,45 +245,56 @@ def test_one_exponential_per_sequence(seq, exponentials, monkeypatch):
 
 
 def _bad_sequences(x):
+    # built only when called, inside the test's pytest.raises
     return [
-        [LocalStep("b", (0.1, 0.0, 0.0)), LocalStep("a", (x, 0.0, 0.0))],
-        [LocalStep("b", (0.1, 0.0, 0.0)), CouplingStep("ab", np.full((3, 3), x))],
-        [LocalStep("b", (0.1, 0.0, 0.0)), PhaseStep(x)],
+        lambda: [LocalStep("b", (0.1, 0.0, 0.0)), LocalStep("a", (x, 0.0, 0.0))],
+        lambda: [LocalStep("b", (0.1, 0.0, 0.0)), CouplingStep("ab", np.full((3, 3), x))],
+        lambda: [LocalStep("b", (0.1, 0.0, 0.0)), PhaseStep(x)],
     ]
 
 
-@pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("x", [np.nan, np.inf, -np.inf])
-@pytest.mark.parametrize("call, index", [
-    (lambda seq: apply(seq, make_ghz()), 1),
-    (lambda seq: sequence_unitary(seq), 1),
-    (lambda seq: evolve_q(seq, q_vector(make_ghz(), 3)), 1),
-    (lambda seq: so6_image(seq[1], 3), 0),
-], ids=["apply", "sequence_unitary", "evolve_q", "so6_image"])
-def test_non_finite_step_refused(call, index, x):
-    # refused before any trigonometry, naming the step, with no numpy warning
-    for seq in _bad_sequences(x):
-        with pytest.raises(InvariantViolation, match=f"step {index}: non-finite"):
-            call(seq)
-
-
-@pytest.mark.parametrize("call", [
+_PICTURES = [
     lambda seq: apply(seq, make_ghz()),
     lambda seq: sequence_unitary(seq),
     lambda seq: evolve_q(seq, q_vector(make_ghz(), 3)),
     lambda seq: so6_image(seq[1], 3),
-], ids=["apply", "sequence_unitary", "evolve_q", "so6_image"])
-def test_malformed_step_refused_alike(call):
-    # both pictures check a step in the same place: a malformed qubit or
-    # pair is a ParseError, not a NotRepresentable, and a non-step a TypeError
+]
+_PICTURE_IDS = ["apply", "sequence_unitary", "evolve_q", "so6_image"]
+
+
+def _count_picture_runs(monkeypatch):
+    """Counters on the two evolutions, which hold every factor's trigonometry."""
+    return count_calls(monkeypatch, gates._evolve), count_calls(monkeypatch, so6._dual_evolve)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("x", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("call", _PICTURES, ids=_PICTURE_IDS)
+def test_non_finite_step_refused(call, x, monkeypatch):
+    # refused when the step is built, with ParseError and no numpy warning,
+    # so no picture runs any trigonometry on it
+    runs = _count_picture_runs(monkeypatch)
+    for build in _bad_sequences(x):
+        with pytest.raises(ParseError, match="finite"):
+            call(build())
+    assert runs == ([], [])
+
+
+@pytest.mark.parametrize("call", _PICTURES, ids=_PICTURE_IDS)
+def test_malformed_step_refused_alike(call, monkeypatch):
+    # a malformed qubit or pair is a ParseError when the step is built, not a
+    # NotRepresentable from a picture; a non-step is a TypeError from the walker
+    runs = _count_picture_runs(monkeypatch)
     ok = LocalStep("b", (0.1, 0.0, 0.0))
-    bad = [LocalStep("d", (0.1, 0.0, 0.0))] + [CouplingStep(pair, np.eye(3))
-                                               for pair in ("zz", "aa", ["a", "b"])]
-    for step in bad:
-        with pytest.raises(ParseError):
-            call([ok, step])
+    bad = [lambda: LocalStep("d", (0.1, 0.0, 0.0))] + [
+        lambda pair=pair: CouplingStep(pair, np.eye(3)) for pair in ("zz", "aa", ["a", "b"])]
+    for build in bad:
+        with pytest.raises(ParseError, match="bad qubit"):
+            call([ok, build()])
+    assert runs == ([], [])
     with pytest.raises(TypeError, match="not a gate step"):
         call([ok, "CNOT"])
+    assert sum(map(len, runs)) == 1   # the walker runs inside a picture
 
 
 def test_apply_inverse_pair(rng):
@@ -306,9 +326,20 @@ def test_sequence_json_round_trip(rng):
 
 
 def test_sequence_to_json_refuses_non_finite():
-    # the writer checks through the walker, so it never emits NaN or Infinity
-    with pytest.raises(InvariantViolation, match="step 1: non-finite"):
+    # the writer only sees built steps, and a built step is finite and cannot
+    # change, so it never emits NaN or Infinity; a non-step is a TypeError
+    with pytest.raises(ParseError, match="finite"):
         sequence_to_json([PhaseStep(0.1), LocalStep("a", (np.nan, 0.0, 0.0))])
+    step = CouplingStep("ab", np.eye(3))
+    with pytest.raises(ValueError, match="read-only"):
+        step.theta[0, 0] = np.nan
+
+    def strict(token):
+        raise ValueError(f"not strict JSON: {token}")
+    text = sequence_to_json([PhaseStep(0.1), step, LocalStep("a", (0.2, 0.0, 0.0))])
+    assert len(json.loads(text, parse_constant=strict)) == 3
+    with pytest.raises(TypeError, match="not a gate step"):
+        sequence_to_json([PhaseStep(0.1), "CNOT"])
 
 
 def test_sequence_json_rejects_malformed():
@@ -325,3 +356,103 @@ def test_sequence_json_rejects_malformed():
         sequence_from_json('[{"kind": "phase", "target": "", "params": [NaN]}]')
     with pytest.raises(ParseError):
         sequence_from_json('[{"kind": "local", "target": ["a"], "params": [0, 0, 0]}]')
+    # a constructor's refusal is named with the step's index
+    with pytest.raises(ParseError, match="^step 1: local step angles"):
+        sequence_from_json('[{"kind": "phase", "target": "", "params": [0.1]},'
+                           ' {"kind": "local", "target": "a", "params": [1, "2", 3]}]')
+    for text in ('[{"kind": "phase", "target": "", "params": [0.1, 0.2]}]',
+                 '[{"kind": "phase", "target": "", "params": 0.1}]',
+                 '[["local", "a", [0, 0, 0]]]',
+                 '[{"kind": "local", "target": "a", "params": [1e400, 0, 0]}]',
+                 '[{"kind": "local", "target": "a", "params": [%s, 0, 0]}]' % ("9" * 400)):
+        with pytest.raises(ParseError, match="step 0"):
+            sequence_from_json(text)
+
+
+def _big_steps(scale, rng):
+    """Steps whose parameters have magnitude ``scale``, with random signs."""
+    def signs(*shape):
+        return rng.choice([-1.0, 1.0], shape)
+    return [
+        lambda: LocalStep("b", tuple(scale * signs(3))),
+        lambda: LocalStep("a", (0.0, scale, 0.0)),
+        lambda: CouplingStep("ab", scale * signs(3, 3)),
+        lambda: CouplingStep("ca", np.diag(scale * signs(3)) / 3.0),
+        lambda: CouplingStep("ba", np.diag([scale, 0.0, 0.0])),
+        lambda: PhaseStep(scale),
+        # a coupling just inside the largest norm
+        lambda: CouplingStep("bc", np.finfo(float).max / 3.01 * signs(3, 3)),
+    ]
+
+
+def test_gate_steps_are_checked_when_built():
+    # every untyped failure a step used to reach a picture with is a
+    # ParseError when the step is built, without a numpy warning
+    complex_theta = np.full((3, 3), 0.1 + 0.5j)
+    refused = {
+        "coupling, 2 coefficients": lambda: CouplingStep("ab", [1, 2]),
+        "coupling, complex array": lambda: CouplingStep("ab", complex_theta),
+        "coupling, complex list": lambda: CouplingStep("bc", complex_theta.ravel().tolist()),
+        "coupling, zero imaginary part": lambda: CouplingStep("ab", np.eye(3) + 0j),
+        "coupling, ragged": lambda: CouplingStep("ab", [[1, 2, 3], [4, 5], [6]]),
+        "coupling, strings": lambda: CouplingStep("ab", ["1"] * 9),
+        "coupling, None": lambda: CouplingStep("ab", None),
+        "local, 2 angles": lambda: LocalStep("a", (1, 2)),
+        "local, 4 angles": lambda: LocalStep("a", (1, 2, 3, 4)),
+        "local, None": lambda: LocalStep("a", None),
+        "local, complex": lambda: LocalStep("a", (1j, 0, 0)),
+        "local, numpy complex": lambda: LocalStep("a", np.array([0.1 + 0.5j, 0.2, 0.3])),
+        "local, string": lambda: LocalStep("a", "abc"),
+        "local, nested": lambda: LocalStep("a", ((1,), (2,), (3,))),
+        "local, int beyond float": lambda: LocalStep("a", (10**400, 0, 0)),
+        "local, unhashable qubit": lambda: LocalStep(["a"], (0, 0, 0)),
+        "phase, string": lambda: PhaseStep("x"),
+        "phase, complex": lambda: PhaseStep(1j),
+        "phase, numpy complex": lambda: PhaseStep(np.complex128(0.5)),
+        "phase, list": lambda: PhaseStep([0.5]),
+        "phase, None": lambda: PhaseStep(None),
+    }
+    s = random_state(4)
+    pictures = {
+        "apply": lambda seq, p: apply(seq, s),
+        "sequence_unitary": lambda seq, p: sequence_unitary(seq),
+        "evolve_q": lambda seq, p: evolve_q(seq, q_vector(s, p)).q,
+        "so6_image": lambda seq, p: so6_image(seq[-1], p).y,
+    }
+    rng = np.random.default_rng(8)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for name, build in refused.items():
+            with pytest.raises(ParseError):
+                build()
+                pytest.fail(f"built: {name}")
+        # finite parameters of any size give a finite result in both
+        # pictures, or a typed error; parameters whose norm is past the
+        # largest double are refused
+        for scale in (1e300, 1e306, 1e308, 1.7e308):
+            for build in _big_steps(scale, rng):
+                try:
+                    step = build()
+                except TangleVecError:
+                    continue
+                p = {"bc": 1, "ca": 2}.get(getattr(step, "pair", ""), 3)
+                for pname, run in pictures.items():
+                    for seq in ([step], [step, step, PhaseStep(scale)]):
+                        try:
+                            out = run(seq, p)
+                        except TangleVecError:
+                            continue
+                        assert np.isfinite(out).all(), (scale, step, pname)
+    with pytest.raises(ParseError, match="finite norm"):
+        CouplingStep("ab", np.full((3, 3), 1.7e308 / 2))
+    with pytest.raises(ParseError, match="finite norm"):
+        LocalStep("a", (1.7e308, 1.7e308, 0.0))
+    # a built coupling keeps a read-only copy of its coefficients
+    theta = np.eye(3)
+    step = CouplingStep("ab", theta)
+    theta[0, 0] = np.nan
+    assert step.theta[0, 0] == 1.0
+    with pytest.raises(ValueError, match="read-only"):
+        step.theta[0, 0] = np.nan
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        step.theta = theta

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from tanglevec import (CouplingStep, DegenerateInput, GaugeUndefined,
-                       LocalStep, ParseError, PhaseStep, abc_vectors, align_canonical, apply,
+                       LocalStep, QuaternionicState, ParseError, PhaseStep, abc_vectors, align_canonical, apply,
                        apply_gauge, bipartite_tangles, coupling_axis_step, extremum_residual,
                        fidelity_up_to_phase, fubini_study_angle, gauge_phase,
                        make_acin, make_asymmetric_w, make_ghz, maximize_three_tangle,
@@ -480,4 +480,26 @@ def test_malformed_parameters_are_refused(call, args):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ParseError):
+            call(*args)
+
+
+@pytest.mark.parametrize("call, args", [
+    (make_asymmetric_w, (np.complex128(0.7 + 2j), 0.3)),
+    (make_asymmetric_w, (0.7, 0.3 + 0j)),
+    (make_acin, (np.array([1.0, 0.0, 0.0, 0.0, 0.0]) + 0.5j,)),
+    (synthesize_coupling_core, (np.array([0.1 + 0.5j, 0.2, 0.3]),)),
+    (w_to_ghz_sequence, (np.complex128(0.5 + 1j), 0.2)),
+    (QuaternionicState, (np.array([0.5, 0, 0, 0.5j]), np.zeros(4))),
+    (QuaternionicState, (np.full(4, 0.5), [0, 0, 0, 1j])),
+    (LocalStep, ("a", np.array([0.1 + 0.5j, 0.2, 0.3]))),
+    (CouplingStep, ("ab", np.full((3, 3), 0.1 + 0.5j))),
+    (PhaseStep, (np.complex128(0.5 + 1j),)),
+], ids=["w-theta", "w-phi", "acin", "coupling-core", "w-to-ghz", "quaternion-x",
+        "quaternion-y", "local-step", "coupling-step", "phase-step"])
+def test_complex_parameters_are_refused(call, args):
+    # a complex value is not a real parameter, even with a zero imaginary
+    # part; numpy's cast would drop the imaginary part with only a warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ParseError, match="real numbers|real number"):
             call(*args)
