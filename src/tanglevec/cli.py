@@ -35,12 +35,8 @@ EXIT_VERIFY = 2
 EXIT_NUMERIC = 3
 
 
-def _c(z) -> list:
-    return [float(np.real(z)), float(np.imag(z))]
-
-
-def _cvec(v) -> list:
-    return [_c(z) for z in v]
+def _cvec(v: np.ndarray) -> list:
+    return [[z.real, z.imag] for z in v.tolist()]
 
 
 def _digest(text: str) -> str:
@@ -85,14 +81,14 @@ def _sequence_payload(seq) -> list:
 
 def cmd_analyze(args) -> int:
     s, digest = _load_state(args.state)
-    v, tol = _vectors(normalize(s))
-    info = _gauge(v, tol)
-    ts = _measures(v, tol)
+    m, tol = _vectors(normalize(s))
+    info = _gauge(m, tol)
+    ts = _measures(m, tol)
     payload = {
-        "vectors": {"a": _cvec(v.a), "b": _cvec(v.b), "c": _cvec(v.c)},
+        "vectors": dict(zip("abc", map(_cvec, m))),
         "gauge": {"phi_a": info.phi_a, "defined": info.defined},
         "tangles": ts.as_dict(),
-        "plucker_residual": _plucker(v),
+        "plucker_residual": _plucker(m),
         "ckw_residual": _ckw(ts),
     }
     _emit(_report("analyze", digest, payload,
@@ -201,8 +197,8 @@ def _verify_default(n: int, seed: int) -> dict:
     rng = np.random.default_rng(seed)
     res = np.zeros((2, n))
     for k in range(n):
-        v, tol = _vectors(random_state(seed + k))
-        res[:, k] = _plucker(v), _ckw(_measures(v, tol))
+        m, tol = _vectors(random_state(seed + k))
+        res[:, k] = _plucker(m), _ckw(_measures(m, tol))
     # each identity's worst residual and the seed of its state
     (worst_plucker, plucker_seed), (worst_ckw, ckw_seed) = (
         (float(r.max()), seed + int(r.argmax())) for r in res)

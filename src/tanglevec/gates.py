@@ -243,34 +243,47 @@ def coupling_axis_step(pair: str, n: int, m: int, zeta: float) -> CouplingStep:
     return CouplingStep(pair, th)
 
 
+#: named_gate's steps by (name, location), each built on its first use; a
+#: step cannot change, so every call shares them
+_NAMED: dict = {}
+
+
 def named_gate(name: str, location: str):
     """Factored sequences for H, CZ, CNOT and SWAP, global phases included.
 
     H needs a qubit name; the couplings need a pair such as "ab" (first
-    letter is the control for CZ/CNOT).
+    letter is the control for CZ/CNOT). Each call returns a new list of
+    steps that are built once.
     """
-    name = name.upper()
+    key = (name.upper(), location)
+    steps = _NAMED.get(key) if isinstance(location, str) else None
+    if steps is None:
+        steps = _NAMED[key] = _named_steps(*key)
+    return list(steps)
+
+
+def _named_steps(name: str, location: str) -> tuple:
     if name == "H":
-        return [
+        return (
             LocalStep(location, (0.0, np.pi / 2, 0.0)),
             LocalStep(location, (0.0, 0.0, np.pi)),
             PhaseStep(-np.pi / 2),
-        ]
+        )
     q1, q2 = _pair_qubits(location)
     if name in ("CZ", "CNOT"):
         # CNOT is CZ with the target's z axis turned to x
         z = name == "CZ"
-        return [
+        return (
             LocalStep(q1, (0.0, 0.0, -np.pi / 2)),
             LocalStep(q2, (0.0, 0.0, -np.pi / 2) if z else (-np.pi / 2, 0.0, 0.0)),
             coupling_axis_step(location, 3, 3 if z else 1, np.pi / 4),
             PhaseStep(np.pi / 4),
-        ]
+        )
     if name == "SWAP":
-        return [
+        return (
             CouplingStep(location, np.diag([np.pi, np.pi, np.pi]) / 2),
             PhaseStep(-np.pi / 4),
-        ]
+        )
     raise UnknownGate(name)
 
 

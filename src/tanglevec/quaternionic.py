@@ -14,6 +14,7 @@ e^{i pi/4} (-cos(xi)|000> + sin(xi)|010> + |111>)/sqrt(2).
 """
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -151,29 +152,23 @@ def to_state(qs: QuaternionicState) -> np.ndarray:
     """Amplitudes of the quaternion pair; requires x.x + y.y = 1/2."""
     if abs(qs.norm_squared - 0.5) > 1e3 * EPS_NORM:
         raise NotNormalized(f"x.x + y.y = {qs.norm_squared}, expected 1/2")
-    return _amplitudes(qs.x, qs.y)
+    return np.array(_amplitudes(qs.x, qs.y))
 
 
-def _amplitudes(x, y) -> np.ndarray:
-    c = np.zeros(8, dtype=complex)
-    c[0] = x[0] + 1j * x[3]
-    c[4] = 1j * x[1] + x[2]
-    c[1] = 1j * x[1] - x[2]
-    c[5] = x[0] - 1j * x[3]
-    c[2] = y[0] + 1j * y[3]
-    c[6] = 1j * y[1] + y[2]
-    c[3] = 1j * y[1] - y[2]
-    c[7] = y[0] - 1j * y[3]
-    return c
+def _amplitudes(x, y) -> list:
+    """The 8 amplitudes of the quaternion pair, as Python complex numbers in index order."""
+    x0, x1, x2, x3 = x
+    y0, y1, y2, y3 = y
+    return [complex(x0, x3), complex(-x2, x1), complex(y0, y3), complex(-y2, y1),
+            complex(x2, x1), complex(x0, -x3), complex(y2, y1), complex(y0, -y3)]
 
 
-def _extract(s) -> tuple[np.ndarray, np.ndarray, float]:
-    """(x, y, pattern residual) without any phase adjustment."""
-    c = as_state(s)
-    x = np.array([c[0].real, c[1].imag, c[4].real, c[0].imag])
-    y = np.array([c[2].real, c[3].imag, c[6].real, c[2].imag])
-    res = float(np.abs(_amplitudes(x, y) - c).max())
-    return x, y, res
+def _extract(c) -> tuple[list, list, float]:
+    """(x, y, pattern residual) of the 8 amplitudes c, Python complex numbers, unphased."""
+    c0, c1, c2, c3, c4, _, c6, _ = c
+    x = [c0.real, c1.imag, c4.real, c0.imag]
+    y = [c2.real, c3.imag, c6.real, c2.imag]
+    return x, y, max(abs(a - z) for a, z in zip(_amplitudes(x, y), c))
 
 
 def is_quaternionic(s):
@@ -183,33 +178,34 @@ def is_quaternionic(s):
     irrelevant overall sign of (x, y)) by the pattern conditions
     c101 = conj(c000), c100 = -conj(c001) and the row-1 analogues. The state
     is first rescaled, exactly, by the power of two that brings |s| near 1,
-    so the tests are relative to |s| at any finite scale. Raises ParseError
-    for a non-finite amplitude.
+    so the tests are relative to |s| at any finite scale. After its one
+    |s|^2 the work is on Python numbers. Raises ParseError for a non-finite
+    amplitude.
     """
     c = as_state(s)
     n2 = squared_norm(c)
-    # the scale comes from the largest amplitude where |s|^2 leaves the
-    # normal double range
-    e = math.frexp(n2)[1] // 2 if 1e-300 < n2 < 1e300 else math.frexp(float(np.abs(c).max()))[1]
+    amps = c.tolist()
+    if 1e-300 < n2 < 1e300:
+        e = math.frexp(n2)[1] // 2
+    else:   # |s|^2 leaves the normal doubles: the scale of the largest part
+        e = math.frexp(max(abs(t) for z in amps for t in (z.real, z.imag)))[1]
     if e:
-        c = np.ldexp(c.real, -e) + 1j * np.ldexp(c.imag, -e)
-    w = np.array([c[5], c[4], c[7], c[6]])
-    u = np.array([np.conj(c[0]), -np.conj(c[1]), np.conj(c[2]), -np.conj(c[3])])
-    denom = float(np.sum(np.abs(w) ** 2))
+        amps = [complex(math.ldexp(z.real, -e), math.ldexp(z.imag, -e)) for z in amps]
+    c0, c1, c2, c3, c4, c5, c6, c7 = amps
+    w = (c5, c4, c7, c6)
+    u = (c0.conjugate(), -c1.conjugate(), c2.conjugate(), -c3.conjugate())
+    denom = sum((z * z.conjugate()).real for z in w)
     if denom < EPS_INV**2:
         return None
-    z = np.sum(np.conj(w) * u) / denom
+    z = sum(a.conjugate() * b for a, b in zip(w, u)) / denom
     if abs(z) < 1e-12:
         return None
-    alpha = 0.5 * np.angle(z / abs(z))
-    x, y, res = _extract(np.exp(1j * alpha) * c)
+    turn = cmath.exp(0.5j * cmath.phase(z))
+    x, y, res = _extract([turn * a for a in amps])
     if res > EPS_INV:
         return None
-    if e:
-        x, y = np.ldexp(x, e), np.ldexp(y, e)
-    comps = np.concatenate([x, y])
-    if comps[np.argmax(np.abs(comps))] < 0:
-        x, y = -x, -y
+    sign = -1.0 if max(x + y, key=abs) < 0 else 1.0
+    x, y = ([sign * math.ldexp(t, e) for t in v] for v in (x, y))
     return QuaternionicState(x, y)
 
 
@@ -239,12 +235,13 @@ def tangles_quaternionic(qs: QuaternionicState) -> TangleSet:
     tau_abc = (sin(be) sin(2 al))^2, tau_ac = 1 - tau_abc, the a- and
     c-bipartite tangles are 1, tau_b_ca = tau_abc, and tau_ab = tau_bc = 0.
     """
-    if abs(qs.norm_squared - 0.5) > 1e3 * EPS_NORM:
-        raise NotNormalized(f"x.x + y.y = {qs.norm_squared}, expected 1/2")
-    x, y = qs.x, qs.y
-    nx, ny = float(np.linalg.norm(x)), float(np.linalg.norm(y))
+    x, y = qs.x.tolist(), qs.y.tolist()
+    xx, yy, xy = (sum(a * b for a, b in zip(u, v)) for u, v in ((x, x), (y, y), (x, y)))
+    if abs(xx + yy - 0.5) > 1e3 * EPS_NORM:
+        raise NotNormalized(f"x.x + y.y = {xx + yy}, expected 1/2")
+    nx, ny = math.sqrt(xx), math.sqrt(yy)
     prod = nx * ny
-    cos_beta = float(x @ y) / prod if prod > 1e-150 else 0.0
+    cos_beta = xy / prod if prod > 1e-150 else 0.0
     cos_beta = min(1.0, max(-1.0, cos_beta))
     sin_2al = 4.0 * nx * ny  # 2 sin(al) cos(al) with cos(al) = |x| sqrt(2)
     tau_abc = (1.0 - cos_beta**2) * sin_2al**2

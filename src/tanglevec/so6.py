@@ -188,7 +188,7 @@ def so6_image(step, partition) -> So6Action:
 
 def evolve_q(seq, q: SixVector) -> SixVector:
     """Evolve a 6-vector through a sequence: q -> e^{i phase2} Y_total q."""
-    vec, phase2 = _dual_evolve(seq, parse_partition(q.partition), q.q.astype(complex))
+    vec, phase2 = _dual_evolve(seq, q.partition, q.q.copy())
     if phase2:
         vec = vec * complex(math.cos(phase2), math.sin(phase2))
     return SixVector(vec, q.partition)

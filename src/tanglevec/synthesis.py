@@ -22,6 +22,8 @@ maximization bound (with its convergence record from tangle_ascent_search).
 """
 from __future__ import annotations
 
+import cmath
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -35,10 +37,21 @@ from .so6 import SU4_BASIS
 from .states import (PARTITION_PAIR, PARTITION_SPECTATOR, QUBIT_AXIS, _check_options,
                      _finite_params, make_asymmetric_w, make_ghz, normalize)
 from .tangles import _measures, bipartite_tangle_from_density, three_tangle
-from .vectors import EPS_INV, _gauge, _vectors
+from .vectors import EPS_INV, _gauge, _unit_scaled, _vectors
 
 #: qubit pair -> (partition, ordered pair string as carried by the 6-vector)
 _PAIR_PARTITION = {frozenset(pq): (p, "".join(pq)) for p, pq in PARTITION_PAIR.items()}
+
+#: the fixed steps of the protocols, built once (a step cannot change): the
+#: coupling core's three pi/4 couplings and closing local on each ordered
+#: pair, and the W to GHZ bc coupling and closing locals and phase
+_CORE_STEPS = {pq: (coupling_axis_step(pq, 2, 1, -np.pi / 4), coupling_axis_step(pq, 3, 1, np.pi / 4),
+                    coupling_axis_step(pq, 2, 1, np.pi / 4), LocalStep(pq[0], (np.pi / 2, 0.0, 0.0)))
+               for _, pq in _PAIR_PARTITION.values()}
+_W_HEAD = coupling_axis_step("bc", 1, 1, np.pi / 4)
+_W_TAIL = (LocalStep("b", (np.pi / 2, 0.0, 0.0)), LocalStep("c", (0.0, -np.pi / 2, 0.0)),
+           LocalStep("a", (0.0, -np.pi / 2, 0.0)), LocalStep("a", (0.0, 0.0, -np.pi / 2)),
+           PhaseStep(np.pi))
 
 
 @dataclass(frozen=True, eq=False)
@@ -85,14 +98,15 @@ def synthesize_coupling_core(alpha, pair: str = "ab") -> SynthesisResult:
     a1, a2, a3 = (float(x) for x in _finite_params(alpha, 3, "alpha"))
     _, pq = _canonical_pair(pair)
     q1, q2 = pq[0], pq[1]
+    swap1, swap2, swap3, close = _CORE_STEPS[pq]
     seq = [
-        coupling_axis_step(pq, 2, 1, -np.pi / 4),
+        swap1,
         LocalStep(q1, (0.0, 0.0, -a1)),
         LocalStep(q2, (0.0, 0.0, a2)),
-        coupling_axis_step(pq, 3, 1, np.pi / 4),
+        swap2,
         LocalStep(q2, (0.0, a3, 0.0)),
-        coupling_axis_step(pq, 2, 1, np.pi / 4),
-        LocalStep(q1, (np.pi / 2, 0.0, 0.0)),
+        swap3,
+        close,
     ]
     target_theta = np.diag([a1, a2, a3])
     target = sequence_unitary([CouplingStep(pq, target_theta)])
@@ -120,15 +134,11 @@ def w_to_ghz_sequence(theta: float, phi: float) -> SynthesisResult:
     if min(abs(t_mod), abs(t_mod - np.pi), abs(t_mod - np.pi / 2)) <= EPS_INV:
         raise DegenerateInput(f"theta = {theta} gives a degenerate W state")
     seq = [
-        coupling_axis_step("bc", 1, 1, np.pi / 4),
+        _W_HEAD,
         LocalStep("b", (0.0, 0.0, -phi)),
         LocalStep("c", (0.0, 0.0, phi)),
         coupling_axis_step("ab", 2, 2, np.pi / 4 - theta),
-        LocalStep("b", (np.pi / 2, 0.0, 0.0)),
-        LocalStep("c", (0.0, -np.pi / 2, 0.0)),
-        LocalStep("a", (0.0, -np.pi / 2, 0.0)),
-        LocalStep("a", (0.0, 0.0, -np.pi / 2)),
-        PhaseStep(np.pi),
+        *_W_TAIL,
     ]
     final = apply(seq, start)
     fid = float(abs(np.vdot(final, make_ghz())))
@@ -177,8 +187,8 @@ def align_canonical(s, pair: str = "ab") -> list:
     parts must be orthogonal).
     """
     _, pq = _canonical_pair(pair)
-    v, tol = _vectors(s)
-    return _alignment(pq, v.by_qubit(pq[0]), v.by_qubit(pq[1]), tol)
+    m, tol = _vectors(s)
+    return _alignment(pq, m[QUBIT_AXIS[pq[0]]], m[QUBIT_AXIS[pq[1]]], tol)
 
 
 def maximize_three_tangle(s, pair: str = "ab", variant: str = "economical") -> SynthesisResult:
@@ -195,13 +205,13 @@ def maximize_three_tangle(s, pair: str = "ab", variant: str = "economical") -> S
         raise ParseError(f"unknown variant {variant!r}")
     p, pq = _canonical_pair(pair)
     state = normalize(s)
-    v, tol = _vectors(state)
-    t = _measures(v, tol)
+    m, tol = _vectors(state)
+    t = _measures(m, tol)
     bound = dict(zip("abc", (t.tau_a_bc, t.tau_b_ca, t.tau_c_ab)))[PARTITION_SPECTATOR[p]]
-    v1, v2 = v.by_qubit(pq[0]), v.by_qubit(pq[1])
+    v1, v2 = m[QUBIT_AXIS[pq[0]]], m[QUBIT_AXIS[pq[1]]]
     seq: list = []
 
-    info = _gauge(v, tol)
+    info = _gauge(m, tol)
     if info.defined:
         seq.append(PhaseStep(-0.5 * info.phi_a))
         # a phase step alpha multiplies every vector by exp(2i alpha)
@@ -239,16 +249,18 @@ def extremum_residual(s, pair: str = "ab") -> float:
 
     Zero iff every nonzero component of the pair's two vectors has phase
     equal (mod pi) to the gauge phase; components below 1e-9 |s|^2 count as
-    zero. Raises GaugeUndefined for zero three-tangle.
+    zero. Raises GaugeUndefined for zero three-tangle. Scale-free, like
+    gauge_phase: both are taken at unit scale where |s|^4 is tiny.
     """
     _, pq = _canonical_pair(pair)
-    v, tol = _vectors(s)
-    info = _gauge(v, tol)
+    m, tol = _unit_scaled(s, *_vectors(s))
+    info = _gauge(m, tol)
     if not info.defined:
         raise GaugeUndefined("extremum condition needs a nonzero three-tangle")
-    comps = np.concatenate([v.by_qubit(pq[0]), v.by_qubit(pq[1])])
-    comps = comps[np.abs(comps) > 1e-9 * np.sqrt(tol / EPS_INV)]
-    return float(np.abs(np.sin(np.angle(comps) - info.phi_a)).max(initial=0.0))
+    rows = m.tolist()
+    zero = 1e-9 * math.sqrt(tol / EPS_INV)
+    return max((abs(math.sin(cmath.phase(z) - info.phi_a))
+                for q in pq for z in rows[QUBIT_AXIS[q]] if abs(z) > zero), default=0.0)
 
 
 # --- Fubini-Study angle ----------------------------------------------------

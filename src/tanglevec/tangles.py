@@ -10,6 +10,11 @@ The bipartite tangles also have a density-matrix route,
 tau_q(rs) = 4 det(rho_q). It shares no formula with the vectors and is an
 independent oracle for tests and benchmarks; the measures above never call
 it.
+
+Each public measure makes the one evaluation of vectors._vectors and then
+works on Python numbers only: _measures takes A.A, B.B, C.C and the
+Hermitian norms from vectors._dots, so every route (the wrappers, the CLI,
+the protocols) gets bit-identical values.
 """
 from __future__ import annotations
 
@@ -19,7 +24,7 @@ import numpy as np
 
 from .errors import InvariantViolation
 from .states import QUBIT_AXIS, as_state
-from .vectors import AbcVectors, _tolerance, _vectors
+from .vectors import _dots, _tolerance, _vectors
 
 
 @dataclass(frozen=True)
@@ -41,13 +46,13 @@ def _clamp(x: float, tol: float) -> float:
     return 0.0 if -tol < x < 0.0 else x
 
 
-def _measures(v: AbcVectors, tol: float) -> TangleSet:
-    """All seven measures from one evaluation of the invariant vectors.
+def _measures(m: np.ndarray, tol: float) -> TangleSet:
+    """All seven measures from one evaluation m of the invariant vectors.
 
     Asserts that the A, B and C expressions of the three-tangle agree.
     """
-    sq = [float(abs(x @ x)) for x in (v.a, v.b, v.c)]
-    hn = [float(np.real(x @ x.conj())) for x in (v.a, v.b, v.c)]
+    sq, hn = _dots(m)
+    sq = [abs(x) for x in sq]
     ta, tb, tc = (4.0 * x for x in sq)
     if not max(abs(ta - tb), abs(ta - tc)) <= tol:
         raise InvariantViolation(
@@ -87,11 +92,11 @@ def bipartite_tangle_from_density(s, qubit: str) -> float:
 
 
 def _ckw(t: TangleSet) -> float:
-    return float(max(
+    return max(
         abs(t.tau_c_ab - t.tau_abc - t.tau_bc - t.tau_ac),
         abs(t.tau_a_bc - t.tau_abc - t.tau_ab - t.tau_ac),
         abs(t.tau_b_ca - t.tau_abc - t.tau_ab - t.tau_bc),
-    ))
+    )
 
 
 def ckw_residual(s) -> float:

@@ -4,16 +4,28 @@ Each vector is a complex 3-vector of quadratic polynomials in the amplitudes.
 A is unchanged by any local operation on qubits (b, c) and rotates as an
 SO(3) vector under local operations on qubit a; B and C behave cyclically.
 All dot products below are plain (non-Hermitian) unless stated otherwise.
+
+Every public call makes one numpy evaluation: the core _vectors checks the
+state, takes its one |s|^2 for the tolerance and evaluates the nine forms
+as two matrix-vector products, (_ABC_QUADS c).reshape(9, 8) c, into a
+(3, 3) block of rows A, B, C. All that follows works on Python numbers from
+one .tolist(): _dots gives A.A, B.B, C.C and the Hermitian norms, and the
+Pluecker residual, the gauge and the tangles (in tangles) read from it.
+AbcVectors wraps the block's rows only where a caller needs arrays. Where
+|s|^4 is tiny, the gauge is taken on the state rescaled by a power of two
+(_unit_scaled), so that it is scale-free.
 """
 from __future__ import annotations
 
+import cmath
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import GaugeUndefined, ParseError
-from .states import PARTITION_PAIR, as_state, parse_partition, squared_norm
+from .states import PARTITION_PAIR, QUBIT_AXIS, as_state, parse_partition, squared_norm
 
 EPS_INV = 1e-10
 
@@ -33,9 +45,25 @@ class SixVector:
     """Packing (V1, -i V2) of the two pair vectors of a partition.
 
     partition 3 -> (A, -iB), partition 1 -> (B, -iC), partition 2 -> (C, -iA).
+    Checked when built: q must be 6 finite numbers, kept as a read-only
+    complex copy, and the partition 1, 2 or 3 (or its label); else ParseError.
     """
     q: np.ndarray
     partition: int
+
+    def __post_init__(self):
+        try:
+            q = np.array(self.q)   # a copy
+        except ValueError:   # a ragged nesting
+            q = np.array(None)
+        if q.dtype.kind not in "biufc" or q.shape != (6,):
+            raise ParseError(f"a 6-vector needs 6 complex numbers, got {self.q!r}")
+        q = q.astype(complex, copy=False)
+        if not all(map(cmath.isfinite, q.tolist())):
+            raise ParseError(f"a 6-vector must be finite, got {q.tolist()}")
+        q.setflags(write=False)
+        object.__setattr__(self, "q", q)
+        object.__setattr__(self, "partition", parse_partition(self.partition))
 
 
 @dataclass(frozen=True)
@@ -90,11 +118,39 @@ def _tolerance(c: np.ndarray) -> float:
     return max(EPS_INV * n4, _TOL_FLOOR)
 
 
-def _vectors(s) -> tuple[AbcVectors, float]:
-    """A, B, C and the tolerance _tolerance(s): the one check of an invariant's input."""
+def _vectors(s) -> tuple[np.ndarray, float]:
+    """The (3, 3) block with rows A, B, C, and the tolerance _tolerance(s).
+
+    The one check of an invariant's input and its one numpy evaluation; the
+    measures are then read from Python numbers (_dots).
+    """
     c = as_state(s)
     tol = _tolerance(c)
-    return AbcVectors(*((_ABC_QUADS @ c).reshape(9, 8) @ c).reshape(3, 3)), tol
+    return _ABC_QUADS.dot(c).reshape(9, 8).dot(c).reshape(3, 3), tol
+
+
+def _dots(m: np.ndarray) -> tuple[list, list]:
+    """(A.A, B.B, C.C) and (|A|^2, |B|^2, |C|^2) of the block m, as Python numbers."""
+    sq, hn = [], []
+    for x, y, z in m.tolist():
+        sq.append(x * x + y * y + z * z)
+        hn.append((x * x.conjugate() + y * y.conjugate() + z * z.conjugate()).real)
+    return sq, hn
+
+
+def _unit_scaled(s, m: np.ndarray, tol: float) -> tuple[np.ndarray, float]:
+    """(m, tol) = _vectors(s), or those of s rescaled where the tolerance is not a normal double.
+
+    Below |s| ~ 1e-75, a nonzero A.A above the tolerance EPS_INV |s|^4 can
+    still be subnormal, so its phase and its zero test lose digits. There the
+    state is first rescaled, exactly, by the power of two that brings its
+    largest real or imaginary part near 1, and evaluated a second time.
+    """
+    if tol >= sys.float_info.min:
+        return m, tol
+    c = as_state(s)
+    e = math.frexp(max(abs(t) for z in c.tolist() for t in (z.real, z.imag)))[1]
+    return _vectors(np.ldexp(c.real, -e) + 1j * np.ldexp(c.imag, -e))
 
 
 def abc_vectors(s) -> AbcVectors:
@@ -103,20 +159,20 @@ def abc_vectors(s) -> AbcVectors:
     Inputs need not be normalized; the output scales as the amplitude square.
     Raises ParseError for non-finite amplitudes and above |s| ~ 1.2e77.
     """
-    return _vectors(s)[0]
+    return AbcVectors(*_vectors(s)[0])
 
 
 def q_vector(s, partition) -> SixVector:
     """Six-vector (V_first, -i V_second) for the partition's qubit pair."""
     p = parse_partition(partition)
-    v, _ = _vectors(s)
-    first, second = PARTITION_PAIR[p]
-    return SixVector(np.concatenate([v.by_qubit(first), -1j * v.by_qubit(second)]), p)
+    rows = _vectors(s)[0].tolist()
+    first, second = (rows[QUBIT_AXIS[q]] for q in PARTITION_PAIR[p])
+    return SixVector(first + [-1j * z for z in second], p)
 
 
-def _plucker(v: AbcVectors) -> float:
-    aa, bb, cc = v.a @ v.a, v.b @ v.b, v.c @ v.c
-    return float(max(abs(aa - bb), abs(bb - cc)))
+def _plucker(m: np.ndarray) -> float:
+    aa, bb, cc = _dots(m)[0]
+    return max(abs(aa - bb), abs(bb - cc))
 
 
 def plucker_residual(s) -> float:
@@ -124,21 +180,23 @@ def plucker_residual(s) -> float:
     return _plucker(_vectors(s)[0])
 
 
-def _gauge(v: AbcVectors, tol: float) -> GaugeInfo:
-    aa = v.a @ v.a
+def _gauge(m: np.ndarray, tol: float) -> GaugeInfo:
+    aa = _dots(m)[0][0]
     if abs(aa) <= tol:
         return GaugeInfo(0.0, False)
-    return GaugeInfo(0.5 * float(np.angle(aa)), True)
+    return GaugeInfo(0.5 * cmath.phase(aa), True)
 
 
 def gauge_phase(s) -> GaugeInfo:
     """Half the argument of A.A, principal branch (-pi/2, pi/2].
 
     Undefined (flagged, not an error) when |A.A| is below EPS_INV |s|^4, i.e.
-    when the three-tangle vanishes. Raises ParseError for non-finite
-    amplitudes and above |s| ~ 1.2e77.
+    when the three-tangle vanishes. Both the test and the phase are
+    scale-free: they are taken at unit scale where |s|^4 is tiny
+    (_unit_scaled). Raises ParseError for non-finite amplitudes and above
+    |s| ~ 1.2e77.
     """
-    return _gauge(*_vectors(s))
+    return _gauge(*_unit_scaled(s, *_vectors(s)))
 
 
 def apply_gauge(s) -> np.ndarray:

@@ -162,6 +162,23 @@ def test_unknown_gate():
         named_gate("TOFFOLI", "ab")
 
 
+def test_named_gates_are_built_once():
+    # a step cannot change, so each named sequence is built on its first use
+    # and its steps are shared; every call still returns a new list
+    for name, loc in (("H", "b"), ("CZ", "ca"), ("CNOT", "ab"), ("SWAP", "bc")):
+        first, again = named_gate(name, loc), named_gate(name.lower(), loc)
+        assert first is not again and len(first) == len(again)
+        assert all(x is y for x, y in zip(first, again))
+        first.clear()
+        assert len(named_gate(name, loc)) == len(again)
+    for loc in ("d", "aa", ["a", "b"], None):
+        for name in ("H", "CZ"):
+            with pytest.raises(ParseError):
+                named_gate(name, loc)
+    with pytest.raises(UnknownGate):
+        named_gate("TOFFOLI", "ab")
+
+
 def test_apply_empty_sequence():
     s = random_state(1)
     assert np.array_equal(apply([], s), s)

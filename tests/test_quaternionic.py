@@ -34,6 +34,12 @@ def is_quaternionic_block_matrix(m4, tol=1e-12) -> bool:
     return True
 
 
+def _extract_arrays(state):
+    """_extract of a state array, with x and y as arrays."""
+    x, y, res = _extract(state.tolist())
+    return np.array(x), np.array(y), res
+
+
 def _reduce_reference(qs):
     """The reduction stage by stage: apply each stage, re-read the state.
 
@@ -57,14 +63,14 @@ def _reduce_reference(qs):
     step = LocalStep("b", (0.0, 2.0 * chi, 0.0))
     seq.append(step)
     state = apply([step], state)
-    x, y, res = _extract(state)
+    x, y, res = _extract_arrays(state)
     if res > 1e-9:
         raise InvariantViolation(f"lost quaternionic form while balancing ({res})")
 
     steps = _step("a", _left(2.0 * quat_conj(y)))
     seq.extend(steps)
     state = apply(steps, state)
-    x, y, res = _extract(state)
+    x, y, res = _extract_arrays(state)
     if res > 1e-9 or abs(y[0] - 0.5) > 1e-9 or np.abs(y[1:]).max() > 1e-9:
         raise InvariantViolation("y did not reduce to the scalar 1/2")
 
@@ -74,7 +80,7 @@ def _reduce_reference(qs):
         steps = _step("a", _left(r)) + _step("c", r)
         seq.extend(steps)
         state = apply(steps, state)
-        x, y, res = _extract(state)
+        x, y, res = _extract_arrays(state)
         if res > 1e-9:
             raise InvariantViolation("lost quaternionic form while aligning x")
 
@@ -467,7 +473,7 @@ def test_balance_chi_y_zero():
     chi = balance_chi(qs)
     assert abs(chi - np.pi / 4) < 1e-14
     out = apply([LocalStep("b", (0, 2 * chi, 0))], to_state(qs))
-    x2, y2, res = _extract(out)
+    x2, y2, res = _extract_arrays(out)
     assert res < 1e-14
     assert abs(float(x2 @ x2) - float(y2 @ y2)) < 1e-13
 

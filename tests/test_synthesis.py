@@ -22,6 +22,17 @@ GHZ = make_ghz()
 
 # --- coupling core ----------------------------------------------------------
 
+def test_protocols_build_their_fixed_steps_once():
+    # the coupling core's three couplings and closing local, and the W to GHZ
+    # protocol's first coupling and closing steps, are shared between calls
+    for pair in ("ab", "bc", "ca"):
+        s1 = synthesize_coupling_core([0.1, 0.2, 0.3], pair).sequence
+        s2 = synthesize_coupling_core([0.4, 0.5, 0.6], pair).sequence
+        assert [x is y for x, y in zip(s1, s2)] == [True, False, False, True, False, True, True]
+    w1, w2 = (w_to_ghz_sequence(t, 0.3).sequence for t in (0.6, 0.7))
+    assert [x is y for x, y in zip(w1, w2)] == [True, False, False, False] + [True] * 5
+
+
 def test_coupling_core_zero_is_identity_up_to_phase():
     res = synthesize_coupling_core([0.0, 0.0, 0.0])
     u = sequence_unitary(res.sequence)

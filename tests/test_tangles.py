@@ -5,11 +5,11 @@ from hypothesis import strategies as st
 
 from tanglevec import (CouplingStep, LocalStep, ParseError, abc_vectors,
                        apply, bipartite_tangles, bipartite_tangle_from_density,
-                       ckw_residual, gauge_phase, make_asymmetric_w, make_ghz,
-                       plucker_residual, q_vector, random_state, tangle_set,
+                       ckw_residual, gauge_phase, is_quaternionic, make_asymmetric_w,
+                       make_ghz, plucker_residual, q_vector, random_state, tangle_set,
                        three_tangle, two_tangles)
 from tanglevec.states import squared_norm
-from tanglevec.vectors import EPS_INV, _vectors
+from tanglevec.vectors import _ABC_QUADS, EPS_INV, _dots, _vectors
 from conftest import checked_tangle_set, count_calls
 
 STD_THETA = np.arccos(1 / np.sqrt(3))
@@ -183,20 +183,21 @@ def test_non_finite_amplitudes_refused(fn, bad):
         fn(s)
 
 
-@pytest.mark.parametrize("fn", [tangle_set, ckw_residual])
+def _q_vector_3(s):
+    return q_vector(s, 3)
+
+
+@pytest.mark.parametrize("fn", [tangle_set, ckw_residual, abc_vectors, _q_vector_3,
+                                gauge_phase, plucker_residual, bipartite_tangles])
 def test_one_vector_evaluation_per_call(fn, monkeypatch):
     calls = count_calls(monkeypatch, _vectors)
     fn(random_state(3))
     assert len(calls) == 1
 
 
-def _q_vector_3(s):
-    return q_vector(s, 3)
-
-
 @pytest.mark.parametrize("fn", [abc_vectors, _q_vector_3, plucker_residual,
                                 gauge_phase, tangle_set, ckw_residual,
-                                bipartite_tangles])
+                                bipartite_tangles, is_quaternionic])
 def test_one_norm_per_call(fn, monkeypatch):
     # the check and the tolerance share one |s|^2
     calls = count_calls(monkeypatch, squared_norm)
@@ -229,3 +230,38 @@ def test_subnormal_measures_agree():
     for scale in (1e-70, 1.0, 1e70):
         s = scale * random_state(0)
         assert _vectors(s)[1] == EPS_INV * squared_norm(s) ** 2
+
+
+def _einsum_route(s):
+    """(A.A, B.B, C.C), (|A|^2, |B|^2, |C|^2) and the seven measures, all by numpy einsum.
+
+    It shares only the nine forms with the library (tested against the written-out
+    polynomials in test_vectors), none of the scalar arithmetic after them.
+    """
+    v = np.einsum("kij,i,j->k", _ABC_QUADS.reshape(9, 8, 8), s, s).reshape(3, 3)
+    sq = np.einsum("ki,ki->k", v, v)
+    hn = np.einsum("ki,ki->k", v, v.conj()).real
+    na, nb, nc = hn
+    measures = {"tau_abc": 4.0 * abs(sq[0]),
+                **dict(zip(("tau_bc", "tau_ac", "tau_ab"), 2.0 * (hn - np.abs(sq)))),
+                "tau_a_bc": 2.0 * (nb + nc), "tau_b_ca": 2.0 * (nc + na),
+                "tau_c_ab": 2.0 * (na + nb)}
+    return sq, hn, measures
+
+
+def test_scalar_route_matches_einsum():
+    # after the one evaluation the measures are Python arithmetic; a numpy
+    # route written here must agree to a few roundings of |s|^4 at every
+    # scale up to the overflow refusal
+    theta = float(STD_THETA)
+    named = [make_ghz(), make_asymmetric_w(theta, np.pi / 4), make_asymmetric_w(0.6, 0.3),
+             np.eye(8)[5], np.kron([0.6, 0.8j], [0.0, 0.6, -0.8, 0.0])]
+    for s in [random_state(k) for k in range(50)] + named:
+        for scale in (1e-70, 1e-35, 1.0, 1e35, 1e70, 1e77):
+            c = scale * np.asarray(s, dtype=complex)
+            bound = 1e-14 * squared_norm(c) ** 2
+            sq, hn, measures = _einsum_route(c)
+            got_sq, got_hn = _dots(_vectors(c)[0])
+            assert max(abs(np.array(got_sq) - sq).max(), abs(np.array(got_hn) - hn).max()) <= bound
+            got = tangle_set(c).as_dict()
+            assert max(abs(got[k] - measures[k]) for k in measures) <= bound, (scale, got)

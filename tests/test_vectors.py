@@ -1,10 +1,12 @@
+import warnings
+
 import numpy as np
 import pytest
 
-from tanglevec import (GaugeUndefined, ParseError, abc_vectors, apply_gauge,
-                       gauge_phase, make_acin, make_asymmetric_w, make_ghz,
-                       matricize, plucker_residual, q_vector, random_state,
-                       three_tangle, two_tangles)
+from tanglevec import (GaugeUndefined, ParseError, SixVector, abc_vectors, apply_gauge,
+                       evolve_q, extremum_residual, gauge_phase, make_acin,
+                       make_asymmetric_w, make_ghz, matricize, named_gate, plucker_residual,
+                       q_vector, random_state, three_tangle, two_tangles)
 
 MU = np.array([1j, -1.0, 0.0])
 STD_THETA = np.arccos(1 / np.sqrt(3))
@@ -196,3 +198,60 @@ def test_gauged_tangle_formulas_match():
         ar, ai = np.real(v.a), np.imag(v.a)
         assert abs(4 * (ar @ ar - ai @ ai) - three_tangle(s)) < 1e-10
         assert abs(4 * (ai @ ai) - two_tangles(s)[0]) < 1e-10
+
+
+def test_gauge_is_scale_free():
+    # where |s|^4 is tiny the gauge is decided and taken at unit scale; at the
+    # plain scale A.A underflows below |s| ~ 1e-80 and loses digits above it
+    scales = [10.0**k for k in range(-100, 77, 3)] + [1e-81, 1e-79, 1e-90, 1e-100, 1e76]
+    for s in [random_state(k) for k in range(6)] + [make_ghz()]:
+        ref, ref_res = gauge_phase(s), extremum_residual(s)
+        assert ref.defined
+        for scale in scales:
+            info = gauge_phase(scale * s)
+            assert info.defined and abs(info.phi_a - ref.phi_a) <= 1e-12, scale
+            assert abs(extremum_residual(scale * s) - ref_res) <= 1e-12, scale
+            g = apply_gauge(scale * s) / scale
+            assert np.abs(g - apply_gauge(s)).max() <= 1e-12, scale
+    for scale in (1e-100, 1e-79, 1.0, 1e76):
+        assert not gauge_phase(scale * make_asymmetric_w(0.8, 0.4)).defined
+        assert not gauge_phase(scale * np.eye(8)[3]).defined
+    assert not gauge_phase(np.zeros(8)).defined
+
+
+@pytest.mark.parametrize("q, partition", [
+    (np.full(6, np.nan), 3),
+    ([1, 2, 3, 4, 5, complex(0, np.inf)], 1),
+    ([1, 2, 3, 4, 5], 3),
+    (np.ones(7), 3),
+    (np.ones((2, 3)), 2),
+    ([[1, 2, 3], [4, 5]], 3),
+    (["1"] * 6, 3),
+    (None, 3),
+    ([10**400] * 6, 3),
+    (np.ones(6), 0),
+    (np.ones(6), 4),
+    (np.ones(6), "d(ab)"),
+], ids=["nan", "inf", "five", "seven", "2x3", "ragged", "text", "none", "huge-int",
+        "partition-0", "partition-4", "bad-label"])
+def test_six_vector_checks_itself(q, partition):
+    # refused when built, by name and without a numpy warning; evolve_q never
+    # sees such a vector
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ParseError):
+            SixVector(q, partition)
+
+
+def test_six_vector_is_a_checked_copy():
+    raw = q_vector(random_state(2), 1).q.copy()
+    q = SixVector(list(raw), "a(bc)")
+    assert q.partition == 1 and q.q.dtype == complex and np.array_equal(q.q, raw)
+    with pytest.raises(ValueError):
+        q.q[0] = np.nan
+    src = raw.copy()
+    q = SixVector(src, 1)
+    src[0] = np.nan
+    assert np.array_equal(q.q, raw)
+    out = evolve_q(named_gate("CNOT", "bc"), q)
+    assert np.isfinite(out.q).all() and out.partition == 1
