@@ -22,12 +22,12 @@ from .gates import (CouplingStep, LocalStep, PhaseStep, apply,
 from .quaternionic import (QuaternionicState, _reduce, abc_quaternionic, is_quaternionic,
                            tangles_quaternionic, to_state)
 from .so6 import evolve_q, verify_commutators
-from .states import (PARTITION_PAIR, PARTITION_SPECTATOR, _check_options, _finite_params,
-                     normalize, parse_partition, random_state, state_from_json, state_to_json)
+from .states import (PARTITION_PAIR, PARTITION_SPECTATOR, _check_options, _reals, normalize,
+                     parse_partition, random_state, state_from_json, state_to_json)
 from .synthesis import (fubini_study_search, maximize_three_tangle,
                         synthesize_coupling_core, w_to_ghz_sequence)
-from .tangles import _ckw, _measures, tangle_set
-from .vectors import EPS_INV, _gauge, _plucker, _vectors, abc_vectors, q_vector
+from .tangles import _ckw, _measures
+from .vectors import EPS_INV, _gauge, _plucker, _vectors, q_vector
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -73,6 +73,15 @@ def _emit(report: dict, pretty: bool):
             else:
                 print(f"{pad}{obj}", file=sys.stderr)
         walk(report["result"])
+
+
+def _numbers(text: str, n: int, what: str) -> tuple:
+    """The n comma-separated numbers of an option, as _reals checks them; else ParseError."""
+    try:
+        values = [float(t) for t in text.split(",")]
+    except ValueError:
+        values = text   # not numbers: _reals refuses the text, naming the option
+    return _reals(values, n, what)
 
 
 def _sequence_payload(seq) -> list:
@@ -121,7 +130,7 @@ def cmd_evolve(args) -> int:
 
 
 def cmd_synthesize_coupling_core(args) -> int:
-    alpha = _finite_params(args.alpha.split(","), 3, "--alpha")
+    alpha = _numbers(args.alpha, 3, "--alpha")
     res = synthesize_coupling_core(np.radians(alpha) if args.degrees else alpha)
     payload = {"sequence": _sequence_payload(res.sequence),
                "achieved_distance": res.achieved, **res.meta}
@@ -158,9 +167,8 @@ def cmd_fs_angle(args) -> int:
 
 
 def cmd_quat_reduce(args) -> int:
-    # QuaternionicState refuses a count other than 4 or a non-finite number
-    seq, params, final, residual = _reduce(QuaternionicState(args.x.split(","),
-                                                             args.y.split(",")))
+    seq, params, final, residual = _reduce(QuaternionicState(_numbers(args.x, 4, "--x"),
+                                                             _numbers(args.y, 4, "--y")))
     payload = {
         "sequence": _sequence_payload(seq),
         "xi": params.xi,
@@ -241,13 +249,9 @@ def _verify_quaternionic(n: int, seed: int) -> dict:
         v = rng.standard_normal(8)
         v /= np.linalg.norm(v) * np.sqrt(2)
         qs = QuaternionicState(v[:4], v[4:])
-        s = to_state(qs)
-        va, vg = abc_quaternionic(qs), abc_vectors(s)
-        worst_abc = max(worst_abc,
-                        float(np.abs(va.a - vg.a).max()),
-                        float(np.abs(va.b - vg.b).max()),
-                        float(np.abs(va.c - vg.c).max()))
-        tq, tg = tangles_quaternionic(qs), tangle_set(s)
+        m, tol = _vectors(to_state(qs))
+        va, tq, tg = abc_quaternionic(qs), tangles_quaternionic(qs), _measures(m, tol)
+        worst_abc = max(worst_abc, float(np.abs(np.stack([va.a, va.b, va.c]) - m).max()))
         worst_tan = max(worst_tan, max(
             abs(getattr(tq, f) - getattr(tg, f))
             for f in tq.__dataclass_fields__))

@@ -10,11 +10,12 @@ and a sequence is a plain list applied left to right (first element acts
 first). Operator products written right-to-left on paper therefore list in
 reverse here.
 
-Each step is checked once, when it is built: a bad qubit or pair, or
-parameters that are not 3, 9 or 1 real numbers with a finite Euclidean norm,
-raise ParseError there, and a built step cannot change. So the one walker,
-_steps, only sorts a sequence for a gate picture, given the picture's key for
-each qubit and layout of the ordered pairs; so6's dual picture uses it too.
+Each step is checked once, when it is built: a bad qubit or pair, parameters
+that fail states._reals (3, 9 or 1 finite real numbers), or local or coupling
+parameters whose Euclidean norm overflows the walker's hypot raise ParseError
+there. A built step cannot change, so the one walker, _steps, only sorts a
+sequence for a gate picture, given the picture's key for each qubit and
+layout of the ordered pairs; so6's dual picture uses it too.
 In this picture one contraction loop applies a sequence to an (8, R)
 amplitude matrix whose R columns evolve independently: apply() uses one
 column, and the 8x8 unitaries are the same evolution of the identity. A local
@@ -32,12 +33,11 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from numbers import Real
 
 import numpy as np
 
 from .errors import InvariantViolation, NotRepresentable, ParseError, UnknownGate
-from .states import EPS_NORM, QUBIT_AXIS, normalize
+from .states import EPS_NORM, QUBIT_AXIS, _reals, normalize
 
 SIGMA = (
     np.array([[0, 1], [1, 0]], dtype=complex),
@@ -60,22 +60,6 @@ def _pair_qubits(pair: str) -> tuple[str, str]:
     raise ParseError(f"bad qubit pair {pair!r}")
 
 
-def _reals(values, n: int, what: str) -> tuple:
-    """values as n floats with a finite Euclidean norm, else ParseError naming what.
-
-    Each must be an int, a float or a numpy real scalar (numbers.Real, slow, goes last).
-    """
-    try:
-        if not isinstance(values, str) and len(values) == n:
-            out = tuple([float(v) for v in values if isinstance(v, (float, int, Real))])
-            if len(out) == n and math.isfinite(math.hypot(*out)):
-                return out
-    except (TypeError, OverflowError):   # no len(), or an int beyond any float
-        pass
-    raise ParseError(f"{what}: expected {n} real number{'s' * (n > 1)} with a finite norm, "
-                     f"got {values!r}")
-
-
 @dataclass(frozen=True)
 class LocalStep:
     """exp(1/2 sum_n theta_n i sigma_n) on the qubit a, b or c; theta is 3 floats."""
@@ -88,7 +72,10 @@ class LocalStep:
     def __post_init__(self):
         if not (isinstance(self.qubit, str) and self.qubit in QUBIT_AXIS):
             raise ParseError(f"bad qubit {self.qubit!r}")
-        object.__setattr__(self, "theta", _reals(self.theta, 3, "local step angles"))
+        theta = _reals(self.theta, 3, "local step angles")
+        if not math.isfinite(math.hypot(*theta)):
+            raise ParseError(f"local step angles need a finite norm, got {self.theta!r}")
+        object.__setattr__(self, "theta", theta)
 
 
 @dataclass(frozen=True, eq=False)
@@ -110,7 +97,9 @@ class CouplingStep:
             theta = np.asarray(self.theta)
         except ValueError:   # a ragged nesting
             theta = np.asarray(None)
-        _reals(theta.ravel().tolist(), 9, "coupling coefficients")
+        values = _reals(theta.ravel().tolist(), 9, "coupling coefficients")
+        if not math.isfinite(math.hypot(*values)):
+            raise ParseError(f"coupling coefficients need a finite norm, got {self.theta!r}")
         theta = theta.astype(float).reshape(3, 3)
         theta.flags.writeable = False
         object.__setattr__(self, "theta", theta)
@@ -235,11 +224,11 @@ def apply(seq, s) -> np.ndarray:
 
 
 def coupling_axis_step(pair: str, n: int, m: int, zeta: float) -> CouplingStep:
-    """exp(zeta i sigma_n sigma_m) on the pair; n, m in {1, 2, 3}, else ParseError."""
+    """exp(zeta i sigma_n sigma_m) on the pair; n, m in {1, 2, 3}, zeta finite, else ParseError."""
     if n not in (1, 2, 3) or m not in (1, 2, 3):
         raise ParseError(f"coupling axes must be 1, 2 or 3, got {n!r}, {m!r}")
     th = np.zeros((3, 3))
-    th[int(n) - 1, int(m) - 1] = 2.0 * zeta
+    th[int(n) - 1, int(m) - 1] = 2.0 * _reals((zeta,), 1, "zeta")[0]
     return CouplingStep(pair, th)
 
 

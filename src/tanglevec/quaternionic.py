@@ -20,10 +20,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateInput, InvariantViolation, NotNormalized, ParseError
+from .errors import DegenerateInput, InvariantViolation, NotNormalized
 from .gates import LocalStep, apply
 from .so6 import GENERATOR_LABELS, SO6_BASIS, SU4_BASIS
-from .states import EPS_NORM, _finite_params, as_state, make_acin, squared_norm
+from .states import EPS_NORM, _reals, as_state, make_acin, squared_norm
 from .tangles import TangleSet
 from .vectors import EPS_INV, AbcVectors
 
@@ -50,12 +50,10 @@ def quat_inv(q) -> np.ndarray:
 
     q is first rescaled, exactly, by the power of two that brings its largest
     component near 1, so |q|^2 neither underflows nor overflows. Raises
-    ParseError for a non-finite component, and DegenerateInput for q = 0 or
-    when the inverse is too large for a double.
+    ParseError unless q is 4 finite real numbers, and DegenerateInput for
+    q = 0 or when the inverse is too large for a double.
     """
-    q = np.asarray(q, dtype=float)
-    if not np.isfinite(q).all():
-        raise ParseError(f"non-finite quaternion {q.tolist()}")
+    q = np.array(_reals(q, 4, "quaternion"))
     top = float(np.abs(q).max())
     if top == 0.0:
         raise DegenerateInput("inverse of the zero quaternion")
@@ -133,9 +131,10 @@ class QuaternionicState:
     y: np.ndarray
 
     def __post_init__(self):
-        # ParseError unless each is 4 finite real numbers
-        object.__setattr__(self, "x", _finite_params(self.x, 4, "x"))
-        object.__setattr__(self, "y", _finite_params(self.y, 4, "y"))
+        for name in ("x", "y"):   # 4 finite real numbers each, kept read-only
+            v = np.array(_reals(getattr(self, name), 4, name))
+            v.flags.writeable = False
+            object.__setattr__(self, name, v)
 
     @property
     def norm_squared(self) -> float:

@@ -7,11 +7,17 @@ for the basis ket |i,j,k> — qubit ``a`` is the most significant bit, so
 The three bipartite arrangements a(bc), b(ca), c(ab) are numbered 1, 2, 3.
 Each arranges the amplitudes as a 4x2 matrix whose column indexes the single
 qubit and whose rows run over the remaining pair.
+
+Every list of real parameters passes one check, _reals: n ints, floats or
+numpy real scalars, each finite, else ParseError. Seeds and counts must be
+integers and tolerances pass _reals (_check_options); only the CLI reads
+numbers from text.
 """
 from __future__ import annotations
 
 import json
 import math
+from numbers import Real
 
 import numpy as np
 
@@ -45,41 +51,44 @@ def parse_partition(value) -> int:
     raise ParseError(f"unknown partition {value!r}")
 
 
+def _reals(values, n: int, what: str) -> tuple:
+    """values as a tuple of n finite floats, else ParseError naming what.
+
+    The one check of a list of real parameters: each value must be an int, a
+    float or a numpy real scalar (numbers.Real, slow, goes last). Text, None,
+    complex values, nested sequences and an int beyond any float are refused.
+    """
+    try:
+        if not isinstance(values, (str, bytes)) and len(values) == n:
+            out = tuple([float(v) for v in values if isinstance(v, (float, int, Real))])
+            if len(out) == n:
+                # a finite norm shows every value finite in one call
+                if math.isfinite(math.hypot(*out)) or all(map(math.isfinite, out)):
+                    return out
+                raise ParseError(f"{what} must be finite, got {values!r}")
+    except (TypeError, OverflowError):   # no len(), or an int beyond any float
+        pass
+    raise ParseError(f"{what}: expected {n} real number{'s' * (n > 1)}, got {values!r}")
+
+
 def _check_options(*, seeds=None, counts=None, tols=None) -> None:
     """Refuse an out-of-range option of a random or iterative routine.
 
-    Each argument maps option names to values: a seed must be at least 0
-    (numpy's generators take no negative seed), a count (restarts, iteration
-    caps) at least 1, and a tolerance finite and not negative. Raises
+    Each argument maps option names to values: a seed must be an integer
+    (Python or numpy) of at least 0 (numpy's generators take no negative
+    seed), a count (restarts, iteration caps) an integer of at least 1, and a
+    tolerance a finite real number (_reals) that is not negative. Raises
     ParseError naming the first bad option.
     """
     for least, opts in ((0, seeds), (1, counts)):
         for name, value in (opts or {}).items():
+            if not isinstance(value, (int, np.integer)):
+                raise ParseError(f"{name} must be an integer, got {value!r}")
             if not value >= least:
                 raise ParseError(f"{name} must be at least {least}, got {value!r}")
     for name, value in (tols or {}).items():
-        if not (math.isfinite(value) and value >= 0):
+        if not _reals((value,), 1, name)[0] >= 0:
             raise ParseError(f"{name} must be finite and not negative, got {value!r}")
-
-
-def _finite_params(values, n: int, what: str) -> np.ndarray:
-    """The real parameters ``values``, numbers or their text, as n finite floats.
-
-    Raises ParseError naming ``what`` for a value that is not a real number
-    (a complex one too), a count other than n, or a NaN or infinite value.
-    """
-    try:
-        x = np.asarray(values)
-        if x.dtype.kind == "c":
-            raise TypeError
-        x = x.astype(float, copy=False).reshape(-1)
-    except (TypeError, ValueError):
-        raise ParseError(f"{what}: expected {n} real numbers, got {values!r}") from None
-    if x.shape != (n,):
-        raise ParseError(f"{what}: expected {n} real numbers, got {x.size}")
-    if not np.isfinite(x).all():
-        raise ParseError(f"{what} must be finite, got {values!r}")
-    return x
 
 
 def as_state(amp) -> np.ndarray:
@@ -98,10 +107,6 @@ def _finite_state(amp) -> np.ndarray:
     return s
 
 
-def norm(s: np.ndarray) -> float:
-    return float(np.linalg.norm(s))
-
-
 def squared_norm(c: np.ndarray) -> float:
     """|c|^2, or inf/NaN on overflow; raises ParseError for a non-finite amplitude."""
     n2 = float(np.vdot(c, c).real)
@@ -117,7 +122,7 @@ def normalize(s) -> np.ndarray:
     amplitude is zero.
     """
     s = as_state(s)
-    n = norm(s)
+    n = math.sqrt(np.vdot(s, s).real)
     if not EPS_NORM <= n < math.inf:
         if not np.isfinite(s).all():
             raise ParseError("amplitudes must be finite")
@@ -128,7 +133,7 @@ def normalize(s) -> np.ndarray:
         if m == 0.0:
             raise ZeroState("every amplitude is zero")
         s = s.real / m + 1j * (s.imag / m)
-        n = norm(s)
+        n = math.sqrt(np.vdot(s, s).real)
     return s / n
 
 
@@ -148,7 +153,7 @@ def make_asymmetric_w(theta: float, phi: float) -> np.ndarray:
     theta = arccos(1/sqrt(3)), phi = pi/4 gives the standard symmetric W state.
     Angles in radians; ParseError when one is not finite.
     """
-    theta, phi = _finite_params((theta, phi), 2, "theta, phi")
+    theta, phi = _reals((theta, phi), 2, "theta, phi")
     s = np.zeros(8, dtype=complex)
     s[1] = np.sin(theta) * np.cos(phi)
     s[2] = np.sin(theta) * np.sin(phi)
@@ -162,7 +167,7 @@ def make_acin(lambdas) -> np.ndarray:
     e^{i pi/4} (l0|000> + l1|010> + l2|110> + l3|011> + l4|111>) with
     sum(l_i^2) = 1; ParseError unless there are 5 finite coefficients.
     """
-    lam = _finite_params(lambdas, 5, "lambdas")
+    lam = np.array(_reals(lambdas, 5, "lambdas"))
     if abs(np.sum(lam**2) - 1.0) > EPS_NORM:
         raise NotNormalized(f"sum of squares is {np.sum(lam**2)}, not 1")
     s = np.zeros(8, dtype=complex)
@@ -204,7 +209,7 @@ def random_state(seed: int) -> np.ndarray:
 
     Draws 16 standard normals from numpy's default PCG64 generator and
     normalizes, so the distribution is uniform on the 15-sphere. Raises
-    ParseError for a negative seed.
+    ParseError for a seed that is not an integer of at least 0.
     """
     _check_options(seeds={"seed": seed})
     rng = np.random.default_rng(seed)

@@ -34,8 +34,8 @@ from .gates import (CouplingStep, LocalStep, PhaseStep, _pair_qubits, apply,
                     coupling_axis_step, sequence_unitary)
 from .quaternionic import _rotation, _step
 from .so6 import SU4_BASIS
-from .states import (PARTITION_PAIR, PARTITION_SPECTATOR, QUBIT_AXIS, _check_options,
-                     _finite_params, make_asymmetric_w, make_ghz, normalize)
+from .states import (PARTITION_PAIR, PARTITION_SPECTATOR, QUBIT_AXIS, _check_options, _reals,
+                     make_asymmetric_w, make_ghz, normalize)
 from .tangles import _measures, bipartite_tangle_from_density, three_tangle
 from .vectors import EPS_INV, _gauge, _unit_scaled, _vectors
 
@@ -95,7 +95,7 @@ def synthesize_coupling_core(alpha, pair: str = "ab") -> SynthesisResult:
     angle; the three swaps are the only entangling steps and all have fixed
     CZ-class strength pi/4. ParseError unless alpha is 3 finite angles.
     """
-    a1, a2, a3 = (float(x) for x in _finite_params(alpha, 3, "alpha"))
+    a1, a2, a3 = _reals(alpha, 3, "alpha")
     _, pq = _canonical_pair(pair)
     q1, q2 = pq[0], pq[1]
     swap1, swap2, swap3, close = _CORE_STEPS[pq]

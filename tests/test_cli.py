@@ -307,10 +307,12 @@ def test_verify_refuses_bad_options(suite, option, capsys):
     assert err.startswith("error: ") and option[0] in err
 
 
-def test_verify_quaternionic_suite(capsys):
+def test_verify_quaternionic_suite(capsys, monkeypatch):
+    # each state's vectors and tangles come from one evaluation
+    calls = count_calls(monkeypatch, _vectors)
     code, doc, _ = run_cli(capsys, "verify", "--suite", "quaternionic",
                            "-N", "40", "--seed", "4")
-    assert code == 0
+    assert code == 0 and len(calls) == 40
     assert doc["result"]["pass"] is True
     rng = np.random.default_rng(4)
     for _ in range(40):  # the states of the sweep

@@ -420,6 +420,7 @@ def test_gate_steps_are_checked_when_built():
         "local, complex": lambda: LocalStep("a", (1j, 0, 0)),
         "local, numpy complex": lambda: LocalStep("a", np.array([0.1 + 0.5j, 0.2, 0.3])),
         "local, string": lambda: LocalStep("a", "abc"),
+        "local, bytes": lambda: LocalStep("a", b"abc"),
         "local, nested": lambda: LocalStep("a", ((1,), (2,), (3,))),
         "local, int beyond float": lambda: LocalStep("a", (10**400, 0, 0)),
         "local, unhashable qubit": lambda: LocalStep(["a"], (0, 0, 0)),

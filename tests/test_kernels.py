@@ -165,6 +165,12 @@ _W = make_asymmetric_w(np.arccos(1 / np.sqrt(3)), np.pi / 4)
     (tangle_ascent_search, {"max_iters": 0}),
     (tangle_ascent_search, {"seed": -1}),
     (tangle_ascent_search, {"gtol": float("inf")}),
+    (fubini_study_search, {"seed": 1.5}),
+    (fubini_study_search, {"restarts": "4"}),
+    (fubini_study_search, {"max_sweeps": 3.5}),
+    (fubini_study_search, {"tol": "1e-10"}),
+    (tangle_ascent_search, {"gtol": None}),
+    (tangle_ascent_search, {"max_iters": 2.5}),
 ])
 def test_optimizer_options_are_refused(call, kwargs):
     args = (_W,) if call in (tangle_ascent_oracle, tangle_ascent_search) else (_W, make_ghz())

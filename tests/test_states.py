@@ -4,10 +4,11 @@ import warnings
 import numpy as np
 import pytest
 
-from tanglevec import (ParseError, ZeroState,
-                       fidelity_up_to_phase, make_acin, make_asymmetric_w,
-                       make_ghz, matricize, min_phase_distance, normalize,
-                       random_state, state_from_json, state_to_json, three_tangle)
+from tanglevec import (ParseError, ZeroState, apply, fidelity_up_to_phase,
+                       fubini_study_angle, make_acin, make_asymmetric_w, make_ghz,
+                       matricize, maximize_three_tangle, min_phase_distance, named_gate,
+                       normalize, random_state, state_from_json, state_to_json,
+                       tangle_ascent_search, three_tangle)
 from tanglevec.errors import NotNormalized
 from conftest import checked_tangle_set
 
@@ -61,10 +62,19 @@ def test_random_state_refuses_a_negative_seed():
 
 
 def test_normalize_rescales_when_the_square_overflows():
+    # |s|^2 overflows without a numpy warning and the rescale branch takes
+    # over, also in the calls that normalize their input first
     s = random_state(1)
-    with pytest.warns(RuntimeWarning, match="overflow"):
-        out = normalize(1e200 * s)
-    assert np.abs(out - s).max() < 1e-15
+    big = 1e200 * s
+    seq = named_gate("CNOT", "ab")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert np.abs(normalize(big) - s).max() < 1e-15
+        assert np.abs(apply(seq, big) - apply(seq, s)).max() < 1e-15
+        assert fubini_study_angle(big, s, restarts=1) < 1e-6
+        for run in (lambda v: maximize_three_tangle(v).achieved,
+                    lambda v: tangle_ascent_search(v, restarts=1).tangle):
+            assert abs(run(big) - run(s)) < 1e-12
 
 
 def test_normalize_rescales_tiny_states():

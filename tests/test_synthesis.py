@@ -8,7 +8,7 @@ from tanglevec import (CouplingStep, DegenerateInput, GaugeUndefined,
                        apply_gauge, bipartite_tangles, coupling_axis_step, extremum_residual,
                        fidelity_up_to_phase, fubini_study_angle, gauge_phase,
                        make_acin, make_asymmetric_w, make_ghz, maximize_three_tangle,
-                       min_phase_distance, normalize, q_vector, random_state,
+                       min_phase_distance, normalize, q_vector, quat_inv, random_state,
                        sequence_unitary, synthesize_coupling_core,
                        tangle_ascent_oracle, three_tangle,
                        two_tangles, w_to_ghz_sequence)
@@ -486,12 +486,68 @@ def test_fs_angle_w1_milestone():
     (make_acin, ([np.nan, 0.0, 0.0, 0.0, 1.0],)),
     (make_acin, ([1.0, 0.0],)),
     (w_to_ghz_sequence, (0.5, np.inf)),
+    (w_to_ghz_sequence, ("0.9", "0.7")),
+    (coupling_axis_step, ("ab", 1, 1, "0.5")),
+    (random_state, (1.5,)),
 ])
 def test_malformed_parameters_are_refused(call, args):
+    # refused by the parameter's name, not as an untyped error from within
+    name = {synthesize_coupling_core: "alpha", coupling_axis_step: "axes|zeta",
+            make_asymmetric_w: "theta, phi", make_acin: "lambdas",
+            w_to_ghz_sequence: "theta, phi", random_state: "seed"}[call]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(ParseError):
+        with pytest.raises(ParseError, match=name):
             call(*args)
+
+
+@pytest.mark.parametrize("call, args, message", [
+    (make_asymmetric_w, ("0.9", 0.7), "theta, phi: expected 2"),
+    (make_asymmetric_w, (0.9, None), "theta, phi: expected 2"),
+    (make_asymmetric_w, ([0.9], [0.7]), "theta, phi: expected 2"),
+    (w_to_ghz_sequence, (0.9, None), "theta, phi: expected 2"),
+    (w_to_ghz_sequence, ([0.9], [0.7]), "theta, phi: expected 2"),
+    (make_acin, (["0.6", "0.8", "0", "0", "0"],), "lambdas: expected 5"),
+    (make_acin, ([0.6, 0.8, 0, 0, None],), "lambdas: expected 5"),
+    (make_acin, ([[0.6, 0.8, 0, 0, 0]],), "lambdas: expected 5"),
+    (make_acin, ([10**400, 0, 0, 0, 0],), "lambdas: expected 5"),
+    (synthesize_coupling_core, (["0.5", "0.1", "0.2"],), "alpha: expected 3"),
+    (synthesize_coupling_core, ([0.5, None, 0.2],), "alpha: expected 3"),
+    (synthesize_coupling_core, ([[0.5], [0.1], [0.2]],), "alpha: expected 3"),
+    (coupling_axis_step, ("ab", 1, 1, None), "zeta: expected 1"),
+    (coupling_axis_step, ("ab", 1, 1, [0.5]), "zeta: expected 1"),
+    (QuaternionicState, (["0.5", "0", "0", "0.5"], np.zeros(4)), "x: expected 4"),
+    (QuaternionicState, (np.zeros(4), [0.5, 0, 0, None]), "y: expected 4"),
+    (QuaternionicState, ([[0.5, 0], [0, 0.5]], np.zeros(4)), "x: expected 4"),
+    (quat_inv, (["1", "0", "0", "0"],), "quaternion: expected 4"),
+    (quat_inv, ([1, 0, 0, None],), "quaternion: expected 4"),
+    (quat_inv, ([[1, 0], [0, 0]],), "quaternion: expected 4"),
+], ids=["w-text", "w-none", "w-nested", "w-to-ghz-none", "w-to-ghz-nested", "acin-text",
+        "acin-none", "acin-nested", "acin-huge-int", "coupling-core-text", "coupling-core-none",
+        "coupling-core-nested", "zeta-none", "zeta-nested", "quaternion-x-text",
+        "quaternion-y-none", "quaternion-x-nested", "inverse-text", "inverse-none",
+        "inverse-nested"])
+def test_non_real_parameters_are_refused(call, args, message):
+    # text, None, nested values and an int beyond any float are not real
+    # numbers (None is not a non-finite one): each is refused by the one
+    # check, by name, before numpy could convert or warn
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ParseError, match=f"^{message} real numbers?, got"):
+            call(*args)
+
+
+def test_numpy_real_scalars_are_accepted():
+    # numpy ints and floats are real numbers, and numpy ints are seeds and counts
+    f32, i64 = np.float32(0.5), np.int64(1)
+    assert np.array_equal(make_asymmetric_w(f32, i64), make_asymmetric_w(0.5, 1.0))
+    assert synthesize_coupling_core(np.array([1, 2, 3])).meta["alpha"] == [1.0, 2.0, 3.0]
+    assert coupling_axis_step("ab", 1, 1, f32).theta[0, 0] == 1.0
+    assert np.array_equal(quat_inv(np.arange(1, 5, dtype=np.int32)), quat_inv([1, 2, 3, 4]))
+    assert QuaternionicState([1.5e308] * 4, np.zeros(4, dtype=np.float32)).x[0] == 1.5e308
+    assert np.array_equal(random_state(np.int64(3)), random_state(3))
+    assert fubini_study_angle(GHZ, GHZ, restarts=np.int32(2), seed=np.uint8(3),
+                              max_sweeps=np.int64(5), tol=f32) < 1e-6
 
 
 @pytest.mark.parametrize("call, args", [
