@@ -10,12 +10,13 @@ and a sequence is a plain list applied left to right (first element acts
 first). Operator products written right-to-left on paper therefore list in
 reverse here.
 
-Each step is checked once, when it is built: a bad qubit or pair, parameters
-that fail states._reals (3, 9 or 1 finite real numbers), or local or coupling
-parameters whose Euclidean norm overflows the walker's hypot raise ParseError
-there. A built step cannot change, so the one walker, _steps, only sorts a
-sequence for a gate picture, given the picture's key for each qubit and
-layout of the ordered pairs; so6's dual picture uses it too.
+Each step is checked once, when it is built: a bad qubit or pair (states._named),
+parameters that fail states._reals (3, 9 given flat or 3x3, or 1 finite real
+numbers), or local or coupling parameters whose Euclidean norm overflows the
+walker's hypot raise ParseError there. A built step cannot change, so the one
+walker, _steps, only sorts a sequence for a gate picture, given the picture's
+key for each qubit and layout of the ordered pairs; so6's dual picture uses
+it too.
 In this picture one contraction loop applies a sequence to an (8, R)
 amplitude matrix whose R columns evolve independently: apply() uses one
 column, and the 8x8 unitaries are the same evolution of the identity. A local
@@ -37,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvariantViolation, NotRepresentable, ParseError, UnknownGate
-from .states import EPS_NORM, QUBIT_AXIS, _reals, normalize
+from .states import EPS_NORM, QUBIT_AXIS, _named, _reals, normalize
 
 SIGMA = (
     np.array([[0, 1], [1, 0]], dtype=complex),
@@ -54,12 +55,6 @@ PAIR_PAULIS.flags.writeable = False
 _SIGMA_PAIRS = PAIR_PAULIS[6:].reshape(9, 16)
 
 
-def _pair_qubits(pair: str) -> tuple[str, str]:
-    if isinstance(pair, str) and pair in _PAIR_LAYOUT:   # the six ordered pairs
-        return pair[0], pair[1]
-    raise ParseError(f"bad qubit pair {pair!r}")
-
-
 @dataclass(frozen=True)
 class LocalStep:
     """exp(1/2 sum_n theta_n i sigma_n) on the qubit a, b or c; theta is 3 floats."""
@@ -70,8 +65,7 @@ class LocalStep:
     kind = "local"
 
     def __post_init__(self):
-        if not (isinstance(self.qubit, str) and self.qubit in QUBIT_AXIS):
-            raise ParseError(f"bad qubit {self.qubit!r}")
+        _named(QUBIT_AXIS, self.qubit, "qubit")
         theta = _reals(self.theta, 3, "local step angles")
         if not math.isfinite(math.hypot(*theta)):
             raise ParseError(f"local step angles need a finite norm, got {self.theta!r}")
@@ -92,11 +86,14 @@ class CouplingStep:
     kind = "coupling"
 
     def __post_init__(self):
-        _pair_qubits(self.pair)
+        _named(_PAIR_LAYOUT, self.pair, "qubit pair")   # the six ordered pairs
         try:
             theta = np.asarray(self.theta)
         except ValueError:   # a ragged nesting
             theta = np.asarray(None)
+        if theta.shape not in ((9,), (3, 3)):
+            raise ParseError(f"coupling coefficients: expected 9 real numbers, flat or 3x3,"
+                             f" got {self.theta!r}")
         values = _reals(theta.ravel().tolist(), 9, "coupling coefficients")
         if not math.isfinite(math.hypot(*values)):
             raise ParseError(f"coupling coefficients need a finite norm, got {self.theta!r}")
@@ -223,57 +220,53 @@ def apply(seq, s) -> np.ndarray:
     return out
 
 
+#: coupling axis n in {1, 2, 3} -> its row (or column) of theta
+_AXES = {1: 0, 2: 1, 3: 2}
+
+
 def coupling_axis_step(pair: str, n: int, m: int, zeta: float) -> CouplingStep:
     """exp(zeta i sigma_n sigma_m) on the pair; n, m in {1, 2, 3}, zeta finite, else ParseError."""
-    if n not in (1, 2, 3) or m not in (1, 2, 3):
-        raise ParseError(f"coupling axes must be 1, 2 or 3, got {n!r}, {m!r}")
     th = np.zeros((3, 3))
-    th[int(n) - 1, int(m) - 1] = 2.0 * _reals((zeta,), 1, "zeta")[0]
+    th[_named(_AXES, n, "axes entry"), _named(_AXES, m, "axes entry")] = \
+        2.0 * _reals((zeta,), 1, "zeta")[0]
     return CouplingStep(pair, th)
 
 
-#: named_gate's steps by (name, location), each built on its first use; a
+def _controlled(pq: str, m: int) -> tuple:
+    """CZ (m = 3), or CNOT (m = 1): CZ with the target's z axis turned to x."""
+    coupling = coupling_axis_step(pq, 3, m, np.pi / 4)   # checks the pair before pq[1] is read
+    return (LocalStep(pq[0], (0.0, 0.0, -np.pi / 2)),
+            LocalStep(pq[1], (0.0, 0.0, -np.pi / 2) if m == 3 else (-np.pi / 2, 0.0, 0.0)),
+            coupling, PhaseStep(np.pi / 4))
+
+
+#: each named gate's steps, built from the gate's qubit or ordered pair
+_GATES = {
+    "H": lambda q: (LocalStep(q, (0.0, np.pi / 2, 0.0)), LocalStep(q, (0.0, 0.0, np.pi)),
+                    PhaseStep(-np.pi / 2)),
+    "CZ": lambda pq: _controlled(pq, 3),
+    "CNOT": lambda pq: _controlled(pq, 1),
+    "SWAP": lambda pq: (CouplingStep(pq, np.diag([np.pi, np.pi, np.pi]) / 2), PhaseStep(-np.pi / 4)),
+}
+#: named_gate's steps by (builder, location), each built on its first use; a
 #: step cannot change, so every call shares them
 _NAMED: dict = {}
 
 
 def named_gate(name: str, location: str):
-    """Factored sequences for H, CZ, CNOT and SWAP, global phases included.
+    """Factored sequences for H, CZ, CNOT and SWAP (in any case), global phases included.
 
     H needs a qubit name; the couplings need a pair such as "ab" (first
     letter is the control for CZ/CNOT). Each call returns a new list of
-    steps that are built once.
+    steps that are built once. UnknownGate for another name, ParseError for
+    a bad location.
     """
-    key = (name.upper(), location)
+    build = _named(_GATES, name.upper() if isinstance(name, str) else name, "gate", UnknownGate)
+    key = (build, location)
     steps = _NAMED.get(key) if isinstance(location, str) else None
     if steps is None:
-        steps = _NAMED[key] = _named_steps(*key)
+        steps = _NAMED[key] = build(location)   # the steps refuse a bad location
     return list(steps)
-
-
-def _named_steps(name: str, location: str) -> tuple:
-    if name == "H":
-        return (
-            LocalStep(location, (0.0, np.pi / 2, 0.0)),
-            LocalStep(location, (0.0, 0.0, np.pi)),
-            PhaseStep(-np.pi / 2),
-        )
-    q1, q2 = _pair_qubits(location)
-    if name in ("CZ", "CNOT"):
-        # CNOT is CZ with the target's z axis turned to x
-        z = name == "CZ"
-        return (
-            LocalStep(q1, (0.0, 0.0, -np.pi / 2)),
-            LocalStep(q2, (0.0, 0.0, -np.pi / 2) if z else (-np.pi / 2, 0.0, 0.0)),
-            coupling_axis_step(location, 3, 3 if z else 1, np.pi / 4),
-            PhaseStep(np.pi / 4),
-        )
-    if name == "SWAP":
-        return (
-            CouplingStep(location, np.diag([np.pi, np.pi, np.pi]) / 2),
-            PhaseStep(-np.pi / 4),
-        )
-    raise UnknownGate(name)
 
 
 # --- JSON wire format ------------------------------------------------------
@@ -295,6 +288,10 @@ def sequence_to_json(seq) -> str:
     return json.dumps(items)
 
 
+#: the step type of each kind of the wire form
+_KINDS = {"local": LocalStep, "coupling": CouplingStep, "phase": PhaseStep}
+
+
 def sequence_from_json(text: str):
     """The steps of a wire form; ParseError, prefixed "step k" when a constructor refuses."""
     try:
@@ -312,14 +309,8 @@ def sequence_from_json(text: str):
         except (TypeError, KeyError, ValueError) as exc:
             raise ParseError(f"malformed step {k}: {exc}") from exc
         try:
-            if kind == "local":
-                seq.append(LocalStep(item.get("target"), params))
-            elif kind == "coupling":
-                seq.append(CouplingStep(item.get("target"), params))
-            elif kind == "phase":
-                seq.append(PhaseStep(params))
-            else:
-                raise ParseError(f"unknown kind {kind!r}")
+            step = _named(_KINDS, kind, "kind")
+            seq.append(step(params) if step is PhaseStep else step(item.get("target"), params))
         except ParseError as exc:
             raise ParseError(f"step {k}: {exc}") from None
     return seq

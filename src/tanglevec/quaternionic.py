@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import DegenerateInput, InvariantViolation, NotNormalized
 from .gates import LocalStep, apply
-from .so6 import GENERATOR_LABELS, SO6_BASIS, SU4_BASIS
+from .so6 import _GENERATOR_ROW, SO6_BASIS, SU4_BASIS
 from .states import EPS_NORM, _reals, as_state, make_acin, squared_norm
 from .tangles import TangleSet
 from .vectors import EPS_INV, AbcVectors
@@ -292,7 +292,7 @@ def usp_generators() -> UspGenerators:
     6-vector, never touching component 2; the five excluded generators are
     returned alongside.
     """
-    usp, ex = ([GENERATOR_LABELS.index(_slot_label(n)) for n in names]
+    usp, ex = ([_GENERATOR_ROW[_slot_label(n)] for n in names]
                for names in (_USP_LABELS, _EXCLUDED_LABELS))
     return UspGenerators(_USP_LABELS, SU4_BASIS[usp], SO6_BASIS[usp],
                          _EXCLUDED_LABELS, SU4_BASIS[ex], SO6_BASIS[ex])

@@ -16,7 +16,8 @@ where [I_{n,m}]_{ij} = -d_{i,n} d_{j,m} + d_{i,m} d_{j,n} on the block's
 triple, so the three local images of a block are the Levi-Civita matrices
 [eps_k]_{ij} = eps_{kij}, and [Lambda_{n,m}]_{ij} = -d_{i,n} d_{j,m+3}
 + d_{j,n} d_{i,m+3} fills the two off-diagonal blocks. Every lookup
-returns a copy of a table row.
+returns a copy of a table row; a label outside GENERATOR_LABELS raises
+UnknownGenerator, and an axis n, m that is not an integer 1-3 IndexOutOfRange.
 
 evolve_q and so6_image are one dual evolution: so6_image evolves eye(6), as
 gates.sequence_unitary evolves eye(8). The walker gates._steps sorts the
@@ -36,8 +37,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import IndexOutOfRange, UnknownGenerator
-from .gates import PAIR_PAULIS, LocalStep, _steps, expi_hermitian
-from .states import PARTITION_PAIR, PARTITION_SPECTATOR, parse_partition
+from .gates import _AXES, PAIR_PAULIS, LocalStep, _steps, expi_hermitian
+from .states import PARTITION_PAIR, PARTITION_SPECTATOR, _named, parse_partition
 from .vectors import SixVector
 
 AXIS_NAMES = "xyz"
@@ -70,6 +71,8 @@ class CommutatorReport:
 GENERATOR_LABELS = tuple(f"{ax}_a" for ax in AXIS_NAMES) + \
     tuple(f"{ax}_b" for ax in AXIS_NAMES) + \
     tuple(f"{n}{m}" for n in AXIS_NAMES for m in AXIS_NAMES)
+#: the row of each label in the generator tables
+_GENERATOR_ROW = {label: k for k, label in enumerate(GENERATOR_LABELS)}
 
 #: i/2 times the pair Paulis, indexed like GENERATOR_LABELS
 SU4_BASIS = 0.5j * PAIR_PAULIS
@@ -100,28 +103,21 @@ _TAGS = tuple(f"{t}^{slot}" for slot in "ab" for t in ("I_32", "-I_31", "I_21"))
     tuple(f"Lambda_{n}{m}" for n in (1, 2, 3) for m in (1, 2, 3))
 
 
-def _index(label: str) -> int:
-    if label not in GENERATOR_LABELS:
-        raise UnknownGenerator(label)
-    return GENERATOR_LABELS.index(label)
-
-
 def generator_map(label: str) -> So6Generator:
     """so(6) image of one su(4) basis generator (i/2 sigma...)."""
-    k = _index(label)
+    k = _named(_GENERATOR_ROW, label, "generator label", UnknownGenerator)
     return So6Generator(SO6_BASIS[k].copy(), _TAGS[k])
 
 
 def lambda_generator(n: int, m: int) -> So6Generator:
     """Coupling generator rotating component n against component m+3."""
-    if n not in (1, 2, 3) or m not in (1, 2, 3):
-        raise IndexOutOfRange(f"indices {(n, m)} outside 1..3")
-    return generator_map(AXIS_NAMES[n - 1] + AXIS_NAMES[m - 1])
+    n, m = (AXIS_NAMES[_named(_AXES, x, "axes entry", IndexOutOfRange)] for x in (n, m))
+    return generator_map(n + m)
 
 
 def su_generator(label: str) -> np.ndarray:
     """4x4 matrix i/2 sigma... on the ordered pair Hilbert space."""
-    return SU4_BASIS[_index(label)].copy()
+    return SU4_BASIS[_named(_GENERATOR_ROW, label, "generator label", UnknownGenerator)].copy()
 
 
 def _rodrigues(t0: float, t1: float, t2: float, t: float) -> np.ndarray:

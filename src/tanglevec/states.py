@@ -9,9 +9,11 @@ Each arranges the amplitudes as a 4x2 matrix whose column indexes the single
 qubit and whose rows run over the remaining pair.
 
 Every list of real parameters passes one check, _reals: n ints, floats or
-numpy real scalars, each finite, else ParseError. Seeds and counts must be
-integers and tolerances pass _reals (_check_options); only the CLI reads
-numbers from text.
+numpy real scalars (never a bool), each finite, else ParseError. Seeds and
+counts must be integers and tolerances pass _reals (_check_options); only the
+CLI reads numbers from text. Every name or index a caller passes (a qubit, a
+pair, a partition, an axis, a generator label, a gate name) is looked up
+once, by _named.
 """
 from __future__ import annotations
 
@@ -25,30 +27,35 @@ from .errors import NotNormalized, ParseError, ZeroState
 
 EPS_NORM = 1e-12
 
-QUBITS = ("a", "b", "c")
 QUBIT_AXIS = {"a": 0, "b": 1, "c": 2}
 
-PARTITIONS = (1, 2, 3)
-PARTITION_LABEL = {1: "a(bc)", 2: "b(ca)", 3: "c(ab)"}
 #: spectator qubit and the ordered qubit pair carried by each partition's 6-vector
 PARTITION_SPECTATOR = {1: "a", 2: "b", 3: "c"}
 PARTITION_PAIR = {1: ("b", "c"), 2: ("c", "a"), 3: ("a", "b")}
+#: the nine accepted spellings of a partition: its number as an int or as
+#: text, and its label
+_PARTITION = {**{p: p for p in (1, 2, 3)}, **{str(p): p for p in (1, 2, 3)},
+              "a(bc)": 1, "b(ca)": 2, "c(ab)": 3}
+
+
+def _named(table, key, what: str, error=ParseError):
+    """table[key] for a key that is text or an integer (Python or numpy, not a bool); else error.
+
+    The one check of a name or index a caller passes. A float, a bool, None,
+    a list or text the table does not hold raises error("bad <what> <key>").
+    """
+    if type(key) in (str, int) or isinstance(key, (str, np.integer)):   # a bool's type is bool
+        try:
+            return table[key]
+        except KeyError:
+            pass
+    raise error(f"bad {what} {key!r}")
 
 
 def parse_partition(value) -> int:
-    """Accept 1/2/3 (or the same as strings) or the labels a(bc), b(ca), c(ab)."""
-    if value in PARTITIONS:
-        return int(value)
-    for p, lab in PARTITION_LABEL.items():
-        if value == lab:
-            return p
-    try:
-        num = int(value)
-    except (TypeError, ValueError):
-        raise ParseError(f"unknown partition {value!r}") from None
-    if num in PARTITIONS:
-        return num
-    raise ParseError(f"unknown partition {value!r}")
+    """1, 2 or 3, given as an integer, as "1"-"3" or as the label a(bc), b(ca) or c(ab);
+    ParseError for anything else, such as a float, a bool or padded text."""
+    return _named(_PARTITION, value, "partition")
 
 
 def _reals(values, n: int, what: str) -> tuple:
@@ -56,11 +63,13 @@ def _reals(values, n: int, what: str) -> tuple:
 
     The one check of a list of real parameters: each value must be an int, a
     float or a numpy real scalar (numbers.Real, slow, goes last). Text, None,
-    complex values, nested sequences and an int beyond any float are refused.
+    a bool, complex values, nested sequences and an int beyond any float are
+    refused.
     """
     try:
         if not isinstance(values, (str, bytes)) and len(values) == n:
-            out = tuple([float(v) for v in values if isinstance(v, (float, int, Real))])
+            out = tuple([float(v) for v in values if isinstance(v, float) or isinstance(
+                v, (int, Real)) and v is not True and v is not False])
             if len(out) == n:
                 # a finite norm shows every value finite in one call
                 if math.isfinite(math.hypot(*out)) or all(map(math.isfinite, out)):
@@ -75,14 +84,14 @@ def _check_options(*, seeds=None, counts=None, tols=None) -> None:
     """Refuse an out-of-range option of a random or iterative routine.
 
     Each argument maps option names to values: a seed must be an integer
-    (Python or numpy) of at least 0 (numpy's generators take no negative
-    seed), a count (restarts, iteration caps) an integer of at least 1, and a
-    tolerance a finite real number (_reals) that is not negative. Raises
-    ParseError naming the first bad option.
+    (Python or numpy, not a bool) of at least 0 (numpy's generators take no
+    negative seed), a count (restarts, iteration caps) such an integer of at
+    least 1, and a tolerance a finite real number (_reals) that is not
+    negative. Raises ParseError naming the first bad option.
     """
     for least, opts in ((0, seeds), (1, counts)):
         for name, value in (opts or {}).items():
-            if not isinstance(value, (int, np.integer)):
+            if not isinstance(value, (int, np.integer)) or value is True or value is False:
                 raise ParseError(f"{name} must be an integer, got {value!r}")
             if not value >= least:
                 raise ParseError(f"{name} must be at least {least}, got {value!r}")

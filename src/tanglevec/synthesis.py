@@ -30,24 +30,26 @@ import numpy as np
 
 from . import _kernels
 from .errors import DegenerateInput, GaugeUndefined, ParseError
-from .gates import (CouplingStep, LocalStep, PhaseStep, _pair_qubits, apply,
-                    coupling_axis_step, sequence_unitary)
+from .gates import CouplingStep, LocalStep, PhaseStep, apply, coupling_axis_step, sequence_unitary
 from .quaternionic import _rotation, _step
 from .so6 import SU4_BASIS
-from .states import (PARTITION_PAIR, PARTITION_SPECTATOR, QUBIT_AXIS, _check_options, _reals,
-                     make_asymmetric_w, make_ghz, normalize)
+from .states import (PARTITION_PAIR, PARTITION_SPECTATOR, QUBIT_AXIS, _check_options, _named,
+                     _reals, make_asymmetric_w, make_ghz, normalize)
 from .tangles import _measures, bipartite_tangle_from_density, three_tangle
 from .vectors import EPS_INV, _gauge, _unit_scaled, _vectors
 
-#: qubit pair -> (partition, ordered pair string as carried by the 6-vector)
-_PAIR_PARTITION = {frozenset(pq): (p, "".join(pq)) for p, pq in PARTITION_PAIR.items()}
+#: qubit pair, in either order -> (partition, ordered pair string as carried by the 6-vector)
+_PAIR_PARTITION = {q1 + q2: (p, first + second) for p, (first, second) in PARTITION_PAIR.items()
+                   for q1, q2 in ((first, second), (second, first))}
+#: maximize_three_tangle's variants: whether each is the economical one
+_VARIANTS = {"economical": True, "single": False}
 
 #: the fixed steps of the protocols, built once (a step cannot change): the
 #: coupling core's three pi/4 couplings and closing local on each ordered
 #: pair, and the W to GHZ bc coupling and closing locals and phase
 _CORE_STEPS = {pq: (coupling_axis_step(pq, 2, 1, -np.pi / 4), coupling_axis_step(pq, 3, 1, np.pi / 4),
                     coupling_axis_step(pq, 2, 1, np.pi / 4), LocalStep(pq[0], (np.pi / 2, 0.0, 0.0)))
-               for _, pq in _PAIR_PARTITION.values()}
+               for pq in map("".join, PARTITION_PAIR.values())}
 _W_HEAD = coupling_axis_step("bc", 1, 1, np.pi / 4)
 _W_TAIL = (LocalStep("b", (np.pi / 2, 0.0, 0.0)), LocalStep("c", (0.0, -np.pi / 2, 0.0)),
            LocalStep("a", (0.0, -np.pi / 2, 0.0)), LocalStep("a", (0.0, 0.0, -np.pi / 2)),
@@ -62,10 +64,7 @@ class SynthesisResult:
 
 
 def _canonical_pair(pair: str) -> tuple[int, str]:
-    try:
-        return _PAIR_PARTITION[frozenset(_pair_qubits(pair))]
-    except ParseError:
-        raise DegenerateInput(f"not a qubit pair: {pair!r}") from None
+    return _named(_PAIR_PARTITION, pair, "qubit pair", DegenerateInput)
 
 
 def min_phase_distance(u: np.ndarray, v: np.ndarray) -> float:
@@ -201,8 +200,7 @@ def maximize_three_tangle(s, pair: str = "ab", variant: str = "economical") -> S
     real and imaginary parts then have equal norms in any gauge.
     `achieved` is the three-tangle of the state the sequence produces.
     """
-    if variant not in ("economical", "single"):
-        raise ParseError(f"unknown variant {variant!r}")
+    economical = _named(_VARIANTS, variant, "variant")
     p, pq = _canonical_pair(pair)
     state = normalize(s)
     m, tol = _vectors(state)
@@ -224,7 +222,7 @@ def maximize_three_tangle(s, pair: str = "ab", variant: str = "economical") -> S
     r1, i1, r2, i2 = (n if n > zero else 0.0 for n in (
         float(np.linalg.norm(part)) for x in (v1, v2) for part in (x.real, x.imag)))
 
-    if variant == "economical":
+    if economical:
         t16 = float(np.arctan2(i2, r1))
         t34 = float(np.arctan2(i1, r2))
         couplings = [coupling_axis_step(pq, n, m, -angle / 2)

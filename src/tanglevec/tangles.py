@@ -23,7 +23,7 @@ from dataclasses import dataclass, asdict
 import numpy as np
 
 from .errors import InvariantViolation
-from .states import QUBIT_AXIS, as_state
+from .states import QUBIT_AXIS, _named, as_state
 from .vectors import _dots, _tolerance, _vectors
 
 
@@ -85,7 +85,7 @@ def bipartite_tangle_from_density(s, qubit: str) -> float:
     """4 det(rho_qubit) by partial trace; independent of the vector formulas."""
     c = as_state(s)
     tol = _tolerance(c)
-    m = np.moveaxis(c.reshape(2, 2, 2), QUBIT_AXIS[qubit], 0).reshape(2, 4)
+    m = np.moveaxis(c.reshape(2, 2, 2), _named(QUBIT_AXIS, qubit, "qubit"), 0).reshape(2, 4)
     rho = m @ m.conj().T
     det = np.real(rho[0, 0] * rho[1, 1] - rho[0, 1] * rho[1, 0])
     return _clamp(4.0 * float(det), tol)

@@ -414,6 +414,9 @@ def test_gate_steps_are_checked_when_built():
         "coupling, ragged": lambda: CouplingStep("ab", [[1, 2, 3], [4, 5], [6]]),
         "coupling, strings": lambda: CouplingStep("ab", ["1"] * 9),
         "coupling, None": lambda: CouplingStep("ab", None),
+        "coupling, 1x9": lambda: CouplingStep("ab", np.zeros((1, 9))),
+        "coupling, 3x3x1": lambda: CouplingStep("ab", [[[0.1]] * 3] * 3),
+        "coupling, bools": lambda: CouplingStep("ab", np.eye(3, dtype=bool)),
         "local, 2 angles": lambda: LocalStep("a", (1, 2)),
         "local, 4 angles": lambda: LocalStep("a", (1, 2, 3, 4)),
         "local, None": lambda: LocalStep("a", None),

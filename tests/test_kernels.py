@@ -171,6 +171,11 @@ _W = make_asymmetric_w(np.arccos(1 / np.sqrt(3)), np.pi / 4)
     (fubini_study_search, {"tol": "1e-10"}),
     (tangle_ascent_search, {"gtol": None}),
     (tangle_ascent_search, {"max_iters": 2.5}),
+    (fubini_study_angle, {"restarts": True}),
+    (fubini_study_search, {"seed": False}),
+    (fubini_study_search, {"tol": True}),
+    (tangle_ascent_search, {"max_iters": True}),
+    (tangle_ascent_oracle, {"gtol": False}),
 ])
 def test_optimizer_options_are_refused(call, kwargs):
     args = (_W,) if call in (tangle_ascent_oracle, tangle_ascent_search) else (_W, make_ghz())

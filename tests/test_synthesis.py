@@ -489,12 +489,20 @@ def test_fs_angle_w1_milestone():
     (w_to_ghz_sequence, ("0.9", "0.7")),
     (coupling_axis_step, ("ab", 1, 1, "0.5")),
     (random_state, (1.5,)),
+    (random_state, (True,)),
+    (LocalStep, ("a", (True, False, 0))),
+    (PhaseStep, (True,)),
+    (make_asymmetric_w, (True, 0.5)),
+    (coupling_axis_step, ("ab", True, 1.0, 0.1)),
+    (coupling_axis_step, ("ab", 1, 1, False)),
 ])
 def test_malformed_parameters_are_refused(call, args):
-    # refused by the parameter's name, not as an untyped error from within
+    # refused by the parameter's name, not as an untyped error from within;
+    # a bool is no number
     name = {synthesize_coupling_core: "alpha", coupling_axis_step: "axes|zeta",
             make_asymmetric_w: "theta, phi", make_acin: "lambdas",
-            w_to_ghz_sequence: "theta, phi", random_state: "seed"}[call]
+            w_to_ghz_sequence: "theta, phi", random_state: "seed",
+            LocalStep: "local step angles", PhaseStep: "phase angle"}[call]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ParseError, match=name):
