@@ -304,9 +304,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("maximize-tangle", help="drive the three-tangle to its bound")
     p.add_argument("--state", required=True)
-    p.add_argument("--pair", default="ab", choices=["ab", "bc", "ac"])
-    p.add_argument("--variant", default="economical",
-                   choices=["economical", "single"])
+    p.add_argument("--pair", default="ab")
+    p.add_argument("--variant", default="economical")
     p.set_defaults(func=cmd_maximize_tangle)
 
     p = sub.add_parser("fs-angle", help="closest locally-equivalent angle (deg)")

@@ -11,7 +11,9 @@ tau_q(rs) = 4 det(rho_q). It shares no formula with the vectors and is an
 independent oracle for tests and benchmarks; the measures above never call
 it.
 
-Each public measure makes the one evaluation of vectors._vectors and then
+Each public measure takes its read-only block from vectors._vectors, which
+evaluates a state once and keeps the state evaluated last by its amplitudes
+(one entry, no option), so repeated calls on it read the block back. Then it
 works on Python numbers only: _measures takes A.A, B.B, C.C and the
 Hermitian norms from vectors._dots, so every route (the wrappers, the CLI,
 the protocols) gets bit-identical values.

@@ -5,13 +5,15 @@ A is unchanged by any local operation on qubits (b, c) and rotates as an
 SO(3) vector under local operations on qubit a; B and C behave cyclically.
 All dot products below are plain (non-Hermitian) unless stated otherwise.
 
-Every public call makes one numpy evaluation: the core _vectors checks the
-state, takes its one |s|^2 for the tolerance and evaluates the nine forms
-as two matrix-vector products, (_ABC_QUADS c).reshape(9, 8) c, into a
-(3, 3) block of rows A, B, C. All that follows works on Python numbers from
-one .tolist(): _dots gives A.A, B.B, C.C and the Hermitian norms, and the
-Pluecker residual, the gauge and the tangles (in tangles) read from it.
-AbcVectors wraps the block's rows only where a caller needs arrays. Where
+Each state is evaluated once in numpy: the core _vectors checks the state,
+takes its one |s|^2 for the tolerance and evaluates the nine forms as two
+matrix-vector products, (_ABC_QUADS c).reshape(9, 8) c, into a read-only
+(3, 3) block of rows A, B, C. It keeps the state evaluated last by its
+amplitudes (one entry, no option), so the calls of one analysis read that
+block back. All that follows works on Python numbers from one .tolist():
+_dots gives A.A, B.B, C.C and the Hermitian norms, and the Pluecker
+residual, the gauge and the tangles (in tangles) read from it. AbcVectors
+wraps writable copies of the block's rows where a caller needs arrays. Where
 |s|^4 is tiny, the gauge is taken on the state rescaled by a power of two
 (_unit_scaled), so that it is scale-free.
 """
@@ -118,15 +120,27 @@ def _tolerance(c: np.ndarray) -> float:
     return max(EPS_INV * n4, _TOL_FLOOR)
 
 
+#: the state evaluated last: (its amplitude bytes, its read-only block, its tolerance)
+_last = (None, None, None)
+
+
 def _vectors(s) -> tuple[np.ndarray, float]:
-    """The (3, 3) block with rows A, B, C, and the tolerance _tolerance(s).
+    """The read-only (3, 3) block with rows A, B, C, and the tolerance _tolerance(s).
 
     The one check of an invariant's input and its one numpy evaluation; the
-    measures are then read from Python numbers (_dots).
+    measures are then read from Python numbers (_dots). One entry, no option,
+    keeps the state evaluated last by its amplitudes, so a repeated call on
+    them reads the block back; a refused state is never kept.
     """
+    global _last
     c = as_state(s)
-    tol = _tolerance(c)
-    return _ABC_QUADS.dot(c).reshape(9, 8).dot(c).reshape(3, 3), tol
+    key, last = c.tobytes(), _last   # one read: the entry may be replaced meanwhile
+    if key != last[0]:
+        tol = _tolerance(c)
+        m = _ABC_QUADS.dot(c).reshape(9, 8).dot(c).reshape(3, 3)
+        m.setflags(write=False)
+        last = _last = key, m, tol
+    return last[1:]
 
 
 def _dots(m: np.ndarray) -> tuple[list, list]:
@@ -159,7 +173,7 @@ def abc_vectors(s) -> AbcVectors:
     Inputs need not be normalized; the output scales as the amplitude square.
     Raises ParseError for non-finite amplitudes and above |s| ~ 1.2e77.
     """
-    return AbcVectors(*_vectors(s)[0])
+    return AbcVectors(*_vectors(s)[0].copy())
 
 
 def q_vector(s, partition) -> SixVector:

@@ -6,7 +6,7 @@ import pytest
 from tanglevec import (make_asymmetric_w, make_ghz, normalize, random_state,
                        state_to_json, to_state, QuaternionicState,
                        sequence_to_json, named_gate, apply, ckw_residual,
-                       plucker_residual)
+                       plucker_residual, maximize_three_tangle)
 from tanglevec.cli import _emit, main
 from tanglevec.vectors import _vectors
 from conftest import checked_tangle_set, count_calls
@@ -189,6 +189,21 @@ def test_maximize_tangle(tmp_path, capsys, monkeypatch):
     assert code == 0 and len(calls) == 2
     assert abs(doc["result"]["achieved"] - doc["result"]["bound"]) < 1e-9
     assert abs(doc["result"]["bound"] - checked_tangle_set(random_state(3)).tau_c_ab) < 1e-12
+
+
+def test_maximize_tangle_takes_every_pair_spelling(tmp_path, capsys):
+    # the pair and the variant are checked once, by maximize_three_tangle
+    p = tmp_path / "s.json"
+    p.write_text(state_to_json(random_state(3)))
+    code, doc, _ = run_cli(capsys, "maximize-tangle", "--state", str(p), "--pair", "ba")
+    res = maximize_three_tangle(random_state(3), "ba")
+    assert code == 0 and doc["result"] == {
+        "sequence": json.loads(sequence_to_json(res.sequence)), "achieved": res.achieved,
+        **res.meta}
+    for option, value, what in (("--pair", "zz", "qubit pair"), ("--variant", "double", "variant")):
+        code, doc, err = run_cli(capsys, "maximize-tangle", "--state", str(p), option, value)
+        assert code == 1 and doc is None
+        assert err == f"error: bad {what} '{value}'\n", err
 
 
 def test_fs_angle_command(ghz_file, tmp_path, capsys):

@@ -199,10 +199,15 @@ def test_one_vector_evaluation_per_call(fn, monkeypatch):
                                 gauge_phase, tangle_set, ckw_residual,
                                 bipartite_tangles, is_quaternionic])
 def test_one_norm_per_call(fn, monkeypatch):
-    # the check and the tolerance share one |s|^2
+    # the check and the tolerance share one |s|^2; an immediate repeat on the
+    # same amplitudes reads the evaluation back, except is_quaternionic,
+    # which takes its own |s|^2 on every call
+    _vectors(random_state(4))   # so that random_state(3) was not evaluated last
     calls = count_calls(monkeypatch, squared_norm)
     fn(random_state(3))
     assert len(calls) == 1
+    fn(random_state(3))
+    assert len(calls) == (2 if fn is is_quaternionic else 1)
 
 
 @pytest.mark.parametrize("fn", [tangle_set, ckw_residual, bipartite_tangles,

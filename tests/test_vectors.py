@@ -1,12 +1,19 @@
+import sys
+import threading
 import warnings
 
 import numpy as np
 import pytest
 
 from tanglevec import (GaugeUndefined, ParseError, SixVector, abc_vectors, apply_gauge,
-                       evolve_q, extremum_residual, gauge_phase, make_acin,
-                       make_asymmetric_w, make_ghz, matricize, named_gate, plucker_residual,
-                       q_vector, random_state, three_tangle, two_tangles)
+                       bipartite_tangles, ckw_residual, evolve_q, extremum_residual,
+                       gauge_phase, make_acin, make_asymmetric_w, make_ghz, matricize,
+                       named_gate, plucker_residual, q_vector, random_state, tangle_set,
+                       three_tangle, two_tangles)
+from tanglevec import vectors
+from tanglevec.states import squared_norm
+from tanglevec.vectors import AbcVectors, _vectors
+from conftest import count_calls
 
 MU = np.array([1j, -1.0, 0.0])
 STD_THETA = np.arccos(1 / np.sqrt(3))
@@ -255,3 +262,175 @@ def test_six_vector_is_a_checked_copy():
     assert np.array_equal(q.q, raw)
     out = evolve_q(named_gate("CNOT", "bc"), q)
     assert np.isfinite(out.q).all() and out.partition == 1
+
+
+# --- the one-entry memo of _vectors ----------------------------------------
+
+def _q1(s):
+    return q_vector(s, 1)
+
+
+def _q2(s):
+    return q_vector(s, 2)
+
+
+def _q3(s):
+    return q_vector(s, 3)
+
+
+#: one analysis of a state, in the order of the benchmark's invariant sweep
+ANALYSIS = [abc_vectors, gauge_phase, tangle_set, plucker_residual, ckw_residual,
+            bipartite_tangles, _q1, _q2, _q3]
+
+
+def _gauged(s):
+    try:
+        return apply_gauge(s)
+    except GaugeUndefined:
+        return None
+
+
+def _extremum(s):
+    try:
+        return extremum_residual(s)
+    except GaugeUndefined:
+        return None
+
+
+INVARIANTS = ANALYSIS + [three_tangle, two_tangles, _gauged, _extremum]
+
+
+def _plain(r):
+    """A result as Python numbers and lists, so that == compares every value."""
+    if isinstance(r, AbcVectors):
+        return [r.a.tolist(), r.b.tolist(), r.c.tolist()]
+    if isinstance(r, SixVector):
+        return r.q.tolist(), r.partition
+    if isinstance(r, np.ndarray):
+        return r.tolist()
+    return r
+
+
+def _fresh(fn, s):
+    """fn(s) evaluated afresh: another state is evaluated just before."""
+    _vectors(random_state(999))
+    return _plain(fn(s))
+
+
+def _memo_states():
+    rng = np.random.default_rng(19)
+    qubit = [np.array([0.6, 0.8j]), np.array([1, 1j]) / np.sqrt(2), np.array([0.8, -0.6])]
+    pair = random_state(11)[:4]
+    pair = pair / np.linalg.norm(pair)
+    states = [random_state(k) for k in range(4)] + [
+        make_ghz(), make_asymmetric_w(0.9, 0.4), make_asymmetric_w(STD_THETA, np.pi / 4),
+        np.kron(np.kron(qubit[0], qubit[1]), qubit[2]),
+        np.kron(qubit[2], pair), np.kron(pair, qubit[0]),
+        np.moveaxis(np.kron(qubit[1], pair).reshape(2, 2, 2), 0, 1).reshape(8)]
+    return [s * np.exp(1j * rng.uniform(0, 2 * np.pi)) for s in states]
+
+
+def test_memo_serves_the_computed_values():
+    # a call served by the entry (a repeat, or the next call of an analysis)
+    # equals one evaluated afresh, at every scale; below |s| ~ 1e-75 the
+    # gauge, apply_gauge and the extremum take the rescaled (_unit_scaled) route
+    for s0 in _memo_states():
+        for scale in (1e-100, 1e-80, 1e-76, 1e-40, 1.0, 1e40, 1e76):
+            s = scale * s0
+            want = [_fresh(fn, s) for fn in INVARIANTS]
+            _vectors(random_state(999))
+            for _ in range(2):
+                assert [_plain(fn(s)) for fn in INVARIANTS] == want, scale
+            # each invariant on its own, served by an entry that another one made
+            for fn, w in zip(INVARIANTS, want):
+                _vectors(s)
+                assert _plain(fn(s)) == w, (fn, scale)
+            assert (_vectors(s)[1] < sys.float_info.min) == (scale <= 1e-76)
+
+
+def test_memo_sees_an_array_changed_in_place():
+    s = random_state(5).copy()
+    v = abc_vectors(s)
+    t = tangle_set(s)
+    s[:] = random_state(6)
+    assert _plain(abc_vectors(s)) == _fresh(abc_vectors, random_state(6))
+    assert tangle_set(s) == tangle_set(random_state(6)) != t
+    for k in range(8):   # each amplitude, the real or the imaginary part
+        before = _plain(abc_vectors(s))
+        s[k] += 1e-12 if k % 2 else 1e-12j
+        assert _plain(abc_vectors(s)) == _fresh(abc_vectors, s.copy()) != before
+    assert _plain(abc_vectors(s)) != _plain(v)
+
+
+@pytest.mark.parametrize("bad", ["nan", "overflow", "short"])
+def test_memo_refuses_a_refused_state_on_every_call(bad):
+    s = random_state(7).copy()
+    if bad == "nan":
+        s[2] = np.nan
+    elif bad == "overflow":
+        s = 1e78 * s
+    else:
+        s = s[:7]
+    for _ in range(3):
+        for fn in ANALYSIS:
+            with pytest.raises(ParseError):
+                fn(s)
+
+
+def test_memo_block_is_read_only_and_vectors_are_copies():
+    s = random_state(8)
+    m, _ = _vectors(s)
+    assert not m.flags.writeable
+    with pytest.raises(ValueError):
+        m[0, 0] = 1.0
+    want = m.tolist()
+    v = abc_vectors(s)
+    for row in (v.a, v.b, v.c):
+        assert row.flags.writeable and not np.shares_memory(row, m)
+        row[:] = np.nan
+    assert _vectors(s)[0] is m and m.tolist() == want
+    assert _plain(abc_vectors(s)) == want
+
+
+def test_one_analysis_evaluates_once(monkeypatch):
+    # the nine calls of one analysis take one |s|^2 and one form product
+    products = []
+
+    class Counting(np.ndarray):
+        def dot(self, *args):
+            products.append(1)
+            return np.asarray(self).dot(*args)
+
+    s = random_state(9)
+    _vectors(random_state(10))
+    norms = count_calls(monkeypatch, squared_norm)
+    monkeypatch.setattr(vectors, "_ABC_QUADS", vectors._ABC_QUADS.view(Counting))
+    for fn in ANALYSIS:
+        fn(s)
+    assert len(norms) == 1 and len(products) == 1
+
+
+def test_memo_threads_get_their_own_states():
+    # the entry is shared by every thread: each must read back only the block
+    # of the amplitudes it passed, however the entry is replaced meanwhile
+    states = [random_state(20 + k) for k in range(8)]
+    want = [(_fresh(abc_vectors, s), tangle_set(s)) for s in states]
+    wrong = []
+
+    def work(k):
+        for i in range(400):
+            j = (k + i) % len(states)
+            if (_plain(abc_vectors(states[j])), tangle_set(states[j])) != want[j]:
+                wrong.append(j)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(6)]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(th.is_alive() for th in threads) and not wrong
