@@ -26,8 +26,8 @@ from .states import (PARTITION_PAIR, PARTITION_SPECTATOR, _check_options, _reals
                      parse_partition, random_state, state_from_json, state_to_json)
 from .synthesis import (fubini_study_search, maximize_three_tangle,
                         synthesize_coupling_core, w_to_ghz_sequence)
-from .tangles import _ckw, _measures
-from .vectors import EPS_INV, _gauge, _plucker, _vectors, q_vector
+from .tangles import ckw_residual, tangle_set
+from .vectors import EPS_INV, abc_vectors, gauge_phase, plucker_residual, q_vector
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -90,15 +90,15 @@ def _sequence_payload(seq) -> list:
 
 def cmd_analyze(args) -> int:
     s, digest = _load_state(args.state)
-    m, tol = _vectors(normalize(s))
-    info = _gauge(m, tol)
-    ts = _measures(m, tol)
+    s = normalize(s)
+    v = abc_vectors(s)
+    info = gauge_phase(s)
     payload = {
-        "vectors": dict(zip("abc", map(_cvec, m))),
+        "vectors": {"a": _cvec(v.a), "b": _cvec(v.b), "c": _cvec(v.c)},
         "gauge": {"phi_a": info.phi_a, "defined": info.defined},
-        "tangles": ts.as_dict(),
-        "plucker_residual": _plucker(m),
-        "ckw_residual": _ckw(ts),
+        "tangles": tangle_set(s).as_dict(),
+        "plucker_residual": plucker_residual(s),
+        "ckw_residual": ckw_residual(s),
     }
     _emit(_report("analyze", digest, payload,
                   tolerances={"eps_inv": EPS_INV}), args.pretty)
@@ -205,8 +205,8 @@ def _verify_default(n: int, seed: int) -> dict:
     rng = np.random.default_rng(seed)
     res = np.zeros((2, n))
     for k in range(n):
-        m, tol = _vectors(random_state(seed + k))
-        res[:, k] = _plucker(m), _ckw(_measures(m, tol))
+        s = random_state(seed + k)
+        res[:, k] = plucker_residual(s), ckw_residual(s)
     # each identity's worst residual and the seed of its state
     (worst_plucker, plucker_seed), (worst_ckw, ckw_seed) = (
         (float(r.max()), seed + int(r.argmax())) for r in res)
@@ -249,9 +249,11 @@ def _verify_quaternionic(n: int, seed: int) -> dict:
         v = rng.standard_normal(8)
         v /= np.linalg.norm(v) * np.sqrt(2)
         qs = QuaternionicState(v[:4], v[4:])
-        m, tol = _vectors(to_state(qs))
-        va, tq, tg = abc_quaternionic(qs), tangles_quaternionic(qs), _measures(m, tol)
-        worst_abc = max(worst_abc, float(np.abs(np.stack([va.a, va.b, va.c]) - m).max()))
+        s = to_state(qs)
+        va, vg = abc_quaternionic(qs), abc_vectors(s)
+        tq, tg = tangles_quaternionic(qs), tangle_set(s)
+        worst_abc = max(worst_abc, float(np.abs(np.stack([va.a, va.b, va.c])
+                                                - np.stack([vg.a, vg.b, vg.c])).max()))
         worst_tan = max(worst_tan, max(
             abs(getattr(tq, f) - getattr(tg, f))
             for f in tq.__dataclass_fields__))

@@ -230,7 +230,8 @@ def random_state(seed: int) -> np.ndarray:
 # --- JSON state format: {"amplitudes": [[re, im] x 8]} -------------------
 
 def state_to_json(s) -> str:
-    s = as_state(s)
+    """The state as strict JSON; ParseError for a non-finite amplitude."""
+    s = _finite_state(s)
     return json.dumps({"amplitudes": [[float(z.real), float(z.imag)] for z in s]})
 
 

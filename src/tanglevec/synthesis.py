@@ -35,8 +35,8 @@ from .quaternionic import _rotation, _step
 from .so6 import SU4_BASIS
 from .states import (PARTITION_PAIR, PARTITION_SPECTATOR, QUBIT_AXIS, _check_options, _named,
                      _reals, make_asymmetric_w, make_ghz, normalize)
-from .tangles import _measures, bipartite_tangle_from_density, three_tangle
-from .vectors import EPS_INV, _gauge, _unit_scaled, _vectors
+from .tangles import bipartite_tangle_from_density, tangle_set, three_tangle
+from .vectors import EPS_INV, _unit_scaled, _vectors, gauge_phase
 
 #: qubit pair, in either order -> (partition, ordered pair string as carried by the 6-vector)
 _PAIR_PARTITION = {q1 + q2: (p, first + second) for p, (first, second) in PARTITION_PAIR.items()
@@ -74,8 +74,11 @@ def min_phase_distance(u: np.ndarray, v: np.ndarray) -> float:
     entry: it neither underflows nor overflows, and since the scaled norms lie
     between 1 and sqrt(u.size), its zero test is relative to |u| |v|. So the
     distance scales with u and v at any finite scale. ParseError for a
-    non-finite entry.
+    non-finite entry or matrices of different shapes.
     """
+    if np.shape(u) != np.shape(v):
+        raise ParseError(f"min_phase_distance needs matrices of one shape, got "
+                         f"{np.shape(u)} and {np.shape(v)}")
     if not (np.isfinite(u).all() and np.isfinite(v).all()):
         raise ParseError("min_phase_distance needs finite matrices")
     top_u, top_v = np.abs(u).max(), np.abs(v).max()
@@ -203,13 +206,13 @@ def maximize_three_tangle(s, pair: str = "ab", variant: str = "economical") -> S
     economical = _named(_VARIANTS, variant, "variant")
     p, pq = _canonical_pair(pair)
     state = normalize(s)
-    m, tol = _vectors(state)
-    t = _measures(m, tol)
+    t = tangle_set(state)
     bound = dict(zip("abc", (t.tau_a_bc, t.tau_b_ca, t.tau_c_ab)))[PARTITION_SPECTATOR[p]]
+    m, tol = _vectors(state)
     v1, v2 = m[QUBIT_AXIS[pq[0]]], m[QUBIT_AXIS[pq[1]]]
     seq: list = []
 
-    info = _gauge(m, tol)
+    info = gauge_phase(state)
     if info.defined:
         seq.append(PhaseStep(-0.5 * info.phi_a))
         # a phase step alpha multiplies every vector by exp(2i alpha)
@@ -251,10 +254,10 @@ def extremum_residual(s, pair: str = "ab") -> float:
     gauge_phase: both are taken at unit scale where |s|^4 is tiny.
     """
     _, pq = _canonical_pair(pair)
-    m, tol = _unit_scaled(s, *_vectors(s))
-    info = _gauge(m, tol)
+    info = gauge_phase(s)
     if not info.defined:
         raise GaugeUndefined("extremum condition needs a nonzero three-tangle")
+    m, tol = _unit_scaled(s)
     rows = m.tolist()
     zero = 1e-9 * math.sqrt(tol / EPS_INV)
     return max((abs(math.sin(cmath.phase(z) - info.phi_a))

@@ -11,12 +11,12 @@ tau_q(rs) = 4 det(rho_q). It shares no formula with the vectors and is an
 independent oracle for tests and benchmarks; the measures above never call
 it.
 
-Each public measure takes its read-only block from vectors._vectors, which
-evaluates a state once and keeps the state evaluated last by its amplitudes
-(one entry, no option), so repeated calls on it read the block back. Then it
-works on Python numbers only: _measures takes A.A, B.B, C.C and the
-Hermitian norms from vectors._dots, so every route (the wrappers, the CLI,
-the protocols) gets bit-identical values.
+Each measure reads tangle_set, which takes its read-only block from
+vectors._vectors: that evaluates a state once and keeps the state evaluated
+last by its amplitudes (one entry, no option), so the calls of one analysis
+read one evaluation. Then it works on Python numbers only, A.A, B.B, C.C and
+the Hermitian norms from vectors._dots, so every route (the wrappers, the
+CLI, the protocols) gets bit-identical values.
 """
 from __future__ import annotations
 
@@ -48,11 +48,12 @@ def _clamp(x: float, tol: float) -> float:
     return 0.0 if -tol < x < 0.0 else x
 
 
-def _measures(m: np.ndarray, tol: float) -> TangleSet:
-    """All seven measures from one evaluation m of the invariant vectors.
+def tangle_set(s) -> TangleSet:
+    """All seven measures from one evaluation of the invariant vectors.
 
     Asserts that the A, B and C expressions of the three-tangle agree.
     """
+    m, tol = _vectors(s)
     sq, hn = _dots(m)
     sq = [abs(x) for x in sq]
     ta, tb, tc = (4.0 * x for x in sq)
@@ -68,18 +69,18 @@ def _measures(m: np.ndarray, tol: float) -> TangleSet:
 
 def three_tangle(s) -> float:
     """4|A.A|, asserting agreement with the B and C expressions."""
-    return _measures(*_vectors(s)).tau_abc
+    return tangle_set(s).tau_abc
 
 
 def two_tangles(s) -> tuple[float, float, float]:
     """(tau_bc, tau_ac, tau_ab)."""
-    t = _measures(*_vectors(s))
+    t = tangle_set(s)
     return t.tau_bc, t.tau_ac, t.tau_ab
 
 
 def bipartite_tangles(s) -> tuple[float, float, float]:
     """(tau_a_bc, tau_b_ca, tau_c_ab) from the Hermitian vector norms."""
-    t = _measures(*_vectors(s))
+    t = tangle_set(s)
     return t.tau_a_bc, t.tau_b_ca, t.tau_c_ab
 
 
@@ -93,19 +94,11 @@ def bipartite_tangle_from_density(s, qubit: str) -> float:
     return _clamp(4.0 * float(det), tol)
 
 
-def _ckw(t: TangleSet) -> float:
+def ckw_residual(s) -> float:
+    """Largest violation of tau_q(rs) = tau_abc + tau_(qr) + tau_(qs)."""
+    t = tangle_set(s)
     return max(
         abs(t.tau_c_ab - t.tau_abc - t.tau_bc - t.tau_ac),
         abs(t.tau_a_bc - t.tau_abc - t.tau_ab - t.tau_ac),
         abs(t.tau_b_ca - t.tau_abc - t.tau_ab - t.tau_bc),
     )
-
-
-def ckw_residual(s) -> float:
-    """Largest violation of tau_q(rs) = tau_abc + tau_(qr) + tau_(qs)."""
-    return _ckw(_measures(*_vectors(s)))
-
-
-def tangle_set(s) -> TangleSet:
-    """All seven measures in one sweep."""
-    return _measures(*_vectors(s))

@@ -5,17 +5,16 @@ A is unchanged by any local operation on qubits (b, c) and rotates as an
 SO(3) vector under local operations on qubit a; B and C behave cyclically.
 All dot products below are plain (non-Hermitian) unless stated otherwise.
 
-Each state is evaluated once in numpy: the core _vectors checks the state,
-takes its one |s|^2 for the tolerance and evaluates the nine forms as two
-matrix-vector products, (_ABC_QUADS c).reshape(9, 8) c, into a read-only
-(3, 3) block of rows A, B, C. It keeps the state evaluated last by its
-amplitudes (one entry, no option), so the calls of one analysis read that
-block back. All that follows works on Python numbers from one .tolist():
-_dots gives A.A, B.B, C.C and the Hermitian norms, and the Pluecker
-residual, the gauge and the tangles (in tangles) read from it. AbcVectors
-wraps writable copies of the block's rows where a caller needs arrays. Where
-|s|^4 is tiny, the gauge is taken on the state rescaled by a power of two
-(_unit_scaled), so that it is scale-free.
+Each state is evaluated once in numpy: _evaluate takes its one |s|^2 for
+the tolerance and evaluates the nine forms as two matrix-vector products,
+(_ABC_QUADS c).reshape(9, 8) c, into a read-only (3, 3) block of rows A, B,
+C. _vectors keeps the state evaluated last by its amplitudes (one entry, no
+option), so every invariant called on that state reads the block back.
+After it, all is Python arithmetic on one .tolist(): _dots gives A.A, B.B,
+C.C and the Hermitian norms, which the Pluecker residual, the gauge and the
+tangles (in tangles) read. AbcVectors wraps writable copies of the rows.
+Where |s|^4 is tiny, the gauge is taken on the state rescaled by a power of
+two (_unit_scaled), so that it is scale-free.
 """
 from __future__ import annotations
 
@@ -124,22 +123,25 @@ def _tolerance(c: np.ndarray) -> float:
 _last = (None, None, None)
 
 
-def _vectors(s) -> tuple[np.ndarray, float]:
-    """The read-only (3, 3) block with rows A, B, C, and the tolerance _tolerance(s).
+def _evaluate(c: np.ndarray) -> tuple[np.ndarray, float]:
+    """The read-only (3, 3) block with rows A, B, C of the state c, and _tolerance(c)."""
+    tol = _tolerance(c)
+    m = _ABC_QUADS.dot(c).reshape(9, 8).dot(c).reshape(3, 3)
+    m.setflags(write=False)
+    return m, tol
 
-    The one check of an invariant's input and its one numpy evaluation; the
-    measures are then read from Python numbers (_dots). One entry, no option,
-    keeps the state evaluated last by its amplitudes, so a repeated call on
-    them reads the block back; a refused state is never kept.
+
+def _vectors(s) -> tuple[np.ndarray, float]:
+    """_evaluate(s) after the one check of an invariant's input.
+
+    One entry, no option, keeps the state evaluated last by its amplitudes,
+    so a repeated call on them reads the block back; a refused state is never kept.
     """
     global _last
     c = as_state(s)
     key, last = c.tobytes(), _last   # one read: the entry may be replaced meanwhile
     if key != last[0]:
-        tol = _tolerance(c)
-        m = _ABC_QUADS.dot(c).reshape(9, 8).dot(c).reshape(3, 3)
-        m.setflags(write=False)
-        last = _last = key, m, tol
+        last = _last = key, *_evaluate(c)
     return last[1:]
 
 
@@ -152,19 +154,20 @@ def _dots(m: np.ndarray) -> tuple[list, list]:
     return sq, hn
 
 
-def _unit_scaled(s, m: np.ndarray, tol: float) -> tuple[np.ndarray, float]:
-    """(m, tol) = _vectors(s), or those of s rescaled where the tolerance is not a normal double.
+def _unit_scaled(s) -> tuple[np.ndarray, float]:
+    """_vectors(s), or the evaluation of s rescaled where the tolerance is not a normal double.
 
     Below |s| ~ 1e-75, a nonzero A.A above the tolerance EPS_INV |s|^4 can
     still be subnormal, so its phase and its zero test lose digits. There the
-    state is first rescaled, exactly, by the power of two that brings its
-    largest real or imaginary part near 1, and evaluated a second time.
+    state is rescaled, exactly, by the power of two that brings its largest
+    real or imaginary part near 1, and evaluated without replacing the entry.
     """
+    m, tol = _vectors(s)
     if tol >= sys.float_info.min:
         return m, tol
     c = as_state(s)
     e = math.frexp(max(abs(t) for z in c.tolist() for t in (z.real, z.imag)))[1]
-    return _vectors(np.ldexp(c.real, -e) + 1j * np.ldexp(c.imag, -e))
+    return _evaluate(np.ldexp(c.real, -e) + 1j * np.ldexp(c.imag, -e))
 
 
 def abc_vectors(s) -> AbcVectors:
@@ -184,21 +187,10 @@ def q_vector(s, partition) -> SixVector:
     return SixVector(first + [-1j * z for z in second], p)
 
 
-def _plucker(m: np.ndarray) -> float:
-    aa, bb, cc = _dots(m)[0]
-    return max(abs(aa - bb), abs(bb - cc))
-
-
 def plucker_residual(s) -> float:
     """max(|A.A - B.B|, |B.B - C.C|); an algebraic identity, so ~0 always."""
-    return _plucker(_vectors(s)[0])
-
-
-def _gauge(m: np.ndarray, tol: float) -> GaugeInfo:
-    aa = _dots(m)[0][0]
-    if abs(aa) <= tol:
-        return GaugeInfo(0.0, False)
-    return GaugeInfo(0.5 * cmath.phase(aa), True)
+    aa, bb, cc = _dots(_vectors(s)[0])[0]
+    return max(abs(aa - bb), abs(bb - cc))
 
 
 def gauge_phase(s) -> GaugeInfo:
@@ -210,7 +202,11 @@ def gauge_phase(s) -> GaugeInfo:
     (_unit_scaled). Raises ParseError for non-finite amplitudes and above
     |s| ~ 1.2e77.
     """
-    return _gauge(*_unit_scaled(s, *_vectors(s)))
+    m, tol = _unit_scaled(s)
+    aa = _dots(m)[0][0]
+    if abs(aa) <= tol:
+        return GaugeInfo(0.0, False)
+    return GaugeInfo(0.5 * cmath.phase(aa), True)
 
 
 def apply_gauge(s) -> np.ndarray:

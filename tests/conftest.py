@@ -3,7 +3,7 @@ import sys
 import numpy as np
 import pytest
 
-from tanglevec import bipartite_tangle_from_density, tangle_set
+from tanglevec import abc_vectors, bipartite_tangle_from_density, random_state, tangle_set, vectors
 
 
 def checked_tangle_set(s):
@@ -23,7 +23,6 @@ def checked_tangle_set(s):
 
 
 def random_states(n, start=0):
-    from tanglevec import random_state
     return [random_state(start + k) for k in range(n)]
 
 
@@ -47,3 +46,14 @@ def count_calls(monkeypatch, fn):
         if name.startswith("tanglevec.") and getattr(mod, fn.__name__, None) is fn:
             monkeypatch.setattr(mod, fn.__name__, counting)
     return calls
+
+
+def count_evaluations(monkeypatch):
+    """Count the fresh evaluations of the invariant vectors (vectors._evaluate).
+
+    The entry is first filled with a state no test counts, so that a count
+    does not depend on what the previous line or test evaluated. Returns the
+    list that gains one entry per evaluation.
+    """
+    abc_vectors(random_state(999))
+    return count_calls(monkeypatch, vectors._evaluate)

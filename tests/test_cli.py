@@ -8,8 +8,7 @@ from tanglevec import (make_asymmetric_w, make_ghz, normalize, random_state,
                        sequence_to_json, named_gate, apply, ckw_residual,
                        plucker_residual, maximize_three_tangle)
 from tanglevec.cli import _emit, main
-from tanglevec.vectors import _vectors
-from conftest import checked_tangle_set, count_calls
+from conftest import checked_tangle_set, count_calls, count_evaluations
 
 
 @pytest.fixture
@@ -48,7 +47,7 @@ def test_analyze_ghz(ghz_file, capsys):
 def test_analyze_evaluates_once(tmp_path, capsys, monkeypatch):
     p = tmp_path / "s.json"
     p.write_text(state_to_json(random_state(7)))
-    calls = count_calls(monkeypatch, _vectors)
+    calls = count_evaluations(monkeypatch)
     code, doc, _ = run_cli(capsys, "analyze", "--state", str(p))
     assert code == 0 and len(calls) == 1
     assert doc["result"]["tangles"] == checked_tangle_set(normalize(random_state(7))).as_dict()
@@ -242,7 +241,7 @@ def test_quat_reduce(capsys, monkeypatch):
     v /= np.linalg.norm(v) * np.sqrt(2)
     # the report's final state is the reduction's one checking apply
     apply_calls = count_calls(monkeypatch, apply)
-    vector_calls = count_calls(monkeypatch, _vectors)
+    vector_calls = count_evaluations(monkeypatch)
     code, doc, _ = run_cli(capsys, "quat", "reduce",
                            "--x", ",".join(map(str, v[:4])),
                            "--y", ",".join(map(str, v[4:])))
@@ -300,7 +299,7 @@ def test_verify_default_suite(capsys):
 def test_verify_evaluates_each_state_once_and_names_the_worst(n, capsys, monkeypatch):
     # one evaluation per swept state, two per dual-evolution check; each
     # reported seed replays to its reported residual
-    vector_calls = count_calls(monkeypatch, _vectors)
+    vector_calls = count_evaluations(monkeypatch)
     code, doc, _ = run_cli(capsys, "verify", "-N", str(n), "--seed", "6")
     assert code == 0
     assert len(vector_calls) == n + 2 * max(1, n // 10)
@@ -324,7 +323,7 @@ def test_verify_refuses_bad_options(suite, option, capsys):
 
 def test_verify_quaternionic_suite(capsys, monkeypatch):
     # each state's vectors and tangles come from one evaluation
-    calls = count_calls(monkeypatch, _vectors)
+    calls = count_evaluations(monkeypatch)
     code, doc, _ = run_cli(capsys, "verify", "--suite", "quaternionic",
                            "-N", "40", "--seed", "4")
     assert code == 0 and len(calls) == 40

@@ -13,8 +13,7 @@ from tanglevec.errors import (DegenerateInput, InvariantViolation, NotNormalized
 from tanglevec.gates import LocalStep, PhaseStep, local_unitary, sequence_unitary
 from tanglevec.quaternionic import (_extract, _left, _reduce, _rotation, _step, quat_conj)
 from tanglevec.so6 import so3_image
-from tanglevec.vectors import _vectors
-from conftest import checked_tangle_set, count_calls
+from conftest import checked_tangle_set, count_calls, count_evaluations
 
 QI = np.array([0.0, 1.0, 0.0, 0.0])
 QJ = np.array([0.0, 0.0, 1.0, 0.0])
@@ -619,7 +618,7 @@ def test_reduce_at_zero_xi(x, y):
 
 def test_reduce_applies_once(rng, monkeypatch):
     apply_calls = count_calls(monkeypatch, apply)
-    vector_calls = count_calls(monkeypatch, _vectors)
+    vector_calls = count_evaluations(monkeypatch)
     reduce_to_acin(_random_qs(rng))
     assert (len(apply_calls), len(vector_calls)) == (1, 0)
 

@@ -45,7 +45,9 @@ def test_normalize_refuses_non_finite(bad):
     lambda s: matricize(s, 2),
     lambda s: min_phase_distance(s.reshape(2, 4), np.ones((2, 4))),
     lambda s: min_phase_distance(np.ones((2, 4)), s.reshape(2, 4)),
-], ids=["fidelity-1", "fidelity-2", "matricize", "phase-distance-u", "phase-distance-v"])
+    state_to_json,
+], ids=["fidelity-1", "fidelity-2", "matricize", "phase-distance-u", "phase-distance-v",
+        "state-to-json"])
 def test_non_finite_amplitudes_refused(call, bad):
     # refused at the boundary, before numpy can warn or pass the NaN on
     s = random_state(2).copy()

@@ -13,8 +13,7 @@ from tanglevec import (CouplingStep, DegenerateInput, GaugeUndefined,
                        tangle_ascent_oracle, three_tangle,
                        two_tangles, w_to_ghz_sequence)
 from tanglevec.synthesis import _canonical_pair, _random_su2_stack
-from tanglevec.vectors import _vectors
-from conftest import checked_tangle_set, count_calls
+from conftest import checked_tangle_set, count_calls, count_evaluations
 
 STD_THETA = np.arccos(1 / np.sqrt(3))
 GHZ = make_ghz()
@@ -48,6 +47,17 @@ def test_min_phase_distance_scales_with_its_inputs(scale):
     ref = min_phase_distance(u, v)
     assert 1e-4 < ref < 1e-2
     assert abs(min_phase_distance(scale * u, scale * v) / (scale * ref) - 1.0) < 1e-12
+
+
+@pytest.mark.parametrize("u, v", [
+    (np.eye(2), np.eye(3)),
+    (np.eye(2), np.ones(4)),
+    (np.ones((1, 4)), np.ones(4)),
+], ids=["2x2-3x3", "2x2-4", "1x4-4"])
+def test_min_phase_distance_refuses_different_shapes(u, v):
+    # refused by the one check, not by numpy's reshape or broadcast
+    with pytest.raises(ParseError, match="one shape"):
+        min_phase_distance(u, v)
 
 
 def test_coupling_core_random_alphas(rng):
@@ -373,7 +383,7 @@ def test_protocols_evaluate_once(call, evaluations, applies, monkeypatch):
     # second evaluation certifies the state that its one apply produces
     s = random_state(3)
     g = apply_gauge(s)
-    vector_calls = count_calls(monkeypatch, _vectors)
+    vector_calls = count_evaluations(monkeypatch)
     apply_calls = count_calls(monkeypatch, apply)
     call(s, g)
     assert (len(vector_calls), len(apply_calls)) == (evaluations, applies)

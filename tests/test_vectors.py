@@ -10,10 +10,9 @@ from tanglevec import (GaugeUndefined, ParseError, SixVector, abc_vectors, apply
                        gauge_phase, make_acin, make_asymmetric_w, make_ghz, matricize,
                        named_gate, plucker_residual, q_vector, random_state, tangle_set,
                        three_tangle, two_tangles)
-from tanglevec import vectors
 from tanglevec.states import squared_norm
 from tanglevec.vectors import AbcVectors, _vectors
-from conftest import count_calls
+from conftest import count_calls, count_evaluations
 
 MU = np.array([1j, -1.0, 0.0])
 STD_THETA = np.arccos(1 / np.sqrt(3))
@@ -393,21 +392,23 @@ def test_memo_block_is_read_only_and_vectors_are_copies():
 
 
 def test_one_analysis_evaluates_once(monkeypatch):
-    # the nine calls of one analysis take one |s|^2 and one form product
-    products = []
-
-    class Counting(np.ndarray):
-        def dot(self, *args):
-            products.append(1)
-            return np.asarray(self).dot(*args)
-
+    # the nine calls of one analysis take one |s|^2 and one evaluation
     s = random_state(9)
-    _vectors(random_state(10))
+    evaluations = count_evaluations(monkeypatch)
     norms = count_calls(monkeypatch, squared_norm)
-    monkeypatch.setattr(vectors, "_ABC_QUADS", vectors._ABC_QUADS.view(Counting))
     for fn in ANALYSIS:
         fn(s)
-    assert len(norms) == 1 and len(products) == 1
+    assert len(norms) == len(evaluations) == 1
+
+
+def test_tiny_analysis_evaluates_the_state_and_its_rescaled_copy_once(monkeypatch):
+    # below |s| ~ 1e-75 the gauge evaluates the state rescaled (_unit_scaled)
+    # without replacing the entry, so the rest of the analysis reads s back
+    s = 1e-80 * random_state(3)
+    want = [_fresh(fn, s) for fn in ANALYSIS]
+    evaluations = count_evaluations(monkeypatch)
+    assert [_plain(fn(s)) for fn in ANALYSIS] == want
+    assert len(evaluations) == 2
 
 
 def test_memo_threads_get_their_own_states():
