@@ -11,14 +11,16 @@ qubit and whose rows run over the remaining pair.
 Every list of real parameters passes one check, _reals: n ints, floats or
 numpy real scalars (never a bool), each finite, else ParseError. Seeds and
 counts must be integers and tolerances pass _reals (_check_options); only the
-CLI reads numbers from text. Every name or index a caller passes (a qubit, a
-pair, a partition, an axis, a generator label, a gate name) is looked up
-once, by _named.
+CLI reads numbers from text. Every list of complex numbers (a state, its JSON
+pairs, a 6-vector) passes _complexes. Every name or index a caller passes (a
+qubit, a pair, a partition, an axis, a generator label, a gate name) is
+looked up once, by _named.
 """
 from __future__ import annotations
 
 import json
 import math
+import reprlib
 from numbers import Real
 
 import numpy as np
@@ -100,12 +102,22 @@ def _check_options(*, seeds=None, counts=None, tols=None) -> None:
             raise ParseError(f"{name} must be finite and not negative, got {value!r}")
 
 
+def _complexes(values, n: int, what: str) -> np.ndarray:
+    """The one check of a list of complex numbers: values as numpy reads them if n ints, floats
+    or complex numbers (never a bool, text, None, a ragged nesting or an int beyond 64 bits),
+    else ParseError naming what. The caller converts the array and decides shape and finiteness."""
+    try:
+        c = np.asarray(values)
+    except ValueError:   # a ragged nesting
+        c = np.asarray(None)
+    if c.dtype.kind not in "iufc" or c.size != n:
+        raise ParseError(f"{what}: expected {n} numbers, got {reprlib.repr(values)}")
+    return c
+
+
 def as_state(amp) -> np.ndarray:
-    """Coerce to a complex length-8 vector without copying when possible."""
-    s = np.asarray(amp, dtype=complex).reshape(-1)
-    if s.shape != (8,):
-        raise ParseError(f"a three-qubit state needs 8 amplitudes, got {s.shape[0]}")
-    return s
+    """The 8 amplitudes, in any shape, as a complex vector without copying when possible."""
+    return _complexes(amp, 8, "a three-qubit state").astype(complex, copy=False).reshape(-1)
 
 
 def _finite_state(amp) -> np.ndarray:
@@ -242,15 +254,8 @@ def state_from_json(text: str) -> np.ndarray:
         raise ParseError(f"invalid JSON: {exc}") from exc
     if not isinstance(doc, dict) or "amplitudes" not in doc:
         raise ParseError('expected an object with an "amplitudes" field')
-    amps = doc["amplitudes"]
-    if not isinstance(amps, list) or len(amps) != 8:
-        raise ParseError("amplitudes must be a list of exactly 8 [re, im] pairs")
-    out = np.zeros(8, dtype=complex)
-    for n, pair in enumerate(amps):
-        if not isinstance(pair, list) or len(pair) != 2:
-            raise ParseError(f"amplitude {n} is not a [re, im] pair")
-        try:
-            out[n] = float(pair[0]) + 1j * float(pair[1])
-        except (TypeError, ValueError) as exc:
-            raise ParseError(f"amplitude {n}: {exc}") from exc
-    return _finite_state(out)
+    what = "amplitudes, 8 [re, im] pairs"
+    pairs = _complexes(doc["amplitudes"], 16, what)
+    if pairs.shape != (8, 2):
+        raise ParseError(f"{what}: got {reprlib.repr(doc['amplitudes'])}")
+    return _finite_state(pairs.astype(float, copy=False).view(complex))   # JSON holds no complex

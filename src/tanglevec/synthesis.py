@@ -36,7 +36,7 @@ from .so6 import SU4_BASIS
 from .states import (PARTITION_PAIR, PARTITION_SPECTATOR, QUBIT_AXIS, _check_options, _named,
                      _reals, make_asymmetric_w, make_ghz, normalize)
 from .tangles import bipartite_tangle_from_density, tangle_set, three_tangle
-from .vectors import EPS_INV, _unit_scaled, _vectors, gauge_phase
+from .vectors import EPS_INV, _dots, _unit_scaled, _vectors, gauge_phase
 
 #: qubit pair, in either order -> (partition, ordered pair string as carried by the 6-vector)
 _PAIR_PARTITION = {q1 + q2: (p, first + second) for p, (first, second) in PARTITION_PAIR.items()
@@ -251,16 +251,16 @@ def extremum_residual(s, pair: str = "ab") -> float:
     Zero iff every nonzero component of the pair's two vectors has phase
     equal (mod pi) to the gauge phase; components below 1e-9 |s|^2 count as
     zero. Raises GaugeUndefined for zero three-tangle. Scale-free, like
-    gauge_phase: both are taken at unit scale where |s|^4 is tiny.
+    gauge_phase: both are taken at unit scale where |s|^4 is tiny, from one
+    evaluation of the rescaled copy.
     """
     _, pq = _canonical_pair(pair)
-    info = gauge_phase(s)
-    if not info.defined:
-        raise GaugeUndefined("extremum condition needs a nonzero three-tangle")
     m, tol = _unit_scaled(s)
-    rows = m.tolist()
-    zero = 1e-9 * math.sqrt(tol / EPS_INV)
-    return max((abs(math.sin(cmath.phase(z) - info.phi_a))
+    aa = _dots(m)[0][0]   # gauge_phase's test and phase, from the same block
+    if abs(aa) <= tol:
+        raise GaugeUndefined("extremum condition needs a nonzero three-tangle")
+    rows, phi, zero = m.tolist(), 0.5 * cmath.phase(aa), 1e-9 * math.sqrt(tol / EPS_INV)
+    return max((abs(math.sin(cmath.phase(z) - phi))
                 for q in pq for z in rows[QUBIT_AXIS[q]] if abs(z) > zero), default=0.0)
 
 

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GaugeUndefined, ParseError
-from .states import PARTITION_PAIR, QUBIT_AXIS, as_state, parse_partition, squared_norm
+from .states import PARTITION_PAIR, QUBIT_AXIS, _complexes, as_state, parse_partition, squared_norm
 
 EPS_INV = 1e-10
 
@@ -46,22 +46,16 @@ class SixVector:
     """Packing (V1, -i V2) of the two pair vectors of a partition.
 
     partition 3 -> (A, -iB), partition 1 -> (B, -iC), partition 2 -> (C, -iA).
-    Checked when built: q must be 6 finite numbers, kept as a read-only
-    complex copy, and the partition 1, 2 or 3 (or its label); else ParseError.
+    Checked when built: q must be 6 finite numbers (_complexes), kept as a
+    read-only complex copy, and the partition 1, 2 or 3 (or its label); else ParseError.
     """
     q: np.ndarray
     partition: int
 
     def __post_init__(self):
-        try:
-            q = np.array(self.q)   # a copy
-        except ValueError:   # a ragged nesting
-            q = np.array(None)
-        if q.dtype.kind not in "biufc" or q.shape != (6,):
-            raise ParseError(f"a 6-vector needs 6 complex numbers, got {self.q!r}")
-        q = q.astype(complex, copy=False)
-        if not all(map(cmath.isfinite, q.tolist())):
-            raise ParseError(f"a 6-vector must be finite, got {q.tolist()}")
+        q = _complexes(self.q, 6, "a 6-vector").astype(complex, copy=not isinstance(self.q, list))
+        if q.shape != (6,) or not all(map(cmath.isfinite, q.tolist())):
+            raise ParseError(f"a 6-vector must be 6 finite numbers in a flat list, got {self.q!r}")
         q.setflags(write=False)
         object.__setattr__(self, "q", q)
         object.__setattr__(self, "partition", parse_partition(self.partition))

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,6 +23,13 @@ def ghz_file(tmp_path):
 
 
 @pytest.fixture
+def s7_file(tmp_path):
+    p = tmp_path / "s7.json"
+    p.write_text(state_to_json(random_state(7)))
+    return str(p)
+
+
+@pytest.fixture
 def zero_file(tmp_path):
     s = np.zeros(8)
     s[0] = 1.0
@@ -27,11 +38,36 @@ def zero_file(tmp_path):
     return str(p)
 
 
+def _not_json(token):
+    raise ValueError(f"not strict JSON: {token}")
+
+
+def strict_json(text):
+    """The document in text, refusing NaN, Infinity and -Infinity, which JSON does not have."""
+    return json.loads(text, parse_constant=_not_json)
+
+
 def run_cli(capsys, *argv):
+    # every command's stdout is strict JSON or empty
     code = main(list(argv))
     out = capsys.readouterr()
-    payload = json.loads(out.out) if out.out.strip() else None
+    payload = strict_json(out.out) if out.out.strip() else None
     return code, payload, out.err
+
+
+def test_the_module_runs_in_its_own_process(ghz_file, tmp_path):
+    # exit codes and streams end to end, as a shell sees them
+    short = tmp_path / "short.json"
+    short.write_text(json.dumps({"amplitudes": [[1, 0]] * 7}))
+    src = [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, src))}
+    runs = [subprocess.run([sys.executable, "-m", "tanglevec.cli", "analyze", "--state", path],
+                           capture_output=True, text=True, env=env, timeout=60)
+            for path in (ghz_file, str(short))]
+    assert runs[0].returncode == 0 and runs[0].stderr == ""
+    assert strict_json(runs[0].stdout)["command"] == "analyze"
+    assert runs[1].returncode == 1 and runs[1].stdout == ""
+    assert runs[1].stderr.startswith("error: ")
 
 
 def test_analyze_ghz(ghz_file, capsys):
@@ -74,24 +110,39 @@ def test_analyze_wrong_length(tmp_path, capsys):
     assert code == 1
 
 
-def test_evolve_dual_residual(ghz_file, tmp_path, capsys):
-    seqf = tmp_path / "seq.json"
-    seqf.write_text(sequence_to_json(named_gate("CZ", "ab")))
-    code, doc, _ = run_cli(capsys, "evolve", "--state", ghz_file,
-                           "--sequence", str(seqf))
-    assert code == 0
-    assert doc["result"]["dual_residual"] < 1e-10
+#: couplings on both orders of the non-adjacent pair (a, c) and a local on
+#: every qubit: partition 2 carries the pair (c, a), partition 3 neither
+MIXED_SEQUENCE = [
+    {"kind": "coupling", "target": "ca", "params": [0.3, -1.1, 0.4, 0.9, 0.2, -0.7, 1.3, 0.5, -0.2]},
+    {"kind": "local", "target": "a", "params": [0.4, -0.3, 1.2]},
+    {"kind": "local", "target": "b", "params": [-0.8, 0.6, 0.1]},
+    {"kind": "local", "target": "c", "params": [1.1, 0.2, -0.5]},
+    {"kind": "coupling", "target": "ac", "params": [-0.6, 0.8, 0.1, 0.3, -1.4, 0.7, 0.2, 0.9, -0.3]},
+    {"kind": "phase", "target": "", "params": [0.7]}]
 
 
-def test_evolve_unrepresentable_warns(ghz_file, tmp_path, capsys):
-    seqf = tmp_path / "seq.json"
-    seqf.write_text(sequence_to_json(named_gate("CZ", "bc")))
-    code, doc, err = run_cli(capsys, "evolve", "--state", ghz_file,
-                             "--sequence", str(seqf), "--partition", "3")
-    assert code == 0
-    assert doc["result"]["q_vector"] is None
-    assert "warning" in err
-    assert doc["result"]["state"]["amplitudes"]
+def test_evolve_dual_residual(ghz_file, s7_file, tmp_path, capsys):
+    for state, sequence, partition in ((ghz_file, sequence_to_json(named_gate("CZ", "ab")), "3"),
+                                       (s7_file, json.dumps(MIXED_SEQUENCE), "2")):
+        seqf = tmp_path / "seq.json"
+        seqf.write_text(sequence)
+        code, doc, _ = run_cli(capsys, "evolve", "--state", state,
+                               "--sequence", str(seqf), "--partition", partition)
+        assert code == 0
+        assert doc["result"]["dual_residual"] < 1e-10
+
+
+def test_evolve_unrepresentable_warns(ghz_file, s7_file, tmp_path, capsys):
+    for state, sequence in ((ghz_file, sequence_to_json(named_gate("CZ", "bc"))),
+                            (s7_file, json.dumps(MIXED_SEQUENCE))):
+        seqf = tmp_path / "seq.json"
+        seqf.write_text(sequence)
+        code, doc, err = run_cli(capsys, "evolve", "--state", state,
+                                 "--sequence", str(seqf), "--partition", "3")
+        assert code == 0
+        assert doc["result"]["q_vector"] is None and doc["result"]["dual_residual"] is None
+        assert "warning" in err
+        assert doc["result"]["state"]["amplitudes"]
 
 
 def test_evolve_empty_sequence_echoes(ghz_file, tmp_path, capsys):
@@ -191,14 +242,18 @@ def test_maximize_tangle(tmp_path, capsys, monkeypatch):
 
 
 def test_maximize_tangle_takes_every_pair_spelling(tmp_path, capsys):
-    # the pair and the variant are checked once, by maximize_three_tangle
+    # the pair and the variant are checked once, by maximize_three_tangle;
+    # the maximizer turns each pair qubit by at most one local step
     p = tmp_path / "s.json"
-    p.write_text(state_to_json(random_state(3)))
-    code, doc, _ = run_cli(capsys, "maximize-tangle", "--state", str(p), "--pair", "ba")
-    res = maximize_three_tangle(random_state(3), "ba")
-    assert code == 0 and doc["result"] == {
-        "sequence": json.loads(sequence_to_json(res.sequence)), "achieved": res.achieved,
-        **res.meta}
+    for seed, pair in ((3, "ba"), (7, "cb")):
+        p.write_text(state_to_json(random_state(seed)))
+        code, doc, _ = run_cli(capsys, "maximize-tangle", "--state", str(p), "--pair", pair)
+        res = maximize_three_tangle(random_state(seed), pair)
+        assert code == 0 and doc["result"] == {
+            "sequence": json.loads(sequence_to_json(res.sequence)), "achieved": res.achieved,
+            **res.meta}
+        qubits = [st["target"] for st in doc["result"]["sequence"] if st["kind"] == "local"]
+        assert len(qubits) == len(set(qubits)) and set(qubits) <= set(pair), qubits
     for option, value, what in (("--pair", "zz", "qubit pair"), ("--variant", "double", "variant")):
         code, doc, err = run_cli(capsys, "maximize-tangle", "--state", str(p), option, value)
         assert code == 1 and doc is None
@@ -254,6 +309,9 @@ def test_quat_reduce(capsys, monkeypatch):
     final = np.array([complex(*z) for z in res["final_state"]["amplitudes"]])
     assert np.abs(final - canonical / np.sqrt(2)).max() <= 1e-12
     assert 0 <= res["residual"] <= 1e-14
+    # at most one step per qubit
+    qubits = [st["target"] for st in res["sequence"]]
+    assert len(qubits) == len(set(qubits)) <= 3, qubits
 
 
 @pytest.mark.parametrize("x, y, message", [

@@ -4,19 +4,27 @@ Names and indices: every qubit, pair, partition, axis, generator label, gate
 name and variant a caller passes is looked up the same way. A key is text or
 an integer (Python or numpy), never a bool, a float or padded text, and a
 refusal is the site's own typed error with no warning.
+
+Lists of complex numbers: a state, its JSON amplitude pairs and a 6-vector
+must be read by numpy as ints, floats or complex numbers. A list that numpy
+reads as bools, text or Python objects (None, an int beyond 64 bits, a
+ragged nesting) or that has the wrong count is refused with ParseError and
+no warning. A bool among numbers is read as a number, as numpy reads it.
 """
+import json
 import warnings
 
 import numpy as np
 import pytest
 
 from tanglevec import (CouplingStep, DegenerateInput, IndexOutOfRange, LocalStep, ParseError,
-                       PhaseStep, SixVector, UnknownGate, UnknownGenerator, align_canonical,
-                       bipartite_tangle_from_density, coupling_axis_step, generator_map,
-                       lambda_generator, matricize, maximize_three_tangle, named_gate, q_vector,
-                       random_state, so6_image, su_generator)
+                       PhaseStep, SixVector, UnknownGate, UnknownGenerator, abc_vectors,
+                       align_canonical, bipartite_tangle_from_density, coupling_axis_step,
+                       generator_map, lambda_generator, matricize, maximize_three_tangle,
+                       named_gate, normalize, q_vector, random_state, so6_image, state_from_json,
+                       su_generator)
 from tanglevec.so6 import GENERATOR_LABELS
-from tanglevec.states import parse_partition
+from tanglevec.states import as_state, parse_partition
 
 S = random_state(5)
 PAIRS = ["ab", "ba", "bc", "cb", "ac", "ca"]
@@ -81,3 +89,51 @@ def test_a_looked_up_key_gives_the_canonical_value():
     assert np.array_equal(lambda_generator(np.int64(2), 3).g, lambda_generator(2, 3).g)
     assert np.array_equal(coupling_axis_step("ab", np.int64(3), 1, 0.2).theta,
                           coupling_axis_step("ab", 3, 1, 0.2).theta)
+
+
+#: site -> (call of one list of complex numbers, the count it takes)
+COMPLEX_SITES = {"as_state": (as_state, 8), "abc_vectors": (abc_vectors, 8),
+                 "normalize": (normalize, 8), "SixVector": (lambda q: SixVector(q, 3), 6)}
+
+
+def _complex_lists(n):
+    """(lists of n complex numbers every site takes, lists every site refuses)."""
+    accepted = [list(range(1, n + 1)), [0.5] * n, [1j] * n, [1, 2.0, 3j] + [1] * (n - 3),
+                np.arange(1, n + 1), np.ones(n, np.float32), [np.int64(1)] * n,
+                [np.uint64(2**63)] * n]
+    refused = ["abcdefgh"[:n], [str(k) for k in range(1, n + 1)], [True] * n, np.ones(n, bool),
+               [None] * n, [10**400] * n, [2**64] * n, [[1, 2], [3]] + [1] * (n - 2),
+               [1] * (n - 1), [1] * (n + 1), [], 1.0]
+    return accepted, refused
+
+
+@pytest.mark.parametrize("site", COMPLEX_SITES)
+def test_every_list_of_complex_numbers_is_checked_alike(site):
+    call, n = COMPLEX_SITES[site]
+    accepted, refused = _complex_lists(n)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for values in accepted:
+            call(values)
+        for values in refused:
+            with pytest.raises(ParseError):
+                call(values)
+                pytest.fail(f"{site} took {values!r}")
+
+
+#: seven good [re, im] pairs
+_SEVEN = [[1, 0]] * 7
+
+
+@pytest.mark.parametrize("amplitudes", [
+    [[True, False]] * 8, [["1", "0"]] + _SEVEN, [[10**400, 0]] + _SEVEN, [[2**64, 0]] + _SEVEN,
+    [[None, 0]] + _SEVEN, [[1, 0, 0]] + _SEVEN, [[1]] + _SEVEN, [1] + _SEVEN, _SEVEN,
+    [[1, 0, 0, 0]] * 4,
+], ids=["bool", "text", "huge-int", "int-beyond-64-bits", "null", "triple", "single",
+        "bare-number", "seven", "four-quadruples"])
+def test_a_json_state_holds_eight_pairs_of_numbers(amplitudes):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert state_from_json(json.dumps({"amplitudes": [[1, 0]] + _SEVEN}))[0] == 1
+        with pytest.raises(ParseError, match="amplitudes"):
+            state_from_json(json.dumps({"amplitudes": amplitudes}))

@@ -10,7 +10,7 @@ from tanglevec import (CouplingStep, DegenerateInput, GaugeUndefined,
                        make_acin, make_asymmetric_w, make_ghz, maximize_three_tangle,
                        min_phase_distance, normalize, q_vector, quat_inv, random_state,
                        sequence_unitary, synthesize_coupling_core,
-                       tangle_ascent_oracle, three_tangle,
+                       tangle_ascent_oracle, tangle_ascent_search, three_tangle,
                        two_tangles, w_to_ghz_sequence)
 from tanglevec.synthesis import _canonical_pair, _random_su2_stack
 from conftest import checked_tangle_set, count_calls, count_evaluations
@@ -377,7 +377,9 @@ def test_maximize_product_state_gets_no_coupling(pair, scale):
     (lambda s, g: maximize_three_tangle(s, "ab", "single"), 2, 1),
     (lambda s, g: align_canonical(g, "ca"), 1, 0),
     (lambda s, g: extremum_residual(s, "ab"), 1, 0),
-], ids=["maximize", "maximize-single", "align", "extremum"])
+    # below |s| ~ 1e-75: the state, then its rescaled copy for the phase and the components
+    (lambda s, g: extremum_residual(1e-80 * s, "ab"), 2, 0),
+], ids=["maximize", "maximize-single", "align", "extremum", "extremum-tiny"])
 def test_protocols_evaluate_once(call, evaluations, applies, monkeypatch):
     # the steps come from one evaluation of the vectors; the maximizer's
     # second evaluation certifies the state that its one apply produces
@@ -419,6 +421,11 @@ def test_ascent_oracle_certifies_bound():
         tau = tangle_ascent_oracle(s, "ab", restarts=16, seed=seed)
         assert tau <= bound + 1e-6
         assert tau >= bound - 1e-4
+    # with the record: gates on (b, c) take every restart to tau_a(bc)
+    s = random_state(7)
+    res = tangle_ascent_search(s, "bc")
+    assert res.converged == res.restarts and not res.capped, res
+    assert abs(res.tangle - checked_tangle_set(s).tau_a_bc) < 1e-9, res
 
 
 # --- extremum residual ------------------------------------------------------
