@@ -3,11 +3,11 @@
 Two optimizer loops dominate the library's runtime: the local-unitary
 overlap maximization behind the Fubini-Study angle, and the ascent oracle
 that cross-checks the analytic three-tangle maximum. Both run all random
-restarts in lockstep. A per-restart mask freezes each restart at the point
-where a one-restart-at-a-time loop would have stopped it, so every restart
-follows the trajectory it would follow alone (up to rounding), and a call
-costs as many iterations as its slowest restart instead of the sum over
-restarts.
+restarts in lockstep. Only the Newton loop keeps a per-restart mask: it
+freezes each restart at the point where a one-restart-at-a-time loop would
+have stopped it, so every restart follows the trajectory it would follow
+alone (up to rounding), and a call costs as many iterations as its slowest
+restart instead of the sum over restarts.
 
 Both end in one trust-region Newton loop (``_newton``). It takes a model,
 which gives the value, gradient and Hessian for a stack of restarts, and a
@@ -15,10 +15,11 @@ retraction, which moves each restart along a tangent step; it stops each
 restart once its gradient is at rounding level, so stationarity is judged,
 not the size of a step.
 
-The overlap search starts with a few alternating polar-factor sweeps
-(``fs_restarts``) that bring each restart near an optimum; each update is
-the 2x2 polar factor of a partial overlap in closed form (``_polar_2x2``, a
-few elementwise operations on the whole batch, no LAPACK call). The sweeps
+The overlap search starts with a fixed number of alternating polar-factor
+sweeps (``fs_restarts``, the same count for every restart, so no mask) that
+bring each restart near an optimum; each update is the 2x2 polar factor of
+a partial overlap in closed form (``_polar_2x2``, a few elementwise
+operations on the whole batch, no LAPACK call). The sweeps
 converge only linearly, and on degenerate optima the unitaries keep
 drifting along the flat directions long after the overlap has settled, so
 the Newton loop finishes every restart on SU(2)^3 (``_fs_model``, 9 tangent
@@ -70,11 +71,11 @@ _I4 = np.eye(4)
 class SearchStats(NamedTuple):
     """How a batched search ended.
 
-    ``sweeps`` and ``polish`` are the most sweeps and Newton steps any
-    restart took (the ascent takes no sweeps); ``converged`` counts the
-    restarts that ended stationary; ``capped`` says whether a restart that
-    did not converge used its whole iteration budget; ``spread`` is the best
-    minus the worst restart optimum.
+    ``sweeps`` is the number of sweeps every restart took (the ascent takes
+    none) and ``polish`` the most Newton steps any restart took;
+    ``converged`` counts the restarts that ended stationary; ``capped`` says
+    whether a restart that did not converge used its whole iteration budget;
+    ``spread`` is the best minus the worst restart optimum.
     """
 
     sweeps: int
@@ -86,7 +87,7 @@ class SearchStats(NamedTuple):
 
 def _stats(vals, sweeps, polish, converged, cap):
     capped = bool(((sweeps + polish >= cap) & ~converged).any())
-    return SearchStats(int(np.max(sweeps)), int(polish.max()), int(converged.sum()), capped,
+    return SearchStats(sweeps, int(polish.max()), int(converged.sum()), capped,
                        float(vals.max() - vals.min()))
 
 
@@ -113,10 +114,9 @@ def _newton(model, retract, x, budget, gtol):
     is within sqrt(eps) v; a restart that stops at rounding with a larger
     gradient is one the loop cannot move. Neither test counts v = 0 as
     converged: there v^2 is at its minimum, and a restart that starts there
-    is one the loop cannot move.
+    is one the loop cannot move, so it takes no step.
 
-    Returns (v (R,), points, steps (R,), converged (R,) bool, cannot move
-    (R,) bool).
+    Returns (v (R,), points, steps (R,), converged (R,) bool).
     """
     n = x.shape[0]
     x = x.copy()
@@ -124,14 +124,13 @@ def _newton(model, retract, x, budget, gtol):
     gnorm = np.linalg.norm(g, axis=1)
     steps = np.zeros(n, dtype=np.int64)
     converged = (vals > 0.0) & (gnorm <= np.maximum(gtol, 64 * _EPS * vals))
-    # at v = 0, v^2 is at its minimum with zero gradient: no step moves it
-    stuck = vals == 0.0
     radius = np.full(n, 0.5)
     dim = g.shape[1]
     lam = np.ones((n, dim))
     vec = np.zeros((n, dim, dim))
     fresh = np.ones(n, dtype=bool)  # at a new point: H must be decomposed
-    act = np.flatnonzero(~converged & ~stuck & (budget > 0))
+    # at v = 0, v^2 is at its minimum with zero gradient: no step moves it
+    act = np.flatnonzero(~converged & (vals > 0.0) & (budget > 0))
     while act.size:
         due = act[fresh[act]]
         if due.size:
@@ -162,9 +161,8 @@ def _newton(model, retract, x, budget, gtol):
         floor = ~ok & rounding
         near = (c > 0.0) & (gnorm[act] <= np.sqrt(_EPS) * c)
         converged[act] = done | (floor & near)
-        stuck[act] = floor & ~near
         act = act[~(done | floor) & (steps[act] < budget[act])]
-    return vals, x, steps, converged, stuck
+    return vals, x, steps, converged
 
 
 def _polar_2x2(m):
@@ -195,20 +193,16 @@ def _polar_2x2(m):
     return u.reshape(-1, 2, 2), np.ldexp(n, k)
 
 
-def fs_restarts(t1, t2, inits, max_sweeps, tol):
-    """Alternating overlap maximization from every start in ``inits`` at once.
+def fs_restarts(t1, t2, inits, sweeps):
+    """``sweeps`` alternating overlap sweeps from every start in ``inits`` at once.
 
     With two factors fixed, the optimum over the third local unitary is the
     nuclear norm of a 2x2 partial overlap, attained at its polar factor, so
     each sweep is monotone. Each of a sweep's three updates takes the polar
     factors of all restarts at once, in closed form (``_polar_2x2``, no
-    LAPACK call). A restart stops after the first sweep in which no unitary
-    moves by more than ``tol`` (max-norm): the step, not the overlap, is
-    judged, because the updates keep sharpening the optimum after the
-    double-precision overlap has saturated.
+    LAPACK call).
 
-    Returns (overlaps (R,), unitaries (R, 3, 2, 2), sweeps used (R,),
-    converged (R,) bool).
+    Returns (overlaps (R,), unitaries (R, 3, 2, 2)).
     """
     # g[q][(x_q, y_q), (x_o1, y_o1, x_o2, y_o2)] = conj(t1)[x] t2[y]: the partial
     # overlap for qubit q is g[q] applied to the Kronecker pair of the other two
@@ -216,32 +210,14 @@ def fs_restarts(t1, t2, inits, max_sweeps, tol):
     gq = [np.ascontiguousarray(g.transpose(q, *(p for p in range(3) if p != q)).reshape(4, 16).T)
           for q in range(3)]
     others = [(1, 2), (0, 2), (0, 1)]
-    n = inits.shape[0]
-    us = np.array(inits, dtype=np.complex128)
-    vals = np.zeros(n)
-    sweeps = np.zeros(n, dtype=np.int64)
-    converged = np.zeros(n, dtype=bool)
-    act = np.arange(n)
-    u = us.copy()
-    for _ in range(max_sweeps):
-        step = np.zeros(act.size)
+    u = np.array(inits, dtype=np.complex128)
+    vals = np.zeros(u.shape[0])
+    for _ in range(sweeps):
         for q in range(3):
             o1, o2 = others[q]
             pair = (u[:, o1].reshape(-1, 4, 1) * u[:, o2].reshape(-1, 1, 4)).reshape(-1, 16)
-            unew, nuc = _polar_2x2(pair @ gq[q])
-            step = np.maximum(step, np.abs(unew - u[:, q]).max(axis=(1, 2)))
-            u[:, q] = unew
-        sweeps[act] += 1
-        vals[act] = nuc
-        stop = step < tol
-        if stop.any():
-            us[act] = u
-            converged[act[stop]] = True
-            act, u = act[~stop], u[~stop]
-            if act.size == 0:
-                break
-    us[act] = u
-    return vals, us, sweeps, converged
+            u[:, q], vals = _polar_2x2(pair @ gq[q])
+    return vals, u
 
 
 def _fs_model(t1c, table, us):
@@ -281,8 +257,7 @@ def fs_polish(t1, t2, us, budget):
 
     The step at U moves each unitary to U_q exp(i x_q . sigma); GHZ's local
     stabilizer leaves flat directions at every optimum. Returns (overlaps
-    (R,), unitaries (R, 3, 2, 2), steps (R,), converged (R,) bool, cannot
-    move (R,) bool).
+    (R,), unitaries (R, 3, 2, 2), steps (R,), converged (R,) bool).
     """
     t1c = np.conj(t1).reshape(8)
     table = np.einsum("iax,jby,kcz,xyz->abcijk", _PAULI, _PAULI, _PAULI, t2).reshape(8, 64)
@@ -290,26 +265,21 @@ def fs_polish(t1, t2, us, budget):
                    us, budget, 0.0)
 
 
-def fs_best_overlap(t1, t2, inits, max_sweeps, tol):
+def fs_best_overlap(t1, t2, inits, max_sweeps):
     """Best |<t1| Ua x Ub x Uc |t2>| over local unitaries.
 
-    Every restart runs ``fs_restarts`` for at most _SWEEPS sweeps, then
-    ``fs_polish`` for the rest of its ``max_sweeps`` iterations (a sweep and
-    a polish step count one each); a restart the polish cannot move goes
-    back to the sweep for what is left of its budget and is not counted as
-    converged. Keeps the first restart with the largest overlap. Returns
-    (best overlap, its three unitaries, SearchStats), so callers can
-    recompute the angle from the state distance, which stays
-    well-conditioned when the overlap approaches 1. Overlaps are clamped to
-    1, the best as well as those in the spread.
+    Every restart runs ``fs_restarts`` for min(_SWEEPS, max_sweeps) sweeps,
+    then ``fs_polish`` for the rest of its ``max_sweeps`` iterations (a sweep
+    and a polish step count one each); a restart the polish cannot move ends
+    where the polish left it and is not counted as converged. Keeps the
+    first restart with the largest overlap. Returns (best overlap, its three
+    unitaries, SearchStats), so callers can recompute the angle from the
+    state distance, which stays well-conditioned when the overlap approaches
+    1. Overlaps are clamped to 1, the best as well as those in the spread.
     """
-    _, us, sweeps, _ = fs_restarts(t1, t2, inits, min(_SWEEPS, max_sweeps), tol)
-    vals, us, polish, converged, stuck = fs_polish(t1, t2, us, max_sweeps - sweeps)
-    left = max_sweeps - sweeps - polish
-    back = stuck & (left > 0)
-    if back.any():
-        vals[back], us[back], more, _ = fs_restarts(t1, t2, us[back], int(left[back].min()), tol)
-        sweeps[back] += more
+    sweeps = min(_SWEEPS, max_sweeps)
+    _, us = fs_restarts(t1, t2, inits, sweeps)
+    vals, us, polish, converged = fs_polish(t1, t2, us, np.full(len(us), max_sweeps - sweeps))
     r = int(np.argmax(vals))
     best_us = us[r] if vals[r] > 0.0 else np.stack([np.eye(2, dtype=np.complex128)] * 3)
     vals = np.minimum(vals, 1.0)
@@ -369,7 +339,7 @@ def tangle_ascent_best(psi0, gens, inits, max_iters, gtol):
     n = inits.shape[0]
     start = expi_hermitian((inits @ (-1j * gens).reshape(15, 16)).reshape(n, 4, 4))
     psi = (start @ psi0.reshape(4, 2)).reshape(n, 8)
-    vals, _, steps, converged, _ = _newton(_ascent_model, _pair_cayley, psi,
-                                           np.full(n, max_iters), gtol)
+    vals, _, steps, converged = _newton(_ascent_model, _pair_cayley, psi,
+                                        np.full(n, max_iters), gtol)
     tangles = 4.0 * vals
     return float(tangles.max()), _stats(tangles, 0, steps, converged, max_iters)

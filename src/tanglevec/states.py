@@ -188,9 +188,11 @@ def make_acin(lambdas) -> np.ndarray:
     e^{i pi/4} (l0|000> + l1|010> + l2|110> + l3|011> + l4|111>) with
     sum(l_i^2) = 1; ParseError unless there are 5 finite coefficients.
     """
-    lam = np.array(_reals(lambdas, 5, "lambdas"))
-    if abs(np.sum(lam**2) - 1.0) > EPS_NORM:
-        raise NotNormalized(f"sum of squares is {np.sum(lam**2)}, not 1")
+    lam = _reals(lambdas, 5, "lambdas")
+    # Python floats overflow to inf without numpy's warning
+    norm2 = sum(x * x for x in lam)
+    if abs(norm2 - 1.0) > EPS_NORM:
+        raise NotNormalized(f"sum of squares is {norm2}, not 1")
     s = np.zeros(8, dtype=complex)
     phase = np.exp(0.25j * np.pi)
     s[0] = phase * lam[0]

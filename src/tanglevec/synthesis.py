@@ -186,10 +186,10 @@ def align_canonical(s, pair: str = "ab") -> list:
     In the output state the first pair vector is (V_R, 0, i V_I) and the
     second likewise, all four scalars non-negative. Requires the gauge to
     have been applied when the three-tangle is nonzero (real and imaginary
-    parts must be orthogonal).
+    parts must be orthogonal). Scale-free, like gauge_phase.
     """
     _, pq = _canonical_pair(pair)
-    m, tol = _vectors(s)
+    m, tol = _unit_scaled(s)
     return _alignment(pq, m[QUBIT_AXIS[pq[0]]], m[QUBIT_AXIS[pq[1]]], tol)
 
 
@@ -281,11 +281,12 @@ def _random_su2_stack(rng, n: int) -> np.ndarray:
 class FubiniStudyResult:
     """A Fubini-Study search: the angle and how its restarts ended.
 
-    ``sweeps`` and ``polish_iterations`` are the most sweeps and polish steps
-    any restart took; ``converged`` counts the restarts that ended stationary
-    at rounding level; ``capped`` says whether a restart that did not
-    converge used all of ``max_sweeps``; ``overlap_spread`` is the best minus
-    the worst restart overlap (0 when every restart found the same optimum).
+    ``sweeps`` is the number of sweeps every restart took, min(4,
+    max_sweeps); ``polish_iterations`` is the most polish steps any restart
+    took; ``converged`` counts the restarts that ended stationary at
+    rounding level; ``capped`` says whether a restart that did not converge
+    used all of ``max_sweeps``; ``overlap_spread`` is the best minus the
+    worst restart overlap (0 when every restart found the same optimum).
     """
 
     angle_degrees: float
@@ -298,30 +299,28 @@ class FubiniStudyResult:
 
 
 def fubini_study_search(s1, s2, restarts: int = 32, seed: int = 0,
-                        max_sweeps: int = 5000, tol: float = 1e-10) -> FubiniStudyResult:
+                        max_sweeps: int = 5000) -> FubiniStudyResult:
     """Angle (degrees) to the closest locally-equivalent state, with diagnostics.
 
     Maximizes the overlap over local unitaries on all three qubits from
-    `restarts` random starting points. Each restart takes a few sweeps of
-    alternating exact single-qubit maximization, then a trust-region Newton
-    polish over the 9 local angles that stops once the restart is
-    stationary at rounding level. `max_sweeps` caps each restart's
-    iterations, sweeps and polish steps together; `tol` ends the sweeps of
-    a restart early once no unitary moves by more than `tol` (max-norm). A
-    stochastic search, so the result is an upper bound on the true minimum
-    angle. The angle is recovered from the phase-matched state distance
-    (2 arcsin(d/2)), which keeps tiny angles accurate where arccos of the
-    overlap would lose half the digits. Raises ParseError for `restarts` or
-    `max_sweeps` below 1, a negative `seed`, and a `tol` that is not finite
-    or is negative.
+    `restarts` random starting points. Each restart takes min(4, max_sweeps)
+    sweeps of alternating exact single-qubit maximization, then a
+    trust-region Newton polish over the 9 local angles that stops once the
+    restart is stationary at rounding level; a restart the polish cannot
+    move ends there, unconverged. `max_sweeps` caps each restart's
+    iterations, sweeps and polish steps together. A stochastic search, so
+    the result is an upper bound on the true minimum angle. The angle is
+    recovered from the phase-matched state distance (2 arcsin(d/2)), which
+    keeps tiny angles accurate where arccos of the overlap would lose half
+    the digits. Raises ParseError for `restarts` or `max_sweeps` below 1 and
+    a negative `seed`.
     """
-    _check_options(seeds={"seed": seed}, counts={"restarts": restarts, "max_sweeps": max_sweeps},
-                   tols={"tol": tol})
+    _check_options(seeds={"seed": seed}, counts={"restarts": restarts, "max_sweeps": max_sweeps})
     v1 = normalize(s1)
     v2 = normalize(s2)
     inits = _random_su2_stack(np.random.default_rng(seed), restarts)
     _, us, stats = _kernels.fs_best_overlap(v1.reshape(2, 2, 2), v2.reshape(2, 2, 2),
-                                            inits, max_sweeps, tol)
+                                            inits, max_sweeps)
     w = np.einsum("ax,by,cz,xyz->abc", us[0], us[1], us[2],
                   v2.reshape(2, 2, 2)).reshape(8)
     ov = np.vdot(v1, w)
@@ -333,16 +332,15 @@ def fubini_study_search(s1, s2, restarts: int = 32, seed: int = 0,
 
 
 def fubini_study_angle(s1, s2, restarts: int = 32, seed: int = 0,
-                       max_sweeps: int = 5000, tol: float = 1e-10) -> float:
+                       max_sweeps: int = 5000) -> float:
     """Angle (degrees) to the closest locally-equivalent state.
 
     The angle of ``fubini_study_search`` with the same arguments: `max_sweeps`
-    caps each restart's sweeps and Newton polish steps together, and `tol`
-    ends a restart's sweeps early once no unitary moves by more than `tol`;
-    the polish stops a restart on stationarity at rounding level, which
-    `tol` does not set. Refuses the same arguments with ParseError.
+    caps each restart's sweeps and Newton polish steps together, and the
+    polish stops a restart on stationarity at rounding level. Refuses the
+    same arguments with ParseError.
     """
-    return fubini_study_search(s1, s2, restarts, seed, max_sweeps, tol).angle_degrees
+    return fubini_study_search(s1, s2, restarts, seed, max_sweeps).angle_degrees
 
 
 # --- independent ascent oracle ---------------------------------------------

@@ -154,8 +154,10 @@ def test_acin_ghz_equivalent_tangle():
 
 
 def test_acin_rejects_unnormalized():
-    with pytest.raises(NotNormalized):
-        make_acin([1, 1, 0, 0, 0])
+    # 1e200 squared overflows: refused as not normalized, with no RuntimeWarning
+    for lam in ([1, 1, 0, 0, 0], [1e200, 0, 0, 0, 0]):
+        with pytest.raises(NotNormalized):
+            make_acin(lam)
 
 
 def test_matricize_basis_ket():

@@ -1,7 +1,8 @@
 """The CI workflow and the oldest Python the project supports.
 
-CI runs the suite on Python 3.10 as well, so every source and test file must
-parse under the 3.10 grammar even where only a newer Python is at hand.
+CI runs the suite and the benchmark self-test on Python 3.10 as well, so
+every source, test and benchmark file must parse under the 3.10 grammar even
+where only a newer Python is at hand.
 """
 import ast
 from pathlib import Path
@@ -10,7 +11,7 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 WORKFLOWS = sorted((ROOT / ".github" / "workflows").glob("*.yml"))
-SOURCES = sorted(p for d in ("src", "tests") for p in (ROOT / d).rglob("*.py"))
+SOURCES = sorted(p for d in ("src", "tests", "perfbench") for p in (ROOT / d).rglob("*.py"))
 
 
 def test_workflow_parses_and_every_step_runs_something():
