@@ -16,12 +16,17 @@ numbers), or local or coupling parameters whose Euclidean norm overflows the
 walker's hypot raise ParseError there. A built step cannot change, so the one
 walker, _steps, only sorts a sequence for a gate picture, given the picture's
 key for each qubit and layout of the ordered pairs; so6's dual picture uses
-it too.
+it too. For the same reason a step makes its factor in each picture once, the
+first time that picture applies it, and keeps it, read-only, on itself: a
+step applied again skips the exponential and the trigonometry. Once both
+pictures have used it, a coupling keeps about 0.8 KB (its 4x4 unitary here
+and its 6x6 rotation in the dual picture) and a local about 0.4 KB; the
+factors live and die with their step.
 In this picture one contraction loop applies a sequence to an (8, R)
 amplitude matrix whose R columns evolve independently: apply() uses one
 column, and the 8x8 unitaries are the same evolution of the identity. A local
-factor is the closed Euler form computed from scalars. All coupling factors
-of the sequence come from one stacked eigendecomposition of their 4x4
+factor is the closed Euler form computed from scalars. The coupling factors
+that a sequence still lacks come from one stacked eigendecomposition of their 4x4
 Hermitian generators (expi_hermitian), so there is no series truncation
 anywhere. Phases are summed into one scalar, reduced modulo 2 pi. Each factor
 is contracted by one reshape and one matmul: (2**axis, 2, rest) for a local,
@@ -33,7 +38,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -57,10 +62,16 @@ _SIGMA_PAIRS = PAIR_PAULIS[6:].reshape(9, 16)
 
 @dataclass(frozen=True)
 class LocalStep:
-    """exp(1/2 sum_n theta_n i sigma_n) on the qubit a, b or c; theta is 3 floats."""
+    """exp(1/2 sum_n theta_n i sigma_n) on the qubit a, b or c; theta is 3 floats.
+
+    Its 2x2 unitary and its 3x3 dual rotation are made on each picture's
+    first use of the step and kept, read-only: about 0.4 KB with both.
+    """
 
     qubit: str
     theta: tuple[float, float, float]
+    _unitary: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
+    _rotation: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     kind = "local"
 
@@ -77,11 +88,15 @@ class CouplingStep:
     """exp(1/2 sum_nm theta_nm i sigma_n sigma_m) on an ordered pair; theta is a read-only copy.
 
     Either picture's factor is accurate to a few eps max(1, sum |theta_nm|),
-    the rounding of theta itself (see expi_hermitian).
+    the rounding of theta itself (see expi_hermitian). Its 4x4 unitary and
+    its 6x6 dual rotation are made on each picture's first use of the step
+    and kept, read-only: about 0.8 KB with both.
     """
 
     pair: str
     theta: np.ndarray  # 3x3 real coefficients of i/2 sigma_n sigma_m
+    _unitary: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
+    _rotation: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     kind = "coupling"
 
@@ -132,59 +147,74 @@ _PAIR_LAYOUT = {"ab": (1, False), "ba": (1, True), "bc": (2, False),
                 "cb": (2, True), "ac": (0, False), "ca": (0, True)}
 
 
-def _steps(seq, qubits: dict, pairs: dict) -> tuple[list, np.ndarray, float]:
+def _steps(seq, qubits: dict, pairs: dict, factor: str) -> tuple[list, list, np.ndarray, float]:
     """Sort the steps of a sequence, each checked when it was built, for one gate picture.
 
     qubits maps each qubit to the picture's key for its locals (None for a
     qubit the picture ignores); pairs maps each ordered pair the picture
-    carries to (key, theta transposed). Returns, in sequence order,
-    (key, (t0, t1, t2, |t|)) for each local that rotates and (key, None) for
-    each coupling; the couplings' (k, 3, 3) coefficients in the picture's
+    carries to (key, theta transposed); factor names the step attribute that
+    keeps the picture's factor. Returns (key, step), in sequence order, for
+    each local that rotates and each coupling; the couplings that have no
+    factor yet, each once; their (k, 3, 3) coefficients in the picture's
     layout; and the summed phase in [-pi, pi]. Raises NotRepresentable for a
     pair missing from pairs, and TypeError for anything that is not a step.
     """
-    out, thetas = [], []
+    out, fresh = [], {}
     phase = 0.0
     for k, step in enumerate(seq):
         if isinstance(step, LocalStep):
             key = qubits[step.qubit]
-            t = math.hypot(*step.theta)
-            if key is not None and t >= 1e-300:
-                out.append((key, (*step.theta, t)))
+            if key is not None and math.hypot(*step.theta) >= 1e-300:
+                out.append((key, step))
         elif isinstance(step, CouplingStep):
             layout = pairs.get(step.pair)
             if layout is None:
                 raise NotRepresentable(f"step {k}: coupling on {step.pair} involves the spectator")
             key, flip = layout
-            out.append((key, None))
-            thetas.append(step.theta.T if flip else step.theta)
+            out.append((key, step))
+            if getattr(step, factor) is None:
+                fresh[step] = step.theta.T if flip else step.theta   # a step hashes by identity
         elif isinstance(step, PhaseStep):
             phase = math.remainder(phase + step.alpha, 2.0 * math.pi)
         else:
             raise TypeError(f"not a gate step: {step!r}")
-    return out, np.array(thetas).reshape(-1, 3, 3), phase
+    return out, list(fresh), np.array(list(fresh.values())).reshape(-1, 3, 3), phase
+
+
+def _keep(step, factor: str, u: np.ndarray) -> np.ndarray:
+    """Keep u, made read-only, as the step's factor in the attribute factor; returns u."""
+    u.setflags(write=False)
+    object.__setattr__(step, factor, u)
+    return u
+
+
+def _su2(t0: float, t1: float, t2: float) -> np.ndarray:
+    """The 2x2 unitary of a local's angles, of nonzero norm, from scalars."""
+    t = math.hypot(t0, t1, t2)
+    c, s = math.cos(t / 2), math.sin(t / 2) / t
+    # cos(t/2) + i sin(t/2) (theta . sigma) / t
+    return np.array([[complex(c, s * t2), complex(s * t1, s * t0)],
+                     [complex(-s * t1, s * t0), complex(c, -s * t2)]])
 
 
 def _evolve(seq, m: np.ndarray) -> np.ndarray:
     """Apply the steps to the (8, R) amplitude matrix m; its columns evolve independently.
 
-    A local factor is built from scalars; all coupling factors come from one
-    stacked exponential of their 4x4 generators, whose theta is halved before
-    it is summed, so that no sum overflows.
+    Each step's factor is made on its first use here and kept. A local's is
+    built from scalars; the couplings that have none yet get theirs from one
+    stacked exponential of their 4x4 generators, whose theta is halved
+    before it is summed, so that no sum overflows.
     """
-    steps, th, phase = _steps(seq, _LOCAL_LEAD, _PAIR_LAYOUT)
-    if len(th):
-        us = iter(expi_hermitian(((0.5 * th).reshape(-1, 9) @ _SIGMA_PAIRS).reshape(-1, 4, 4)))
+    steps, fresh, th, phase = _steps(seq, _LOCAL_LEAD, _PAIR_LAYOUT, "_unitary")
+    if fresh:
+        us = expi_hermitian(((0.5 * th).reshape(-1, 9) @ _SIGMA_PAIRS).reshape(-1, 4, 4))
+        for step, u in zip(fresh, us):
+            _keep(step, "_unitary", u.copy())   # a copy, so no step holds the whole stack
     r = m.shape[1]
-    for lead, angles in steps:
-        if angles is None:
-            u = next(us)
-        else:
-            t0, t1, t2, t = angles
-            c, s = math.cos(t / 2), math.sin(t / 2) / t
-            # cos(t/2) + i sin(t/2) (theta . sigma) / t
-            u = np.array([[complex(c, s * t2), complex(s * t1, s * t0)],
-                          [complex(-s * t1, s * t0), complex(c, -s * t2)]])
+    for lead, step in steps:
+        u = step._unitary
+        if u is None:   # a local's first use
+            u = _keep(step, "_unitary", _su2(*step.theta))
         if lead:
             m = (u @ m.reshape(lead, len(u), -1)).reshape(8, r)
         else:

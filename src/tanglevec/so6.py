@@ -22,12 +22,15 @@ UnknownGenerator, and an axis n, m that is not an integer 1-3 IndexOutOfRange.
 evolve_q and so6_image are one dual evolution: so6_image evolves eye(6), as
 gates.sequence_unitary evolves eye(8). The walker gates._steps sorts the
 steps, checked when they were built, given this partition's qubit offsets
-(None for the spectator) and its pair layout. A local's 3x3 Rodrigues
-rotation is computed from scalars and acts on its own three components only.
-All coupling images of a sequence, sum theta_nm Lambda_nm, are exponentiated
-in one stacked expi_hermitian call. The walker shares sorting only: the dual
-picture never uses the 4x4 unitaries of the Hilbert picture, so comparing the
-two pictures stays a test of the generator map.
+(None for the spectator) and its pair layout. A step makes its dual factor
+once, on the first dual evolution that applies it, and keeps it, read-only,
+as its _rotation (about 0.4 KB for a coupling's 6x6). A local's
+3x3 Rodrigues rotation is computed from scalars and acts on its own three
+components only. The coupling images of a sequence that have no factor yet,
+sum theta_nm Lambda_nm, are exponentiated in one stacked expi_hermitian call.
+The walker shares sorting only: the dual picture never reads the 4x4
+unitaries that the Hilbert picture keeps on a step (_unitary), so comparing
+the two pictures stays a test of the generator map.
 """
 from __future__ import annotations
 
@@ -37,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import IndexOutOfRange, UnknownGenerator
-from .gates import _AXES, PAIR_PAULIS, LocalStep, _steps, expi_hermitian
+from .gates import _AXES, PAIR_PAULIS, LocalStep, _keep, _steps, expi_hermitian
 from .states import PARTITION_PAIR, PARTITION_SPECTATOR, _named, parse_partition
 from .vectors import SixVector
 
@@ -120,8 +123,9 @@ def su_generator(label: str) -> np.ndarray:
     return SU4_BASIS[_named(_GENERATOR_ROW, label, "generator label", UnknownGenerator)].copy()
 
 
-def _rodrigues(t0: float, t1: float, t2: float, t: float) -> np.ndarray:
-    """so3_image of the angles (t0, t1, t2) of norm t, from scalars."""
+def _rodrigues(t0: float, t1: float, t2: float) -> np.ndarray:
+    """so3_image of the angles (t0, t1, t2), from scalars."""
+    t = math.hypot(t0, t1, t2)
     if t < 1e-300:
         return np.eye(3)
     n0, n1, n2 = t0 / t, t1 / t, t2 / t
@@ -140,8 +144,7 @@ def so3_image(theta) -> np.ndarray:
     a 2 pi rotation maps to the identity while the SU(2) side gives -1.
     ParseError for angles that a LocalStep refuses.
     """
-    t = LocalStep("a", theta).theta
-    return _rodrigues(*t, math.hypot(*t))
+    return _rodrigues(*LocalStep("a", theta).theta)
 
 
 #: sum_nm theta_nm Lambda_nm as a (9, 36) table, row 3(n-1) + m-1
@@ -152,22 +155,29 @@ def _dual_evolve(seq, p: int, m: np.ndarray) -> tuple[np.ndarray, float]:
     """Rotate partition p's 6-vectors m, shape (6,) or (6, R), through the steps.
 
     m is updated in place where a local acts. Returns the rotated m and the
-    summed phase2, which is left for the caller to apply. A local's 3x3
-    rotation is built from scalars and acts on its own three components; all
-    couplings come from one stacked exponential of their so(6) generators.
+    summed phase2, which is left for the caller to apply. Each step's
+    rotation is made on its first use here and kept. A local's 3x3 rotation
+    is built from scalars and acts on its own three components; the
+    couplings that have none yet get theirs from one stacked exponential of
+    their so(6) generators.
     """
     first, second = PARTITION_PAIR[p]
-    steps, th, phase = _steps(seq, {first: 0, second: 3, PARTITION_SPECTATOR[p]: None},
-                              {first + second: (None, False), second + first: (None, True)})
-    if len(th):
+    steps, fresh, th, phase = _steps(seq, {first: 0, second: 3, PARTITION_SPECTATOR[p]: None},
+                                     {first + second: (None, False), second + first: (None, True)},
+                                     "_rotation")
+    if fresh:
         g = (th.reshape(-1, 9) @ _LAMBDAS).reshape(-1, 6, 6)
         # exp(g) = exp(i h) with the Hermitian h = -i g
-        ys = iter(np.ascontiguousarray(expi_hermitian(-1j * g).real))
-    for off, angles in steps:
-        if angles is None:
-            m = next(ys) @ m
+        for step, y in zip(fresh, expi_hermitian(-1j * g).real):
+            _keep(step, "_rotation", y.copy())   # a contiguous copy of its own
+    for off, step in steps:
+        y = step._rotation
+        if y is None:   # a local's first use
+            y = _keep(step, "_rotation", _rodrigues(*step.theta))
+        if off is None:
+            m = y @ m
         else:
-            m[off:off + 3] = _rodrigues(*angles) @ m[off:off + 3]
+            m[off:off + 3] = y @ m[off:off + 3]
     return m, 2.0 * phase
 
 

@@ -44,12 +44,15 @@ _PAIR_PARTITION = {q1 + q2: (p, first + second) for p, (first, second) in PARTIT
 #: maximize_three_tangle's variants: whether each is the economical one
 _VARIANTS = {"economical": True, "single": False}
 
-#: the fixed steps of the protocols, built once (a step cannot change): the
-#: coupling core's three pi/4 couplings and closing local on each ordered
-#: pair, and the W to GHZ bc coupling and closing locals and phase
+#: the fixed steps of the protocols, built once (a step cannot change), so
+#: that every call shares the factors they keep: the coupling core's three
+#: pi/4 couplings and closing local on each ordered pair, the single
+#: maximization's pi/4 zz coupling on each, and the W to GHZ bc coupling and
+#: closing locals and phase
 _CORE_STEPS = {pq: (coupling_axis_step(pq, 2, 1, -np.pi / 4), coupling_axis_step(pq, 3, 1, np.pi / 4),
                     coupling_axis_step(pq, 2, 1, np.pi / 4), LocalStep(pq[0], (np.pi / 2, 0.0, 0.0)))
                for pq in map("".join, PARTITION_PAIR.values())}
+_ZZ_STEPS = {pq: coupling_axis_step(pq, 3, 3, np.pi / 4) for pq in _CORE_STEPS}
 _W_HEAD = coupling_axis_step("bc", 1, 1, np.pi / 4)
 _W_TAIL = (LocalStep("b", (np.pi / 2, 0.0, 0.0)), LocalStep("c", (0.0, -np.pi / 2, 0.0)),
            LocalStep("a", (0.0, -np.pi / 2, 0.0)), LocalStep("a", (0.0, 0.0, -np.pi / 2)),
@@ -232,7 +235,7 @@ def maximize_three_tangle(s, pair: str = "ab", variant: str = "economical") -> S
                      for (n, m), angle in (((1, 3), t16), ((3, 1), t34)) if abs(angle) > 1e-15]
         meta_angles = {"angle_16": t16, "angle_34": t34}
     else:
-        couplings = [coupling_axis_step(pq, 3, 3, np.pi / 4)]
+        couplings = [_ZZ_STEPS[pq]]
         meta_angles = {"angle_zz": np.pi / 2}
 
     seq.extend(couplings)

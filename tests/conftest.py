@@ -1,9 +1,11 @@
+import dataclasses
 import sys
 
 import numpy as np
 import pytest
 
-from tanglevec import abc_vectors, bipartite_tangle_from_density, random_state, tangle_set, vectors
+from tanglevec import (abc_vectors, apply, bipartite_tangle_from_density, evolve_q, q_vector,
+                       random_state, tangle_set, vectors)
 
 
 def checked_tangle_set(s):
@@ -57,3 +59,24 @@ def count_evaluations(monkeypatch):
     """
     abc_vectors(random_state(999))
     return count_calls(monkeypatch, vectors._evaluate)
+
+
+#: how a comparison of the two gate pictures meets its steps: fresh, or
+#: already applied by one picture or by both
+PICTURE_ORDERS = ("fresh", "hilbert used", "dual used", "both used")
+
+
+def both_pictures(seq, s, partition, order):
+    """(dual, Hilbert) 6-vectors of s after seq, on new copies of the steps, used as order says.
+
+    A step keeps its factor in a picture once that picture has applied it, so
+    on used steps the comparison catches a kept factor that is stale or that
+    the other picture reads, whatever ran before.
+    """
+    seq = [dataclasses.replace(step) for step in seq]
+    q = q_vector(s, partition)
+    if order in ("hilbert used", "both used"):
+        apply(seq, s)
+    if order in ("dual used", "both used"):
+        evolve_q(seq, q)
+    return evolve_q(seq, q).q, q_vector(apply(seq, s), partition).q

@@ -24,7 +24,7 @@ from tanglevec.quaternionic import (QuaternionicState,
                                     tangles_quaternionic, to_state,
                                     usp_generators)
 from tanglevec.states import PARTITION_PAIR, PARTITION_SPECTATOR
-from conftest import checked_tangle_set
+from conftest import PICTURE_ORDERS, both_pictures, checked_tangle_set
 from test_quaternionic import _reduce_reference
 
 STD_THETA = np.arccos(1 / np.sqrt(3))
@@ -105,13 +105,14 @@ def test_criterion_4_generator_map_and_dual_evolution():
         partition = int(rng.integers(1, 4))
         s = random_state(10_000 + k)
         seq = _random_representable_sequence(rng, partition)
-        via_so6 = evolve_q(seq, q_vector(s, partition))
-        via_hilbert = q_vector(apply(seq, s), partition)
-        worst = max(worst, float(np.abs(via_so6.q - via_hilbert.q).max()))
+        # fresh steps, and steps one picture or both already applied
+        for order in PICTURE_ORDERS:
+            via_so6, via_hilbert = both_pictures(seq, s, partition, order)
+            worst = max(worst, float(np.abs(via_so6 - via_hilbert).max()))
     ok = rep.max_discrepancy == 0 and rep.pairs == 105 and worst < 1e-10
     _line(4, ok, f"105 commutator pairs discrepancy {rep.max_discrepancy} "
-                 f"(exactly 0); dual evolution over 500 five-step sequences "
-                 f"worst {worst:.2e} (< 1e-10)")
+                 f"(exactly 0); dual evolution over 500 five-step sequences, "
+                 f"fresh and used, worst {worst:.2e} (< 1e-10)")
 
 
 def test_criterion_5_named_gate_duals():

@@ -186,13 +186,13 @@ def test_apply_empty_sequence():
 
 def test_apply_refuses_a_non_finite_result(monkeypatch):
     # the norm check is safety code: a step cannot carry a non-finite
-    # parameter, so break the coupling factor instead
+    # parameter, so break the coupling factor instead; a step keeps the
+    # factor it made, so each broken factor needs a new step
     good = gates.expi_hermitian
-    seq = [CouplingStep("ab", np.eye(3))]
     for broken in (lambda h: 2.0 * good(h), lambda h: np.full(np.shape(h), np.nan + 0j)):
         monkeypatch.setattr(gates, "expi_hermitian", broken)
         with pytest.raises(InvariantViolation, match="norm"):
-            apply(seq, make_ghz())
+            apply([CouplingStep("ab", np.eye(3))], make_ghz())
 
 
 def _kron_step(step):
@@ -245,20 +245,113 @@ def test_engine_matches_kronecker_products(rng):
     assert seen == {"a", "b", "c", "ab", "ba", "bc", "cb", "ac", "ca", "phase"}
 
 
-@pytest.mark.parametrize("seq, exponentials", [
-    ([LocalStep("a", (0.1, 0.2, 0.3)), PhaseStep(0.4), LocalStep("b", (0.0, 0.0, 0.0))], 0),
-    ([CouplingStep("ab", np.eye(3))], 1),
-    ([CouplingStep("ba", np.eye(3)), LocalStep("c", (1.0, 0.0, 0.0)),
-      CouplingStep("ab", -np.eye(3)), PhaseStep(0.2), CouplingStep("ba", np.ones((3, 3)))], 1),
-], ids=["locals", "one-coupling", "three-couplings"])
-def test_one_exponential_per_sequence(seq, exponentials, monkeypatch):
-    # all coupling factors of a sequence come from one stacked exponential,
-    # in each picture
-    calls = count_calls(monkeypatch, expi_hermitian)
-    apply(seq, random_state(1))
+def _stack_sizes(monkeypatch):
+    """The number of matrices in each expi_hermitian call, in either picture."""
+    sizes = []
+
+    def recording(h):
+        sizes.append(len(h))
+        return expi_hermitian(h)
+    monkeypatch.setattr(gates, "expi_hermitian", recording)
+    monkeypatch.setattr(so6, "expi_hermitian", recording)
+    return sizes
+
+
+def _twice(step):
+    return [step, LocalStep("c", (1.0, 0.0, 0.0)), step]
+
+
+@pytest.mark.parametrize("build, couplings", [
+    (lambda: [LocalStep("a", (0.1, 0.2, 0.3)), PhaseStep(0.4), LocalStep("b", (0.0, 0.0, 0.0))], 0),
+    (lambda: [CouplingStep("ab", np.eye(3))], 1),
+    (lambda: [CouplingStep("ba", np.eye(3)), LocalStep("c", (1.0, 0.0, 0.0)),
+              CouplingStep("ab", -np.eye(3)), PhaseStep(0.2), CouplingStep("ba", np.ones((3, 3)))], 3),
+    (lambda: _twice(CouplingStep("ba", np.eye(3))), 1),
+], ids=["locals", "one-coupling", "three-couplings", "one-coupling-twice"])
+def test_one_exponential_per_sequence(build, couplings, monkeypatch):
+    # the first use of new steps in a picture makes all their coupling
+    # factors in one stacked exponential, each coupling once; a step keeps
+    # its factor, so a later use in that picture makes none, and the other
+    # picture still makes its own
+    seq = build()
+    sizes = _stack_sizes(monkeypatch)
+    once = [couplings] if couplings else []
+    s, q = random_state(1), q_vector(random_state(1), 3)
+    apply(seq, s)
+    assert sizes == once
+    apply(seq, s)
     sequence_unitary(seq)
-    evolve_q(seq, q_vector(random_state(1), 3))
-    assert len(calls) == 3 * exponentials
+    assert sizes == once
+    evolve_q(seq, q)
+    assert sizes == 2 * once
+    evolve_q(seq, q)
+    for step in seq:
+        so6_image(step, 3)
+    assert sizes == 2 * once
+    # a sequence that adds one new coupling stacks only that one
+    sizes.clear()
+    sequence_unitary(seq + [CouplingStep("ab", np.ones((3, 3)))])
+    assert sizes == [1]
+
+
+def test_each_picture_keeps_its_own_read_only_factor():
+    local, coupling = LocalStep("a", (0.1, 0.2, 0.3)), CouplingStep("ab", np.eye(3))
+    seq = [local, coupling]
+    assert (local._unitary, local._rotation, coupling._unitary, coupling._rotation) == (None,) * 4
+    apply(seq, random_state(2))
+    assert local._rotation is None and coupling._rotation is None
+    evolve_q(seq, q_vector(random_state(2), 3))
+    shapes = {"_unitary": [(2, 2), (4, 4)], "_rotation": [(3, 3), (6, 6)]}
+    for factor, (local_shape, coupling_shape) in shapes.items():
+        for step, shape in ((local, local_shape), (coupling, coupling_shape)):
+            u = getattr(step, factor)
+            assert u.shape == shape and not u.flags.writeable and u.base is None
+    # the kept factors are no part of a step's value or its printed form
+    again = LocalStep("a", (0.1, 0.2, 0.3))
+    assert again == local and hash(again) == hash(local) and repr(again) == repr(local)
+    assert dataclasses.replace(coupling)._unitary is None
+
+
+def _short_sequences():
+    return [[LocalStep("b", (0.3, -1.2, 0.4))], [CouplingStep("ab", np.diag([0.4, 1.1, -2.0]))],
+            [CouplingStep("ca", np.arange(9.0).reshape(3, 3) / 7)],
+            [LocalStep("a", (0.0, 0.0, 0.0)), PhaseStep(0.3)], named_gate("CNOT", "bc"),
+            [CouplingStep("bc", np.eye(3)), LocalStep("c", (0.5, 0.0, 0.0)), PhaseStep(-1.0)]]
+
+
+def _results(seq, s):
+    """Every picture's result of seq: apply, sequence_unitary, evolve_q and so6_image."""
+    p = {"ab": 3, "ba": 3, "bc": 1, "cb": 1, "ca": 2, "ac": 2}.get(
+        next((step.pair for step in seq if isinstance(step, CouplingStep)), "ab"))
+    return [apply(seq, s), sequence_unitary(seq), evolve_q(seq, q_vector(s, p)).q,
+            *(so6_image(step, p).y for step in seq)]
+
+
+def test_a_second_application_is_the_first():
+    # a kept factor is the one the first application made, bit for bit, and
+    # the one a new step with the same parameters makes
+    s = random_state(3)
+    mixed = [step for step in _mixed_sequence(np.random.default_rng(3), 40)
+             if getattr(step, "pair", "ab") in ("ab", "ba")]   # every step has a dual picture
+    for seq in _short_sequences() + [mixed, mixed[::-1] + mixed]:
+        first = _results(seq, s)
+        again = _results(seq, s)
+        new = _results([dataclasses.replace(step) for step in seq], s)
+        for x, y, z in zip(first, again, new):
+            assert np.array_equal(x, y) and np.array_equal(x, z)
+
+
+def test_results_share_no_memory_with_the_kept_factors():
+    # writing to a returned array changes no later result
+    s = random_state(4)
+    for seq in _short_sequences():
+        first = [x.copy() for x in _results(seq, s)]
+        out = _results(seq, s)
+        del out[2]   # evolve_q's 6-vector is read-only
+        for x in out:
+            x[...] = np.nan
+        for x, y in zip(first, _results(seq, s)):
+            assert np.array_equal(x, y)
 
 
 def _bad_sequences(x):

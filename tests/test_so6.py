@@ -11,6 +11,7 @@ from tanglevec import (CouplingStep, IndexOutOfRange, LocalStep,
                        su_generator, verify_commutators)
 from tanglevec.so6 import GENERATOR_LABELS
 from tanglevec.states import PARTITION_PAIR, PARTITION_SPECTATOR
+from conftest import PICTURE_ORDERS, both_pictures
 
 
 def test_so3_z_rotation_plane_21():
@@ -256,7 +257,8 @@ def test_coupling_accuracy_is_theta_rounding():
     # a coupling's generator has eigenvalues of order |theta|, so both
     # pictures carry an absolute error of a few eps |theta|: the rounding of
     # theta itself. Measured worst over this sweep: about 1.1 (up to 1.83 on
-    # other draws) eps max(1, sum |theta_nm|).
+    # other draws) eps max(1, sum |theta_nm|). Each coupling is compared
+    # fresh and already used by either picture or both.
     eps = np.finfo(float).eps
     partition = {"ab": 3, "ba": 3, "bc": 1, "ca": 2, "ac": 2}
     for seed in range(50):
@@ -265,9 +267,11 @@ def test_coupling_accuracy_is_theta_rounding():
         for pair, p in partition.items():
             for scale in (1.0, 1e3, 1e6, 1e10):
                 th = scale * rng.uniform(-1, 1, (3, 3))
-                seq = [CouplingStep(pair, th)]
-                err = np.abs(evolve_q(seq, q_vector(s, p)).q - q_vector(apply(seq, s), p).q).max()
-                assert err <= 16 * eps * max(1.0, np.abs(th).sum()), (seed, pair, scale, err)
+                for order in PICTURE_ORDERS:
+                    via_so6, via_hilbert = both_pictures([CouplingStep(pair, th)], s, p, order)
+                    err = np.abs(via_so6 - via_hilbert).max()
+                    assert err <= 16 * eps * max(1.0, np.abs(th).sum()), \
+                        (seed, pair, scale, order, err)
 
 
 def test_phase_step_rule():
@@ -338,13 +342,14 @@ def _random_representable_sequence(rng, partition, n_steps=5):
 
 @pytest.mark.parametrize("partition", [1, 2, 3])
 def test_dual_evolution_property(partition, rng):
-    # the central consistency property between the two pictures
+    # the central consistency property between the two pictures, on fresh
+    # steps and on steps either picture or both already used
     for k in range(40):
         s = random_state(100 + k)
         seq = _random_representable_sequence(rng, partition)
-        via_so6 = evolve_q(seq, q_vector(s, partition))
-        via_hilbert = q_vector(apply(seq, s), partition)
-        assert np.abs(via_so6.q - via_hilbert.q).max() < 1e-10
+        for order in PICTURE_ORDERS:
+            via_so6, via_hilbert = both_pictures(seq, s, partition, order)
+            assert np.abs(via_so6 - via_hilbert).max() < 1e-10, order
 
 
 def _representable_steps(partition):
@@ -360,13 +365,12 @@ def _representable_steps(partition):
 
 
 @settings(max_examples=200, deadline=None)
-@given(data=st.data(), seed=st.integers(0, 2**32 - 1), partition=st.sampled_from((1, 2, 3)))
-def test_dual_evolution_hypothesis(data, seed, partition):
+@given(data=st.data(), seed=st.integers(0, 2**32 - 1), partition=st.sampled_from((1, 2, 3)),
+       order=st.sampled_from(PICTURE_ORDERS))
+def test_dual_evolution_hypothesis(data, seed, partition, order):
     seq = data.draw(_representable_steps(partition))
-    s = random_state(seed)
-    via_so6 = evolve_q(seq, q_vector(s, partition))
-    via_hilbert = q_vector(apply(seq, s), partition)
-    assert np.abs(via_so6.q - via_hilbert.q).max() < 1e-10
+    via_so6, via_hilbert = both_pictures(seq, random_state(seed), partition, order)
+    assert np.abs(via_so6 - via_hilbert).max() < 1e-10
 
 
 def test_double_cover():
@@ -377,8 +381,9 @@ def test_double_cover():
     assert np.abs(local_unitary("a", (0, 0, 2 * np.pi)) + np.eye(8)).max() < 1e-12
     # the dual property still holds because the phase enters squared
     s = random_state(11)
-    assert np.abs(evolve_q([step], q_vector(s, 3)).q -
-                  q_vector(apply([step], s), 3).q).max() < 1e-12
+    for order in PICTURE_ORDERS:
+        via_so6, via_hilbert = both_pictures([step], s, 3, order)
+        assert np.abs(via_so6 - via_hilbert).max() < 1e-12, order
 
 
 def test_actions_orthogonal_and_norm_preserving(rng):
