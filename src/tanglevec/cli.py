@@ -15,8 +15,7 @@ import sys
 
 import numpy as np
 
-from .errors import (InvariantViolation, NotRepresentable, ParseError,
-                     TangleVecError)
+from .errors import InvariantViolation, NotRepresentable, TangleVecError
 from .gates import (CouplingStep, LocalStep, PhaseStep, apply,
                     sequence_from_json, sequence_to_json)
 from .quaternionic import (QuaternionicState, _reduce, abc_quaternionic, is_quaternionic,
@@ -346,13 +345,10 @@ def main(argv=None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
         return args.func(args)
-    except (ParseError, FileNotFoundError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except InvariantViolation as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except TangleVecError as exc:
+    except (TangleVecError, OSError, ValueError) as exc:   # a file that cannot be read or decoded
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -13,23 +13,25 @@ reverse here.
 Each step is checked once, when it is built: a bad qubit or pair (states._named),
 parameters that fail states._reals (3, 9 given flat or 3x3, or 1 finite real
 numbers), or local or coupling parameters whose Euclidean norm overflows the
-walker's hypot raise ParseError there. A built step cannot change, so the one
-walker, _steps, only sorts a sequence for a gate picture, given the picture's
-key for each qubit and layout of the ordered pairs; so6's dual picture uses
-it too. For the same reason a step makes its factor in each picture once, the
-first time that picture applies it, and keeps it, read-only, on itself: a
-step applied again skips the exponential and the trigonometry. Once both
-pictures have used it, a coupling keeps about 0.8 KB (its 4x4 unitary here
-and its 6x6 rotation in the dual picture) and a local about 0.4 KB; the
-factors live and die with their step.
-In this picture one contraction loop applies a sequence to an (8, R)
-amplitude matrix whose R columns evolve independently: apply() uses one
-column, and the 8x8 unitaries are the same evolution of the identity. A local
-factor is the closed Euler form computed from scalars. The coupling factors
-that a sequence still lacks come from one stacked eigendecomposition of their 4x4
-Hermitian generators (expi_hermitian), so there is no series truncation
-anywhere. Phases are summed into one scalar, reduced modulo 2 pi. Each factor
-is contracted by one reshape and one matmul: (2**axis, 2, rest) for a local,
+walker's hypot raise ParseError there. A built step cannot change, so one
+walker, _steps, serves both gate pictures (so6's dual picture too): given the
+picture's key for each qubit, its layout of the ordered pairs and its two
+factor formulas, it sorts a sequence and hands back each step's factor in
+that picture. The walker alone makes and keeps the factors: a step makes its
+factor in a picture once, the first time that picture applies it, and keeps
+it, read-only, on itself, so a step applied again skips the exponential and
+the trigonometry. Once both pictures have used it, a coupling keeps about
+0.8 KB (its 4x4 unitary here and its 6x6 rotation in the dual picture) and a
+local about 0.4 KB; the factors live and die with their step.
+Each picture keeps only its factor formulas and its contraction loop. Here
+one loop applies a sequence to an (8, R) amplitude matrix whose R columns
+evolve independently: apply() uses one column, and the 8x8 unitaries are the
+same evolution of the identity. A local factor is the closed Euler form
+computed from scalars (_su2). The coupling factors that a sequence still
+lacks come from one stacked eigendecomposition of their 4x4 Hermitian
+generators (_pair_unitaries), so there is no series truncation anywhere.
+Phases are summed into one scalar, reduced modulo 2 pi. Each factor is
+contracted by one reshape and one matmul: (2**axis, 2, rest) for a local,
 (2**first, 4, rest) for an adjacent pair, and the pair (a, c) after one
 transpose that moves c next to a. A reversed pair such as "ba" is its forward
 pair with theta transposed. No 8x8 matrix is built for a step.
@@ -147,17 +149,20 @@ _PAIR_LAYOUT = {"ab": (1, False), "ba": (1, True), "bc": (2, False),
                 "cb": (2, True), "ac": (0, False), "ca": (0, True)}
 
 
-def _steps(seq, qubits: dict, pairs: dict, factor: str) -> tuple[list, list, np.ndarray, float]:
-    """Sort the steps of a sequence, each checked when it was built, for one gate picture.
+def _steps(seq, qubits: dict, pairs: dict, factor: str, local, couplings) -> tuple[list, float]:
+    """The factors of a sequence's steps, each checked when it was built, in one gate picture.
 
     qubits maps each qubit to the picture's key for its locals (None for a
     qubit the picture ignores); pairs maps each ordered pair the picture
     carries to (key, theta transposed); factor names the step attribute that
-    keeps the picture's factor. Returns (key, step), in sequence order, for
-    each local that rotates and each coupling; the couplings that have no
-    factor yet, each once; their (k, 3, 3) coefficients in the picture's
-    layout; and the summed phase in [-pi, pi]. Raises NotRepresentable for a
-    pair missing from pairs, and TypeError for anything that is not a step.
+    keeps the picture's factor. A step that has none yet gets it here and
+    keeps it, read-only: a local from local(t0, t1, t2), and the couplings,
+    each once, from one couplings() call on their stacked (k, 3, 3)
+    coefficients in the picture's layout, each a copy of its own, so that no
+    step pins the stack. Returns (key, factor), in sequence order, for each
+    local that rotates and each coupling, and the summed phase in [-pi, pi].
+    Raises NotRepresentable for a pair missing from pairs, and TypeError for
+    anything that is not a step.
     """
     out, fresh = [], {}
     phase = 0.0
@@ -178,7 +183,13 @@ def _steps(seq, qubits: dict, pairs: dict, factor: str) -> tuple[list, list, np.
             phase = math.remainder(phase + step.alpha, 2.0 * math.pi)
         else:
             raise TypeError(f"not a gate step: {step!r}")
-    return out, list(fresh), np.array(list(fresh.values())).reshape(-1, 3, 3), phase
+    if fresh:
+        for step, u in zip(fresh, couplings(np.array(list(fresh.values())))):
+            _keep(step, factor, u.copy())
+    for k, (key, step) in enumerate(out):
+        u = getattr(step, factor)
+        out[k] = key, u if u is not None else _keep(step, factor, local(*step.theta))
+    return out, phase
 
 
 def _keep(step, factor: str, u: np.ndarray) -> np.ndarray:
@@ -197,24 +208,16 @@ def _su2(t0: float, t1: float, t2: float) -> np.ndarray:
                      [complex(-s * t1, s * t0), complex(c, -s * t2)]])
 
 
-def _evolve(seq, m: np.ndarray) -> np.ndarray:
-    """Apply the steps to the (8, R) amplitude matrix m; its columns evolve independently.
+def _pair_unitaries(th: np.ndarray) -> np.ndarray:
+    """The 4x4 unitaries of stacked (k, 3, 3) coefficients, halved first so no sum overflows."""
+    return expi_hermitian(((0.5 * th).reshape(-1, 9) @ _SIGMA_PAIRS).reshape(-1, 4, 4))
 
-    Each step's factor is made on its first use here and kept. A local's is
-    built from scalars; the couplings that have none yet get theirs from one
-    stacked exponential of their 4x4 generators, whose theta is halved
-    before it is summed, so that no sum overflows.
-    """
-    steps, fresh, th, phase = _steps(seq, _LOCAL_LEAD, _PAIR_LAYOUT, "_unitary")
-    if fresh:
-        us = expi_hermitian(((0.5 * th).reshape(-1, 9) @ _SIGMA_PAIRS).reshape(-1, 4, 4))
-        for step, u in zip(fresh, us):
-            _keep(step, "_unitary", u.copy())   # a copy, so no step holds the whole stack
+
+def _evolve(seq, m: np.ndarray) -> np.ndarray:
+    """Apply the steps to the (8, R) amplitude matrix m; its columns evolve independently."""
+    steps, phase = _steps(seq, _LOCAL_LEAD, _PAIR_LAYOUT, "_unitary", _su2, _pair_unitaries)
     r = m.shape[1]
-    for lead, step in steps:
-        u = step._unitary
-        if u is None:   # a local's first use
-            u = _keep(step, "_unitary", _su2(*step.theta))
+    for lead, u in steps:
         if lead:
             m = (u @ m.reshape(lead, len(u), -1)).reshape(8, r)
         else:

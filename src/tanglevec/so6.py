@@ -22,15 +22,16 @@ UnknownGenerator, and an axis n, m that is not an integer 1-3 IndexOutOfRange.
 evolve_q and so6_image are one dual evolution: so6_image evolves eye(6), as
 gates.sequence_unitary evolves eye(8). The walker gates._steps sorts the
 steps, checked when they were built, given this partition's qubit offsets
-(None for the spectator) and its pair layout. A step makes its dual factor
-once, on the first dual evolution that applies it, and keeps it, read-only,
-as its _rotation (about 0.4 KB for a coupling's 6x6). A local's
-3x3 Rodrigues rotation is computed from scalars and acts on its own three
-components only. The coupling images of a sequence that have no factor yet,
-sum theta_nm Lambda_nm, are exponentiated in one stacked expi_hermitian call.
-The walker shares sorting only: the dual picture never reads the 4x4
-unitaries that the Hilbert picture keeps on a step (_unitary), so comparing
-the two pictures stays a test of the generator map.
+(None for the spectator), its pair layout and this picture's two factor
+formulas; it makes each step's dual factor on the first dual evolution that
+applies the step and keeps it, read-only (about 0.4 KB for a coupling's
+6x6). This module keeps only the formulas and the contraction loop. A
+local's 3x3 Rodrigues rotation (_rodrigues) is computed from scalars and
+acts on its own three components only. The coupling images of a sequence
+that have no factor yet, sum theta_nm Lambda_nm, are exponentiated in one
+stacked expi_hermitian call (_lambda_rotations). The dual picture never
+reads the 4x4 unitaries that the Hilbert picture keeps on a step, so
+comparing the two pictures stays a test of the generator map.
 """
 from __future__ import annotations
 
@@ -40,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import IndexOutOfRange, UnknownGenerator
-from .gates import _AXES, PAIR_PAULIS, LocalStep, _keep, _steps, expi_hermitian
+from .gates import _AXES, PAIR_PAULIS, LocalStep, _steps, expi_hermitian
 from .states import PARTITION_PAIR, PARTITION_SPECTATOR, _named, parse_partition
 from .vectors import SixVector
 
@@ -151,29 +152,23 @@ def so3_image(theta) -> np.ndarray:
 _LAMBDAS = SO6_BASIS[6:].reshape(9, 36).astype(float)
 
 
+def _lambda_rotations(th: np.ndarray) -> np.ndarray:
+    """The 6x6 rotations exp(sum theta_nm Lambda_nm) of stacked (k, 3, 3) coefficients."""
+    g = (th.reshape(-1, 9) @ _LAMBDAS).reshape(-1, 6, 6)
+    return expi_hermitian(-1j * g).real   # exp(g) = exp(i h) with the Hermitian h = -i g
+
+
 def _dual_evolve(seq, p: int, m: np.ndarray) -> tuple[np.ndarray, float]:
     """Rotate partition p's 6-vectors m, shape (6,) or (6, R), through the steps.
 
     m is updated in place where a local acts. Returns the rotated m and the
-    summed phase2, which is left for the caller to apply. Each step's
-    rotation is made on its first use here and kept. A local's 3x3 rotation
-    is built from scalars and acts on its own three components; the
-    couplings that have none yet get theirs from one stacked exponential of
-    their so(6) generators.
+    summed phase2, which is left for the caller to apply.
     """
     first, second = PARTITION_PAIR[p]
-    steps, fresh, th, phase = _steps(seq, {first: 0, second: 3, PARTITION_SPECTATOR[p]: None},
-                                     {first + second: (None, False), second + first: (None, True)},
-                                     "_rotation")
-    if fresh:
-        g = (th.reshape(-1, 9) @ _LAMBDAS).reshape(-1, 6, 6)
-        # exp(g) = exp(i h) with the Hermitian h = -i g
-        for step, y in zip(fresh, expi_hermitian(-1j * g).real):
-            _keep(step, "_rotation", y.copy())   # a contiguous copy of its own
-    for off, step in steps:
-        y = step._rotation
-        if y is None:   # a local's first use
-            y = _keep(step, "_rotation", _rodrigues(*step.theta))
+    steps, phase = _steps(seq, {first: 0, second: 3, PARTITION_SPECTATOR[p]: None},
+                          {first + second: (None, False), second + first: (None, True)},
+                          "_rotation", _rodrigues, _lambda_rotations)
+    for off, y in steps:
         if off is None:
             m = y @ m
         else:

@@ -10,11 +10,11 @@ qubit and whose rows run over the remaining pair.
 
 Every list of real parameters passes one check, _reals: n ints, floats or
 numpy real scalars (never a bool), each finite, else ParseError. Seeds and
-counts must be integers and tolerances pass _reals (_check_options); only the
-CLI reads numbers from text. Every list of complex numbers (a state, its JSON
-pairs, a 6-vector) passes _complexes. Every name or index a caller passes (a
-qubit, a pair, a partition, an axis, a generator label, a gate name) is
-looked up once, by _named.
+counts must be integers (_check_options); only the CLI reads numbers from
+text. Every list of complex numbers (a state, its JSON pairs, a 6-vector)
+passes _complexes. Every name or index a caller passes (a qubit, a pair, a
+partition, an axis, a generator label, a gate name) is looked up once, by
+_named.
 """
 from __future__ import annotations
 
@@ -82,14 +82,13 @@ def _reals(values, n: int, what: str) -> tuple:
     raise ParseError(f"{what}: expected {n} real number{'s' * (n > 1)}, got {values!r}")
 
 
-def _check_options(*, seeds=None, counts=None, tols=None) -> None:
+def _check_options(*, seeds=None, counts=None) -> None:
     """Refuse an out-of-range option of a random or iterative routine.
 
     Each argument maps option names to values: a seed must be an integer
     (Python or numpy, not a bool) of at least 0 (numpy's generators take no
-    negative seed), a count (restarts, iteration caps) such an integer of at
-    least 1, and a tolerance a finite real number (_reals) that is not
-    negative. Raises ParseError naming the first bad option.
+    negative seed), and a count (restarts, iteration caps) such an integer of
+    at least 1. Raises ParseError naming the first bad option.
     """
     for least, opts in ((0, seeds), (1, counts)):
         for name, value in (opts or {}).items():
@@ -97,9 +96,6 @@ def _check_options(*, seeds=None, counts=None, tols=None) -> None:
                 raise ParseError(f"{name} must be an integer, got {value!r}")
             if not value >= least:
                 raise ParseError(f"{name} must be at least {least}, got {value!r}")
-    for name, value in (tols or {}).items():
-        if not _reals((value,), 1, name)[0] >= 0:
-            raise ParseError(f"{name} must be finite and not negative, got {value!r}")
 
 
 def _complexes(values, n: int, what: str) -> np.ndarray:

@@ -270,14 +270,11 @@ def extremum_residual(s, pair: str = "ab") -> float:
 # --- Fubini-Study angle ----------------------------------------------------
 
 def _random_su2_stack(rng, n: int) -> np.ndarray:
-    """(n, 3, 2, 2) Haar-ish unitaries; the first entry is the identity."""
-    out = np.empty((n, 3, 2, 2), dtype=np.complex128)
-    out[0] = np.eye(2)
+    """(n, 3, 2, 2) Haar-ish unitaries, every one drawn at random: one per restart and qubit."""
     # one draw in the order a per-unitary loop would consume the stream:
     # for each (restart, qubit) the four real parts, then the four imaginary
-    z = rng.standard_normal((n - 1, 3, 2, 2, 2))
-    out[1:], _ = np.linalg.qr(z[:, :, 0] + 1j * z[:, :, 1])
-    return out
+    z = rng.standard_normal((n, 3, 2, 2, 2))
+    return np.linalg.qr(z[:, :, 0] + 1j * z[:, :, 1])[0]
 
 
 @dataclass(frozen=True)
@@ -348,6 +345,11 @@ def fubini_study_angle(s1, s2, restarts: int = 32, seed: int = 0,
 
 # --- independent ascent oracle ---------------------------------------------
 
+#: a restart is stationary once the gradient of |A.A|^2 is below this times
+#: T^2, T the spectator's bipartite tangle
+_ASCENT_GTOL = 1e-10
+
+
 @dataclass(frozen=True)
 class TangleAscentResult:
     """A tangle ascent: the best three-tangle and how its restarts ended.
@@ -370,7 +372,7 @@ class TangleAscentResult:
 
 
 def tangle_ascent_search(s, pair: str = "ab", restarts: int = 16, seed: int = 0,
-                         max_iters: int = 400, gtol: float = 1e-10) -> TangleAscentResult:
+                         max_iters: int = 400) -> TangleAscentResult:
     """Numerically maximize the three-tangle over the pair's SU(4), with diagnostics.
 
     Independent of the analytic protocol: a trust-region Newton ascent of
@@ -378,13 +380,11 @@ def tangle_ascent_search(s, pair: str = "ab", restarts: int = 16, seed: int = 0,
     15-parameter group (the first is the identity). Used to certify that
     nothing exceeds the invariant bound. `max_iters` caps each restart's
     Newton steps; a restart ends at rounding level or once the gradient of
-    |A.A|^2 is below `gtol` T^2, T the spectator's bipartite tangle (the
+    |A.A|^2 is below 1e-10 T^2, T the spectator's bipartite tangle (the
     bound), since that gradient scales as T^2. Raises ParseError for
-    `restarts` or `max_iters` below 1, a negative `seed`, and a `gtol` that
-    is not finite or is negative.
+    `restarts` or `max_iters` below 1 and a negative `seed`.
     """
-    _check_options(seeds={"seed": seed}, counts={"restarts": restarts, "max_iters": max_iters},
-                   tols={"gtol": gtol})
+    _check_options(seeds={"seed": seed}, counts={"restarts": restarts, "max_iters": max_iters})
     p, pq = _canonical_pair(pair)
     t = normalize(s).reshape(2, 2, 2)
     # relabel qubits so the coupled pair occupies the leading two slots;
@@ -395,11 +395,11 @@ def tangle_ascent_search(s, pair: str = "ab", restarts: int = 16, seed: int = 0,
     inits = np.zeros((restarts, 15))
     inits[1:] = rng.uniform(-np.pi, np.pi, size=(restarts - 1, 15))
     # no point of the orbit has a three-tangle above the spectator's bipartite
-    # tangle T, and the gradient of |A.A|^2 scales as T^2, so gtol is relative
-    # to T^2; when T is zero at rounding, every restart is at the maximum
+    # tangle T, and the gradient of |A.A|^2 scales as T^2, so the stop is
+    # relative to T^2; when T is zero at rounding, every restart is at the maximum
     bound = bipartite_tangle_from_density(psi, "c")
     best, stats = _kernels.tangle_ascent_best(psi, SU4_BASIS, inits, max_iters,
-                                              gtol * bound ** 2)
+                                              _ASCENT_GTOL * bound ** 2)
     if bound <= 64 * _kernels._EPS:
         stats = stats._replace(converged=restarts, capped=False)
     return TangleAscentResult(best, restarts, stats.polish, stats.converged, stats.capped,
@@ -407,11 +407,10 @@ def tangle_ascent_search(s, pair: str = "ab", restarts: int = 16, seed: int = 0,
 
 
 def tangle_ascent_oracle(s, pair: str = "ab", restarts: int = 16, seed: int = 0,
-                         max_iters: int = 400, gtol: float = 1e-10) -> float:
+                         max_iters: int = 400) -> float:
     """Numerically maximize the three-tangle over the pair's full SU(4).
 
-    The tangle of ``tangle_ascent_search`` with the same arguments, `gtol`
-    relative to the square of the bound as there; refuses the same arguments
-    with ParseError.
+    The tangle of ``tangle_ascent_search`` with the same arguments; refuses
+    the same arguments with ParseError.
     """
-    return tangle_ascent_search(s, pair, restarts, seed, max_iters, gtol).tangle
+    return tangle_ascent_search(s, pair, restarts, seed, max_iters).tangle

@@ -110,6 +110,16 @@ def test_analyze_wrong_length(tmp_path, capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize("kind", ["missing", "directory", "not-utf8"])
+def test_a_state_path_that_cannot_be_read_is_an_error(kind, tmp_path, capsys):
+    # an error line and exit 1, not a traceback
+    (tmp_path / "latin1.json").write_bytes(b'{"amplitudes": "\xff\xfe"}')
+    path = {"missing": tmp_path / "missing.json", "directory": tmp_path,
+            "not-utf8": tmp_path / "latin1.json"}[kind]
+    code, doc, err = run_cli(capsys, "analyze", "--state", str(path))
+    assert code == 1 and doc is None and err.startswith("error: ")
+
+
 #: couplings on both orders of the non-adjacent pair (a, c) and a local on
 #: every qubit: partition 2 carries the pair (c, a), partition 3 neither
 MIXED_SEQUENCE = [

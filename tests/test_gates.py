@@ -261,33 +261,38 @@ def _twice(step):
     return [step, LocalStep("c", (1.0, 0.0, 0.0)), step]
 
 
-@pytest.mark.parametrize("build, couplings", [
-    (lambda: [LocalStep("a", (0.1, 0.2, 0.3)), PhaseStep(0.4), LocalStep("b", (0.0, 0.0, 0.0))], 0),
-    (lambda: [CouplingStep("ab", np.eye(3))], 1),
+@pytest.mark.parametrize("build, couplings, hilbert_locals, dual_locals", [
+    (lambda: [LocalStep("a", (0.1, 0.2, 0.3)), PhaseStep(0.4), LocalStep("b", (0.0, 0.0, 0.0))],
+     0, 1, 1),
+    (lambda: [CouplingStep("ab", np.eye(3))], 1, 0, 0),
     (lambda: [CouplingStep("ba", np.eye(3)), LocalStep("c", (1.0, 0.0, 0.0)),
-              CouplingStep("ab", -np.eye(3)), PhaseStep(0.2), CouplingStep("ba", np.ones((3, 3)))], 3),
-    (lambda: _twice(CouplingStep("ba", np.eye(3))), 1),
-], ids=["locals", "one-coupling", "three-couplings", "one-coupling-twice"])
-def test_one_exponential_per_sequence(build, couplings, monkeypatch):
+              CouplingStep("ab", -np.eye(3)), PhaseStep(0.2), CouplingStep("ba", np.ones((3, 3)))],
+     3, 1, 0),
+    (lambda: _twice(CouplingStep("ba", np.eye(3))), 1, 1, 0),
+    (lambda: _twice(LocalStep("b", (0.4, -0.2, 0.9))), 0, 2, 1),
+], ids=["locals", "one-coupling", "three-couplings", "one-coupling-twice", "one-local-twice"])
+def test_one_exponential_per_sequence(build, couplings, hilbert_locals, dual_locals, monkeypatch):
     # the first use of new steps in a picture makes all their coupling
-    # factors in one stacked exponential, each coupling once; a step keeps
-    # its factor, so a later use in that picture makes none, and the other
+    # factors in one stacked exponential, each coupling once, and each local's
+    # factor once (the dual picture skips the spectator c); a step keeps its
+    # factor, so a later use in that picture makes none, and the other
     # picture still makes its own
     seq = build()
     sizes = _stack_sizes(monkeypatch)
+    su2, rodrigues = count_calls(monkeypatch, gates._su2), count_calls(monkeypatch, so6._rodrigues)
     once = [couplings] if couplings else []
     s, q = random_state(1), q_vector(random_state(1), 3)
     apply(seq, s)
-    assert sizes == once
+    assert sizes == once and len(su2) == hilbert_locals
     apply(seq, s)
     sequence_unitary(seq)
-    assert sizes == once
+    assert sizes == once and len(su2) == hilbert_locals
     evolve_q(seq, q)
-    assert sizes == 2 * once
+    assert sizes == 2 * once and len(rodrigues) == dual_locals
     evolve_q(seq, q)
     for step in seq:
         so6_image(step, 3)
-    assert sizes == 2 * once
+    assert sizes == 2 * once and (len(su2), len(rodrigues)) == (hilbert_locals, dual_locals)
     # a sequence that adds one new coupling stacks only that one
     sizes.clear()
     sequence_unitary(seq + [CouplingStep("ab", np.ones((3, 3)))])

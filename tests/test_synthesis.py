@@ -467,12 +467,12 @@ def test_extremum_residual_gauge_undefined():
 
 def test_random_su2_stack_matches_loop():
     # seeded restarts must not move: the stack consumes the stream exactly as
-    # one draw per unitary (real parts, then imaginary parts) did
+    # one draw per unitary (real parts, then imaginary parts) did, and every
+    # restart is drawn, the first too
     for n in (1, 2, 9):
         rng = np.random.default_rng(n)
         ref = np.empty((n, 3, 2, 2), dtype=np.complex128)
-        ref[0] = np.eye(2)
-        for r in range(1, n):
+        for r in range(n):
             for q in range(3):
                 x = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
                 ref[r, q] = np.linalg.qr(x)[0]
