@@ -3,11 +3,10 @@
 Two optimizer loops dominate the library's runtime: the local-unitary
 overlap maximization behind the Fubini-Study angle, and the ascent oracle
 that cross-checks the analytic three-tangle maximum. Both run all random
-restarts in lockstep. Only the Newton loop keeps a per-restart mask: it
-freezes each restart at the point where a one-restart-at-a-time loop would
-have stopped it, so every restart follows the trajectory it would follow
-alone (up to rounding), and a call costs as many iterations as its slowest
-restart instead of the sum over restarts.
+restarts in lockstep, so a call costs as many iterations as its slowest
+restart instead of the sum over restarts. The Newton loop works on a
+compact array of the restarts still live and writes each back where a
+one-restart-at-a-time loop would stop it: no restart depends on its batch.
 
 Both end in one trust-region Newton loop (``_newton``). It takes a model,
 which gives the value, gradient and Hessian for a stack of restarts, and a
@@ -25,14 +24,13 @@ drifting along the flat directions long after the overlap has settled, so
 the Newton loop finishes every restart on SU(2)^3 (``_fs_model``, 9 tangent
 angles).
 
-The ascent goes from its random starts straight into the Newton loop. Its
-model (``_ascent_model``) moves the state by exp(i sum_k x_k H_k) on the
-pair with the 9 couplings H_k = sigma_n x sigma_m / 2 alone: local
-unitaries on the pair leave |A.A| fixed, so its gradient along them is
-exactly 0, and a 9x9 Hessian costs half the eigendecomposition of a 15x15
-one. Its retraction is the Cayley transform (``_pair_cayley``), which
-agrees with the exponential to second order and takes a 4x4 solve where
-the exponential takes an eigendecomposition.
+The ascent maps each random start once to the pair's 6-vector
+Q = (A, -iB), on which the pair's SU(4) acts as SO(6), and goes straight
+into the Newton loop. Its model (``_ascent_model``) moves Q along the 9
+coupling images Lambda_{n,m} alone: local unitaries on the pair leave
+|A.A| fixed. The gradient and Hessian of |A.A|^2 are a few outer products
+of Q's two halves, and the retraction (``_pair_cayley``), the Cayley
+transform, agrees with the exponential to second order in one 3x3 solve.
 """
 from __future__ import annotations
 
@@ -40,8 +38,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .gates import I2, PAIR_PAULIS, SIGMA, expi_hermitian
-from .vectors import _A_QUADS
+from .gates import I2, SIGMA, expi_hermitian
+from .vectors import _ABC_QUADS
 
 _EPS = np.finfo(float).eps
 #: sweeps before the polish: they bring each restart near an optimum, and
@@ -58,14 +56,13 @@ _FLIP = np.array([1.0, -1.0, -1.0, 1.0])
 _ONE = (np.array([16, 4, 1])[:, None] * np.arange(1, 4)).reshape(9)
 _SAME = np.kron(np.eye(3, dtype=bool), np.ones((3, 3), dtype=bool))
 _TWO = np.where(_SAME, 0, _ONE[:, None] + _ONE[None, :])
-# the ascent's directions H_k = sigma_n x sigma_m / 2 on the pair, as (36, 4)
-# rows that give every H_k psi in one product, and their anticommutators
-# {H_k, H_l} as a (16, 81) table contracted with the pair matrix v psi^T
-_H = PAIR_PAULIS[6:] / 2
-_H_ROWS = _H.reshape(36, 4)
-_ANTI = (np.einsum("kxy,lyz->klxz", _H, _H) + np.einsum("lxy,kyz->klxz", _H, _H)).reshape(81, 16).T
-_Q_ROWS = _A_QUADS.reshape(24, 8).T
-_I4 = np.eye(4)
+#: the forms of the 6-vector (A, -iB) of the leading pair
+_PAIR_QUADS = _ABC_QUADS[:48].reshape(6, 8, 8) * np.repeat([1.0, -1j], 3)[:, None, None]
+_I3 = np.eye(3)
+# 2 Re(conj(f) d2f) is W @ _D2F, for W = Re(conj(f) Q Q^T) as (R, 36) rows (_ascent_model)
+_E = np.eye(6)
+_D2F = 4.0 * (np.einsum("mi,pj,nq->ijnmqp", _E[3:], _E[3:], _I3)
+              - np.einsum("ni,qj,mp->ijnmqp", _E[:3], _E[:3], _I3)).reshape(36, 81)
 
 
 class SearchStats(NamedTuple):
@@ -118,50 +115,54 @@ def _newton(model, retract, x, budget, gtol):
 
     Returns (v (R,), points, steps (R,), converged (R,) bool).
     """
-    n = x.shape[0]
-    x = x.copy()
     vals, g, h = model(x)
     gnorm = np.linalg.norm(g, axis=1)
-    steps = np.zeros(n, dtype=np.int64)
+    steps = np.zeros(len(vals), dtype=np.int64)
     converged = (vals > 0.0) & (gnorm <= np.maximum(gtol, 64 * _EPS * vals))
-    radius = np.full(n, 0.5)
-    dim = g.shape[1]
-    lam = np.ones((n, dim))
-    vec = np.zeros((n, dim, dim))
-    fresh = np.ones(n, dtype=bool)  # at a new point: H must be decomposed
-    # at v = 0, v^2 is at its minimum with zero gradient: no step moves it
-    act = np.flatnonzero(~converged & (vals > 0.0) & (budget > 0))
-    while act.size:
-        due = act[fresh[act]]
-        if due.size:
-            w, vec[due] = np.linalg.eigh(h[due])
+    x = x.copy()
+    # at v = 0, v^2 is at its minimum with zero gradient: no step moves it.
+    # The live restarts are gathered once; a row is written back when it stops
+    live = np.flatnonzero(~converged & (vals > 0.0) & (budget > 0))
+    lx, lv, lg, lh, lgn, left = x[live], vals[live], g[live], h[live], gnorm[live], budget[live]
+    radius = np.full(live.size, 0.5)
+    # each row's uncut step and its norm, kept until the row moves
+    full, fnorm = np.empty_like(lg), np.empty_like(lgn)
+    fresh = np.ones(live.size, dtype=bool)   # at a new point: H must be decomposed
+    it = 0
+    while live.size:
+        if fresh.any():
+            w, vec = np.linalg.eigh(lh[fresh])
             w = np.abs(w)
-            lam[due] = np.maximum(w, 1e-3 * w.max(axis=1, keepdims=True))
-        v, ga, ha, c = vec[act], g[act], h[act], vals[act]
-        d = np.einsum("rij,rj->ri", v, np.einsum("rji,rj->ri", v, ga) / lam[act])
-        dnorm = np.linalg.norm(d, axis=1)
-        cut = np.minimum(1.0, radius[act] / dnorm)
-        d *= cut[:, None]
-        pred = np.einsum("ri,ri->r", ga, d) + 0.5 * np.einsum("ri,rij,rj->r", d, ha, d)
-        trial = retract(x[act], d)
+            lam = np.maximum(w, 1e-3 * w.max(axis=1, keepdims=True))
+            full[fresh] = ((lg[fresh, None] @ vec) / lam[:, None] @ vec.transpose(0, 2, 1))[:, 0]
+            fnorm[fresh] = np.linalg.norm(full[fresh], axis=1)
+        cut = np.minimum(1.0, radius / fnorm)
+        d = full * cut[:, None]
+        pred = ((lg + 0.5 * (lh @ d[:, :, None])[:, :, 0]) * d).sum(axis=1)
+        trial = retract(lx, d)
         vt, gt, ht = model(trial)
-        gtnorm = np.linalg.norm(gt, axis=1)
-        gain = vt ** 2 - c ** 2
-        rounding = pred <= 8 * _EPS * c ** 2
-        ok = np.where(rounding, gtnorm < gnorm[act], gain >= 0.25 * pred)
-        steps[act] += 1
+        gtn = np.linalg.norm(gt, axis=1)
+        c2 = lv * lv
+        gain, rounding = vt * vt - c2, pred <= 8 * _EPS * c2
+        ok = np.where(rounding, gtn < lgn, gain >= 0.25 * pred)
+        it += 1
         grow = ok & (cut < 1.0) & (gain > 0.75 * pred)
-        radius[act] = np.where(ok, np.where(grow, np.minimum(2.0 * radius[act], 1.0),
-                                            radius[act]), 0.25 * cut * dnorm)
-        new = act[ok]
-        x[new], vals[new], g[new], h[new], gnorm[new] = (trial[ok], vt[ok], gt[ok], ht[ok],
-                                                         gtnorm[ok])
-        fresh[act] = ok
-        done = ok & (gtnorm <= np.maximum(gtol, 64 * _EPS * vt))
+        radius = np.where(ok, np.where(grow, np.minimum(2.0 * radius, 1.0), radius),
+                          0.25 * cut * fnorm)
         floor = ~ok & rounding
-        near = (c > 0.0) & (gnorm[act] <= np.sqrt(_EPS) * c)
-        converged[act] = done | (floor & near)
-        act = act[~(done | floor) & (steps[act] < budget[act])]
+        if ok.all():
+            lx, lv, lg, lh, lgn = trial, vt, gt, ht, gtn
+        else:
+            lx[ok], lv[ok], lg[ok], lh[ok], lgn[ok] = trial[ok], vt[ok], gt[ok], ht[ok], gtn[ok]
+        fresh = ok
+        done = ok & (gtn <= np.maximum(gtol, 64 * _EPS * vt))
+        stop = done | floor | (it >= left)
+        if stop.any():
+            rows, keep = live[stop], ~stop
+            x[rows], vals[rows], steps[rows] = lx[stop], lv[stop], it
+            converged[rows] = (done | (floor & (lv > 0.0) & (lgn <= np.sqrt(_EPS) * lv)))[stop]
+            live, lx, lv, lg, lh, lgn, left, radius, full, fnorm, fresh = (
+                t[keep] for t in (live, lx, lv, lg, lh, lgn, left, radius, full, fnorm, fresh))
     return vals, x, steps, converged
 
 
@@ -286,43 +287,39 @@ def fs_best_overlap(t1, t2, inits, max_sweeps):
     return float(vals[r]), best_us, _stats(vals, sweeps, polish, converged, max_sweeps)
 
 
-def _ascent_model(psi):
-    """|f|, gradient g and Hessian H of |f|^2, f = A.A, at the (R, 8) states.
+def _ascent_model(q):
+    """|f|, gradient g and Hessian H of |f|^2, f = A.A, at the (R, 6) 6-vectors Q.
 
-    The 9 tangent angles x move psi to exp(i sum_k x_k H_k) psi on the pair
-    (the leading two qubits). With J_k = H_k psi, q_i = Q_i psi,
-    M = sum_i A_i Q_i and v = M psi, A_i = psi^T Q_i psi has
-    dA_i/dx_k = 2i q_i.J_k, so df/dx_k = 4i v.J_k, and f has the Hessian
-    2 dA^T dA - 4 J M J^T - 2 (v psi^T).{H_k, H_l}, whose first two terms
-    are -4 J (M + 2 sum_i q_i q_i^T) J^T.
+    The 9 tangent angles x move Q = (Q_A, Q_B) to exp(sum_k x_k Lambda_k) Q,
+    k = 3(n-1) + m-1, and Lambda_{n,m} turns (Q_A)_n into (Q_B)_m. So
+    f = Q_A.Q_A has df_k = -2 (Q_A)_n (Q_B)_m and d2f = 2 (I3 x Q_B Q_B^T -
+    Q_A Q_A^T x I3). Then g = 2 Re(conj(f) df) and H = 2 Re(conj(df) df^T +
+    conj(f) d2f), where all but 2 Re(conj(df) df^T) is linear in W = Re(conj(f) Q Q^T).
     """
-    r = psi.shape[0]
-    p4 = psi.reshape(r, 4, 2)
-    # J[r, k] = H_k psi as one (2R, 4) @ (4, 36) product on the pair axis
-    j = (p4.transpose(0, 2, 1).reshape(2 * r, 4) @ _H_ROWS.T).reshape(r, 2, 9, 4)
-    j = j.transpose(0, 2, 3, 1).reshape(r, 9, 8)
-    q = (psi @ _Q_ROWS).reshape(r, 3, 8)
-    a = np.einsum("rim,rm->ri", q, psi)
-    f = np.einsum("ri,ri->r", a, a)
-    v = np.einsum("ri,rim->rm", a, q)
-    df = 4j * np.einsum("rkm,rm->rk", j, v)
-    x = (a @ _A_QUADS.reshape(3, 64)).reshape(r, 8, 8) + 2.0 * (q.transpose(0, 2, 1) @ q)
-    w = (v.reshape(r, 4, 2) @ p4.transpose(0, 2, 1)).reshape(r, 16)
-    d2f = -4.0 * (j @ x @ j.transpose(0, 2, 1)) - 2.0 * (w @ _ANTI).reshape(r, 9, 9)
-    fc = np.conj(f)
-    g = 2.0 * np.real(fc[:, None] * df)
-    h = 2.0 * np.real(np.conj(df)[:, :, None] * df[:, None, :] + fc[:, None, None] * d2f)
-    return np.abs(f), g, h
+    qa = q[:, :3]
+    f = np.einsum("ri,ri->r", qa, qa)
+    qq = q[:, :, None] * q[:, None, :]
+    df = -2.0 * qq[:, :3, 3:].reshape(-1, 9)
+    w = np.real(np.conj(f)[:, None, None] * qq)
+    dv = df.view(np.float64).reshape(-1, 9, 2)
+    h = w.reshape(-1, 36) @ _D2F
+    h += 2.0 * (dv @ dv.transpose(0, 2, 1)).reshape(-1, 81)
+    return np.abs(f), -4.0 * w[:, :3, 3:].reshape(-1, 9), h.reshape(-1, 9, 9)
 
 
-def _pair_cayley(psi, d):
-    """(1 - i D/2)^-1 (1 + i D/2), D = sum_k d_k H_k, on each (R, 8) state's pair.
+def _pair_cayley(q, d):
+    """(1 - G/2)^-1 (1 + G/2) Q, G = [[0, -D], [D^T, 0]], D the 3x3 d, on (R, 6) rows.
 
-    The Cayley transform of D is unitary and equals exp(i D) to second order.
+    G = sum_k d_k Lambda_k. The result is 2 U - Q with (1 - G/2) U = Q, whose
+    lower half solves (I + D^T D / 4) U_B = Q_B + D^T Q_A / 2, the Schur
+    complement, with Re and Im as two right-hand sides.
     """
-    h = (0.5j * (d @ _H.reshape(9, 16))).reshape(-1, 4, 4)
-    p4 = psi.reshape(-1, 4, 2)
-    return np.linalg.solve(_I4 - h, p4 + h @ p4).reshape(-1, 8)
+    dm = d.reshape(-1, 3, 3)
+    dt = dm.transpose(0, 2, 1)
+    x = q.view(np.float64).reshape(-1, 6, 2)
+    xa, xb = x[:, :3], x[:, 3:]
+    ub = np.linalg.solve(_I3 + 0.25 * (dt @ dm), xb + 0.5 * (dt @ xa))
+    return np.concatenate((xa - dm @ ub, 2.0 * ub - xb), axis=1).view(np.complex128)[:, :, 0]
 
 
 def tangle_ascent_best(psi0, gens, inits, max_iters, gtol):
@@ -330,16 +327,18 @@ def tangle_ascent_best(psi0, gens, inits, max_iters, gtol):
 
     Each restart starts at exp(sum_k xi_k G_k) psi0 for its row xi of
     ``inits``, with the 15 generators ``gens`` acting on the leading qubit
-    pair, and runs ``_newton`` on |A.A|^2 over the 9 pair couplings
-    (``_ascent_model``) for at most ``max_iters`` steps; ``gtol`` is the
-    gradient at which a restart counts as stationary even above rounding.
+    pair, mapped once to its 6-vector Q = (A, -iB). ``_newton`` runs on
+    |A.A|^2 over the 9 coupling images (``_ascent_model``) for at most
+    ``max_iters`` steps; ``gtol`` is the gradient at which a restart counts
+    as stationary even above rounding.
 
     Returns (4 max |A.A|, SearchStats over the restart tangles).
     """
     n = inits.shape[0]
     start = expi_hermitian((inits @ (-1j * gens).reshape(15, 16)).reshape(n, 4, 4))
     psi = (start @ psi0.reshape(4, 2)).reshape(n, 8)
-    vals, _, steps, converged = _newton(_ascent_model, _pair_cayley, psi,
+    q = np.einsum("rm,kmn,rn->rk", psi, _PAIR_QUADS, psi)
+    vals, _, steps, converged = _newton(_ascent_model, _pair_cayley, q,
                                         np.full(n, max_iters), gtol)
     tangles = 4.0 * vals
     return float(tangles.max()), _stats(tangles, 0, steps, converged, max_iters)

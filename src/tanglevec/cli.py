@@ -24,8 +24,8 @@ from .so6 import evolve_q, verify_commutators
 from .states import (PARTITION_PAIR, PARTITION_SPECTATOR, _check_options, _reals, normalize,
                      parse_partition, random_state, state_from_json, state_to_json)
 from .synthesis import (fubini_study_search, maximize_three_tangle,
-                        synthesize_coupling_core, w_to_ghz_sequence)
-from .tangles import ckw_residual, tangle_set
+                        synthesize_coupling_core, tangle_ascent_search, w_to_ghz_sequence)
+from .tangles import bipartite_tangle_from_density, ckw_residual, tangle_set
 from .vectors import EPS_INV, abc_vectors, gauge_phase, plucker_residual, q_vector
 
 EXIT_OK = 0
@@ -162,6 +162,17 @@ def cmd_fs_angle(args) -> int:
     payload = {**dataclasses.asdict(res),
                "note": "stochastic optimizer: upper bound on the true minimum"}
     _emit(_report("fs-angle", [d1, d2], payload, seed=args.seed), args.pretty)
+    return EXIT_OK
+
+
+def cmd_ascent(args) -> int:
+    s, digest = _load_state(args.state)
+    res = tangle_ascent_search(s, args.pair, restarts=args.restarts, seed=args.seed)
+    spectator = next(q for q in "abc" if q not in args.pair)   # the search checked the pair
+    payload = {**dataclasses.asdict(res), "spectator": spectator,
+               "bound": bipartite_tangle_from_density(normalize(s), spectator),
+               "note": "stochastic optimizer: lower bound on the true maximum"}
+    _emit(_report("ascent", digest, payload, seed=args.seed), args.pretty)
     return EXIT_OK
 
 
@@ -315,6 +326,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--restarts", type=int, default=32)
     p.set_defaults(func=cmd_fs_angle)
+
+    p = sub.add_parser("ascent", help="numerical three-tangle maximum over the pair's SU(4)")
+    p.add_argument("--state", required=True)
+    p.add_argument("--pair", default="ab")
+    p.add_argument("--restarts", type=int, default=16)
+    p.add_argument("--seed", type=int, default=0)
+    p.set_defaults(func=cmd_ascent)
 
     p = sub.add_parser("quat", help="quaternionic subsystem")
     qsub = p.add_subparsers(dest="what", required=True)

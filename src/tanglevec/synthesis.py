@@ -377,8 +377,9 @@ def tangle_ascent_search(s, pair: str = "ab", restarts: int = 16, seed: int = 0,
 
     Independent of the analytic protocol: a trust-region Newton ascent of
     |A.A|^2 along the 9 pair couplings from `restarts` random points of the
-    15-parameter group (the first is the identity). Used to certify that
-    nothing exceeds the invariant bound. `max_iters` caps each restart's
+    15-parameter group (the first is the identity), each run on the pair's
+    6-vector (A, -iB), on which the pair's SU(4) acts as SO(6). Used to
+    certify that nothing exceeds the invariant bound. `max_iters` caps each restart's
     Newton steps; a restart ends at rounding level or once the gradient of
     |A.A|^2 is below 1e-10 T^2, T the spectator's bipartite tangle (the
     bound), since that gradient scales as T^2. Raises ParseError for

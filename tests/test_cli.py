@@ -10,7 +10,8 @@ import pytest
 from tanglevec import (make_asymmetric_w, make_ghz, normalize, random_state,
                        state_to_json, to_state, QuaternionicState,
                        sequence_to_json, named_gate, apply, ckw_residual,
-                       plucker_residual, maximize_three_tangle)
+                       plucker_residual, maximize_three_tangle, tangle_ascent_search,
+                       bipartite_tangle_from_density)
 from tanglevec.cli import _emit, main
 from conftest import checked_tangle_set, count_calls, count_evaluations
 
@@ -299,6 +300,36 @@ def test_fs_angle_seed_reproducible(ghz_file, tmp_path, capsys):
                             "--state2", ghz_file, "--seed", "7")
         vals.append(doc["result"]["angle_degrees"])
     assert vals[0] == vals[1]
+
+
+def test_ascent_command(s7_file, capsys):
+    code, doc, _ = run_cli(capsys, "ascent", "--state", s7_file, "--pair", "ca",
+                           "--restarts", "4", "--seed", "3")
+    res = tangle_ascent_search(random_state(7), "ca", restarts=4, seed=3)
+    bound = bipartite_tangle_from_density(random_state(7), "b")
+    assert code == 0 and doc["seed"] == 3 and doc["result"] == {
+        "tangle": res.tangle, "restarts": 4, "iterations": res.iterations,
+        "converged": res.converged, "capped": res.capped, "tangle_spread": res.tangle_spread,
+        "spectator": "b", "bound": bound,
+        "note": "stochastic optimizer: lower bound on the true maximum"}
+    # the ascent reaches the spectator's bipartite tangle, which bounds it
+    assert abs(res.tangle - bound) < 1e-12 and res.converged == 4
+
+
+def test_ascent_command_defaults(ghz_file, capsys):
+    code, doc, _ = run_cli(capsys, "ascent", "--state", ghz_file)
+    res = doc["result"]
+    assert code == 0 and doc["seed"] == 0 and res["spectator"] == "c"
+    assert res["restarts"] == res["converged"] == 16 and res["capped"] is False
+    assert abs(res["tangle"] - 1.0) < 1e-12 and abs(res["bound"] - 1.0) < 1e-12
+
+
+@pytest.mark.parametrize("option, value, what", [
+    ("--restarts", "0", "restarts"), ("--seed", "-1", "seed"), ("--pair", "zz", "qubit pair"),
+    ("--pair", "aa", "qubit pair"), ("--restarts", "two", "--restarts")])
+def test_ascent_command_refusals(ghz_file, capsys, option, value, what):
+    code, doc, err = run_cli(capsys, "ascent", "--state", ghz_file, option, value)
+    assert code == 1 and doc is None and what in err
 
 
 def test_quat_reduce(capsys, monkeypatch):

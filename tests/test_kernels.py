@@ -6,8 +6,8 @@ import pytest
 
 from tanglevec import (LocalStep, ParseError, _kernels, apply, bipartite_tangle_from_density,
                        fubini_study_angle, fubini_study_search, make_asymmetric_w, make_ghz,
-                       normalize, random_state, tangle_ascent_oracle, tangle_ascent_search,
-                       w_to_ghz_sequence)
+                       normalize, q_vector, random_state, tangle_ascent_oracle,
+                       tangle_ascent_search, w_to_ghz_sequence)
 from tanglevec.gates import PAIR_PAULIS, expi_hermitian
 from tanglevec.gates import SIGMA as PAULIS
 from tanglevec.so6 import SU4_BASIS
@@ -279,7 +279,8 @@ def _ascent_inputs(seed, n=4):
 @pytest.mark.parametrize("seed", range(3))
 def test_ascent_model_matches_finite_differences(seed):
     # |A.A|^2 at exp(i sum_k x_k P_k / 2) psi over the 9 couplings P_k, by
-    # central differences in x, against the model's gradient and Hessian
+    # central differences in x in the Hilbert picture, against the gradient
+    # and Hessian of the model at psi's 6-vector (A, -iB) in the SO(6) picture
     psi = random_state(seed)
     dirs = PAIR_PAULIS[6:] / 2
 
@@ -287,7 +288,7 @@ def test_ascent_model_matches_finite_differences(seed):
         moved = (expi_hermitian(np.tensordot(x, dirs, axes=1)) @ psi.reshape(4, 2)).reshape(8)
         a = (_A_QUADS @ moved) @ moved
         return abs(a @ a) ** 2
-    vals, g, h = _kernels._ascent_model(psi[None])
+    vals, g, h = _kernels._ascent_model(q_vector(psi, 3).q[None])
     assert abs(vals[0] ** 2 - value(np.zeros(9))) < 1e-15
     e, eye = 1e-4, np.eye(9)
     grad = [(value(e * eye[k]) - value(-e * eye[k])) / (2 * e) for k in range(9)]
@@ -296,6 +297,97 @@ def test_ascent_model_matches_finite_differences(seed):
              for l in range(9)] for k in range(9)]
     assert np.abs(g[0] - grad).max() < 1e-8
     assert np.abs(h[0] - hess).max() < 1e-7
+
+
+def _ascent_batch():
+    """W's 6-vector, at |A.A| = 0, then nine Haar states each moved by a random SU(4)."""
+    rng = np.random.default_rng(3)
+    qs = [q_vector(_W, 3).q]
+    for k in range(9):
+        u = expi_hermitian(np.tensordot(rng.uniform(-np.pi, np.pi, 15), -1j * SU4_BASIS, axes=1))
+        qs.append(q_vector((u @ random_state(k).reshape(4, 2)).reshape(8), 3).q)
+    return np.array(qs)
+
+
+def _fs_batch():
+    """The identity, at a zero overlap of |000> and |111>, then nine random restarts."""
+    identity = np.broadcast_to(np.eye(2, dtype=complex), (1, 3, 2, 2))
+    return np.concatenate([identity, _random_su2_stack(np.random.default_rng(3), 9)])
+
+
+#: the Pauli-insertion table of |111> that fs_polish builds for _fs_model
+_FS_TABLE = np.einsum("iax,jby,kcz,xyz->abcijk", *[_kernels._PAULI] * 3,
+                      np.eye(8)[7].reshape(2, 2, 2)).reshape(8, 64)
+#: (model, retraction), gtol and a batch for each of _newton's two callers;
+#: the fs model is that of |000> against |111>
+_NEWTON_CASES = {
+    "ascent": ((_kernels._ascent_model, _kernels._pair_cayley), 1e-10, _ascent_batch()),
+    "fs": ((lambda us: _kernels._fs_model(np.eye(8)[0], _FS_TABLE, us),
+            lambda us, d: us @ _kernels._su2_exp(d)), 0.0, _fs_batch()),
+}
+#: rows 1, 5 and 8 are cut at budget 3 (the fs row 5 at a rejected step)
+_BUDGET = np.array([400, 3, 400, 400, 400, 3, 400, 400, 3, 400])
+
+
+@pytest.mark.parametrize("case", _NEWTON_CASES)
+def test_newton_restarts_in_a_batch_are_independent(case):
+    # the first row starts at v = 0, three are cut, and the rest converge at
+    # different steps: each ends as it ends alone, at a point that has the
+    # value it reports
+    kernel, gtol, x = _NEWTON_CASES[case]
+    vals, out, steps, converged = _kernels._newton(*kernel, x, _BUDGET, gtol)
+    assert np.abs(kernel[0](out)[0] - vals).max() < 1e-12
+    assert vals[0] == 0.0 and steps[0] == 0 and not converged[0]
+    cut = _BUDGET == 3
+    assert (steps[cut] == 3).all() and not converged[cut].any()
+    assert converged[1:][~cut[1:]].all() and len(set(steps[~cut][1:])) > 1
+    for r in range(len(x)):
+        v1, x1, s1, c1 = _kernels._newton(*kernel, x[r:r + 1], _BUDGET[r:r + 1], gtol)
+        assert abs(vals[r] - v1[0]) < 1e-12 and np.abs(out[r] - x1[0]).max() < 1e-12
+        assert (steps[r], converged[r]) == (s1[0], c1[0])
+
+
+def _newton_reference(model, retract, x, budget, gtol):
+    """_newton's rules one restart at a time, in plain per-restart arithmetic."""
+    eps, rows = np.finfo(float).eps, []
+    for r in range(len(x)):
+        p = x[r:r + 1]
+        (v,), (g,), (h,) = model(p)
+        gn, steps, radius, moved = np.linalg.norm(g), 0, 0.5, True
+        conv = v > 0.0 and gn <= max(gtol, 64 * eps * v)
+        while v > 0.0 and not conv and steps < budget[r]:
+            if moved:
+                w, vec = np.linalg.eigh(h)
+                full = vec @ ((vec.T @ g) / np.maximum(np.abs(w), 1e-3 * np.abs(w).max()))
+            cut = min(1.0, radius / np.linalg.norm(full))
+            d = cut * full
+            pred = g @ d + 0.5 * d @ h @ d
+            trial = retract(p, d[None])
+            (vt,), (gt,), (ht,) = model(trial)
+            gtn, gain, steps = np.linalg.norm(gt), vt * vt - v * v, steps + 1
+            rounding = pred <= 8 * eps * v * v
+            moved = gtn < gn if rounding else gain >= 0.25 * pred
+            if moved:
+                if cut < 1.0 and gain > 0.75 * pred:
+                    radius = min(2.0 * radius, 1.0)
+                p, v, g, h, gn = trial, vt, gt, ht, gtn
+                conv = gn <= max(gtol, 64 * eps * v)
+            elif rounding:
+                conv = gn <= np.sqrt(eps) * v
+                break
+            else:
+                radius = 0.25 * cut * np.linalg.norm(full)
+        rows.append((v, p[0], steps, conv))
+    return rows
+
+
+@pytest.mark.parametrize("case", _NEWTON_CASES)
+def test_newton_matches_reference_loop(case):
+    kernel, gtol, x = _NEWTON_CASES[case]
+    vals, out, steps, converged = _kernels._newton(*kernel, x, _BUDGET, gtol)
+    for r, (v, p, s, c) in enumerate(_newton_reference(*kernel, x, _BUDGET, gtol)):
+        assert abs(vals[r] - v) < 1e-12 and np.abs(out[r] - p).max() < 1e-12
+        assert (steps[r], converged[r]) == (s, c)
 
 
 def test_ascent_matches_reference_loop():

@@ -1,10 +1,12 @@
-"""The CI workflow and the oldest Python the project supports.
+"""The CI workflow, the pytest configuration and the oldest Python the project supports.
 
 CI runs the suite and the benchmark self-test on Python 3.10 as well, so
 every source, test and benchmark file must parse under the 3.10 grammar even
 where only a newer Python is at hand.
 """
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -30,3 +32,22 @@ def test_every_file_parses_under_python_3_10():
     assert len(SOURCES) > 10
     for path in SOURCES:
         ast.parse(path.read_text(), filename=str(path), feature_version=(3, 10))
+
+
+def test_a_failing_hypothesis_test_does_not_abort_the_run(tmp_path):
+    # under the project's "every warning fails" filter, hypothesis reporting
+    # a failing example must fail that test alone, not end the run
+    pytest.importorskip("hypothesis")
+    (tmp_path / "test_pair.py").write_text(
+        "from hypothesis import given, strategies as st\n\n\n"
+        "@given(st.integers())\n"
+        "def test_fails(n):\n"
+        "    assert n < 0\n\n\n"
+        "def test_passes():\n"
+        "    pass\n")
+    run = subprocess.run(
+        [sys.executable, "-m", "pytest", "-c", str(ROOT / "pyproject.toml"),
+         "--rootdir", str(tmp_path), "-p", "no:cacheprovider", "-q", "test_pair.py"],
+        cwd=tmp_path, capture_output=True, text=True, timeout=300)
+    assert run.returncode == 1, run.stdout + run.stderr
+    assert "1 failed, 1 passed" in run.stdout
