@@ -9,10 +9,13 @@ compact array of the restarts still live and writes each back where a
 one-restart-at-a-time loop would stop it: no restart depends on its batch.
 
 Both end in one trust-region Newton loop (``_newton``). It takes a model,
-which gives the value, gradient and Hessian for a stack of restarts, and a
-retraction, which moves each restart along a tangent step; it stops each
-restart once its gradient is at rounding level, so stationarity is judged,
-not the size of a step.
+which gives the value, the gradient and a record of the Hessian for a stack
+of restarts; a solve, which turns gradient and record into the saddle-free
+Newton step; and a retraction, which moves each restart along a tangent
+step. It stops each restart once its gradient is at rounding level, so
+stationarity is judged, not the size of a step. The overlap search's solve
+(``_eigh_step``) takes the Hessian's eigendecomposition; the ascent's
+(``_ascent_step``) needs no LAPACK call.
 
 The overlap search starts with a fixed number of alternating polar-factor
 sweeps (``fs_restarts``, the same count for every restart, so no mask) that
@@ -28,9 +31,13 @@ The ascent maps each random start once to the pair's 6-vector
 Q = (A, -iB), on which the pair's SU(4) acts as SO(6), and goes straight
 into the Newton loop. Its model (``_ascent_model``) moves Q along the 9
 coupling images Lambda_{n,m} alone: local unitaries on the pair leave
-|A.A| fixed. The gradient and Hessian of |A.A|^2 are a few outer products
-of Q's two halves, and the retraction (``_pair_cayley``), the Cayley
-transform, agrees with the exponential to second order in one 3x3 solve.
+|A.A| fixed. The gradient of |A.A|^2 and the record of its Hessian are a
+few products of Q's two halves. In the gauge where A.A is real that
+Hessian splits into two 2x2 blocks and five diagonal entries, and the
+gradient lies in one block, so the step is one 2x2 formula written back as
+a mix of two 9-vectors of the record. The retraction (``_pair_cayley``),
+the Cayley transform, agrees with the exponential to second order in one
+3x3 solve.
 """
 from __future__ import annotations
 
@@ -59,10 +66,8 @@ _TWO = np.where(_SAME, 0, _ONE[:, None] + _ONE[None, :])
 #: the forms of the 6-vector (A, -iB) of the leading pair
 _PAIR_QUADS = _ABC_QUADS[:48].reshape(6, 8, 8) * np.repeat([1.0, -1j], 3)[:, None, None]
 _I3 = np.eye(3)
-# 2 Re(conj(f) d2f) is W @ _D2F, for W = Re(conj(f) Q Q^T) as (R, 36) rows (_ascent_model)
-_E = np.eye(6)
-_D2F = 4.0 * (np.einsum("mi,pj,nq->ijnmqp", _E[3:], _E[3:], _I3)
-              - np.einsum("ni,qj,mp->ijnmqp", _E[:3], _E[:3], _I3)).reshape(36, 81)
+#: each step solve floors |lam| at this share of the Hessian's largest |lam|
+_FLOOR = 1e-3
 
 
 class SearchStats(NamedTuple):
@@ -88,21 +93,24 @@ def _stats(vals, sweeps, polish, converged, cap):
                        float(vals.max() - vals.min()))
 
 
-def _newton(model, retract, x, budget, gtol):
+def _newton(model, solve, retract, x, budget, gtol):
     """Trust-region Newton ascent of v^2 from every row of ``x`` at once.
 
-    ``model(x)`` gives v (R,) and the gradient g (R, n) and Hessian H
-    (R, n, n) of v^2 in the tangent angles at x; ``retract(x, d)`` moves
-    each row of x by the tangent step d, in agreement with the model to
-    second order. Each step is the saddle-free Newton step |H|^-1 g
-    (H = V diag(lam) V^T, |H| = V diag(|lam|) V^T), cut back to the
-    restart's trust radius; |lam| is floored at 1e-3 max |lam|, since an
-    optimum with a continuous symmetry has flat directions. The radius
-    starts at 0.5 and doubles, up to 1, after a step to the boundary that
-    achieved over 0.75 of its predicted gain. A step is accepted when it
-    achieves 0.25 of its predicted gain; once the predicted gain is within
-    8 eps v^2, where v^2 no longer resolves it, a step is accepted when it
-    lowers |g|. A rejected step shrinks the radius to a quarter of the step.
+    ``model(x)`` gives v (R,), the gradient g (R, n) of v^2 in the tangent
+    angles at x and a per-row record h of its Hessian H there; ``retract(x,
+    d)`` moves each row of x by the tangent step d, in agreement with the
+    model to second order. ``solve(g, h)`` gives, for stacked rows, the
+    saddle-free Newton step |H|^-1 g (H = V diag(lam) V^T, |H| = V
+    diag(|lam|) V^T) with |lam| floored at ``_FLOOR`` max |lam|, since an
+    optimum with a continuous symmetry has flat directions; its norm; its
+    slope g.step; and its curvature step^T H step. Each step is cut back to
+    the restart's trust radius, so its predicted gain is cut (slope + cut
+    curvature / 2). The radius starts at 0.5 and doubles, up to 1, after a
+    step to the boundary that achieved over 0.75 of its predicted gain. A
+    step is accepted when it achieves 0.25 of its predicted gain; once the
+    predicted gain is within 8 eps v^2, where v^2 no longer resolves it, a
+    step is accepted when it lowers |g|. A rejected step shrinks the radius
+    to a quarter of the step.
 
     A restart stops when stationary, |g| <= max(gtol, 64 eps v); at a
     rejected step whose predicted gain is within 8 eps v^2, where no
@@ -116,7 +124,7 @@ def _newton(model, retract, x, budget, gtol):
     Returns (v (R,), points, steps (R,), converged (R,) bool).
     """
     vals, g, h = model(x)
-    gnorm = np.linalg.norm(g, axis=1)
+    gnorm = np.sqrt(np.einsum("ri,ri->r", g, g))
     steps = np.zeros(len(vals), dtype=np.int64)
     converged = (vals > 0.0) & (gnorm <= np.maximum(gtol, 64 * _EPS * vals))
     x = x.copy()
@@ -125,23 +133,19 @@ def _newton(model, retract, x, budget, gtol):
     live = np.flatnonzero(~converged & (vals > 0.0) & (budget > 0))
     lx, lv, lg, lh, lgn, left = x[live], vals[live], g[live], h[live], gnorm[live], budget[live]
     radius = np.full(live.size, 0.5)
-    # each row's uncut step and its norm, kept until the row moves
-    full, fnorm = np.empty_like(lg), np.empty_like(lgn)
-    fresh = np.ones(live.size, dtype=bool)   # at a new point: H must be decomposed
+    fresh = np.ones(live.size, dtype=bool)   # at a new point: its step must be solved
     it = 0
     while live.size:
-        if fresh.any():
-            w, vec = np.linalg.eigh(lh[fresh])
-            w = np.abs(w)
-            lam = np.maximum(w, 1e-3 * w.max(axis=1, keepdims=True))
-            full[fresh] = ((lg[fresh, None] @ vec) / lam[:, None] @ vec.transpose(0, 2, 1))[:, 0]
-            fnorm[fresh] = np.linalg.norm(full[fresh], axis=1)
+        # each row's uncut step, its norm, slope and curvature, kept until the row moves
+        if fresh.all():
+            full, fnorm, slope, curv = solve(lg, lh)
+        elif fresh.any():
+            full[fresh], fnorm[fresh], slope[fresh], curv[fresh] = solve(lg[fresh], lh[fresh])
         cut = np.minimum(1.0, radius / fnorm)
-        d = full * cut[:, None]
-        pred = ((lg + 0.5 * (lh @ d[:, :, None])[:, :, 0]) * d).sum(axis=1)
-        trial = retract(lx, d)
+        pred = cut * (slope + 0.5 * cut * curv)
+        trial = retract(lx, full * cut[:, None])
         vt, gt, ht = model(trial)
-        gtn = np.linalg.norm(gt, axis=1)
+        gtn = np.sqrt(np.einsum("ri,ri->r", gt, gt))
         c2 = lv * lv
         gain, rounding = vt * vt - c2, pred <= 8 * _EPS * c2
         ok = np.where(rounding, gtn < lgn, gain >= 0.25 * pred)
@@ -161,9 +165,21 @@ def _newton(model, retract, x, budget, gtol):
             rows, keep = live[stop], ~stop
             x[rows], vals[rows], steps[rows] = lx[stop], lv[stop], it
             converged[rows] = (done | (floor & (lv > 0.0) & (lgn <= np.sqrt(_EPS) * lv)))[stop]
-            live, lx, lv, lg, lh, lgn, left, radius, full, fnorm, fresh = (
-                t[keep] for t in (live, lx, lv, lg, lh, lgn, left, radius, full, fnorm, fresh))
+            live, lx, lv, lg, lh, lgn, left, radius, full, fnorm, slope, curv, fresh = (
+                t[keep] for t in (live, lx, lv, lg, lh, lgn, left, radius, full, fnorm, slope,
+                                  curv, fresh))
     return vals, x, steps, converged
+
+
+def _eigh_step(g, h):
+    """``_newton``'s solve from stacked Hessians h (R, n, n), by one batched eigh."""
+    w, vec = np.linalg.eigh(h)
+    w = np.abs(w)
+    lam = np.maximum(w, _FLOOR * w.max(axis=1, keepdims=True))
+    full = ((g[:, None] @ vec) / lam[:, None] @ vec.transpose(0, 2, 1))[:, 0]
+    hfull = (h @ full[:, :, None])[:, :, 0]
+    return (full, np.linalg.norm(full, axis=1), np.einsum("ri,ri->r", g, full),
+            np.einsum("ri,ri->r", hfull, full))
 
 
 def _polar_2x2(m):
@@ -262,8 +278,8 @@ def fs_polish(t1, t2, us, budget):
     """
     t1c = np.conj(t1).reshape(8)
     table = np.einsum("iax,jby,kcz,xyz->abcijk", _PAULI, _PAULI, _PAULI, t2).reshape(8, 64)
-    return _newton(lambda u: _fs_model(t1c, table, u), lambda u, d: u @ _su2_exp(d),
-                   us, budget, 0.0)
+    return _newton(lambda u: _fs_model(t1c, table, u), _eigh_step,
+                   lambda u, d: u @ _su2_exp(d), us, budget, 0.0)
 
 
 def fs_best_overlap(t1, t2, inits, max_sweeps):
@@ -288,23 +304,71 @@ def fs_best_overlap(t1, t2, inits, max_sweeps):
 
 
 def _ascent_model(q):
-    """|f|, gradient g and Hessian H of |f|^2, f = A.A, at the (R, 6) 6-vectors Q.
+    """|f|, the gradient g of |f|^2 and its Hessian's record, f = A.A, at the (R, 6) 6-vectors Q.
 
     The 9 tangent angles x move Q = (Q_A, Q_B) to exp(sum_k x_k Lambda_k) Q,
     k = 3(n-1) + m-1, and Lambda_{n,m} turns (Q_A)_n into (Q_B)_m. So
-    f = Q_A.Q_A has df_k = -2 (Q_A)_n (Q_B)_m and d2f = 2 (I3 x Q_B Q_B^T -
-    Q_A Q_A^T x I3). Then g = 2 Re(conj(f) df) and H = 2 Re(conj(df) df^T +
-    conj(f) d2f), where all but 2 Re(conj(df) df^T) is linear in W = Re(conj(f) Q Q^T).
+    f = Q_A.Q_A has df_k = -2 (Q_A)_n (Q_B)_m, and g = 2 Re(conj(f) df) =
+    -4 Re(conj(f) Q_A Q_B^T). The record of each row is (T, |f|, |Q_A|^2,
+    |Q_B|^2), T = Re(conj(Q_A) Q_B^T) as 9 numbers: all that ``_ascent_step``
+    needs of the Hessian.
     """
     qa = q[:, :3]
     f = np.einsum("ri,ri->r", qa, qa)
-    qq = q[:, :, None] * q[:, None, :]
-    df = -2.0 * qq[:, :3, 3:].reshape(-1, 9)
-    w = np.real(np.conj(f)[:, None, None] * qq)
-    dv = df.view(np.float64).reshape(-1, 9, 2)
-    h = w.reshape(-1, 36) @ _D2F
-    h += 2.0 * (dv @ dv.transpose(0, 2, 1)).reshape(-1, 81)
-    return np.abs(f), -4.0 * w[:, :3, 3:].reshape(-1, 9), h.reshape(-1, 9, 9)
+    x = q.view(np.float64).reshape(-1, 6, 2)
+    # the (Re, Im) rows of Q_A and of -4 f conj(Q_A) against those of Q_B: T and g
+    left = np.concatenate((qa, -4.0 * f[:, None] * np.conj(qa)), axis=1)
+    tg = (left.view(np.float64).reshape(-1, 6, 2) @ x[:, 3:].transpose(0, 2, 1)).reshape(-1, 18)
+    norms = np.einsum("rij,rij->ri", *[x.reshape(-1, 2, 6)] * 2)
+    absf = np.abs(f)
+    return absf, tg[:, 9:], np.concatenate((tg[:, :9], absf[:, None], norms), axis=1)
+
+
+def _ascent_step(g, h):
+    """``_newton``'s solve for the ascent, in closed form from ``_ascent_model``'s record.
+
+    In the gauge where f is real, F = |f| > 0, Q_A = x + iy and Q_B = u + iv
+    with x.y = u.v = 0 and |x|^2 - |y|^2 = |v|^2 - |u|^2 = F (Q.Q = 0); so
+    T = x u^T + y v^T and g = -4F (x u^T - y v^T). Take unit vectors x^, y^,
+    z^ along x, y, x X y, and u^, v^, w^ along u, v, u X v, and p, q, r, s =
+    |x|, |y|, |u|, |v|. On the tangent axes a^ b^T the Hessian of F^2 is a
+    2x2 block on (x^ u^T, y^ v^T), which holds g; a 2x2 block on (x^ v^T,
+    y^ u^T); and -4Fp^2, 4Fq^2, 4Fr^2, -4Fs^2 and 0 on x^ w^T, y^ w^T,
+    z^ u^T, z^ v^T and z^ w^T. So the floored |H|^-1 g is the first block's,
+    written back as a mix of T and g, and every block enters only through
+    its eigenvalues, for the floor. pr and qs come from T -+ g / 4F = 2 x u^T,
+    2 y v^T: q^2 and r^2 as |Q_A|^2 - F and |Q_B|^2 - F would cancel near the
+    maximum, where both vanish.
+    """
+    t, f, na, nb = h[:, :9], h[:, 9], h[:, 10], h[:, 11]
+    gf = g / (4.0 * f)[:, None]
+    xu, yv = t - gf, t + gf
+    pr = 0.5 * np.sqrt(np.einsum("ri,ri->r", xu, xu))
+    qs = 0.5 * np.sqrt(np.einsum("ri,ri->r", yv, yv))
+    p2, s2 = 0.5 * (na + f), 0.5 * (nb + f)
+    pr2, qs2, half = pr * pr, qs * qs, 0.5 * (nb - na)
+    # the block that holds g, [[a1, b1], [b1, c1]], and the other, [[a2, b2], [b2, c2]]
+    # with b2 = -b1; g is 4F (-pr, qs) in the first
+    a1 = 8.0 * pr2 + 4.0 * f * (half - f)
+    c1 = 8.0 * qs2 - 4.0 * f * (half + f)
+    b1 = -8.0 * pr * qs
+    a2 = 8.0 * p2 * s2 - 4.0 * f * (p2 + s2)
+    c2 = 8.0 * pr2 * qs2 / (p2 * s2) + 4.0 * f * (0.5 * (na + nb) - f)
+    m1, hd = 0.5 * (a1 + c1), 0.5 * (a1 - c1)
+    h1 = np.hypot(hd, b1)
+    top2 = np.abs(0.5 * (a2 + c2)) + np.hypot(0.5 * (a2 - c2), b1)
+    top = np.maximum(np.maximum(np.abs(m1) + h1, top2), 4.0 * f * np.maximum(p2, s2))
+    floor = _FLOOR * top
+    up, down = 1.0 / np.maximum(np.abs(m1 + h1), floor), 1.0 / np.maximum(np.abs(m1 - h1), floor)
+    # |H1|^-1 = avg + k (H1 - m1); where h1 = 0, up = down and k = 0
+    avg, k = 0.5 * (up + down), (up - down) / (2.0 * h1 + (h1 == 0.0))
+    # the step is F (e1 pr, e2 qs) in the first block
+    e1 = -4.0 * (avg + k * (hd + 8.0 * qs2))
+    e2 = 4.0 * (avg + k * (8.0 * pr2 - hd))
+    d11, d22 = f * e1 * pr, f * e2 * qs
+    step = (0.5 * f * (e1 + e2))[:, None] * t - (0.125 * (e1 - e2))[:, None] * g
+    return (step, np.hypot(d11, d22), 4.0 * f * (qs * d22 - pr * d11),
+            a1 * d11 * d11 + c1 * d22 * d22 + 2.0 * b1 * d11 * d22)
 
 
 def _pair_cayley(q, d):
@@ -327,10 +391,12 @@ def tangle_ascent_best(psi0, gens, inits, max_iters, gtol):
 
     Each restart starts at exp(sum_k xi_k G_k) psi0 for its row xi of
     ``inits``, with the 15 generators ``gens`` acting on the leading qubit
-    pair, mapped once to its 6-vector Q = (A, -iB). ``_newton`` runs on
-    |A.A|^2 over the 9 coupling images (``_ascent_model``) for at most
-    ``max_iters`` steps; ``gtol`` is the gradient at which a restart counts
-    as stationary even above rounding.
+    pair, mapped once to its 6-vector Q = (A, -iB); the starts' stacked
+    exponential is the ascent's one eigendecomposition. ``_newton`` runs on
+    |A.A|^2 over the 9 coupling images (``_ascent_model``), each step in
+    closed form (``_ascent_step``), for at most ``max_iters`` steps;
+    ``gtol`` is the gradient at which a restart counts as stationary even
+    above rounding.
 
     Returns (4 max |A.A|, SearchStats over the restart tangles).
     """
@@ -338,7 +404,7 @@ def tangle_ascent_best(psi0, gens, inits, max_iters, gtol):
     start = expi_hermitian((inits @ (-1j * gens).reshape(15, 16)).reshape(n, 4, 4))
     psi = (start @ psi0.reshape(4, 2)).reshape(n, 8)
     q = np.einsum("rm,kmn,rn->rk", psi, _PAIR_QUADS, psi)
-    vals, _, steps, converged = _newton(_ascent_model, _pair_cayley, q,
+    vals, _, steps, converged = _newton(_ascent_model, _ascent_step, _pair_cayley, q,
                                         np.full(n, max_iters), gtol)
     tangles = 4.0 * vals
     return float(tangles.max()), _stats(tangles, 0, steps, converged, max_iters)

@@ -377,7 +377,8 @@ def tangle_ascent_search(s, pair: str = "ab", restarts: int = 16, seed: int = 0,
 
     Independent of the analytic protocol: a trust-region Newton ascent of
     |A.A|^2 along the 9 pair couplings from `restarts` random points of the
-    15-parameter group (the first is the identity), each run on the pair's
+    15-parameter group (the first is the identity, unless the state's
+    three-tangle is zero, where it is a minimum), each run on the pair's
     6-vector (A, -iB), on which the pair's SU(4) acts as SO(6). Used to
     certify that nothing exceeds the invariant bound. `max_iters` caps each restart's
     Newton steps; a restart ends at rounding level or once the gradient of
@@ -395,6 +396,10 @@ def tangle_ascent_search(s, pair: str = "ab", restarts: int = 16, seed: int = 0,
     rng = np.random.default_rng(seed)
     inits = np.zeros((restarts, 15))
     inits[1:] = rng.uniform(-np.pi, np.pi, size=(restarts - 1, 15))
+    # where the three-tangle is zero, the identity sits at the tangle's minimum,
+    # where no Newton step moves it: that restart is drawn too, after the others
+    if not gauge_phase(psi).defined:
+        inits[0] = rng.uniform(-np.pi, np.pi, size=15)
     # no point of the orbit has a three-tangle above the spectator's bipartite
     # tangle T, and the gradient of |A.A|^2 scales as T^2, so the stop is
     # relative to T^2; when T is zero at rounding, every restart is at the maximum

@@ -194,11 +194,12 @@ def test_optimizer_options_at_their_least():
     res = fubini_study_search(_W, make_ghz(), restarts=1, seed=0, max_sweeps=1)
     assert (res.restarts, res.sweeps, res.polish_iterations) == (1, 1, 0)
     assert tangle_ascent_oracle(_W, restarts=1, seed=0, max_iters=1) >= 0.0
-    # the one restart is the identity, where W has |A.A| = 0: the minimum
-    # of the tangle, which no Newton step leaves and which is not converged
+    # W has |A.A| = 0 at the identity, the minimum of the tangle, which no
+    # Newton step leaves: its one restart is drawn at random, and one step
+    # leaves it below the maximum 8/9
     res = tangle_ascent_search(_W, restarts=1, seed=0, max_iters=1)
-    assert (res.tangle, res.restarts, res.iterations, res.converged) == (0.0, 1, 0, 0)
-    assert not res.capped and res.tangle_spread == 0.0
+    assert (res.restarts, res.iterations, res.converged) == (1, 1, 0)
+    assert 0.0 < res.tangle < 8 / 9 and res.capped and res.tangle_spread == 0.0
 
 
 _BELL = np.array([1.0, 0.0, 0.0, 1.0]) / np.sqrt(2)
@@ -217,6 +218,35 @@ def test_ascent_converges_where_the_spectator_tangle_is_zero(s, pair):
     # exactly 0 on the orbit of a basis state, rounding on the others
     assert res.tangle == 0.0 if np.count_nonzero(s) == 1 else res.tangle < 1e-30
     assert res.converged == res.restarts == 16 and not res.capped
+
+
+@pytest.mark.parametrize("s, pair", [
+    (_W, "ab"), (make_asymmetric_w(0.6, 0.3), "ab"), (make_asymmetric_w(0.6, 0.3), "bc"),
+    (np.kron([1.0, 0.0], _BELL), "ab"), (np.kron([1.0, 0.0], _BELL), "ac"),
+], ids=["w-ab", "asym-w-ab", "asym-w-bc", "0-times-bell-ab", "0-times-bell-ac"])
+def test_ascent_from_a_zero_tangle_reaches_the_bound(s, pair):
+    # at a zero three-tangle the identity is the tangle's minimum, where no
+    # Newton step moves it, so the first restart is drawn at random too:
+    # every restart reaches the spectator's bipartite tangle
+    res = tangle_ascent_search(s, pair)
+    bound = bipartite_tangle_from_density(s, {"ab": "c", "bc": "a", "ac": "b"}[pair])
+    assert abs(res.tangle - bound) <= 1e-12
+    assert res.converged == res.restarts == 16 and not res.capped
+    assert res.tangle_spread <= 1e-12
+
+
+def test_ascent_restarts_of_a_tangled_state_keep_their_draws():
+    # with a nonzero three-tangle the first restart is still the identity and
+    # the others keep their draws: the kernel on those starts, bit for bit
+    s = random_state(8)
+    inits = np.zeros((16, 15))
+    inits[1:] = np.random.default_rng(3).uniform(-np.pi, np.pi, size=(15, 15))
+    psi = np.ascontiguousarray(s.reshape(2, 2, 2).transpose(1, 2, 0).reshape(8))
+    best, stats = _kernels.tangle_ascent_best(psi, SU4_BASIS, inits, 400,
+                                              1e-10 * bipartite_tangle_from_density(s, "a") ** 2)
+    res = tangle_ascent_search(s, "bc", seed=3)
+    assert (res.tangle, res.iterations, res.converged, res.tangle_spread) == (
+        best, stats.polish, stats.converged, stats.spread)
 
 
 @pytest.mark.parametrize("e", [1e-3, 1e-4, 1e-5])
@@ -276,11 +306,36 @@ def _ascent_inputs(seed, n=4):
     return random_state(seed), inits
 
 
+#: the second derivatives of f = Q_A.Q_A along the 9 couplings, as a product
+#: with the (R, 36) rows of Re(conj(f) Q Q^T): 2 Re(conj(f) d2f), d2f = 2 (I3 x
+#: Q_B Q_B^T - Q_A Q_A^T x I3)
+_E6 = np.eye(6)
+_D2F = 4.0 * (np.einsum("mi,pj,nq->ijnmqp", _E6[3:], _E6[3:], np.eye(3))
+              - np.einsum("ni,qj,mp->ijnmqp", _E6[:3], _E6[:3], np.eye(3))).reshape(36, 81)
+
+
+def _ascent_hessian_model(q):
+    """The ascent's v and g with the full 9x9 Hessian of |f|^2, by outer products of Q.
+
+    H = 2 Re(conj(df) df^T + conj(f) d2f), df_k = -2 (Q_A)_n (Q_B)_m: the
+    eigh oracle for ``_ascent_step``.
+    """
+    qa = q[:, :3]
+    f = np.einsum("ri,ri->r", qa, qa)
+    qq = q[:, :, None] * q[:, None, :]
+    df = -2.0 * qq[:, :3, 3:].reshape(-1, 9)
+    w = np.real(np.conj(f)[:, None, None] * qq)
+    dv = df.view(np.float64).reshape(-1, 9, 2)
+    h = w.reshape(-1, 36) @ _D2F + 2.0 * (dv @ dv.transpose(0, 2, 1)).reshape(-1, 81)
+    return np.abs(f), -4.0 * w[:, :3, 3:].reshape(-1, 9), h.reshape(-1, 9, 9)
+
+
 @pytest.mark.parametrize("seed", range(3))
 def test_ascent_model_matches_finite_differences(seed):
     # |A.A|^2 at exp(i sum_k x_k P_k / 2) psi over the 9 couplings P_k, by
     # central differences in x in the Hilbert picture, against the gradient
-    # and Hessian of the model at psi's 6-vector (A, -iB) in the SO(6) picture
+    # of the model at psi's 6-vector (A, -iB) in the SO(6) picture, and the
+    # closed-form step against the floored eigh step of the difference Hessian
     psi = random_state(seed)
     dirs = PAIR_PAULIS[6:] / 2
 
@@ -288,7 +343,7 @@ def test_ascent_model_matches_finite_differences(seed):
         moved = (expi_hermitian(np.tensordot(x, dirs, axes=1)) @ psi.reshape(4, 2)).reshape(8)
         a = (_A_QUADS @ moved) @ moved
         return abs(a @ a) ** 2
-    vals, g, h = _kernels._ascent_model(q_vector(psi, 3).q[None])
+    vals, g, rec = _kernels._ascent_model(q_vector(psi, 3).q[None])
     assert abs(vals[0] ** 2 - value(np.zeros(9))) < 1e-15
     e, eye = 1e-4, np.eye(9)
     grad = [(value(e * eye[k]) - value(-e * eye[k])) / (2 * e) for k in range(9)]
@@ -296,7 +351,114 @@ def test_ascent_model_matches_finite_differences(seed):
               - value(e * (eye[l] - eye[k])) + value(-e * (eye[k] + eye[l]))) / (4 * e * e)
              for l in range(9)] for k in range(9)]
     assert np.abs(g[0] - grad).max() < 1e-8
-    assert np.abs(h[0] - hess).max() < 1e-7
+    step, norm, slope, curv = _kernels._ascent_step(g, rec)
+    ref_step, ref_norm, ref_slope, ref_curv = _kernels._eigh_step(g, np.array(hess)[None])
+    # the difference Hessian is good to 1e-7, and |H|^-1 amplifies that
+    assert np.abs(step - ref_step).max() < 2e-5 * ref_norm[0]
+    assert abs(norm[0] / ref_norm[0] - 1.0) < 1e-6
+    assert abs(slope[0] / ref_slope[0] - 1.0) < 1e-6
+    assert abs(curv[0] - ref_curv[0]) < 1e-6 * abs(slope[0])
+
+
+def _frames(seed):
+    """Two random orthonormal frames of R^3, as rows."""
+    rng = np.random.default_rng(seed)
+    return [np.linalg.qr(rng.standard_normal((3, 3)))[0].T for _ in range(2)]
+
+
+def _six(p, q, r, phase=0.7, seed=0):
+    """The (1, 6) 6-vector e^(i phase) (p x + i q y, r u + i s v), s^2 = p^2 - q^2 + r^2.
+
+    x, y and u, v are the first two axes of the frames ``_frames(seed)``:
+    every Q with Q.Q = 0 is one of these, with |A.A| = p^2 - q^2 at a gauge
+    phase.
+    """
+    fa, fb = _frames(seed)
+    s = np.sqrt(p * p - q * q + r * r)
+    return (np.exp(1j * phase) * np.concatenate([p * fa[0] + 1j * q * fa[1],
+                                                 r * fb[0] + 1j * s * fb[1]]))[None]
+
+
+def _singular_block_r(p, q, lo, hi):
+    """The r in (lo, hi) where the Hessian block that holds g is singular, by bisection.
+
+    The block's determinant is taken from the eigh oracle's Hessian on the
+    axes (x u^T, y v^T) of ``_six``.
+    """
+    fa, fb = _frames(0)
+    axes = np.array([np.outer(fa[0], fb[0]).reshape(9), np.outer(fa[1], fb[1]).reshape(9)])
+
+    def det(r):
+        h = _ascent_hessian_model(_six(p, q, r))[2][0]
+        return np.linalg.det(axes @ h @ axes.T)
+    sign = np.sign(det(lo))
+    assert np.sign(det(hi)) == -sign
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if np.sign(det(mid)) == sign else (lo, mid)
+    return lo
+
+
+def _degenerate_rows():
+    """6-vectors where the closed form has no generic slack, by kind."""
+    r0 = _singular_block_r(1.0, 0.3, 0.3, 0.8)
+    return {
+        # Q_A real up to the gauge phase: q = 0
+        "real": [(1.0, 0.0, r) for r in (0.1, 0.5, 1.0, 3.0)],
+        # Q_A's and Q_B's imaginary and real parts vanish at the maximum; at
+        # q = 1e-5, r = 0, |g| would be at the eigh step's rounding
+        "near-max": [(1.0, q, r) for q in (1e-2, 1e-3, 1e-5) for r in (1e-2, 1e-4, 0.0)
+                     if q + r > 1e-5],
+        # the block that holds g is singular at r0: its small eigenvalue is
+        # floored; at the last two rows (small tangle, large r) the other
+        # block's largest eigenvalue sets the floor
+        "floor": [(1.0, 0.3, r0 * (1.0 + t)) for t in (0.0, 1e-8, -1e-6, 1e-5)]
+        + [(1.0, 0.99, 1.0), (1.0, 0.98, 1.5)],
+        # the block's two eigenvalues meet (h1 = 0) at q = r = 0, a stationary
+        # point, and nearly so next to it
+        "h1": [(1.0, 0.0, 0.0), (2.0, 0.0, 0.0), (1.0, 1e-4, 0.0), (1.0, 0.0, 1e-4),
+               (1.0, 1e-4, 1e-4)],
+    }
+
+
+@pytest.mark.parametrize("kind", ["real", "near-max", "floor", "h1"])
+def test_ascent_step_matches_eigh_on_degenerate_rows(kind):
+    params = _degenerate_rows()[kind]
+    q = np.concatenate([_six(*pqr, phase=0.3 * k, seed=k) for k, pqr in enumerate(params)])
+    _, g, rec = _kernels._ascent_model(q)
+    hess = _ascent_hessian_model(q)[2]
+    step, norm, slope, curv = _kernels._ascent_step(g, rec)
+    assert np.isfinite(step).all() and np.isfinite([norm, slope, curv]).all()
+    ref_step, ref_norm, ref_slope, ref_curv = _kernels._eigh_step(g, hess)
+    w = np.abs(np.linalg.eigvalsh(hess))
+    if kind == "floor":
+        # besides the exact 0, at least one eigenvalue of every row is below the floor
+        assert ((w < _kernels._FLOOR * w.max(axis=1, keepdims=True)).sum(axis=1) >= 2).all()
+    # near a stationary row the eigh step is rounding amplified along the
+    # floored flat directions; the closed form is 0 at one
+    gn = np.linalg.norm(g, axis=1)
+    m = gn > 1e-5 * w.max(axis=1)
+    assert (step[gn == 0.0] == 0.0).all() and (norm[gn == 0.0] == 0.0).all()
+    # every row moves but the first two of the h1 kind, at q = r = 0
+    assert list(m) == [kind != "h1" or k > 1 for k in range(len(params))]
+    assert (np.abs(step[m] - ref_step[m]).max(axis=1) <= 1e-8 * ref_norm[m]).all()
+    assert (np.abs(norm[m] / ref_norm[m] - 1.0) <= 1e-8).all()
+    assert (np.abs(slope[m] / ref_slope[m] - 1.0) <= 1e-8).all()
+    assert (np.abs(curv[m] - ref_curv[m]) <= 1e-8 * np.abs(slope[m])).all()
+
+
+def test_ascent_search_takes_one_eigh(monkeypatch):
+    # the starts' stacked exponential is the one eigendecomposition: the
+    # Newton loop's steps are closed forms
+    calls = []
+    real = np.linalg.eigh
+
+    def counted(h):
+        calls.append(np.shape(h))
+        return real(h)
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    res = tangle_ascent_search(random_state(11), "bc")
+    assert res.iterations > 0 and calls == [(16, 4, 4)]
 
 
 def _ascent_batch():
@@ -318,12 +480,19 @@ def _fs_batch():
 #: the Pauli-insertion table of |111> that fs_polish builds for _fs_model
 _FS_TABLE = np.einsum("iax,jby,kcz,xyz->abcijk", *[_kernels._PAULI] * 3,
                       np.eye(8)[7].reshape(2, 2, 2)).reshape(8, 64)
-#: (model, retraction), gtol and a batch for each of _newton's two callers;
-#: the fs model is that of |000> against |111>
+#: (model, solve, retraction), gtol and a batch for each of _newton's two
+#: callers; the fs model is that of |000> against |111>
 _NEWTON_CASES = {
-    "ascent": ((_kernels._ascent_model, _kernels._pair_cayley), 1e-10, _ascent_batch()),
-    "fs": ((lambda us: _kernels._fs_model(np.eye(8)[0], _FS_TABLE, us),
+    "ascent": ((_kernels._ascent_model, _kernels._ascent_step, _kernels._pair_cayley), 1e-10,
+               _ascent_batch()),
+    "fs": ((lambda us: _kernels._fs_model(np.eye(8)[0], _FS_TABLE, us), _kernels._eigh_step,
             lambda us, d: us @ _kernels._su2_exp(d)), 0.0, _fs_batch()),
+}
+#: the reference loop's (model, solve, retraction): it needs the full Hessian,
+#: so the ascent runs the outer-product Hessian with eigh
+_REFERENCE_KERNELS = {
+    "ascent": (_ascent_hessian_model, _kernels._eigh_step, _kernels._pair_cayley),
+    "fs": _NEWTON_CASES["fs"][0],
 }
 #: rows 1, 5 and 8 are cut at budget 3 (the fs row 5 at a rejected step)
 _BUDGET = np.array([400, 3, 400, 400, 400, 3, 400, 400, 3, 400])
@@ -347,8 +516,12 @@ def test_newton_restarts_in_a_batch_are_independent(case):
         assert (steps[r], converged[r]) == (s1[0], c1[0])
 
 
-def _newton_reference(model, retract, x, budget, gtol):
-    """_newton's rules one restart at a time, in plain per-restart arithmetic."""
+def _newton_reference(model, solve, retract, x, budget, gtol):
+    """_newton's rules one restart at a time, in plain per-restart arithmetic.
+
+    ``model`` gives the full Hessian; ``solve`` gives only the uncut step, and
+    its norm and predicted gain are taken here from the Hessian.
+    """
     eps, rows = np.finfo(float).eps, []
     for r in range(len(x)):
         p = x[r:r + 1]
@@ -357,8 +530,7 @@ def _newton_reference(model, retract, x, budget, gtol):
         conv = v > 0.0 and gn <= max(gtol, 64 * eps * v)
         while v > 0.0 and not conv and steps < budget[r]:
             if moved:
-                w, vec = np.linalg.eigh(h)
-                full = vec @ ((vec.T @ g) / np.maximum(np.abs(w), 1e-3 * np.abs(w).max()))
+                full = solve(g[None], h[None])[0][0]
             cut = min(1.0, radius / np.linalg.norm(full))
             d = cut * full
             pred = g @ d + 0.5 * d @ h @ d
@@ -384,8 +556,12 @@ def _newton_reference(model, retract, x, budget, gtol):
 @pytest.mark.parametrize("case", _NEWTON_CASES)
 def test_newton_matches_reference_loop(case):
     kernel, gtol, x = _NEWTON_CASES[case]
-    vals, out, steps, converged = _kernels._newton(*kernel, x, _BUDGET, gtol)
-    for r, (v, p, s, c) in enumerate(_newton_reference(*kernel, x, _BUDGET, gtol)):
+    _assert_matches_reference(kernel, _REFERENCE_KERNELS[case], x, _BUDGET, gtol)
+
+
+def _assert_matches_reference(kernel, reference, x, budget, gtol):
+    vals, out, steps, converged = _kernels._newton(*kernel, x, budget, gtol)
+    for r, (v, p, s, c) in enumerate(_newton_reference(*reference, x, budget, gtol)):
         assert abs(vals[r] - v) < 1e-12 and np.abs(out[r] - p).max() < 1e-12
         assert (steps[r], converged[r]) == (s, c)
 
@@ -393,6 +569,13 @@ def test_newton_matches_reference_loop(case):
 def test_ascent_matches_reference_loop():
     for seed in range(3):
         psi, inits = _ascent_inputs(seed)
+        # the closed-form steps against eigh steps of the full Hessian, step by
+        # step from the 6-vectors of the kernel's starts
+        starts = expi_hermitian(np.tensordot(inits, -1j * SU4_BASIS, axes=1))
+        moved = (starts @ psi.reshape(4, 2)).reshape(-1, 8)
+        q = np.array([q_vector(m, 3).q for m in moved])
+        _assert_matches_reference(_NEWTON_CASES["ascent"][0], _REFERENCE_KERNELS["ascent"], q,
+                                  np.full(len(q), 300), 1e-10)
         ref = _ascent_reference(psi, SU4_BASIS, _A_QUADS, inits, 300, 1e-10)
         best, stats = _kernels.tangle_ascent_best(psi, SU4_BASIS, inits, 300, 1e-10)
         assert abs(best - ref) < 1e-9
