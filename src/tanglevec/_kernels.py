@@ -21,23 +21,22 @@ The overlap search starts with a fixed number of alternating polar-factor
 sweeps (``fs_restarts``, the same count for every restart, so no mask) that
 bring each restart near an optimum; each update is the 2x2 polar factor of
 a partial overlap in closed form (``_polar_2x2``, a few elementwise
-operations on the whole batch, no LAPACK call). The sweeps
-converge only linearly, and on degenerate optima the unitaries keep
-drifting along the flat directions long after the overlap has settled, so
-the Newton loop finishes every restart on SU(2)^3 (``_fs_model``, 9 tangent
-angles).
+operations on the whole batch, no LAPACK call). The sweeps converge only
+linearly, and on degenerate optima the unitaries keep drifting along the
+flat directions long after the overlap has settled, so the Newton loop
+finishes every restart on SU(2)^3 (``_fs_model``, 9 tangent angles).
 
-The ascent maps each random start once to the pair's 6-vector
-Q = (A, -iB), on which the pair's SU(4) acts as SO(6), and goes straight
-into the Newton loop. Its model (``_ascent_model``) moves Q along the 9
-coupling images Lambda_{n,m} alone: local unitaries on the pair leave
-|A.A| fixed. The gradient of |A.A|^2 and the record of its Hessian are a
-few products of Q's two halves. In the gauge where A.A is real that
-Hessian splits into two 2x2 blocks and five diagonal entries, and the
-gradient lies in one block, so the step is one 2x2 formula written back as
-a mix of two 9-vectors of the record. The retraction (``_pair_cayley``),
-the Cayley transform, agrees with the exponential to second order in one
-3x3 solve.
+The ascent works from its first line on the pair's 6-vector Q = (Q_A, Q_B),
+as ``vectors.q_vector`` packs it ((A, -iB) for ab), on which the pair's
+SU(4) acts as SO(6): each random start is an so(6) exponential applied to Q
+(``so6._so6_exp``). Its model (``_ascent_model``) moves Q along the 9
+coupling images Lambda_{n,m} alone: local unitaries on the pair leave |A.A|
+fixed. The gradient of |A.A|^2 and the record of its Hessian are a few
+products of Q's two halves. In the gauge where A.A is real that Hessian
+splits into two 2x2 blocks and five diagonal entries, and the gradient lies
+in one block, so the step is one 2x2 formula written back as a mix of two
+9-vectors of the record. The retraction (``_pair_cayley``), the Cayley
+transform, agrees with the exponential to second order in one 3x3 solve.
 """
 from __future__ import annotations
 
@@ -45,8 +44,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .gates import I2, SIGMA, expi_hermitian
-from .vectors import _ABC_QUADS
+from .gates import I2, SIGMA
+from .so6 import _so6_exp
 
 _EPS = np.finfo(float).eps
 #: sweeps before the polish: they bring each restart near an optimum, and
@@ -63,8 +62,6 @@ _FLIP = np.array([1.0, -1.0, -1.0, 1.0])
 _ONE = (np.array([16, 4, 1])[:, None] * np.arange(1, 4)).reshape(9)
 _SAME = np.kron(np.eye(3, dtype=bool), np.ones((3, 3), dtype=bool))
 _TWO = np.where(_SAME, 0, _ONE[:, None] + _ONE[None, :])
-#: the forms of the 6-vector (A, -iB) of the leading pair
-_PAIR_QUADS = _ABC_QUADS[:48].reshape(6, 8, 8) * np.repeat([1.0, -1j], 3)[:, None, None]
 _I3 = np.eye(3)
 #: each step solve floors |lam| at this share of the Hessian's largest |lam|
 _FLOOR = 1e-3
@@ -386,25 +383,20 @@ def _pair_cayley(q, d):
     return np.concatenate((xa - dm @ ub, 2.0 * ub - xb), axis=1).view(np.complex128)[:, :, 0]
 
 
-def tangle_ascent_best(psi0, gens, inits, max_iters, gtol):
-    """Best three-tangle from a Newton ascent on the pair group.
+def tangle_ascent_best(q0, inits, max_iters, gtol):
+    """Best three-tangle from a Newton ascent on the pair group, from the pair's 6-vector q0.
 
-    Each restart starts at exp(sum_k xi_k G_k) psi0 for its row xi of
-    ``inits``, with the 15 generators ``gens`` acting on the leading qubit
-    pair, mapped once to its 6-vector Q = (A, -iB); the starts' stacked
-    exponential is the ascent's one eigendecomposition. ``_newton`` runs on
-    |A.A|^2 over the 9 coupling images (``_ascent_model``), each step in
-    closed form (``_ascent_step``), for at most ``max_iters`` steps;
-    ``gtol`` is the gradient at which a restart counts as stationary even
-    above rounding.
+    Each restart starts at exp(sum_k xi_k SO6_BASIS_k) q0 for its row xi of
+    ``inits``, the image of the SU(4) start exp(sum_k xi_k SU4_BASIS_k), in
+    one eigendecomposition (``_so6_exp``). ``_newton`` runs on |A.A|^2 over
+    the 9 coupling images (``_ascent_model``), each step in closed form
+    (``_ascent_step``), for at most ``max_iters`` steps; ``gtol`` is the
+    gradient at which a restart counts as stationary even above rounding.
 
     Returns (4 max |A.A|, SearchStats over the restart tangles).
     """
-    n = inits.shape[0]
-    start = expi_hermitian((inits @ (-1j * gens).reshape(15, 16)).reshape(n, 4, 4))
-    psi = (start @ psi0.reshape(4, 2)).reshape(n, 8)
-    q = np.einsum("rm,kmn,rn->rk", psi, _PAIR_QUADS, psi)
+    q = _so6_exp(inits) @ q0
     vals, _, steps, converged = _newton(_ascent_model, _ascent_step, _pair_cayley, q,
-                                        np.full(n, max_iters), gtol)
+                                        np.full(len(q), max_iters), gtol)
     tangles = 4.0 * vals
     return float(tangles.max()), _stats(tangles, 0, steps, converged, max_iters)

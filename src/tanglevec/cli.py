@@ -23,7 +23,7 @@ from .quaternionic import (QuaternionicState, _reduce, abc_quaternionic, is_quat
 from .so6 import evolve_q, verify_commutators
 from .states import (PARTITION_PAIR, PARTITION_SPECTATOR, _check_options, _reals, normalize,
                      parse_partition, random_state, state_from_json, state_to_json)
-from .synthesis import (fubini_study_search, maximize_three_tangle,
+from .synthesis import (_canonical_pair, fubini_study_search, maximize_three_tangle,
                         synthesize_coupling_core, tangle_ascent_search, w_to_ghz_sequence)
 from .tangles import bipartite_tangle_from_density, ckw_residual, tangle_set
 from .vectors import EPS_INV, abc_vectors, gauge_phase, plucker_residual, q_vector
@@ -168,7 +168,7 @@ def cmd_fs_angle(args) -> int:
 def cmd_ascent(args) -> int:
     s, digest = _load_state(args.state)
     res = tangle_ascent_search(s, args.pair, restarts=args.restarts, seed=args.seed)
-    spectator = next(q for q in "abc" if q not in args.pair)   # the search checked the pair
+    spectator = PARTITION_SPECTATOR[_canonical_pair(args.pair)[0]]   # the search checked the pair
     payload = {**dataclasses.asdict(res), "spectator": spectator,
                "bound": bipartite_tangle_from_density(normalize(s), spectator),
                "note": "stochastic optimizer: lower bound on the true maximum"}

@@ -20,18 +20,18 @@ returns a copy of a table row; a label outside GENERATOR_LABELS raises
 UnknownGenerator, and an axis n, m that is not an integer 1-3 IndexOutOfRange.
 
 evolve_q and so6_image are one dual evolution: so6_image evolves eye(6), as
-gates.sequence_unitary evolves eye(8). The walker gates._steps sorts the
-steps, checked when they were built, given this partition's qubit offsets
-(None for the spectator), its pair layout and this picture's two factor
-formulas; it makes each step's dual factor on the first dual evolution that
-applies the step and keeps it, read-only (about 0.4 KB for a coupling's
-6x6). This module keeps only the formulas and the contraction loop. A
-local's 3x3 Rodrigues rotation (_rodrigues) is computed from scalars and
-acts on its own three components only. The coupling images of a sequence
-that have no factor yet, sum theta_nm Lambda_nm, are exponentiated in one
-stacked expi_hermitian call (_lambda_rotations). The dual picture never
-reads the 4x4 unitaries that the Hilbert picture keeps on a step, so
-comparing the two pictures stays a test of the generator map.
+gates.sequence_unitary evolves eye(8). The walker gates._steps sorts the steps,
+checked when they were built, given this partition's qubit offsets (None for
+the spectator), its pair layout and this picture's two factor formulas; it
+makes each step's dual factor on the first dual evolution that applies the step
+and keeps it, read-only (about 0.4 KB for a coupling's 6x6). This module keeps
+only the formulas and the contraction loop. A local's 3x3 Rodrigues rotation
+(_rodrigues) is computed from scalars and acts on its own three components
+only. The coupling images of a sequence that have no factor yet, sum theta_nm
+Lambda_nm, are exponentiated in one stacked call (_lambda_rotations) of the
+so(6) exponential _so6_exp, which also makes the tangle ascent's starts. The
+dual picture never reads the 4x4 unitaries that the Hilbert picture keeps on a
+step, so comparing the two pictures stays a test of the generator map.
 """
 from __future__ import annotations
 
@@ -148,14 +148,19 @@ def so3_image(theta) -> np.ndarray:
     return _rodrigues(*LocalStep("a", theta).theta)
 
 
-#: sum_nm theta_nm Lambda_nm as a (9, 36) table, row 3(n-1) + m-1
-_LAMBDAS = SO6_BASIS[6:].reshape(9, 36).astype(float)
+#: sum_k xi_k SO6_BASIS_k as a (15, 36) table, indexed like GENERATOR_LABELS
+_BASIS_ROWS = SO6_BASIS.reshape(15, 36).astype(float)
+
+
+def _so6_exp(xi: np.ndarray, rows: np.ndarray = _BASIS_ROWS) -> np.ndarray:
+    """The 6x6 rotations exp(sum_k xi_k G_k) of stacked coefficients xi on the generator rows."""
+    g = (xi @ rows).reshape(-1, 6, 6)
+    return expi_hermitian(-1j * g).real   # exp(g) = exp(i h) with the Hermitian h = -i g
 
 
 def _lambda_rotations(th: np.ndarray) -> np.ndarray:
     """The 6x6 rotations exp(sum theta_nm Lambda_nm) of stacked (k, 3, 3) coefficients."""
-    g = (th.reshape(-1, 9) @ _LAMBDAS).reshape(-1, 6, 6)
-    return expi_hermitian(-1j * g).real   # exp(g) = exp(i h) with the Hermitian h = -i g
+    return _so6_exp(th.reshape(-1, 9), _BASIS_ROWS[6:])   # Lambda_nm is row 6 + 3(n-1) + m-1
 
 
 def _dual_evolve(seq, p: int, m: np.ndarray) -> tuple[np.ndarray, float]:

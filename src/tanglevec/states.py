@@ -208,14 +208,8 @@ def matricize(s, partition) -> np.ndarray:
     """
     s = _finite_state(s)
     p = parse_partition(partition)
-    t = s.reshape(2, 2, 2)
-    if p == 1:
-        m = t.transpose(1, 2, 0)   # rows (j,k), column i
-    elif p == 2:
-        m = t.transpose(2, 0, 1)   # rows (k,i), column j
-    else:
-        m = t.transpose(0, 1, 2)   # rows (i,j), column k
-    return m.reshape(4, 2).copy()
+    axes = [QUBIT_AXIS[q] for q in (*PARTITION_PAIR[p], PARTITION_SPECTATOR[p])]
+    return s.reshape(2, 2, 2).transpose(axes).reshape(4, 2).copy()
 
 
 def fidelity_up_to_phase(s1, s2) -> float:

@@ -32,11 +32,10 @@ from . import _kernels
 from .errors import DegenerateInput, GaugeUndefined, ParseError
 from .gates import CouplingStep, LocalStep, PhaseStep, apply, coupling_axis_step, sequence_unitary
 from .quaternionic import _rotation, _step
-from .so6 import SU4_BASIS
-from .states import (PARTITION_PAIR, PARTITION_SPECTATOR, QUBIT_AXIS, _check_options, _named,
-                     _reals, make_asymmetric_w, make_ghz, normalize)
-from .tangles import bipartite_tangle_from_density, tangle_set, three_tangle
-from .vectors import EPS_INV, _dots, _unit_scaled, _vectors, gauge_phase
+from .states import (PARTITION_PAIR, PARTITION_SPECTATOR, QUBIT_AXIS, _check_options,
+                     _complexes, _named, _reals, make_asymmetric_w, make_ghz, normalize)
+from .tangles import bipartite_tangles, three_tangle
+from .vectors import EPS_INV, _dots, _unit_scaled, _vectors, gauge_phase, q_vector
 
 #: qubit pair, in either order -> (partition, ordered pair string as carried by the 6-vector)
 _PAIR_PARTITION = {q1 + q2: (p, first + second) for p, (first, second) in PARTITION_PAIR.items()
@@ -70,18 +69,29 @@ def _canonical_pair(pair: str) -> tuple[int, str]:
     return _named(_PAIR_PARTITION, pair, "qubit pair", DegenerateInput)
 
 
+def _spectator_tangle(state, p: int) -> float:
+    """Partition p's spectator tangle: no state on the pair's orbit has a larger three-tangle."""
+    return bipartite_tangles(state)[QUBIT_AXIS[PARTITION_SPECTATOR[p]]]
+
+
 def min_phase_distance(u: np.ndarray, v: np.ndarray) -> float:
     """max-norm distance between u and v after optimal global-phase match.
 
     The phase is that of tr(v^H u), taken from u and v scaled to unit largest
     entry: it neither underflows nor overflows, and since the scaled norms lie
     between 1 and sqrt(u.size), its zero test is relative to |u| |v|. So the
-    distance scales with u and v at any finite scale. ParseError for a
-    non-finite entry or matrices of different shapes.
+    distance scales with u and v at any finite scale. Nested lists work like
+    arrays; ParseError for text, None, a bool, a ragged nesting, no numbers,
+    a non-finite entry or matrices of different shapes.
     """
-    if np.shape(u) != np.shape(v):
+    try:
+        u, v = (_complexes(x, max(np.size(x), 1), "min_phase_distance's matrix")
+                .astype(complex, copy=False) for x in (u, v))
+    except ValueError:   # np.size of a ragged nesting
+        raise ParseError("min_phase_distance's matrix: got a ragged nesting") from None
+    if u.shape != v.shape:
         raise ParseError(f"min_phase_distance needs matrices of one shape, got "
-                         f"{np.shape(u)} and {np.shape(v)}")
+                         f"{u.shape} and {v.shape}")
     if not (np.isfinite(u).all() and np.isfinite(v).all()):
         raise ParseError("min_phase_distance needs finite matrices")
     top_u, top_v = np.abs(u).max(), np.abs(v).max()
@@ -209,8 +219,7 @@ def maximize_three_tangle(s, pair: str = "ab", variant: str = "economical") -> S
     economical = _named(_VARIANTS, variant, "variant")
     p, pq = _canonical_pair(pair)
     state = normalize(s)
-    t = tangle_set(state)
-    bound = dict(zip("abc", (t.tau_a_bc, t.tau_b_ca, t.tau_c_ab)))[PARTITION_SPECTATOR[p]]
+    bound = _spectator_tangle(state, p)
     m, tol = _vectors(state)
     v1, v2 = m[QUBIT_AXIS[pq[0]]], m[QUBIT_AXIS[pq[1]]]
     seq: list = []
@@ -378,33 +387,30 @@ def tangle_ascent_search(s, pair: str = "ab", restarts: int = 16, seed: int = 0,
     Independent of the analytic protocol: a trust-region Newton ascent of
     |A.A|^2 along the 9 pair couplings from `restarts` random points of the
     15-parameter group (the first is the identity, unless the state's
-    three-tangle is zero, where it is a minimum), each run on the pair's
-    6-vector (A, -iB), on which the pair's SU(4) acts as SO(6). Used to
-    certify that nothing exceeds the invariant bound. `max_iters` caps each restart's
+    three-tangle is zero, where it is a minimum), each an so(6) exponential
+    of the pair's 6-vector (q_vector), on which the pair's SU(4) acts as
+    SO(6). Used to certify that nothing exceeds the invariant bound
+    ``maximize_three_tangle`` reports. `max_iters` caps each restart's
     Newton steps; a restart ends at rounding level or once the gradient of
     |A.A|^2 is below 1e-10 T^2, T the spectator's bipartite tangle (the
     bound), since that gradient scales as T^2. Raises ParseError for
     `restarts` or `max_iters` below 1 and a negative `seed`.
     """
     _check_options(seeds={"seed": seed}, counts={"restarts": restarts, "max_iters": max_iters})
-    p, pq = _canonical_pair(pair)
-    t = normalize(s).reshape(2, 2, 2)
-    # relabel qubits so the coupled pair occupies the leading two slots;
-    # the three-tangle is relabeling-invariant
-    perm = tuple(QUBIT_AXIS[q] for q in pq + PARTITION_SPECTATOR[p])
-    psi = np.ascontiguousarray(t.transpose(perm).reshape(8))
+    p, _ = _canonical_pair(pair)
+    state = normalize(s)
     rng = np.random.default_rng(seed)
     inits = np.zeros((restarts, 15))
     inits[1:] = rng.uniform(-np.pi, np.pi, size=(restarts - 1, 15))
     # where the three-tangle is zero, the identity sits at the tangle's minimum,
     # where no Newton step moves it: that restart is drawn too, after the others
-    if not gauge_phase(psi).defined:
+    if not gauge_phase(state).defined:
         inits[0] = rng.uniform(-np.pi, np.pi, size=15)
     # no point of the orbit has a three-tangle above the spectator's bipartite
     # tangle T, and the gradient of |A.A|^2 scales as T^2, so the stop is
     # relative to T^2; when T is zero at rounding, every restart is at the maximum
-    bound = bipartite_tangle_from_density(psi, "c")
-    best, stats = _kernels.tangle_ascent_best(psi, SU4_BASIS, inits, max_iters,
+    bound = _spectator_tangle(state, p)
+    best, stats = _kernels.tangle_ascent_best(q_vector(state, p).q, inits, max_iters,
                                               _ASCENT_GTOL * bound ** 2)
     if bound <= 64 * _kernels._EPS:
         stats = stats._replace(converged=restarts, capped=False)

@@ -109,7 +109,8 @@ def _tolerance(c: np.ndarray) -> float:
     n2 = squared_norm(c)
     n4 = n2 * n2
     if not math.isfinite(n4):
-        raise ParseError(f"|s|^4 overflows (|s|^2 = {n2:.3g}); normalize the state first")
+        raise ParseError(f"|s|^4 overflows (largest |amplitude| {np.abs(c).max():.3g}); "
+                         "normalize the state first")
     return max(EPS_INV * n4, _TOL_FLOOR)
 
 

@@ -316,6 +316,16 @@ def test_ascent_command(s7_file, capsys):
     assert abs(res.tangle - bound) < 1e-12 and res.converged == 4
 
 
+@pytest.mark.parametrize("pair, spectator", [("ab", "c"), ("ba", "c"), ("bc", "a"),
+                                             ("cb", "a"), ("ac", "b"), ("ca", "b")])
+def test_ascent_command_names_the_spectator_of_every_spelling(s7_file, capsys, pair, spectator):
+    code, doc, _ = run_cli(capsys, "ascent", "--state", s7_file, "--pair", pair,
+                           "--restarts", "2")
+    res = doc["result"]
+    assert code == 0 and res["spectator"] == spectator
+    assert res["bound"] == bipartite_tangle_from_density(random_state(7), spectator)
+
+
 def test_ascent_command_defaults(ghz_file, capsys):
     code, doc, _ = run_cli(capsys, "ascent", "--state", ghz_file)
     res = doc["result"]

@@ -5,12 +5,13 @@ import numpy as np
 import pytest
 
 from tanglevec import (LocalStep, ParseError, _kernels, apply, bipartite_tangle_from_density,
-                       fubini_study_angle, fubini_study_search, make_asymmetric_w, make_ghz,
-                       normalize, q_vector, random_state, tangle_ascent_oracle,
-                       tangle_ascent_search, w_to_ghz_sequence)
+                       bipartite_tangles, fubini_study_angle, fubini_study_search,
+                       make_asymmetric_w, make_ghz, normalize, q_vector, random_state,
+                       tangle_ascent_oracle, tangle_ascent_search, w_to_ghz_sequence)
 from tanglevec.gates import PAIR_PAULIS, expi_hermitian
 from tanglevec.gates import SIGMA as PAULIS
 from tanglevec.so6 import SU4_BASIS
+from tanglevec.states import PARTITION_PAIR
 from tanglevec.synthesis import _random_su2_stack
 from tanglevec.vectors import _A_QUADS
 
@@ -241,12 +242,44 @@ def test_ascent_restarts_of_a_tangled_state_keep_their_draws():
     s = random_state(8)
     inits = np.zeros((16, 15))
     inits[1:] = np.random.default_rng(3).uniform(-np.pi, np.pi, size=(15, 15))
-    psi = np.ascontiguousarray(s.reshape(2, 2, 2).transpose(1, 2, 0).reshape(8))
-    best, stats = _kernels.tangle_ascent_best(psi, SU4_BASIS, inits, 400,
-                                              1e-10 * bipartite_tangle_from_density(s, "a") ** 2)
+    # the search's q0 and T: the pair's 6-vector and the spectator's tangle, both
+    # from the state's one evaluation
+    state = normalize(s)
+    best, stats = _kernels.tangle_ascent_best(q_vector(state, 1).q, inits, 400,
+                                              1e-10 * bipartite_tangles(state)[0] ** 2)
     res = tangle_ascent_search(s, "bc", seed=3)
     assert (res.tangle, res.iterations, res.converged, res.tangle_spread) == (
         best, stats.polish, stats.converged, stats.spread)
+
+
+def _on_pair(u, psi, pq):
+    """The 4x4 u applied to the ordered qubit pair pq of the amplitudes psi."""
+    axes = ["abc".index(q) for q in pq]
+    t = np.moveaxis(psi.reshape(2, 2, 2), axes, [0, 1])
+    return np.moveaxis((u @ t.reshape(4, 2)).reshape(2, 2, 2), [0, 1], axes).reshape(8)
+
+
+@pytest.mark.parametrize("pair", ["ab", "ba", "bc", "cb", "ac", "ca"])
+def test_ascent_dual_starts_are_images_of_the_hilbert_starts(pair, monkeypatch):
+    # the search starts each restart at exp(sum xi_k SO6_BASIS_k) q0 on the
+    # pair's 6-vector q0: the 6-vector of the Hilbert start exp(sum xi_k
+    # SU4_BASIS_k) psi, with the SU(4) on the partition's ordered pair
+    starts = []
+    real = _kernels._newton
+
+    def recorded(model, solve, retract, x, budget, gtol):
+        starts.append(x.copy())
+        return real(model, solve, retract, x, budget, gtol)
+    monkeypatch.setattr(_kernels, "_newton", recorded)
+    s = normalize(random_state(12))
+    tangle_ascent_search(s, pair, seed=4)
+    inits = np.zeros((16, 15))
+    inits[1:] = np.random.default_rng(4).uniform(-np.pi, np.pi, size=(15, 15))
+    p = next(p for p, pq in PARTITION_PAIR.items() if set(pq) == set(pair))
+    hilbert = [q_vector(_on_pair(u, s, PARTITION_PAIR[p]), p).q
+               for u in expi_hermitian(np.tensordot(inits, -1j * SU4_BASIS, axes=1))]
+    assert len(starts) == 1
+    assert np.abs(starts[0] - hilbert).max() <= 1e-14 * np.linalg.norm(q_vector(s, p).q)
 
 
 @pytest.mark.parametrize("e", [1e-3, 1e-4, 1e-5])
@@ -448,8 +481,8 @@ def test_ascent_step_matches_eigh_on_degenerate_rows(kind):
 
 
 def test_ascent_search_takes_one_eigh(monkeypatch):
-    # the starts' stacked exponential is the one eigendecomposition: the
-    # Newton loop's steps are closed forms
+    # the starts' stacked so(6) exponential is the one eigendecomposition:
+    # the Newton loop's steps are closed forms
     calls = []
     real = np.linalg.eigh
 
@@ -458,7 +491,7 @@ def test_ascent_search_takes_one_eigh(monkeypatch):
         return real(h)
     monkeypatch.setattr(np.linalg, "eigh", counted)
     res = tangle_ascent_search(random_state(11), "bc")
-    assert res.iterations > 0 and calls == [(16, 4, 4)]
+    assert res.iterations > 0 and calls == [(16, 6, 6)]
 
 
 def _ascent_batch():
@@ -577,7 +610,7 @@ def test_ascent_matches_reference_loop():
         _assert_matches_reference(_NEWTON_CASES["ascent"][0], _REFERENCE_KERNELS["ascent"], q,
                                   np.full(len(q), 300), 1e-10)
         ref = _ascent_reference(psi, SU4_BASIS, _A_QUADS, inits, 300, 1e-10)
-        best, stats = _kernels.tangle_ascent_best(psi, SU4_BASIS, inits, 300, 1e-10)
+        best, stats = _kernels.tangle_ascent_best(q_vector(psi, 3).q, inits, 300, 1e-10)
         assert abs(best - ref) < 1e-9
         assert 1 <= stats.polish < 300
         assert stats.converged == inits.shape[0]
@@ -587,11 +620,11 @@ def test_ascent_cap_is_reported():
     # three Newton steps are too few for any restart: each is cut at the
     # cap, above its start and below the converged maximum
     psi, inits = _ascent_inputs(5)
-    best, stats = _kernels.tangle_ascent_best(psi, SU4_BASIS, inits, 3, 1e-10)
+    best, stats = _kernels.tangle_ascent_best(q_vector(psi, 3).q, inits, 3, 1e-10)
     assert (stats.polish, stats.converged, stats.capped) == (3, 0, True)
     # an infinite gtol stops every restart at its start, before any step
-    start, _ = _kernels.tangle_ascent_best(psi, SU4_BASIS, inits, 1, np.inf)
-    full, stats = _kernels.tangle_ascent_best(psi, SU4_BASIS, inits, 400, 1e-10)
+    start, _ = _kernels.tangle_ascent_best(q_vector(psi, 3).q, inits, 1, np.inf)
+    full, stats = _kernels.tangle_ascent_best(q_vector(psi, 3).q, inits, 400, 1e-10)
     assert stats.converged == inits.shape[0] and not stats.capped
     assert start < best < full
 
@@ -610,7 +643,7 @@ def test_ascent_ends_when_trials_fall_below_rounding(monkeypatch):
     for seed in range(20):
         psi, inits = _ascent_inputs(seed, 16)
         calls.clear()
-        _kernels.tangle_ascent_best(psi, SU4_BASIS, inits, 400, 1e-10)
+        _kernels.tangle_ascent_best(q_vector(psi, 3).q, inits, 400, 1e-10)
         evals.append(len(calls))
     assert np.mean(evals) < 20
 
@@ -620,7 +653,7 @@ def test_ascent_rounding_stop_keeps_the_best_tangle():
     for seed in range(20):
         psi, inits = _ascent_inputs(seed, 16)
         ref = _ascent_reference(psi, SU4_BASIS, _A_QUADS, inits, 400, 1e-10)
-        best, _ = _kernels.tangle_ascent_best(psi, SU4_BASIS, inits, 400, 1e-10)
+        best, _ = _kernels.tangle_ascent_best(q_vector(psi, 3).q, inits, 400, 1e-10)
         assert abs(best - ref) < 1e-12
 
 

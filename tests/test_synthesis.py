@@ -60,6 +60,24 @@ def test_min_phase_distance_refuses_different_shapes(u, v):
         min_phase_distance(u, v)
 
 
+def test_min_phase_distance_reads_nested_lists_like_arrays():
+    u = sequence_unitary(synthesize_coupling_core([0.3, -0.7, 1.1]).sequence)
+    v = np.exp(0.9j) * u
+    v[2, 5] += 1e-3
+    assert min_phase_distance(u.tolist(), v.tolist()) == min_phase_distance(u, v)
+    assert min_phase_distance([[1, 0], [0, 1]], -np.eye(2)) == 0.0
+
+
+@pytest.mark.parametrize("u", ["ab", None, True, [[1.0, 0.0], [0.0]], [[1.0, "a"]], []],
+                         ids=["text", "none", "bool", "ragged", "text-entry", "empty"])
+def test_min_phase_distance_refuses_what_is_not_numbers(u):
+    # refused by the one check of a list of numbers, on either side, never
+    # with numpy's TypeError or ValueError
+    for args in ((u, np.eye(2)), (np.eye(2), u)):
+        with pytest.raises(ParseError, match="min_phase_distance"):
+            min_phase_distance(*args)
+
+
 def test_coupling_core_random_alphas(rng):
     for _ in range(25):
         alpha = rng.uniform(-np.pi, np.pi, 3)

@@ -5,6 +5,8 @@ every source, test and benchmark file must parse under the 3.10 grammar even
 where only a newer Python is at hand.
 """
 import ast
+import json
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -26,6 +28,17 @@ def test_workflow_parses_and_every_step_runs_something():
             assert job["steps"], (path.name, name)
             for step in job["steps"]:
                 assert "run" in step or "uses" in step, (path.name, name, step)
+
+
+def test_benchmark_smoke_run_covers_every_declared_workload():
+    # the smoke loop runs each workload BENCHMARK.json declares, and no other
+    yaml = pytest.importorskip("yaml")
+    declared = [w["name"] for w in json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]]
+    loops = [sorted(re.search(r"for workload in ([^;]*);", step["run"]).group(1).split())
+             for path in WORKFLOWS
+             for job in yaml.safe_load(path.read_text())["jobs"].values()
+             for step in job["steps"] if step.get("name") == "Benchmark smoke run"]
+    assert loops == [sorted(declared)]
 
 
 def test_every_file_parses_under_python_3_10():

@@ -175,6 +175,18 @@ def test_vectors_refuse_non_finite_amplitudes(bad):
         plucker_residual(s)
 
 
+@pytest.mark.parametrize("scale", [1.4e154, 1e160, 1e200])
+def test_overflow_refusal_names_the_state_scale(scale):
+    # |s|^2 itself reads inf or NaN at these scales: the message names the
+    # largest |amplitude| instead, a finite number
+    s = scale * random_state(1)
+    with pytest.raises(ParseError, match=r"overflows") as err:
+        abc_vectors(s)
+    msg = str(err.value)
+    assert "nan" not in msg and "inf" not in msg
+    assert f"{np.abs(s).max():.3g}" in msg
+
+
 def test_gauge_phase_shift_under_global_phase():
     # A.A picks up e^{4 i alpha}, so the half-argument shifts by 2 alpha mod pi
     s = random_state(12)
