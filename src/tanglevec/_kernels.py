@@ -130,14 +130,9 @@ def _newton(model, solve, retract, x, budget, gtol):
     live = np.flatnonzero(~converged & (vals > 0.0) & (budget > 0))
     lx, lv, lg, lh, lgn, left = x[live], vals[live], g[live], h[live], gnorm[live], budget[live]
     radius = np.full(live.size, 0.5)
-    fresh = np.ones(live.size, dtype=bool)   # at a new point: its step must be solved
     it = 0
     while live.size:
-        # each row's uncut step, its norm, slope and curvature, kept until the row moves
-        if fresh.all():
-            full, fnorm, slope, curv = solve(lg, lh)
-        elif fresh.any():
-            full[fresh], fnorm[fresh], slope[fresh], curv[fresh] = solve(lg[fresh], lh[fresh])
+        full, fnorm, slope, curv = solve(lg, lh)
         cut = np.minimum(1.0, radius / fnorm)
         pred = cut * (slope + 0.5 * cut * curv)
         trial = retract(lx, full * cut[:, None])
@@ -155,16 +150,14 @@ def _newton(model, solve, retract, x, budget, gtol):
             lx, lv, lg, lh, lgn = trial, vt, gt, ht, gtn
         else:
             lx[ok], lv[ok], lg[ok], lh[ok], lgn[ok] = trial[ok], vt[ok], gt[ok], ht[ok], gtn[ok]
-        fresh = ok
         done = ok & (gtn <= np.maximum(gtol, 64 * _EPS * vt))
         stop = done | floor | (it >= left)
         if stop.any():
             rows, keep = live[stop], ~stop
             x[rows], vals[rows], steps[rows] = lx[stop], lv[stop], it
             converged[rows] = (done | (floor & (lv > 0.0) & (lgn <= np.sqrt(_EPS) * lv)))[stop]
-            live, lx, lv, lg, lh, lgn, left, radius, full, fnorm, slope, curv, fresh = (
-                t[keep] for t in (live, lx, lv, lg, lh, lgn, left, radius, full, fnorm, slope,
-                                  curv, fresh))
+            live, lx, lv, lg, lh, lgn, left, radius = (
+                t[keep] for t in (live, lx, lv, lg, lh, lgn, left, radius))
     return vals, x, steps, converged
 
 

@@ -98,16 +98,18 @@ def _check_options(*, seeds=None, counts=None) -> None:
                 raise ParseError(f"{name} must be at least {least}, got {value!r}")
 
 
-def _complexes(values, n: int, what: str) -> np.ndarray:
+def _complexes(values, n: int | None, what: str) -> np.ndarray:
     """The one check of a list of complex numbers: values as numpy reads them if n ints, floats
-    or complex numbers (never a bool, text, None, a ragged nesting or an int beyond 64 bits),
-    else ParseError naming what. The caller converts the array and decides shape and finiteness."""
+    or complex numbers, or at least one when n is None (never a bool, text, None, a ragged
+    nesting or an int beyond 64 bits), else ParseError naming what and the fault. The caller
+    converts the array and decides shape and finiteness."""
     try:
         c = np.asarray(values)
     except ValueError:   # a ragged nesting
-        c = np.asarray(None)
-    if c.dtype.kind not in "iufc" or c.size != n:
-        raise ParseError(f"{what}: expected {n} numbers, got {reprlib.repr(values)}")
+        raise ParseError(f"{what}: got a ragged nesting, {reprlib.repr(values)}") from None
+    if c.dtype.kind not in "iufc" or (c.size == 0 if n is None else c.size != n):
+        count = "one or more numbers" if n is None else f"{n} number{'s' * (n != 1)}"
+        raise ParseError(f"{what}: expected {count}, got {reprlib.repr(values)}")
     return c
 
 

@@ -35,7 +35,7 @@ from .quaternionic import _rotation, _step
 from .states import (PARTITION_PAIR, PARTITION_SPECTATOR, QUBIT_AXIS, _check_options,
                      _complexes, _named, _reals, make_asymmetric_w, make_ghz, normalize)
 from .tangles import bipartite_tangles, three_tangle
-from .vectors import EPS_INV, _dots, _unit_scaled, _vectors, gauge_phase, q_vector
+from .vectors import EPS_INV, _unit_scaled, _vectors, gauge_phase, q_vector
 
 #: qubit pair, in either order -> (partition, ordered pair string as carried by the 6-vector)
 _PAIR_PARTITION = {q1 + q2: (p, first + second) for p, (first, second) in PARTITION_PAIR.items()
@@ -84,11 +84,8 @@ def min_phase_distance(u: np.ndarray, v: np.ndarray) -> float:
     arrays; ParseError for text, None, a bool, a ragged nesting, no numbers,
     a non-finite entry or matrices of different shapes.
     """
-    try:
-        u, v = (_complexes(x, max(np.size(x), 1), "min_phase_distance's matrix")
-                .astype(complex, copy=False) for x in (u, v))
-    except ValueError:   # np.size of a ragged nesting
-        raise ParseError("min_phase_distance's matrix: got a ragged nesting") from None
+    u, v = (_complexes(x, None, "min_phase_distance's matrix").astype(complex, copy=False)
+            for x in (u, v))
     if u.shape != v.shape:
         raise ParseError(f"min_phase_distance needs matrices of one shape, got "
                          f"{u.shape} and {v.shape}")
@@ -202,8 +199,8 @@ def align_canonical(s, pair: str = "ab") -> list:
     parts must be orthogonal). Scale-free, like gauge_phase.
     """
     _, pq = _canonical_pair(pair)
-    m, tol = _unit_scaled(s)
-    return _alignment(pq, m[QUBIT_AXIS[pq[0]]], m[QUBIT_AXIS[pq[1]]], tol)
+    e = _unit_scaled(s)
+    return _alignment(pq, e.m[QUBIT_AXIS[pq[0]]], e.m[QUBIT_AXIS[pq[1]]], e.tol)
 
 
 def maximize_three_tangle(s, pair: str = "ab", variant: str = "economical") -> SynthesisResult:
@@ -220,8 +217,8 @@ def maximize_three_tangle(s, pair: str = "ab", variant: str = "economical") -> S
     p, pq = _canonical_pair(pair)
     state = normalize(s)
     bound = _spectator_tangle(state, p)
-    m, tol = _vectors(state)
-    v1, v2 = m[QUBIT_AXIS[pq[0]]], m[QUBIT_AXIS[pq[1]]]
+    e = _vectors(state)
+    tol, v1, v2 = e.tol, e.m[QUBIT_AXIS[pq[0]]], e.m[QUBIT_AXIS[pq[1]]]
     seq: list = []
 
     info = gauge_phase(state)
@@ -267,11 +264,11 @@ def extremum_residual(s, pair: str = "ab") -> float:
     evaluation of the rescaled copy.
     """
     _, pq = _canonical_pair(pair)
-    m, tol = _unit_scaled(s)
-    aa = _dots(m)[0][0]   # gauge_phase's test and phase, from the same block
-    if abs(aa) <= tol:
+    e = _unit_scaled(s)
+    aa = e.dots()[0][0]   # gauge_phase's test and phase, from the same block
+    if abs(aa) <= e.tol:
         raise GaugeUndefined("extremum condition needs a nonzero three-tangle")
-    rows, phi, zero = m.tolist(), 0.5 * cmath.phase(aa), 1e-9 * math.sqrt(tol / EPS_INV)
+    rows, phi, zero = e.m.tolist(), 0.5 * cmath.phase(aa), 1e-9 * math.sqrt(e.tol / EPS_INV)
     return max((abs(math.sin(cmath.phase(z) - phi))
                 for q in pq for z in rows[QUBIT_AXIS[q]] if abs(z) > zero), default=0.0)
 

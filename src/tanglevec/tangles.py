@@ -11,12 +11,15 @@ tau_q(rs) = 4 det(rho_q). It shares no formula with the vectors and is an
 independent oracle for tests and benchmarks; the measures above never call
 it.
 
-Each measure reads tangle_set, which takes its read-only block from
-vectors._vectors: that evaluates a state once and keeps the state evaluated
-last by its amplitudes (one entry, no option), so the calls of one analysis
-read one evaluation. Then it works on Python numbers only, A.A, B.B, C.C and
-the Hermitian norms from vectors._dots, so every route (the wrappers, the
-CLI, the protocols) gets bit-identical values.
+Each measure reads tangle_set, which takes its entry from vectors._vectors:
+that evaluates a state once and keeps the state evaluated last by its
+amplitudes (one entry, no option), so the calls of one analysis read one
+evaluation. tangle_set works on Python numbers only, A.A, B.B, C.C and the
+Hermitian norms the entry keeps (vectors._dots), so every route (the
+wrappers, the CLI, the protocols) gets bit-identical values. The entry also
+keeps the frozen TangleSet from the first call on, so every later measure
+of the same amplitudes reads that one object; a TangleSet whose three-tangle
+expressions disagree is never kept, so every call raises.
 """
 from __future__ import annotations
 
@@ -26,7 +29,7 @@ import numpy as np
 
 from .errors import InvariantViolation
 from .states import QUBIT_AXIS, _named, as_state
-from .vectors import _dots, _tolerance, _vectors
+from .vectors import _tolerance, _vectors
 
 
 @dataclass(frozen=True)
@@ -51,10 +54,20 @@ def _clamp(x: float, tol: float) -> float:
 def tangle_set(s) -> TangleSet:
     """All seven measures from one evaluation of the invariant vectors.
 
-    Asserts that the A, B and C expressions of the three-tangle agree.
+    Asserts that the A, B and C expressions of the three-tangle agree. The
+    state's entry keeps the result, so a later call on the same amplitudes
+    hands back the same object; a disagreement is never kept.
     """
-    m, tol = _vectors(s)
-    sq, hn = _dots(m)
+    e = _vectors(s)
+    t = e.tangles
+    if t is None:
+        t = e.tangles = _measures(e.dots(), e.tol)
+    return t
+
+
+def _measures(dots: tuple, tol: float) -> TangleSet:
+    """tangle_set's seven measures from vectors._dots' numbers and the tolerance."""
+    sq, hn = dots
     sq = [abs(x) for x in sq]
     ta, tb, tc = (4.0 * x for x in sq)
     if not max(abs(ta - tb), abs(ta - tc)) <= tol:

@@ -8,13 +8,16 @@ All dot products below are plain (non-Hermitian) unless stated otherwise.
 Each state is evaluated once in numpy: _evaluate takes its one |s|^2 for
 the tolerance and evaluates the nine forms as two matrix-vector products,
 (_ABC_QUADS c).reshape(9, 8) c, into a read-only (3, 3) block of rows A, B,
-C. _vectors keeps the state evaluated last by its amplitudes (one entry, no
-option), so every invariant called on that state reads the block back.
-After it, all is Python arithmetic on one .tolist(): _dots gives A.A, B.B,
-C.C and the Hermitian norms, which the Pluecker residual, the gauge and the
-tangles (in tangles) read. AbcVectors wraps writable copies of the rows.
-Where |s|^4 is tiny, the gauge is taken on the state rescaled by a power of
-two (_unit_scaled), so that it is scale-free.
+C. _vectors keeps the state evaluated last by its amplitudes in one _Entry
+(one entry, no option), so every invariant called on that state reads the
+block back. After it, all is Python arithmetic on one .tolist(): _dots gives
+A.A, B.B, C.C and the Hermitian norms as tuples, which the Pluecker
+residual, the gauge and the tangles (in tangles) read. The entry keeps them,
+and the state's TangleSet, from the first call that needs each until the
+entry is replaced; abc_vectors and q_vector never fill them. AbcVectors
+wraps writable copies of the rows. Where |s|^4 is tiny, the gauge is taken
+on the state rescaled by a power of two (_unit_scaled), in an entry of its
+own that is never kept, so that it is scale-free.
 """
 from __future__ import annotations
 
@@ -114,8 +117,30 @@ def _tolerance(c: np.ndarray) -> float:
     return max(EPS_INV * n4, _TOL_FLOOR)
 
 
-#: the state evaluated last: (its amplitude bytes, its read-only block, its tolerance)
-_last = (None, None, None)
+class _Entry:
+    """One evaluated state: its read-only block m and tolerance tol, keyed by its amplitude bytes.
+
+    What is derived from the block is kept here too, filled on first need
+    and replaced with the entry: dots() (from _dots) and the state's
+    TangleSet (tangles, which tangles.tangle_set fills). Both are immutable;
+    two threads on one entry may both fill one, with the same value.
+    """
+    __slots__ = ("key", "m", "tol", "_sq_hn", "tangles")
+
+    def __init__(self, key, m, tol):
+        self.key, self.m, self.tol = key, m, tol
+        self._sq_hn = self.tangles = None
+
+    def dots(self) -> tuple[tuple, tuple]:
+        """_dots(m), computed on the first call and handed back on every later one."""
+        d = self._sq_hn
+        if d is None:
+            d = self._sq_hn = _dots(self.m)
+        return d
+
+
+#: the state evaluated last
+_last = _Entry(None, None, None)
 
 
 def _evaluate(c: np.ndarray) -> tuple[np.ndarray, float]:
@@ -126,43 +151,45 @@ def _evaluate(c: np.ndarray) -> tuple[np.ndarray, float]:
     return m, tol
 
 
-def _vectors(s) -> tuple[np.ndarray, float]:
-    """_evaluate(s) after the one check of an invariant's input.
+def _vectors(s) -> _Entry:
+    """The entry of s, evaluated after the one check of an invariant's input.
 
     One entry, no option, keeps the state evaluated last by its amplitudes,
-    so a repeated call on them reads the block back; a refused state is never kept.
+    so a repeated call on them reads the block, and whatever was derived
+    from it, back; a refused state is never kept.
     """
     global _last
     c = as_state(s)
     key, last = c.tobytes(), _last   # one read: the entry may be replaced meanwhile
-    if key != last[0]:
-        last = _last = key, *_evaluate(c)
-    return last[1:]
+    if key != last.key:
+        last = _last = _Entry(key, *_evaluate(c))
+    return last
 
 
-def _dots(m: np.ndarray) -> tuple[list, list]:
+def _dots(m: np.ndarray) -> tuple[tuple, tuple]:
     """(A.A, B.B, C.C) and (|A|^2, |B|^2, |C|^2) of the block m, as Python numbers."""
     sq, hn = [], []
     for x, y, z in m.tolist():
         sq.append(x * x + y * y + z * z)
         hn.append((x * x.conjugate() + y * y.conjugate() + z * z.conjugate()).real)
-    return sq, hn
+    return tuple(sq), tuple(hn)
 
 
-def _unit_scaled(s) -> tuple[np.ndarray, float]:
-    """_vectors(s), or the evaluation of s rescaled where the tolerance is not a normal double.
+def _unit_scaled(s) -> _Entry:
+    """_vectors(s), or an unkept entry of s rescaled where the tolerance is not a normal double.
 
     Below |s| ~ 1e-75, a nonzero A.A above the tolerance EPS_INV |s|^4 can
     still be subnormal, so its phase and its zero test lose digits. There the
     state is rescaled, exactly, by the power of two that brings its largest
-    real or imaginary part near 1, and evaluated without replacing the entry.
+    real or imaginary part near 1, and evaluated without replacing the entry
+    or filling what it keeps.
     """
-    m, tol = _vectors(s)
-    if tol >= sys.float_info.min:
-        return m, tol
+    e = _vectors(s)
+    if e.tol >= sys.float_info.min:
+        return e
     c = as_state(s)
-    e = math.frexp(max(abs(t) for z in c.tolist() for t in (z.real, z.imag)))[1]
-    return _evaluate(np.ldexp(c.real, -e) + 1j * np.ldexp(c.imag, -e))
+    k = math.frexp(max(abs(t) for z in c.tolist() for t in (z.real, z.imag)))[1]
+    return _Entry(None, *_evaluate(np.ldexp(c.real, -k) + 1j * np.ldexp(c.imag, -k)))
 
 
 def abc_vectors(s) -> AbcVectors:
@@ -171,20 +198,20 @@ def abc_vectors(s) -> AbcVectors:
     Inputs need not be normalized; the output scales as the amplitude square.
     Raises ParseError for non-finite amplitudes and above |s| ~ 1.2e77.
     """
-    return AbcVectors(*_vectors(s)[0].copy())
+    return AbcVectors(*_vectors(s).m.copy())
 
 
 def q_vector(s, partition) -> SixVector:
     """Six-vector (V_first, -i V_second) for the partition's qubit pair."""
     p = parse_partition(partition)
-    rows = _vectors(s)[0].tolist()
+    rows = _vectors(s).m.tolist()
     first, second = (rows[QUBIT_AXIS[q]] for q in PARTITION_PAIR[p])
     return SixVector(first + [-1j * z for z in second], p)
 
 
 def plucker_residual(s) -> float:
     """max(|A.A - B.B|, |B.B - C.C|); an algebraic identity, so ~0 always."""
-    aa, bb, cc = _dots(_vectors(s)[0])[0]
+    aa, bb, cc = _vectors(s).dots()[0]
     return max(abs(aa - bb), abs(bb - cc))
 
 
@@ -197,9 +224,9 @@ def gauge_phase(s) -> GaugeInfo:
     (_unit_scaled). Raises ParseError for non-finite amplitudes and above
     |s| ~ 1.2e77.
     """
-    m, tol = _unit_scaled(s)
-    aa = _dots(m)[0][0]
-    if abs(aa) <= tol:
+    e = _unit_scaled(s)
+    aa = e.dots()[0][0]
+    if abs(aa) <= e.tol:
         return GaugeInfo(0.0, False)
     return GaugeInfo(0.5 * cmath.phase(aa), True)
 

@@ -24,7 +24,7 @@ from tanglevec import (CouplingStep, DegenerateInput, IndexOutOfRange, LocalStep
                        named_gate, normalize, q_vector, random_state, so6_image, state_from_json,
                        su_generator)
 from tanglevec.so6 import GENERATOR_LABELS
-from tanglevec.states import as_state, parse_partition
+from tanglevec.states import _complexes, as_state, parse_partition
 
 S = random_state(5)
 PAIRS = ["ab", "ba", "bc", "cb", "ac", "ca"]
@@ -119,6 +119,19 @@ def test_every_list_of_complex_numbers_is_checked_alike(site):
             with pytest.raises(ParseError):
                 call(values)
                 pytest.fail(f"{site} took {values!r}")
+
+
+def test_a_refused_list_of_numbers_names_its_fault():
+    # the count is the one the site takes, singular for one; a ragged nesting
+    # is named as such, whatever the count
+    with pytest.raises(ParseError, match=r"^a three-qubit state: expected 8 numbers, got \[1, 1"):
+        as_state([1] * 7)
+    with pytest.raises(ParseError, match=r"^a 6-vector: expected 6 numbers, got 'abcdef'"):
+        SixVector("abcdef", 3)
+    with pytest.raises(ParseError, match=r"^a three-qubit state: got a ragged nesting, \[\[1, 2\]"):
+        abc_vectors([[1, 2], [3]] + [1] * 6)
+    with pytest.raises(ParseError, match=r"^one number: expected 1 number, got \[1, 2\]"):
+        _complexes([1, 2], 1, "one number")
 
 
 #: seven good [re, im] pairs

@@ -68,13 +68,19 @@ def test_min_phase_distance_reads_nested_lists_like_arrays():
     assert min_phase_distance([[1, 0], [0, 1]], -np.eye(2)) == 0.0
 
 
-@pytest.mark.parametrize("u", ["ab", None, True, [[1.0, 0.0], [0.0]], [[1.0, "a"]], []],
-                         ids=["text", "none", "bool", "ragged", "text-entry", "empty"])
-def test_min_phase_distance_refuses_what_is_not_numbers(u):
+@pytest.mark.parametrize("u, fault", [
+    ("ab", "expected one or more numbers, got 'ab'"),
+    (None, "expected one or more numbers, got None"),
+    (True, "expected one or more numbers, got True"),
+    ([[1.0, 0.0], [0.0]], r"got a ragged nesting, \[\[1.0, 0.0\], \[0.0\]\]"),
+    ([[1.0, "a"]], r"expected one or more numbers, got \[\[1.0, 'a'\]\]"),
+    ([], r"expected one or more numbers, got \[\]$"),
+], ids=["text", "none", "bool", "ragged", "text-entry", "empty"])
+def test_min_phase_distance_refuses_what_is_not_numbers(u, fault):
     # refused by the one check of a list of numbers, on either side, never
-    # with numpy's TypeError or ValueError
+    # with numpy's TypeError or ValueError, and the message names the fault
     for args in ((u, np.eye(2)), (np.eye(2), u)):
-        with pytest.raises(ParseError, match="min_phase_distance"):
+        with pytest.raises(ParseError, match=f"^min_phase_distance's matrix: {fault}"):
             min_phase_distance(*args)
 
 

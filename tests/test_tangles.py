@@ -234,7 +234,7 @@ def test_subnormal_measures_agree():
             assert min(ts.as_dict().values()) >= 0.0
     for scale in (1e-70, 1.0, 1e70):
         s = scale * random_state(0)
-        assert _vectors(s)[1] == EPS_INV * squared_norm(s) ** 2
+        assert _vectors(s).tol == EPS_INV * squared_norm(s) ** 2
 
 
 def _einsum_route(s):
@@ -266,7 +266,7 @@ def test_scalar_route_matches_einsum():
             c = scale * np.asarray(s, dtype=complex)
             bound = 1e-14 * squared_norm(c) ** 2
             sq, hn, measures = _einsum_route(c)
-            got_sq, got_hn = _dots(_vectors(c)[0])
+            got_sq, got_hn = _dots(_vectors(c).m)
             assert max(abs(np.array(got_sq) - sq).max(), abs(np.array(got_hn) - hn).max()) <= bound
             got = tangle_set(c).as_dict()
             assert max(abs(got[k] - measures[k]) for k in measures) <= bound, (scale, got)

@@ -1,3 +1,4 @@
+import dataclasses
 import sys
 import threading
 import warnings
@@ -5,13 +6,14 @@ import warnings
 import numpy as np
 import pytest
 
-from tanglevec import (GaugeUndefined, ParseError, SixVector, abc_vectors, apply_gauge,
-                       bipartite_tangles, ckw_residual, evolve_q, extremum_residual,
-                       gauge_phase, make_acin, make_asymmetric_w, make_ghz, matricize,
-                       named_gate, plucker_residual, q_vector, random_state, tangle_set,
-                       three_tangle, two_tangles)
-from tanglevec.states import squared_norm
-from tanglevec.vectors import AbcVectors, _vectors
+from tanglevec import (GaugeUndefined, InvariantViolation, ParseError, SixVector, TangleSet,
+                       abc_vectors, align_canonical, apply_gauge, bipartite_tangles,
+                       ckw_residual, evolve_q, extremum_residual, gauge_phase, make_acin,
+                       make_asymmetric_w, make_ghz, matricize, named_gate, plucker_residual,
+                       q_vector, random_state, tangle_set, three_tangle, two_tangles, vectors)
+from tanglevec.states import as_state, squared_norm
+from tanglevec.tangles import _measures
+from tanglevec.vectors import AbcVectors, _dots, _vectors
 from conftest import count_calls, count_evaluations
 
 MU = np.array([1j, -1.0, 0.0])
@@ -356,7 +358,14 @@ def test_memo_serves_the_computed_values():
             for fn, w in zip(INVARIANTS, want):
                 _vectors(s)
                 assert _plain(fn(s)) == w, (fn, scale)
-            assert (_vectors(s)[1] < sys.float_info.min) == (scale <= 1e-76)
+            assert (_vectors(s).tol < sys.float_info.min) == (scale <= 1e-76)
+
+
+def _cold(s):
+    """(the dots, the TangleSet) of s computed without the entry."""
+    m, tol = vectors._evaluate(as_state(s))
+    d = _dots(m)
+    return d, _measures(d, tol)
 
 
 def test_memo_sees_an_array_changed_in_place():
@@ -368,8 +377,11 @@ def test_memo_sees_an_array_changed_in_place():
     assert tangle_set(s) == tangle_set(random_state(6)) != t
     for k in range(8):   # each amplitude, the real or the imaginary part
         before = _plain(abc_vectors(s))
+        dots, tangles = _vectors(s).dots(), tangle_set(s)
         s[k] += 1e-12 if k % 2 else 1e-12j
         assert _plain(abc_vectors(s)) == _fresh(abc_vectors, s.copy()) != before
+        # the dots and the tangles kept for the old amplitudes are not read back
+        assert (_vectors(s).dots(), tangle_set(s)) == _cold(s) != (dots, tangles)
     assert _plain(abc_vectors(s)) != _plain(v)
 
 
@@ -390,7 +402,7 @@ def test_memo_refuses_a_refused_state_on_every_call(bad):
 
 def test_memo_block_is_read_only_and_vectors_are_copies():
     s = random_state(8)
-    m, _ = _vectors(s)
+    m = _vectors(s).m
     assert not m.flags.writeable
     with pytest.raises(ValueError):
         m[0, 0] = 1.0
@@ -399,18 +411,21 @@ def test_memo_block_is_read_only_and_vectors_are_copies():
     for row in (v.a, v.b, v.c):
         assert row.flags.writeable and not np.shares_memory(row, m)
         row[:] = np.nan
-    assert _vectors(s)[0] is m and m.tolist() == want
+    assert _vectors(s).m is m and m.tolist() == want
     assert _plain(abc_vectors(s)) == want
 
 
 def test_one_analysis_evaluates_once(monkeypatch):
-    # the nine calls of one analysis take one |s|^2 and one evaluation
+    # the nine calls of one analysis take one |s|^2 and one evaluation, and
+    # derive A.A, B.B, C.C with the norms, and the TangleSet, once
     s = random_state(9)
     evaluations = count_evaluations(monkeypatch)
     norms = count_calls(monkeypatch, squared_norm)
+    dots = count_calls(monkeypatch, _dots)
+    built = count_calls(monkeypatch, TangleSet)
     for fn in ANALYSIS:
         fn(s)
-    assert len(norms) == len(evaluations) == 1
+    assert len(norms) == len(evaluations) == len(dots) == len(built) == 1
 
 
 def test_tiny_analysis_evaluates_the_state_and_its_rescaled_copy_once(monkeypatch):
@@ -419,8 +434,62 @@ def test_tiny_analysis_evaluates_the_state_and_its_rescaled_copy_once(monkeypatc
     s = 1e-80 * random_state(3)
     want = [_fresh(fn, s) for fn in ANALYSIS]
     evaluations = count_evaluations(monkeypatch)
+    dots = count_calls(monkeypatch, _dots)
     assert [_plain(fn(s)) for fn in ANALYSIS] == want
-    assert len(evaluations) == 2
+    assert len(evaluations) == len(dots) == 2
+
+
+def test_the_rescaled_copy_leaves_the_entry_s_kept_values_alone():
+    # the gauge's rescaled copy is evaluated on the side: its dots, 2^(4k)
+    # times the state's, never reach the entry, before or after it keeps its own
+    s = 1e-80 * random_state(3)
+    _vectors(random_state(999))
+    e = _vectors(s)
+    for fn in (gauge_phase, align_canonical, _extremum, _gauged):
+        fn(s)
+    assert _vectors(s) is e and e.tangles is None
+    assert (e.dots(), tangle_set(s)) == _cold(s)
+    d, t = e.dots(), e.tangles
+    for fn in (gauge_phase, align_canonical, _extremum, _gauged):
+        fn(s)
+    assert _vectors(s) is e and e.dots() is d and tangle_set(s) is t
+
+
+def test_a_tangle_disagreement_is_raised_on_every_call(monkeypatch):
+    # a TangleSet that fails its own check is never kept
+    s = 0.5 * random_state(31)
+    real = vectors._dots
+
+    def skewed(m):
+        (aa, bb, cc), hn = real(m)
+        return (aa, 2.0 * bb + 1.0, cc), hn
+
+    monkeypatch.setattr(vectors, "_dots", skewed)
+    _vectors(random_state(999))
+    try:
+        for _ in range(2):
+            for fn in (tangle_set, three_tangle, ckw_residual, bipartite_tangles):
+                with pytest.raises(InvariantViolation, match="disagree"):
+                    fn(s)
+        assert _vectors(s).tangles is None
+    finally:
+        _vectors(random_state(999))   # the skewed dots go with the entry of s
+
+
+def test_kept_values_are_shared_and_immutable():
+    s = random_state(12)
+    t = tangle_set(s)
+    assert tangle_set(s) is t
+    assert (three_tangle(s), two_tangles(s), bipartite_tangles(s)) == (
+        t.tau_abc, (t.tau_bc, t.tau_ac, t.tau_ab), (t.tau_a_bc, t.tau_b_ca, t.tau_c_ab))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        t.tau_abc = 0.0
+    d = _vectors(s).dots()
+    assert _vectors(s).dots() is d and d == _cold(s)[0]
+    assert type(d) is tuple and all(type(part) is tuple and len(part) == 3 for part in d)
+    for part in d:
+        with pytest.raises(TypeError):
+            part[0] = 0.0
 
 
 def test_memo_threads_get_their_own_states():
