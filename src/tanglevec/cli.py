@@ -1,9 +1,14 @@
 """Command-line front end.
 
-Machine-readable JSON goes to stdout; ``--pretty`` adds a human summary on
-stderr. Complex numbers are emitted as [re, im] pairs. Exit codes: 0 ok,
-1 usage or parse error, 2 verification failure, 3 numeric invariant breach.
-Randomized commands take ``--seed`` (default 0).
+Each command returns its report name, its input digest (None, one digest,
+or a list of two) and its result; main alone wraps them in the report
+{"command", "input_digest", "result"}, adds "seed" for a command that takes
+``--seed`` (default 0) and "tolerances" for one whose parser sets them, and
+writes it to stdout as strict JSON. ``--pretty`` adds a human summary of
+the result on stderr. Complex numbers are emitted as [re, im] pairs. Exit
+codes: 0 ok; 1 usage or parse error, or a report holding a non-finite
+value (nothing is written to stdout); 2 a failed verdict ("ok" or "pass"
+false); 3 numeric invariant breach.
 """
 from __future__ import annotations
 
@@ -48,15 +53,6 @@ def _load_state(path: str):
     return state_from_json(text), _digest(text)
 
 
-def _report(command: str, digest, payload: dict, seed=None, tolerances=None) -> dict:
-    rep = {"command": command, "input_digest": digest, "result": payload}
-    if seed is not None:
-        rep["seed"] = seed
-    if tolerances:
-        rep["tolerances"] = tolerances
-    return rep
-
-
 def _emit(report: dict, pretty: bool):
     print(json.dumps(report, indent=2, allow_nan=False))
     if pretty:
@@ -83,11 +79,13 @@ def _numbers(text: str, n: int, what: str) -> tuple:
     return _reals(values, n, what)
 
 
-def _sequence_payload(seq) -> list:
-    return json.loads(sequence_to_json(seq))
+def _synthesis_payload(res, achieved: str) -> dict:
+    """A SynthesisResult's report: its sequence, its achieved value named achieved, its meta."""
+    return {"sequence": json.loads(sequence_to_json(res.sequence)), achieved: res.achieved,
+            **res.meta}
 
 
-def cmd_analyze(args) -> int:
+def cmd_analyze(args) -> tuple:
     s, digest = _load_state(args.state)
     s = normalize(s)
     v = abc_vectors(s)
@@ -99,12 +97,10 @@ def cmd_analyze(args) -> int:
         "plucker_residual": plucker_residual(s),
         "ckw_residual": ckw_residual(s),
     }
-    _emit(_report("analyze", digest, payload,
-                  tolerances={"eps_inv": EPS_INV}), args.pretty)
-    return EXIT_OK
+    return "analyze", digest, payload
 
 
-def cmd_evolve(args) -> int:
+def cmd_evolve(args) -> tuple:
     s, digest = _load_state(args.state)
     s = normalize(s)
     with open(args.sequence) as fh:
@@ -124,89 +120,74 @@ def cmd_evolve(args) -> int:
               file=sys.stderr)
         payload["q_vector"] = None
         payload["dual_residual"] = None
-    _emit(_report("evolve", [digest, _digest(seq_text)], payload), args.pretty)
-    return EXIT_OK
+    return "evolve", [digest, _digest(seq_text)], payload
 
 
-def cmd_synthesize_coupling_core(args) -> int:
+def cmd_synthesize_coupling_core(args) -> tuple:
     alpha = _numbers(args.alpha, 3, "--alpha")
     res = synthesize_coupling_core(np.radians(alpha) if args.degrees else alpha)
-    payload = {"sequence": _sequence_payload(res.sequence),
-               "achieved_distance": res.achieved, **res.meta}
-    _emit(_report("synthesize coupling-core", None, payload), args.pretty)
-    return EXIT_OK
+    return "synthesize coupling-core", None, _synthesis_payload(res, "achieved_distance")
 
 
-def cmd_synthesize_w_to_ghz(args) -> int:
+def cmd_synthesize_w_to_ghz(args) -> tuple:
     angles = (args.theta, args.phi)
     res = w_to_ghz_sequence(*(np.radians(angles) if args.degrees else angles))
-    payload = {"sequence": _sequence_payload(res.sequence),
-               "achieved_fidelity": res.achieved, **res.meta}
-    _emit(_report("synthesize w-to-ghz", None, payload), args.pretty)
-    return EXIT_OK
+    return "synthesize w-to-ghz", None, _synthesis_payload(res, "achieved_fidelity")
 
 
-def cmd_maximize_tangle(args) -> int:
+def cmd_maximize_tangle(args) -> tuple:
     s, digest = _load_state(args.state)
     res = maximize_three_tangle(s, args.pair, args.variant)
-    payload = {"sequence": _sequence_payload(res.sequence),
-               "achieved": res.achieved, **res.meta}
-    _emit(_report("maximize-tangle", digest, payload), args.pretty)
-    return EXIT_OK
+    return "maximize-tangle", digest, _synthesis_payload(res, "achieved")
 
 
-def cmd_fs_angle(args) -> int:
+def cmd_fs_angle(args) -> tuple:
     s1, d1 = _load_state(args.state1)
     s2, d2 = _load_state(args.state2)
     res = fubini_study_search(s1, s2, restarts=args.restarts, seed=args.seed)
     payload = {**dataclasses.asdict(res),
                "note": "stochastic optimizer: upper bound on the true minimum"}
-    _emit(_report("fs-angle", [d1, d2], payload, seed=args.seed), args.pretty)
-    return EXIT_OK
+    return "fs-angle", [d1, d2], payload
 
 
-def cmd_ascent(args) -> int:
+def cmd_ascent(args) -> tuple:
     s, digest = _load_state(args.state)
     res = tangle_ascent_search(s, args.pair, restarts=args.restarts, seed=args.seed)
     spectator = PARTITION_SPECTATOR[_canonical_pair(args.pair)[0]]   # the search checked the pair
     payload = {**dataclasses.asdict(res), "spectator": spectator,
                "bound": bipartite_tangle_from_density(normalize(s), spectator),
                "note": "stochastic optimizer: lower bound on the true maximum"}
-    _emit(_report("ascent", digest, payload, seed=args.seed), args.pretty)
-    return EXIT_OK
+    return "ascent", digest, payload
 
 
-def cmd_quat_reduce(args) -> int:
+def cmd_quat_reduce(args) -> tuple:
     seq, params, final, residual = _reduce(QuaternionicState(_numbers(args.x, 4, "--x"),
                                                              _numbers(args.y, 4, "--y")))
     payload = {
-        "sequence": _sequence_payload(seq),
+        "sequence": json.loads(sequence_to_json(seq)),
         "xi": params.xi,
         "lambdas": [float(v) for v in params.lambdas],
         "final_state": json.loads(state_to_json(final)),
         "residual": residual,
     }
-    _emit(_report("quat reduce", None, payload), args.pretty)
-    return EXIT_OK
+    return "quat reduce", None, payload
 
 
-def cmd_quat_check(args) -> int:
+def cmd_quat_check(args) -> tuple:
     s, digest = _load_state(args.state)
     qs = is_quaternionic(normalize(s))
     payload = {"quaternionic": qs is not None}
     if qs is not None:
         payload["x"] = [float(v) for v in qs.x]
         payload["y"] = [float(v) for v in qs.y]
-    _emit(_report("quat check", digest, payload), args.pretty)
-    return EXIT_OK
+    return "quat check", digest, payload
 
 
-def cmd_verify_map(args) -> int:
+def cmd_verify_map(args) -> tuple:
     rep = verify_commutators()
     payload = {"pairs": rep.pairs, "max_discrepancy": rep.max_discrepancy,
                "ok": rep.ok}
-    _emit(_report("verify-map", None, payload), args.pretty)
-    return EXIT_OK if rep.ok else EXIT_VERIFY
+    return "verify-map", None, payload
 
 
 def _verify_default(n: int, seed: int) -> dict:
@@ -275,13 +256,10 @@ def _verify_quaternionic(n: int, seed: int) -> dict:
     }
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args) -> tuple:
     _check_options(seeds={"--seed": args.seed}, counts={"-N": args.num})
     suite = _verify_quaternionic if args.suite == "quaternionic" else _verify_default
-    payload = suite(args.num, args.seed)
-    _emit(_report(f"verify --suite {args.suite}", None, payload,
-                  seed=args.seed), args.pretty)
-    return EXIT_OK if payload["pass"] else EXIT_VERIFY
+    return f"verify --suite {args.suite}", None, suite(args.num, args.seed)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -294,7 +272,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("analyze", help="invariant vectors, gauge, tangles")
     p.add_argument("--state", required=True)
-    p.set_defaults(func=cmd_analyze)
+    p.set_defaults(func=cmd_analyze, tolerances={"eps_inv": EPS_INV})
 
     p = sub.add_parser("evolve", help="apply a gate sequence in both pictures")
     p.add_argument("--state", required=True)
@@ -362,13 +340,20 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
-        return args.func(args)
+        command, digest, result = args.func(args)
+        report = {"command": command, "input_digest": digest, "result": result}
+        for key in ("seed", "tolerances"):
+            if key in args:
+                report[key] = getattr(args, key)
+        _emit(report, args.pretty)   # ValueError for a non-finite value, before any output
     except InvariantViolation as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except (TangleVecError, OSError, ValueError) as exc:   # a file that cannot be read or decoded
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    # the verdict of verify-map ("ok") and of verify ("pass")
+    return EXIT_OK if result.get("ok", result.get("pass", True)) else EXIT_VERIFY
 
 
 if __name__ == "__main__":

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -11,7 +12,8 @@ from tanglevec import (make_asymmetric_w, make_ghz, normalize, random_state,
                        state_to_json, to_state, QuaternionicState,
                        sequence_to_json, named_gate, apply, ckw_residual,
                        plucker_residual, maximize_three_tangle, tangle_ascent_search,
-                       bipartite_tangle_from_density)
+                       bipartite_tangle_from_density, CommutatorReport, EPS_INV)
+from tanglevec import cli
 from tanglevec.cli import _emit, main
 from conftest import checked_tangle_set, count_calls, count_evaluations
 
@@ -69,6 +71,67 @@ def test_the_module_runs_in_its_own_process(ghz_file, tmp_path):
     assert strict_json(runs[0].stdout)["command"] == "analyze"
     assert runs[1].returncode == 1 and runs[1].stdout == ""
     assert runs[1].stderr.startswith("error: ")
+
+
+#: every subcommand: (argv, report name, the input files it digests, the
+#: fields besides command, input_digest and result); "{s7}", "{ghz}" and
+#: "{seq}" stand for the files
+ENVELOPES = {
+    "analyze": (["analyze", "--state", "{s7}"], "analyze", ["{s7}"],
+                {"tolerances": {"eps_inv": EPS_INV}}),
+    "evolve": (["evolve", "--state", "{s7}", "--sequence", "{seq}"], "evolve",
+               ["{s7}", "{seq}"], {}),
+    "coupling-core": (["synthesize", "coupling-core", "--alpha", "0.4,-0.9,1.7"],
+                      "synthesize coupling-core", [], {}),
+    "w-to-ghz": (["synthesize", "w-to-ghz", "--theta", "0.6", "--phi", "0.3"],
+                 "synthesize w-to-ghz", [], {}),
+    "maximize-tangle": (["maximize-tangle", "--state", "{s7}"], "maximize-tangle", ["{s7}"], {}),
+    "fs-angle": (["fs-angle", "--state1", "{s7}", "--state2", "{ghz}", "--seed", "3",
+                  "--restarts", "2"], "fs-angle", ["{s7}", "{ghz}"], {"seed": 3}),
+    "ascent": (["ascent", "--state", "{s7}", "--restarts", "2"], "ascent", ["{s7}"], {"seed": 0}),
+    "quat reduce": (["quat", "reduce", "--x", "0.5,0,0,0", "--y", "0,0.5,0,0"], "quat reduce",
+                    [], {}),
+    "quat check": (["quat", "check", "--state", "{ghz}"], "quat check", ["{ghz}"], {}),
+    "verify-map": (["verify-map"], "verify-map", [], {}),
+    "verify": (["verify", "-N", "5", "--seed", "4"], "verify --suite default", [], {"seed": 4}),
+    "verify quaternionic": (["verify", "--suite", "quaternionic", "-N", "5"],
+                            "verify --suite quaternionic", [], {"seed": 0}),
+}
+
+
+@pytest.mark.parametrize("argv, command, inputs, extra", ENVELOPES.values(), ids=ENVELOPES)
+def test_every_report_has_the_one_envelope(argv, command, inputs, extra, s7_file, ghz_file,
+                                           tmp_path, capsys):
+    # the digest is one string per input file, a list of them for two
+    seqf = tmp_path / "seq.json"
+    seqf.write_text(sequence_to_json(named_gate("CNOT", "ab")))
+    files = {"{s7}": s7_file, "{ghz}": ghz_file, "{seq}": str(seqf)}
+    code, doc, err = run_cli(capsys, *(files.get(a, a) for a in argv))
+    digests = [hashlib.sha256(Path(files[f]).read_bytes()).hexdigest()[:16] for f in inputs]
+    assert code == 0 and err == ""
+    assert list(doc) == ["command", "input_digest", "result", *extra]
+    assert doc["command"] == command
+    assert doc["input_digest"] == (digests if len(digests) > 1 else (digests or [None])[0])
+    assert {k: doc[k] for k in extra} == extra
+
+
+@pytest.mark.parametrize("pretty", [[], ["--pretty"]], ids=["plain", "pretty"])
+def test_a_report_holding_nan_is_an_error_line(pretty, ghz_file, capsys, monkeypatch):
+    # strict JSON has no NaN: the report is refused before anything is
+    # written, with an error line and exit 1, not a traceback
+    monkeypatch.setattr(cli, "plucker_residual", lambda s: float("nan"))
+    code, doc, err = run_cli(capsys, *pretty, "analyze", "--state", ghz_file)
+    assert code == 1 and doc is None
+    assert err.startswith("error: ") and err.count("\n") == 1 and "JSON" in err
+
+
+@pytest.mark.parametrize("argv", [["verify-map"], ["verify", "-N", "3"]], ids=["verify-map",
+                                                                           "verify"])
+def test_a_failed_verdict_exits_2_with_its_report(argv, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "verify_commutators", lambda: CommutatorReport(105, 1))
+    code, doc, err = run_cli(capsys, *argv)
+    assert code == 2 and err == ""
+    assert doc["result"].get("ok", doc["result"].get("pass")) is False
 
 
 def test_analyze_ghz(ghz_file, capsys):
