@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateInput, InvariantViolation, NotNormalized
+from .errors import DegenerateInput, InvariantViolation, NotNormalized, ParseError
 from .gates import LocalStep, apply
 from .so6 import _GENERATOR_ROW, SO6_BASIS, SU4_BASIS
 from .states import EPS_NORM, _reals, as_state, make_acin, squared_norm
@@ -214,9 +214,14 @@ def abc_quaternionic(qs: QuaternionicState) -> AbcVectors:
     A and C are real 3-vectors (vector parts of conj(x) y - conj(y) x, with
     transposed quaternions for A); B has the fixed structure
     (-i(x.x - y.y), x.x + y.y, 2i x.y). Agrees with the generic amplitude
-    route exactly.
+    route exactly. Every component, and every partial sum on the way, is at
+    most x.x + y.y, so ParseError, before any product, where that is too
+    large for a double.
     """
     x, y = qs.x, qs.y
+    # Python floats overflow to inf without numpy's warning
+    if not math.isfinite(sum(t * t for t in (*x.tolist(), *y.tolist()))):
+        raise ParseError("x.x + y.y is too large for a double")
     xt, yt = quat_transpose(x), quat_transpose(y)
     a = (quat_mul(quat_conj(xt), yt) - quat_mul(quat_conj(yt), xt))[1:]
     cvec = (quat_mul(quat_conj(x), y) - quat_mul(quat_conj(y), x))[1:]

@@ -134,6 +134,15 @@ def squared_norm(c: np.ndarray) -> float:
     return n2
 
 
+def _rescaled(c: np.ndarray) -> tuple[np.ndarray, int]:
+    """(c 2**-k, k): c rescaled by the power of two that brings its largest real or imaginary
+    part into [1/2, 1) (k = 0 when c is zero), so that products of its largest parts neither
+    overflow nor underflow. Exact, but for parts over 2**1021 times smaller than the largest."""
+    k = math.frexp(float(np.abs(np.ascontiguousarray(c).view(float)).max()))[1]
+    h = -k // 2   # two factors: 2**-k alone is beyond the doubles for a subnormal part
+    return c * math.ldexp(1.0, h) * math.ldexp(1.0, -k - h), k
+
+
 def normalize(s) -> np.ndarray:
     """Scale to unit norm.
 
@@ -215,8 +224,18 @@ def matricize(s, partition) -> np.ndarray:
 
 
 def fidelity_up_to_phase(s1, s2) -> float:
-    """|<s1|s2>|, invariant under independent global phases; ParseError unless finite."""
-    return float(abs(np.vdot(_finite_state(s1), _finite_state(s2))))
+    """|<s1|s2>|, invariant under independent global phases, at any finite scale.
+
+    The overlap is taken on both states rescaled by powers of two (_rescaled)
+    and scaled back, so it neither overflows nor underflows on the way.
+    ParseError unless both states are finite, and where the overlap itself
+    is too large for a double.
+    """
+    (c1, k1), (c2, k2) = (_rescaled(_finite_state(s)) for s in (s1, s2))
+    try:
+        return math.ldexp(float(abs(np.vdot(c1, c2))), k1 + k2)
+    except OverflowError:
+        raise ParseError("|<s1|s2>| is too large for a double") from None
 
 
 def random_state(seed: int) -> np.ndarray:

@@ -33,7 +33,8 @@ from .errors import DegenerateInput, GaugeUndefined, ParseError
 from .gates import CouplingStep, LocalStep, PhaseStep, apply, coupling_axis_step, sequence_unitary
 from .quaternionic import _rotation, _step
 from .states import (PARTITION_PAIR, PARTITION_SPECTATOR, QUBIT_AXIS, _check_options,
-                     _complexes, _named, _reals, make_asymmetric_w, make_ghz, normalize)
+                     _complexes, _named, _reals, _rescaled, make_asymmetric_w, make_ghz,
+                     normalize)
 from .tangles import bipartite_tangles, three_tangle
 from .vectors import EPS_INV, _unit_scaled, _vectors, gauge_phase, q_vector
 
@@ -77,12 +78,13 @@ def _spectator_tangle(state, p: int) -> float:
 def min_phase_distance(u: np.ndarray, v: np.ndarray) -> float:
     """max-norm distance between u and v after optimal global-phase match.
 
-    The phase is that of tr(v^H u), taken from u and v scaled to unit largest
-    entry: it neither underflows nor overflows, and since the scaled norms lie
-    between 1 and sqrt(u.size), its zero test is relative to |u| |v|. So the
-    distance scales with u and v at any finite scale. Nested lists work like
-    arrays; ParseError for text, None, a bool, a ragged nesting, no numbers,
-    a non-finite entry or matrices of different shapes.
+    The phase is that of tr(v^H u), taken from u and v each rescaled by a
+    power of two (states._rescaled): it neither underflows nor overflows, and
+    since the rescaled norms lie between 1/2 and sqrt(2 u.size), its zero
+    test is relative to |u| |v|. So the distance scales with u and v at any
+    finite scale. Nested lists work like arrays; ParseError for text, None, a
+    bool, a ragged nesting, no numbers, a non-finite entry, matrices of
+    different shapes, or a distance too large for a double.
     """
     u, v = (_complexes(x, None, "min_phase_distance's matrix").astype(complex, copy=False)
             for x in (u, v))
@@ -91,12 +93,15 @@ def min_phase_distance(u: np.ndarray, v: np.ndarray) -> float:
                          f"{u.shape} and {v.shape}")
     if not (np.isfinite(u).all() and np.isfinite(v).all()):
         raise ParseError("min_phase_distance needs finite matrices")
-    top_u, top_v = np.abs(u).max(), np.abs(v).max()
-    if top_u > 0.0 and top_v > 0.0:
-        tr = np.vdot(v / top_v, u / top_u)
+    tr = np.vdot(_rescaled(v)[0], _rescaled(u)[0])
+    with np.errstate(over="ignore"):   # a distance beyond the doubles is refused below
         if abs(tr) > 1e-300:
-            return float(np.abs(u - (tr / abs(tr)) * v).max())
-    return float(min(np.abs(u - v).max(), np.abs(u + v).max()))
+            dist = float(np.abs(u - (tr / abs(tr)) * v).max())
+        else:
+            dist = float(min(np.abs(u - v).max(), np.abs(u + v).max()))
+    if dist == math.inf:
+        raise ParseError("min_phase_distance: the distance is too large for a double")
+    return dist
 
 
 def synthesize_coupling_core(alpha, pair: str = "ab") -> SynthesisResult:

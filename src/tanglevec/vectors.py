@@ -29,7 +29,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GaugeUndefined, ParseError
-from .states import PARTITION_PAIR, QUBIT_AXIS, _complexes, as_state, parse_partition, squared_norm
+from .states import (PARTITION_PAIR, QUBIT_AXIS, _complexes, _rescaled, as_state,
+                     parse_partition, squared_norm)
 
 EPS_INV = 1e-10
 
@@ -187,9 +188,7 @@ def _unit_scaled(s) -> _Entry:
     e = _vectors(s)
     if e.tol >= sys.float_info.min:
         return e
-    c = as_state(s)
-    k = math.frexp(max(abs(t) for z in c.tolist() for t in (z.real, z.imag)))[1]
-    return _Entry(None, *_evaluate(np.ldexp(c.real, -k) + 1j * np.ldexp(c.imag, -k)))
+    return _Entry(None, *_evaluate(_rescaled(as_state(s))[0]))
 
 
 def abc_vectors(s) -> AbcVectors:

@@ -10,19 +10,26 @@ must be read by numpy as ints, floats or complex numbers. A list that numpy
 reads as bools, text or Python objects (None, an int beyond 64 bits, a
 ragged nesting) or that has the wrong count is refused with ParseError and
 no warning. A bool among numbers is read as a number, as numpy reads it.
+
+Scale: a function whose value scales with a power of its input gives, at
+any finite scale, that power times its unit-scale value, rounded as a
+double, or a TangleVecError where that value is beyond the doubles; never a
+warning.
 """
 import json
+import math
 import warnings
 
 import numpy as np
 import pytest
 
 from tanglevec import (CouplingStep, DegenerateInput, IndexOutOfRange, LocalStep, ParseError,
-                       PhaseStep, SixVector, UnknownGate, UnknownGenerator, abc_vectors,
-                       align_canonical, bipartite_tangle_from_density, coupling_axis_step,
+                       PhaseStep, QuaternionicState, SixVector, TangleVecError, UnknownGate,
+                       UnknownGenerator, abc_quaternionic, abc_vectors, align_canonical,
+                       bipartite_tangle_from_density, coupling_axis_step, fidelity_up_to_phase,
                        generator_map, lambda_generator, matricize, maximize_three_tangle,
-                       named_gate, normalize, q_vector, random_state, so6_image, state_from_json,
-                       su_generator)
+                       min_phase_distance, named_gate, normalize, q_vector, random_state,
+                       so6_image, state_from_json, su_generator)
 from tanglevec.so6 import GENERATOR_LABELS
 from tanglevec.states import _complexes, as_state, parse_partition
 
@@ -150,3 +157,55 @@ def test_a_json_state_holds_eight_pairs_of_numbers(amplitudes):
         assert state_from_json(json.dumps({"amplitudes": [[1, 0]] + _SEVEN}))[0] == 1
         with pytest.raises(ParseError, match="amplitudes"):
             state_from_json(json.dumps({"amplitudes": amplitudes}))
+
+
+#: a 2x2 matrix and one 0.1 from it after the best global phase
+_U = np.array([[1, .5], [.25, -1]])
+_W = np.exp(0.7j) * (_U + [[0, 0], [0, 0.1]])
+#: two states whose overlap cancels: <A|B> = t^2 - t^2
+_A, _B = np.eye(8)[0] + np.eye(8)[1], 2 * (np.eye(8)[0] - np.eye(8)[1])
+#: a quaternionic state with x.x + y.y = 1/2 and x, y neither parallel nor orthogonal
+_X, _Y = np.array([0.5, 0.1, -0.2, 0.3]), np.array([0.1, 0.4, 0.2, -0.2])
+_X, _Y = _X / math.sqrt(2 * (_X @ _X + _Y @ _Y)), _Y / math.sqrt(2 * (_X @ _X + _Y @ _Y))
+
+#: row -> (its values at input scale t, the power of t they scale with)
+SCALE_ROWS = {
+    "min_phase_distance": (lambda t: min_phase_distance(t * _U, t * _W), 1),
+    "fidelity_up_to_phase": (lambda t: fidelity_up_to_phase(t * S, t * random_state(6)), 2),
+    "fidelity_up_to_phase, cancelling": (lambda t: fidelity_up_to_phase(t * _A, t * _B), 2),
+    "abc_quaternionic": (lambda t: np.concatenate(
+        [abc_quaternionic(QuaternionicState(t * _X, t * _Y)).by_qubit(q) for q in "abc"]), 2),
+}
+
+
+@pytest.mark.parametrize("scale", [1e-310, 1e-300, 1e-160, 1e150, 1e300])
+@pytest.mark.parametrize("row", SCALE_ROWS)
+def test_a_scaled_input_scales_the_value_or_is_refused(row, scale):
+    call, power = SCALE_ROWS[row]
+    unit = np.asarray(call(1.0))
+    factor = scale if power == 1 else scale * scale   # inf beyond the doubles, 0 below
+    with np.errstate(invalid="ignore"):   # 0 times inf, where the value is 0 at any scale
+        expected = np.where(unit == 0, 0.0, unit * factor)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        if not np.isfinite(expected).all():
+            with pytest.raises(TangleVecError):
+                call(scale)
+                pytest.fail(f"{row} at {scale} gave a value beyond the doubles")
+            return
+        got = np.asarray(call(scale))
+    # a subnormal value keeps only an absolute accuracy of a few spacings
+    tiny = np.finfo(float).smallest_subnormal
+    assert (np.abs(got - expected) <= 1e-12 * np.abs(expected) + 64 * tiny).all(), (got, expected)
+
+
+def test_min_phase_distance_at_both_ends_of_the_doubles():
+    # the phase of two subnormal matrices is their phase at unit scale; a
+    # distance beyond the largest double is refused
+    u = np.full((2, 2), 5e-324)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        one = np.ones((2, 2))
+        assert min_phase_distance(u, 1j * u) == min_phase_distance(one, 1j * one) == 0.0
+        with pytest.raises(ParseError, match="too large for a double"):
+            min_phase_distance([1e308, 1e308], [1e308, -1e308])
