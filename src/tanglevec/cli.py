@@ -345,11 +345,13 @@ def main(argv=None) -> int:
         for key in ("seed", "tolerances"):
             if key in args:
                 report[key] = getattr(args, key)
-        _emit(report, args.pretty)   # ValueError for a non-finite value, before any output
+        _emit(report, args.pretty)
     except InvariantViolation as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except (TangleVecError, OSError, ValueError) as exc:   # a file that cannot be read or decoded
+    # OSError and ValueError: a file that cannot be read or decoded, or a report
+    # holding a non-finite value, which json.dumps refuses before writing anything
+    except (TangleVecError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     # the verdict of verify-map ("ok") and of verify ("pass")

@@ -138,7 +138,8 @@ class QuaternionicState:
 
     @property
     def norm_squared(self) -> float:
-        return float(self.x @ self.x + self.y @ self.y)
+        """x.x + y.y in Python floats, which overflow to inf without numpy's warning."""
+        return sum(t * t for t in (*self.x.tolist(), *self.y.tolist()))
 
 
 @dataclass(frozen=True, eq=False)
@@ -218,10 +219,9 @@ def abc_quaternionic(qs: QuaternionicState) -> AbcVectors:
     most x.x + y.y, so ParseError, before any product, where that is too
     large for a double.
     """
-    x, y = qs.x, qs.y
-    # Python floats overflow to inf without numpy's warning
-    if not math.isfinite(sum(t * t for t in (*x.tolist(), *y.tolist()))):
+    if not math.isfinite(qs.norm_squared):
         raise ParseError("x.x + y.y is too large for a double")
+    x, y = qs.x, qs.y
     xt, yt = quat_transpose(x), quat_transpose(y)
     a = (quat_mul(quat_conj(xt), yt) - quat_mul(quat_conj(yt), xt))[1:]
     cvec = (quat_mul(quat_conj(x), y) - quat_mul(quat_conj(y), x))[1:]

@@ -17,19 +17,19 @@ double, or a TangleVecError where that value is beyond the doubles; never a
 warning.
 """
 import json
-import math
 import warnings
 
 import numpy as np
 import pytest
 
-from tanglevec import (CouplingStep, DegenerateInput, IndexOutOfRange, LocalStep, ParseError,
-                       PhaseStep, QuaternionicState, SixVector, TangleVecError, UnknownGate,
-                       UnknownGenerator, abc_quaternionic, abc_vectors, align_canonical,
-                       bipartite_tangle_from_density, coupling_axis_step, fidelity_up_to_phase,
-                       generator_map, lambda_generator, matricize, maximize_three_tangle,
-                       min_phase_distance, named_gate, normalize, q_vector, random_state,
-                       so6_image, state_from_json, su_generator)
+from tanglevec import (CouplingStep, DegenerateInput, IndexOutOfRange, LocalStep, NotNormalized,
+                       ParseError, PhaseStep, QuaternionicState, SixVector, TangleVecError,
+                       UnknownGate, UnknownGenerator, abc_quaternionic, abc_vectors,
+                       align_canonical, bipartite_tangle_from_density, coupling_axis_step,
+                       fidelity_up_to_phase, generator_map, lambda_generator, matricize,
+                       maximize_three_tangle, min_phase_distance, named_gate, normalize,
+                       q_vector, random_state, reduce_to_acin, so6_image, state_from_json,
+                       su_generator, to_state)
 from tanglevec.so6 import GENERATOR_LABELS
 from tanglevec.states import _complexes, as_state, parse_partition
 
@@ -159,14 +159,14 @@ def test_a_json_state_holds_eight_pairs_of_numbers(amplitudes):
             state_from_json(json.dumps({"amplitudes": amplitudes}))
 
 
-#: a 2x2 matrix and one 0.1 from it after the best global phase
+#: a 2x2 matrix and a phase-shifted, perturbed copy of it
 _U = np.array([[1, .5], [.25, -1]])
 _W = np.exp(0.7j) * (_U + [[0, 0], [0, 0.1]])
-#: two states whose overlap cancels: <A|B> = t^2 - t^2
+#: two states whose overlap cancels, 2 t^2 - 2 t^2 at scale t
 _A, _B = np.eye(8)[0] + np.eye(8)[1], 2 * (np.eye(8)[0] - np.eye(8)[1])
-#: a quaternionic state with x.x + y.y = 1/2 and x, y neither parallel nor orthogonal
-_X, _Y = np.array([0.5, 0.1, -0.2, 0.3]), np.array([0.1, 0.4, 0.2, -0.2])
-_X, _Y = _X / math.sqrt(2 * (_X @ _X + _Y @ _Y)), _Y / math.sqrt(2 * (_X @ _X + _Y @ _Y))
+#: a quaternion pair with x.x + y.y = 1/2, x and y neither parallel nor orthogonal
+_XY = np.array([0.5, 0.1, -0.2, 0.3, 0.1, 0.4, 0.2, -0.2])
+_X, _Y = np.split(_XY / (np.linalg.norm(_XY) * np.sqrt(2)), 2)
 
 #: row -> (its values at input scale t, the power of t they scale with)
 SCALE_ROWS = {
@@ -197,6 +197,16 @@ def test_a_scaled_input_scales_the_value_or_is_refused(row, scale):
     # a subnormal value keeps only an absolute accuracy of a few spacings
     tiny = np.finfo(float).smallest_subnormal
     assert (np.abs(got - expected) <= 1e-12 * np.abs(expected) + 64 * tiny).all(), (got, expected)
+
+
+def test_a_quaternion_pair_beyond_the_doubles_is_not_normalized():
+    # x.x + y.y is inf, not 1/2: refused before any product can warn
+    qs = QuaternionicState(1e300 * _X, 1e300 * _Y)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for call in (to_state, reduce_to_acin):
+            with pytest.raises(NotNormalized, match=r"x.x \+ y.y = inf"):
+                call(qs)
 
 
 def test_min_phase_distance_at_both_ends_of_the_doubles():
