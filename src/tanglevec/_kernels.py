@@ -185,6 +185,7 @@ def _polar_2x2(m):
 
     Returns (maximizers (R, 2, 2), nuclear norms (R,)).
     """
+    # one power of two per row, so not states._rescaled, which scales a whole array by one
     k = np.frexp(np.abs(m).max(axis=1))[1]
     x = np.ldexp(m.view(np.float64), -k[:, None])
     m = x.view(np.complex128)

@@ -23,63 +23,66 @@ import numpy as np
 from .errors import DegenerateInput, InvariantViolation, NotNormalized, ParseError
 from .gates import LocalStep, apply
 from .so6 import _GENERATOR_ROW, SO6_BASIS, SU4_BASIS
-from .states import EPS_NORM, _reals, as_state, make_acin, squared_norm
+from .states import EPS_NORM, _finite_state, _reals, _rescaled, make_acin
 from .tangles import TangleSet
 from .vectors import EPS_INV, AbcVectors
 
 # --- quaternion algebra (4-vectors (q0, q1, q2, q3)) -----------------------
+# Every helper takes each quaternion through _reals: 4 finite real numbers,
+# else ParseError.
 
 def quat_mul(p, q) -> np.ndarray:
-    """Hamilton product."""
-    p0, p1, p2, p3 = p
-    q0, q1, q2, q3 = q
-    return np.array([
-        p0 * q0 - p1 * q1 - p2 * q2 - p3 * q3,
-        p0 * q1 + p1 * q0 + p2 * q3 - p3 * q2,
-        p0 * q2 - p1 * q3 + p2 * q0 + p3 * q1,
-        p0 * q3 + p1 * q2 - p2 * q1 + p3 * q0,
-    ])
+    """Hamilton product, in Python floats, which overflow to inf without numpy's warning.
+
+    ParseError where a component, or a partial sum on the way, is too large
+    for a double.
+    """
+    p0, p1, p2, p3 = _reals(p, 4, "quaternion")
+    q0, q1, q2, q3 = _reals(q, 4, "quaternion")
+    r = (p0 * q0 - p1 * q1 - p2 * q2 - p3 * q3,
+         p0 * q1 + p1 * q0 + p2 * q3 - p3 * q2,
+         p0 * q2 - p1 * q3 + p2 * q0 + p3 * q1,
+         p0 * q3 + p1 * q2 - p2 * q1 + p3 * q0)
+    if not all(map(math.isfinite, r)):   # an overflow leaves inf, or NaN from inf - inf
+        raise ParseError("the product of two quaternions is too large for a double")
+    return np.array(r)
 
 
 def quat_conj(q) -> np.ndarray:
-    return np.array([q[0], -q[1], -q[2], -q[3]])
+    q0, q1, q2, q3 = _reals(q, 4, "quaternion")
+    return np.array([q0, -q1, -q2, -q3])
 
 
 def quat_inv(q) -> np.ndarray:
     """conj(q) / |q|^2 at any finite scale.
 
-    q is first rescaled, exactly, by the power of two that brings its largest
-    component near 1, so |q|^2 neither underflows nor overflows. Raises
-    ParseError unless q is 4 finite real numbers, and DegenerateInput for
-    q = 0 or when the inverse is too large for a double.
+    q is first brought to unit scale by states._rescaled, so |q|^2 neither
+    underflows nor overflows. Raises ParseError unless q is 4 finite real
+    numbers, and DegenerateInput for q = 0 or when the inverse is too large
+    for a double.
     """
     q = np.array(_reals(q, 4, "quaternion"))
-    top = float(np.abs(q).max())
-    if top == 0.0:
+    p, e = _rescaled(q)
+    if not p.any():
         raise DegenerateInput("inverse of the zero quaternion")
-    e = math.frexp(top)[1]
-    p = np.ldexp(q, -e)
     inv = quat_conj(p) / float(np.dot(p, p))
     if math.frexp(float(np.abs(inv).max()))[1] - e > 1024:
-        raise DegenerateInput(f"the inverse of a quaternion of size {top:.3g} overflows")
+        raise DegenerateInput(f"the inverse of a quaternion of size {np.abs(q).max():.3g} "
+                              "overflows")
     return np.ldexp(inv, -e)
 
 
 def quat_transpose(q) -> np.ndarray:
     """Transpose in the 2x2 representation: flips the j component."""
-    return np.array([q[0], q[1], -q[2], q[3]])
+    q0, q1, q2, q3 = _reals(q, 4, "quaternion")
+    return np.array([q0, q1, -q2, q3])
 
 
 def quat_to_matrix(q) -> np.ndarray:
     """2x2 representation q0 I - i (q . sigma)."""
-    q0, q1, q2, q3 = q
+    q0, q1, q2, q3 = _reals(q, 4, "quaternion")
     return np.array([[q0 - 1j * q3, -1j * q1 - q2],
                      [-1j * q1 + q2, q0 + 1j * q3]], dtype=complex)
-
-
-def _left(q) -> np.ndarray:
-    """The qubit-a factor that left-multiplies x and y by the quaternion q."""
-    return np.array([q[0], -q[1], q[2], -q[3]])
 
 
 def _rotation(u, v, u2=None, v2=None) -> np.ndarray:
@@ -177,20 +180,13 @@ def is_quaternionic(s):
     Returns a QuaternionicState or None. The phase is fixed (up to the
     irrelevant overall sign of (x, y)) by the pattern conditions
     c101 = conj(c000), c100 = -conj(c001) and the row-1 analogues. The state
-    is first rescaled, exactly, by the power of two that brings |s| near 1,
-    so the tests are relative to |s| at any finite scale. After its one
-    |s|^2 the work is on Python numbers. Raises ParseError for a non-finite
-    amplitude.
+    is first brought to unit scale by states._rescaled (its largest real or
+    imaginary part in [1/2, 1)), so the tests are relative to that part at
+    any finite scale; the rest of the work is on Python numbers. Raises
+    ParseError for a non-finite amplitude.
     """
-    c = as_state(s)
-    n2 = squared_norm(c)
+    c, e = _rescaled(_finite_state(s))
     amps = c.tolist()
-    if 1e-300 < n2 < 1e300:
-        e = math.frexp(n2)[1] // 2
-    else:   # |s|^2 leaves the normal doubles: the scale of the largest part
-        e = math.frexp(max(abs(t) for z in amps for t in (z.real, z.imag)))[1]
-    if e:
-        amps = [complex(math.ldexp(z.real, -e), math.ldexp(z.imag, -e)) for z in amps]
     c0, c1, c2, c3, c4, c5, c6, c7 = amps
     w = (c5, c4, c7, c6)
     u = (c0.conjugate(), -c1.conjugate(), c2.conjugate(), -c3.conjugate())
@@ -311,12 +307,11 @@ def balance_chi(qs: QuaternionicState) -> float:
     After exp(i chi sigma_y^(b)) the pair transforms as
     (x, y) -> (cos(chi) x + sin(chi) y, cos(chi) y - sin(chi) x) and the
     first component of B (proportional to x.x - y.y) vanishes. Returns 0
-    when already balanced, to 1e-14 of x.x + y.y. The pair is first
-    rescaled, exactly, by the power of two that brings its largest
-    component near 1, so the squares neither underflow nor overflow.
+    when already balanced, to 1e-14 of x.x + y.y. The pair is first brought
+    to unit scale by states._rescaled, so the squares neither underflow nor
+    overflow.
     """
-    e = math.frexp(float(max(np.abs(qs.x).max(), np.abs(qs.y).max())))[1]
-    x, y = np.ldexp(qs.x, -e), np.ldexp(qs.y, -e)
+    (x, y), _ = _rescaled(np.array((qs.x, qs.y)))
     xx, yy = float(x @ x), float(y @ y)
     delta = xx - yy
     omega = 2.0 * float(x @ y)
@@ -351,7 +346,7 @@ def _reduce(qs: QuaternionicState):
     x = quat_mul(v, x)
 
     # (iii) the Eq-(3) vectors give A = C = -(vector part of x), so aim at -z:
-    # x -> r x conj(r) is r on qubit c and _left(r) on qubit a
+    # x -> r x conj(r) is r on qubit c and quat_transpose(quat_conj(r)) on qubit a
     xv = x[1:]
     nv = float(np.linalg.norm(xv))
     r = _rotation(xv / nv, (0.0, 0.0, -1.0)) if nv > 1e-12 else np.array([1.0, 0.0, 0.0, 0.0])
@@ -365,7 +360,8 @@ def _reduce(qs: QuaternionicState):
     h, g = math.sin(xi / 2), math.cos(xi / 2)
     b = quat_mul(np.array([h, -h, g, g]) / math.sqrt(2), (c, 0.0, -s, 0.0))
     half = math.pi / 4 - xi / 2
-    a = quat_mul((math.cos(half), 0.0, 0.0, -math.sin(half)), _left(quat_mul(r, v)))
+    a = quat_mul((math.cos(half), 0.0, 0.0, -math.sin(half)),
+                 quat_transpose(quat_conj(quat_mul(r, v))))
     seq = _step("b", b) + _step("a", a) + _step("c", r)
 
     final = apply(seq, state)

@@ -14,7 +14,9 @@ counts must be integers (_check_options); only the CLI reads numbers from
 text. Every list of complex numbers (a state, its JSON pairs, a 6-vector)
 passes _complexes. Every name or index a caller passes (a qubit, a pair, a
 partition, an axis, a generator label, a gate name) is looked up once, by
-_named.
+_named. Every rescale to unit scale (of a state, a matrix, a quaternion or a
+quaternion pair) is one exact power of two, made by _rescaled; only the
+Fubini-Study kernel scales its matrix rows on its own.
 """
 from __future__ import annotations
 
@@ -138,30 +140,28 @@ def _rescaled(c: np.ndarray) -> tuple[np.ndarray, int]:
     """(c 2**-k, k): c rescaled by the power of two that brings its largest real or imaginary
     part into [1/2, 1) (k = 0 when c is zero), so that products of its largest parts neither
     overflow nor underflow. Exact, but for parts over 2**1021 times smaller than the largest."""
-    k = math.frexp(float(np.abs(np.ascontiguousarray(c).view(float)).max()))[1]
+    parts = np.ascontiguousarray(c).view(float)   # real factors keep the sign of a zero part
+    k = math.frexp(float(np.abs(parts).max()))[1]
     h = -k // 2   # two factors: 2**-k alone is beyond the doubles for a subnormal part
-    return c * math.ldexp(1.0, h) * math.ldexp(1.0, -k - h), k
+    return (parts * math.ldexp(1.0, h) * math.ldexp(1.0, -k - h)).view(c.dtype), k
 
 
 def normalize(s) -> np.ndarray:
     """Scale to unit norm.
 
-    Raises ParseError for a non-finite amplitude and ZeroState when every
-    amplitude is zero.
+    A state whose |s| is below EPS_NORM, or whose |s|^2 overflows, is first
+    brought to unit scale by _rescaled. Raises ParseError for a non-finite
+    amplitude and ZeroState when every amplitude is zero.
     """
     s = as_state(s)
     n = math.sqrt(np.vdot(s, s).real)
     if not EPS_NORM <= n < math.inf:
         if not np.isfinite(s).all():
             raise ParseError("amplitudes must be finite")
-        # |s|^2 overflows or underflows: divide by the largest amplitude
-        # first, in real arithmetic (complex division takes 1/m, which
-        # overflows for a subnormal m)
-        m = np.abs(s).max()
-        if m == 0.0:
-            raise ZeroState("every amplitude is zero")
-        s = s.real / m + 1j * (s.imag / m)
+        s = _rescaled(s)[0]
         n = math.sqrt(np.vdot(s, s).real)
+        if n == 0.0:
+            raise ZeroState("every amplitude is zero")
     return s / n
 
 

@@ -11,6 +11,12 @@ reads as bools, text or Python objects (None, an int beyond 64 bits, a
 ragged nesting) or that has the wrong count is refused with ParseError and
 no warning. A bool among numbers is read as a number, as numpy reads it.
 
+Lists of real numbers: a quaternion, whichever helper it reaches, and each
+field of a quaternion pair must be 4 finite ints, floats or numpy real
+scalars. Anything else (text, None, a bool, a complex value, a nesting, an
+int beyond any float, NaN, inf or the wrong count) is refused with
+ParseError and no warning.
+
 Scale: a function whose value scales with a power of its input gives, at
 any finite scale, that power times its unit-scale value, rounded as a
 double, or a TangleVecError where that value is beyond the doubles; never a
@@ -28,8 +34,9 @@ from tanglevec import (CouplingStep, DegenerateInput, IndexOutOfRange, LocalStep
                        align_canonical, bipartite_tangle_from_density, coupling_axis_step,
                        fidelity_up_to_phase, generator_map, lambda_generator, matricize,
                        maximize_three_tangle, min_phase_distance, named_gate, normalize,
-                       q_vector, random_state, reduce_to_acin, so6_image, state_from_json,
-                       su_generator, to_state)
+                       q_vector, quat_conj, quat_inv, quat_mul, quat_to_matrix, quat_transpose,
+                       random_state, reduce_to_acin, so6_image, state_from_json, su_generator,
+                       to_state)
 from tanglevec.so6 import GENERATOR_LABELS
 from tanglevec.states import _complexes, as_state, parse_partition
 
@@ -141,6 +148,33 @@ def test_a_refused_list_of_numbers_names_its_fault():
         _complexes([1, 2], 1, "one number")
 
 
+#: site -> call of one list of 4 real numbers
+REAL_SITES = {"quat_mul p": lambda q: quat_mul(q, [1, 0, 0, 0]),
+              "quat_mul q": lambda q: quat_mul([1, 0, 0, 0], q),
+              "quat_conj": quat_conj, "quat_transpose": quat_transpose,
+              "quat_to_matrix": quat_to_matrix, "quat_inv": quat_inv,
+              "QuaternionicState x": lambda q: QuaternionicState(q, np.zeros(4)).x,
+              "QuaternionicState y": lambda q: QuaternionicState(np.zeros(4), q).y}
+REAL_ACCEPTED = [[1, 2, 3, 4], (0.5,) * 4, [1, 2.0, np.float64(3), np.int32(4)],
+                 np.arange(1, 5), np.ones(4, np.float32), [np.uint64(2**63)] * 4]
+REAL_REFUSED = [[1, 2, 3], [1, 2, 3, 4, 5], [], 1.0, "abcd", ["1", "0", "0", "0"],
+                [None] * 4, [True, 0, 0, 0], [1j, 0, 0, 0], [[1, 0], [0, 0]], [10**400, 0, 0, 0],
+                [np.inf, 0, 0, 0], [0, 0, 0, -np.inf], [np.nan] * 4, np.array([1, np.nan, 0, 0])]
+
+
+@pytest.mark.parametrize("site", REAL_SITES)
+def test_every_list_of_real_numbers_is_checked_alike(site):
+    call = REAL_SITES[site]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for values in REAL_ACCEPTED:
+            assert np.isfinite(call(values)).all()
+        for values in REAL_REFUSED:
+            with pytest.raises(ParseError):
+                call(values)
+                pytest.fail(f"{site} took {values!r}")
+
+
 #: seven good [re, im] pairs
 _SEVEN = [[1, 0]] * 7
 
@@ -175,6 +209,7 @@ SCALE_ROWS = {
     "fidelity_up_to_phase, cancelling": (lambda t: fidelity_up_to_phase(t * _A, t * _B), 2),
     "abc_quaternionic": (lambda t: np.concatenate(
         [abc_quaternionic(QuaternionicState(t * _X, t * _Y)).by_qubit(q) for q in "abc"]), 2),
+    "quat_mul": (lambda t: quat_mul(t * _X, t * _Y), 2),
 }
 
 

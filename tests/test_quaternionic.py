@@ -11,7 +11,7 @@ from tanglevec import (AcinParams, QuaternionicState, abc_quaternionic, abc_vect
 from tanglevec.errors import (DegenerateInput, InvariantViolation, NotNormalized,
                               ParseError)
 from tanglevec.gates import LocalStep, PhaseStep, local_unitary, sequence_unitary
-from tanglevec.quaternionic import (_extract, _left, _reduce, _rotation, _step, quat_conj)
+from tanglevec.quaternionic import _extract, _reduce, _rotation, _step, quat_conj
 from tanglevec.so6 import so3_image
 from conftest import checked_tangle_set, count_calls, count_evaluations
 
@@ -66,7 +66,7 @@ def _reduce_reference(qs):
     if res > 1e-9:
         raise InvariantViolation(f"lost quaternionic form while balancing ({res})")
 
-    steps = _step("a", _left(2.0 * quat_conj(y)))
+    steps = _step("a", quat_transpose(quat_conj(2.0 * quat_conj(y))))
     seq.extend(steps)
     state = apply(steps, state)
     x, y, res = _extract_arrays(state)
@@ -76,7 +76,7 @@ def _reduce_reference(qs):
     xv = x[1:]
     if np.linalg.norm(xv) > 1e-12:
         r = _rotation(xv / np.linalg.norm(xv), [0.0, 0.0, -1.0])
-        steps = _step("a", _left(r)) + _step("c", r)
+        steps = _step("a", quat_transpose(quat_conj(r))) + _step("c", r)
         seq.extend(steps)
         state = apply(steps, state)
         x, y, res = _extract_arrays(state)

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from tanglevec import (CouplingStep, LocalStep, ParseError, abc_vectors,
                        apply, bipartite_tangles, bipartite_tangle_from_density,
-                       ckw_residual, gauge_phase, is_quaternionic, make_asymmetric_w,
+                       ckw_residual, gauge_phase, make_asymmetric_w,
                        make_ghz, plucker_residual, q_vector, random_state, tangle_set,
                        three_tangle, two_tangles)
 from tanglevec.states import squared_norm
@@ -197,17 +197,16 @@ def test_one_vector_evaluation_per_call(fn, monkeypatch):
 
 @pytest.mark.parametrize("fn", [abc_vectors, _q_vector_3, plucker_residual,
                                 gauge_phase, tangle_set, ckw_residual,
-                                bipartite_tangles, is_quaternionic])
+                                bipartite_tangles])
 def test_one_norm_per_call(fn, monkeypatch):
     # the check and the tolerance share one |s|^2; an immediate repeat on the
-    # same amplitudes reads the evaluation back, except is_quaternionic,
-    # which takes its own |s|^2 on every call
+    # same amplitudes reads the evaluation back
     _vectors(random_state(4))   # so that random_state(3) was not evaluated last
     calls = count_calls(monkeypatch, squared_norm)
     fn(random_state(3))
     assert len(calls) == 1
     fn(random_state(3))
-    assert len(calls) == (2 if fn is is_quaternionic else 1)
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("fn", [tangle_set, ckw_residual, bipartite_tangles,

@@ -1,12 +1,15 @@
-"""The CI workflow, the pytest configuration and the oldest Python the project supports.
+"""The CI workflow, the console script, the pytest configuration and the oldest Python
+the project supports.
 
 CI runs the suite and the benchmark self-test on Python 3.10 as well, so
 every source, test and benchmark file must parse under the 3.10 grammar even
 where only a newer Python is at hand.
 """
 import ast
+import importlib
 import json
 import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -39,6 +42,33 @@ def test_benchmark_smoke_run_covers_every_declared_workload():
              for job in yaml.safe_load(path.read_text())["jobs"].values()
              for step in job["steps"] if step.get("name") == "Benchmark smoke run"]
     assert loops == [sorted(declared)]
+
+
+def test_console_script_step_runs_only_defined_commands():
+    # the step calls the installed script, so nothing here runs it: each of
+    # its lines must parse as a command that build_parser defines
+    yaml = pytest.importorskip("yaml")
+    from tanglevec.cli import build_parser
+    lines = [shlex.split(line) for path in WORKFLOWS
+             for job in yaml.safe_load(path.read_text())["jobs"].values()
+             for step in job["steps"] if step.get("name") == "Console script"
+             for line in step["run"].splitlines() if line.strip()]
+    assert lines
+    for words in lines:
+        assert words[0] == "tanglevec", words
+        try:
+            args = build_parser().parse_args(words[1:])
+        except SystemExit:
+            pytest.fail(f"build_parser does not define {shlex.join(words)!r}")
+        assert callable(args.func), words
+
+
+def test_console_script_is_cli_main():
+    tomllib = pytest.importorskip("tomllib")   # Python 3.11 on
+    scripts = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]["scripts"]
+    assert scripts == {"tanglevec": "tanglevec.cli:main"}
+    module, name = scripts["tanglevec"].split(":")
+    assert callable(getattr(importlib.import_module(module), name))
 
 
 def test_every_file_parses_under_python_3_10():
