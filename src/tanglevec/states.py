@@ -72,7 +72,8 @@ def _reals(values, n: int, what: str) -> tuple:
     """
     try:
         if not isinstance(values, (str, bytes)) and len(values) == n:
-            out = tuple([float(v) for v in values if isinstance(v, float) or isinstance(
+            items = values.tolist() if isinstance(values, np.ndarray) else values   # Python scalars
+            out = tuple([float(v) for v in items if isinstance(v, float) or isinstance(
                 v, (int, Real)) and v is not True and v is not False])
             if len(out) == n:
                 # a finite norm shows every value finite in one call

@@ -159,7 +159,8 @@ REAL_ACCEPTED = [[1, 2, 3, 4], (0.5,) * 4, [1, 2.0, np.float64(3), np.int32(4)],
                  np.arange(1, 5), np.ones(4, np.float32), [np.uint64(2**63)] * 4]
 REAL_REFUSED = [[1, 2, 3], [1, 2, 3, 4, 5], [], 1.0, "abcd", ["1", "0", "0", "0"],
                 [None] * 4, [True, 0, 0, 0], [1j, 0, 0, 0], [[1, 0], [0, 0]], [10**400, 0, 0, 0],
-                [np.inf, 0, 0, 0], [0, 0, 0, -np.inf], [np.nan] * 4, np.array([1, np.nan, 0, 0])]
+                [np.inf, 0, 0, 0], [0, 0, 0, -np.inf], [np.nan] * 4, np.array([1, np.nan, 0, 0]),
+                np.ones(4, bool), np.ones(4, complex), np.array(list("1234")), np.eye(4)]
 
 
 @pytest.mark.parametrize("site", REAL_SITES)
