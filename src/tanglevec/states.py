@@ -141,10 +141,9 @@ def _rescaled(c: np.ndarray) -> tuple[np.ndarray, int]:
     """(c 2**-k, k): c rescaled by the power of two that brings its largest real or imaginary
     part into [1/2, 1) (k = 0 when c is zero), so that products of its largest parts neither
     overflow nor underflow. Exact, but for parts over 2**1021 times smaller than the largest."""
-    parts = np.ascontiguousarray(c).view(float)   # real factors keep the sign of a zero part
+    parts = np.ascontiguousarray(c).view(float)   # real parts keep the sign of a zero
     k = math.frexp(float(np.abs(parts).max()))[1]
-    h = -k // 2   # two factors: 2**-k alone is beyond the doubles for a subnormal part
-    return (parts * math.ldexp(1.0, h) * math.ldexp(1.0, -k - h)).view(c.dtype), k
+    return np.ldexp(parts, -k).view(c.dtype), k   # 2**-k is beyond the doubles for k < -1023
 
 
 def normalize(s) -> np.ndarray:
