@@ -141,7 +141,7 @@ def _rescaled(c: np.ndarray) -> tuple[np.ndarray, int]:
     """(c 2**-k, k): c rescaled by the power of two that brings its largest real or imaginary
     part into [1/2, 1) (k = 0 when c is zero), so that products of its largest parts neither
     overflow nor underflow. Exact, but for parts over 2**1021 times smaller than the largest."""
-    parts = np.ascontiguousarray(c).view(float)   # real parts keep the sign of a zero
+    parts = np.ascontiguousarray(c).view(float)   # scaled as floats, a zero keeps its sign
     k = math.frexp(float(np.abs(parts).max()))[1]
     return np.ldexp(parts, -k).view(c.dtype), k   # 2**-k is beyond the doubles for k < -1023
 
