@@ -23,13 +23,31 @@ import numpy as np
 from .errors import DegenerateInput, InvariantViolation, NotNormalized, ParseError
 from .gates import LocalStep, apply
 from .so6 import _GENERATOR_ROW, SO6_BASIS, SU4_BASIS
-from .states import EPS_NORM, _finite_state, _reals, _rescaled, make_acin
+from .states import EPS_NORM, _reals, _rescaled, as_state, make_acin
 from .tangles import TangleSet
 from .vectors import EPS_INV, AbcVectors
 
 # --- quaternion algebra (4-vectors (q0, q1, q2, q3)) -----------------------
-# Every helper takes each quaternion through _reals: 4 finite real numbers,
-# else ParseError.
+# Every exported helper checks each quaternion with _reals (4 finite reals, else ParseError)
+# and calls an unchecked kernel on Python floats; the designers call the kernels directly.
+
+def _qmul(p, q) -> tuple:
+    """Hamilton product of two 4-sequences of Python floats, unchecked."""
+    p0, p1, p2, p3 = p
+    q0, q1, q2, q3 = q
+    return (p0 * q0 - p1 * q1 - p2 * q2 - p3 * q3,
+            p0 * q1 + p1 * q0 + p2 * q3 - p3 * q2,
+            p0 * q2 - p1 * q3 + p2 * q0 + p3 * q1,
+            p0 * q3 + p1 * q2 - p2 * q1 + p3 * q0)
+
+
+def _qconj(q) -> tuple:
+    return q[0], -q[1], -q[2], -q[3]
+
+
+def _qtranspose(q) -> tuple:
+    return q[0], q[1], -q[2], q[3]
+
 
 def quat_mul(p, q) -> np.ndarray:
     """Hamilton product, in Python floats, which overflow to inf without numpy's warning.
@@ -37,20 +55,14 @@ def quat_mul(p, q) -> np.ndarray:
     ParseError where a component, or a partial sum on the way, is too large
     for a double.
     """
-    p0, p1, p2, p3 = _reals(p, 4, "quaternion")
-    q0, q1, q2, q3 = _reals(q, 4, "quaternion")
-    r = (p0 * q0 - p1 * q1 - p2 * q2 - p3 * q3,
-         p0 * q1 + p1 * q0 + p2 * q3 - p3 * q2,
-         p0 * q2 - p1 * q3 + p2 * q0 + p3 * q1,
-         p0 * q3 + p1 * q2 - p2 * q1 + p3 * q0)
+    r = _qmul(_reals(p, 4, "quaternion"), _reals(q, 4, "quaternion"))
     if not all(map(math.isfinite, r)):   # an overflow leaves inf, or NaN from inf - inf
         raise ParseError("the product of two quaternions is too large for a double")
     return np.array(r)
 
 
 def quat_conj(q) -> np.ndarray:
-    q0, q1, q2, q3 = _reals(q, 4, "quaternion")
-    return np.array([q0, -q1, -q2, -q3])
+    return np.array(_qconj(_reals(q, 4, "quaternion")))
 
 
 def quat_inv(q) -> np.ndarray:
@@ -65,7 +77,7 @@ def quat_inv(q) -> np.ndarray:
     p, e = _rescaled(q)
     if not p.any():
         raise DegenerateInput("inverse of the zero quaternion")
-    inv = quat_conj(p) / float(np.dot(p, p))
+    inv = np.array(_qconj(p.tolist())) / float(np.dot(p, p))
     if math.frexp(float(np.abs(inv).max()))[1] - e > 1024:
         raise DegenerateInput(f"the inverse of a quaternion of size {np.abs(q).max():.3g} "
                               "overflows")
@@ -74,8 +86,7 @@ def quat_inv(q) -> np.ndarray:
 
 def quat_transpose(q) -> np.ndarray:
     """Transpose in the 2x2 representation: flips the j component."""
-    q0, q1, q2, q3 = _reals(q, 4, "quaternion")
-    return np.array([q0, q1, -q2, q3])
+    return np.array(_qtranspose(_reals(q, 4, "quaternion")))
 
 
 def quat_to_matrix(q) -> np.ndarray:
@@ -85,12 +96,12 @@ def quat_to_matrix(q) -> np.ndarray:
                      [-1j * q1 + q2, q0 + 1j * q3]], dtype=complex)
 
 
-def _rotation(u, v, u2=None, v2=None) -> np.ndarray:
-    """Unit quaternion p whose rotation w -> p w conj(p) takes the unit vector u onto v.
+def _rotation(u, v, u2=None, v2=None) -> tuple:
+    """Unit quaternion p (4 floats) whose rotation w -> p w conj(p) takes the unit vector u onto v.
 
-    It is the shortest such rotation, or a half turn about an axis
-    perpendicular to u when v = -u. With u2 given, it then turns about v to
-    take u2 onto v2; (u, u2) and (v, v2) are orthogonal pairs of unit vectors.
+    The shortest such rotation, or a half turn about an axis perpendicular to u
+    when v = -u; with u2 given, it then turns about v to take u2 onto v2. The
+    pairs (u, u2) and (v, v2) are orthogonal unit vectors, so no kernel call overflows.
     """
     a0, a1, a2 = (float(t) for t in u)
     b0, b1, b2 = (float(t) for t in v)
@@ -99,18 +110,19 @@ def _rotation(u, v, u2=None, v2=None) -> np.ndarray:
     h0, h1, h2 = a0 + b0, a1 + b1, a2 + b2
     x0, x1, x2 = a1 * h2 - a2 * h1, a2 * h0 - a0 * h2, a0 * h1 - a1 * h0
     c = a0 * b0 + a1 * b1 + a2 * b2
-    p = np.array([1.0 + c if c >= 0.0 else (x0 * x0 + x1 * x1 + x2 * x2) / (1.0 - c), x0, x1, x2])
-    if not p.any():  # v = -u: u x e for the basis vector e least along u
-        p[1:] = (0.0, a2, -a1) if abs(a0) < 0.9 else (-a2, 0.0, a0)
-    p /= math.hypot(*p)
+    p = (1.0 + c if c >= 0.0 else (x0 * x0 + x1 * x1 + x2 * x2) / (1.0 - c), x0, x1, x2)
+    if not any(p):  # v = -u: u x e for the basis vector e least along u
+        p = (0.0, *((0.0, a2, -a1) if abs(a0) < 0.9 else (-a2, 0.0, a0)))
+    n = math.hypot(*p)
+    p = tuple(t / n for t in p)
     if u2 is None:
         return p
-    w0, w1, w2 = quat_mul(quat_mul(p, (0.0, *u2)), quat_conj(p))[1:]
+    w0, w1, w2 = _qmul(_qmul(p, (0.0, *map(float, u2))), _qconj(p))[1:]
     e0, e1, e2 = (float(t) for t in v2)
     half = 0.5 * math.atan2(b0 * (w1 * e2 - w2 * e1) + b1 * (w2 * e0 - w0 * e2)
                             + b2 * (w0 * e1 - w1 * e0), w0 * e0 + w1 * e1 + w2 * e2)
     k = math.sin(half)
-    return quat_mul((math.cos(half), k * b0, k * b1, k * b2), p)
+    return _qmul((math.cos(half), k * b0, k * b1, k * b2), p)
 
 
 def _step(qubit: str, p) -> list:
@@ -185,7 +197,7 @@ def is_quaternionic(s):
     any finite scale; the rest of the work is on Python numbers. Raises
     ParseError for a non-finite amplitude.
     """
-    c, e = _rescaled(_finite_state(s))
+    c, e = _rescaled(as_state(s))
     amps = c.tolist()
     c0, c1, c2, c3, c4, c5, c6, c7 = amps
     w = (c5, c4, c7, c6)
@@ -217,15 +229,13 @@ def abc_quaternionic(qs: QuaternionicState) -> AbcVectors:
     """
     if not math.isfinite(qs.norm_squared):
         raise ParseError("x.x + y.y is too large for a double")
-    x, y = qs.x, qs.y
-    xt, yt = quat_transpose(x), quat_transpose(y)
-    a = (quat_mul(quat_conj(xt), yt) - quat_mul(quat_conj(yt), xt))[1:]
-    cvec = (quat_mul(quat_conj(x), y) - quat_mul(quat_conj(y), x))[1:]
-    x2 = float(x @ x)
-    y2 = float(y @ y)
-    xy = float(x @ y)
+    x, y = qs.x.tolist(), qs.y.tolist()   # a finite x.x + y.y bounds every kernel product
+    xt, yt = _qtranspose(x), _qtranspose(y)
+    a = [p - q for p, q in zip(_qmul(_qconj(xt), yt), _qmul(_qconj(yt), xt))][1:]
+    cvec = [p - q for p, q in zip(_qmul(_qconj(x), y), _qmul(_qconj(y), x))][1:]
+    x2, y2, xy = (sum(a * b for a, b in zip(u, v)) for u, v in ((x, x), (y, y), (x, y)))
     b = np.array([-1j * (x2 - y2), x2 + y2, 2j * xy])
-    return AbcVectors(a.astype(complex), b, cvec.astype(complex))
+    return AbcVectors(np.array(a, complex), b, np.array(cvec, complex))
 
 
 def tangles_quaternionic(qs: QuaternionicState) -> TangleSet:
@@ -312,9 +322,8 @@ def balance_chi(qs: QuaternionicState) -> float:
     overflow.
     """
     (x, y), _ = _rescaled(np.array((qs.x, qs.y)))
-    xx, yy = float(x @ x), float(y @ y)
+    xx, yy, omega = float(x @ x), float(y @ y), 2.0 * float(x @ y)
     delta = xx - yy
-    omega = 2.0 * float(x @ y)
     if abs(delta) <= 1e-14 * (xx + yy):
         return 0.0
     return 0.5 * float(np.arctan2(delta, -omega))
@@ -330,26 +339,25 @@ def _reduce(qs: QuaternionicState):
     thresholds below are relative too.
     """
     state = to_state(qs)
-    x, y = qs.x, qs.y
+    x, y = qs.x.tolist(), qs.y.tolist()   # x.x + y.y = 1/2, so no kernel call can overflow
 
     # (i) balance x.x = y.y by the b factor (cos chi, 0, -sin chi, 0); the branch
     # puts x's scalar part non-negative after (ii), landing on the canonical signs
     chi = balance_chi(qs)
-    delta, omega = float(x @ x - y @ y), 2.0 * float(x @ y)
+    delta, omega = sum(a * a - b * b for a, b in zip(x, y)), 2.0 * sum(a * b for a, b in zip(x, y))
     if math.cos(2 * chi) * omega - math.sin(2 * chi) * delta < 0.0:
         chi += math.pi / 2
     c, s = math.cos(chi), math.sin(chi)
-    x, y = c * x + s * y, c * y - s * x
+    x, y = [c * p + s * q for p, q in zip(x, y)], [c * q - s * p for p, q in zip(x, y)]
 
     # (ii) left-multiply by v = 2 conj(y), a unit quaternion: y becomes 1/2
-    v = 2.0 * quat_conj(y)
-    x = quat_mul(v, x)
+    v = tuple(2.0 * t for t in _qconj(y))
+    x = _qmul(v, x)
 
     # (iii) the Eq-(3) vectors give A = C = -(vector part of x), so aim at -z:
     # x -> r x conj(r) is r on qubit c and quat_transpose(quat_conj(r)) on qubit a
-    xv = x[1:]
-    nv = float(np.linalg.norm(xv))
-    r = _rotation(xv / nv, (0.0, 0.0, -1.0)) if nv > 1e-12 else np.array([1.0, 0.0, 0.0, 0.0])
+    nv = math.hypot(*x[1:])
+    r = _rotation([t / nv for t in x[1:]], (0.0, 0.0, -1.0)) if nv > 1e-12 else (1.0, 0.0, 0.0, 0.0)
     xi = math.atan2(abs(x[0]), nv)
     lambdas = np.array([-math.cos(xi), math.sin(xi), 0.0, 0.0, 1.0]) / math.sqrt(2)
 
@@ -358,10 +366,9 @@ def _reduce(qs: QuaternionicState):
     # by pi - xi about it, even at x0 = 0 where Im B vanishes (so it is continuous in
     # xi), and a z-turn by pi/2 - xi on qubit a pins the one phase left
     h, g = math.sin(xi / 2), math.cos(xi / 2)
-    b = quat_mul(np.array([h, -h, g, g]) / math.sqrt(2), (c, 0.0, -s, 0.0))
+    b = _qmul([t / math.sqrt(2) for t in (h, -h, g, g)], (c, 0.0, -s, 0.0))
     half = math.pi / 4 - xi / 2
-    a = quat_mul((math.cos(half), 0.0, 0.0, -math.sin(half)),
-                 quat_transpose(quat_conj(quat_mul(r, v))))
+    a = _qmul((math.cos(half), 0.0, 0.0, -math.sin(half)), _qtranspose(_qconj(_qmul(r, v))))
     seq = _step("b", b) + _step("a", a) + _step("c", r)
 
     final = apply(seq, state)

@@ -8,15 +8,17 @@ The three bipartite arrangements a(bc), b(ca), c(ab) are numbered 1, 2, 3.
 Each arranges the amplitudes as a 4x2 matrix whose column indexes the single
 qubit and whose rows run over the remaining pair.
 
-Every list of real parameters passes one check, _reals: n ints, floats or
-numpy real scalars (never a bool), each finite, else ParseError. Seeds and
-counts must be integers (_check_options); only the CLI reads numbers from
-text. Every list of complex numbers (a state, its JSON pairs, a 6-vector)
-passes _complexes. Every name or index a caller passes (a qubit, a pair, a
-partition, an axis, a generator label, a gate name) is looked up once, by
-_named. Every rescale to unit scale (of a state, a matrix, a quaternion or a
-quaternion pair) is one exact power of two, made by _rescaled; only the
-Fubini-Study kernel scales its matrix rows on its own.
+Every list of real parameters passes one check, _reals: n ints, floats or numpy
+real scalars (never a bool), each finite, else ParseError. The exported
+quaternion helpers check each quaternion so; the internal designers call
+unchecked kernels on Python floats that are checked and bounded already. Seeds
+and counts must be integers (_check_options); only the CLI reads numbers from
+text. Every list of complex numbers (a state, its JSON pairs, a 6-vector) passes
+_complexes. Every name or index a caller passes (a qubit, a pair, a partition,
+an axis, a generator label, a gate name) is looked up once, by _named. Every
+rescale to unit scale (of a state, a matrix, a quaternion or a quaternion pair)
+is one exact power of two, made by _rescaled, which refuses a non-finite part;
+only the Fubini-Study kernel scales its matrix rows on its own.
 """
 from __future__ import annotations
 
@@ -142,7 +144,10 @@ def _rescaled(c: np.ndarray) -> tuple[np.ndarray, int]:
     part into [1/2, 1) (k = 0 when c is zero), so that products of its largest parts neither
     overflow nor underflow. Exact, but for parts over 2**1021 times smaller than the largest."""
     parts = np.ascontiguousarray(c).view(float)   # scaled as floats, a zero keeps its sign
-    k = math.frexp(float(np.abs(parts).max()))[1]
+    top = float(np.abs(parts).max())
+    if not math.isfinite(top):   # a NaN part too, since max keeps it
+        raise ParseError("amplitudes must be finite")
+    k = math.frexp(top)[1]
     return np.ldexp(parts, -k).view(c.dtype), k   # 2**-k is beyond the doubles for k < -1023
 
 
@@ -155,9 +160,7 @@ def normalize(s) -> np.ndarray:
     """
     s = as_state(s)
     n = math.sqrt(np.vdot(s, s).real)
-    if not EPS_NORM <= n < math.inf:
-        if not np.isfinite(s).all():
-            raise ParseError("amplitudes must be finite")
+    if not EPS_NORM <= n < math.inf:   # NaN too, which _rescaled refuses
         s = _rescaled(s)[0]
         n = math.sqrt(np.vdot(s, s).real)
         if n == 0.0:
@@ -231,7 +234,7 @@ def fidelity_up_to_phase(s1, s2) -> float:
     ParseError unless both states are finite, and where the overlap itself
     is too large for a double.
     """
-    (c1, k1), (c2, k2) = (_rescaled(_finite_state(s)) for s in (s1, s2))
+    (c1, k1), (c2, k2) = (_rescaled(as_state(s)) for s in (s1, s2))
     try:
         return math.ldexp(float(abs(np.vdot(c1, c2))), k1 + k2)
     except OverflowError:

@@ -166,17 +166,17 @@ def w_to_ghz_sequence(theta: float, phi: float) -> SynthesisResult:
 
 # --- canonical alignment and the tangle maximum ---------------------------
 
-def _align_vector_steps(qubit: str, vec: np.ndarray, zero: float) -> list:
+def _align_vector_steps(qubit: str, vec, zero: float) -> list:
     """At most one step rotating vec's real part onto +x and its imaginary part onto +z.
 
-    Assumes Re(vec) and Im(vec) orthogonal (the gauged situation); parts of
-    norm at most `zero` align trivially.
+    vec is 3 Python complex numbers with Re(vec) and Im(vec) orthogonal (the
+    gauged situation); parts of norm at most `zero` align trivially.
     """
-    vr, vi = np.real(vec), np.imag(vec)
-    nr, ni = float(np.linalg.norm(vr)), float(np.linalg.norm(vi))
-    frame = (vi / ni, (0.0, 0.0, 1.0)) if ni > zero else ()
+    vr, vi = [z.real for z in vec], [z.imag for z in vec]
+    nr, ni = math.hypot(*vr), math.hypot(*vi)
+    frame = ([t / ni for t in vi], (0.0, 0.0, 1.0)) if ni > zero else ()
     if nr > zero:
-        return _step(qubit, _rotation(vr / nr, (1.0, 0.0, 0.0), *frame))
+        return _step(qubit, _rotation([t / nr for t in vr], (1.0, 0.0, 0.0), *frame))
     return _step(qubit, _rotation(*frame)) if frame else []
 
 
@@ -192,7 +192,7 @@ def _alignment(pq: str, v1, v2, tol: float) -> list:
 
 def _noise_floor(tol: float) -> float:
     """1e-13 |s|^2, from the tolerance EPS_INV |s|^4; smaller vector parts are rounding noise."""
-    return 1e-13 * np.sqrt(tol / EPS_INV)
+    return 1e-13 * math.sqrt(tol / EPS_INV)
 
 
 def align_canonical(s, pair: str = "ab") -> list:
@@ -205,7 +205,7 @@ def align_canonical(s, pair: str = "ab") -> list:
     """
     _, pq = _canonical_pair(pair)
     e = _unit_scaled(s)
-    return _alignment(pq, e.m[QUBIT_AXIS[pq[0]]], e.m[QUBIT_AXIS[pq[1]]], e.tol)
+    return _alignment(pq, *(e.m[QUBIT_AXIS[q]].tolist() for q in pq), e.tol)
 
 
 def maximize_three_tangle(s, pair: str = "ab", variant: str = "economical") -> SynthesisResult:
@@ -223,25 +223,25 @@ def maximize_three_tangle(s, pair: str = "ab", variant: str = "economical") -> S
     state = normalize(s)
     bound = _spectator_tangle(state, p)
     e = _vectors(state)
-    tol, v1, v2 = e.tol, e.m[QUBIT_AXIS[pq[0]]], e.m[QUBIT_AXIS[pq[1]]]
+    tol, v1, v2 = e.tol, *(e.m[QUBIT_AXIS[q]].tolist() for q in pq)   # Python complex numbers
     seq: list = []
 
     info = gauge_phase(state)
     if info.defined:
         seq.append(PhaseStep(-0.5 * info.phi_a))
         # a phase step alpha multiplies every vector by exp(2i alpha)
-        phase = np.exp(-1j * info.phi_a)
-        v1, v2 = v1 * phase, v2 * phase
+        phase = cmath.exp(-1j * info.phi_a)
+        v1, v2 = [z * phase for z in v1], [z * phase for z in v2]
     seq.extend(_alignment(pq, v1, v2, tol))
     # once gauged and aligned, a vector is (|Re V|, 0, i |Im V|); a part at
     # the noise floor is zero, so a product state gets no coupling
     zero = _noise_floor(tol)
     r1, i1, r2, i2 = (n if n > zero else 0.0 for n in (
-        float(np.linalg.norm(part)) for x in (v1, v2) for part in (x.real, x.imag)))
+        math.hypot(*part) for x in (v1, v2) for part in ([z.real for z in x], [z.imag for z in x])))
 
     if economical:
-        t16 = float(np.arctan2(i2, r1))
-        t34 = float(np.arctan2(i1, r2))
+        t16 = math.atan2(i2, r1)
+        t34 = math.atan2(i1, r2)
         couplings = [coupling_axis_step(pq, n, m, -angle / 2)
                      for (n, m), angle in (((1, 3), t16), ((3, 1), t34)) if abs(angle) > 1e-15]
         meta_angles = {"angle_16": t16, "angle_34": t34}

@@ -1,17 +1,22 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tanglevec import (AcinParams, QuaternionicState, abc_quaternionic, abc_vectors,
                        apply, balance_chi, fidelity_up_to_phase,
                        fubini_study_angle, is_quaternionic, make_acin,
-                       make_ghz, quat_inv, quat_mul,
-                       quat_to_matrix, quat_transpose, random_state,
-                       reduce_to_acin, tangles_quaternionic,
+                       make_ghz, maximize_three_tangle, quat_inv, quat_mul,
+                       quat_to_matrix, quat_transpose, quaternionic, random_state,
+                       reduce_to_acin, synthesis, tangles_quaternionic,
                        to_state, usp_generators)
 from tanglevec.errors import (DegenerateInput, InvariantViolation, NotNormalized,
                               ParseError)
 from tanglevec.gates import LocalStep, PhaseStep, local_unitary, sequence_unitary
-from tanglevec.quaternionic import _extract, _reduce, _rotation, _step, quat_conj
+from tanglevec.quaternionic import (_extract, _qconj, _qmul, _qtranspose, _reduce, _rotation,
+                                    _step, quat_conj)
 from tanglevec.so6 import so3_image
 from conftest import checked_tangle_set, count_calls, count_evaluations
 
@@ -126,6 +131,27 @@ def test_ij_equals_k():
     assert np.array_equal(quat_mul(QI, QJ), QK)
 
 
+#: 4 finite doubles, subnormal to the largest, as a list, a tuple or an array
+_QUATERNIONS = st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=4,
+                        max_size=4).flatmap(lambda q: st.sampled_from((q, tuple(q), np.array(q))))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_QUATERNIONS, _QUATERNIONS)
+def test_the_exported_helpers_are_the_kernels(p, q):
+    # each helper checks its input, then gives the kernel's value bit for bit
+    # (a zero keeps its sign), or refuses a product beyond the doubles
+    lp, lq = list(map(float, p)), list(map(float, q))
+    r = _qmul(lp, lq)
+    if all(map(math.isfinite, r)):
+        assert quat_mul(p, q).tobytes() == np.array(r).tobytes()
+    else:
+        with pytest.raises(ParseError, match="too large for a double"):
+            quat_mul(p, q)
+    assert quat_conj(p).tobytes() == np.array(_qconj(lp)).tobytes()
+    assert quat_transpose(p).tobytes() == np.array(_qtranspose(lp)).tobytes()
+
+
 def test_inverse(rng):
     q = rng.standard_normal(4)
     prod = quat_mul(q, quat_inv(q))
@@ -234,7 +260,7 @@ def test_detection_is_scale_free(scale, rng):
         assert is_quaternionic(scale * random_state(k)) is None, k
 
 
-@pytest.mark.parametrize("x", [np.nan, np.inf])
+@pytest.mark.parametrize("x", [np.nan, np.inf, -np.inf, complex(0, np.nan)])
 def test_non_finite_state_refused(x):
     s = to_state(QuaternionicState([0.5, 0, 0, 0], [0.5, 0, 0, 0]))
     s[3] = x
@@ -405,11 +431,13 @@ def _unit(x):
 
 def _rotation_cases(rng, n):
     """(u, v, u2, v2) with u2 = v2 = None or orthogonal pairs: random, then
-    v = u, v = -u, and v near u and near -u at scales 1e-16..1e-1."""
+    v = u, v = -u, and v near u and near -u at scales 1e-16..1e-1 and 1e-9."""
     for _ in range(n):
         u = _unit(rng.standard_normal(3))
         near = 10.0 ** rng.uniform(-16, -1) * rng.standard_normal(3)
-        for v in (_unit(rng.standard_normal(3)), u, -u, _unit(u + near), _unit(near - u)):
+        noise = 1e-9 * rng.standard_normal(3)
+        for v in (_unit(rng.standard_normal(3)), u, -u, _unit(u + near), _unit(near - u),
+                  _unit(noise - u)):
             u2 = _unit(np.cross(u, rng.standard_normal(3)))
             v2 = _unit(np.cross(v, rng.standard_normal(3)))
             yield u, v, None, None
@@ -423,11 +451,12 @@ def _image(steps):
 
 
 def test_rotation_maps_the_frame(rng):
+    tol = 8 * np.finfo(float).eps
     for u, v, u2, v2 in _rotation_cases(rng, 200):
         r = _image(_step("b", _rotation(u, v, u2, v2)))
-        assert np.abs(r @ u - v).max() <= 1e-14, (u, v)
+        assert np.abs(r @ u - v).max() <= tol, (u, v)
         if u2 is not None:
-            assert np.abs(r @ u2 - v2).max() <= 1e-14, (u, v, u2, v2)
+            assert np.abs(r @ u2 - v2).max() <= tol, (u, v, u2, v2)
 
 
 def test_rotation_is_the_shortest(rng):
@@ -449,7 +478,7 @@ def test_rotation_is_the_shortest(rng):
 ])
 def test_step_is_the_quaternion_with_its_sign(qubit, embed, rng):
     ps = [_unit(rng.standard_normal(4)) for _ in range(50)]
-    ps += [np.array([1.0, 0.0, 0.0, 0.0]), QI, QJ, QK, _rotation(QK[1:], -QK[1:])]
+    ps += [np.array([1.0, 0.0, 0.0, 0.0]), QI, QJ, QK, np.array(_rotation(QK[1:], -QK[1:]))]
     for p in ps:
         for q in (p, -p):
             steps = _step(qubit, q)
@@ -597,6 +626,41 @@ def test_reduce_matches_stage_by_stage_reference():
         assert abs(params.xi - ref["params"].xi) < 1e-12, (k, kind)
         assert np.abs(params.lambdas - ref["params"].lambdas).max() < 1e-12, (k, kind)
         assert residual <= 1e-14, (k, kind)
+
+
+def _sequence_values(seq):
+    """Each step of a sequence as plain values: its kind, its qubit or pair, its angles."""
+    return [(st.kind, getattr(st, "qubit", getattr(st, "pair", None)),
+             np.ravel(getattr(st, "theta", getattr(st, "alpha", None))).tolist()) for st in seq]
+
+
+def _designs():
+    """The reduction and the quaternionic vectors of the replay states, and both maximizer
+    variants on every pair spelling of random_state(0..49), as plain values."""
+    out = []
+    for _, qs in _replay_states(np.random.default_rng(13), 430):
+        seq, params = reduce_to_acin(qs)
+        out.append((_sequence_values(seq), params.xi, params.lambdas.tolist(),
+                    [abc_quaternionic(qs).by_qubit(q).tolist() for q in "abc"]))
+    for k in range(50):
+        for pair in ("ab", "ba", "bc", "cb", "ac", "ca"):
+            for variant in ("economical", "single"):
+                res = maximize_three_tangle(random_state(k), pair, variant)
+                out.append((_sequence_values(res.sequence), res.achieved))
+    return out
+
+
+def test_the_designers_call_no_checked_helper(monkeypatch):
+    # the designers work on values checked at the boundary, through the
+    # kernels: with the exported helpers broken they give the same results
+    expected = _designs()
+
+    def broken(*args):
+        raise AssertionError("a designer called an exported quaternion helper")
+    for module in (quaternionic, synthesis):   # synthesis holds none today; it must not call one
+        for name in ("quat_mul", "quat_conj", "quat_transpose"):
+            monkeypatch.setattr(module, name, broken, raising=False)
+    assert _designs() == expected
 
 
 @pytest.mark.parametrize("x, y", [([0.5, 0, 0, 0], [0, 0.5, 0, 0]),
