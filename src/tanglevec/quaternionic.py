@@ -230,9 +230,8 @@ def abc_quaternionic(qs: QuaternionicState) -> AbcVectors:
     if not math.isfinite(qs.norm_squared):
         raise ParseError("x.x + y.y is too large for a double")
     x, y = qs.x.tolist(), qs.y.tolist()   # a finite x.x + y.y bounds every kernel product
-    xt, yt = _qtranspose(x), _qtranspose(y)
-    a = [p - q for p, q in zip(_qmul(_qconj(xt), yt), _qmul(_qconj(yt), xt))][1:]
-    cvec = [p - q for p, q in zip(_qmul(_qconj(x), y), _qmul(_qconj(y), x))][1:]
+    a, cvec = ([p - q for p, q in zip(_qmul(_qconj(u), v), _qmul(_qconj(v), u))][1:]
+               for u, v in ((_qtranspose(x), _qtranspose(y)), (x, y)))
     x2, y2, xy = (sum(a * b for a, b in zip(u, v)) for u, v in ((x, x), (y, y), (x, y)))
     b = np.array([-1j * (x2 - y2), x2 + y2, 2j * xy])
     return AbcVectors(np.array(a, complex), b, np.array(cvec, complex))
@@ -322,8 +321,9 @@ def balance_chi(qs: QuaternionicState) -> float:
     overflow.
     """
     (x, y), _ = _rescaled(np.array((qs.x, qs.y)))
-    xx, yy, omega = float(x @ x), float(y @ y), 2.0 * float(x @ y)
+    xx, yy = float(x @ x), float(y @ y)
     delta = xx - yy
+    omega = 2.0 * float(x @ y)
     if abs(delta) <= 1e-14 * (xx + yy):
         return 0.0
     return 0.5 * float(np.arctan2(delta, -omega))

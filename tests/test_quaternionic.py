@@ -630,8 +630,9 @@ def test_reduce_matches_stage_by_stage_reference():
 
 def _sequence_values(seq):
     """Each step of a sequence as plain values: its kind, its qubit or pair, its angles."""
-    return [(st.kind, getattr(st, "qubit", getattr(st, "pair", None)),
-             np.ravel(getattr(st, "theta", getattr(st, "alpha", None))).tolist()) for st in seq]
+    return [(step.kind, getattr(step, "qubit", getattr(step, "pair", None)),
+             np.ravel(getattr(step, "theta", getattr(step, "alpha", None))).tolist())
+            for step in seq]
 
 
 def _designs():
