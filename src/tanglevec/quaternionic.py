@@ -341,12 +341,14 @@ def _reduce(qs: QuaternionicState):
     state = to_state(qs)
     x, y = qs.x.tolist(), qs.y.tolist()   # x.x + y.y = 1/2, so no kernel call can overflow
 
-    # (i) balance x.x = y.y by the b factor (cos chi, 0, -sin chi, 0); the branch
-    # puts x's scalar part non-negative after (ii), landing on the canonical signs
-    chi = balance_chi(qs)
+    # (i) balance x.x = y.y by the b factor (cos chi, 0, -sin chi, 0) at 1/2 atan2(delta, -omega)
+    # + pi/2, not at balance_chi's root: only there is cos 2chi omega - sin 2chi delta = |(delta,
+    # omega)| >= 0, putting x's scalar part non-negative after (ii), onto the canonical signs
     delta, omega = sum(a * a - b * b for a, b in zip(x, y)), 2.0 * sum(a * b for a, b in zip(x, y))
-    if math.cos(2 * chi) * omega - math.sin(2 * chi) * delta < 0.0:
-        chi += math.pi / 2
+    if abs(delta) > 5e-15:
+        chi = 0.5 * math.atan2(delta, -omega) + math.pi / 2
+    else:   # balanced already, to 1e-14 of x.x + y.y = 1/2: the same sign picks 0 or pi/2
+        chi = math.pi / 2 if omega < 0.0 else 0.0
     c, s = math.cos(chi), math.sin(chi)
     x, y = [c * p + s * q for p, q in zip(x, y)], [c * q - s * p for p, q in zip(x, y)]
 

@@ -36,7 +36,7 @@ from .states import (PARTITION_PAIR, PARTITION_SPECTATOR, QUBIT_AXIS, _check_opt
                      _complexes, _named, _reals, _rescaled, make_asymmetric_w, make_ghz,
                      normalize)
 from .tangles import bipartite_tangles, three_tangle
-from .vectors import EPS_INV, _unit_scaled, _vectors, gauge_phase, q_vector
+from .vectors import EPS_INV, _gauge, _unit_scaled, _vectors, gauge_phase, q_vector
 
 #: qubit pair, in either order -> (partition, ordered pair string as carried by the 6-vector)
 _PAIR_PARTITION = {q1 + q2: (p, first + second) for p, (first, second) in PARTITION_PAIR.items()
@@ -91,8 +91,6 @@ def min_phase_distance(u: np.ndarray, v: np.ndarray) -> float:
     if u.shape != v.shape:
         raise ParseError(f"min_phase_distance needs matrices of one shape, got "
                          f"{u.shape} and {v.shape}")
-    if not (np.isfinite(u).all() and np.isfinite(v).all()):
-        raise ParseError("min_phase_distance needs finite matrices")
     tr = np.vdot(_rescaled(v)[0], _rescaled(u)[0])
     with np.errstate(over="ignore"):   # a distance beyond the doubles is refused below
         if abs(tr) > 1e-300:
@@ -166,33 +164,30 @@ def w_to_ghz_sequence(theta: float, phi: float) -> SynthesisResult:
 
 # --- canonical alignment and the tangle maximum ---------------------------
 
-def _align_vector_steps(qubit: str, vec, zero: float) -> list:
+def _align_vector_steps(qubit: str, vec, zero: float) -> tuple[list, float, float]:
     """At most one step rotating vec's real part onto +x and its imaginary part onto +z.
 
-    vec is 3 Python complex numbers with Re(vec) and Im(vec) orthogonal (the
-    gauged situation); parts of norm at most `zero` align trivially.
+    vec is 3 Python complex numbers with Re(vec) and Im(vec) orthogonal (the gauged situation).
+    Returns the steps and the parts' norms; a norm at most `zero` is 0, its part aligned trivially.
     """
     vr, vi = [z.real for z in vec], [z.imag for z in vec]
-    nr, ni = math.hypot(*vr), math.hypot(*vi)
-    frame = ([t / ni for t in vi], (0.0, 0.0, 1.0)) if ni > zero else ()
-    if nr > zero:
-        return _step(qubit, _rotation([t / nr for t in vr], (1.0, 0.0, 0.0), *frame))
-    return _step(qubit, _rotation(*frame)) if frame else []
+    nr, ni = (n if n > zero else 0.0 for n in (math.hypot(*vr), math.hypot(*vi)))
+    frame = ([t / ni for t in vi], (0.0, 0.0, 1.0)) if ni else ()
+    if nr:
+        return _step(qubit, _rotation([t / nr for t in vr], (1.0, 0.0, 0.0), *frame)), nr, ni
+    return (_step(qubit, _rotation(*frame)) if frame else []), nr, ni
 
 
-def _alignment(pq: str, v1, v2, tol: float) -> list:
+def _alignment(pq: str, v1, v2, tol: float) -> tuple[list, tuple]:
     """Local steps taking the pair vectors v1 (qubit pq[0]) and v2 to canonical form.
 
-    Each step rotates only its own qubit's vector, so both come from the same
-    evaluation. Parts below 1e-13 |s|^2 count as zero.
+    Each step rotates only its own qubit's vector, so both come from the same evaluation.
+    Parts below 1e-13 |s|^2 (tol is EPS_INV |s|^4) are rounding noise: they count as zero.
+    Returns the steps and the part norms (|Re v1|, |Im v1|, |Re v2|, |Im v2|), 0 for such a part.
     """
-    zero = _noise_floor(tol)
-    return _align_vector_steps(pq[0], v1, zero) + _align_vector_steps(pq[1], v2, zero)
-
-
-def _noise_floor(tol: float) -> float:
-    """1e-13 |s|^2, from the tolerance EPS_INV |s|^4; smaller vector parts are rounding noise."""
-    return 1e-13 * math.sqrt(tol / EPS_INV)
+    zero = 1e-13 * math.sqrt(tol / EPS_INV)
+    (steps1, *n1), (steps2, *n2) = (_align_vector_steps(q, v, zero) for q, v in zip(pq, (v1, v2)))
+    return steps1 + steps2, (*n1, *n2)
 
 
 def align_canonical(s, pair: str = "ab") -> list:
@@ -205,7 +200,7 @@ def align_canonical(s, pair: str = "ab") -> list:
     """
     _, pq = _canonical_pair(pair)
     e = _unit_scaled(s)
-    return _alignment(pq, *(e.m[QUBIT_AXIS[q]].tolist() for q in pq), e.tol)
+    return _alignment(pq, *(e.m[QUBIT_AXIS[q]].tolist() for q in pq), e.tol)[0]
 
 
 def maximize_three_tangle(s, pair: str = "ab", variant: str = "economical") -> SynthesisResult:
@@ -223,21 +218,19 @@ def maximize_three_tangle(s, pair: str = "ab", variant: str = "economical") -> S
     state = normalize(s)
     bound = _spectator_tangle(state, p)
     e = _vectors(state)
-    tol, v1, v2 = e.tol, *(e.m[QUBIT_AXIS[q]].tolist() for q in pq)   # Python complex numbers
+    v1, v2 = (e.m[QUBIT_AXIS[q]].tolist() for q in pq)   # Python complex numbers
     seq: list = []
 
-    info = gauge_phase(state)
+    info = _gauge(e)
     if info.defined:
         seq.append(PhaseStep(-0.5 * info.phi_a))
         # a phase step alpha multiplies every vector by exp(2i alpha)
         phase = cmath.exp(-1j * info.phi_a)
         v1, v2 = [z * phase for z in v1], [z * phase for z in v2]
-    seq.extend(_alignment(pq, v1, v2, tol))
     # once gauged and aligned, a vector is (|Re V|, 0, i |Im V|); a part at
     # the noise floor is zero, so a product state gets no coupling
-    zero = _noise_floor(tol)
-    r1, i1, r2, i2 = (n if n > zero else 0.0 for n in (
-        math.hypot(*part) for x in (v1, v2) for part in ([z.real for z in x], [z.imag for z in x])))
+    steps, (r1, i1, r2, i2) = _alignment(pq, v1, v2, e.tol)
+    seq.extend(steps)
 
     if economical:
         t16 = math.atan2(i2, r1)
@@ -270,10 +263,10 @@ def extremum_residual(s, pair: str = "ab") -> float:
     """
     _, pq = _canonical_pair(pair)
     e = _unit_scaled(s)
-    aa = e.dots()[0][0]   # gauge_phase's test and phase, from the same block
-    if abs(aa) <= e.tol:
+    info = _gauge(e)   # gauge_phase's decision, on the block read below
+    if not info.defined:
         raise GaugeUndefined("extremum condition needs a nonzero three-tangle")
-    rows, phi, zero = e.m.tolist(), 0.5 * cmath.phase(aa), 1e-9 * math.sqrt(e.tol / EPS_INV)
+    rows, phi, zero = e.m.tolist(), info.phi_a, 1e-9 * math.sqrt(e.tol / EPS_INV)
     return max((abs(math.sin(cmath.phase(z) - phi))
                 for q in pq for z in rows[QUBIT_AXIS[q]] if abs(z) > zero), default=0.0)
 

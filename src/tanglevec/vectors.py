@@ -223,7 +223,11 @@ def gauge_phase(s) -> GaugeInfo:
     (_unit_scaled). Raises ParseError for non-finite amplitudes and above
     |s| ~ 1.2e77.
     """
-    e = _unit_scaled(s)
+    return _gauge(_unit_scaled(s))
+
+
+def _gauge(e: _Entry) -> GaugeInfo:
+    """The gauge of the evaluated entry e: defined where |A.A| > e.tol, with phase 1/2 arg A.A."""
     aa = e.dots()[0][0]
     if abs(aa) <= e.tol:
         return GaugeInfo(0.0, False)

@@ -653,13 +653,15 @@ def _designs():
 
 def test_the_designers_call_no_checked_helper(monkeypatch):
     # the designers work on values checked at the boundary, through the
-    # kernels: with the exported helpers broken they give the same results
+    # kernels, and derive what they design once: the reduction its balance
+    # angle from its own dots, the maximizer its gauge from the entry it
+    # holds. With the exported helpers broken they give the same results
     expected = _designs()
 
     def broken(*args):
-        raise AssertionError("a designer called an exported quaternion helper")
-    for module in (quaternionic, synthesis):   # synthesis holds none today; it must not call one
-        for name in ("quat_mul", "quat_conj", "quat_transpose"):
+        raise AssertionError("a designer called an exported helper")
+    for module in (quaternionic, synthesis):   # a module lacking a name must not gain a call to it
+        for name in ("quat_mul", "quat_conj", "quat_transpose", "balance_chi", "gauge_phase"):
             monkeypatch.setattr(module, name, broken, raising=False)
     assert _designs() == expected
 
@@ -679,6 +681,25 @@ def test_reduce_at_zero_xi(x, y):
     assert np.abs(final - ref["final_state"]).max() < 1e-12
     assert abs(fidelity_up_to_phase(apply(seq, to_state(qs)), make_acin(params.lambdas)) - 1) \
         < 1e-12
+
+
+_BALANCED = np.sqrt(0.25 - 0.35**2 - 0.01)
+
+
+@pytest.mark.parametrize("x, y", [([0.35, 0.1, 0, _BALANCED], [0.35, 0.1, _BALANCED, 0]),
+                                  ([0.5, 0, 0, 0], [-0.5, 0, 0, 0]),
+                                  ([0.5, 0, 0, 0], [0, 0.5, 0, 0]),
+                                  ([np.sqrt(0.5), 0, 0, 0], [0, 0, 0, 0])],
+                         ids=["omega-positive", "omega-negative", "omega-zero", "y-zero"])
+def test_reduce_on_the_balanced_floor(x, y):
+    # x.x = y.y exactly in the first three, where the balance angle is 0 or
+    # pi/2 by the sign of omega = 2 x.y; y = 0 is balanced by pi/4 + pi/2 at
+    # omega = 0. The design lands on the stage-by-stage reference's state
+    qs = QuaternionicState(x, y)
+    seq, params = reduce_to_acin(qs)
+    ref = _reduce_reference(qs)
+    assert np.abs(apply(seq, to_state(qs)) - ref["final_state"]).max() < 1e-12
+    assert abs(params.xi - ref["params"].xi) < 1e-12
 
 
 def test_reduce_applies_once(rng, monkeypatch):
