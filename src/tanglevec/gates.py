@@ -17,12 +17,15 @@ walker's hypot raise ParseError there. A built step cannot change, so one
 walker, _steps, serves both gate pictures (so6's dual picture too): given the
 picture's key for each qubit, its layout of the ordered pairs and its two
 factor formulas, it sorts a sequence and hands back each step's factor in
-that picture. The walker alone makes and keeps the factors: a step makes its
-factor in a picture once, the first time that picture applies it, and keeps
-it, read-only, on itself, so a step applied again skips the exponential and
-the trigonometry. Once both pictures have used it, a coupling keeps about
-0.8 KB (its 4x4 unitary here and its 6x6 rotation in the dual picture) and a
-local about 0.4 KB; the factors live and die with their step.
+that picture. A step keeps each factor, read-only, on itself, so a step
+applied again skips the exponential and the trigonometry. A coupling with
+one nonzero theta_nm = 2 zeta is born with its 4x4 unitary, cos zeta +
+i sin zeta sigma_n sigma_m in closed form (_term_unitary); the walker makes
+every other factor the first time its picture applies the step. Once both
+pictures have used it, a coupling keeps about 0.8 KB (its 4x4 unitary here
+and its 6x6 rotation in the dual picture) and a local about 0.4 KB; the
+factors live and die with their step. The designers (synthesis,
+quaternionic) build their steps unchecked through _designed.
 Each picture keeps only its factor formulas and its contraction loop. Here
 one loop applies a sequence to an (8, R) amplitude matrix whose R columns
 evolve independently: apply() uses one column, and the 8x8 unitaries are the
@@ -89,10 +92,14 @@ class LocalStep:
 class CouplingStep:
     """exp(1/2 sum_nm theta_nm i sigma_n sigma_m) on an ordered pair; theta is a read-only copy.
 
-    Either picture's factor is accurate to a few eps max(1, sum |theta_nm|),
-    the rounding of theta itself (see expi_hermitian). Its 4x4 unitary and
-    its 6x6 dual rotation are made on each picture's first use of the step
-    and kept, read-only: about 0.8 KB with both.
+    With exactly one nonzero coefficient theta_nm = 2 zeta, the step is born
+    with its 4x4 unitary cos zeta + i sin zeta sigma_n sigma_m in closed form
+    (_term_unitary), accurate to a few eps at any finite zeta; the rule reads
+    only theta, so every route that builds the step gives the same factor.
+    Any other step's 4x4 unitary, and every 6x6 dual rotation, is made on
+    its picture's first use of the step; that factor is accurate to a few eps
+    max(1, sum |theta_nm|), the rounding of theta itself (see expi_hermitian).
+    The factors are kept, read-only: about 0.8 KB with both.
     """
 
     pair: str
@@ -117,6 +124,10 @@ class CouplingStep:
         theta = theta.astype(float).reshape(3, 3)
         theta.flags.writeable = False
         object.__setattr__(self, "theta", theta)
+        terms = [k for k, t in enumerate(values) if t]
+        if len(terms) == 1:   # one term: born with its closed-form factor
+            (k,) = terms
+            _keep(self, "_unitary", _term_unitary(self.pair, *divmod(k, 3), values[k]))
 
 
 @dataclass(frozen=True)
@@ -208,6 +219,20 @@ def _su2(t0: float, t1: float, t2: float) -> np.ndarray:
                      [complex(-s * t1, s * t0), complex(c, -s * t2)]])
 
 
+def _term_unitary(pair: str, n: int, m: int, t: float) -> np.ndarray:
+    """The 4x4 unitary of a coupling on pair whose one nonzero coefficient is theta_nm = t.
+
+    n, m in {0, 1, 2}; a reversed pair takes the transposed entry on its
+    forward pair. The closed form cos(t/2) + i sin(t/2) sigma_n sigma_m, from
+    correctly reduced scalars, so it keeps its accuracy at any finite t.
+    """
+    if _PAIR_LAYOUT[pair][1]:
+        n, m = m, n
+    u = PAIR_PAULIS[6 + 3 * n + m] * complex(0.0, math.sin(0.5 * t))
+    u.flat[::5] += math.cos(0.5 * t)
+    return u
+
+
 def _pair_unitaries(th: np.ndarray) -> np.ndarray:
     """The 4x4 unitaries of stacked (k, 3, 3) coefficients, halved first so no sum overflows."""
     return expi_hermitian(((0.5 * th).reshape(-1, 9) @ _SIGMA_PAIRS).reshape(-1, 4, 4))
@@ -258,11 +283,38 @@ _AXES = {1: 0, 2: 1, 3: 2}
 
 
 def coupling_axis_step(pair: str, n: int, m: int, zeta: float) -> CouplingStep:
-    """exp(zeta i sigma_n sigma_m) on the pair; n, m in {1, 2, 3}, zeta finite, else ParseError."""
+    """exp(zeta i sigma_n sigma_m) on the pair; n, m in {1, 2, 3}, zeta finite, else ParseError.
+
+    For zeta != 0 the step is born with its 4x4 unitary in closed form.
+    """
     th = np.zeros((3, 3))
     th[_named(_AXES, n, "axes entry"), _named(_AXES, m, "axes entry")] = \
         2.0 * _reals((zeta,), 1, "zeta")[0]
     return CouplingStep(pair, th)
+
+
+def _designed(cls, *fields):
+    """The step cls(*fields), unchecked, from finite Python floats a designer holds.
+
+    A coupling takes coupling_axis_step's (pair, n, m, zeta) and is born with
+    the factor its constructor would give it. Outside input goes through the
+    constructors, which check it.
+    """
+    step = object.__new__(cls)
+    if cls is PhaseStep:
+        (vars(step)["alpha"],) = fields
+        return step
+    if cls is LocalStep:
+        qubit, theta = fields
+        vars(step).update(qubit=qubit, theta=theta, _unitary=None, _rotation=None)
+        return step
+    pair, n, m, zeta = fields
+    theta = np.zeros((3, 3))
+    theta[n - 1, m - 1] = t = 2.0 * zeta
+    theta.flags.writeable = False
+    vars(step).update(pair=pair, theta=theta, _unitary=None, _rotation=None)
+    _keep(step, "_unitary", _term_unitary(pair, n - 1, m - 1, t))
+    return step
 
 
 def _controlled(pq: str, m: int) -> tuple:

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateInput, InvariantViolation, NotNormalized, ParseError
-from .gates import LocalStep, apply
+from .gates import LocalStep, _designed, apply
 from .so6 import _GENERATOR_ROW, SO6_BASIS, SU4_BASIS
 from .states import EPS_NORM, _reals, _rescaled, as_state, make_acin
 from .tangles import TangleSet
@@ -134,10 +134,11 @@ def _step(qubit: str, p) -> list:
     """
     p0, p1, p2, p3 = (float(t) for t in p)
     n = math.hypot(p1, p2, p3)
+    # quaternion angles in [-2 pi, 2 pi] times unit-vector parts: finite Python floats
     if n == 0.0:
-        return [] if p0 > 0.0 else [LocalStep(qubit, (2.0 * math.pi, 0.0, 0.0))]
+        return [] if p0 > 0.0 else [_designed(LocalStep, qubit, (2.0 * math.pi, 0.0, 0.0))]
     k = -2.0 * math.atan2(n, p0)
-    return [LocalStep(qubit, (k * (p1 / n), k * (p2 / n), k * (p3 / n)))]
+    return [_designed(LocalStep, qubit, (k * (p1 / n), k * (p2 / n), k * (p3 / n)))]
 
 
 @dataclass(frozen=True, eq=False)

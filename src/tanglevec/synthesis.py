@@ -30,7 +30,8 @@ import numpy as np
 
 from . import _kernels
 from .errors import DegenerateInput, GaugeUndefined, ParseError
-from .gates import CouplingStep, LocalStep, PhaseStep, apply, coupling_axis_step, sequence_unitary
+from .gates import (CouplingStep, LocalStep, PhaseStep, _designed, apply, coupling_axis_step,
+                    sequence_unitary)
 from .quaternionic import _rotation, _step
 from .states import (PARTITION_PAIR, PARTITION_SPECTATOR, QUBIT_AXIS, _check_options,
                      _complexes, _named, _reals, _rescaled, make_asymmetric_w, make_ghz,
@@ -52,6 +53,9 @@ _VARIANTS = {"economical": True, "single": False}
 _CORE_STEPS = {pq: (coupling_axis_step(pq, 2, 1, -np.pi / 4), coupling_axis_step(pq, 3, 1, np.pi / 4),
                     coupling_axis_step(pq, 2, 1, np.pi / 4), LocalStep(pq[0], (np.pi / 2, 0.0, 0.0)))
                for pq in map("".join, PARTITION_PAIR.values())}
+#: the coupling core's coupling strengths on each ordered pair, read from its fixed steps
+_CORE_STRENGTHS = {pq: [float(np.abs(s.theta).max()) / 2.0 for s in steps[:3]]
+                   for pq, steps in _CORE_STEPS.items()}
 _ZZ_STEPS = {pq: coupling_axis_step(pq, 3, 3, np.pi / 4) for pq in _CORE_STEPS}
 _W_HEAD = coupling_axis_step("bc", 1, 1, np.pi / 4)
 _W_TAIL = (LocalStep("b", (np.pi / 2, 0.0, 0.0)), LocalStep("c", (0.0, -np.pi / 2, 0.0)),
@@ -114,23 +118,24 @@ def synthesize_coupling_core(alpha, pair: str = "ab") -> SynthesisResult:
     _, pq = _canonical_pair(pair)
     q1, q2 = pq[0], pq[1]
     swap1, swap2, swap3, close = _CORE_STEPS[pq]
+    # a1, a2, a3 are outputs of _reals: finite Python floats
     seq = [
         swap1,
-        LocalStep(q1, (0.0, 0.0, -a1)),
-        LocalStep(q2, (0.0, 0.0, a2)),
+        _designed(LocalStep, q1, (0.0, 0.0, -a1)),
+        _designed(LocalStep, q2, (0.0, 0.0, a2)),
         swap2,
-        LocalStep(q2, (0.0, a3, 0.0)),
+        _designed(LocalStep, q2, (0.0, a3, 0.0)),
         swap3,
         close,
     ]
-    target_theta = np.diag([a1, a2, a3])
-    target = sequence_unitary([CouplingStep(pq, target_theta)])
+    # the target is the product of its three commuting one-term couplings
+    target = sequence_unitary([_designed(CouplingStep, pq, n, n, 0.5 * a)
+                               for n, a in ((1, a1), (2, a2), (3, a3))])
     dist = min_phase_distance(sequence_unitary(seq), target)
-    couplings = [s for s in seq if isinstance(s, CouplingStep)]
-    strengths = [float(np.abs(s.theta).max()) / 2.0 for s in couplings]
+    strengths = _CORE_STRENGTHS[pq]
     return SynthesisResult(seq, dist, {
-        "coupling_steps": len(couplings),
-        "coupling_strengths": strengths,
+        "coupling_steps": len(strengths),
+        "coupling_strengths": list(strengths),
         "alpha": [a1, a2, a3],
     })
 
@@ -141,18 +146,23 @@ def w_to_ghz_sequence(theta: float, phi: float) -> SynthesisResult:
     First a bc coupling converts both two-tangles into three-tangle, two
     local z rotations remove the phi dependence, an ab coupling of angle
     pi/4 - theta equalizes the amplitudes, and local rotations plus a sign
-    finish the job. theta in {0, pi/2} leaves no tripartite resource.
-    ParseError when an angle is not finite.
+    finish the job. The ab angle is taken mod 2 pi from the W state's own
+    cos theta and sin theta, as atan2(cos - sin, cos + sin), so it keeps its
+    accuracy at any finite theta. A W state with |sin theta cos theta| at
+    most 1e-10 (theta near a multiple of pi/2) leaves no tripartite resource:
+    DegenerateInput. ParseError when an angle is not finite.
     """
-    start = make_asymmetric_w(theta, phi)
-    t_mod = theta % np.pi
-    if min(abs(t_mod), abs(t_mod - np.pi), abs(t_mod - np.pi / 2)) <= EPS_INV:
+    t, p = _reals((theta, phi), 2, "theta, phi")
+    start = make_asymmetric_w(t, p)
+    cos_t, sin_t = math.cos(t), math.sin(t)
+    if abs(sin_t * cos_t) <= EPS_INV:
         raise DegenerateInput(f"theta = {theta} gives a degenerate W state")
+    # p is an output of _reals and the ab angle one of atan2: finite Python floats
     seq = [
         _W_HEAD,
-        LocalStep("b", (0.0, 0.0, -phi)),
-        LocalStep("c", (0.0, 0.0, phi)),
-        coupling_axis_step("ab", 2, 2, np.pi / 4 - theta),
+        _designed(LocalStep, "b", (0.0, 0.0, -p)),
+        _designed(LocalStep, "c", (0.0, 0.0, p)),
+        _designed(CouplingStep, "ab", 2, 2, math.atan2(cos_t - sin_t, cos_t + sin_t)),
         *_W_TAIL,
     ]
     final = apply(seq, start)
@@ -223,7 +233,8 @@ def maximize_three_tangle(s, pair: str = "ab", variant: str = "economical") -> S
 
     info = _gauge(e)
     if info.defined:
-        seq.append(PhaseStep(-0.5 * info.phi_a))
+        # phi_a is half a cmath.phase (an atan2): a finite Python float
+        seq.append(_designed(PhaseStep, -0.5 * info.phi_a))
         # a phase step alpha multiplies every vector by exp(2i alpha)
         phase = cmath.exp(-1j * info.phi_a)
         v1, v2 = [z * phase for z in v1], [z * phase for z in v2]
@@ -235,7 +246,8 @@ def maximize_three_tangle(s, pair: str = "ab", variant: str = "economical") -> S
     if economical:
         t16 = math.atan2(i2, r1)
         t34 = math.atan2(i1, r2)
-        couplings = [coupling_axis_step(pq, n, m, -angle / 2)
+        # the angles are outputs of atan2: finite Python floats
+        couplings = [_designed(CouplingStep, pq, n, m, -angle / 2)
                      for (n, m), angle in (((1, 3), t16), ((3, 1), t34)) if abs(angle) > 1e-15]
         meta_angles = {"angle_16": t16, "angle_34": t34}
     else:

@@ -303,6 +303,14 @@ def test_synthesize_w_to_ghz(capsys):
     assert doc["result"]["achieved_fidelity"] >= 1 - 1e-10
 
 
+def test_synthesize_at_large_angles(capsys):
+    # the designs stay exact at a large angle, and the reports say so
+    code, doc, _ = run_cli(capsys, "synthesize", "coupling-core", "--alpha", "0.3,0.2,1e17")
+    assert code == 0 and doc["result"]["achieved_distance"] <= 1e-14
+    code, doc, _ = run_cli(capsys, "synthesize", "w-to-ghz", "--theta", "1e17", "--phi", "0.5")
+    assert code == 0 and doc["result"]["achieved_fidelity"] >= 1 - 1e-15
+
+
 def test_maximize_tangle(tmp_path, capsys, monkeypatch):
     p = tmp_path / "s.json"
     p.write_text(state_to_json(random_state(3)))

@@ -9,7 +9,8 @@ from scipy.linalg import expm
 from tanglevec import (CouplingStep, InvariantViolation, LocalStep, PhaseStep,
                        ParseError, TangleVecError, UnknownGate, apply,
                        coupling_unitary, evolve_q, fidelity_up_to_phase, local_unitary,
-                       make_asymmetric_w, make_ghz, named_gate, q_vector, random_state,
+                       coupling_axis_step, make_asymmetric_w, make_ghz, named_gate, q_vector,
+                       random_state,
                        sequence_from_json, sequence_to_json, sequence_unitary,
                        so6_image, w_to_ghz_sequence)
 from tanglevec import gates, so6
@@ -315,6 +316,43 @@ def test_each_picture_keeps_its_own_read_only_factor():
     again = LocalStep("a", (0.1, 0.2, 0.3))
     assert again == local and hash(again) == hash(local) and repr(again) == repr(local)
     assert dataclasses.replace(coupling)._unitary is None
+
+
+_PAIR_PARTITION = {"ab": 3, "ba": 3, "bc": 1, "cb": 1, "ca": 2, "ac": 2}
+_EPS = np.finfo(float).eps
+
+
+@pytest.mark.parametrize("zeta", [1e-300, np.pi / 4, -np.pi / 4, np.pi / 2, -np.pi / 2, 1.3, 10.0])
+def test_one_term_couplings_in_closed_form(zeta):
+    # a coupling with one nonzero coefficient is born with its 4x4 unitary,
+    # exp(zeta i sigma_n sigma_m) in closed form, on all six ordered pairs;
+    # every route that builds the step gives it bit for bit, and the dual
+    # picture, which still exponentiates, agrees with it
+    s = random_state(6)
+    for pair, p in _PAIR_PARTITION.items():
+        q = q_vector(s, p)
+        for n in (1, 2, 3):
+            for m in (1, 2, 3):
+                step = coupling_axis_step(pair, n, m, zeta)
+                u = step._unitary
+                assert u is not None and not u.flags.writeable
+                first, second = (n, m) if pair in ("ab", "bc", "ac") else (m, n)
+                ref = expi_hermitian(zeta * np.kron(SIGMA[first - 1], SIGMA[second - 1]))
+                assert np.abs(u - ref).max() <= 4 * _EPS * max(1.0, abs(zeta))
+                for again in (CouplingStep(pair, step.theta), dataclasses.replace(step),
+                              sequence_from_json(sequence_to_json([step]))[0]):
+                    assert again._unitary.tobytes() == u.tobytes()
+                assert np.abs(evolve_q([step], q).q - q_vector(apply([step], s), p).q).max() \
+                    <= 16 * _EPS * max(1.0, abs(zeta))
+
+
+def test_only_one_term_couplings_are_born_with_a_factor():
+    # the rule reads theta alone: no term, or two, and the walker makes the factor
+    for theta in (np.zeros((3, 3)), np.diag([0.3, 0.0, -0.2]), np.eye(3)):
+        assert CouplingStep("ab", theta)._unitary is None
+    one = np.zeros(9)
+    one[5] = -0.7
+    assert CouplingStep("ab", one)._unitary is not None
 
 
 def _short_sequences():

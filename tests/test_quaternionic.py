@@ -14,6 +14,7 @@ from tanglevec import (AcinParams, QuaternionicState, abc_quaternionic, abc_vect
                        to_state, usp_generators)
 from tanglevec.errors import (DegenerateInput, InvariantViolation, NotNormalized,
                               ParseError)
+from tanglevec import gates
 from tanglevec.gates import LocalStep, PhaseStep, local_unitary, sequence_unitary
 from tanglevec.quaternionic import (_extract, _qconj, _qmul, _qtranspose, _reduce, _rotation,
                                     _step, quat_conj)
@@ -655,7 +656,8 @@ def test_the_designers_call_no_checked_helper(monkeypatch):
     # the designers work on values checked at the boundary, through the
     # kernels, and derive what they design once: the reduction its balance
     # angle from its own dots, the maximizer its gauge from the entry it
-    # holds. With the exported helpers broken they give the same results
+    # holds, and they build their steps unchecked. With the exported helpers
+    # and the steps' check broken they give the same results
     expected = _designs()
 
     def broken(*args):
@@ -663,6 +665,7 @@ def test_the_designers_call_no_checked_helper(monkeypatch):
     for module in (quaternionic, synthesis):   # a module lacking a name must not gain a call to it
         for name in ("quat_mul", "quat_conj", "quat_transpose", "balance_chi", "gauge_phase"):
             monkeypatch.setattr(module, name, broken, raising=False)
+    monkeypatch.setattr(gates, "_reals", broken)
     assert _designs() == expected
 
 

@@ -1,17 +1,18 @@
+import dataclasses
 import warnings
 
 import numpy as np
 import pytest
 
-from tanglevec import (CouplingStep, DegenerateInput, GaugeUndefined,
-                       LocalStep, QuaternionicState, ParseError, PhaseStep, abc_vectors, align_canonical, apply,
-                       apply_gauge, bipartite_tangles, coupling_axis_step, extremum_residual,
-                       fidelity_up_to_phase, fubini_study_angle, gauge_phase,
+from tanglevec import (CouplingStep, DegenerateInput, GaugeUndefined, LocalStep,
+                       QuaternionicState, ParseError, PhaseStep, abc_vectors, align_canonical,
+                       apply, apply_gauge, bipartite_tangles, coupling_axis_step,
+                       extremum_residual, fidelity_up_to_phase, fubini_study_angle, gauge_phase,
                        make_acin, make_asymmetric_w, make_ghz, maximize_three_tangle,
                        min_phase_distance, normalize, q_vector, quat_inv, random_state,
-                       sequence_unitary, synthesize_coupling_core,
+                       reduce_to_acin, sequence_unitary, synthesize_coupling_core,
                        tangle_ascent_oracle, tangle_ascent_search, three_tangle,
-                       two_tangles, w_to_ghz_sequence)
+                       to_state, two_tangles, w_to_ghz_sequence)
 from tanglevec.synthesis import _canonical_pair, _random_su2_stack
 from conftest import checked_tangle_set, count_calls, count_evaluations
 
@@ -91,6 +92,13 @@ def test_coupling_core_random_alphas(rng):
         assert res.achieved < 1e-10
         assert res.meta["coupling_steps"] == 3
         assert np.abs(np.array(res.meta["coupling_strengths"]) - np.pi / 4).max() < 1e-14
+
+
+@pytest.mark.parametrize("alpha", [(0.3, 0.2, 1e17), (1e300, 0.1, 0.2)])
+def test_coupling_core_at_large_angles(alpha):
+    # the target is the product of closed-form one-term couplings, as exact
+    # as the sequence at any finite angle
+    assert synthesize_coupling_core(alpha).achieved <= 1e-14
 
 
 def test_coupling_core_so6_action_matches_block_form():
@@ -176,6 +184,74 @@ def test_w_to_ghz_random_angles(rng):
 def test_w_to_ghz_degenerate(theta):
     with pytest.raises(DegenerateInput):
         w_to_ghz_sequence(theta, 0.3)
+
+
+@pytest.mark.parametrize("theta", [np.pi, -np.pi / 2, 1e-11, np.pi / 2 + 1e-11])
+def test_w_to_ghz_degenerate_near_multiples_of_half_pi(theta):
+    with pytest.raises(DegenerateInput):
+        w_to_ghz_sequence(theta, 0.3)
+
+
+@pytest.mark.parametrize("theta", [1e10 + 0.3, 1e12 + 0.3, 1e17 + 0.3, 1e300, -1e300, 1e308])
+def test_w_to_ghz_at_large_theta(theta):
+    # the ab angle comes from cos theta and sin theta, not from pi/4 - theta
+    # rounded, so the design stays exact at any finite theta
+    res = w_to_ghz_sequence(theta, 0.5)
+    out = apply(res.sequence, make_asymmetric_w(theta, 0.5))
+    assert 1.0 - fidelity_up_to_phase(out, GHZ) <= 1e-15
+    assert 1.0 - res.achieved <= 1e-15
+
+
+# --- the designers' steps -----------------------------------------------------
+
+_SPELLINGS = ("ab", "ba", "bc", "cb", "ac", "ca")
+
+
+def _designed_sequences(rng):
+    """Each designer's sequence on random input, with its start state (None: apply to eye(8))."""
+    out = [(synthesize_coupling_core(rng.uniform(-np.pi, np.pi, 3), pair).sequence, None)
+           for pair in ("ab", "bc", "ca")]
+    theta, phi = rng.uniform(0.15, 1.42), rng.uniform(-np.pi, np.pi)
+    out.append((w_to_ghz_sequence(theta, phi).sequence, make_asymmetric_w(theta, phi)))
+    for seed in rng.integers(0, 10**6, 3):
+        s = random_state(int(seed))
+        out += [(maximize_three_tangle(s, pair, variant).sequence, s)
+                for pair in _SPELLINGS for variant in ("economical", "single")]
+    for _ in range(3):
+        v = rng.standard_normal(8)
+        qs = QuaternionicState(*np.split(v / (np.linalg.norm(v) * np.sqrt(2)), 2))
+        out.append((reduce_to_acin(qs)[0], to_state(qs)))
+    return out
+
+
+def test_the_designers_take_no_eigendecomposition(monkeypatch):
+    # their couplings are born with their closed-form factors, and the
+    # coupling core's target is a product of such couplings
+    def broken(*args, **kwargs):
+        raise AssertionError("a designer took an eigendecomposition")
+    monkeypatch.setattr(np.linalg, "eigh", broken)
+    for seq, s in _designed_sequences(np.random.default_rng(31)):
+        if s is None:
+            sequence_unitary(seq)
+        else:
+            apply(seq, s)
+
+
+def test_a_designed_step_is_its_checked_rebuild():
+    # a step built unchecked by a designer is the step its constructor
+    # builds from the same fields, its closed-form factor included
+    for seq, _ in _designed_sequences(np.random.default_rng(32)):
+        for step in seq:
+            again = dataclasses.replace(step)
+            if isinstance(step, CouplingStep):
+                assert np.array_equal(step.theta, again.theta)
+                assert step.theta.dtype == float and not step.theta.flags.writeable
+                if np.count_nonzero(step.theta) == 1:
+                    assert step._unitary.tobytes() == again._unitary.tobytes()
+            else:
+                assert step == again
+                angles = step.theta if isinstance(step, LocalStep) else (step.alpha,)
+                assert all(type(t) is float for t in angles)
 
 
 # --- canonical alignment ----------------------------------------------------
