@@ -9,6 +9,14 @@ the result on stderr. Complex numbers are emitted as [re, im] pairs. Exit
 codes: 0 ok; 1 usage or parse error, or a report holding a non-finite
 value (nothing is written to stdout); 2 a failed verdict ("ok" or "pass"
 false); 3 numeric invariant breach.
+
+The module loads what the parser, the report and analyze need: errors,
+states, vectors and tangles. A command that calls the gate engine, the dual
+picture, the quaternionic subsystem or the designers imports those names in
+its own body, so a process loads only what its command uses: evolve,
+verify-map and verify add gates and so6, quat check and reduce and verify
+--suite quaternionic add quaternionic too, and synthesize, maximize-tangle,
+fs-angle and ascent load every module.
 """
 from __future__ import annotations
 
@@ -21,15 +29,8 @@ import sys
 import numpy as np
 
 from .errors import InvariantViolation, NotRepresentable, TangleVecError
-from .gates import (CouplingStep, LocalStep, PhaseStep, apply,
-                    sequence_from_json, sequence_to_json)
-from .quaternionic import (QuaternionicState, _reduce, abc_quaternionic, is_quaternionic,
-                           tangles_quaternionic, to_state)
-from .so6 import evolve_q, verify_commutators
 from .states import (PARTITION_PAIR, PARTITION_SPECTATOR, _check_options, _reals, normalize,
                      parse_partition, random_state, state_from_json, state_to_json)
-from .synthesis import (_canonical_pair, fubini_study_search, maximize_three_tangle,
-                        synthesize_coupling_core, tangle_ascent_search, w_to_ghz_sequence)
 from .tangles import bipartite_tangle_from_density, ckw_residual, tangle_set
 from .vectors import EPS_INV, abc_vectors, gauge_phase, plucker_residual, q_vector
 
@@ -81,6 +82,8 @@ def _numbers(text: str, n: int, what: str) -> tuple:
 
 def _synthesis_payload(res, achieved: str) -> dict:
     """A SynthesisResult's report: its sequence, its achieved value named achieved, its meta."""
+    from .gates import sequence_to_json
+
     return {"sequence": json.loads(sequence_to_json(res.sequence)), achieved: res.achieved,
             **res.meta}
 
@@ -101,6 +104,9 @@ def cmd_analyze(args) -> tuple:
 
 
 def cmd_evolve(args) -> tuple:
+    from .gates import apply, sequence_from_json
+    from .so6 import evolve_q
+
     s, digest = _load_state(args.state)
     s = normalize(s)
     with open(args.sequence) as fh:
@@ -124,24 +130,32 @@ def cmd_evolve(args) -> tuple:
 
 
 def cmd_synthesize_coupling_core(args) -> tuple:
+    from .synthesis import synthesize_coupling_core
+
     alpha = _numbers(args.alpha, 3, "--alpha")
     res = synthesize_coupling_core(np.radians(alpha) if args.degrees else alpha)
     return "synthesize coupling-core", None, _synthesis_payload(res, "achieved_distance")
 
 
 def cmd_synthesize_w_to_ghz(args) -> tuple:
+    from .synthesis import w_to_ghz_sequence
+
     angles = (args.theta, args.phi)
     res = w_to_ghz_sequence(*(np.radians(angles) if args.degrees else angles))
     return "synthesize w-to-ghz", None, _synthesis_payload(res, "achieved_fidelity")
 
 
 def cmd_maximize_tangle(args) -> tuple:
+    from .synthesis import maximize_three_tangle
+
     s, digest = _load_state(args.state)
     res = maximize_three_tangle(s, args.pair, args.variant)
     return "maximize-tangle", digest, _synthesis_payload(res, "achieved")
 
 
 def cmd_fs_angle(args) -> tuple:
+    from .synthesis import fubini_study_search
+
     s1, d1 = _load_state(args.state1)
     s2, d2 = _load_state(args.state2)
     res = fubini_study_search(s1, s2, restarts=args.restarts, seed=args.seed)
@@ -151,6 +165,8 @@ def cmd_fs_angle(args) -> tuple:
 
 
 def cmd_ascent(args) -> tuple:
+    from .synthesis import _canonical_pair, tangle_ascent_search
+
     s, digest = _load_state(args.state)
     res = tangle_ascent_search(s, args.pair, restarts=args.restarts, seed=args.seed)
     spectator = PARTITION_SPECTATOR[_canonical_pair(args.pair)[0]]   # the search checked the pair
@@ -161,6 +177,9 @@ def cmd_ascent(args) -> tuple:
 
 
 def cmd_quat_reduce(args) -> tuple:
+    from .gates import sequence_to_json
+    from .quaternionic import QuaternionicState, _reduce
+
     seq, params, final, residual = _reduce(QuaternionicState(_numbers(args.x, 4, "--x"),
                                                              _numbers(args.y, 4, "--y")))
     payload = {
@@ -174,6 +193,8 @@ def cmd_quat_reduce(args) -> tuple:
 
 
 def cmd_quat_check(args) -> tuple:
+    from .quaternionic import is_quaternionic
+
     s, digest = _load_state(args.state)
     qs = is_quaternionic(normalize(s))
     payload = {"quaternionic": qs is not None}
@@ -184,6 +205,8 @@ def cmd_quat_check(args) -> tuple:
 
 
 def cmd_verify_map(args) -> tuple:
+    from .so6 import verify_commutators
+
     rep = verify_commutators()
     payload = {"pairs": rep.pairs, "max_discrepancy": rep.max_discrepancy,
                "ok": rep.ok}
@@ -191,6 +214,9 @@ def cmd_verify_map(args) -> tuple:
 
 
 def _verify_default(n: int, seed: int) -> dict:
+    from .gates import CouplingStep, LocalStep, PhaseStep, apply
+    from .so6 import evolve_q, verify_commutators
+
     rep = verify_commutators()
     worst_dual = 0.0
     rng = np.random.default_rng(seed)
@@ -234,6 +260,8 @@ def _verify_default(n: int, seed: int) -> dict:
 
 
 def _verify_quaternionic(n: int, seed: int) -> dict:
+    from .quaternionic import QuaternionicState, abc_quaternionic, tangles_quaternionic, to_state
+
     rng = np.random.default_rng(seed)
     worst_abc = worst_tan = 0.0
     for _ in range(n):

@@ -96,8 +96,10 @@ class CouplingStep:
     with its 4x4 unitary cos zeta + i sin zeta sigma_n sigma_m in closed form
     (_term_unitary), accurate to a few eps at any finite zeta; the rule reads
     only theta, so every route that builds the step gives the same factor.
-    Any other step's 4x4 unitary, and every 6x6 dual rotation, is made on
-    its picture's first use of the step; that factor is accurate to a few eps
+    Its 6x6 dual rotation is made in closed form too, on the dual picture's
+    first use (so6._lambda_rotations). Any other step's 4x4 unitary and 6x6
+    rotation are made on their picture's first use of the step, from one
+    stacked eigendecomposition; that factor is accurate to a few eps
     max(1, sum |theta_nm|), the rounding of theta itself (see expi_hermitian).
     The factors are kept, read-only: about 0.8 KB with both.
     """

@@ -28,10 +28,12 @@ and keeps it, read-only (about 0.4 KB for a coupling's 6x6). This module keeps
 only the formulas and the contraction loop. A local's 3x3 Rodrigues rotation
 (_rodrigues) is computed from scalars and acts on its own three components
 only. The coupling images of a sequence that have no factor yet, sum theta_nm
-Lambda_nm, are exponentiated in one stacked call (_lambda_rotations) of the
-so(6) exponential _so6_exp, which also makes the tangle ascent's starts. The
-dual picture never reads the 4x4 unitaries that the Hilbert picture keeps on a
-step, so comparing the two pictures stays a test of the generator map.
+Lambda_nm, are made in one call (_lambda_rotations): an image with one term
+t G is the closed form I + sin t G + (1 - cos t) G^2, and the others are
+exponentiated in one stacked call of the so(6) exponential _so6_exp, which
+also makes the tangle ascent's starts. The dual picture never reads the 4x4
+unitaries that the Hilbert picture keeps on a step, so comparing the two
+pictures stays a test of the generator map.
 """
 from __future__ import annotations
 
@@ -158,9 +160,34 @@ def _so6_exp(xi: np.ndarray, rows: np.ndarray = _BASIS_ROWS) -> np.ndarray:
     return expi_hermitian(-1j * g).real   # exp(g) = exp(i h) with the Hermitian h = -i g
 
 
+#: Lambda_nm and its square as (9, 6, 6) tables, row 3(n-1) + m-1; the square
+#: is an einsum, not a matmul, which would call BLAS at import and raise the
+#: peak memory of a process by about 0.25 MB
+_LAMBDA = _BASIS_ROWS[6:].reshape(9, 6, 6)
+_LAMBDA_SQUARED = np.einsum("kij,kjl->kil", _LAMBDA, _LAMBDA)
+
+
 def _lambda_rotations(th: np.ndarray) -> np.ndarray:
-    """The 6x6 rotations exp(sum theta_nm Lambda_nm) of stacked (k, 3, 3) coefficients."""
-    return _so6_exp(th.reshape(-1, 9), _BASIS_ROWS[6:])   # Lambda_nm is row 6 + 3(n-1) + m-1
+    """The 6x6 rotations exp(sum theta_nm Lambda_nm) of stacked (k, 3, 3) coefficients.
+
+    A coefficient set with one nonzero theta_nm = t gets the closed form
+    I + sin t G + (1 - cos t) G^2 with G = Lambda_nm (G^3 = -G), from correctly
+    reduced scalars, so it keeps its accuracy at any finite t; the others come
+    from one stacked so(6) exponential.
+    """
+    th = th.reshape(-1, 9)
+    one = np.count_nonzero(th, axis=1) == 1
+    if not one.any():
+        return _so6_exp(th, _BASIS_ROWS[6:])   # Lambda_nm is row 6 + 3(n-1) + m-1
+    out = np.empty((len(th), 6, 6))
+    if not one.all():
+        out[~one] = _so6_exp(th[~one], _BASIS_ROWS[6:])
+    for k in np.flatnonzero(one):
+        (j,) = np.flatnonzero(th[k])
+        t = float(th[k, j])
+        out[k] = math.sin(t) * _LAMBDA[j] + (1.0 - math.cos(t)) * _LAMBDA_SQUARED[j]
+        out[k].flat[::7] += 1.0
+    return out
 
 
 def _dual_evolve(seq, p: int, m: np.ndarray) -> tuple[np.ndarray, float]:

@@ -1,11 +1,23 @@
 import dataclasses
+import importlib
+import os
+import pkgutil
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import tanglevec
 from tanglevec import (abc_vectors, apply, bipartite_tangle_from_density, evolve_q, q_vector,
                        random_state, tangle_set, vectors)
+
+# The package loads its modules on first use, but count_calls patches only the
+# modules loaded when it is called: a module first imported inside a patch
+# window would keep the counting wrapper after the test ends. Loading every
+# module here keeps that independent of which tests run, and in what order.
+for _module in pkgutil.iter_modules(tanglevec.__path__):
+    importlib.import_module(f"tanglevec.{_module.name}")
 
 
 def checked_tangle_set(s):
@@ -22,6 +34,12 @@ def checked_tangle_set(s):
         assert abs(tau - ref) <= 1e-10 * n2 * n2, \
             f"vector formula {tau} vs density route {ref} for qubit {q}"
     return ts
+
+
+def child_env() -> dict:
+    """This environment, with the checkout's src/ first on PYTHONPATH, for a child interpreter."""
+    src = [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH")]
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, src))}
 
 
 def random_states(n, start=0):

@@ -15,7 +15,7 @@ from tanglevec import (make_asymmetric_w, make_ghz, normalize, random_state,
                        bipartite_tangle_from_density, CommutatorReport, EPS_INV)
 from tanglevec import cli
 from tanglevec.cli import _emit, main
-from conftest import checked_tangle_set, count_calls, count_evaluations
+from conftest import checked_tangle_set, child_env, count_calls, count_evaluations
 
 
 @pytest.fixture
@@ -115,6 +115,45 @@ def test_every_report_has_the_one_envelope(argv, command, inputs, extra, s7_file
     assert {k: doc[k] for k in extra} == extra
 
 
+#: the tanglevec modules a fresh process loads for each command of ENVELOPES
+#: and for analyze refusing a 7-amplitude state, beyond the package and the
+#: five that the parser, the report and analyze need (FRONT)
+FRONT = ("cli", "errors", "states", "vectors", "tangles")
+_DUAL = ("gates", "so6")
+_QUATERNIONIC = (*_DUAL, "quaternionic")
+_EVERY = (*_QUATERNIONIC, "synthesis", "_kernels")
+LOADS = {"analyze": (), "analyze refused": (), "evolve": _DUAL, "coupling-core": _EVERY,
+         "w-to-ghz": _EVERY, "maximize-tangle": _EVERY, "fs-angle": _EVERY, "ascent": _EVERY,
+         "quat reduce": _QUATERNIONIC, "quat check": _QUATERNIONIC, "verify-map": _DUAL,
+         "verify": _DUAL, "verify quaternionic": _QUATERNIONIC}
+#: runs main on its arguments as the console script does, then prints the
+#: tanglevec modules loaded, as the last line of stdout
+_PROBE = ("import json, sys\n"
+          "from tanglevec.cli import main\n"
+          "code = main(sys.argv[1:])\n"
+          "print(json.dumps(sorted(m for m in sys.modules if m.startswith('tanglevec'))))\n"
+          "sys.exit(code)\n")
+
+
+@pytest.mark.parametrize("name", LOADS)
+def test_a_fresh_process_loads_only_what_its_command_uses(name, s7_file, ghz_file, tmp_path):
+    # a stray top-level import in cli would slow every command; here it fails a test
+    seqf = tmp_path / "seq.json"
+    seqf.write_text(sequence_to_json(named_gate("CNOT", "ab")))
+    short = tmp_path / "short.json"
+    short.write_text(json.dumps({"amplitudes": [[1, 0]] * 7}))
+    files = {"{s7}": s7_file, "{ghz}": ghz_file, "{seq}": str(seqf)}
+    if name == "analyze refused":
+        argv, exit_code = ["analyze", "--state", str(short)], 1
+    else:
+        argv, exit_code = [files.get(a, a) for a in ENVELOPES[name][0]], 0
+    run = subprocess.run([sys.executable, "-c", _PROBE, *argv], capture_output=True, text=True,
+                         env=child_env(), timeout=120)
+    assert run.returncode == exit_code, run.stderr
+    loaded = json.loads(run.stdout.splitlines()[-1])
+    assert loaded == sorted(["tanglevec", *(f"tanglevec.{m}" for m in FRONT + LOADS[name])])
+
+
 @pytest.mark.parametrize("pretty", [[], ["--pretty"]], ids=["plain", "pretty"])
 def test_a_report_holding_nan_is_an_error_line(pretty, ghz_file, capsys, monkeypatch):
     # strict JSON has no NaN: the report is refused before anything is
@@ -128,7 +167,7 @@ def test_a_report_holding_nan_is_an_error_line(pretty, ghz_file, capsys, monkeyp
 @pytest.mark.parametrize("argv", [["verify-map"], ["verify", "-N", "3"]], ids=["verify-map",
                                                                            "verify"])
 def test_a_failed_verdict_exits_2_with_its_report(argv, capsys, monkeypatch):
-    monkeypatch.setattr(cli, "verify_commutators", lambda: CommutatorReport(105, 1))
+    monkeypatch.setattr("tanglevec.so6.verify_commutators", lambda: CommutatorReport(105, 1))
     code, doc, err = run_cli(capsys, *argv)
     assert code == 2 and err == ""
     assert doc["result"].get("ok", doc["result"].get("pass")) is False

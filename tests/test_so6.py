@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 import tanglevec.so6
 from tanglevec import (CouplingStep, IndexOutOfRange, LocalStep,
                        NotRepresentable, PhaseStep, UnknownGenerator, apply,
-                       evolve_q, generator_map, lambda_generator, named_gate,
+                       coupling_axis_step, evolve_q, generator_map, lambda_generator, named_gate,
                        q_vector, random_state, so3_image, so6_image,
                        su_generator, verify_commutators)
 from tanglevec.so6 import GENERATOR_LABELS
@@ -272,6 +272,47 @@ def test_coupling_accuracy_is_theta_rounding():
                     err = np.abs(via_so6 - via_hilbert).max()
                     assert err <= 16 * eps * max(1.0, np.abs(th).sum()), \
                         (seed, pair, scale, order, err)
+
+
+#: each ordered pair's partition
+_PAIR_PARTITION = {a + b: p for p, (x, y) in PARTITION_PAIR.items() for a, b in ((x, y), (y, x))}
+
+
+@pytest.mark.parametrize("zeta", [1e290, 1e300, 1e307, -1e300])
+def test_one_term_dual_rotation_is_exact_at_any_finite_zeta(zeta):
+    # a one-term coupling's rotation is I + sin t G + (1 - cos t) G^2 from
+    # correctly reduced scalars; an eigendecomposition of t G loses the angle
+    # beyond |t| of about 1e299, by up to 0.68 here. Measured worst over this
+    # grid: 1.01 eps
+    eps = np.finfo(float).eps
+    for pair, p in _PAIR_PARTITION.items():
+        for n in (1, 2, 3):
+            for m in (1, 2, 3):
+                for seed in range(5):
+                    s = random_state(seed)
+                    step = coupling_axis_step(pair, n, m, zeta)
+                    err = np.abs(evolve_q([step], q_vector(s, p)).q
+                                 - q_vector(apply([step], s), p).q).max()
+                    assert err <= 4 * eps, (pair, n, m, seed, err)
+
+
+def test_one_term_couplings_need_no_eigendecomposition(monkeypatch):
+    # both pictures build a one-term coupling's factor in closed form, in a
+    # sequence beside locals and a phase, on both spellings of each pair
+    def refuse(h):
+        raise AssertionError("eigh called for a one-term coupling")
+
+    monkeypatch.setattr(np.linalg, "eigh", refuse)
+    s = random_state(3)
+    for pair, p in _PAIR_PARTITION.items():
+        one = np.zeros((3, 3))
+        one[2, 0] = -0.9
+        seq = [coupling_axis_step(pair, 1, 2, 0.4), LocalStep(pair[0], (0.2, -0.5, 1.1)),
+               CouplingStep(pair, one), PhaseStep(0.3), coupling_axis_step(pair, 3, 3, 2.5)]
+        dual = evolve_q(seq, q_vector(s, p)).q
+        assert np.abs(dual - q_vector(apply(seq, s), p).q).max() < 1e-14
+        for step in seq:
+            so6_image(step, p)
 
 
 def test_phase_step_rule():

@@ -5,6 +5,7 @@ CI runs the suite and the benchmark self-test on Python 3.10 as well, so
 every source, test and benchmark file must parse under the 3.10 grammar even
 where only a newer Python is at hand.
 """
+import argparse
 import ast
 import importlib
 import json
@@ -44,9 +45,17 @@ def test_benchmark_smoke_run_covers_every_declared_workload():
     assert loops == [sorted(declared)]
 
 
+def _leaf_parsers(parser: argparse.ArgumentParser) -> list:
+    """The parsers of parser's commands, its own when it has no subcommands."""
+    subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return [leaf for a in subs for p in a.choices.values() for leaf in _leaf_parsers(p)] \
+        or [parser]
+
+
 def test_console_script_step_runs_only_defined_commands():
     # the step calls the installed script, so nothing here runs it: each of
-    # its lines must parse as a command that build_parser defines
+    # its lines must parse as a command that build_parser defines, and every
+    # command build_parser defines must appear in it
     yaml = pytest.importorskip("yaml")
     from tanglevec.cli import build_parser
     lines = [shlex.split(line) for path in WORKFLOWS
@@ -54,6 +63,7 @@ def test_console_script_step_runs_only_defined_commands():
              for step in job["steps"] if step.get("name") == "Console script"
              for line in step["run"].splitlines() if line.strip()]
     assert lines
+    run = set()
     for words in lines:
         assert words[0] == "tanglevec", words
         try:
@@ -61,6 +71,10 @@ def test_console_script_step_runs_only_defined_commands():
         except SystemExit:
             pytest.fail(f"build_parser does not define {shlex.join(words)!r}")
         assert callable(args.func), words
+        run.add(args.func)
+    defined = {p.get_default("func") for p in _leaf_parsers(build_parser())}
+    assert len(defined) == 11 and run == defined, \
+        sorted(f.__name__ for f in defined - run)
 
 
 def test_console_script_is_cli_main():
