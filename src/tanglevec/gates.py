@@ -18,7 +18,7 @@ walker, _steps, serves both gate pictures (so6's dual picture too): given the
 picture's key for each qubit, its layout of the ordered pairs and its two
 factor formulas, it sorts a sequence and hands back each step's factor in
 that picture. A step keeps each factor, read-only, on itself, so a step
-applied again skips the exponential and the trigonometry. A coupling with
+applied again skips the SVD and the trigonometry. A coupling with
 one nonzero theta_nm = 2 zeta is born with its 4x4 unitary, cos zeta +
 i sin zeta sigma_n sigma_m in closed form (_term_unitary); the walker makes
 every other factor the first time its picture applies the step. Once both
@@ -31,8 +31,12 @@ one loop applies a sequence to an (8, R) amplitude matrix whose R columns
 evolve independently: apply() uses one column, and the 8x8 unitaries are the
 same evolution of the identity. A local factor is the closed Euler form
 computed from scalars (_su2). The coupling factors that a sequence still
-lacks come from one stacked eigendecomposition of their 4x4 Hermitian
-generators (_pair_unitaries), so there is no series truncation anywhere.
+lacks come from one stacked SVD theta = U diag(d) V^T (_svd), in one closed
+form per picture (_pair_unitaries here): no gate step takes an
+eigendecomposition. A theta of any size, also |theta| >= 1e16, is computed,
+not refused: both pictures apply the exact image of the same U diag(d) V^T,
+within a few eps |theta| of theta (the SVD's backward error), so they agree
+at any scale; one-term, diagonal and permuted-diagonal theta are exact.
 Phases are summed into one scalar, reduced modulo 2 pi. Each factor is
 contracted by one reshape and one matmul: (2**axis, 2, rest) for a local,
 (2**first, 4, rest) for an adjacent pair, and the pair (a, c) after one
@@ -96,12 +100,12 @@ class CouplingStep:
     with its 4x4 unitary cos zeta + i sin zeta sigma_n sigma_m in closed form
     (_term_unitary), accurate to a few eps at any finite zeta; the rule reads
     only theta, so every route that builds the step gives the same factor.
-    Its 6x6 dual rotation is made in closed form too, on the dual picture's
-    first use (so6._lambda_rotations). Any other step's 4x4 unitary and 6x6
-    rotation are made on their picture's first use of the step, from one
-    stacked eigendecomposition; that factor is accurate to a few eps
-    max(1, sum |theta_nm|), the rounding of theta itself (see expi_hermitian).
-    The factors are kept, read-only: about 0.8 KB with both.
+    Every other factor, and every 6x6 dual rotation, is made on its picture's
+    first use of the step, in closed form from the SVD theta = U diag(d) V^T.
+    A theta of any size is computed, not refused: both pictures give the
+    exact image of the same U diag(d) V^T, within a few eps |theta| of theta,
+    so they agree at any scale; one-term, diagonal and permuted-diagonal
+    theta are exact. The factors are kept, read-only: about 0.8 KB with both.
     """
 
     pair: str
@@ -142,17 +146,6 @@ class PhaseStep:
         object.__setattr__(self, "alpha", _reals((self.alpha,), 1, "phase angle")[0])
 
 
-def expi_hermitian(h) -> np.ndarray:
-    """exp(i h) for Hermitian h, batched over any leading axes.
-
-    It is accurate to a few eps max(1, |h|) in absolute terms: eigh rounds the
-    eigenvalues w by about eps |h|, and exp(i w) keeps that error. This is the
-    rounding of h itself, the input's conditioning, not a loss in the method.
-    """
-    w, v = np.linalg.eigh(h)
-    return (v * np.exp(1j * w)[..., None, :]) @ np.swapaxes(v.conj(), -1, -2)
-
-
 #: contraction layout of a qubit: the size of the leading block of the
 #: (8, R) amplitude matrix before its axis
 _LOCAL_LEAD = {"a": 1, "b": 2, "c": 4}
@@ -170,9 +163,10 @@ def _steps(seq, qubits: dict, pairs: dict, factor: str, local, couplings) -> tup
     carries to (key, theta transposed); factor names the step attribute that
     keeps the picture's factor. A step that has none yet gets it here and
     keeps it, read-only: a local from local(t0, t1, t2), and the couplings,
-    each once, from one couplings() call on their stacked (k, 3, 3)
-    coefficients in the picture's layout, each a copy of its own, so that no
-    step pins the stack. Returns (key, factor), in sequence order, for each
+    each once, from one couplings(u, d, v) call on one _svd of their stacked
+    theta as the steps hold them (so both pictures apply the same coupling),
+    u and v swapped for a transposed layout, each a copy of its own, so that
+    no step pins the stack. Returns (key, factor), in sequence order, for each
     local that rotates and each coupling, and the summed phase in [-pi, pi].
     Raises NotRepresentable for a pair missing from pairs, and TypeError for
     anything that is not a step.
@@ -191,14 +185,17 @@ def _steps(seq, qubits: dict, pairs: dict, factor: str, local, couplings) -> tup
             key, flip = layout
             out.append((key, step))
             if getattr(step, factor) is None:
-                fresh[step] = step.theta.T if flip else step.theta   # a step hashes by identity
+                fresh[step] = flip   # a step hashes by identity
         elif isinstance(step, PhaseStep):
             phase = math.remainder(phase + step.alpha, 2.0 * math.pi)
         else:
             raise TypeError(f"not a gate step: {step!r}")
     if fresh:
-        for step, u in zip(fresh, couplings(np.array(list(fresh.values())))):
-            _keep(step, factor, u.copy())
+        u, d, v = _svd(np.array([step.theta for step in fresh]))
+        flip = np.array(list(fresh.values()))[:, None, None]   # theta^T = v diag(d) u^T
+        u, v = np.where(flip, v, u), np.where(flip, u, v)
+        for step, f in zip(fresh, couplings(u, d, v)):
+            _keep(step, factor, f.copy())
     for k, (key, step) in enumerate(out):
         u = getattr(step, factor)
         out[k] = key, u if u is not None else _keep(step, factor, local(*step.theta))
@@ -235,9 +232,28 @@ def _term_unitary(pair: str, n: int, m: int, t: float) -> np.ndarray:
     return u
 
 
-def _pair_unitaries(th: np.ndarray) -> np.ndarray:
-    """The 4x4 unitaries of stacked (k, 3, 3) coefficients, halved first so no sum overflows."""
-    return expi_hermitian(((0.5 * th).reshape(-1, 9) @ _SIGMA_PAIRS).reshape(-1, 4, 4))
+def _svd(th: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(u, d, v) with th = u diag(d) v^T and d >= 0, for stacked (k, 3, 3) th.
+
+    Each th is first scaled by the power of two of its largest entry: exactly,
+    where LAPACK's own rescaling is not.
+    """
+    _, e = np.frexp(np.abs(th).max(axis=(1, 2)))
+    u, d, vt = np.linalg.svd(np.ldexp(th, -e[:, None, None]))
+    return u, np.ldexp(d, e[:, None]), vt.swapaxes(1, 2)
+
+
+def _pair_unitaries(u: np.ndarray, d: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """The 4x4 unitaries of stacked couplings theta = u diag(d) v^T.
+
+    Each is prod_k (cos(d_k/2) + i sin(d_k/2) A_k), whose factors commute, with
+    A_k = (u_k . sigma)(v_k . sigma) = sum_nm u_nk v_mk sigma_n sigma_m.
+    """
+    a = np.einsum("knl,kml->klnm", u, v).reshape(-1, 3, 9) @ _SIGMA_PAIRS
+    f = 1j * np.sin(0.5 * d)[..., None] * a
+    f[..., ::5] += np.cos(0.5 * d)[..., None]   # the identity's diagonal
+    f = f.reshape(-1, 3, 4, 4)
+    return f[:, 0] @ f[:, 1] @ f[:, 2]
 
 
 def _evolve(seq, m: np.ndarray) -> np.ndarray:

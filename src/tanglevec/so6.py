@@ -27,13 +27,14 @@ makes each step's dual factor on the first dual evolution that applies the step
 and keeps it, read-only (about 0.4 KB for a coupling's 6x6). This module keeps
 only the formulas and the contraction loop. A local's 3x3 Rodrigues rotation
 (_rodrigues) is computed from scalars and acts on its own three components
-only. The coupling images of a sequence that have no factor yet, sum theta_nm
-Lambda_nm, are made in one call (_lambda_rotations): an image with one term
-t G is the closed form I + sin t G + (1 - cos t) G^2, and the others are
-exponentiated in one stacked call of the so(6) exponential _so6_exp, which
-also makes the tangle ascent's starts. The dual picture never reads the 4x4
-unitaries that the Hilbert picture keeps on a step, so comparing the two
-pictures stays a test of the generator map.
+only. The coupling images of a sequence that have no factor yet, exp(sum
+theta_nm Lambda_nm), are made in one call (_lambda_rotations), in closed
+form from the walker's stacked SVD theta = U diag(d) V^T; a theta of any
+size, also |theta| >= 1e16, is computed, not refused, and both pictures
+apply the exact image of the same U diag(d) V^T, so they agree at any scale.
+The so(6) exponential _so6_exp makes only the tangle ascent's starts. The
+dual picture never reads the 4x4 unitaries that the Hilbert picture keeps
+on a step, so comparing the two pictures stays a test of the generator map.
 """
 from __future__ import annotations
 
@@ -43,7 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import IndexOutOfRange, UnknownGenerator
-from .gates import _AXES, PAIR_PAULIS, LocalStep, _steps, expi_hermitian
+from .gates import _AXES, PAIR_PAULIS, LocalStep, _steps
 from .states import PARTITION_PAIR, PARTITION_SPECTATOR, _named, parse_partition
 from .vectors import SixVector
 
@@ -150,44 +151,23 @@ def so3_image(theta) -> np.ndarray:
     return _rodrigues(*LocalStep("a", theta).theta)
 
 
-#: sum_k xi_k SO6_BASIS_k as a (15, 36) table, indexed like GENERATOR_LABELS
-_BASIS_ROWS = SO6_BASIS.reshape(15, 36).astype(float)
+def _so6_exp(xi: np.ndarray) -> np.ndarray:
+    """exp(g), g = sum_k xi_k SO6_BASIS_k, of stacked (k, 15) xi, by one eigh of -i g."""
+    w, v = np.linalg.eigh(-1j * (xi @ SO6_BASIS.reshape(15, 36)).reshape(-1, 6, 6))
+    return ((v * np.exp(1j * w)[:, None, :]) @ v.conj().swapaxes(1, 2)).real
 
 
-def _so6_exp(xi: np.ndarray, rows: np.ndarray = _BASIS_ROWS) -> np.ndarray:
-    """The 6x6 rotations exp(sum_k xi_k G_k) of stacked coefficients xi on the generator rows."""
-    g = (xi @ rows).reshape(-1, 6, 6)
-    return expi_hermitian(-1j * g).real   # exp(g) = exp(i h) with the Hermitian h = -i g
+def _lambda_rotations(u: np.ndarray, d: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """exp(sum theta_nm Lambda_nm) of stacked couplings theta = u diag(d) v^T.
 
-
-#: Lambda_nm and its square as (9, 6, 6) tables, row 3(n-1) + m-1; the square
-#: is an einsum, not a matmul, which would call BLAS at import and raise the
-#: peak memory of a process by about 0.25 MB
-_LAMBDA = _BASIS_ROWS[6:].reshape(9, 6, 6)
-_LAMBDA_SQUARED = np.einsum("kij,kjl->kil", _LAMBDA, _LAMBDA)
-
-
-def _lambda_rotations(th: np.ndarray) -> np.ndarray:
-    """The 6x6 rotations exp(sum theta_nm Lambda_nm) of stacked (k, 3, 3) coefficients.
-
-    A coefficient set with one nonzero theta_nm = t gets the closed form
-    I + sin t G + (1 - cos t) G^2 with G = Lambda_nm (G^3 = -G), from correctly
-    reduced scalars, so it keeps its accuracy at any finite t; the others come
-    from one stacked so(6) exponential.
+    The generator is [[0, -theta], [theta^T, 0]]; its exponential is
+    [[u cos D u^T, -u sin D v^T], [v sin D u^T, v cos D v^T]], three commuting
+    rotations by d_k, of the planes (u_k, v_k).
     """
-    th = th.reshape(-1, 9)
-    one = np.count_nonzero(th, axis=1) == 1
-    if not one.any():
-        return _so6_exp(th, _BASIS_ROWS[6:])   # Lambda_nm is row 6 + 3(n-1) + m-1
-    out = np.empty((len(th), 6, 6))
-    if not one.all():
-        out[~one] = _so6_exp(th[~one], _BASIS_ROWS[6:])
-    for k in np.flatnonzero(one):
-        (j,) = np.flatnonzero(th[k])
-        t = float(th[k, j])
-        out[k] = math.sin(t) * _LAMBDA[j] + (1.0 - math.cos(t)) * _LAMBDA_SQUARED[j]
-        out[k].flat[::7] += 1.0
-    return out
+    c, s = np.cos(d), np.sin(d)
+    w = np.stack([u, v], axis=1)
+    r = np.stack([c, -s, s, c], axis=1).reshape(-1, 2, 2, 3)   # block ab: w_a diag(r_ab) w_b^T
+    return np.einsum("kail,kabl,kbjl->kaibj", w, r, w).reshape(-1, 6, 6)
 
 
 def _dual_evolve(seq, p: int, m: np.ndarray) -> tuple[np.ndarray, float]:

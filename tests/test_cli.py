@@ -232,11 +232,20 @@ MIXED_SEQUENCE = [
     {"kind": "local", "target": "c", "params": [1.1, 0.2, -0.5]},
     {"kind": "coupling", "target": "ac", "params": [-0.6, 0.8, 0.1, 0.3, -1.4, 0.7, 0.2, 0.9, -0.3]},
     {"kind": "phase", "target": "", "params": [0.7]}]
+#: a permuted diagonal at 1e300 and a general coupling at about 1e20, on both
+#: spellings of partition 2's pair: the two pictures agree at any scale
+LARGE_ANGLE_SEQUENCE = [
+    {"kind": "coupling", "target": "ca",
+     "params": [0.0, 1e300, 0.0, 0.0, 0.0, 0.2, -0.7, 0.0, 0.0]},
+    {"kind": "local", "target": "b", "params": [-0.8, 0.6, 0.1]},
+    {"kind": "coupling", "target": "ac",
+     "params": [-6e19, 8e19, 1e19, 3e19, -1.4e20, 7e19, 2e19, 9e19, -3e19]}]
 
 
 def test_evolve_dual_residual(ghz_file, s7_file, tmp_path, capsys):
     for state, sequence, partition in ((ghz_file, sequence_to_json(named_gate("CZ", "ab")), "3"),
-                                       (s7_file, json.dumps(MIXED_SEQUENCE), "2")):
+                                       (s7_file, json.dumps(MIXED_SEQUENCE), "2"),
+                                       (s7_file, json.dumps(LARGE_ANGLE_SEQUENCE), "2")):
         seqf = tmp_path / "seq.json"
         seqf.write_text(sequence)
         code, doc, _ = run_cli(capsys, "evolve", "--state", state,

@@ -14,7 +14,7 @@ from tanglevec import (CouplingStep, InvariantViolation, LocalStep, PhaseStep,
                        sequence_from_json, sequence_to_json, sequence_unitary,
                        so6_image, w_to_ghz_sequence)
 from tanglevec import gates, so6
-from tanglevec.gates import SIGMA, _evolve, expi_hermitian
+from tanglevec.gates import SIGMA, _evolve
 from conftest import count_calls
 
 STD_THETA = np.arccos(1 / np.sqrt(3))
@@ -62,14 +62,6 @@ def test_coupling_matches_expm(pair, rng):
                 continue
             ref[out, inn] = t4[o[a1], o[a2], i[a1], i[a2]]
     assert np.abs(got - ref).max() < 1e-13
-
-
-def test_expi_hermitian_batched_matches_expm(rng):
-    x = rng.standard_normal((2, 3, 4, 4)) + 1j * rng.standard_normal((2, 3, 4, 4))
-    h = x + np.swapaxes(x.conj(), -1, -2)
-    got = expi_hermitian(h)
-    for idx in np.ndindex(2, 3):
-        assert np.abs(got[idx] - expm(1j * h[idx])).max() < 1e-12
 
 
 def test_coupling_zero_identity():
@@ -189,9 +181,9 @@ def test_apply_refuses_a_non_finite_result(monkeypatch):
     # the norm check is safety code: a step cannot carry a non-finite
     # parameter, so break the coupling factor instead; a step keeps the
     # factor it made, so each broken factor needs a new step
-    good = gates.expi_hermitian
-    for broken in (lambda h: 2.0 * good(h), lambda h: np.full(np.shape(h), np.nan + 0j)):
-        monkeypatch.setattr(gates, "expi_hermitian", broken)
+    good = gates._pair_unitaries
+    for broken in (lambda *usv: 2.0 * good(*usv), lambda *usv: np.full_like(good(*usv), np.nan)):
+        monkeypatch.setattr(gates, "_pair_unitaries", broken)
         with pytest.raises(InvariantViolation, match="norm"):
             apply([CouplingStep("ab", np.eye(3))], make_ghz())
 
@@ -247,14 +239,14 @@ def test_engine_matches_kronecker_products(rng):
 
 
 def _stack_sizes(monkeypatch):
-    """The number of matrices in each expi_hermitian call, in either picture."""
+    """The number of coefficient matrices in each gates._svd call, in either picture."""
     sizes = []
+    svd = gates._svd
 
-    def recording(h):
-        sizes.append(len(h))
-        return expi_hermitian(h)
-    monkeypatch.setattr(gates, "expi_hermitian", recording)
-    monkeypatch.setattr(so6, "expi_hermitian", recording)
+    def recording(th):
+        sizes.append(len(th))
+        return svd(th)
+    monkeypatch.setattr(gates, "_svd", recording)
     return sizes
 
 
@@ -274,7 +266,7 @@ def _twice(step):
 ], ids=["locals", "one-coupling", "three-couplings", "one-coupling-twice", "one-local-twice"])
 def test_one_exponential_per_sequence(build, couplings, hilbert_locals, dual_locals, monkeypatch):
     # the first use of new steps in a picture makes all their coupling
-    # factors in one stacked exponential, each coupling once, and each local's
+    # factors from one stacked SVD, each coupling once, and each local's
     # factor once (the dual picture skips the spectator c); a step keeps its
     # factor, so a later use in that picture makes none, and the other
     # picture still makes its own
@@ -327,7 +319,7 @@ def test_one_term_couplings_in_closed_form(zeta):
     # a coupling with one nonzero coefficient is born with its 4x4 unitary,
     # exp(zeta i sigma_n sigma_m) in closed form, on all six ordered pairs;
     # every route that builds the step gives it bit for bit, and the dual
-    # picture, which still exponentiates, agrees with it
+    # picture, which makes its rotation from the SVD of theta, agrees with it
     s = random_state(6)
     for pair, p in _PAIR_PARTITION.items():
         q = q_vector(s, p)
@@ -337,7 +329,7 @@ def test_one_term_couplings_in_closed_form(zeta):
                 u = step._unitary
                 assert u is not None and not u.flags.writeable
                 first, second = (n, m) if pair in ("ab", "bc", "ac") else (m, n)
-                ref = expi_hermitian(zeta * np.kron(SIGMA[first - 1], SIGMA[second - 1]))
+                ref = expm(1j * zeta * np.kron(SIGMA[first - 1], SIGMA[second - 1]))
                 assert np.abs(u - ref).max() <= 4 * _EPS * max(1.0, abs(zeta))
                 for again in (CouplingStep(pair, step.theta), dataclasses.replace(step),
                               sequence_from_json(sequence_to_json([step]))[0]):

@@ -3,12 +3,13 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from tanglevec import (LocalStep, ParseError, _kernels, apply, bipartite_tangle_from_density,
                        bipartite_tangles, fubini_study_angle, fubini_study_search,
                        make_asymmetric_w, make_ghz, normalize, q_vector, random_state,
                        tangle_ascent_oracle, tangle_ascent_search, w_to_ghz_sequence)
-from tanglevec.gates import PAIR_PAULIS, expi_hermitian
+from tanglevec.gates import PAIR_PAULIS
 from tanglevec.gates import SIGMA as PAULIS
 from tanglevec.so6 import SU4_BASIS
 from tanglevec.states import PARTITION_PAIR
@@ -277,7 +278,7 @@ def test_ascent_dual_starts_are_images_of_the_hilbert_starts(pair, monkeypatch):
     inits[1:] = np.random.default_rng(4).uniform(-np.pi, np.pi, size=(15, 15))
     p = next(p for p, pq in PARTITION_PAIR.items() if set(pq) == set(pair))
     hilbert = [q_vector(_on_pair(u, s, PARTITION_PAIR[p]), p).q
-               for u in expi_hermitian(np.tensordot(inits, -1j * SU4_BASIS, axes=1))]
+               for u in expm(np.tensordot(inits, SU4_BASIS, axes=1))]
     assert len(starts) == 1
     assert np.abs(starts[0] - hilbert).max() <= 1e-14 * np.linalg.norm(q_vector(s, p).q)
 
@@ -373,7 +374,7 @@ def test_ascent_model_matches_finite_differences(seed):
     dirs = PAIR_PAULIS[6:] / 2
 
     def value(x):
-        moved = (expi_hermitian(np.tensordot(x, dirs, axes=1)) @ psi.reshape(4, 2)).reshape(8)
+        moved = (expm(1j * np.tensordot(x, dirs, axes=1)) @ psi.reshape(4, 2)).reshape(8)
         a = (_A_QUADS @ moved) @ moved
         return abs(a @ a) ** 2
     vals, g, rec = _kernels._ascent_model(q_vector(psi, 3).q[None])
@@ -499,7 +500,7 @@ def _ascent_batch():
     rng = np.random.default_rng(3)
     qs = [q_vector(_W, 3).q]
     for k in range(9):
-        u = expi_hermitian(np.tensordot(rng.uniform(-np.pi, np.pi, 15), -1j * SU4_BASIS, axes=1))
+        u = expm(np.tensordot(rng.uniform(-np.pi, np.pi, 15), SU4_BASIS, axes=1))
         qs.append(q_vector((u @ random_state(k).reshape(4, 2)).reshape(8), 3).q)
     return np.array(qs)
 
@@ -604,7 +605,7 @@ def test_ascent_matches_reference_loop():
         psi, inits = _ascent_inputs(seed)
         # the closed-form steps against eigh steps of the full Hessian, step by
         # step from the 6-vectors of the kernel's starts
-        starts = expi_hermitian(np.tensordot(inits, -1j * SU4_BASIS, axes=1))
+        starts = expm(np.tensordot(inits, SU4_BASIS, axes=1))
         moved = (starts @ psi.reshape(4, 2)).reshape(-1, 8)
         q = np.array([q_vector(m, 3).q for m in moved])
         _assert_matches_reference(_NEWTON_CASES["ascent"][0], _REFERENCE_KERNELS["ascent"], q,
