@@ -3,36 +3,29 @@
 Each command returns its report name, its input digest (None, one digest,
 or a list of two) and its result; main alone wraps them in the report
 {"command", "input_digest", "result"}, adds "seed" for a command that takes
-``--seed`` (default 0) and "tolerances" for one whose parser sets them, and
+``--seed`` (default 0) and "tolerances" for one that sets them (analyze), and
 writes it to stdout as strict JSON. ``--pretty`` adds a human summary of
 the result on stderr. Complex numbers are emitted as [re, im] pairs. Exit
 codes: 0 ok; 1 usage or parse error, or a report holding a non-finite
 value (nothing is written to stdout); 2 a failed verdict ("ok" or "pass"
 false); 3 numeric invariant breach.
 
-The module loads what the parser, the report and analyze need: errors,
-states, vectors and tangles. A command that calls the gate engine, the dual
-picture, the quaternionic subsystem or the designers imports those names in
-its own body, so a process loads only what its command uses: evolve,
-verify-map and verify add gates and so6, quat check and reduce and verify
---suite quaternionic add quaternionic too, and synthesize, maximize-tangle,
-fs-angle and ascent load every module.
+The module top loads only what parsing and the report need: argparse, json,
+sys and errors. Each command imports what it calls in its own body, so
+--help, a usage error and build_parser load no numpy and no numeric module,
+and a process loads only what its command uses: analyze and its refusals
+load states, vectors and tangles; evolve and verify-map load states,
+vectors, gates and so6; verify loads those and tangles; quat check, quat
+reduce and verify --suite quaternionic add quaternionic; and synthesize,
+maximize-tangle, fs-angle and ascent load every module.
 """
 from __future__ import annotations
 
 import argparse
-import dataclasses
-import hashlib
 import json
 import sys
 
-import numpy as np
-
 from .errors import InvariantViolation, NotRepresentable, TangleVecError
-from .states import (PARTITION_PAIR, PARTITION_SPECTATOR, _check_options, _reals, normalize,
-                     parse_partition, random_state, state_from_json, state_to_json)
-from .tangles import bipartite_tangle_from_density, ckw_residual, tangle_set
-from .vectors import EPS_INV, abc_vectors, gauge_phase, plucker_residual, q_vector
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -40,15 +33,19 @@ EXIT_VERIFY = 2
 EXIT_NUMERIC = 3
 
 
-def _cvec(v: np.ndarray) -> list:
+def _cvec(v) -> list:
     return [[z.real, z.imag] for z in v.tolist()]
 
 
 def _digest(text: str) -> str:
+    import hashlib
+
     return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
 def _load_state(path: str):
+    from .states import state_from_json
+
     with open(path) as fh:
         text = fh.read()
     return state_from_json(text), _digest(text)
@@ -73,6 +70,8 @@ def _emit(report: dict, pretty: bool):
 
 def _numbers(text: str, n: int, what: str) -> tuple:
     """The n comma-separated numbers of an option, as _reals checks them; else ParseError."""
+    from .states import _reals
+
     try:
         values = [float(t) for t in text.split(",")]
     except ValueError:
@@ -89,6 +88,11 @@ def _synthesis_payload(res, achieved: str) -> dict:
 
 
 def cmd_analyze(args) -> tuple:
+    from .states import normalize
+    from .tangles import ckw_residual, tangle_set
+    from .vectors import EPS_INV, abc_vectors, gauge_phase, plucker_residual
+
+    args.tolerances = {"eps_inv": EPS_INV}   # main adds it to the report
     s, digest = _load_state(args.state)
     s = normalize(s)
     v = abc_vectors(s)
@@ -104,8 +108,12 @@ def cmd_analyze(args) -> tuple:
 
 
 def cmd_evolve(args) -> tuple:
+    import numpy as np
+
     from .gates import apply, sequence_from_json
     from .so6 import evolve_q
+    from .states import normalize, parse_partition, state_to_json
+    from .vectors import q_vector
 
     s, digest = _load_state(args.state)
     s = normalize(s)
@@ -130,6 +138,8 @@ def cmd_evolve(args) -> tuple:
 
 
 def cmd_synthesize_coupling_core(args) -> tuple:
+    import numpy as np
+
     from .synthesis import synthesize_coupling_core
 
     alpha = _numbers(args.alpha, 3, "--alpha")
@@ -138,6 +148,8 @@ def cmd_synthesize_coupling_core(args) -> tuple:
 
 
 def cmd_synthesize_w_to_ghz(args) -> tuple:
+    import numpy as np
+
     from .synthesis import w_to_ghz_sequence
 
     angles = (args.theta, args.phi)
@@ -154,6 +166,8 @@ def cmd_maximize_tangle(args) -> tuple:
 
 
 def cmd_fs_angle(args) -> tuple:
+    import dataclasses
+
     from .synthesis import fubini_study_search
 
     s1, d1 = _load_state(args.state1)
@@ -165,7 +179,11 @@ def cmd_fs_angle(args) -> tuple:
 
 
 def cmd_ascent(args) -> tuple:
+    import dataclasses
+
+    from .states import PARTITION_SPECTATOR, normalize
     from .synthesis import _canonical_pair, tangle_ascent_search
+    from .tangles import bipartite_tangle_from_density
 
     s, digest = _load_state(args.state)
     res = tangle_ascent_search(s, args.pair, restarts=args.restarts, seed=args.seed)
@@ -179,6 +197,7 @@ def cmd_ascent(args) -> tuple:
 def cmd_quat_reduce(args) -> tuple:
     from .gates import sequence_to_json
     from .quaternionic import QuaternionicState, _reduce
+    from .states import state_to_json
 
     seq, params, final, residual = _reduce(QuaternionicState(_numbers(args.x, 4, "--x"),
                                                              _numbers(args.y, 4, "--y")))
@@ -194,6 +213,7 @@ def cmd_quat_reduce(args) -> tuple:
 
 def cmd_quat_check(args) -> tuple:
     from .quaternionic import is_quaternionic
+    from .states import normalize
 
     s, digest = _load_state(args.state)
     qs = is_quaternionic(normalize(s))
@@ -214,8 +234,13 @@ def cmd_verify_map(args) -> tuple:
 
 
 def _verify_default(n: int, seed: int) -> dict:
+    import numpy as np
+
     from .gates import CouplingStep, LocalStep, PhaseStep, apply
     from .so6 import evolve_q, verify_commutators
+    from .states import PARTITION_PAIR, PARTITION_SPECTATOR, random_state
+    from .tangles import ckw_residual
+    from .vectors import plucker_residual, q_vector
 
     rep = verify_commutators()
     worst_dual = 0.0
@@ -260,7 +285,11 @@ def _verify_default(n: int, seed: int) -> dict:
 
 
 def _verify_quaternionic(n: int, seed: int) -> dict:
+    import numpy as np
+
     from .quaternionic import QuaternionicState, abc_quaternionic, tangles_quaternionic, to_state
+    from .tangles import tangle_set
+    from .vectors import abc_vectors
 
     rng = np.random.default_rng(seed)
     worst_abc = worst_tan = 0.0
@@ -285,6 +314,8 @@ def _verify_quaternionic(n: int, seed: int) -> dict:
 
 
 def cmd_verify(args) -> tuple:
+    from .states import _check_options
+
     _check_options(seeds={"--seed": args.seed}, counts={"-N": args.num})
     suite = _verify_quaternionic if args.suite == "quaternionic" else _verify_default
     return f"verify --suite {args.suite}", None, suite(args.num, args.seed)
@@ -300,7 +331,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("analyze", help="invariant vectors, gauge, tangles")
     p.add_argument("--state", required=True)
-    p.set_defaults(func=cmd_analyze, tolerances={"eps_inv": EPS_INV})
+    p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("evolve", help="apply a gate sequence in both pictures")
     p.add_argument("--state", required=True)

@@ -10,34 +10,32 @@ and a sequence is a plain list applied left to right (first element acts
 first). Operator products written right-to-left on paper therefore list in
 reverse here.
 
-Each step is checked once, when it is built: a bad qubit or pair (states._named),
-parameters that fail states._reals (3, 9 given flat or 3x3, or 1 finite real
-numbers), or local or coupling parameters whose Euclidean norm overflows the
-walker's hypot raise ParseError there. A built step cannot change, so one
-walker, _steps, serves both gate pictures (so6's dual picture too): given the
-picture's key for each qubit, its layout of the ordered pairs and its two
-factor formulas, it sorts a sequence and hands back each step's factor in
-that picture. A step keeps each factor, read-only, on itself, so a step
-applied again skips the SVD and the trigonometry. A coupling with
-one nonzero theta_nm = 2 zeta is born with its 4x4 unitary, cos zeta +
-i sin zeta sigma_n sigma_m in closed form (_term_unitary); the walker makes
-every other factor the first time its picture applies the step. Once both
-pictures have used it, a coupling keeps about 0.8 KB (its 4x4 unitary here
-and its 6x6 rotation in the dual picture) and a local about 0.4 KB; the
-factors live and die with their step. The designers (synthesis,
-quaternionic) build their steps unchecked through _designed.
-Each picture keeps only its factor formulas and its contraction loop. Here
-one loop applies a sequence to an (8, R) amplitude matrix whose R columns
-evolve independently: apply() uses one column, and the 8x8 unitaries are the
-same evolution of the identity. A local factor is the closed Euler form
-computed from scalars (_su2). The coupling factors that a sequence still
-lacks come from one stacked SVD theta = U diag(d) V^T (_svd), in one closed
-form per picture (_pair_unitaries here): no gate step takes an
-eigendecomposition. A theta of any size, also |theta| >= 1e16, is computed,
-not refused: both pictures apply the exact image of the same U diag(d) V^T,
-within a few eps |theta| of theta (the SVD's backward error), so they agree
-at any scale; one-term, diagonal and permuted-diagonal theta are exact.
-Phases are summed into one scalar, reduced modulo 2 pi. Each factor is
+Each step is checked once, when it is built: a bad qubit or pair
+(states._named), parameters that fail states._reals (3, 9 given flat or 3x3,
+or 1 finite real numbers), or local or coupling parameters whose Euclidean
+norm overflows the walker's hypot raise ParseError there. A built step cannot
+change, so one walker, _steps, serves both gate pictures (so6's dual picture
+too): given the picture's key for each qubit, its layout of the ordered pairs
+and its two factor formulas, it sorts a sequence and hands back each step's
+factor in that picture. A step keeps each factor, read-only, on itself, and a
+coupling the one SVD theta = U diag(d) V^T that both pictures read: about
+1.1 KB for a coupling both pictures used, 0.4 KB for a local, living and dying
+with the step. A coupling with one nonzero theta_nm = 2 zeta is born with its
+4x4 unitary, cos zeta + i sin zeta sigma_n sigma_m in closed form
+(_term_unitary); the walker makes every other factor the first time its
+picture applies the step. The designers (synthesis, quaternionic) build their
+steps unchecked through _designed.
+Each picture keeps only its factor formulas and its contraction loop. Here one
+loop applies a sequence to an (8, R) amplitude matrix whose R columns evolve
+independently: apply() uses one column, and the 8x8 unitaries are the same
+evolution of the identity. A local factor is the closed Euler form from
+scalars (_su2). The couplings without an SVD take it in one stacked call
+(_svd), and each picture makes its factors from it in one closed form
+(_pair_unitaries here): no step takes an eigendecomposition. A theta of any
+size is computed, not refused: both pictures apply the exact image of the same
+U diag(d) V^T, within a few eps |theta| of theta (the SVD's backward error),
+so they agree at any scale; one-term, diagonal and permuted-diagonal theta are
+exact. Phases are summed into one scalar, reduced modulo 2 pi. Each factor is
 contracted by one reshape and one matmul: (2**axis, 2, rest) for a local,
 (2**first, 4, rest) for an adjacent pair, and the pair (a, c) after one
 transpose that moves c next to a. A reversed pair such as "ba" is its forward
@@ -101,17 +99,16 @@ class CouplingStep:
     (_term_unitary), accurate to a few eps at any finite zeta; the rule reads
     only theta, so every route that builds the step gives the same factor.
     Every other factor, and every 6x6 dual rotation, is made on its picture's
-    first use of the step, in closed form from the SVD theta = U diag(d) V^T.
-    A theta of any size is computed, not refused: both pictures give the
-    exact image of the same U diag(d) V^T, within a few eps |theta| of theta,
-    so they agree at any scale; one-term, diagonal and permuted-diagonal
-    theta are exact. The factors are kept, read-only: about 0.8 KB with both.
+    first use of the step, in closed form from the SVD theta = U diag(d) V^T
+    that the first picture takes and keeps (_usv, rows [U; d; V]) for both.
+    All are kept, read-only: about 1.1 KB with both pictures.
     """
 
     pair: str
     theta: np.ndarray  # 3x3 real coefficients of i/2 sigma_n sigma_m
     _unitary: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
     _rotation: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
+    _usv: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     kind = "coupling"
 
@@ -163,13 +160,13 @@ def _steps(seq, qubits: dict, pairs: dict, factor: str, local, couplings) -> tup
     carries to (key, theta transposed); factor names the step attribute that
     keeps the picture's factor. A step that has none yet gets it here and
     keeps it, read-only: a local from local(t0, t1, t2), and the couplings,
-    each once, from one couplings(u, d, v) call on one _svd of their stacked
-    theta as the steps hold them (so both pictures apply the same coupling),
-    u and v swapped for a transposed layout, each a copy of its own, so that
-    no step pins the stack. Returns (key, factor), in sequence order, for each
-    local that rotates and each coupling, and the summed phase in [-pi, pi].
-    Raises NotRepresentable for a pair missing from pairs, and TypeError for
-    anything that is not a step.
+    each once, from one couplings(u, d, v) call on the SVDs of theta as the
+    steps hold them (u and v swapped for a transposed layout), which one
+    stacked _svd call takes where no picture has, each kept as a copy of its
+    own, so both pictures apply the same coupling. Returns (key, factor), in
+    sequence order, for each local that rotates and each coupling, and the
+    summed phase in [-pi, pi]. Raises NotRepresentable for a pair missing from
+    pairs, and TypeError for anything that is not a step.
     """
     out, fresh = [], {}
     phase = 0.0
@@ -191,10 +188,13 @@ def _steps(seq, qubits: dict, pairs: dict, factor: str, local, couplings) -> tup
         else:
             raise TypeError(f"not a gate step: {step!r}")
     if fresh:
-        u, d, v = _svd(np.array([step.theta for step in fresh]))
-        flip = np.array(list(fresh.values()))[:, None, None]   # theta^T = v diag(d) u^T
-        u, v = np.where(flip, v, u), np.where(flip, u, v)
-        for step, f in zip(fresh, couplings(u, d, v)):
+        new = [step for step in fresh if step._usv is None]
+        if new:
+            for step, usv in zip(new, _svd(np.array([step.theta for step in new]))):
+                _keep(step, "_usv", usv.copy())
+        # theta^T = v diag(d) u^T: a transposed layout reads the rows [v; d; u]
+        usv = np.array([s._usv[[4, 5, 6, 3, 0, 1, 2]] if f else s._usv for s, f in fresh.items()])
+        for step, f in zip(fresh, couplings(usv[:, :3], usv[:, 3], usv[:, 4:])):
             _keep(step, factor, f.copy())
     for k, (key, step) in enumerate(out):
         u = getattr(step, factor)
@@ -232,15 +232,15 @@ def _term_unitary(pair: str, n: int, m: int, t: float) -> np.ndarray:
     return u
 
 
-def _svd(th: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(u, d, v) with th = u diag(d) v^T and d >= 0, for stacked (k, 3, 3) th.
+def _svd(th: np.ndarray) -> np.ndarray:
+    """The (k, 7, 3) rows [u; d; v], th = u diag(d) v^T and d >= 0, of stacked (k, 3, 3) th.
 
     Each th is first scaled by the power of two of its largest entry: exactly,
     where LAPACK's own rescaling is not.
     """
     _, e = np.frexp(np.abs(th).max(axis=(1, 2)))
     u, d, vt = np.linalg.svd(np.ldexp(th, -e[:, None, None]))
-    return u, np.ldexp(d, e[:, None]), vt.swapaxes(1, 2)
+    return np.concatenate([u, np.ldexp(d, e[:, None])[:, None], vt.swapaxes(1, 2)], axis=1)
 
 
 def _pair_unitaries(u: np.ndarray, d: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -330,7 +330,7 @@ def _designed(cls, *fields):
     theta = np.zeros((3, 3))
     theta[n - 1, m - 1] = t = 2.0 * zeta
     theta.flags.writeable = False
-    vars(step).update(pair=pair, theta=theta, _unitary=None, _rotation=None)
+    vars(step).update(pair=pair, theta=theta, _unitary=None, _rotation=None, _usv=None)
     _keep(step, "_unitary", _term_unitary(pair, n - 1, m - 1, t))
     return step
 

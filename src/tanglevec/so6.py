@@ -29,9 +29,9 @@ only the formulas and the contraction loop. A local's 3x3 Rodrigues rotation
 (_rodrigues) is computed from scalars and acts on its own three components
 only. The coupling images of a sequence that have no factor yet, exp(sum
 theta_nm Lambda_nm), are made in one call (_lambda_rotations), in closed
-form from the walker's stacked SVD theta = U diag(d) V^T; a theta of any
-size, also |theta| >= 1e16, is computed, not refused, and both pictures
-apply the exact image of the same U diag(d) V^T, so they agree at any scale.
+form from the one SVD theta = U diag(d) V^T each coupling keeps, taken by
+whichever picture met it first; a theta of any size is computed, not
+refused, and both pictures apply the exact image of that U diag(d) V^T.
 The so(6) exponential _so6_exp makes only the tangle ascent's starts. The
 dual picture never reads the 4x4 unitaries that the Hilbert picture keeps
 on a step, so comparing the two pictures stays a test of the generator map.

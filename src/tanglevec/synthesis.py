@@ -28,7 +28,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import _kernels
 from .errors import DegenerateInput, GaugeUndefined, ParseError
 from .gates import (CouplingStep, LocalStep, PhaseStep, _designed, apply, coupling_axis_step,
                     sequence_unitary)
@@ -168,8 +167,7 @@ def w_to_ghz_sequence(theta: float, phi: float) -> SynthesisResult:
     final = apply(seq, start)
     fid = float(abs(np.vdot(final, make_ghz())))
     couplings = sum(isinstance(s, CouplingStep) for s in seq)
-    return SynthesisResult(seq, fid, {"coupling_steps": couplings,
-                                      "theta": theta, "phi": phi})
+    return SynthesisResult(seq, fid, {"coupling_steps": couplings, "theta": theta, "phi": phi})
 
 
 # --- canonical alignment and the tangle maximum ---------------------------
@@ -244,8 +242,7 @@ def maximize_three_tangle(s, pair: str = "ab", variant: str = "economical") -> S
     seq.extend(steps)
 
     if economical:
-        t16 = math.atan2(i2, r1)
-        t34 = math.atan2(i1, r2)
+        t16, t34 = math.atan2(i2, r1), math.atan2(i1, r2)
         # the angles are outputs of atan2: finite Python floats
         couplings = [_designed(CouplingStep, pq, n, m, -angle / 2)
                      for (n, m), angle in (((1, 3), t16), ((3, 1), t34)) if abs(angle) > 1e-15]
@@ -331,9 +328,10 @@ def fubini_study_search(s1, s2, restarts: int = 32, seed: int = 0,
     the digits. Raises ParseError for `restarts` or `max_sweeps` below 1 and
     a negative `seed`.
     """
+    from . import _kernels   # loaded by the two searches only
+
     _check_options(seeds={"seed": seed}, counts={"restarts": restarts, "max_sweeps": max_sweeps})
-    v1 = normalize(s1)
-    v2 = normalize(s2)
+    v1, v2 = normalize(s1), normalize(s2)
     inits = _random_su2_stack(np.random.default_rng(seed), restarts)
     _, us, stats = _kernels.fs_best_overlap(v1.reshape(2, 2, 2), v2.reshape(2, 2, 2),
                                             inits, max_sweeps)
@@ -403,6 +401,8 @@ def tangle_ascent_search(s, pair: str = "ab", restarts: int = 16, seed: int = 0,
     bound), since that gradient scales as T^2. Raises ParseError for
     `restarts` or `max_iters` below 1 and a negative `seed`.
     """
+    from . import _kernels
+
     _check_options(seeds={"seed": seed}, counts={"restarts": restarts, "max_iters": max_iters})
     p, _ = _canonical_pair(pair)
     state = normalize(s)

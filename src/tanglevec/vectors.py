@@ -73,16 +73,13 @@ class GaugeInfo:
 
 def _a_forms() -> np.ndarray:
     """Symmetric 8x8 forms with A_i = psi^T Q_i psi (plain transpose)."""
-    terms = {
-        0: [(-1j, 0, 3), (1j, 1, 2), (-1j, 6, 5), (1j, 7, 4)],
-        1: [(1, 0, 3), (-1, 1, 2), (1, 4, 7), (-1, 5, 6)],
-        2: [(1j, 0, 7), (-1j, 1, 6), (1j, 4, 3), (-1j, 5, 2)],
-    }
+    terms = ([(-1j, 0, 3), (1j, 1, 2), (-1j, 6, 5), (1j, 7, 4)],
+             [(1, 0, 3), (-1, 1, 2), (1, 4, 7), (-1, 5, 6)],
+             [(1j, 0, 7), (-1j, 1, 6), (1j, 4, 3), (-1j, 5, 2)])
     q = np.zeros((3, 8, 8), dtype=np.complex128)
-    for i, lst in terms.items():
+    for i, lst in enumerate(terms):
         for coef, m, n in lst:
-            q[i, m, n] += coef / 2
-            q[i, n, m] += coef / 2
+            q[i, [m, n], [n, m]] += coef / 2
     return q
 
 
@@ -205,7 +202,10 @@ def q_vector(s, partition) -> SixVector:
     p = parse_partition(partition)
     rows = _vectors(s).m.tolist()
     first, second = (rows[QUBIT_AXIS[q]] for q in PARTITION_PAIR[p])
-    return SixVector(first + [-1j * z for z in second], p)
+    v = object.__new__(SixVector)   # unchecked: the entry passed _tolerance, so q is finite
+    vars(v).update(q=np.array(first + [-1j * z for z in second]), partition=p)
+    v.q.setflags(write=False)
+    return v
 
 
 def plucker_residual(s) -> float:

@@ -13,7 +13,6 @@ from tanglevec import (make_asymmetric_w, make_ghz, normalize, random_state,
                        sequence_to_json, named_gate, apply, ckw_residual,
                        plucker_residual, maximize_three_tangle, tangle_ascent_search,
                        bipartite_tangle_from_density, CommutatorReport, EPS_INV)
-from tanglevec import cli
 from tanglevec.cli import _emit, main
 from conftest import checked_tangle_set, child_env, count_calls, count_evaluations
 
@@ -116,23 +115,37 @@ def test_every_report_has_the_one_envelope(argv, command, inputs, extra, s7_file
 
 
 #: the tanglevec modules a fresh process loads for each command of ENVELOPES
-#: and for analyze refusing a 7-amplitude state, beyond the package and the
-#: five that the parser, the report and analyze need (FRONT)
-FRONT = ("cli", "errors", "states", "vectors", "tangles")
-_DUAL = ("gates", "so6")
-_QUATERNIONIC = (*_DUAL, "quaternionic")
-_EVERY = (*_QUATERNIONIC, "synthesis", "_kernels")
-LOADS = {"analyze": (), "analyze refused": (), "evolve": _DUAL, "coupling-core": _EVERY,
-         "w-to-ghz": _EVERY, "maximize-tangle": _EVERY, "fs-angle": _EVERY, "ascent": _EVERY,
-         "quat reduce": _QUATERNIONIC, "quat check": _QUATERNIONIC, "verify-map": _DUAL,
-         "verify": _DUAL, "verify quaternionic": _QUATERNIONIC}
-#: runs main on its arguments as the console script does, then prints the
-#: tanglevec modules loaded, as the last line of stdout
+#: and for analyze refusing a 7-amplitude state, beyond numpy, the package and
+#: the two that parsing and the report need (FRONT)
+FRONT = ("cli", "errors")
+_STATE = ("states", "vectors", "tangles")
+_DUAL = ("states", "vectors", "gates", "so6")
+_QUATERNIONIC = (*_DUAL, "tangles", "quaternionic")
+_DESIGNERS = (*_QUATERNIONIC, "synthesis")
+_OPTIMIZERS = (*_DESIGNERS, "_kernels")
+LOADS = {"analyze": _STATE, "analyze refused": _STATE, "evolve": _DUAL,
+         "coupling-core": _DESIGNERS, "w-to-ghz": _DESIGNERS, "maximize-tangle": _DESIGNERS,
+         "fs-angle": _OPTIMIZERS, "ascent": _OPTIMIZERS, "quat reduce": _QUATERNIONIC,
+         "quat check": _QUATERNIONIC, "verify-map": _DUAL, "verify": (*_DUAL, "tangles"),
+         "verify quaternionic": _QUATERNIONIC}
+#: runs main on its arguments as the console script does (or another
+#: statement that sets code), then prints numpy and the tanglevec modules
+#: loaded, as the last line of stdout
+_MAIN = "code = main(sys.argv[1:])"
 _PROBE = ("import json, sys\n"
-          "from tanglevec.cli import main\n"
-          "code = main(sys.argv[1:])\n"
-          "print(json.dumps(sorted(m for m in sys.modules if m.startswith('tanglevec'))))\n"
+          "from tanglevec.cli import build_parser, main\n"
+          "{run}\n"
+          "print(json.dumps(sorted(m for m in sys.modules\n"
+          "                        if m == 'numpy' or m.startswith('tanglevec'))))\n"
           "sys.exit(code)\n")
+
+
+def _loaded(argv, exit_code, run=_MAIN):
+    """The modules _PROBE reports for argv in a fresh process, which must exit with exit_code."""
+    proc = subprocess.run([sys.executable, "-c", _PROBE.format(run=run), *argv],
+                          capture_output=True, text=True, env=child_env(), timeout=120)
+    assert proc.returncode == exit_code, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
 
 
 @pytest.mark.parametrize("name", LOADS)
@@ -147,18 +160,24 @@ def test_a_fresh_process_loads_only_what_its_command_uses(name, s7_file, ghz_fil
         argv, exit_code = ["analyze", "--state", str(short)], 1
     else:
         argv, exit_code = [files.get(a, a) for a in ENVELOPES[name][0]], 0
-    run = subprocess.run([sys.executable, "-c", _PROBE, *argv], capture_output=True, text=True,
-                         env=child_env(), timeout=120)
-    assert run.returncode == exit_code, run.stderr
-    loaded = json.loads(run.stdout.splitlines()[-1])
-    assert loaded == sorted(["tanglevec", *(f"tanglevec.{m}" for m in FRONT + LOADS[name])])
+    assert _loaded(argv, exit_code) == sorted(
+        ["numpy", "tanglevec", *(f"tanglevec.{m}" for m in FRONT + LOADS[name])])
+
+
+@pytest.mark.parametrize("argv, exit_code, run", [
+    ([], 0, "build_parser(); code = 0"), (["--help"], 0, _MAIN), (["frobnicate"], 1, _MAIN),
+    (["analyze"], 1, _MAIN)], ids=["build_parser", "help", "unknown-command", "missing-option"])
+def test_parsing_alone_loads_no_numeric_module(argv, exit_code, run):
+    # the parser, its help and its refusals need neither numpy nor a numeric module
+    assert _loaded(argv, exit_code, run) == sorted(
+        ["tanglevec", *(f"tanglevec.{m}" for m in FRONT)])
 
 
 @pytest.mark.parametrize("pretty", [[], ["--pretty"]], ids=["plain", "pretty"])
 def test_a_report_holding_nan_is_an_error_line(pretty, ghz_file, capsys, monkeypatch):
     # strict JSON has no NaN: the report is refused before anything is
     # written, with an error line and exit 1, not a traceback
-    monkeypatch.setattr(cli, "plucker_residual", lambda s: float("nan"))
+    monkeypatch.setattr("tanglevec.vectors.plucker_residual", lambda s: float("nan"))
     code, doc, err = run_cli(capsys, *pretty, "analyze", "--state", ghz_file)
     assert code == 1 and doc is None
     assert err.startswith("error: ") and err.count("\n") == 1 and "JSON" in err

@@ -20,7 +20,8 @@ ParseError and no warning.
 Scale: a function whose value scales with a power of its input gives, at
 any finite scale, that power times its unit-scale value, rounded as a
 double, or a TangleVecError where that value is beyond the doubles; never a
-warning.
+warning. A coupling of any finite size, general theta included, is applied
+in both gate pictures, not refused, and the two agree.
 """
 import json
 import warnings
@@ -31,8 +32,8 @@ import pytest
 from tanglevec import (CouplingStep, DegenerateInput, IndexOutOfRange, LocalStep, NotNormalized,
                        ParseError, PhaseStep, QuaternionicState, SixVector, TangleVecError,
                        UnknownGate, UnknownGenerator, abc_quaternionic, abc_vectors,
-                       align_canonical, bipartite_tangle_from_density, coupling_axis_step,
-                       fidelity_up_to_phase, generator_map, lambda_generator, matricize,
+                       align_canonical, apply, bipartite_tangle_from_density, coupling_axis_step,
+                       evolve_q, fidelity_up_to_phase, generator_map, lambda_generator, matricize,
                        maximize_three_tangle, min_phase_distance, named_gate, normalize,
                        q_vector, quat_conj, quat_inv, quat_mul, quat_to_matrix, quat_transpose,
                        random_state, reduce_to_acin, so6_image, state_from_json, su_generator,
@@ -255,3 +256,24 @@ def test_min_phase_distance_at_both_ends_of_the_doubles():
         assert min_phase_distance(u, 1j * u) == min_phase_distance(one, 1j * one) == 0.0
         with pytest.raises(ParseError, match="too large for a double"):
             min_phase_distance([1e308, 1e308], [1e308, -1e308])
+
+
+#: each ordered pair's partition
+_PAIR_PARTITION = {"ab": 3, "ba": 3, "bc": 1, "cb": 1, "ac": 2, "ca": 2}
+
+
+@pytest.mark.parametrize("scale", [1e16, 1e20, 1e100, 1e200, 1e300])
+@pytest.mark.parametrize("pair", PAIRS)
+def test_a_large_general_coupling_is_computed_in_both_pictures(pair, scale):
+    # a 9-term theta far beyond 2 pi is applied, with no warning, and the dual
+    # picture agrees with the Hilbert one within 16 eps, the bound of the gate
+    # tests' scale grids (the eigendecomposition before the SVD missed by up to 0.80)
+    p, rng = _PAIR_PARTITION[pair], np.random.default_rng(10)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for seed in range(3):
+            step, s = CouplingStep(pair, scale / 3 * rng.uniform(-1, 1, (3, 3))), random_state(seed)
+            out = apply([step], s)
+            err = np.abs(evolve_q([step], q_vector(s, p)).q - q_vector(out, p).q).max()
+            assert np.count_nonzero(step.theta) == 9 and np.isfinite(out).all()
+            assert err <= 16 * np.finfo(float).eps, (seed, err)

@@ -268,8 +268,8 @@ def test_one_exponential_per_sequence(build, couplings, hilbert_locals, dual_loc
     # the first use of new steps in a picture makes all their coupling
     # factors from one stacked SVD, each coupling once, and each local's
     # factor once (the dual picture skips the spectator c); a step keeps its
-    # factor, so a later use in that picture makes none, and the other
-    # picture still makes its own
+    # factor, so a later use in that picture makes none, and its SVD, so the
+    # other picture makes its own factors from that one and takes none
     seq = build()
     sizes = _stack_sizes(monkeypatch)
     su2, rodrigues = count_calls(monkeypatch, gates._su2), count_calls(monkeypatch, so6._rodrigues)
@@ -281,11 +281,11 @@ def test_one_exponential_per_sequence(build, couplings, hilbert_locals, dual_loc
     sequence_unitary(seq)
     assert sizes == once and len(su2) == hilbert_locals
     evolve_q(seq, q)
-    assert sizes == 2 * once and len(rodrigues) == dual_locals
+    assert sizes == once and len(rodrigues) == dual_locals
     evolve_q(seq, q)
     for step in seq:
         so6_image(step, 3)
-    assert sizes == 2 * once and (len(su2), len(rodrigues)) == (hilbert_locals, dual_locals)
+    assert sizes == once and (len(su2), len(rodrigues)) == (hilbert_locals, dual_locals)
     # a sequence that adds one new coupling stacks only that one
     sizes.clear()
     sequence_unitary(seq + [CouplingStep("ab", np.ones((3, 3)))])
@@ -298,7 +298,11 @@ def test_each_picture_keeps_its_own_read_only_factor():
     assert (local._unitary, local._rotation, coupling._unitary, coupling._rotation) == (None,) * 4
     apply(seq, random_state(2))
     assert local._rotation is None and coupling._rotation is None
+    # the SVD the Hilbert picture took is kept, read-only, for the dual picture
+    usv = coupling._usv
+    assert usv.shape == (7, 3) and not usv.flags.writeable and usv.base is None
     evolve_q(seq, q_vector(random_state(2), 3))
+    assert coupling._usv is usv
     shapes = {"_unitary": [(2, 2), (4, 4)], "_rotation": [(3, 3), (6, 6)]}
     for factor, (local_shape, coupling_shape) in shapes.items():
         for step, shape in ((local, local_shape), (coupling, coupling_shape)):
@@ -307,7 +311,8 @@ def test_each_picture_keeps_its_own_read_only_factor():
     # the kept factors are no part of a step's value or its printed form
     again = LocalStep("a", (0.1, 0.2, 0.3))
     assert again == local and hash(again) == hash(local) and repr(again) == repr(local)
-    assert dataclasses.replace(coupling)._unitary is None
+    again = dataclasses.replace(coupling)
+    assert again._unitary is None and again._usv is None
 
 
 _PAIR_PARTITION = {"ab": 3, "ba": 3, "bc": 1, "cb": 1, "ca": 2, "ac": 2}

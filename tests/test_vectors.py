@@ -277,6 +277,21 @@ def test_six_vector_is_a_checked_copy():
     assert np.isfinite(out.q).all() and out.partition == 1
 
 
+@pytest.mark.parametrize("scale", [1.0, 1e-160, 1e-60, 3.7, 1e60, 1e76])
+def test_q_vector_is_the_checked_six_vector(scale):
+    # q_vector builds its vector unchecked: the same bytes and partition as
+    # the checking constructor gives, and read-only
+    for seed in range(20):
+        s = scale * random_state(seed)
+        for p in (1, 2, 3, "a(bc)"):
+            q = q_vector(s, p)
+            checked = SixVector(q.q.tolist(), p)
+            assert type(q) is SixVector and q.partition == checked.partition
+            assert q.q.dtype == complex and q.q.tobytes() == checked.q.tobytes()
+            with pytest.raises(ValueError):
+                q.q[0] = 0.0
+
+
 # --- the one-entry memo of _vectors ----------------------------------------
 
 def _q1(s):
