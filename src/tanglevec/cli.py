@@ -11,19 +11,20 @@ value (nothing is written to stdout); 2 a failed verdict ("ok" or "pass"
 false); 3 numeric invariant breach.
 
 The module top loads only what parsing and the report need: argparse, json,
-sys and errors. Each command imports what it calls in its own body, so
---help, a usage error and build_parser load no numpy and no numeric module,
-and a process loads only what its command uses: analyze and its refusals
-load states, vectors and tangles; evolve and verify-map load states,
-vectors, gates and so6; verify loads those and tangles; quat check, quat
-reduce and verify --suite quaternionic add quaternionic; and synthesize,
-maximize-tangle, fs-angle and ascent load every module.
+sys, errors and the package, which imports no submodule of its own. Each
+command reads the library through the package, as ``tv.normalize`` or, for a
+name the package does not export, ``tv.states._reals``; the package imports a
+name's module on first access. So --help, a usage error and build_parser load
+no numpy and no numeric module, and a process loads only the modules its
+command uses (tests/test_cli.py pins each command's set).
 """
 from __future__ import annotations
 
 import argparse
 import json
 import sys
+
+import tanglevec as tv
 
 from .errors import InvariantViolation, NotRepresentable, TangleVecError
 
@@ -44,11 +45,9 @@ def _digest(text: str) -> str:
 
 
 def _load_state(path: str):
-    from .states import state_from_json
-
     with open(path) as fh:
         text = fh.read()
-    return state_from_json(text), _digest(text)
+    return tv.state_from_json(text), _digest(text)
 
 
 def _emit(report: dict, pretty: bool):
@@ -70,39 +69,31 @@ def _emit(report: dict, pretty: bool):
 
 def _numbers(text: str, n: int, what: str) -> tuple:
     """The n comma-separated numbers of an option, as _reals checks them; else ParseError."""
-    from .states import _reals
-
     try:
         values = [float(t) for t in text.split(",")]
     except ValueError:
         values = text   # not numbers: _reals refuses the text, naming the option
-    return _reals(values, n, what)
+    return tv.states._reals(values, n, what)
 
 
 def _synthesis_payload(res, achieved: str) -> dict:
     """A SynthesisResult's report: its sequence, its achieved value named achieved, its meta."""
-    from .gates import sequence_to_json
-
-    return {"sequence": json.loads(sequence_to_json(res.sequence)), achieved: res.achieved,
+    return {"sequence": json.loads(tv.sequence_to_json(res.sequence)), achieved: res.achieved,
             **res.meta}
 
 
 def cmd_analyze(args) -> tuple:
-    from .states import normalize
-    from .tangles import ckw_residual, tangle_set
-    from .vectors import EPS_INV, abc_vectors, gauge_phase, plucker_residual
-
-    args.tolerances = {"eps_inv": EPS_INV}   # main adds it to the report
+    args.tolerances = {"eps_inv": tv.EPS_INV}   # main adds it to the report
     s, digest = _load_state(args.state)
-    s = normalize(s)
-    v = abc_vectors(s)
-    info = gauge_phase(s)
+    s = tv.normalize(s)
+    v = tv.abc_vectors(s)
+    info = tv.gauge_phase(s)
     payload = {
         "vectors": {"a": _cvec(v.a), "b": _cvec(v.b), "c": _cvec(v.c)},
         "gauge": {"phi_a": info.phi_a, "defined": info.defined},
-        "tangles": tangle_set(s).as_dict(),
-        "plucker_residual": plucker_residual(s),
-        "ckw_residual": ckw_residual(s),
+        "tangles": tv.tangle_set(s).as_dict(),
+        "plucker_residual": tv.plucker_residual(s),
+        "ckw_residual": tv.ckw_residual(s),
     }
     return "analyze", digest, payload
 
@@ -110,22 +101,17 @@ def cmd_analyze(args) -> tuple:
 def cmd_evolve(args) -> tuple:
     import numpy as np
 
-    from .gates import apply, sequence_from_json
-    from .so6 import evolve_q
-    from .states import normalize, parse_partition, state_to_json
-    from .vectors import q_vector
-
     s, digest = _load_state(args.state)
-    s = normalize(s)
+    s = tv.normalize(s)
     with open(args.sequence) as fh:
         seq_text = fh.read()
-    seq = sequence_from_json(seq_text)
-    out = apply(seq, s)
-    payload = {"state": json.loads(state_to_json(out))}
-    partition = parse_partition(args.partition)
+    seq = tv.sequence_from_json(seq_text)
+    out = tv.apply(seq, s)
+    payload = {"state": json.loads(tv.state_to_json(out))}
+    partition = tv.states.parse_partition(args.partition)
     try:
-        q1 = evolve_q(seq, q_vector(s, partition))
-        q2 = q_vector(out, partition)
+        q1 = tv.evolve_q(seq, tv.q_vector(s, partition))
+        q2 = tv.q_vector(out, partition)
         payload["q_vector"] = _cvec(q1.q)
         payload["partition"] = partition
         payload["dual_residual"] = float(np.abs(q1.q - q2.q).max())
@@ -140,39 +126,31 @@ def cmd_evolve(args) -> tuple:
 def cmd_synthesize_coupling_core(args) -> tuple:
     import numpy as np
 
-    from .synthesis import synthesize_coupling_core
-
     alpha = _numbers(args.alpha, 3, "--alpha")
-    res = synthesize_coupling_core(np.radians(alpha) if args.degrees else alpha)
+    res = tv.synthesize_coupling_core(np.radians(alpha) if args.degrees else alpha)
     return "synthesize coupling-core", None, _synthesis_payload(res, "achieved_distance")
 
 
 def cmd_synthesize_w_to_ghz(args) -> tuple:
     import numpy as np
 
-    from .synthesis import w_to_ghz_sequence
-
     angles = (args.theta, args.phi)
-    res = w_to_ghz_sequence(*(np.radians(angles) if args.degrees else angles))
+    res = tv.w_to_ghz_sequence(*(np.radians(angles) if args.degrees else angles))
     return "synthesize w-to-ghz", None, _synthesis_payload(res, "achieved_fidelity")
 
 
 def cmd_maximize_tangle(args) -> tuple:
-    from .synthesis import maximize_three_tangle
-
     s, digest = _load_state(args.state)
-    res = maximize_three_tangle(s, args.pair, args.variant)
+    res = tv.maximize_three_tangle(s, args.pair, args.variant)
     return "maximize-tangle", digest, _synthesis_payload(res, "achieved")
 
 
 def cmd_fs_angle(args) -> tuple:
     import dataclasses
 
-    from .synthesis import fubini_study_search
-
     s1, d1 = _load_state(args.state1)
     s2, d2 = _load_state(args.state2)
-    res = fubini_study_search(s1, s2, restarts=args.restarts, seed=args.seed)
+    res = tv.fubini_study_search(s1, s2, restarts=args.restarts, seed=args.seed)
     payload = {**dataclasses.asdict(res),
                "note": "stochastic optimizer: upper bound on the true minimum"}
     return "fs-angle", [d1, d2], payload
@@ -181,42 +159,32 @@ def cmd_fs_angle(args) -> tuple:
 def cmd_ascent(args) -> tuple:
     import dataclasses
 
-    from .states import PARTITION_SPECTATOR, normalize
-    from .synthesis import _canonical_pair, tangle_ascent_search
-    from .tangles import bipartite_tangle_from_density
-
     s, digest = _load_state(args.state)
-    res = tangle_ascent_search(s, args.pair, restarts=args.restarts, seed=args.seed)
-    spectator = PARTITION_SPECTATOR[_canonical_pair(args.pair)[0]]   # the search checked the pair
+    res = tv.tangle_ascent_search(s, args.pair, restarts=args.restarts, seed=args.seed)
+    # the search checked the pair
+    spectator = tv.states.PARTITION_SPECTATOR[tv.synthesis._canonical_pair(args.pair)[0]]
     payload = {**dataclasses.asdict(res), "spectator": spectator,
-               "bound": bipartite_tangle_from_density(normalize(s), spectator),
+               "bound": tv.bipartite_tangle_from_density(tv.normalize(s), spectator),
                "note": "stochastic optimizer: lower bound on the true maximum"}
     return "ascent", digest, payload
 
 
 def cmd_quat_reduce(args) -> tuple:
-    from .gates import sequence_to_json
-    from .quaternionic import QuaternionicState, _reduce
-    from .states import state_to_json
-
-    seq, params, final, residual = _reduce(QuaternionicState(_numbers(args.x, 4, "--x"),
-                                                             _numbers(args.y, 4, "--y")))
+    qs = tv.QuaternionicState(_numbers(args.x, 4, "--x"), _numbers(args.y, 4, "--y"))
+    seq, params, final, residual = tv.quaternionic._reduce(qs)
     payload = {
-        "sequence": json.loads(sequence_to_json(seq)),
+        "sequence": json.loads(tv.sequence_to_json(seq)),
         "xi": params.xi,
         "lambdas": [float(v) for v in params.lambdas],
-        "final_state": json.loads(state_to_json(final)),
+        "final_state": json.loads(tv.state_to_json(final)),
         "residual": residual,
     }
     return "quat reduce", None, payload
 
 
 def cmd_quat_check(args) -> tuple:
-    from .quaternionic import is_quaternionic
-    from .states import normalize
-
     s, digest = _load_state(args.state)
-    qs = is_quaternionic(normalize(s))
+    qs = tv.is_quaternionic(tv.normalize(s))
     payload = {"quaternionic": qs is not None}
     if qs is not None:
         payload["x"] = [float(v) for v in qs.x]
@@ -225,9 +193,7 @@ def cmd_quat_check(args) -> tuple:
 
 
 def cmd_verify_map(args) -> tuple:
-    from .so6 import verify_commutators
-
-    rep = verify_commutators()
+    rep = tv.verify_commutators()
     payload = {"pairs": rep.pairs, "max_discrepancy": rep.max_discrepancy,
                "ok": rep.ok}
     return "verify-map", None, payload
@@ -236,39 +202,33 @@ def cmd_verify_map(args) -> tuple:
 def _verify_default(n: int, seed: int) -> dict:
     import numpy as np
 
-    from .gates import CouplingStep, LocalStep, PhaseStep, apply
-    from .so6 import evolve_q, verify_commutators
-    from .states import PARTITION_PAIR, PARTITION_SPECTATOR, random_state
-    from .tangles import ckw_residual
-    from .vectors import plucker_residual, q_vector
-
-    rep = verify_commutators()
+    rep = tv.verify_commutators()
     worst_dual = 0.0
     rng = np.random.default_rng(seed)
     res = np.zeros((2, n))
     for k in range(n):
-        s = random_state(seed + k)
-        res[:, k] = plucker_residual(s), ckw_residual(s)
+        s = tv.random_state(seed + k)
+        res[:, k] = tv.plucker_residual(s), tv.ckw_residual(s)
     # each identity's worst residual and the seed of its state
     (worst_plucker, plucker_seed), (worst_ckw, ckw_seed) = (
         (float(r.max()), seed + int(r.argmax())) for r in res)
     for k in range(max(1, n // 10)):
         p = int(rng.integers(1, 4))
-        first, second = PARTITION_PAIR[p]
+        first, second = tv.states.PARTITION_PAIR[p]
         pairstr = first + second
-        s = random_state(seed + 7919 * (k + 1))
+        s = tv.random_state(seed + 7919 * (k + 1))
         seq = []
         for _ in range(5):
             kind = rng.integers(0, 3)
             if kind == 0:
-                q = (first, second, PARTITION_SPECTATOR[p])[rng.integers(0, 3)]
-                seq.append(LocalStep(q, tuple(rng.uniform(-3, 3, 3))))
+                q = (first, second, tv.states.PARTITION_SPECTATOR[p])[rng.integers(0, 3)]
+                seq.append(tv.LocalStep(q, tuple(rng.uniform(-3, 3, 3))))
             elif kind == 1:
-                seq.append(CouplingStep(pairstr, rng.uniform(-2, 2, (3, 3))))
+                seq.append(tv.CouplingStep(pairstr, rng.uniform(-2, 2, (3, 3))))
             else:
-                seq.append(PhaseStep(float(rng.uniform(-np.pi, np.pi))))
-        qv = evolve_q(seq, q_vector(s, p))
-        ref = q_vector(apply(seq, s), p)
+                seq.append(tv.PhaseStep(float(rng.uniform(-np.pi, np.pi))))
+        qv = tv.evolve_q(seq, tv.q_vector(s, p))
+        ref = tv.q_vector(tv.apply(seq, s), p)
         worst_dual = max(worst_dual, float(np.abs(qv.q - ref.q).max()))
     return {
         "commutator_pairs": rep.pairs,
@@ -287,19 +247,15 @@ def _verify_default(n: int, seed: int) -> dict:
 def _verify_quaternionic(n: int, seed: int) -> dict:
     import numpy as np
 
-    from .quaternionic import QuaternionicState, abc_quaternionic, tangles_quaternionic, to_state
-    from .tangles import tangle_set
-    from .vectors import abc_vectors
-
     rng = np.random.default_rng(seed)
     worst_abc = worst_tan = 0.0
     for _ in range(n):
         v = rng.standard_normal(8)
         v /= np.linalg.norm(v) * np.sqrt(2)
-        qs = QuaternionicState(v[:4], v[4:])
-        s = to_state(qs)
-        va, vg = abc_quaternionic(qs), abc_vectors(s)
-        tq, tg = tangles_quaternionic(qs), tangle_set(s)
+        qs = tv.QuaternionicState(v[:4], v[4:])
+        s = tv.to_state(qs)
+        va, vg = tv.abc_quaternionic(qs), tv.abc_vectors(s)
+        tq, tg = tv.tangles_quaternionic(qs), tv.tangle_set(s)
         worst_abc = max(worst_abc, float(np.abs(np.stack([va.a, va.b, va.c])
                                                 - np.stack([vg.a, vg.b, vg.c])).max()))
         worst_tan = max(worst_tan, max(
@@ -314,9 +270,7 @@ def _verify_quaternionic(n: int, seed: int) -> dict:
 
 
 def cmd_verify(args) -> tuple:
-    from .states import _check_options
-
-    _check_options(seeds={"--seed": args.seed}, counts={"-N": args.num})
+    tv.states._check_options(seeds={"--seed": args.seed}, counts={"-N": args.num})
     suite = _verify_quaternionic if args.suite == "quaternionic" else _verify_default
     return f"verify --suite {args.suite}", None, suite(args.num, args.seed)
 

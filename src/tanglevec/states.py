@@ -17,8 +17,10 @@ text. Every list of complex numbers (a state, its JSON pairs, a 6-vector) passes
 _complexes. Every name or index a caller passes (a qubit, a pair, a partition,
 an axis, a generator label, a gate name) is looked up once, by _named. Every
 rescale to unit scale (of a state, a matrix, a quaternion or a quaternion pair)
-is one exact power of two, made by _rescaled, which refuses a non-finite part;
-only the Fubini-Study kernel scales its matrix rows on its own.
+is one exact power of two, made by _rescaled, which refuses a non-finite part.
+Two kernels scale each slice of a stack by its own power of two instead: the
+Fubini-Study kernel each matrix row (_kernels._polar_2x2), and gates._svd each
+coupling's theta.
 """
 from __future__ import annotations
 

@@ -54,7 +54,9 @@ def rng():
 def count_calls(monkeypatch, fn):
     """Route every tanglevec module's reference to fn through a counter.
 
-    Returns the list that gains one entry per call.
+    The package's own cached reference counts too, so a count sees the calls
+    the CLI makes through the package (tv.<name>). Returns the list that gains
+    one entry per call.
     """
     calls = []
 
@@ -63,7 +65,7 @@ def count_calls(monkeypatch, fn):
         return fn(*args, **kwargs)
 
     for name, mod in list(sys.modules.items()):
-        if name.startswith("tanglevec.") and getattr(mod, fn.__name__, None) is fn:
+        if name.partition(".")[0] == "tanglevec" and getattr(mod, fn.__name__, None) is fn:
             monkeypatch.setattr(mod, fn.__name__, counting)
     return calls
 

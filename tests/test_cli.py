@@ -1,3 +1,4 @@
+import ast
 import hashlib
 import json
 import os
@@ -13,6 +14,7 @@ from tanglevec import (make_asymmetric_w, make_ghz, normalize, random_state,
                        sequence_to_json, named_gate, apply, ckw_residual,
                        plucker_residual, maximize_three_tangle, tangle_ascent_search,
                        bipartite_tangle_from_density, CommutatorReport, EPS_INV)
+from tanglevec import cli
 from tanglevec.cli import _emit, main
 from conftest import checked_tangle_set, child_env, count_calls, count_evaluations
 
@@ -115,15 +117,15 @@ def test_every_report_has_the_one_envelope(argv, command, inputs, extra, s7_file
 
 
 #: the tanglevec modules a fresh process loads for each command of ENVELOPES
-#: and for analyze refusing a 7-amplitude state, beyond numpy, the package and
-#: the two that parsing and the report need (FRONT)
+#: and for analyze refusing a 7-amplitude state, which stops before tangles,
+#: beyond numpy, the package and the two that parsing and the report need (FRONT)
 FRONT = ("cli", "errors")
 _STATE = ("states", "vectors", "tangles")
 _DUAL = ("states", "vectors", "gates", "so6")
 _QUATERNIONIC = (*_DUAL, "tangles", "quaternionic")
 _DESIGNERS = (*_QUATERNIONIC, "synthesis")
 _OPTIMIZERS = (*_DESIGNERS, "_kernels")
-LOADS = {"analyze": _STATE, "analyze refused": _STATE, "evolve": _DUAL,
+LOADS = {"analyze": _STATE, "analyze refused": ("states", "vectors"), "evolve": _DUAL,
          "coupling-core": _DESIGNERS, "w-to-ghz": _DESIGNERS, "maximize-tangle": _DESIGNERS,
          "fs-angle": _OPTIMIZERS, "ascent": _OPTIMIZERS, "quat reduce": _QUATERNIONIC,
          "quat check": _QUATERNIONIC, "verify-map": _DUAL, "verify": (*_DUAL, "tangles"),
@@ -164,6 +166,21 @@ def test_a_fresh_process_loads_only_what_its_command_uses(name, s7_file, ghz_fil
         ["numpy", "tanglevec", *(f"tanglevec.{m}" for m in FRONT + LOADS[name])])
 
 
+def test_no_function_in_the_cli_imports_from_the_package():
+    # commands read the library through the lazy package (tv.<name>), whose
+    # table alone says which module defines a name; numpy and the stdlib may
+    # still be imported where they are used
+    tree = ast.parse(Path(cli.__file__).read_text())
+    functions = [f for f in ast.walk(tree) if isinstance(f, ast.FunctionDef)]
+    found = [(f.name, ast.unparse(node)) for f in functions for node in ast.walk(f)
+             if (isinstance(node, ast.ImportFrom)
+                 and (node.level or (node.module or "").partition(".")[0] == "tanglevec"))
+             or (isinstance(node, ast.Import)
+                 and any(a.name.partition(".")[0] == "tanglevec" for a in node.names))]
+    assert functions
+    assert found == []
+
+
 @pytest.mark.parametrize("argv, exit_code, run", [
     ([], 0, "build_parser(); code = 0"), (["--help"], 0, _MAIN), (["frobnicate"], 1, _MAIN),
     (["analyze"], 1, _MAIN)], ids=["build_parser", "help", "unknown-command", "missing-option"])
@@ -177,7 +194,7 @@ def test_parsing_alone_loads_no_numeric_module(argv, exit_code, run):
 def test_a_report_holding_nan_is_an_error_line(pretty, ghz_file, capsys, monkeypatch):
     # strict JSON has no NaN: the report is refused before anything is
     # written, with an error line and exit 1, not a traceback
-    monkeypatch.setattr("tanglevec.vectors.plucker_residual", lambda s: float("nan"))
+    monkeypatch.setattr("tanglevec.plucker_residual", lambda s: float("nan"))
     code, doc, err = run_cli(capsys, *pretty, "analyze", "--state", ghz_file)
     assert code == 1 and doc is None
     assert err.startswith("error: ") and err.count("\n") == 1 and "JSON" in err
@@ -186,7 +203,7 @@ def test_a_report_holding_nan_is_an_error_line(pretty, ghz_file, capsys, monkeyp
 @pytest.mark.parametrize("argv", [["verify-map"], ["verify", "-N", "3"]], ids=["verify-map",
                                                                            "verify"])
 def test_a_failed_verdict_exits_2_with_its_report(argv, capsys, monkeypatch):
-    monkeypatch.setattr("tanglevec.so6.verify_commutators", lambda: CommutatorReport(105, 1))
+    monkeypatch.setattr("tanglevec.verify_commutators", lambda: CommutatorReport(105, 1))
     code, doc, err = run_cli(capsys, *argv)
     assert code == 2 and err == ""
     assert doc["result"].get("ok", doc["result"].get("pass")) is False
